@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: all build vet test race fuzz bench e2e-restart e2e-repair e2e-lease e2e-failover e2e-scrub e2e-trace soak-smoke ci clean
+.PHONY: all build vet bench-vet test race fuzz bench e2e-restart e2e-maint e2e-repair e2e-scrub e2e-lease e2e-failover e2e-trace soak-smoke ci clean
 
 all: ci
 
@@ -11,6 +11,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark is a Go module of its own (benchmark/go.mod replaces repro
+# with ..), so root `go vet ./...` and `go test ./...` never see it. This
+# step builds, vets and unit-tests it against the working tree, so an API
+# change that breaks what it imports fails here, not in the bench driver.
+bench-vet:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -56,13 +63,24 @@ e2e-restart:
 	$(GO) test -race -count=1 -run 'TestCrashRecoveryMidWriteStorm|TestRestartVolatileVMComesBackEmpty' ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestDaemonCrashRecovery' ./cmd/blobseerd/
 
-# Self-healing end-to-end suite: kill-one-provider re-replication with
-# batched-RPC bounds, watermark rebalance with stale-cache reader
-# recovery, stray-replica GC after a dead provider returns, and durable
-# provider sidecar restarts.
-e2e-repair:
-	$(GO) test -race -count=1 ./internal/repair/
-	$(GO) test -race -count=1 -run 'TestSidecar' ./internal/provider/
+# Maintenance-plane end-to-end suite, under the race detector. The whole
+# internal/maint package: reclaim (keep-last-N, prune, blob delete,
+# tombstone-before-list), replicate (kill-one-provider re-replication with
+# batched-RPC bounds, watermark rebalance with stale-cache reader recovery,
+# stray-replica reclaim after a dead provider returns), the shared-walk
+# RPC bound and the report/pacing units. Chunk integrity: with one replica
+# bit-rotted, concurrent readers must fail over without ever seeing wrong
+# bytes, and one verify pass (RAM and disk engines) must quarantine the
+# rot, re-replicate from a verified survivor, and purge the bad copy. Plus
+# the provider-local verification units and durable sidecar restarts.
+e2e-maint:
+	$(GO) test -race -count=1 ./internal/maint/
+	$(GO) test -race -count=1 -run 'TestCorruptReplicaReadFailover|TestScrubRestoresDegree' ./internal/fault/
+	$(GO) test -race -count=1 -run 'TestSidecar|TestGetQuarantinesCorruptCopy|TestIngestRejectsCorruptPut|TestLegacyChunkBackfilledOnRead|TestVerifyChunkRecheck|TestScrubStepBudgetAndResume' ./internal/provider/
+
+# The pre-merge names of e2e-maint's halves, kept so CI step names need
+# not change.
+e2e-repair e2e-scrub: e2e-maint
 
 # Writer-lease end-to-end suite: writers kill -9'd between Assign and
 # Commit and mid-upload must not wedge the publish frontier — lease expiry
@@ -82,15 +100,6 @@ e2e-failover:
 	$(GO) test -race -count=1 -run 'TestFailoverMidWriteStorm|TestStandbyCrashDoesNotBlockCommits' -timeout 10m ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestReplication|TestQuorum|TestFailover|TestDivergent|TestRebooted' ./internal/vmanager/
 
-# Chunk-integrity end-to-end suite, under the race detector: with one
-# replica bit-rotted, concurrent readers must fail over without ever
-# seeing wrong bytes, and one scrub pass (RAM and disk engines) must
-# quarantine the rot, re-replicate from a verified survivor, and purge the
-# bad copy. Plus the provider-local verification unit suite.
-e2e-scrub:
-	$(GO) test -race -count=1 -run 'TestCorruptReplicaReadFailover|TestScrubRestoresDegree' ./internal/fault/
-	$(GO) test -race -count=1 -run 'TestGetQuarantinesCorruptCopy|TestIngestRejectsCorruptPut|TestLegacyChunkBackfilledOnRead|TestVerifyChunkRecheck|TestScrubStepBudgetAndResume|TestSidecarDigestReplayAndTornFileBootCheck' ./internal/provider/
-
 # Distributed-tracing end-to-end suite, under the race detector: a
 # sampled 256-chunk cold read must land client/vmanager/metadata/provider
 # spans under one trace id; the trace must survive a leader failover
@@ -109,7 +118,7 @@ SOAK_SECS ?= 10
 soak-smoke:
 	BLASTER_SOAK_SECS=$(SOAK_SECS) $(GO) test -race -count=1 -run 'TestSoakSmoke' -timeout 10m ./internal/blaster/
 
-ci: vet build race fuzz bench e2e-restart e2e-repair e2e-lease e2e-failover e2e-scrub e2e-trace soak-smoke
+ci: vet bench-vet build race fuzz bench e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke
 
 clean:
 	$(GO) clean -testcache

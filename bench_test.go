@@ -1,6 +1,6 @@
 // Macro-benchmarks: one per reconstructed figure/table of the BlobSeer
-// evaluation (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured results). Each benchmark iteration runs
+// evaluation (`go run ./cmd/blobseer-bench -list` prints the experiment
+// index). Each benchmark iteration runs
 // the full experiment at reduced scale and reports the headline metric via
 // b.ReportMetric; `go run ./cmd/blobseer-bench` prints the complete tables
 // at full scale.

@@ -23,7 +23,7 @@
 // For multi-process deployments run cmd/blobseerd for each role over TCP
 // and connect with NewClient.
 //
-// # Version retention and garbage collection
+// # Version retention and the maintenance plane
 //
 // Snapshots are immutable but not eternal. Each blob carries a retention
 // policy — keep-all (the default) or keep-last-N (Blob.SetRetention) — and
@@ -33,34 +33,37 @@
 // newest published version can never be pruned). Client.DeleteBlob removes
 // a blob outright; subsequent operations fail with ErrBlobDeleted.
 //
-// Raising the floor reclaims no space by itself. A garbage-collection
-// sweep (the cluster harness's background loop when DeployOptions.
-// GCInterval is set, Cluster.RunGC on demand, or `blobseer-cli gc` against
-// a daemon deployment) walks the metadata trees to compute liveness —
-// persistent trees share untouched subtrees across versions, so a pruned
-// version's node or chunk is dead only when no retained snapshot still
-// references it — then deletes dead tree nodes from the metadata providers
-// and dead chunks from the data providers. The same sweep reclaims orphan
-// chunks left by aborted writes once they outlive a grace period.
-// Reclamation totals are reported through Client.GCStats.
+// Raising the floor reclaims no space by itself, and replication only
+// survives churn if something restores it. Both are the job of the
+// maintenance engine (internal/maint), which runs three actions over one
+// shared view of the deployment — the harness's background loop when
+// DeployOptions.GCInterval / RepairInterval / ScrubInterval are set,
+// Cluster.Maint.Run on demand, or `blobseerd -role maint` /
+// `blobseer-cli maint <action>` against a daemon deployment:
+//
+//   - reclaim walks the metadata trees to compute liveness — persistent
+//     trees share untouched subtrees across versions, so a pruned
+//     version's node or chunk is dead only when no retained snapshot
+//     still references it — then deletes dead tree nodes from the
+//     metadata providers and dead chunks from the data providers, and
+//     sweeps orphan chunks left by aborted writes once they outlive a
+//     grace period. Reclamation totals are reported through
+//     Client.GCStats.
+//   - replicate scans every retained snapshot's placement on that same
+//     walk, re-replicates chunks whose replicas sit on dead, avoided or
+//     quarantined copies (batched getchunks/putchunks — RPC count tracks
+//     providers, not chunks), patches the affected leaf descriptors in
+//     place so reads stop probing dead addresses, and migrates replicas
+//     off providers above a fullness watermark (capacity declared via
+//     heartbeats). Stale client caches self-correct: a read whose every
+//     listed replica fails refreshes the leaf and retries against the
+//     patched placement.
+//   - verify has every provider re-check its chunks against their
+//     recorded digests at a bounded byte rate; what it quarantines is
+//     healed by the same pass.
 //
 // Readers racing a prune are safe: a read either returns the version's
 // exact bytes or fails whole with ErrVersionReclaimed — never torn data.
-//
-// # Self-healing repair and rebalance
-//
-// Replication only survives churn if something restores it. The repair
-// engine (internal/repair; the harness's background loop when
-// DeployOptions.RepairInterval is set, Cluster.RunRepair on demand, or
-// `blobseerd -role repair` / `blobseer-cli repair` against a daemon
-// deployment) scans every retained snapshot's placement, re-replicates
-// chunks whose replicas sit on dead or avoided providers (batched
-// getchunks/putchunks — RPC count tracks providers, not chunks), patches
-// the affected leaf descriptors in place so reads stop probing dead
-// addresses, and migrates replicas off providers above a fullness
-// watermark (capacity declared via heartbeats). Stale client caches
-// self-correct: a read whose every listed replica fails refreshes the
-// leaf and retries against the patched placement.
 //
 // # Durability and crash recovery
 //

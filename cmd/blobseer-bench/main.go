@@ -1,7 +1,6 @@
 // Command blobseer-bench reproduces the BlobSeer evaluation: it runs the
-// reconstructed experiments E1–E12 (see DESIGN.md for the index) on the
-// simulated testbed and prints one table/series per figure, in the same
-// form EXPERIMENTS.md records.
+// reconstructed experiments (-list prints the index) on the simulated
+// testbed and prints one table/series per figure.
 //
 // Usage:
 //

@@ -8,30 +8,29 @@
 //	blobseer-cli ... stat   -blob 1
 //	blobseer-cli ... list
 //
-// Retention and garbage collection:
+// Retention:
 //
 //	blobseer-cli ... retention -blob 1 -keep 5     # keep the newest 5 versions
 //	blobseer-cli ... prune     -blob 1 -upto 40    # reclaim versions 1..40
 //	blobseer-cli ... delete    -blob 1             # delete the whole blob
-//	blobseer-cli ... gc                            # run one reclamation sweep
-//	blobseer-cli ... gc-stats                      # cumulative reclamation totals
 //	blobseer-cli ... compact                       # snapshot + truncate the vmanager journal
 //
-// Self-healing repair and rebalance:
+// Maintenance (see blobseerd -role maint): one pass of the named action —
+// reclaim (garbage collection), replicate (re-replicate + rebalance),
+// verify (rate-limited bit-rot scrub; what it quarantines is healed by
+// the same pass) — or of all three over one shared walk:
 //
-//	blobseer-cli ... repair                        # run one repair pass (re-replicate + rebalance)
-//	blobseer-cli ... repair-stats                  # cumulative repair totals (all engines)
-//
-// Data integrity (see blobseerd -role scrub):
-//
-//	blobseer-cli ... scrub -rate-mb 32             # run one rate-limited scrub pass
-//	blobseer-cli ... scrub-stats                   # cumulative scrub totals (all engines)
+//	blobseer-cli ... maint reclaim -orphan-grace 5m
+//	blobseer-cli ... maint replicate -high 0.85 -low 0.70
+//	blobseer-cli ... maint verify -rate-mb 32
+//	blobseer-cli ... maint all
+//	blobseer-cli ... maint-stats                   # cumulative totals (all engines)
 //
 // Write leases (see blobseerd -lease-ttl):
 //
 //	blobseer-cli ... lease-stats                   # lease grant/renew/expiry counters
 //
-// Unified health snapshot (GC + repair + leases + per-provider stats):
+// Unified health snapshot (maintenance + leases + per-provider stats):
 //
 //	blobseer-cli ... stats
 //
@@ -66,14 +65,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gc"
+	"repro/internal/maint"
 	"repro/internal/meta"
 	"repro/internal/obs"
 	"repro/internal/pmanager"
 	"repro/internal/provider"
-	"repro/internal/repair"
 	"repro/internal/rpc"
-	"repro/internal/scrub"
 	"repro/internal/trace"
 	"repro/internal/vmanager"
 )
@@ -86,7 +83,7 @@ func main() {
 	traceOp := flag.Bool("trace", false, "trace this read/write/append end-to-end (sampling forced on) and print its waterfall from the -obs endpoints")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		log.Fatal("blobseer-cli: missing subcommand (create|write|append|read|stat|list|retention|prune|delete|gc|gc-stats|repair|repair-stats|scrub|scrub-stats|lease-stats|stats|compact|ha-status|trace|slowops)")
+		log.Fatal("blobseer-cli: missing subcommand (create|write|append|read|stat|list|retention|prune|delete|maint|maint-stats|lease-stats|stats|compact|ha-status|trace|slowops)")
 	}
 	vmAddrs := strings.Split(*vm, ",")
 	obsAddrs := splitNonEmpty(*obsList)
@@ -210,98 +207,56 @@ func main() {
 		must(err)
 		floor, err := blob.Prune(*upTo)
 		must(err)
-		fmt.Printf("blob %d: versions below v%d reclaimable (swept by the next gc run)\n", *id, floor)
+		fmt.Printf("blob %d: versions below v%d reclaimable (swept by the next reclaim pass)\n", *id, floor)
 	case "delete":
 		fs := flag.NewFlagSet("delete", flag.ExitOnError)
 		id := fs.Uint64("blob", 0, "blob ID")
 		fs.Parse(args)
 		must(client.DeleteBlob(*id))
-		fmt.Printf("blob %d deleted (space returns on the next gc run)\n", *id)
-	case "gc":
-		fs := flag.NewFlagSet("gc", flag.ExitOnError)
-		grace := fs.Duration("orphan-grace", 5*time.Minute, "minimum chunk age before orphan reclaim")
-		metaRepl := fs.Int("meta-repl", 1, "deployment's metadata replication degree (walk resilience; deletes always reach every member)")
-		fs.Parse(args)
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
-		sweeper, err := gc.New(gc.Config{
-			RPC:     rpcCli,
-			Meta:    meta.NewClient(rpcCli, strings.Split(*metaList, ","), *metaRepl, 0),
-			VMAddrs: vmAddrs,
-			Providers: func() []string {
-				var resp pmanager.ProvidersResp
-				if err := rpcCli.Call(*pm, pmanager.MethodProviders, &pmanager.Ack{}, &resp); err != nil {
-					log.Printf("blobseer-cli: listing providers: %v", err)
-					return nil
-				}
-				return resp.Addrs
-			},
-			OrphanGrace: *grace,
-		})
-		must(err)
-		stats, err := sweeper.Run()
-		must(err)
-		fmt.Printf("gc: reclaimed %s\n", stats)
-	case "repair":
-		fs := flag.NewFlagSet("repair", flag.ExitOnError)
-		high := fs.Float64("high", 0.85, "rebalance fullness high watermark")
-		low := fs.Float64("low", 0.70, "rebalance fullness low watermark")
-		moveMB := fs.Int64("max-move-mb", 1024, "max payload migrated by this pass")
-		metaRepl := fs.Int("meta-repl", 1, "deployment's metadata replication degree")
-		fs.Parse(args)
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
-		eng, err := repair.New(repair.Config{
-			RPC:          rpcCli,
-			Meta:         meta.NewClient(rpcCli, strings.Split(*metaList, ","), *metaRepl, 0),
-			VMAddrs:      vmAddrs,
-			PMAddr:       *pm,
-			HighWater:    *high,
-			LowWater:     *low,
-			MaxMoveBytes: uint64(*moveMB) << 20,
-		})
-		must(err)
-		st, err := eng.Run()
-		fmt.Printf("repair: scanned=%d under-replicated=%d re-replicated=%d migrated=%d bytes-moved=%d leaves-patched=%d lost=%d corrupt-purged=%d errors=%d\n",
-			st.ChunksScanned, st.UnderReplicated, st.ReReplicated, st.Migrated,
-			st.BytesMoved, st.LeavesPatched, st.LostChunks, st.CorruptPurged, st.Errors)
-		must(err)
-	case "repair-stats":
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
-		var st vmanager.RepairTotals
-		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(vmanager.MethodRepairStats, &vmanager.Ack{}, &st))
-		fmt.Printf("repair: passes=%d scanned=%d under-replicated=%d re-replicated=%d migrated=%d bytes-moved=%d leaves-patched=%d lost=%d corrupt-purged=%d errors=%d\n",
-			st.Passes, st.ChunksScanned, st.UnderReplicated, st.ReReplicated, st.Migrated,
-			st.BytesMoved, st.LeavesPatched, st.LostChunks, st.CorruptPurged, st.Errors)
-	case "scrub":
-		fs := flag.NewFlagSet("scrub", flag.ExitOnError)
-		rateMB := fs.Int64("rate-mb", 32, "verification rate limit in MiB/s (<=0 = unlimited)")
-		fs.Parse(args)
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
-		rate := scrub.NoRateLimit
-		if *rateMB > 0 {
-			rate = uint64(*rateMB) << 20
+		fmt.Printf("blob %d deleted (space returns on the next reclaim pass)\n", *id)
+	case "maint":
+		fs := flag.NewFlagSet("maint", flag.ExitOnError)
+		grace := fs.Duration("orphan-grace", 5*time.Minute, "reclaim: minimum chunk age before orphan reclaim")
+		high := fs.Float64("high", 0.85, "replicate: rebalance fullness high watermark")
+		low := fs.Float64("low", 0.70, "replicate: rebalance fullness low watermark")
+		moveMB := fs.Int64("max-move-mb", 1024, "replicate: max payload migrated by this pass")
+		rateMB := fs.Int64("rate-mb", 32, "verify: verification rate limit in MiB/s (<=0 = unlimited)")
+		metaRepl := fs.Int("meta-repl", 1, "deployment's metadata replication degree (walk resilience; deletes and patches always reach every member)")
+		if len(args) < 1 {
+			log.Fatal("blobseer-cli: maint needs an action (reclaim|replicate|verify|all)")
 		}
-		eng, err := scrub.New(scrub.Config{
-			RPC:         rpcCli,
-			VMAddrs:     vmAddrs,
-			PMAddr:      *pm,
-			BytesPerSec: rate,
-		})
+		action, err := maint.ParseAction(args[0])
 		must(err)
-		st, err := eng.Run()
-		fmt.Printf("scrub: scanned=%d bytes=%d corrupt=%d backfilled=%d errors=%d\n",
-			st.ChunksScanned, st.BytesScanned, st.CorruptFound, st.Backfilled, st.Errors)
+		fs.Parse(args[1:])
+		rpcCli := client.RPC()
+		cfg := maint.Config{
+			Deployment: maint.Deployment{
+				RPC:  rpcCli,
+				Meta: meta.NewClient(rpcCli, strings.Split(*metaList, ","), *metaRepl, 0),
+				VM:   vmanager.NewCaller(rpcCli, vmAddrs),
+				PM:   *pm,
+			},
+			OrphanGrace:      *grace,
+			HighWater:        *high,
+			LowWater:         *low,
+			MaxMoveBytes:     uint64(*moveMB) << 20,
+			ScrubBytesPerSec: maint.NoRateLimit,
+		}
+		if *rateMB > 0 {
+			cfg.ScrubBytesPerSec = uint64(*rateMB) << 20
+		}
+		eng, err := maint.New(cfg)
 		must(err)
-	case "scrub-stats":
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
-		var st vmanager.ScrubTotals
-		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(vmanager.MethodScrubStats, &vmanager.Ack{}, &st))
-		fmt.Printf("scrub: passes=%d scanned=%d bytes=%d corrupt=%d backfilled=%d errors=%d\n",
-			st.Passes, st.ChunksScanned, st.BytesScanned, st.CorruptFound, st.Backfilled, st.Errors)
+		st, err := eng.Run(action)
+		if st[vmanager.ScrubCorruptFound] > 0 {
+			action |= maint.Replicate // the pass healed what verify quarantined
+		}
+		fmt.Println(action.Summary(&st, "\n"))
+		must(err)
+	case "maint-stats":
+		var st vmanager.Counters
+		must(vmanager.NewCaller(client.RPC(), vmAddrs).Call(vmanager.MethodMaintStats, &vmanager.Ack{}, &st))
+		fmt.Println(maint.All.Summary(&st, "\n"))
 	case "lease-stats":
 		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
 		defer rpcCli.Close()
@@ -313,33 +268,17 @@ func main() {
 		}
 		fmt.Printf("leases: ttl-ms=%d active=%d granted=%d renewed=%d expired=%d\n",
 			st.TTLMs, st.Active, st.Granted, st.Renewed, st.Expired)
-	case "gc-stats":
-		stats, err := client.GCStats()
-		must(err)
-		fmt.Printf("reclaimed: chunks=%d bytes=%d nodes=%d orphans=%d pruned-versions=%d pending-blobs=%d\n",
-			stats.Chunks, stats.Bytes, stats.Nodes, stats.Orphans, stats.PrunedVersions, stats.PendingBlobs)
 	case "stats":
-		// One deployment-health snapshot: what gc-stats, repair-stats and
-		// lease-stats report separately, plus a per-provider inventory —
-		// the human-readable cousin of scraping every /metrics endpoint.
+		// One deployment-health snapshot: what maint-stats and lease-stats
+		// report separately, plus a per-provider inventory — the
+		// human-readable cousin of scraping every /metrics endpoint.
 		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
 		defer rpcCli.Close()
 		vmc := vmanager.NewCaller(rpcCli, vmAddrs)
 
-		gcStats, err := client.GCStats()
-		must(err)
-		fmt.Printf("gc:      reclaimed chunks=%d bytes=%d nodes=%d orphans=%d pruned-versions=%d pending-blobs=%d\n",
-			gcStats.Chunks, gcStats.Bytes, gcStats.Nodes, gcStats.Orphans, gcStats.PrunedVersions, gcStats.PendingBlobs)
-
-		var rt vmanager.RepairTotals
-		must(vmc.Call(vmanager.MethodRepairStats, &vmanager.Ack{}, &rt))
-		fmt.Printf("repair:  passes=%d scanned=%d re-replicated=%d migrated=%d bytes-moved=%d lost=%d corrupt-purged=%d errors=%d\n",
-			rt.Passes, rt.ChunksScanned, rt.ReReplicated, rt.Migrated, rt.BytesMoved, rt.LostChunks, rt.CorruptPurged, rt.Errors)
-
-		var sc vmanager.ScrubTotals
-		must(vmc.Call(vmanager.MethodScrubStats, &vmanager.Ack{}, &sc))
-		fmt.Printf("scrub:   passes=%d scanned=%d bytes=%d corrupt=%d backfilled=%d errors=%d\n",
-			sc.Passes, sc.ChunksScanned, sc.BytesScanned, sc.CorruptFound, sc.Backfilled, sc.Errors)
+		var mt vmanager.Counters
+		must(vmc.Call(vmanager.MethodMaintStats, &vmanager.Ack{}, &mt))
+		fmt.Println(maint.All.Summary(&mt, "\n"))
 
 		var ls vmanager.LeaseStatsResp
 		must(vmc.Call(vmanager.MethodLeaseStats, &vmanager.Ack{}, &ls))

@@ -6,8 +6,7 @@
 //	blobseerd -role metadata  -listen :4410 -dir /var/blobseer/meta0
 //	blobseerd -role provider  -listen :4420 -pm host:4401 -store disk -dir /var/blobseer/chunks -capacity-mb 65536
 //	blobseerd -role namespace -listen :4430                      # BSFS names
-//	blobseerd -role repair    -vm host:4400 -pm host:4401 -meta host:4410 -repair-interval 30s
-//	blobseerd -role scrub     -vm host:4400 -pm host:4401 -scrub-interval 1h -scrub-rate-mb 32
+//	blobseerd -role maint     -vm host:4400 -pm host:4401 -meta host:4410 -gc-interval 1m -repair-interval 30s -scrub-interval 1h
 //
 // Durability: for the vmanager and metadata roles, -dir selects the
 // journal/node-log directory; the daemon replays it on start, so a crashed
@@ -18,25 +17,19 @@
 // enough to always be on; -fsync=false trades it away for latency
 // (appends then survive process crashes only).
 //
-// Garbage collection: the vmanager role runs a background reclamation
-// sweep every -gc-interval when also given the deployment view
-// (-pm and -meta), so TCP deployments reclaim space without a cron'd
-// `blobseer-cli gc`.
-//
-// Self-healing: the repair role runs the re-replication + rebalance loop
-// (internal/repair) against a live deployment; the vmanager role can run
-// the same loop in-daemon with -repair-interval (plus -pm and -meta).
+// Maintenance: the maint role runs the background maintenance plane
+// (internal/maint) against a live deployment — one loop, one action per
+// non-zero interval: -gc-interval reclaims pruned versions, deleted blobs
+// and aborted-write orphans; -repair-interval re-replicates chunks off
+// dead providers and rebalances overfull ones (above
+// -fullness-watermark, the cutoff clients also use for retry placement);
+// -scrub-interval has every provider digest-verify its inventory at
+// -scrub-rate-mb MiB/s, and what it quarantines is healed by the same
+// pass. The vmanager role runs the same loop in-daemon when given any of
+// the three intervals plus the deployment view (-pm and -meta).
 // Providers declare capacity with -capacity-mb so placement and the
 // rebalance watermarks can score fullness, and persist their put-age/
 // tombstone/digest sidecar under -dir automatically.
-// -fullness-watermark sets the shared fullness cutoff in one place
-// (it overrides -repair-high).
-//
-// Data integrity: the scrub role walks every provider's chunk inventory
-// and digest-verifies it at a bounded rate (-scrub-rate-mb MiB/s);
-// corrupt copies are quarantined by their provider and healed by the next
-// repair pass. The vmanager role can run the same loop in-daemon with
-// -scrub-interval (plus -pm).
 //
 // Write leases: -lease-ttl arms the vmanager's writer-failure detector —
 // Assign grants each version a TTL'd lease, clients renew it while
@@ -73,24 +66,22 @@ import (
 
 	"repro/internal/bsfs"
 	"repro/internal/chunk"
-	"repro/internal/gc"
+	"repro/internal/maint"
 	"repro/internal/meta"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pmanager"
 	"repro/internal/provider"
-	"repro/internal/repair"
 	"repro/internal/rpc"
-	"repro/internal/scrub"
 	"repro/internal/trace"
 	"repro/internal/vmanager"
 )
 
 func main() {
-	role := flag.String("role", "", "vmanager | pmanager | metadata | provider | namespace | repair | scrub")
+	role := flag.String("role", "", "vmanager | pmanager | metadata | provider | namespace | maint")
 	listen := flag.String("listen", ":0", "TCP listen address")
-	vmAddr := flag.String("vm", "", "version manager address, comma-separated list for an HA group (role=repair)")
-	pmAddr := flag.String("pm", "", "provider manager address (role=provider|repair; role=vmanager with -gc-interval or -repair-interval)")
+	vmAddr := flag.String("vm", "", "version manager address, comma-separated list for an HA group (role=maint)")
+	pmAddr := flag.String("pm", "", "provider manager address (role=provider|maint; role=vmanager with a maintenance interval)")
 	strategy := flag.String("strategy", "roundrobin", "placement strategy (role=pmanager)")
 	storeKind := flag.String("store", "mem", "chunk store: mem | disk | cached (role=provider)")
 	dir := flag.String("dir", "", "data directory: chunks + sidecar (role=provider, store=disk|cached), journal (role=vmanager), node log (role=metadata)")
@@ -99,17 +90,16 @@ func main() {
 	capacityMB := flag.Int64("capacity-mb", 0, "declared storage capacity, 0 = unknown (role=provider; enables fullness-aware placement and rebalance)")
 	hbInterval := flag.Duration("heartbeat", time.Second, "heartbeat interval (role=provider)")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "provider liveness timeout (role=pmanager)")
-	gcInterval := flag.Duration("gc-interval", 0, "background GC sweep interval, 0 = off (role=vmanager; needs -pm and -meta)")
-	gcGrace := flag.Duration("gc-orphan-grace", 5*time.Minute, "minimum chunk age before orphan reclaim (role=vmanager)")
-	repairInterval := flag.Duration("repair-interval", 0, "background repair pass interval; role=repair defaults to 30s, 0 = off for role=vmanager")
-	repairHigh := flag.Float64("repair-high", 0.85, "rebalance fullness high watermark (role=repair|vmanager)")
-	repairLow := flag.Float64("repair-low", 0.70, "rebalance fullness low watermark (role=repair|vmanager)")
-	repairMoveMB := flag.Int64("repair-max-move-mb", 1024, "max payload the rebalancer migrates per pass (role=repair|vmanager)")
-	fullness := flag.Float64("fullness-watermark", 0, "provider fullness cutoff in (0, 1] shared by the repair and placement planes; overrides -repair-high (0 = keep the 0.85 default)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "background bit-rot scrub pass interval; role=scrub defaults to 1h, 0 = off for role=vmanager")
-	scrubRateMB := flag.Int64("scrub-rate-mb", 32, "scrub verification rate limit in MiB/s, 0 = unlimited (role=scrub|vmanager)")
-	metaList := flag.String("meta", "", "comma-separated metadata provider addresses (role=repair; role=vmanager with -gc-interval, -repair-interval or -lease-ttl)")
-	metaRepl := flag.Int("meta-repl", 1, "metadata replication degree of the deployment (role=repair; role=vmanager loops)")
+	gcInterval := flag.Duration("gc-interval", 0, "background reclaim (GC) pass interval, 0 = off (role=maint|vmanager; vmanager needs -pm and -meta)")
+	gcGrace := flag.Duration("gc-orphan-grace", 5*time.Minute, "minimum chunk age before orphan reclaim (role=maint|vmanager)")
+	repairInterval := flag.Duration("repair-interval", 0, "background replicate (repair + rebalance) pass interval, 0 = off (role=maint|vmanager)")
+	repairLow := flag.Float64("repair-low", 0.70, "rebalance fullness low watermark (role=maint|vmanager)")
+	repairMoveMB := flag.Int64("repair-max-move-mb", 1024, "max payload the rebalancer migrates per pass (role=maint|vmanager)")
+	fullness := flag.Float64("fullness-watermark", 0, "provider fullness cutoff in (0, 1]: the rebalance high watermark, shared with the placement plane (0 = keep the 0.85 default)")
+	scrubInterval := flag.Duration("scrub-interval", 0, "background verify (bit-rot scrub) pass interval, 0 = off (role=maint|vmanager)")
+	scrubRateMB := flag.Int64("scrub-rate-mb", 32, "scrub verification rate limit in MiB/s, 0 = unlimited (role=maint|vmanager)")
+	metaList := flag.String("meta", "", "comma-separated metadata provider addresses (role=maint; role=vmanager with a maintenance interval or -lease-ttl)")
+	metaRepl := flag.Int("meta-repl", 1, "metadata replication degree of the deployment (role=maint; role=vmanager loops)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "write-lease TTL granted on Assign, 0 = leases off (role=vmanager)")
 	leaseExpiry := flag.Duration("lease-expiry", 0, "lapsed-lease collection interval, 0 = lease-ttl/4 (role=vmanager)")
 	advertise := flag.String("advertise", "", "address peers and clients dial this vmanager at; default = bound listen address (role=vmanager with -vm-peers/-standby-of)")
@@ -124,11 +114,21 @@ func main() {
 	exemplarsOn := flag.Bool("metrics-exemplars", false, "render OpenMetrics exemplars (bucket trace ids) on /metrics")
 	flag.Parse()
 
-	if *fullness != 0 {
-		if *fullness <= 0 || *fullness > 1 {
-			log.Fatalf("blobseerd: -fullness-watermark %v out of range (0, 1]", *fullness)
-		}
-		*repairHigh = *fullness
+	if *fullness != 0 && (*fullness <= 0 || *fullness > 1) {
+		log.Fatalf("blobseerd: -fullness-watermark %v out of range (0, 1]", *fullness)
+	}
+	// The maintenance plane's settings, shared by role=maint and the
+	// vmanager's in-daemon loop.
+	intervals := maint.Intervals{Reclaim: *gcInterval, Replicate: *repairInterval, Verify: *scrubInterval}
+	maintCfg := maint.Config{
+		OrphanGrace:      *gcGrace,
+		HighWater:        *fullness,
+		LowWater:         *repairLow,
+		MaxMoveBytes:     uint64(*repairMoveMB) << 20,
+		ScrubBytesPerSec: uint64(*scrubRateMB) << 20,
+	}
+	if *scrubRateMB <= 0 {
+		maintCfg.ScrubBytesPerSec = maint.NoRateLimit
 	}
 
 	network := rpc.NewTCPNetwork()
@@ -189,7 +189,7 @@ func main() {
 
 		// Replicated control plane: -vm-peers (bootstrap-capable) or
 		// -standby-of (join-only) turns this member into part of an HA
-		// group. The colocated gc/repair loops then resolve the leader
+		// group. The colocated maintenance loop then resolves the leader
 		// across the whole group instead of pinning this instance.
 		peers, bootstrap := *vmPeers, true
 		if *standbyOf != "" {
@@ -239,16 +239,12 @@ func main() {
 				obs.RegisterVManagerHA(reg, self, s.Manager)
 			}
 		}
-		stopGC := startGCLoop(network, vmGroup, *pmAddr, *metaList, *metaRepl, *gcInterval, *gcGrace, clientObs("gc"), tracer("gc", "gc"))
-		stopRepair := startRepairLoop(network, vmGroup, *pmAddr, *metaList, *metaRepl, *repairInterval,
-			*repairHigh, *repairLow, *repairMoveMB, clientObs("repair"), tracer("repair", "repair"))
-		stopScrub := startScrubLoop(network, vmGroup, *pmAddr, *scrubInterval, *scrubRateMB, clientObs("scrub"), tracer("scrub", "scrub"))
+		stopMaint := startMaintLoop(network, vmGroup, *pmAddr, *metaList, *metaRepl, intervals, maintCfg,
+			clientObs("maint"), tracer("maint", "maint"))
 		stopLease := startLeaseLoop(network, mgr, *metaList, *metaRepl, *leaseTTL, *leaseExpiry, clientObs("lease"), tracer("lease", "lease"))
 		addr, closer = s.Addr(), func() {
 			stopLease()
-			stopScrub()
-			stopRepair()
-			stopGC()
+			stopMaint()
 			s.Close()
 			mgr.Halt()
 			if haCli != nil {
@@ -295,28 +291,12 @@ func main() {
 		must(s.Start())
 		s.SetRPCTracer(tracer("namespace", s.Addr()))
 		addr, closer = s.Addr(), s.Close
-	case "repair":
-		if *vmAddr == "" || *pmAddr == "" || *metaList == "" {
-			log.Fatal("blobseerd: role=repair requires -vm, -pm and -meta")
+	case "maint":
+		if *vmAddr == "" || intervals == (maint.Intervals{}) {
+			log.Fatal("blobseerd: role=maint requires -vm, -pm, -meta and at least one of -gc-interval, -repair-interval, -scrub-interval")
 		}
-		interval := *repairInterval
-		if interval <= 0 {
-			interval = 30 * time.Second
-		}
-		stop := startRepairLoop(network, *vmAddr, *pmAddr, *metaList, *metaRepl, interval,
-			*repairHigh, *repairLow, *repairMoveMB, clientObs("repair"), tracer("repair", "repair"))
-		log.Printf("blobseerd: role=repair healing %s every %v", *vmAddr, interval)
-		addr, closer = "(no RPC listener)", stop
-	case "scrub":
-		if *vmAddr == "" || *pmAddr == "" {
-			log.Fatal("blobseerd: role=scrub requires -vm and -pm")
-		}
-		interval := *scrubInterval
-		if interval <= 0 {
-			interval = time.Hour
-		}
-		stop := startScrubLoop(network, *vmAddr, *pmAddr, interval, *scrubRateMB, clientObs("scrub"), tracer("scrub", "scrub"))
-		log.Printf("blobseerd: role=scrub verifying %s every %v", *vmAddr, interval)
+		stop := startMaintLoop(network, *vmAddr, *pmAddr, *metaList, *metaRepl, intervals, maintCfg,
+			clientObs("maint"), tracer("maint", "maint"))
 		addr, closer = "(no RPC listener)", stop
 	case "provider":
 		if *pmAddr == "" {
@@ -379,169 +359,47 @@ func waitForSignal() {
 	log.Printf("blobseerd: shutting down")
 }
 
-// startGCLoop runs the background reclamation sweep inside the vmanager
-// daemon when an interval is configured. It returns a stop function (a
-// no-op when the loop is off).
-func startGCLoop(network rpc.Network, vmAddr, pmAddr, metaList string, metaRepl int, interval, grace time.Duration, co rpc.ClientObserver, tr *trace.Tracer) func() {
-	if interval <= 0 {
+// startMaintLoop runs the background maintenance loop (in-daemon for the
+// vmanager role, standalone for role=maint) with one action per non-zero
+// interval. It returns a stop function (a no-op when every interval is
+// zero).
+func startMaintLoop(network rpc.Network, vmAddr, pmAddr, metaList string, metaRepl int,
+	iv maint.Intervals, cfg maint.Config, co rpc.ClientObserver, tr *trace.Tracer) func() {
+	if iv == (maint.Intervals{}) {
 		return func() {}
 	}
 	if pmAddr == "" || metaList == "" {
-		log.Fatal("blobseerd: -gc-interval requires -pm and -meta so sweeps can reach the deployment")
+		log.Fatal("blobseerd: the maintenance loop requires -pm and -meta so passes can reach the deployment")
 	}
 	cli := rpc.NewClient(network, 0)
 	cli.SetObserver(co)
 	cli.SetTracer(tr)
 	cli.SetRootTraces(true)
-	sweeper, err := gc.New(gc.Config{
-		RPC:     cli,
-		Meta:    meta.NewClient(cli, strings.Split(metaList, ","), metaRepl, 0),
-		VMAddrs: strings.Split(vmAddr, ","),
-		Providers: func() []string {
-			var resp pmanager.ProvidersResp
-			if err := cli.Call(pmAddr, pmanager.MethodProviders, &pmanager.Ack{}, &resp); err != nil {
-				log.Printf("blobseerd: gc: listing providers: %v", err)
-				return nil
-			}
-			return resp.Addrs
-		},
-		OrphanGrace: grace,
-	})
+	cfg.Deployment = maint.Deployment{
+		RPC:  cli,
+		Meta: meta.NewClient(cli, strings.Split(metaList, ","), metaRepl, 0),
+		VM:   vmanager.NewCaller(cli, strings.Split(vmAddr, ",")),
+		PM:   pmAddr,
+	}
+	eng, err := maint.New(cfg)
 	must(err)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if stats, err := sweeper.Run(); err != nil {
-					log.Printf("blobseerd: gc sweep: %v (reclaimed %s)", err, stats)
-				}
-			}
+	loop := maint.StartLoop(eng, iv, func(a maint.Action, st vmanager.Counters, err error) {
+		// All planes: a verify pass that quarantined copies also ran replicate.
+		if err != nil || st[vmanager.ScrubCorruptFound] > 0 {
+			log.Printf("blobseerd: maint %s pass: err=%v (%s)", a, err, maint.All.Summary(&st, "; "))
 		}
-	}()
-	log.Printf("blobseerd: background gc sweeping every %v", interval)
-	return func() {
-		close(stop)
-		<-done
-		cli.Close()
-	}
-}
-
-// startRepairLoop runs the self-healing repair loop (in-daemon for the
-// vmanager role, standalone for role=repair). It returns a stop function
-// (a no-op when the loop is off).
-func startRepairLoop(network rpc.Network, vmAddr, pmAddr, metaList string, metaRepl int,
-	interval time.Duration, high, low float64, maxMoveMB int64, co rpc.ClientObserver, tr *trace.Tracer) func() {
-	if interval <= 0 {
-		return func() {}
-	}
-	if pmAddr == "" || metaList == "" {
-		log.Fatal("blobseerd: the repair loop requires -pm and -meta so passes can reach the deployment")
-	}
-	cli := rpc.NewClient(network, 0)
-	cli.SetObserver(co)
-	cli.SetTracer(tr)
-	cli.SetRootTraces(true)
-	eng, err := repair.New(repair.Config{
-		RPC:          cli,
-		Meta:         meta.NewClient(cli, strings.Split(metaList, ","), metaRepl, 0),
-		VMAddrs:      strings.Split(vmAddr, ","),
-		PMAddr:       pmAddr,
-		HighWater:    high,
-		LowWater:     low,
-		MaxMoveBytes: uint64(maxMoveMB) << 20,
 	})
-	must(err)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if st, err := eng.Run(); err != nil {
-					log.Printf("blobseerd: repair pass: %v (scanned=%d rereplicated=%d migrated=%d)",
-						err, st.ChunksScanned, st.ReReplicated, st.Migrated)
-				}
-			}
-		}
-	}()
-	log.Printf("blobseerd: background repair every %v (watermarks %.2f/%.2f)", interval, high, low)
+	log.Printf("blobseerd: background maintenance of %s: reclaim every %v, replicate every %v, verify every %v (0s = off)",
+		vmAddr, iv.Reclaim, iv.Replicate, iv.Verify)
 	return func() {
-		close(stop)
-		<-done
-		cli.Close()
-	}
-}
-
-// startScrubLoop runs the bit-rot scrubbing loop (in-daemon for the
-// vmanager role, standalone for role=scrub). It returns a stop function
-// (a no-op when the loop is off).
-func startScrubLoop(network rpc.Network, vmAddr, pmAddr string, interval time.Duration,
-	rateMB int64, co rpc.ClientObserver, tr *trace.Tracer) func() {
-	if interval <= 0 {
-		return func() {}
-	}
-	if pmAddr == "" {
-		log.Fatal("blobseerd: the scrub loop requires -pm so passes can reach the providers")
-	}
-	rate := uint64(rateMB) << 20
-	if rateMB <= 0 {
-		rate = scrub.NoRateLimit
-	}
-	cli := rpc.NewClient(network, 0)
-	cli.SetObserver(co)
-	cli.SetTracer(tr)
-	cli.SetRootTraces(true)
-	eng, err := scrub.New(scrub.Config{
-		RPC:         cli,
-		VMAddrs:     strings.Split(vmAddr, ","),
-		PMAddr:      pmAddr,
-		BytesPerSec: rate,
-	})
-	must(err)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if st, err := eng.Run(); err != nil {
-					log.Printf("blobseerd: scrub pass: %v (scanned=%d corrupt=%d)",
-						err, st.ChunksScanned, st.CorruptFound)
-				} else if st.CorruptFound > 0 {
-					log.Printf("blobseerd: scrub pass quarantined %d corrupt copies (repair will heal them)",
-						st.CorruptFound)
-				}
-			}
-		}
-	}()
-	log.Printf("blobseerd: background scrub every %v (rate %d MiB/s)", interval, rateMB)
-	return func() {
-		close(stop)
-		<-done
+		loop.Stop()
 		cli.Close()
 	}
 }
 
 // startLeaseLoop collects lapsed write leases inside the vmanager daemon.
 // With -meta the expiry pass weaves each aborted version's identity tree
-// server-side; without it the weave is left to GC's unwoven sweep (the
+// server-side; without it the weave is left to reclaim's unwoven sweep (the
 // abort — and the frontier unwedge — happens either way). Returns a stop
 // function (a no-op when leases are off).
 func startLeaseLoop(network rpc.Network, mgr *vmanager.Manager, metaList string, metaRepl int,
@@ -559,7 +417,7 @@ func startLeaseLoop(network rpc.Network, mgr *vmanager.Manager, metaList string,
 		mc := meta.NewClient(cli, strings.Split(metaList, ","), metaRepl, 0)
 		weaver = func(in meta.IdentityInput) error { return meta.WeaveIdentity(mc, in) }
 	} else {
-		log.Printf("blobseerd: -lease-ttl without -meta: expired versions abort unwoven (GC repairs the tree)")
+		log.Printf("blobseerd: -lease-ttl without -meta: expired versions abort unwoven (the reclaim action repairs the tree)")
 	}
 	if interval <= 0 {
 		interval = ttl / 4

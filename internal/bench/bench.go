@@ -1,5 +1,6 @@
 // Package bench implements the experiment harness: one runner per figure
-// or table of the reconstructed BlobSeer evaluation (E1–E12 in DESIGN.md).
+// or table of the reconstructed BlobSeer evaluation (the registry in this
+// package is the experiment index).
 // Each runner deploys a cluster on the simulated fabric, drives the
 // workload, and returns printable rows; bench_test.go wraps every runner
 // in a testing.B benchmark and cmd/blobseer-bench prints the full tables.
@@ -71,8 +72,8 @@ func (r *Result) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Options scale every experiment. Scale 1.0 is the default laptop scale
-// reported in EXPERIMENTS.md; benchmarks use smaller scales to stay fast.
+// Options scale every experiment. Scale 1.0 is the default laptop scale;
+// benchmarks use smaller scales to stay fast.
 type Options struct {
 	// Scale multiplies data volumes and sweep extents (default 1.0).
 	Scale float64

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/maint"
 	"repro/internal/meta"
 	"repro/internal/rpc"
+	"repro/internal/vmanager"
 	"repro/internal/workload"
 )
 
@@ -166,15 +168,15 @@ func repairChurnPoint(bytesTotal uint64) (*churnPoint, error) {
 	}
 
 	start := time.Now()
-	st, err := c.RunRepair()
+	st, err := c.Maint.Run(maint.Replicate)
 	if err != nil {
 		return nil, fmt.Errorf("repair pass: %w", err)
 	}
 	repairElapsed := time.Since(start)
-	if st.ReReplicated == 0 {
+	if st[vmanager.RepairReReplicated] == 0 {
 		return nil, fmt.Errorf("bench: repair pass re-replicated nothing (stats %+v)", st)
 	}
-	p.repairMBps = mbps(st.BytesMoved, repairElapsed)
+	p.repairMBps = mbps(st[vmanager.RepairBytesMoved], repairElapsed)
 
 	// Repaired: the same chunks, re-walked and re-read — the patched
 	// descriptors must never route at the dead provider again.

@@ -13,16 +13,14 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/core"
-	"repro/internal/gc"
+	"repro/internal/maint"
 	"repro/internal/meta"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/pmanager"
 	"repro/internal/provider"
-	"repro/internal/repair"
 	"repro/internal/rpc"
-	"repro/internal/scrub"
 	"repro/internal/trace"
 	"repro/internal/vmanager"
 )
@@ -50,34 +48,29 @@ type Config struct {
 	MetaReplication int
 	// CallTimeout bounds client RPCs (default 30s).
 	CallTimeout time.Duration
-	// GCInterval enables the background garbage-collection loop: every
-	// interval a sweep reclaims pruned versions, deleted blobs and
-	// aborted-write orphans. Zero disables the loop (sweeps can still be
-	// run on demand with RunGC).
-	GCInterval time.Duration
-	// GCOrphanGrace is the minimum chunk age before an unreferenced chunk
-	// counts as an aborted-write orphan (default 5m; see gc.Config).
-	GCOrphanGrace time.Duration
-	// RepairInterval enables the background self-healing loop: every
-	// interval a repair pass re-replicates chunks off dead providers and
-	// rebalances overfull ones. Zero disables the loop (passes can still
-	// be run on demand with RunRepair).
+	// GCInterval, RepairInterval and ScrubInterval enable the background
+	// maintenance loop (see internal/maint), one interval per action:
+	// reclaim sweeps pruned versions, deleted blobs and aborted-write
+	// orphans; replicate re-replicates chunks off dead providers and
+	// rebalances overfull ones; verify digest-checks every provider's
+	// whole inventory at a bounded rate. Zero leaves an action out of the
+	// loop (passes can still be run on demand with Maint.Run).
+	GCInterval     time.Duration
 	RepairInterval time.Duration
+	ScrubInterval  time.Duration
+	// GCOrphanGrace is the minimum chunk age before an unreferenced chunk
+	// counts as an aborted-write orphan (default 5m; see maint.Config).
+	GCOrphanGrace time.Duration
 	// RepairHighWater / RepairLowWater are the rebalance fullness
-	// watermarks (defaults 0.85 / 0.70; see repair.Config).
+	// watermarks (defaults 0.85 / 0.68; see maint.Config).
 	RepairHighWater float64
 	RepairLowWater  float64
 	// FullnessWatermark is the client-side retry-placement fullness cutoff
 	// (default 0.85, mirroring RepairHighWater's default; see
 	// core.Config.FullnessWatermark). Must be in (0, 1] when set.
 	FullnessWatermark float64
-	// ScrubInterval enables the background bit-rot scrubbing loop: every
-	// interval a pass digest-verifies every provider's whole inventory at
-	// a bounded rate. Zero disables the loop (passes can still be run on
-	// demand with RunScrub).
-	ScrubInterval time.Duration
 	// ScrubBytesPerSec bounds the scrubber's aggregate verification rate
-	// (default 32 MiB/s; scrub.NoRateLimit disables pacing — the right
+	// (default 32 MiB/s; maint.NoRateLimit disables pacing — the right
 	// choice for tests).
 	ScrubBytesPerSec uint64
 	// LeaseTTL enables write leases: Assign grants each version this TTL,
@@ -124,7 +117,7 @@ type Config struct {
 	VMReplAsync bool
 	// Metrics enables the observability plane without HTTP exposition:
 	// a metrics.Registry collecting per-RPC latency histograms from every
-	// role server and client plus all plane counters (GC/repair/lease
+	// role server and client plus all plane counters (maintenance/lease
 	// totals, WAL costs, provider inventories, pmanager membership).
 	// Implied by MetricsListen.
 	Metrics bool
@@ -199,26 +192,12 @@ type Cluster struct {
 	clients    []*core.Client
 	nextClient int
 
-	// GC is the deployment's garbage-collection sweeper (always built;
-	// the background loop only runs when Config.GCInterval > 0).
-	GC       *gc.Sweeper
-	gcClient *rpc.Client
-	gcStop   chan struct{}
-	gcDone   chan struct{}
-
-	// Repair is the deployment's self-healing engine (always built; the
-	// background loop only runs when Config.RepairInterval > 0).
-	Repair       *repair.Engine
-	repairClient *rpc.Client
-	repairStop   chan struct{}
-	repairDone   chan struct{}
-
-	// Scrub is the deployment's bit-rot scrubber (always built; the
-	// background loop only runs when Config.ScrubInterval > 0).
-	Scrub       *scrub.Engine
-	scrubClient *rpc.Client
-	scrubStop   chan struct{}
-	scrubDone   chan struct{}
+	// Maint is the deployment's maintenance engine — reclaim, replicate
+	// and verify (always built; the background loop only runs the actions
+	// whose Config interval is > 0).
+	Maint       *maint.Engine
+	maintClient *rpc.Client
+	maintLoop   *maint.Loop
 
 	// Lease expiry: leaseWeaver runs the server-side identity weave over
 	// its own metadata client; the loop runs when Config.LeaseTTL > 0.
@@ -389,11 +368,14 @@ func Start(cfg Config) (*Cluster, error) {
 			cli.SetRootTraces(true)
 			c.vmReplClients = append(c.vmReplClients, cli)
 		}
-		for i := range c.VMs {
+		for i := len(c.VMs) - 1; i >= 0; i-- {
 			// Only instance 0 may bootstrap epoch 1; on a restarted
 			// deployment its journal already knows an epoch and the flag
 			// is inert, so every node rejoins as standby and defers to
-			// the journaled fencing tokens.
+			// the journaled fencing tokens. It joins LAST: a fresh leader
+			// pushes its first catch-up snapshot at once, and a standby
+			// that is not listening yet stays unsynced for a third of a
+			// TTL — long enough for a crash test to kill the leader first.
 			if err := c.enableVMHA(i, i == 0); err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: enabling HA on version manager %d: %w", i, err)
@@ -403,7 +385,7 @@ func Start(cfg Config) (*Cluster, error) {
 	if c.registry != nil {
 		// Accessors resolve through the cluster so restart-in-place swaps
 		// (RestartVM and friends) keep feeding the same series. The
-		// deployment-wide GC/repair/lease totals come from instance 0
+		// deployment-wide maintenance/lease totals come from instance 0
 		// (standbys replicate the same state); the per-instance HA series
 		// (role, epoch, replication lag) are labeled per address.
 		obs.RegisterVManager(c.registry, func() *vmanager.Manager {
@@ -515,116 +497,30 @@ func Start(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// Garbage collector: the sweeper is always available; the background
-	// loop runs only when an interval was configured.
-	c.gcClient = rpc.NewClientFrom(c.Network, cfg.CallTimeout, "gc")
-	c.gcClient.SetObserver(c.clientObserver("gc"))
-	c.gcClient.SetTracer(c.roleTracer("gc", "gc"))
-	c.gcClient.SetRootTraces(true)
-	sweeper, err := gc.New(gc.Config{
-		RPC:         c.gcClient,
-		Meta:        meta.NewClient(c.gcClient, c.metaAddrs, cfg.MetaReplication, 0),
-		VMAddr:      c.vmAddr,
-		VMAddrs:     c.VMAddrs(),
-		Providers:   c.ProviderAddrs,
-		OrphanGrace: cfg.GCOrphanGrace,
+	// Maintenance plane: the engine is always available; the background
+	// loop runs the actions an interval was configured for.
+	c.maintClient = rpc.NewClientFrom(c.Network, cfg.CallTimeout, "maint")
+	c.maintClient.SetObserver(c.clientObserver("maint"))
+	c.maintClient.SetTracer(c.roleTracer("maint", "maint"))
+	c.maintClient.SetRootTraces(true)
+	c.Maint, err = maint.New(maint.Config{
+		Deployment: maint.Deployment{
+			RPC:  c.maintClient,
+			Meta: meta.NewClient(c.maintClient, c.metaAddrs, cfg.MetaReplication, 0),
+			VM:   vmanager.NewCaller(c.maintClient, c.vmAddrs),
+			PM:   c.pmAddr,
+		},
+		OrphanGrace:      cfg.GCOrphanGrace,
+		HighWater:        cfg.RepairHighWater,
+		LowWater:         cfg.RepairLowWater,
+		ScrubBytesPerSec: cfg.ScrubBytesPerSec,
 	})
 	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("cluster: building gc sweeper: %w", err)
+		return nil, fmt.Errorf("cluster: building maintenance engine: %w", err)
 	}
-	c.GC = sweeper
-	if cfg.GCInterval > 0 {
-		c.gcStop = make(chan struct{})
-		c.gcDone = make(chan struct{})
-		go func(stop, done chan struct{}) {
-			defer close(done)
-			t := time.NewTicker(cfg.GCInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					_, _ = c.GC.Run() // per-blob errors retry next pass
-				}
-			}
-		}(c.gcStop, c.gcDone)
-	}
-
-	// Self-healing repair engine: the engine is always available; the
-	// background loop runs only when an interval was configured.
-	c.repairClient = rpc.NewClientFrom(c.Network, cfg.CallTimeout, "repair")
-	c.repairClient.SetObserver(c.clientObserver("repair"))
-	c.repairClient.SetTracer(c.roleTracer("repair", "repair"))
-	c.repairClient.SetRootTraces(true)
-	eng, err := repair.New(repair.Config{
-		RPC:       c.repairClient,
-		Meta:      meta.NewClient(c.repairClient, c.metaAddrs, cfg.MetaReplication, 0),
-		VMAddr:    c.vmAddr,
-		VMAddrs:   c.VMAddrs(),
-		PMAddr:    c.pmAddr,
-		HighWater: cfg.RepairHighWater,
-		LowWater:  cfg.RepairLowWater,
-	})
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("cluster: building repair engine: %w", err)
-	}
-	c.Repair = eng
-	if cfg.RepairInterval > 0 {
-		c.repairStop = make(chan struct{})
-		c.repairDone = make(chan struct{})
-		go func(stop, done chan struct{}) {
-			defer close(done)
-			t := time.NewTicker(cfg.RepairInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					_, _ = c.Repair.Run() // per-blob errors retry next pass
-				}
-			}
-		}(c.repairStop, c.repairDone)
-	}
-
-	// Bit-rot scrubber: the engine is always available; the background
-	// loop runs only when an interval was configured.
-	c.scrubClient = rpc.NewClientFrom(c.Network, cfg.CallTimeout, "scrub")
-	c.scrubClient.SetObserver(c.clientObserver("scrub"))
-	c.scrubClient.SetTracer(c.roleTracer("scrub", "scrub"))
-	c.scrubClient.SetRootTraces(true)
-	scrubber, err := scrub.New(scrub.Config{
-		RPC:         c.scrubClient,
-		VMAddr:      c.vmAddr,
-		VMAddrs:     c.VMAddrs(),
-		PMAddr:      c.pmAddr,
-		BytesPerSec: cfg.ScrubBytesPerSec,
-	})
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("cluster: building scrub engine: %w", err)
-	}
-	c.Scrub = scrubber
-	if cfg.ScrubInterval > 0 {
-		c.scrubStop = make(chan struct{})
-		c.scrubDone = make(chan struct{})
-		go func(stop, done chan struct{}) {
-			defer close(done)
-			t := time.NewTicker(cfg.ScrubInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					_, _ = c.RunScrub() // per-provider errors retry next pass
-				}
-			}
-		}(c.scrubStop, c.scrubDone)
-	}
+	c.maintLoop = maint.StartLoop(c.Maint,
+		maint.Intervals{Reclaim: cfg.GCInterval, Replicate: cfg.RepairInterval, Verify: cfg.ScrubInterval}, nil)
 
 	// Lease expiry loop: collects lapsed write leases, weaving each dead
 	// version's identity tree through a dedicated metadata client before
@@ -703,31 +599,6 @@ func (c *Cluster) RunLeaseExpiry() (int, error) {
 		}
 	}
 	return total, firstErr
-}
-
-// RunRepair executes one self-healing pass synchronously and returns what
-// it repaired. Safe to call whether or not the background loop is running
-// (passes are stateless; anything half-done is re-detected).
-func (c *Cluster) RunRepair() (repair.Stats, error) { return c.Repair.Run() }
-
-// RunGC executes one garbage-collection pass synchronously and returns
-// what it reclaimed. Safe to call whether or not the background loop is
-// running (sweeps are idempotent; bookkeeping lives at the version
-// manager).
-func (c *Cluster) RunGC() (gc.Stats, error) { return c.GC.Run() }
-
-// RunScrub executes one bit-rot scrubbing pass synchronously. When the
-// pass quarantined corrupt copies, a repair pass follows immediately so
-// one RunScrub call detects AND heals — the corrupt replicas are
-// re-replicated from verified-good survivors and the bad copies deleted.
-func (c *Cluster) RunScrub() (scrub.Stats, error) {
-	st, err := c.Scrub.Run()
-	if st.CorruptFound > 0 {
-		if _, rerr := c.Repair.Run(); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	return st, err
 }
 
 // CorruptChunk flips one payload byte of provider i's copy of key at the
@@ -1081,29 +952,12 @@ func (c *Cluster) Close() {
 		c.metricsHTTP.Close()
 		c.metricsHTTP = nil
 	}
-	if c.gcStop != nil {
-		close(c.gcStop)
-		<-c.gcDone
-		c.gcStop = nil
+	if c.maintLoop != nil {
+		c.maintLoop.Stop()
+		c.maintLoop = nil
 	}
-	if c.gcClient != nil {
-		c.gcClient.Close()
-	}
-	if c.repairStop != nil {
-		close(c.repairStop)
-		<-c.repairDone
-		c.repairStop = nil
-	}
-	if c.repairClient != nil {
-		c.repairClient.Close()
-	}
-	if c.scrubStop != nil {
-		close(c.scrubStop)
-		<-c.scrubDone
-		c.scrubStop = nil
-	}
-	if c.scrubClient != nil {
-		c.scrubClient.Close()
+	if c.maintClient != nil {
+		c.maintClient.Close()
 	}
 	if c.leaseStop != nil {
 		close(c.leaseStop)

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -128,6 +129,43 @@ func TestNamedClients(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if _, err := c.NewClient(cluster.ClientOptions{}); err != nil {
 			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+}
+
+// Over TCP every role listens on 127.0.0.1:0, so a provider must heartbeat
+// the address it BOUND: heartbeating the configured ":0" registered a
+// phantom member next to the real one, placement handed chunks to it, and
+// the 11th 4 MiB replication-2 write failed with "no provider accepted
+// the chunk".
+func TestTCPProvidersHeartbeatBoundAddress(t *testing.T) {
+	const providers = 4
+	c, err := cluster.Start(cluster.Config{DataProviders: providers, UseTCP: true, HeartbeatInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cli, err := c.NewClient(cluster.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cli.CreateBlob(64<<10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extent := make([]byte, 4<<20)
+	for i := 0; i < 16; i++ {
+		if _, err := blob.Write(extent, uint64(i)*uint64(len(extent))); err != nil {
+			t.Fatalf("4 MiB write %d of 16: %v", i+1, err)
+		}
+	}
+	members := c.PM.Manager().Report()
+	if len(members) != providers {
+		t.Fatalf("pm.report lists %d members, want exactly the %d data providers: %+v", len(members), providers, members)
+	}
+	for _, m := range members {
+		if !slices.Contains(c.ProviderAddrs(), m.Addr) {
+			t.Errorf("pm.report member %s is no data provider's bound address", m.Addr)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/maint"
 	"repro/internal/trace"
 )
 
@@ -235,8 +236,10 @@ func TestTracePropagationAcrossFailoverAndRestart(t *testing.T) {
 	t.Logf("post-restart trace %016x: %d spans, roles %v", id, len(spans), roles)
 }
 
-// Background planes run context-free engines; their RPC clients are in
-// ambient-root mode, so every plane call originates its own root trace.
+// The maintenance plane runs a context-free engine; its one RPC client
+// (role "maint") is in ambient-root mode, so every plane call originates
+// its own root trace, and each pass records one root span whose method
+// names the actions it ran.
 func TestBackgroundPlanesOriginateRootTraces(t *testing.T) {
 	c, err := cluster.Start(cluster.Config{
 		DataProviders: 2,
@@ -258,27 +261,34 @@ func TestBackgroundPlanesOriginateRootTraces(t *testing.T) {
 	if _, err := blob.Write(bytes.Repeat([]byte{1}, 4<<10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Repair.Run(); err != nil {
+	if _, err := c.Maint.Run(maint.Replicate); err != nil {
 		t.Fatal(err)
 	}
-	var repairRoot *trace.Span
+	var passRoot, callRoot *trace.Span
 	for _, sp := range c.Traces().Spans(0, false) {
-		if sp.Role == "repair" && sp.Parent == 0 {
-			repairRoot = sp
-			break
+		if sp.Role != "maint" || sp.Parent != 0 {
+			continue
+		}
+		if sp.Method == "maint.replicate" {
+			passRoot = sp
+		} else if callRoot == nil {
+			callRoot = sp
 		}
 	}
-	if repairRoot == nil {
-		t.Fatal("repair pass recorded no root spans (ambient-root client mode broken)")
+	if passRoot == nil {
+		t.Error("replicate pass recorded no maint.replicate root span")
+	}
+	if callRoot == nil {
+		t.Fatal("replicate pass recorded no RPC root spans (ambient-root client mode broken)")
 	}
 	// The server side of that plane RPC must have joined the same trace.
 	var joined bool
-	for _, sp := range c.Traces().Spans(repairRoot.Trace, false) {
-		if sp.Role != "repair" {
+	for _, sp := range c.Traces().Spans(callRoot.Trace, false) {
+		if sp.Role != "maint" {
 			joined = true
 		}
 	}
 	if !joined {
-		t.Errorf("repair trace %016x has no server-side spans", repairRoot.Trace)
+		t.Errorf("maint trace %016x (%s) has no server-side spans", callRoot.Trace, callRoot.Method)
 	}
 }

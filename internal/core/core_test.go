@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/maint"
 	"repro/internal/vmanager"
 )
 
@@ -802,7 +803,7 @@ func TestWriteAfterTreelessAbortedVersion(t *testing.T) {
 	if err := blob.SetRetention(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunGC(); err != nil {
+	if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 		t.Fatalf("gc with failed frontier version: %v", err)
 	}
 	got = readAll(t, blob, v2)

@@ -103,16 +103,16 @@ type GCStats struct {
 
 // GCStats fetches the deployment-wide reclamation totals.
 func (c *Client) GCStats() (*GCStats, error) {
-	var resp vmanager.GCStatsResp
-	if err := c.vm.Call(vmanager.MethodGCStats, &vmanager.Ack{}, &resp); err != nil {
+	var resp vmanager.Counters
+	if err := c.vm.Call(vmanager.MethodMaintStats, &vmanager.Ack{}, &resp); err != nil {
 		return nil, fmt.Errorf("core: gc stats: %w", err)
 	}
 	return &GCStats{
-		Chunks:         resp.Chunks,
-		Bytes:          resp.Bytes,
-		Nodes:          resp.Nodes,
-		Orphans:        resp.Orphans,
-		PrunedVersions: resp.PrunedVersions,
-		PendingBlobs:   resp.PendingBlobs,
+		Chunks:         resp[vmanager.GCChunks],
+		Bytes:          resp[vmanager.GCBytes],
+		Nodes:          resp[vmanager.GCNodes],
+		Orphans:        resp[vmanager.GCOrphans],
+		PrunedVersions: resp[vmanager.GCPruned],
+		PendingBlobs:   resp[vmanager.GCPending],
 	}, nil
 }

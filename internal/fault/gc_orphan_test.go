@@ -10,8 +10,10 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/maint"
 	"repro/internal/provider"
 	"repro/internal/rpc"
+	"repro/internal/vmanager"
 )
 
 func providerChunkTotal(c *cluster.Cluster) (chunks int, bytes int64) {
@@ -82,7 +84,7 @@ func TestAbortedWriteOrphansReclaimed(t *testing.T) {
 
 	// Within the grace period nothing may be touched (the chunks could
 	// belong to a write still in flight).
-	if _, err := c.RunGC(); err != nil {
+	if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 		t.Fatalf("gc during grace: %v", err)
 	}
 	if n, _ := providerChunkTotal(c); n != midChunks {
@@ -91,11 +93,11 @@ func TestAbortedWriteOrphansReclaimed(t *testing.T) {
 
 	// After the grace the sweep reclaims every orphan.
 	time.Sleep(50 * time.Millisecond)
-	stats, err := c.RunGC()
+	stats, err := c.Maint.Run(maint.Reclaim)
 	if err != nil {
 		t.Fatalf("gc after grace: %v", err)
 	}
-	if stats.Orphans == 0 {
+	if stats[vmanager.GCOrphans] == 0 {
 		t.Fatalf("gc reported no orphans: %v", stats)
 	}
 	postChunks, postBytes := providerChunkTotal(c)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/maint"
 	"repro/internal/provider"
 	"repro/internal/rpc"
 	"repro/internal/vmanager"
@@ -175,7 +176,7 @@ func TestWriterLeaseMidUploadCrashOrphansReclaimed(t *testing.T) {
 	// While the version is wedged in flight the orphan sweep stays parked
 	// — the chunks could belong to a writer about to weave them in.
 	time.Sleep(40 * time.Millisecond) // past the orphan grace, inside the TTL
-	if _, err := c.RunGC(); err != nil {
+	if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 		t.Fatalf("gc while wedged: %v", err)
 	}
 	if n, _ := providerChunkTotal(c); n != baseChunks+2 {
@@ -198,11 +199,11 @@ func TestWriterLeaseMidUploadCrashOrphansReclaimed(t *testing.T) {
 	}
 
 	// Un-parked: the next sweep reclaims the dead writer's chunks.
-	stats, err := c.RunGC()
+	stats, err := c.Maint.Run(maint.Reclaim)
 	if err != nil {
 		t.Fatalf("gc after expiry: %v", err)
 	}
-	if stats.Orphans == 0 {
+	if stats[vmanager.GCOrphans] == 0 {
 		t.Fatalf("sweep reclaimed no orphans: %v", stats)
 	}
 	if n, _ := providerChunkTotal(c); n != baseChunks {
@@ -368,11 +369,11 @@ func TestWriterLeaseLateCommitTypedError(t *testing.T) {
 	// Both aborts were recorded unwoven; the GC sweep owes them identity
 	// trees and settles the debt in one pass (B wove its real tree before
 	// committing — the sweep tolerates those nodes and fills the rest).
-	stats, err := c.RunGC()
+	stats, err := c.Maint.Run(maint.Reclaim)
 	if err != nil {
 		t.Fatalf("gc over unwoven aborts: %v", err)
 	}
-	if stats.Woven == 0 {
+	if stats[vmanager.GCWoven] == 0 {
 		t.Fatalf("gc wove nothing: %v", stats)
 	}
 	if unwoven := mgr.UnwovenAborts(); len(unwoven) != 0 {

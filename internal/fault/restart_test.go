@@ -12,6 +12,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/maint"
+	"repro/internal/vmanager"
 )
 
 // stormPayload is the deterministic content of one write: a retry after an
@@ -237,7 +239,7 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 		}
 		preInfo[w] = fmt.Sprintf("keep=%d floor=%d", keep, floor)
 	}
-	preStats := *c.VM.Manager().GCStats()
+	preStats := *c.VM.Manager().MaintStats()
 
 	// Quiesced kill -9 of the entire durable control plane, then revival.
 	c.KillVM()
@@ -265,7 +267,7 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 			t.Errorf("blob %d retention after recovery = %s, want %s", blobs[w].ID(), got, preInfo[w])
 		}
 	}
-	postStats := *c.VM.Manager().GCStats()
+	postStats := *c.VM.Manager().MaintStats()
 	if postStats != preStats {
 		t.Errorf("gc stats after recovery = %+v, want %+v", postStats, preStats)
 	}
@@ -281,7 +283,7 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 	// from the work queue within a few sweeps.
 	converged := false
 	for i := 0; i < 10; i++ {
-		if _, err := c.RunGC(); err != nil {
+		if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 			t.Fatalf("gc sweep %d: %v", i, err)
 		}
 		if len(c.VM.Manager().GCWork()) == 0 {
@@ -292,7 +294,7 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 	if !converged {
 		t.Fatalf("GC did not converge after recovery: pending %v", c.VM.Manager().GCWork())
 	}
-	if st := c.VM.Manager().GCStats(); st.PrunedVersions == 0 {
+	if st := c.VM.Manager().MaintStats(); st[vmanager.GCPruned] == 0 {
 		t.Errorf("no versions pruned by post-recovery GC: %+v", st)
 	}
 	// And the surviving tip still reads byte-identical after the sweep.

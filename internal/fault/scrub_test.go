@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/chunk"
 	"repro/internal/cluster"
+	"repro/internal/maint"
+	"repro/internal/vmanager"
 )
 
 // chunkKeyOn finds blob/index's chunk key by scanning provider i's
@@ -162,15 +164,15 @@ func testScrubRestoresDegree(t *testing.T, cfg cluster.Config) {
 		t.Fatal(err)
 	}
 
-	st, err := c.RunScrub()
+	st, err := c.Maint.Run(maint.Verify)
 	if err != nil {
 		t.Fatalf("scrub pass: %v", err)
 	}
-	if st.CorruptFound != 1 {
-		t.Errorf("scrub CorruptFound = %d, want 1", st.CorruptFound)
+	if st[vmanager.ScrubCorruptFound] != 1 {
+		t.Errorf("scrub CorruptFound = %d, want 1", st[vmanager.ScrubCorruptFound])
 	}
-	if st.ChunksScanned < 6 { // 3 chunks x repl 2
-		t.Errorf("scrub ChunksScanned = %d, want >= 6", st.ChunksScanned)
+	if st[vmanager.ScrubScanned] < 6 { // 3 chunks x repl 2
+		t.Errorf("scrub ChunksScanned = %d, want >= 6", st[vmanager.ScrubScanned])
 	}
 
 	// Degree restored within the one pass: two verified copies live again,
@@ -193,13 +195,13 @@ func testScrubRestoresDegree(t *testing.T, cfg cluster.Config) {
 
 	// The pass counters aggregated at the version manager: scrub totals
 	// from the scrub engine, the purge from the chained repair pass.
-	mgr := c.VM.Manager()
-	if sc := mgr.ScrubStats(); sc.Passes < 1 || sc.CorruptFound < 1 {
-		t.Errorf("vmanager scrub totals = %+v, want passes and corrupt-found >= 1", sc)
+	agg := c.VM.Manager().MaintStats()
+	if agg[vmanager.ScrubPasses] < 1 || agg[vmanager.ScrubCorruptFound] < 1 {
+		t.Errorf("vmanager scrub totals = %s, want passes and corrupt-found >= 1", maint.Verify.Summary(agg, ""))
 	}
-	if rt := mgr.RepairStats(); rt.CorruptPurged < 1 || rt.ReReplicated < 1 {
+	if agg[vmanager.RepairCorruptPurged] < 1 || agg[vmanager.RepairReReplicated] < 1 {
 		t.Errorf("vmanager repair totals corrupt-purged=%d re-replicated=%d, want both >= 1",
-			rt.CorruptPurged, rt.ReReplicated)
+			agg[vmanager.RepairCorruptPurged], agg[vmanager.RepairReReplicated])
 	}
 
 	// End to end: the healed blob reads back byte-identical.
@@ -212,11 +214,11 @@ func testScrubRestoresDegree(t *testing.T, cfg cluster.Config) {
 	}
 
 	// And a second pass over the healed cluster is clean.
-	st, err = c.RunScrub()
+	st, err = c.Maint.Run(maint.Verify)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CorruptFound != 0 {
-		t.Errorf("second scrub pass found %d corrupt copies, want 0", st.CorruptFound)
+	if st[vmanager.ScrubCorruptFound] != 0 {
+		t.Errorf("second scrub pass found %d corrupt copies, want 0", st[vmanager.ScrubCorruptFound])
 	}
 }

@@ -1,4 +1,4 @@
-package gc_test
+package maint_test
 
 import (
 	"bytes"
@@ -10,8 +10,10 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/maint"
 	"repro/internal/provider"
 	"repro/internal/rpc"
+	"repro/internal/vmanager"
 )
 
 func providerTotals(t *testing.T, c *cluster.Cluster) (chunks, bytes uint64) {
@@ -75,12 +77,12 @@ func TestKeepLastOneReclaimsToFinalSnapshotSize(t *testing.T) {
 	if err := blob.SetRetention(1); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.RunGC()
+	stats, err := c.Maint.Run(maint.Reclaim)
 	if err != nil {
 		t.Fatalf("gc run: %v", err)
 	}
-	if stats.Chunks == 0 || stats.Bytes == 0 || stats.Nodes == 0 {
-		t.Fatalf("gc reclaimed nothing: %v", stats)
+	if stats[vmanager.GCChunks] == 0 || stats[vmanager.GCBytes] == 0 || stats[vmanager.GCNodes] == 0 {
+		t.Fatalf("gc reclaimed nothing: %s", maint.Reclaim.Summary(&stats, ""))
 	}
 
 	_, postBytes := providerTotals(t, c)
@@ -111,8 +113,8 @@ func TestKeepLastOneReclaimsToFinalSnapshotSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gs.PrunedVersions != versions-1 || gs.Bytes != stats.Bytes {
-		t.Fatalf("gc stats = %+v, want %d pruned and %d bytes", gs, versions-1, stats.Bytes)
+	if gs.PrunedVersions != versions-1 || gs.Bytes != stats[vmanager.GCBytes] {
+		t.Fatalf("gc stats = %+v, want %d pruned and %d bytes", gs, versions-1, stats[vmanager.GCBytes])
 	}
 }
 
@@ -154,7 +156,7 @@ func TestPruneKeepsSharedHistoryReadable(t *testing.T) {
 	if floor != versions-4 {
 		t.Fatalf("retention floor = %d, want %d", floor, versions-4)
 	}
-	if _, err := c.RunGC(); err != nil {
+	if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 		t.Fatalf("gc run: %v", err)
 	}
 
@@ -190,7 +192,7 @@ func TestPruneKeepsSharedHistoryReadable(t *testing.T) {
 	if _, err := blob.Prune(final - 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunGC(); err != nil {
+	if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 		t.Fatal(err)
 	}
 	_, postBytes2 := providerTotals(t, c)
@@ -254,7 +256,7 @@ func TestDeleteBlobReclaimsEverything(t *testing.T) {
 		}
 	}
 
-	if _, err := c.RunGC(); err != nil {
+	if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 		t.Fatalf("gc run: %v", err)
 	}
 	_, postBytes := providerTotals(t, c)
@@ -350,7 +352,7 @@ func TestDeleteSweepInstallsProviderTombstones(t *testing.T) {
 	if err := cli.DeleteBlob(doomed.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunGC(); err != nil {
+	if _, err := c.Maint.Run(maint.Reclaim); err != nil {
 		t.Fatal(err)
 	}
 

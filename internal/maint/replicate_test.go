@@ -1,4 +1,4 @@
-package repair_test
+package maint_test
 
 import (
 	"bytes"
@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/maint"
 	"repro/internal/meta"
 	"repro/internal/provider"
 	"repro/internal/rpc"
+	"repro/internal/vmanager"
 )
 
 // repairCluster starts a sim-fabric deployment with fast heartbeats so a
@@ -105,20 +107,20 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 		before[a] = st
 	}
 
-	st, err := c.RunRepair()
+	st, err := c.Maint.Run(maint.Replicate)
 	if err != nil {
 		t.Fatalf("repair pass: %v", err)
 	}
 	// Round-robin at replication 2 over 4 providers puts dp0 in half the
 	// replica sets.
-	if st.UnderReplicated != chunks/2 {
-		t.Errorf("under-replicated = %d, want %d", st.UnderReplicated, chunks/2)
+	if got := st[vmanager.RepairUnderReplicated]; got != chunks/2 {
+		t.Errorf("under-replicated = %d, want %d", got, chunks/2)
 	}
-	if st.ReReplicated != chunks/2 {
-		t.Errorf("re-replicated = %d, want %d", st.ReReplicated, chunks/2)
+	if got := st[vmanager.RepairReReplicated]; got != chunks/2 {
+		t.Errorf("re-replicated = %d, want %d", got, chunks/2)
 	}
-	if st.LostChunks != 0 || st.Errors != 0 {
-		t.Errorf("lost=%d errors=%d, want 0/0", st.LostChunks, st.Errors)
+	if st[vmanager.RepairLost] != 0 || st[vmanager.RepairErrors] != 0 {
+		t.Errorf("lost=%d errors=%d, want 0/0", st[vmanager.RepairLost], st[vmanager.RepairErrors])
 	}
 
 	// Re-replication must ride batched RPCs: the copies land in at most
@@ -198,12 +200,12 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 	}
 
 	// A second pass finds nothing left to do.
-	st2, err := c.RunRepair()
+	st2, err := c.Maint.Run(maint.Replicate)
 	if err != nil {
 		t.Fatalf("second repair pass: %v", err)
 	}
-	if st2.UnderReplicated != 0 || st2.ReReplicated != 0 {
-		t.Errorf("second pass: under=%d rerepl=%d, want 0/0", st2.UnderReplicated, st2.ReReplicated)
+	if st2[vmanager.RepairUnderReplicated] != 0 || st2[vmanager.RepairReReplicated] != 0 {
+		t.Errorf("second pass: under=%d rerepl=%d, want 0/0", st2[vmanager.RepairUnderReplicated], st2[vmanager.RepairReReplicated])
 	}
 }
 
@@ -268,12 +270,12 @@ func TestRebalanceDrainsOverfullProvider(t *testing.T) {
 		t.Fatalf("dp0 holds %d bytes before rebalance, want %d", usedBefore, 8*chunkSize)
 	}
 
-	st, err := c.RunRepair()
+	st, err := c.Maint.Run(maint.Replicate)
 	if err != nil {
 		t.Fatalf("repair pass: %v", err)
 	}
-	if st.Migrated == 0 {
-		t.Fatalf("rebalance moved nothing off the overfull provider (stats %+v)", st)
+	if st[vmanager.RepairMigrated] == 0 {
+		t.Fatalf("rebalance moved nothing off the overfull provider (stats %s)", maint.Replicate.Summary(&st, ""))
 	}
 	// Fullness 1.0 -> 0.50 target on an 8-chunk load: at least 4 chunks
 	// move, and the drained copies are deleted at the source.
@@ -399,7 +401,7 @@ func TestRebalanceNeverDuplicatesDestination(t *testing.T) {
 		}
 	}
 	for pass := 1; pass <= 3; pass++ {
-		if _, err := c.RunRepair(); err != nil {
+		if _, err := c.Maint.Run(maint.Replicate); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		checkDistinct(pass)
@@ -453,7 +455,7 @@ func TestRepairHealsAllRetainedVersions(t *testing.T) {
 
 	c.KillProvider(1)
 	time.Sleep(500 * time.Millisecond)
-	if _, err := c.RunRepair(); err != nil {
+	if _, err := c.Maint.Run(maint.Replicate); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 
@@ -517,7 +519,7 @@ func TestReturnedProviderStraysReclaimedByGC(t *testing.T) {
 
 	c.KillProvider(0)
 	time.Sleep(500 * time.Millisecond)
-	if _, err := c.RunRepair(); err != nil {
+	if _, err := c.Maint.Run(maint.Replicate); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 
@@ -528,12 +530,12 @@ func TestReturnedProviderStraysReclaimedByGC(t *testing.T) {
 	}
 	time.Sleep(400 * time.Millisecond) // re-register + age past the orphan grace
 
-	gcStats, err := c.RunGC()
+	gcStats, err := c.Maint.Run(maint.Reclaim)
 	if err != nil {
 		t.Fatalf("gc: %v", err)
 	}
 	if deadStore.Len() != 0 {
-		t.Errorf("returned provider still holds %d stray chunks after GC (reclaimed %s)", deadStore.Len(), gcStats)
+		t.Errorf("returned provider still holds %d stray chunks after GC (reclaimed %s)", deadStore.Len(), maint.Reclaim.Summary(&gcStats, ""))
 	}
 
 	// Blob still reads clean at full degree.
@@ -571,15 +573,15 @@ func TestRepairStatsAggregateAtVManager(t *testing.T) {
 	}
 	c.KillProvider(2)
 	time.Sleep(500 * time.Millisecond)
-	if _, err := c.RunRepair(); err != nil {
+	st, err := c.Maint.Run(maint.Replicate)
+	if err != nil {
 		t.Fatal(err)
 	}
-	agg := c.VM.Manager().RepairStats()
-	if agg.Passes != 1 || agg.ReReplicated == 0 {
-		t.Errorf("vmanager repair totals = %+v, want passes=1 and re-replications recorded", agg)
+	agg := c.VM.Manager().MaintStats()
+	if agg[vmanager.RepairPasses] != 1 || agg[vmanager.RepairReReplicated] == 0 {
+		t.Errorf("vmanager repair totals = %s, want passes=1 and re-replications recorded", maint.Replicate.Summary(agg, ""))
 	}
-	eng := c.Repair.Stats()
-	if eng.Passes != 1 || eng.ReReplicated != agg.ReReplicated {
-		t.Errorf("engine stats %+v disagree with vmanager aggregate %+v", eng, agg)
+	if st[vmanager.RepairPasses] != 1 || st[vmanager.RepairReReplicated] != agg[vmanager.RepairReReplicated] {
+		t.Errorf("pass delta %s disagrees with vmanager aggregate %s", maint.Replicate.Summary(&st, ""), maint.Replicate.Summary(agg, ""))
 	}
 }

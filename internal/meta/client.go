@@ -384,6 +384,7 @@ func (c *Client) GetNodesCtx(ctx context.Context, keys []NodeKey) ([]*Node, erro
 		}
 		pending = append(pending, i)
 	}
+	misses := pending // request-index order; later ranks rebind pending, never write through it
 	// Rank 0 asks each key's primary owner; keys whose RPC failed at the
 	// transport level retry at the next replica rank. A key whose owner
 	// RESPONDED without the node stays nil: replicas hold the same data,
@@ -428,15 +429,23 @@ func (c *Client) GetNodesCtx(ctx context.Context, keys []NodeKey) ([]*Node, erro
 					if n := resp.Nodes[j]; n != nil {
 						c.statNodesIn.Add(1)
 						out[i] = n
-						if c.cache != nil {
-							c.cache.put(n)
-						}
 					}
 				}
 			}(addr, idxs)
 		}
 		wg.Wait()
 		pending = retry
+	}
+	// Cache the fetched nodes only now, in request-index order: inserting
+	// from the fan-out goroutines as replies land would make what the LRU
+	// evicts — and so every later hit, miss and fetch count — depend on
+	// which provider answered first.
+	if c.cache != nil {
+		for _, i := range misses {
+			if out[i] != nil {
+				c.cache.put(out[i])
+			}
+		}
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@
 package obs
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -127,57 +128,25 @@ func (m *RPCMetrics) ClientObserver(role string) rpc.ClientObserver {
 
 func u(v uint64) float64 { return float64(v) }
 
-// RegisterVManager exposes the version manager's GC, repair, lease and
-// journal totals. mgr is an accessor so restart-in-place harnesses can
-// swap the instance under a live registry.
+// RegisterVManager exposes the version manager's maintenance (GC, repair,
+// scrub), lease and journal totals. mgr is an accessor so restart-in-place
+// harnesses can swap the instance under a live registry.
 func RegisterVManager(reg *metrics.Registry, mgr func() *vmanager.Manager) {
 	gcL := []metrics.Label{{Name: "role", Value: "vmanager"}}
+	// One family per exported row of the maintenance counter table:
+	// blobseer_gc_*, blobseer_repair_* and blobseer_scrub_*.
+	for id, def := range vmanager.CounterTable {
+		if def.Metric == "" {
+			continue
+		}
+		fn := metrics.CounterFunc
+		if !strings.HasSuffix(def.Metric, "_total") {
+			fn = metrics.GaugeFunc
+		}
+		reg.MustRegister(fn("blobseer_"+def.Plane+"_"+def.Metric, def.Help, gcL,
+			func() float64 { return u(mgr().MaintCounter(vmanager.Counter(id))) }))
+	}
 	reg.MustRegister(
-		metrics.CounterFunc("blobseer_gc_reclaimed_chunks_total",
-			"Chunk replicas reclaimed by GC sweeps.", gcL, func() float64 { return u(mgr().GCStats().Chunks) }),
-		metrics.CounterFunc("blobseer_gc_reclaimed_bytes_total",
-			"Payload bytes reclaimed by GC sweeps.", gcL, func() float64 { return u(mgr().GCStats().Bytes) }),
-		metrics.CounterFunc("blobseer_gc_reclaimed_nodes_total",
-			"Metadata tree nodes reclaimed by GC sweeps.", gcL, func() float64 { return u(mgr().GCStats().Nodes) }),
-		metrics.CounterFunc("blobseer_gc_reclaimed_orphans_total",
-			"Aborted-write orphan chunks reclaimed by GC sweeps.", gcL, func() float64 { return u(mgr().GCStats().Orphans) }),
-		metrics.CounterFunc("blobseer_gc_pruned_versions_total",
-			"Blob versions fully reclaimed (pruned past the retention floor).", gcL, func() float64 { return u(mgr().GCStats().PrunedVersions) }),
-		metrics.GaugeFunc("blobseer_gc_pending_blobs",
-			"Blobs with reclamation work outstanding.", gcL, func() float64 { return u(mgr().GCStats().PendingBlobs) }),
-
-		metrics.CounterFunc("blobseer_repair_passes_total",
-			"Completed self-healing repair passes (all engines reporting here).", gcL, func() float64 { return u(mgr().RepairStats().Passes) }),
-		metrics.CounterFunc("blobseer_repair_chunks_scanned_total",
-			"Live-chunk placement records examined by repair passes.", gcL, func() float64 { return u(mgr().RepairStats().ChunksScanned) }),
-		metrics.CounterFunc("blobseer_repair_rereplicated_total",
-			"Replica copies recreated on fresh providers.", gcL, func() float64 { return u(mgr().RepairStats().ReReplicated) }),
-		metrics.CounterFunc("blobseer_repair_migrated_total",
-			"Chunks moved off overfull providers by the rebalancer.", gcL, func() float64 { return u(mgr().RepairStats().Migrated) }),
-		metrics.CounterFunc("blobseer_repair_bytes_moved_total",
-			"Payload bytes copied by re-replication and rebalance.", gcL, func() float64 { return u(mgr().RepairStats().BytesMoved) }),
-		metrics.CounterFunc("blobseer_repair_leaves_patched_total",
-			"Metadata leaf descriptors rewritten to new placements.", gcL, func() float64 { return u(mgr().RepairStats().LeavesPatched) }),
-		metrics.GaugeFunc("blobseer_repair_lost_chunks",
-			"Chunks with no surviving replica (unrecoverable until a provider returns).", gcL, func() float64 { return u(mgr().RepairStats().LostChunks) }),
-		metrics.CounterFunc("blobseer_repair_errors_total",
-			"Per-blob repair failures (retried next pass).", gcL, func() float64 { return u(mgr().RepairStats().Errors) }),
-		metrics.CounterFunc("blobseer_repair_corrupt_purged_total",
-			"Quarantined corrupt replicas deleted after a verified copy replaced them.", gcL, func() float64 { return u(mgr().RepairStats().CorruptPurged) }),
-
-		metrics.CounterFunc("blobseer_scrub_passes_total",
-			"Completed scrub passes (all engines reporting here).", gcL, func() float64 { return u(mgr().ScrubStats().Passes) }),
-		metrics.CounterFunc("blobseer_scrub_chunks_scanned_total",
-			"Chunk replicas verified against their digests by scrub passes.", gcL, func() float64 { return u(mgr().ScrubStats().ChunksScanned) }),
-		metrics.CounterFunc("blobseer_scrub_bytes_scanned_total",
-			"Payload bytes read back and verified by scrub passes.", gcL, func() float64 { return u(mgr().ScrubStats().BytesScanned) }),
-		metrics.CounterFunc("blobseer_scrub_corrupt_found_total",
-			"Replicas that failed verification during a scrub (quarantined for repair).", gcL, func() float64 { return u(mgr().ScrubStats().CorruptFound) }),
-		metrics.CounterFunc("blobseer_scrub_backfilled_total",
-			"Legacy digestless chunks whose digest was minted by a scrub.", gcL, func() float64 { return u(mgr().ScrubStats().Backfilled) }),
-		metrics.CounterFunc("blobseer_scrub_errors_total",
-			"Per-provider scrub failures (retried next pass).", gcL, func() float64 { return u(mgr().ScrubStats().Errors) }),
-
 		metrics.GaugeFunc("blobseer_lease_ttl_seconds",
 			"Configured write-lease TTL (0 = leases disabled).", gcL, func() float64 { return float64(mgr().LeaseStats().TTLMs) / 1000 }),
 		metrics.GaugeFunc("blobseer_lease_active",
@@ -263,8 +232,8 @@ func RegisterWAL(reg *metrics.Registry, instance string, stats func() durable.Lo
 }
 
 // RegisterProvider exposes one data provider's inventory and transfer
-// counters (and, for cached stores, cache effectiveness) under the given
-// instance label. srv is an accessor so crash/revive harnesses can swap
+// counters (plus sidecar WAL costs when it keeps one and, for cached
+// stores, cache effectiveness) under the given instance label. srv is an accessor so crash/revive harnesses can swap
 // the instance under a live registry.
 func RegisterProvider(reg *metrics.Registry, instance string, srv func() *provider.Server) {
 	l := []metrics.Label{{Name: "instance", Value: instance}}
@@ -297,6 +266,9 @@ func RegisterProvider(reg *metrics.Registry, instance string, srv func() *provid
 		metrics.CounterFunc("blobseer_chunk_digest_backfilled_total",
 			"Legacy digestless chunks whose digest was minted on first clean read.", l, func() float64 { return u(snap().Backfilled) }),
 	)
+	if _, ok := srv().SidecarStats(); ok {
+		RegisterWAL(reg, instance, func() durable.LogStats { st, _ := srv().SidecarStats(); return st })
+	}
 	if cs, ok := srv().Store().(interface {
 		CacheStats() (hits, misses, residentBytes int64)
 		RangeAdmits() int64

@@ -158,3 +158,37 @@ func assertWellFormed(t *testing.T, out string) {
 		t.Fatalf("suspiciously small exposition (%d lines):\n%s", lines, out)
 	}
 }
+
+// Every WAL in a durable deployment exports its costs under the shared
+// blobseer_wal_* families — the provider sidecars too, one series per
+// provider instance.
+func TestProviderSidecarWALExported(t *testing.T) {
+	c, err := cluster.Start(cluster.Config{DataProviders: 2, MetaProviders: 1, Metrics: true, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cli, err := c.NewClient(cluster.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cli.CreateBlob(1<<10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blob.Write(make([]byte, 4<<10), 0); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := c.Registry().WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range c.ProviderAddrs() {
+		for _, fam := range []string{"blobseer_wal_appends_total", "blobseer_wal_syncs_total"} {
+			re := regexp.MustCompile(fmt.Sprintf(`(?m)^%s\{instance=%q\} [1-9]`, fam, addr))
+			if !re.MatchString(out.String()) {
+				t.Errorf("no non-zero %s series for provider %s", fam, addr)
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/durable"
 	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/trace"
@@ -495,7 +496,6 @@ type Options struct {
 
 // Server is one data provider process.
 type Server struct {
-	addr     string
 	store    chunk.Store
 	srv      *rpc.Server
 	capBytes int64
@@ -552,7 +552,6 @@ func NewServer(network rpc.Network, addr string, store chunk.Store) *Server {
 // and/or a capacity declaration (see Options).
 func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, opts Options) (*Server, error) {
 	s := &Server{
-		addr:       addr,
 		store:      store,
 		srv:        rpc.NewServer(network, addr),
 		capBytes:   opts.CapacityBytes,
@@ -903,6 +902,15 @@ func (s *Server) StatsSnapshot() StatsResp {
 	}
 }
 
+// SidecarStats reports the sidecar WAL's cumulative append/write/fsync
+// counts; ok is false when the provider runs without a sidecar.
+func (s *Server) SidecarStats() (st durable.LogStats, ok bool) {
+	if s.side == nil {
+		return st, false
+	}
+	return s.side.log.Stats(), true
+}
+
 // SetRPCObserver attaches an observer to the provider's RPC server
 // (per-method latency/bytes/error metrics).
 func (s *Server) SetRPCObserver(o rpc.ServerObserver) { s.srv.SetObserver(o) }
@@ -933,7 +941,7 @@ func (s *Server) StartHeartbeats(cli *rpc.Client, pmAddr string, interval time.D
 			case <-t.C:
 				used := s.store.Bytes()
 				hb := &HeartbeatReq{
-					Addr:   s.addr,
+					Addr:   s.Addr(), // the BOUND address: a ":0" listen address names nobody
 					Chunks: uint64(s.store.Len()),
 					Bytes:  uint64(used),
 				}

@@ -83,13 +83,21 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 
 // SetRootTraces makes every plain (context-free) call on a
 // tracer-equipped client originate its own root trace, each with its
-// own sampling draw. This is how background planes — GC, repair,
-// scrub, lease expiry, HA replication — trace their RPCs without
+// own sampling draw. This is how background planes — maintenance,
+// lease expiry, HA replication — trace their RPCs without
 // threading a context through their engines.
 func (c *Client) SetRootTraces(on bool) {
 	c.mu.Lock()
 	c.rootTraces = on
 	c.mu.Unlock()
+}
+
+// Tracer returns the attached tracer (nil when detached): the maintenance
+// plane records one root span per pass through it, named after the
+// actions the pass ran.
+func (c *Client) Tracer() *trace.Tracer {
+	t, _ := c.getTracer()
+	return t
 }
 
 func (c *Client) getTracer() (*trace.Tracer, bool) {

@@ -593,13 +593,9 @@ func (m *Manager) installSnapshot(snap []byte) error {
 	m.blobs = fresh.blobs
 	m.nextID = fresh.nextID
 	m.mu.Unlock()
-	m.gcMu.Lock()
-	m.reclaimedChunks = fresh.reclaimedChunks
-	m.reclaimedBytes = fresh.reclaimedBytes
-	m.reclaimedNodes = fresh.reclaimedNodes
-	m.reclaimedOrphans = fresh.reclaimedOrphans
-	m.prunedVersions = fresh.prunedVersions
-	m.gcMu.Unlock()
+	m.maintMu.Lock()
+	copy(m.maint[:journaledCounters], fresh.maint[:journaledCounters])
+	m.maintMu.Unlock()
 	if ei := fresh.epochView(); ei.epoch > 0 {
 		m.adoptEpochInfo(ei.epoch, ei.leader)
 	}

@@ -509,13 +509,7 @@ func (m *Manager) applyRecord(rec []byte) error {
 		if deletedSwept {
 			b.deletedSwept = true
 		}
-		m.gcMu.Lock()
-		m.reclaimedChunks += chunks
-		m.reclaimedBytes += bytes
-		m.reclaimedNodes += nodes
-		m.reclaimedOrphans += orphans
-		m.prunedVersions += pruned
-		m.gcMu.Unlock()
+		m.addGCTotals(chunks, bytes, nodes, orphans, pruned)
 	default:
 		return fmt.Errorf("%w: unknown record type %d", errJournalCorrupt, kind)
 	}
@@ -546,13 +540,11 @@ func (m *Manager) encodeSnapshotOpt(compact bool) ([]byte, uint64) {
 	e := wire.NewEncoder(1024)
 	e.PutU8(snapFormat)
 	e.PutU64(m.nextID)
-	m.gcMu.Lock()
-	e.PutU64(m.reclaimedChunks)
-	e.PutU64(m.reclaimedBytes)
-	e.PutU64(m.reclaimedNodes)
-	e.PutU64(m.reclaimedOrphans)
-	e.PutU64(m.prunedVersions)
-	m.gcMu.Unlock()
+	m.maintMu.Lock()
+	for _, v := range m.maint[:journaledCounters] {
+		e.PutU64(v)
+	}
+	m.maintMu.Unlock()
 	e.PutU64(ei.epoch)
 	e.PutString(ei.leader)
 	ids := make([]uint64, 0, len(m.blobs))
@@ -608,11 +600,9 @@ func (m *Manager) decodeSnapshot(snap []byte) error {
 		return fmt.Errorf("vmanager: unknown snapshot format %d", format)
 	}
 	m.nextID = d.U64()
-	m.reclaimedChunks = d.U64()
-	m.reclaimedBytes = d.U64()
-	m.reclaimedNodes = d.U64()
-	m.reclaimedOrphans = d.U64()
-	m.prunedVersions = d.U64()
+	for id := range m.maint[:journaledCounters] {
+		m.maint[id] = d.U64()
+	}
 	if format >= 3 {
 		epoch := d.U64()
 		leader := d.String()

@@ -69,7 +69,7 @@ func TestManagerRecoversFullState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats := m.GCStats()
+	wantStats := m.MaintStats()
 	// Simulated kill -9: no Close.
 
 	re := openM(t, dir)
@@ -81,7 +81,7 @@ func TestManagerRecoversFullState(t *testing.T) {
 	if *gotInfo != *wantInfo {
 		t.Errorf("recovered info = %+v, want %+v", gotInfo, wantInfo)
 	}
-	gotStats := re.GCStats()
+	gotStats := re.MaintStats()
 	if *gotStats != *wantStats {
 		t.Errorf("recovered gc stats = %+v, want %+v", gotStats, wantStats)
 	}

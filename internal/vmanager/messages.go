@@ -22,12 +22,9 @@ const (
 	MethodGCWork        = "vm.gcwork"
 	MethodGCStatus      = "vm.gcstatus"
 	MethodGCReport      = "vm.gcreport"
-	MethodGCStats       = "vm.gcstats"
 	MethodCompact       = "vm.compact"
-	MethodRepairReport  = "vm.repairreport"
-	MethodRepairStats   = "vm.repairstats"
-	MethodScrubReport   = "vm.scrubreport"
-	MethodScrubStats    = "vm.scrubstats"
+	MethodMaintReport   = "vm.maintreport"
+	MethodMaintStats    = "vm.maintstats"
 	MethodRenewLease    = "vm.renew"
 	MethodLeaseStats    = "vm.leasestats"
 	MethodUnwoven       = "vm.unwoven"
@@ -419,6 +416,7 @@ type GCStatusResp struct {
 	Published   uint64
 	Assigned    uint64
 	ChunkSize   uint64
+	Replication uint32
 	// FinishGen is the blob's commit/abort counter at status time; echo
 	// it in GCReport when marking a deleted blob swept.
 	FinishGen uint64
@@ -436,6 +434,7 @@ func (r *GCStatusResp) Encode(e *wire.Encoder) {
 	e.PutU64(r.Published)
 	e.PutU64(r.Assigned)
 	e.PutU64(r.ChunkSize)
+	e.PutU32(r.Replication)
 	e.PutU64(r.FinishGen)
 	e.PutU32(uint32(len(r.Versions)))
 	for i := range r.Versions {
@@ -451,6 +450,7 @@ func (r *GCStatusResp) Decode(d *wire.Decoder) {
 	r.Published = d.U64()
 	r.Assigned = d.U64()
 	r.ChunkSize = d.U64()
+	r.Replication = d.U32()
 	r.FinishGen = d.U64()
 	cnt := d.U32()
 	r.Versions = nil
@@ -502,135 +502,117 @@ func (r *GCReportReq) Decode(d *wire.Decoder) {
 	r.Orphans = d.U64()
 }
 
-// GCStatsResp reports cumulative reclamation totals.
-type GCStatsResp struct {
-	Chunks         uint64
-	Bytes          uint64
-	Nodes          uint64
-	Orphans        uint64
-	PrunedVersions uint64
-	PendingBlobs   uint64
+// Counter names one maintenance-plane counter. The ids index Counters and
+// CounterTable, and their order is the wire order of vm.maintreport and
+// vm.maintstats, so new counters are appended, never inserted.
+type Counter uint8
+
+// The maintenance counters, grouped by plane: gc (the reclaim action),
+// repair (replicate) and scrub (verify).
+const (
+	GCChunks Counter = iota
+	GCBytes
+	GCNodes
+	GCOrphans
+	GCPruned
+	GCPending
+	GCWoven
+	RepairPasses
+	RepairScanned
+	RepairUnderReplicated
+	RepairReReplicated
+	RepairMigrated
+	RepairBytesMoved
+	RepairLeavesPatched
+	RepairLost
+	RepairCorruptPurged
+	RepairErrors
+	ScrubPasses
+	ScrubScanned
+	ScrubBytes
+	ScrubCorruptFound
+	ScrubBackfilled
+	ScrubErrors
+	NumCounters
+)
+
+// journaledCounters is how many leading counters (GCChunks..GCPruned) are
+// fed only by the journaled vm.gcreport and persisted in snapshots, in id
+// order. ownedCounters additionally covers GCPending, which the manager
+// computes at read time. vm.maintreport never touches either group: an
+// unjournaled delta to a journaled total would make RAM diverge from
+// replay (and a leader's state digest from its standbys').
+const (
+	journaledCounters = GCPruned + 1
+	ownedCounters     = GCPending + 1
+)
+
+// CounterDef describes one counter: Plane groups it ("gc", "repair" or
+// "scrub"), Name labels it in CLI output, and Metric is the family suffix
+// after blobseer_<plane>_ ("" = not exported; a suffix without _total is a
+// gauge) with Help as its help string (and the counter's documentation).
+type CounterDef struct {
+	Plane, Name, Metric, Help string
+}
+
+// CounterTable is the one place a maintenance counter is declared; the
+// wire codec, the manager's totals, the /metrics families and the CLI
+// output all range over it.
+var CounterTable = [NumCounters]CounterDef{
+	GCChunks:  {"gc", "chunks", "reclaimed_chunks_total", "Chunk replicas reclaimed by GC sweeps."},
+	GCBytes:   {"gc", "bytes", "reclaimed_bytes_total", "Payload bytes reclaimed by GC sweeps."},
+	GCNodes:   {"gc", "nodes", "reclaimed_nodes_total", "Metadata tree nodes reclaimed by GC sweeps."},
+	GCOrphans: {"gc", "orphans", "reclaimed_orphans_total", "Aborted-write orphan chunks reclaimed by GC sweeps."},
+	GCPruned:  {"gc", "pruned-versions", "pruned_versions_total", "Blob versions fully reclaimed (pruned past the retention floor)."},
+	GCPending: {"gc", "pending-blobs", "pending_blobs", "Blobs with reclamation work outstanding."},
+	GCWoven:   {"gc", "woven", "", "Aborted versions whose missing identity trees a sweep rebuilt (repair, not reclamation)."},
+
+	RepairPasses:          {"repair", "passes", "passes_total", "Completed self-healing repair passes (all engines reporting here)."},
+	RepairScanned:         {"repair", "scanned", "chunks_scanned_total", "Live-chunk placement records examined by repair passes."},
+	RepairUnderReplicated: {"repair", "under-replicated", "", "Chunks found with a dead, avoided or corrupt replica, or short of their replication degree."},
+	RepairReReplicated:    {"repair", "re-replicated", "rereplicated_total", "Replica copies recreated on fresh providers."},
+	RepairMigrated:        {"repair", "migrated", "migrated_total", "Chunks moved off overfull providers by the rebalancer."},
+	RepairBytesMoved:      {"repair", "bytes-moved", "bytes_moved_total", "Payload bytes copied by re-replication and rebalance."},
+	RepairLeavesPatched:   {"repair", "leaves-patched", "leaves_patched_total", "Metadata leaf descriptors rewritten to new placements."},
+	RepairLost:            {"repair", "lost", "lost_chunks", "Chunks with no surviving replica (unrecoverable until a provider returns)."},
+	RepairCorruptPurged:   {"repair", "corrupt-purged", "corrupt_purged_total", "Quarantined corrupt replicas deleted after a verified copy replaced them."},
+	RepairErrors:          {"repair", "errors", "errors_total", "Per-blob repair failures (retried next pass)."},
+
+	ScrubPasses:       {"scrub", "passes", "passes_total", "Completed scrub passes (all engines reporting here)."},
+	ScrubScanned:      {"scrub", "scanned", "chunks_scanned_total", "Chunk replicas verified against their digests by scrub passes."},
+	ScrubBytes:        {"scrub", "bytes", "bytes_scanned_total", "Payload bytes read back and verified by scrub passes."},
+	ScrubCorruptFound: {"scrub", "corrupt", "corrupt_found_total", "Replicas that failed verification during a scrub (quarantined for repair)."},
+	ScrubBackfilled:   {"scrub", "backfilled", "backfilled_total", "Legacy digestless chunks whose digest was minted by a scrub."},
+	ScrubErrors:       {"scrub", "errors", "errors_total", "Per-provider scrub failures (retried next pass)."},
+}
+
+// Counters is one value per maintenance counter. It is a pass's delta,
+// the vm.maintreport payload, an engine's lifetime totals and the
+// vm.maintstats response alike. The version manager is the aggregation
+// point — passes may run from the cluster harness, a maint daemon or the
+// CLI, and `blobseer-cli maint-stats` must see them all — but apart from
+// the journaled GC totals the counters are pure observability.
+type Counters [NumCounters]uint64
+
+// Add folds o into c.
+func (c *Counters) Add(o *Counters) {
+	for i := range c {
+		c[i] += o[i]
+	}
 }
 
 // Encode implements wire.Message.
-func (r *GCStatsResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.Chunks)
-	e.PutU64(r.Bytes)
-	e.PutU64(r.Nodes)
-	e.PutU64(r.Orphans)
-	e.PutU64(r.PrunedVersions)
-	e.PutU64(r.PendingBlobs)
+func (c *Counters) Encode(e *wire.Encoder) {
+	for _, v := range c {
+		e.PutU64(v)
+	}
 }
 
 // Decode implements wire.Message.
-func (r *GCStatsResp) Decode(d *wire.Decoder) {
-	r.Chunks = d.U64()
-	r.Bytes = d.U64()
-	r.Nodes = d.U64()
-	r.Orphans = d.U64()
-	r.PrunedVersions = d.U64()
-	r.PendingBlobs = d.U64()
-}
-
-// RepairTotals counts what repair passes did; it doubles as the report
-// payload (one pass's delta) and the cumulative stats response. Like the
-// GC totals, the version manager is the natural aggregation point —
-// repair passes may run from the cluster harness, a standalone daemon, or
-// the CLI, and `blobseer-cli repair-stats` must see them all — but unlike
-// GC the counters are pure observability, so they are NOT journaled.
-type RepairTotals struct {
-	// Passes counts completed repair passes (reports received).
-	Passes uint64
-	// ChunksScanned counts live-chunk placement records examined.
-	ChunksScanned uint64
-	// UnderReplicated counts chunks found with a dead or avoided replica
-	// (or short of their replication degree).
-	UnderReplicated uint64
-	// ReReplicated counts replica copies created on fresh providers.
-	ReReplicated uint64
-	// Migrated counts chunks moved off overfull providers (rebalance).
-	Migrated uint64
-	// BytesMoved counts payload bytes copied by re-replication + rebalance.
-	BytesMoved uint64
-	// LeavesPatched counts metadata leaf descriptors rewritten.
-	LeavesPatched uint64
-	// LostChunks counts chunks with no surviving replica (unrecoverable
-	// until the provider returns; never silently dropped).
-	LostChunks uint64
-	// CorruptPurged counts quarantined (digest-failed) replica copies
-	// deleted after the healed descriptor landed.
-	CorruptPurged uint64
-	// Errors counts per-blob repair failures (retried next pass).
-	Errors uint64
-}
-
-// Encode implements wire.Message.
-func (r *RepairTotals) Encode(e *wire.Encoder) {
-	e.PutU64(r.Passes)
-	e.PutU64(r.ChunksScanned)
-	e.PutU64(r.UnderReplicated)
-	e.PutU64(r.ReReplicated)
-	e.PutU64(r.Migrated)
-	e.PutU64(r.BytesMoved)
-	e.PutU64(r.LeavesPatched)
-	e.PutU64(r.LostChunks)
-	e.PutU64(r.CorruptPurged)
-	e.PutU64(r.Errors)
-}
-
-// Decode implements wire.Message.
-func (r *RepairTotals) Decode(d *wire.Decoder) {
-	r.Passes = d.U64()
-	r.ChunksScanned = d.U64()
-	r.UnderReplicated = d.U64()
-	r.ReReplicated = d.U64()
-	r.Migrated = d.U64()
-	r.BytesMoved = d.U64()
-	r.LeavesPatched = d.U64()
-	r.LostChunks = d.U64()
-	r.CorruptPurged = d.U64()
-	r.Errors = d.U64()
-}
-
-// ScrubTotals counts what scrub passes did; like RepairTotals it doubles
-// as the report payload (one pass's delta) and the cumulative stats
-// response, aggregates at the version manager, and is pure observability
-// (not journaled).
-type ScrubTotals struct {
-	// Passes counts completed scrub passes (reports received).
-	Passes uint64
-	// ChunksScanned counts chunk copies digest-verified.
-	ChunksScanned uint64
-	// BytesScanned counts payload bytes read and verified.
-	BytesScanned uint64
-	// CorruptFound counts copies that failed verification and were
-	// quarantined during scrub.
-	CorruptFound uint64
-	// Backfilled counts legacy (digestless) copies that had a digest
-	// minted and journaled during scrub.
-	Backfilled uint64
-	// Errors counts per-provider scrub failures (retried next pass).
-	Errors uint64
-}
-
-// Encode implements wire.Message.
-func (r *ScrubTotals) Encode(e *wire.Encoder) {
-	e.PutU64(r.Passes)
-	e.PutU64(r.ChunksScanned)
-	e.PutU64(r.BytesScanned)
-	e.PutU64(r.CorruptFound)
-	e.PutU64(r.Backfilled)
-	e.PutU64(r.Errors)
-}
-
-// Decode implements wire.Message.
-func (r *ScrubTotals) Decode(d *wire.Decoder) {
-	r.Passes = d.U64()
-	r.ChunksScanned = d.U64()
-	r.BytesScanned = d.U64()
-	r.CorruptFound = d.U64()
-	r.Backfilled = d.U64()
-	r.Errors = d.U64()
+func (c *Counters) Decode(d *wire.Decoder) {
+	for i := range c {
+		c[i] = d.U64()
+	}
 }
 
 // CompactResp reports the outcome of a journal snapshot + compaction.

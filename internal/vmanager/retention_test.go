@@ -110,8 +110,8 @@ func TestGCWorkAndReportAdvanceFrontier(t *testing.T) {
 	if work := m.GCWork(); len(work) != 0 {
 		t.Fatalf("GC work after sweep: %v", work)
 	}
-	stats := m.GCStats()
-	if stats.Chunks != 4 || stats.Bytes != 256 || stats.Nodes != 9 || stats.PrunedVersions != 4 {
+	stats := m.MaintStats()
+	if stats[GCChunks] != 4 || stats[GCBytes] != 256 || stats[GCNodes] != 9 || stats[GCPruned] != 4 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// A stale or overshooting report cannot push the frontier past the floor.

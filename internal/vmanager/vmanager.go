@@ -193,23 +193,12 @@ type Manager struct {
 	jmu          sync.RWMutex
 	compactEvery uint64
 
-	// Cumulative GC accounting, reported by sweepers via GCReport.
-	gcMu             sync.Mutex
-	reclaimedChunks  uint64
-	reclaimedBytes   uint64
-	reclaimedNodes   uint64
-	reclaimedOrphans uint64
-	prunedVersions   uint64
-
-	// Cumulative repair accounting, reported by repair engines via
-	// RepairReport. Observability only — never journaled.
-	repairMu sync.Mutex
-	repair   RepairTotals
-
-	// Cumulative scrub accounting, reported by scrub engines via
-	// ScrubReport. Observability only — never journaled.
-	scrubMu sync.Mutex
-	scrub   ScrubTotals
+	// Cumulative maintenance accounting. The leading journaledCounters
+	// (GC reclamation totals) are fed by GCReport and persisted; the rest
+	// arrive through MaintReport and are observability only — never
+	// journaled.
+	maintMu sync.Mutex
+	maint   Counters
 
 	// Write-lease state. leaseTTLMs is the TTL granted by Assign (0
 	// disables leases). now is the clock, swappable by tests. The counters
@@ -783,6 +772,7 @@ func (m *Manager) GCStatus(blobID uint64) (*GCStatusResp, error) {
 		Published:   b.published,
 		Assigned:    b.lastAssigned(),
 		ChunkSize:   b.chunkSize,
+		Replication: b.replication,
 		FinishGen:   b.finishGen,
 	}
 	if !b.deleted {
@@ -855,88 +845,55 @@ func (m *Manager) GCReport(req *GCReportReq) error {
 	// Stats must update before journalEnd: a concurrent Compact excludes
 	// mutators, so its snapshot either contains this delta or the WAL it
 	// keeps contains the record — never neither.
-	m.gcMu.Lock()
-	m.reclaimedChunks += req.Chunks
-	m.reclaimedBytes += req.Bytes
-	m.reclaimedNodes += req.Nodes
-	m.reclaimedOrphans += req.Orphans
-	m.prunedVersions += pruned
-	m.gcMu.Unlock()
+	m.addGCTotals(req.Chunks, req.Bytes, req.Nodes, req.Orphans, pruned)
 	m.journalEnd()
 	m.maybeCompact()
 	return nil
 }
 
-// GCStats reports cumulative reclamation totals and the number of blobs
-// with outstanding GC work.
-func (m *Manager) GCStats() *GCStatsResp {
-	pending := uint64(len(m.GCWork()))
-	m.gcMu.Lock()
-	defer m.gcMu.Unlock()
-	return &GCStatsResp{
-		Chunks:         m.reclaimedChunks,
-		Bytes:          m.reclaimedBytes,
-		Nodes:          m.reclaimedNodes,
-		Orphans:        m.reclaimedOrphans,
-		PrunedVersions: m.prunedVersions,
-		PendingBlobs:   pending,
+// addGCTotals folds one applied GCReport (live or replayed) into the
+// journaled counters.
+func (m *Manager) addGCTotals(chunks, bytes, nodes, orphans, pruned uint64) {
+	m.maintMu.Lock()
+	defer m.maintMu.Unlock()
+	m.maint[GCChunks] += chunks
+	m.maint[GCBytes] += bytes
+	m.maint[GCNodes] += nodes
+	m.maint[GCOrphans] += orphans
+	m.maint[GCPruned] += pruned
+}
+
+// MaintReport folds one engine's pass delta into the cumulative totals.
+// Deltas carry their own pass counts: an engine whose earlier report RPC
+// failed resends the lost delta merged into its next report. The counters
+// the manager owns (see ownedCounters) are skipped.
+func (m *Manager) MaintReport(delta *Counters) {
+	m.maintMu.Lock()
+	defer m.maintMu.Unlock()
+	for id := ownedCounters; id < NumCounters; id++ {
+		m.maint[id] += delta[id]
 	}
 }
 
-// RepairReport folds repair pass counters into the cumulative totals.
-// Reports carry their own pass count: an engine whose earlier report RPC
-// failed resends the lost delta merged into its next report, so Passes
-// arrives batched rather than implied one-per-call.
-func (m *Manager) RepairReport(req *RepairTotals) {
-	m.repairMu.Lock()
-	defer m.repairMu.Unlock()
-	passes := req.Passes
-	if passes == 0 {
-		passes = 1
+// MaintCounter reads one cumulative maintenance counter — what /metrics
+// scrapes per family, so only GCPending (the number of blobs with
+// outstanding GC work) pays for the GCWork scan.
+func (m *Manager) MaintCounter(id Counter) uint64 {
+	if id == GCPending {
+		return uint64(len(m.GCWork()))
 	}
-	m.repair.Passes += passes
-	m.repair.ChunksScanned += req.ChunksScanned
-	m.repair.UnderReplicated += req.UnderReplicated
-	m.repair.ReReplicated += req.ReReplicated
-	m.repair.Migrated += req.Migrated
-	m.repair.BytesMoved += req.BytesMoved
-	m.repair.LeavesPatched += req.LeavesPatched
-	m.repair.LostChunks += req.LostChunks
-	m.repair.CorruptPurged += req.CorruptPurged
-	m.repair.Errors += req.Errors
+	m.maintMu.Lock()
+	defer m.maintMu.Unlock()
+	return m.maint[id]
 }
 
-// RepairStats reports cumulative repair totals.
-func (m *Manager) RepairStats() *RepairTotals {
-	m.repairMu.Lock()
-	defer m.repairMu.Unlock()
-	cp := m.repair
-	return &cp
-}
-
-// ScrubReport folds scrub pass counters into the cumulative totals. As
-// with RepairReport, reports carry their own pass count so an engine can
-// batch a previously lost delta into its next report.
-func (m *Manager) ScrubReport(req *ScrubTotals) {
-	m.scrubMu.Lock()
-	defer m.scrubMu.Unlock()
-	passes := req.Passes
-	if passes == 0 {
-		passes = 1
-	}
-	m.scrub.Passes += passes
-	m.scrub.ChunksScanned += req.ChunksScanned
-	m.scrub.BytesScanned += req.BytesScanned
-	m.scrub.CorruptFound += req.CorruptFound
-	m.scrub.Backfilled += req.Backfilled
-	m.scrub.Errors += req.Errors
-}
-
-// ScrubStats reports cumulative scrub totals.
-func (m *Manager) ScrubStats() *ScrubTotals {
-	m.scrubMu.Lock()
-	defer m.scrubMu.Unlock()
-	cp := m.scrub
+// MaintStats reports every cumulative maintenance counter, as one
+// consistent snapshot.
+func (m *Manager) MaintStats() *Counters {
+	m.maintMu.Lock()
+	cp := m.maint
+	m.maintMu.Unlock()
+	cp[GCPending] = uint64(len(m.GCWork()))
 	return &cp
 }
 
@@ -1038,22 +995,13 @@ func NewServerWithManager(network rpc.Network, addr string, m *Manager) *Server 
 		func(req *BlobRef) (*GCStatusResp, error) { return s.m.GCStatus(req.BlobID) })
 	rpc.HandleMsg(s.srv, MethodGCReport, func() *GCReportReq { return &GCReportReq{} },
 		func(req *GCReportReq) (*Ack, error) { return &Ack{}, s.m.GCReport(req) })
-	rpc.HandleMsg(s.srv, MethodGCStats, func() *Ack { return &Ack{} },
-		func(*Ack) (*GCStatsResp, error) { return s.m.GCStats(), nil })
-	rpc.HandleMsg(s.srv, MethodRepairReport, func() *RepairTotals { return &RepairTotals{} },
-		func(req *RepairTotals) (*Ack, error) {
-			s.m.RepairReport(req)
+	rpc.HandleMsg(s.srv, MethodMaintReport, func() *Counters { return &Counters{} },
+		func(req *Counters) (*Ack, error) {
+			s.m.MaintReport(req)
 			return &Ack{}, nil
 		})
-	rpc.HandleMsg(s.srv, MethodRepairStats, func() *Ack { return &Ack{} },
-		func(*Ack) (*RepairTotals, error) { return s.m.RepairStats(), nil })
-	rpc.HandleMsg(s.srv, MethodScrubReport, func() *ScrubTotals { return &ScrubTotals{} },
-		func(req *ScrubTotals) (*Ack, error) {
-			s.m.ScrubReport(req)
-			return &Ack{}, nil
-		})
-	rpc.HandleMsg(s.srv, MethodScrubStats, func() *Ack { return &Ack{} },
-		func(*Ack) (*ScrubTotals, error) { return s.m.ScrubStats(), nil })
+	rpc.HandleMsg(s.srv, MethodMaintStats, func() *Ack { return &Ack{} },
+		func(*Ack) (*Counters, error) { return s.m.MaintStats(), nil })
 	rpc.HandleMsg(s.srv, MethodCompact, func() *Ack { return &Ack{} },
 		func(*Ack) (*CompactResp, error) {
 			dropped, err := s.m.Compact()

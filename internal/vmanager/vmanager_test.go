@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/rpc"
+	"repro/internal/wire"
 )
 
 func TestCreateAndInfo(t *testing.T) {
@@ -313,5 +314,30 @@ func TestServerOverRPC(t *testing.T) {
 	}
 	if len(list.IDs) != 1 || list.IDs[0] != created.BlobID {
 		t.Errorf("list = %+v", list)
+	}
+}
+
+// The one maintenance counter codec: every counter id survives the wire
+// in its own slot, and every exported table row is fully declared.
+func TestCountersWireRoundTrip(t *testing.T) {
+	for id, def := range CounterTable {
+		if def.Plane == "" || def.Name == "" || def.Help == "" {
+			t.Errorf("counter %d is not declared in CounterTable: %+v", id, def)
+		}
+		var in, out Counters
+		in[id] = uint64(id) + 1
+		if err := wire.Unmarshal(wire.Marshal(&in), &out); err != nil {
+			t.Fatalf("counter %s/%s: %v", def.Plane, def.Name, err)
+		}
+		if out != in {
+			t.Errorf("counter %s/%s: round trip gave %v, want %v", def.Plane, def.Name, out, in)
+		}
+	}
+	var full, out Counters
+	for id := range full {
+		full[id] = ^uint64(0) - uint64(id)
+	}
+	if err := wire.Unmarshal(wire.Marshal(&full), &out); err != nil || out != full {
+		t.Errorf("full table round trip: %v, %v", out, err)
 	}
 }
