@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 
-.PHONY: all build vet bench-vet test race fuzz bench e2e-restart e2e-maint e2e-repair e2e-scrub e2e-lease e2e-failover e2e-trace soak-smoke ci clean
+.PHONY: all build vet guard bench-vet test race fuzz bench e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke ci clean
 
 all: ci
 
@@ -11,6 +11,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# One copy of the role wiring: only internal/node (and the packages that
+# define these calls) may attach observers and tracers, register role
+# metrics, or start the HA / heartbeat / lease-expiry side loops. blobseerd
+# and the cluster harness go through node's constructors.
+guard:
+	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta|bsfs)/'
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
 # with ..), so root `go vet ./...` and `go test ./...` never see it. This
@@ -78,10 +85,6 @@ e2e-maint:
 	$(GO) test -race -count=1 -run 'TestCorruptReplicaReadFailover|TestScrubRestoresDegree' ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestSidecar|TestGetQuarantinesCorruptCopy|TestIngestRejectsCorruptPut|TestLegacyChunkBackfilledOnRead|TestVerifyChunkRecheck|TestScrubStepBudgetAndResume' ./internal/provider/
 
-# The pre-merge names of e2e-maint's halves, kept so CI step names need
-# not change.
-e2e-repair e2e-scrub: e2e-maint
-
 # Writer-lease end-to-end suite: writers kill -9'd between Assign and
 # Commit and mid-upload must not wedge the publish frontier — lease expiry
 # aborts them, weaves their identity trees server-side, un-parks the
@@ -95,10 +98,14 @@ e2e-lease:
 # the rejoining ex-leader must come back fenced (typed not-leader
 # redirects) and resync to a byte-identical state digest. Plus the
 # replication unit suite: convergence, synchronous quorum, divergent
-# journal-tail truncation.
+# journal-tail truncation; the group start / kill / restart-in-place units
+# of the role assembly; and the same failover with real blobseerd
+# processes, through the HA, lease and metrics flags.
 e2e-failover:
 	$(GO) test -race -count=1 -run 'TestFailoverMidWriteStorm|TestStandbyCrashDoesNotBlockCommits' -timeout 10m ./internal/fault/
 	$(GO) test -race -count=1 -run 'TestReplication|TestQuorum|TestFailover|TestDivergent|TestRebooted' ./internal/vmanager/
+	$(GO) test -race -count=1 ./internal/node/
+	$(GO) test -race -count=1 -run 'TestDaemonFailover' ./cmd/blobseerd/
 
 # Distributed-tracing end-to-end suite, under the race detector: a
 # sampled 256-chunk cold read must land client/vmanager/metadata/provider
@@ -118,7 +125,7 @@ SOAK_SECS ?= 10
 soak-smoke:
 	BLASTER_SOAK_SECS=$(SOAK_SECS) $(GO) test -race -count=1 -run 'TestSoakSmoke' -timeout 10m ./internal/blaster/
 
-ci: vet bench-vet build race fuzz bench e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke
+ci: vet guard bench-vet build race fuzz bench e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke
 
 clean:
 	$(GO) clean -testcache

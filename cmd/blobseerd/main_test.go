@@ -5,15 +5,20 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
+	"repro/internal/vmanager"
 )
 
 // buildDaemon compiles blobseerd once per test into a temp dir.
@@ -236,5 +241,127 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	want := bytes.Join([][]byte{payload(0), payload(1), payload(2), payload(3)}, nil)
 	if !bytes.Equal(got, want) {
 		t.Fatal("post-recovery write round trip mismatch")
+	}
+}
+
+// freeAddr reserves a loopback address for a daemon that must be told its
+// peers' addresses before they are up.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// The daemon-level acceptance scenario for the replicated control plane,
+// through the flags no in-process test can reach: two vmanager processes
+// form a group (-vm-peers / -standby-of / -ha-ttl / -repl) with write
+// leases on and a server-side weaver (-lease-ttl, -meta) and export
+// metrics (-metrics-listen). The leader is kill -9'd; a client holding both
+// addresses must write and read back within 2x the leadership TTL (plus
+// scheduling slack), and the survivor's /metrics must say it leads.
+func TestDaemonFailover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test is not -short")
+	}
+	const haTTL, slack = time.Second, 3 * time.Second
+	bin := buildDaemon(t)
+	pm, _ := spawnDaemon(t, bin, "-role", "pmanager", "-listen", "127.0.0.1:0", "-heartbeat-timeout", "5s")
+	mp, _ := spawnDaemon(t, bin, "-role", "metadata", "-listen", "127.0.0.1:0")
+	addrA, addrB, metricsB := freeAddr(t), freeAddr(t), freeAddr(t)
+	vmArgs := func(addr, name string, extra ...string) []string {
+		return append([]string{"-role", "vmanager", "-listen", addr, "-dir", filepath.Join(t.TempDir(), name),
+			"-ha-ttl", haTTL.String(), "-repl", "quorum", "-lease-ttl", "5s", "-meta", mp}, extra...)
+	}
+	_, leader := spawnDaemon(t, bin, vmArgs(addrA, "vm-a", "-vm-peers", addrB)...)
+	spawnDaemon(t, bin, vmArgs(addrB, "vm-b", "-standby-of", addrA, "-metrics-listen", metricsB)...)
+	for i := 0; i < 2; i++ {
+		spawnDaemon(t, bin, "-role", "provider", "-listen", "127.0.0.1:0", "-pm", pm, "-heartbeat", "200ms")
+	}
+
+	client, err := core.NewClient(core.Config{
+		Network:       rpc.NewTCPNetwork(),
+		VMAddrs:       []string{addrA, addrB},
+		PMAddr:        pm,
+		MetaProviders: []string{mp},
+		CallTimeout:   10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	blob, err := client.CreateBlob(1024, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Repeat([]byte("before"), 500)
+	if _, err := blob.Write(before, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Quorum commits need the standby inside the leader's commit gate.
+	probe := rpc.NewClient(rpc.NewTCPNetwork(), 2*time.Second)
+	defer probe.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		var st vmanager.HAStatusResp
+		if err := probe.Call(addrA, vmanager.MethodHAStatus, &vmanager.Ack{}, &st); err == nil &&
+			st.Role == "leader" && len(st.Standbys) == 1 && st.Standbys[0].Synced {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("standby never synced with the leader")
+		}
+	}
+
+	leader.Process.Kill()
+	leader.Wait()
+	killed := time.Now()
+	after := bytes.Repeat([]byte("after!"), 500)
+	var v uint64
+	for {
+		if v, err = blob.Write(after, uint64(len(before))); err == nil {
+			break
+		}
+		if time.Since(killed) > 2*haTTL+slack {
+			t.Fatalf("no write accepted %v after the leader died: %v", time.Since(killed), err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	got := make([]byte, len(before)+len(after))
+	if _, err := blob.Read(v, got, 0); err != nil {
+		t.Fatalf("read after failover: %v", err)
+	}
+	if !bytes.Equal(got, append(before, after...)) {
+		t.Fatal("content diverged across the failover")
+	}
+	t.Logf("writes resumed %v after kill -9 (leadership ttl %v)", time.Since(killed), haTTL)
+
+	get := func(path string) string {
+		res, err := http.Get("http://" + metricsB + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, _ := io.ReadAll(res.Body)
+		if res.StatusCode != 200 {
+			t.Fatalf("GET %s: %d", path, res.StatusCode)
+		}
+		return string(body)
+	}
+	if got := strings.TrimSpace(get("/healthz")); got != "ok" {
+		t.Fatalf("/healthz = %q", got)
+	}
+	metrics := get("/metrics")
+	for _, want := range []string{
+		fmt.Sprintf(`blobseer_vm_ha_is_leader{role="vmanager",instance=%q} 1`, addrB),
+		fmt.Sprintf(`blobseer_vm_ha_takeovers_total{role="vmanager",instance=%q} 1`, addrB),
+		`blobseer_lease_ttl_seconds{role="vmanager"} 5`,
+		`blobseer_rpc_server_request_seconds_count{role="vmanager",method="vm.assign"}`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("survivor's /metrics lacks %s", want)
+		}
 	}
 }

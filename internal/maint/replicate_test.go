@@ -227,8 +227,8 @@ func TestRebalanceDrainsOverfullProvider(t *testing.T) {
 			}
 			return 1 << 20
 		},
-		RepairHighWater: 0.85,
-		RepairLowWater:  0.50,
+		FullnessWatermark: 0.85,
+		RepairLowWater:    0.50,
 	})
 
 	cli, err := c.NewClient(cluster.ClientOptions{})
@@ -356,8 +356,8 @@ func TestRebalanceNeverDuplicatesDestination(t *testing.T) {
 			}
 			return 8 * chunkSize
 		},
-		RepairHighWater: 0.85,
-		RepairLowWater:  0.50,
+		FullnessWatermark: 0.85,
+		RepairLowWater:    0.50,
 	})
 	cli, err := c.NewClient(cluster.ClientOptions{})
 	if err != nil {

@@ -287,12 +287,13 @@ func RegisterProvider(reg *metrics.Registry, instance string, srv func() *provid
 }
 
 // RegisterPManager exposes cluster membership and per-provider fullness as
-// the provider manager sees it.
-func RegisterPManager(reg *metrics.Registry, mgr *pmanager.Manager) {
+// the provider manager sees it. mgr is an accessor, like its siblings', so
+// a provider manager restarted in place keeps feeding the same series.
+func RegisterPManager(reg *metrics.Registry, mgr func() *pmanager.Manager) {
 	role := []metrics.Label{{Name: "role", Value: "pmanager"}}
 	count := func(pred func(pmanager.ProviderStatus) bool) float64 {
 		var n float64
-		for _, p := range mgr.Report() {
+		for _, p := range mgr().Report() {
 			if pred(p) {
 				n++
 			}
@@ -316,7 +317,7 @@ func RegisterPManager(reg *metrics.Registry, mgr *pmanager.Manager) {
 // pmFullnessCollector emits one fullness gauge per registered provider —
 // the series set follows membership, so it cannot be a fixed GaugeFunc.
 type pmFullnessCollector struct {
-	mgr *pmanager.Manager
+	mgr func() *pmanager.Manager
 }
 
 func (c *pmFullnessCollector) Family() metrics.Family {
@@ -328,7 +329,7 @@ func (c *pmFullnessCollector) Family() metrics.Family {
 }
 
 func (c *pmFullnessCollector) Collect(emit func(metrics.Sample)) {
-	for _, p := range c.mgr.Report() {
+	for _, p := range c.mgr().Report() {
 		var fullness float64
 		if p.CapBytes > 0 {
 			fullness = float64(p.Bytes) / float64(p.CapBytes)
