@@ -1,8 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-BENCHTIME ?= 1x
 
-.PHONY: all build vet guard bench-vet test race fuzz bench e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke ci clean
+.PHONY: all build vet guard bench-vet test race fuzz e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke ci clean
 
 all: ci
 
@@ -17,7 +16,7 @@ vet:
 # metrics, or start the HA / heartbeat / lease-expiry side loops. blobseerd
 # and the cluster harness go through node's constructors.
 guard:
-	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta|bsfs)/'
+	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
 # with ..), so root `go vet ./...` and `go test ./...` never see it. This
@@ -48,20 +47,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplicationDivergence -fuzztime=$(FUZZTIME) ./internal/vmanager/
 	$(GO) test -fuzz=FuzzDigestWireDecode -fuzztime=$(FUZZTIME) ./internal/provider/
 	$(GO) test -fuzz=FuzzTraceTrailer -fuzztime=$(FUZZTIME) ./internal/rpc/
-
-# Macro-benchmark smoke test: one iteration of every reconstructed
-# experiment (E1-E14, including the E14 repair-under-churn bench) keeps
-# the bench harness from rotting; raise BENCHTIME (and add -count) when
-# measuring for real. BENCH_baseline.json / BENCH_after.json record the
-# E1/E4 before/after of the metadata-batching refactor (PR 3);
-# BENCH_baseline_pr4.json / BENCH_after_pr4.json record the E13
-# before/after of the write-plane batching + WAL group commit (PR 4);
-# BENCH_baseline_pr5.json / BENCH_after_pr5.json record the E14
-# degraded-vs-repaired numbers of the self-healing repair engine (PR 5);
-# BENCH_baseline_pr9.json / BENCH_after_pr9.json record the E1
-# before/after of verify-on-read chunk integrity (PR 9, gate <=3%).
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) .
 
 # Crash-recovery end-to-end suite: kill -9 + restart of the version
 # manager and metadata providers, in-harness (mid-write-storm) and as real
@@ -125,7 +110,7 @@ SOAK_SECS ?= 10
 soak-smoke:
 	BLASTER_SOAK_SECS=$(SOAK_SECS) $(GO) test -race -count=1 -run 'TestSoakSmoke' -timeout 10m ./internal/blaster/
 
-ci: vet guard bench-vet build race fuzz bench e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke
+ci: vet guard bench-vet build race fuzz e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke
 
 clean:
 	$(GO) clean -testcache

@@ -5,7 +5,6 @@
 //	blobseerd -role pmanager  -listen :4401
 //	blobseerd -role metadata  -listen :4410 -dir /var/blobseer/meta0
 //	blobseerd -role provider  -listen :4420 -pm host:4401 -store disk -dir /var/blobseer/chunks
-//	blobseerd -role namespace -listen :4430
 //	blobseerd -role maint     -vm host:4400 -pm host:4401 -meta host:4410 -gc-interval 1m
 //
 // It only maps flags to a spec: internal/node starts the role (the cluster
@@ -32,7 +31,7 @@ import (
 )
 
 func main() {
-	role := flag.String("role", "", "vmanager | pmanager | metadata | provider | namespace | maint")
+	role := flag.String("role", "", "vmanager | pmanager | metadata | provider | maint")
 	listen := flag.String("listen", ":0", "TCP listen address")
 	vmAddr := flag.String("vm", "", "version manager address, comma-separated list for an HA group (role=maint)")
 	pmAddr := flag.String("pm", "", "provider manager address (role=provider|maint; role=vmanager with a maintenance interval)")
@@ -122,8 +121,6 @@ func main() {
 		h, err = node.StartPManager(env, node.PManagerSpec{Listen: *listen, Strategy: *strategy, HeartbeatTimeout: *hbTimeout})
 	case "metadata":
 		h, err = node.StartMetadata(env, node.MetadataSpec{Listen: *listen, Dir: *dir, Fsync: *fsync})
-	case "namespace":
-		h, err = node.StartNamespace(env, *listen)
 	case "maint":
 		h, err = node.StartMaint(env, maintSpec)
 	case "provider":

@@ -1,10 +1,10 @@
 // Package blaster is an open-loop traffic generator for a live BlobSeer
-// deployment. Unlike the closed-loop experiment harness (internal/bench),
-// which issues the next operation only when the previous one returns — and
-// therefore measures a system that is never overloaded — the blaster
-// schedules operation ARRIVALS from a fixed-rate clock, independent of
-// completions. Latency under an offered load, including the coordinated-
-// omission-free tail, is exactly what a closed loop cannot see.
+// deployment. Unlike a closed-loop driver, which issues the next operation
+// only when the previous one returns — and therefore measures a system
+// that is never overloaded — the blaster schedules operation ARRIVALS
+// from a fixed-rate clock, independent of completions. Latency under an
+// offered load, including the coordinated-omission-free tail, is exactly
+// what a closed loop cannot see.
 //
 // The arrival process is deterministic-interval (one op every 1/rate
 // seconds). Each arrival draws an operation from the configured

@@ -1,8 +1,8 @@
 // Package cluster assembles a complete BlobSeer deployment — version
 // manager, provider manager, N data providers, M metadata providers — in
-// one process, over either the simulated fabric (experiments; the
-// Grid'5000 stand-in) or real TCP loopback (integration tests and the
-// daemon tooling). It is the "testbed in a box" every experiment runs on.
+// one process, over either the simulated fabric (the Grid'5000 stand-in)
+// or real TCP loopback. It is the "testbed in a box" the fault,
+// maintenance, trace and soak suites run on.
 package cluster
 
 import (
@@ -460,7 +460,7 @@ type ClientOptions struct {
 	MetaCacheNodes int
 	// ParallelIO bounds concurrent chunk transfers (default 16).
 	ParallelIO int
-	// Observer sees every chunk transfer (GloBeM monitoring).
+	// Observer sees every chunk transfer.
 	Observer core.Observer
 }
 

@@ -46,7 +46,8 @@ var (
 )
 
 // Observer receives a callback for every chunk transfer the client
-// performs. The GloBeM monitoring pipeline (§IV-E) plugs in here.
+// performs — the per-provider view a QoS monitor such as the paper's
+// GloBeM (§IV-E) consumes.
 type Observer interface {
 	// ObserveChunkOp reports one chunk PUT/GET against one provider.
 	ObserveChunkOp(provider, op string, bytes int, dur time.Duration, err error)
@@ -194,8 +195,8 @@ func NewClient(cfg Config) (*Client, error) {
 // Close releases the client's connections.
 func (c *Client) Close() { c.rpc.Close() }
 
-// RPC exposes the client's connection cache so services layered on
-// BlobSeer (e.g. the BSFS namespace) can share it.
+// RPC exposes the client's connection cache so tools layered on the
+// client can share it.
 func (c *Client) RPC() *rpc.Client { return c.rpc }
 
 // MetaCacheStats reports client-side metadata cache hits/misses.

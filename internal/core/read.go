@@ -228,7 +228,7 @@ func finishIgnoringEOF(op *trace.Active, err error) {
 }
 
 // ChunkLocation reports where one chunk-aligned slice of a version lives;
-// the locality information BSFS exposes to MapReduce schedulers (§IV-D).
+// the locality information a MapReduce scheduler places tasks by (§IV-D).
 type ChunkLocation struct {
 	Offset    uint64 // byte offset within the blob
 	Length    uint64 // valid bytes in this chunk

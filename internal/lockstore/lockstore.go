@@ -6,9 +6,10 @@
 // a single mutable flat chunk map guarded by a reader/writer lock, and no
 // versioning: writers exclude readers and readers exclude writers.
 //
-// The supernovae-detection experiment (E8) shows BlobSeer's read
-// throughput staying flat as writers are added while this baseline
-// collapses.
+// In the paper's supernovae-detection experiment BlobSeer's read
+// throughput stays flat as writers are added while this baseline
+// collapses; the package's tests pin the locking discipline that
+// explains the difference.
 package lockstore
 
 import (

@@ -79,7 +79,7 @@ func TestUnalignedWriteRejected(t *testing.T) {
 }
 
 // Writers must exclude readers: this is exactly the behavior BlobSeer
-// removes, and the property E8 measures.
+// removes, and the property the paper's supernovae experiment measures.
 func TestWritersBlockReaders(t *testing.T) {
 	c, ls := startLockstore(t)
 	w := lockstore.NewClient(c.Network, "lsw", ls.Addr(), c.PMAddr(), 10*time.Second)

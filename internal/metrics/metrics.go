@@ -1,6 +1,7 @@
-// Package metrics provides the small set of instrumentation primitives the
-// experiments and the GloBeM behaviour-modeling pipeline consume: atomic
-// counters, windowed rates, and value series with summary statistics.
+// Package metrics provides the instrumentation primitives every role
+// records into: plain atomic counters, windowed rates, value series with
+// summary statistics, and the Prometheus-style counters, gauges,
+// histograms and registry in prom.go.
 package metrics
 
 import (

@@ -728,7 +728,7 @@ func (v *HistogramVec) SetMaxChildren(n int) {
 // DroppedLabels reports how many series creations the cap diverted.
 func (v *HistogramVec) DroppedLabels() int64 { return v.dropped.Load() }
 
-// Each visits every child with its label values (GloBeM's snapshot walk).
+// Each visits every child with its label values.
 func (v *HistogramVec) Each(fn func(labels []Label, h *Histogram)) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()

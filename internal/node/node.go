@@ -1,6 +1,6 @@
 // Package node starts BlobSeer roles: one constructor per kind of process
 // — version manager, provider manager, metadata provider, data provider,
-// namespace server, maintenance daemon, client — each taking a spec and
+// maintenance daemon, client — each taking a spec and
 // returning a handle that owns everything the role runs: its server, its
 // durable state, its metrics and tracing attachments and its side loops
 // (HA replication, lease expiry, heartbeats, maintenance). cmd/blobseerd

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bsfs"
 	"repro/internal/chunk"
 	"repro/internal/maint"
 	"repro/internal/meta"
@@ -152,15 +151,6 @@ func roleCases(deps *deployment) map[string]roleCase {
 			check: func(t *testing.T, cli *rpc.Client, addr string) {
 				if err := cli.Call(addr, pmanager.MethodProviders, &pmanager.Ack{}, &pmanager.ProvidersResp{}); err != nil {
 					t.Fatalf("restarted provider manager does not serve: %v", err)
-				}
-			},
-		},
-		"namespace": {
-			start: func(env *node.Env, listen, dir string) (handle, error) { return node.StartNamespace(env, listen) },
-			seed:  func(t *testing.T, cli *rpc.Client, addr string) {},
-			check: func(t *testing.T, cli *rpc.Client, addr string) {
-				if err := cli.Call(addr, bsfs.MethodMkdir, &bsfs.PathReq{Path: "/d"}, &bsfs.Ack{}); err != nil {
-					t.Fatalf("restarted name server does not serve: %v", err)
 				}
 			},
 		},

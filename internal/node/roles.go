@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bsfs"
 	"repro/internal/chunk"
 	"repro/internal/maint"
 	"repro/internal/meta"
@@ -47,21 +46,6 @@ func StartPManager(env *Env, spec PManagerSpec) (*PManager, error) {
 
 // Kill crashes the provider manager (RPC dark).
 func (p *PManager) Kill() { p.Close() }
-
-// Namespace is a running BSFS name server (volatile, like PManager).
-type Namespace struct{ *bsfs.NameServer }
-
-// StartNamespace serves a BSFS name server at listen.
-func StartNamespace(env *Env, listen string) (*Namespace, error) {
-	s := bsfs.NewNameServer(env.Network, listen)
-	if err := env.serve("namespace", s); err != nil {
-		return nil, err
-	}
-	return &Namespace{s}, nil
-}
-
-// Kill crashes the name server (RPC dark).
-func (n *Namespace) Kill() { n.Close() }
 
 // MetadataSpec describes a metadata provider process. Dir is the node-log
 // directory, replayed on start; empty keeps the nodes in RAM (they die

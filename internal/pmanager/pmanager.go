@@ -3,8 +3,8 @@
 // writes or appends are issued" (§I-B2). The chunk distribution strategy
 // is configurable (§I-B3 "data striping") — round-robin for load
 // balancing, random scatter, or least-loaded placement — and the manager
-// additionally honors an avoid-list fed back by the GloBeM quality-of-
-// service pipeline (§IV-E).
+// additionally honors an avoid-list (pm.avoid), the hook through which the
+// paper's GloBeM quality-of-service pipeline (§IV-E) steers placement.
 package pmanager
 
 import (
@@ -137,7 +137,7 @@ func (r *ProvidersResp) Decode(d *wire.Decoder) {
 }
 
 // AvoidReq replaces (or clears) the set of providers placement must skip.
-// This is the feedback channel of the GloBeM QoS loop.
+// This is the feedback channel of a GloBeM-style QoS loop.
 type AvoidReq struct {
 	Addrs []string
 	Clear bool
@@ -175,8 +175,8 @@ type ProviderStatus struct {
 	FreeBytes uint64
 	// SinceBeatMs is how long ago the provider last heartbeat (ms).
 	SinceBeatMs uint64
-	// Live reflects the manager's heartbeat timeout; Avoided the GloBeM
-	// avoid set. A registered provider that is neither live nor avoided is
+	// Live reflects the manager's heartbeat timeout; Avoided the pm.avoid
+	// set. A registered provider that is neither live nor avoided is
 	// dead: its replicas are repair work.
 	Live    bool
 	Avoided bool

@@ -3,7 +3,7 @@
 // provided:
 //
 //   - SimNetwork: an in-process transport routed through a netsim.Fabric,
-//     used by the experiment harness to model a large testbed on one machine;
+//     used by the cluster harness to model a large testbed on one machine;
 //   - TCPNetwork: a real TCP transport with length-prefixed framing, used by
 //     the cmd/blobseerd daemon for multi-process deployments.
 //

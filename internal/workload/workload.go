@@ -1,8 +1,9 @@
-// Package workload generates the access patterns the BlobSeer evaluation
-// exercises: disjoint per-client partitions of a huge blob (§IV-A/C),
+// Package workload generates deterministic, seed-derived payloads for
+// clients to write and verify, and the access patterns of the paper's
+// evaluation: disjoint per-client partitions of a huge blob (§IV-A/C),
 // random fine-grain windows over a sky image (the supernovae application
-// of §IV-A), append streams (desktop grids, §IV-C), and synthetic text
-// corpora for the MapReduce experiments (§IV-D).
+// of §IV-A), and synthetic text, log and key corpora of the kind the
+// data-intensive applications of §IV-D consume.
 package workload
 
 import (
