@@ -15,8 +15,12 @@ vet:
 # define these calls) may attach observers and tracers, register role
 # metrics, or start the HA / heartbeat / lease-expiry side loops. blobseerd
 # and the cluster harness go through node's constructors.
+# One call signature: below the client API every RPC path takes a
+# context.Context first, so the ambient-root client mode and the adapters
+# that probed for a context-taking callee stay gone.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
+	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
 # with ..), so root `go vet ./...` and `go test ./...` never see it. This
@@ -96,8 +100,9 @@ e2e-failover:
 # sampled 256-chunk cold read must land client/vmanager/metadata/provider
 # spans under one trace id; the trace must survive a leader failover
 # (redirect) and metadata/provider restart-in-place (tracer re-attach);
-# background planes must originate their own root traces; plus the
-# ring-buffer race hammer and the trace-trailer unit suite.
+# each background loop iteration (a maintenance pass, an expired lease's
+# weave) must be one trace under its own root; plus the ring-buffer race
+# hammer and the trace-trailer unit suite.
 e2e-trace:
 	$(GO) test -race -count=1 -run 'TestTrace|TestBackgroundPlanes' ./internal/cluster/
 	$(GO) test -race -count=1 ./internal/trace/ ./internal/rpc/

@@ -50,7 +50,7 @@
 //     grace period. Reclamation totals are reported through
 //     Client.GCStats.
 //   - replicate scans every retained snapshot's placement on that same
-//     walk, re-replicates chunks whose replicas sit on dead, avoided or
+//     walk, re-replicates chunks whose replicas sit on dead or
 //     quarantined copies (batched getchunks/putchunks — RPC count tracks
 //     providers, not chunks), patches the affected leaf descriptors in
 //     place so reads stop probing dead addresses, and migrates replicas
@@ -95,8 +95,6 @@ type (
 	Config = core.Config
 	// ChunkLocation reports where a chunk lives (locality scheduling).
 	ChunkLocation = core.ChunkLocation
-	// Observer sees every chunk transfer (QoS monitoring).
-	Observer = core.Observer
 )
 
 // Deployment helpers, re-exported from the cluster harness.

@@ -255,13 +255,13 @@ func main() {
 		must(err)
 	case "maint-stats":
 		var st vmanager.Counters
-		must(vmanager.NewCaller(client.RPC(), vmAddrs).Call(vmanager.MethodMaintStats, &vmanager.Ack{}, &st))
+		must(vmanager.NewCaller(client.RPC(), vmAddrs).Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &st))
 		fmt.Println(maint.All.Summary(&st, "\n"))
 	case "lease-stats":
 		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
 		defer rpcCli.Close()
 		var st vmanager.LeaseStatsResp
-		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(vmanager.MethodLeaseStats, &vmanager.Ack{}, &st))
+		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(context.Background(), vmanager.MethodLeaseStats, &vmanager.Ack{}, &st))
 		if st.TTLMs == 0 {
 			fmt.Println("leases: off (vmanager started without -lease-ttl)")
 			break
@@ -277,11 +277,11 @@ func main() {
 		vmc := vmanager.NewCaller(rpcCli, vmAddrs)
 
 		var mt vmanager.Counters
-		must(vmc.Call(vmanager.MethodMaintStats, &vmanager.Ack{}, &mt))
+		must(vmc.Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &mt))
 		fmt.Println(maint.All.Summary(&mt, "\n"))
 
 		var ls vmanager.LeaseStatsResp
-		must(vmc.Call(vmanager.MethodLeaseStats, &vmanager.Ack{}, &ls))
+		must(vmc.Call(context.Background(), vmanager.MethodLeaseStats, &vmanager.Ack{}, &ls))
 		if ls.TTLMs == 0 {
 			fmt.Println("leases:  off")
 		} else {
@@ -290,11 +290,11 @@ func main() {
 		}
 
 		var provs pmanager.ProvidersResp
-		must(rpcCli.Call(*pm, pmanager.MethodProviders, &pmanager.Ack{}, &provs))
+		must(rpcCli.CallCtx(context.Background(), *pm, pmanager.MethodProviders, &pmanager.Ack{}, &provs))
 		fmt.Printf("providers: %d live\n", len(provs.Addrs))
 		for _, addr := range provs.Addrs {
 			var ps provider.StatsResp
-			if err := rpcCli.Call(addr, provider.MethodStats, &provider.Ack{}, &ps); err != nil {
+			if err := rpcCli.CallCtx(context.Background(), addr, provider.MethodStats, &provider.Ack{}, &ps); err != nil {
 				fmt.Printf("  %-22s unreachable: %v\n", addr, err)
 				continue
 			}
@@ -307,7 +307,7 @@ func main() {
 		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
 		defer rpcCli.Close()
 		var resp vmanager.CompactResp
-		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(vmanager.MethodCompact, &vmanager.Ack{}, &resp))
+		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(context.Background(), vmanager.MethodCompact, &vmanager.Ack{}, &resp))
 		if !resp.Persistent {
 			fmt.Println("version manager is volatile (no journal); nothing to compact")
 			break
@@ -320,7 +320,7 @@ func main() {
 		defer rpcCli.Close()
 		for _, a := range vmAddrs {
 			var st vmanager.HAStatusResp
-			if err := rpcCli.Call(a, vmanager.MethodHAStatus, &vmanager.Ack{}, &st); err != nil {
+			if err := rpcCli.CallCtx(context.Background(), a, vmanager.MethodHAStatus, &vmanager.Ack{}, &st); err != nil {
 				fmt.Printf("%-22s unreachable: %v\n", a, err)
 				continue
 			}

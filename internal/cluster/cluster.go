@@ -460,8 +460,6 @@ type ClientOptions struct {
 	MetaCacheNodes int
 	// ParallelIO bounds concurrent chunk transfers (default 16).
 	ParallelIO int
-	// Observer sees every chunk transfer.
-	Observer core.Observer
 }
 
 // NewClient builds a client wired to this deployment. Each client is
@@ -485,7 +483,6 @@ func (c *Cluster) NewClient(opts ClientOptions) (*core.Client, error) {
 		MetaCacheNodes:    opts.MetaCacheNodes,
 		ParallelIO:        opts.ParallelIO,
 		FullnessWatermark: c.cfg.FullnessWatermark,
-		Observer:          opts.Observer,
 	})
 	if err != nil {
 		return nil, err

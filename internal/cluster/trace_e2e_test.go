@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/maint"
+	"repro/internal/rpc"
 	"repro/internal/trace"
+	"repro/internal/vmanager"
 )
 
 // traceOf returns all spans sharing the trace of the newest span with
@@ -236,10 +238,10 @@ func TestTracePropagationAcrossFailoverAndRestart(t *testing.T) {
 	t.Logf("post-restart trace %016x: %d spans, roles %v", id, len(spans), roles)
 }
 
-// The maintenance plane runs a context-free engine; its one RPC client
-// (role "maint") is in ambient-root mode, so every plane call originates
-// its own root trace, and each pass records one root span whose method
-// names the actions it ran.
+// Background planes have no caller to inherit a trace from, so each loop
+// iteration opens one root and every RPC it issues joins it: a replicate
+// pass is one trace, its calls children of the pass span, the servers'
+// spans beneath them — not one parentless trace per call.
 func TestBackgroundPlanesOriginateRootTraces(t *testing.T) {
 	c, err := cluster.Start(cluster.Config{
 		DataProviders: 2,
@@ -264,31 +266,102 @@ func TestBackgroundPlanesOriginateRootTraces(t *testing.T) {
 	if _, err := c.Maint.Run(maint.Replicate); err != nil {
 		t.Fatal(err)
 	}
-	var passRoot, callRoot *trace.Span
+	var passRoot *trace.Span
 	for _, sp := range c.Traces().Spans(0, false) {
 		if sp.Role != "maint" || sp.Parent != 0 {
 			continue
 		}
-		if sp.Method == "maint.replicate" {
-			passRoot = sp
-		} else if callRoot == nil {
-			callRoot = sp
+		if sp.Method != "maint.replicate" || passRoot != nil {
+			t.Errorf("parentless maint span %s besides the pass root", sp.Method)
+			continue
 		}
+		passRoot = sp
 	}
 	if passRoot == nil {
-		t.Error("replicate pass recorded no maint.replicate root span")
+		t.Fatal("replicate pass recorded no maint.replicate root span")
 	}
-	if callRoot == nil {
-		t.Fatal("replicate pass recorded no RPC root spans (ambient-root client mode broken)")
-	}
-	// The server side of that plane RPC must have joined the same trace.
-	var joined bool
-	for _, sp := range c.Traces().Spans(callRoot.Trace, false) {
-		if sp.Role != "maint" {
-			joined = true
+	var children, servers int
+	for _, sp := range c.Traces().Spans(passRoot.Trace, false) {
+		switch {
+		case sp.Role == "maint" && sp.Parent == passRoot.ID:
+			children++
+		case sp.Role != "maint":
+			servers++
 		}
 	}
-	if !joined {
-		t.Errorf("maint trace %016x (%s) has no server-side spans", callRoot.Trace, callRoot.Method)
+	if children == 0 {
+		t.Error("the pass root has no RPC child spans")
+	}
+	if servers == 0 {
+		t.Errorf("pass trace %016x has no server-side spans", passRoot.Trace)
+	}
+}
+
+// An expired lease's server-side weave is one loop iteration too: every
+// meta.put it issues shares one root, the lease plane's own span.
+func TestBackgroundPlanesLeaseExpiryWeaveIsOneTrace(t *testing.T) {
+	const leaseTTL = 100 * time.Millisecond
+	c, err := cluster.Start(cluster.Config{
+		DataProviders:   1,
+		MetaProviders:   2,
+		MetaReplication: 2, // every node goes to both: at least two meta.put calls
+		LeaseTTL:        leaseTTL,
+		TraceSample:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cli, err := c.NewClient(cluster.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cli.CreateBlob(1<<10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A writer takes an 8-chunk version and vanishes.
+	raw := rpc.NewClient(c.Network, 0)
+	defer raw.Close()
+	var assign vmanager.AssignResp
+	if err := raw.Call(c.VMAddr(), vmanager.MethodAssign,
+		&vmanager.AssignReq{BlobID: blob.ID(), Size: 8 << 10}, &assign); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * leaseTTL)
+	for {
+		vi, err := c.VM.Manager().VersionInfo(blob.ID(), assign.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vi.Failed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("version %d not expired %v after Assign", assign.Version, 20*leaseTTL)
+		}
+		time.Sleep(leaseTTL / 4)
+	}
+	traces := make(map[uint64]bool)
+	puts := 0
+	for _, sp := range c.Traces().Spans(0, false) {
+		if sp.Role == "lease" && sp.Method == "meta.put" {
+			puts++
+			traces[sp.Trace] = true
+		}
+	}
+	if puts < 2 || len(traces) != 1 {
+		t.Fatalf("expiry weave: %d meta.put spans across %d traces, want >= 2 in one", puts, len(traces))
+	}
+	for id := range traces {
+		var roots []string
+		for _, sp := range c.Traces().Spans(id, false) {
+			if sp.Parent == 0 {
+				roots = append(roots, sp.Role+"/"+sp.Method)
+			}
+		}
+		if len(roots) != 1 || roots[0] != "lease/vm.expirelease" {
+			t.Errorf("expiry weave trace roots = %v, want [lease/vm.expirelease]", roots)
+		}
 	}
 }

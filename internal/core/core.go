@@ -45,14 +45,6 @@ var (
 	ErrLeaseExpired = errors.New("core: write lease expired before commit")
 )
 
-// Observer receives a callback for every chunk transfer the client
-// performs — the per-provider view a QoS monitor such as the paper's
-// GloBeM (§IV-E) consumes.
-type Observer interface {
-	// ObserveChunkOp reports one chunk PUT/GET against one provider.
-	ObserveChunkOp(provider, op string, bytes int, dur time.Duration, err error)
-}
-
 // Config wires a client to a deployment.
 type Config struct {
 	// Network is the transport everything runs over.
@@ -86,13 +78,13 @@ type Config struct {
 	// the write plane stops targeting disks the rebalancer is draining.
 	// Must be in (0, 1]; zero means "use the default".
 	FullnessWatermark float64
-	// Observer, when set, sees every chunk transfer.
-	Observer Observer
 	// Tracer, when set, records a span per client operation (core.read /
-	// core.write / core.append) and propagates the trace context through
-	// every RPC the operation issues, so sampled operations reconstruct
-	// as cross-role waterfalls. Nil disables client-side tracing (RPCs
-	// still join traces handed in via the *Ctx entry points' context).
+	// core.write / core.append) — a child of the span on the context
+	// handed to ReadCtx / WriteCtx / AppendCtx, else a root — and
+	// propagates it through every RPC the operation issues, so sampled
+	// operations reconstruct as cross-role waterfalls. Nil disables
+	// client-side spans; the RPCs still join a trace the caller's context
+	// carries.
 	Tracer *trace.Tracer
 }
 
@@ -214,7 +206,7 @@ type Blob struct {
 // data replication degree.
 func (c *Client) CreateBlob(chunkSize uint64, replication uint32) (*Blob, error) {
 	var resp vmanager.CreateResp
-	err := c.vm.Call(vmanager.MethodCreate,
+	err := c.vm.Call(context.Background(), vmanager.MethodCreate,
 		&vmanager.CreateReq{ChunkSize: chunkSize, Replication: replication}, &resp)
 	if err != nil {
 		return nil, fmt.Errorf("core: create blob: %w", err)
@@ -228,7 +220,7 @@ func (c *Client) CreateBlob(chunkSize uint64, replication uint32) (*Blob, error)
 // OpenBlob opens an existing blob by ID.
 func (c *Client) OpenBlob(id uint64) (*Blob, error) {
 	var info vmanager.InfoResp
-	err := c.vm.Call(vmanager.MethodInfo, &vmanager.BlobRef{BlobID: id}, &info)
+	err := c.vm.Call(context.Background(), vmanager.MethodInfo, &vmanager.BlobRef{BlobID: id}, &info)
 	if err != nil {
 		return nil, fmt.Errorf("core: open blob %d: %w", id, mapVMError(err))
 	}
@@ -238,7 +230,7 @@ func (c *Client) OpenBlob(id uint64) (*Blob, error) {
 // ListBlobs enumerates all blob IDs known to the version manager.
 func (c *Client) ListBlobs() ([]uint64, error) {
 	var resp vmanager.ListResp
-	if err := c.vm.Call(vmanager.MethodList, &vmanager.Ack{}, &resp); err != nil {
+	if err := c.vm.Call(context.Background(), vmanager.MethodList, &vmanager.Ack{}, &resp); err != nil {
 		return nil, fmt.Errorf("core: list blobs: %w", err)
 	}
 	return resp.IDs, nil
@@ -256,12 +248,12 @@ func (b *Blob) Replication() uint32 { return b.replication }
 // Latest returns the newest published version and its size in bytes.
 // A blob that was never written reports version 0, size 0.
 func (b *Blob) Latest() (version, sizeBytes uint64, err error) {
-	return b.latestCtx(context.Background())
+	return b.latest(context.Background())
 }
 
-func (b *Blob) latestCtx(ctx context.Context) (version, sizeBytes uint64, err error) {
+func (b *Blob) latest(ctx context.Context) (version, sizeBytes uint64, err error) {
 	var resp vmanager.LatestResp
-	err = b.c.vm.CallCtx(ctx, vmanager.MethodLatest, &vmanager.BlobRef{BlobID: b.id}, &resp)
+	err = b.c.vm.Call(ctx, vmanager.MethodLatest, &vmanager.BlobRef{BlobID: b.id}, &resp)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: latest of blob %d: %w", b.id, mapVMError(err))
 	}
@@ -274,20 +266,16 @@ func (b *Blob) Size(version uint64) (uint64, error) {
 		_, size, err := b.Latest()
 		return size, err
 	}
-	vi, err := b.versionInfo(version)
+	vi, err := b.versionInfo(context.Background(), version)
 	if err != nil {
 		return 0, err
 	}
 	return vi.SizeBytes, nil
 }
 
-func (b *Blob) versionInfo(version uint64) (*vmanager.VersionInfoResp, error) {
-	return b.versionInfoCtx(context.Background(), version)
-}
-
-func (b *Blob) versionInfoCtx(ctx context.Context, version uint64) (*vmanager.VersionInfoResp, error) {
+func (b *Blob) versionInfo(ctx context.Context, version uint64) (*vmanager.VersionInfoResp, error) {
 	var resp vmanager.VersionInfoResp
-	err := b.c.vm.CallCtx(ctx, vmanager.MethodVersionInfo,
+	err := b.c.vm.Call(ctx, vmanager.MethodVersionInfo,
 		&vmanager.VersionRef{BlobID: b.id, Version: version}, &resp)
 	if err != nil {
 		return nil, fmt.Errorf("core: version %d of blob %d: %w", version, b.id, mapVMError(err))
@@ -298,11 +286,11 @@ func (b *Blob) versionInfoCtx(ctx context.Context, version uint64) (*vmanager.Ve
 // WaitPublished blocks until version is published. Waiters on a blob that
 // gets deleted are woken with ErrBlobDeleted.
 func (b *Blob) WaitPublished(version uint64) error {
-	return b.waitPublishedCtx(context.Background(), version)
+	return b.waitPublished(context.Background(), version)
 }
 
-func (b *Blob) waitPublishedCtx(ctx context.Context, version uint64) error {
-	err := b.c.vm.CallCtx(ctx, vmanager.MethodWaitPublished,
+func (b *Blob) waitPublished(ctx context.Context, version uint64) error {
+	err := b.c.vm.Call(ctx, vmanager.MethodWaitPublished,
 		&vmanager.VersionRef{BlobID: b.id, Version: version}, &vmanager.Ack{})
 	return mapVMError(err)
 }

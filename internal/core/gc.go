@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -42,7 +43,7 @@ func mapVMError(err error) error {
 // restores keep-all (the default), but never resurrects an already-raised
 // floor.
 func (b *Blob) SetRetention(keepLast uint64) error {
-	err := b.c.vm.Call(vmanager.MethodSetRetention,
+	err := b.c.vm.Call(context.Background(), vmanager.MethodSetRetention,
 		&vmanager.RetentionReq{BlobID: b.id, KeepLast: keepLast}, &vmanager.Ack{})
 	if err != nil {
 		return fmt.Errorf("core: set retention of blob %d: %w", b.id, mapVMError(err))
@@ -56,7 +57,7 @@ func (b *Blob) SetRetention(keepLast uint64) error {
 // readers are refused immediately, space returns on the next GC sweep.
 func (b *Blob) Prune(upTo uint64) (retainFrom uint64, err error) {
 	var resp vmanager.PruneResp
-	err = b.c.vm.Call(vmanager.MethodPrune,
+	err = b.c.vm.Call(context.Background(), vmanager.MethodPrune,
 		&vmanager.PruneReq{BlobID: b.id, UpTo: upTo}, &resp)
 	if err != nil {
 		return 0, fmt.Errorf("core: prune blob %d: %w", b.id, mapVMError(err))
@@ -67,7 +68,7 @@ func (b *Blob) Prune(upTo uint64) (retainFrom uint64, err error) {
 // Retention reports the blob's retention policy and current floor.
 func (b *Blob) Retention() (keepLast, retainFrom uint64, err error) {
 	var info vmanager.InfoResp
-	err = b.c.vm.Call(vmanager.MethodInfo, &vmanager.BlobRef{BlobID: b.id}, &info)
+	err = b.c.vm.Call(context.Background(), vmanager.MethodInfo, &vmanager.BlobRef{BlobID: b.id}, &info)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: retention of blob %d: %w", b.id, mapVMError(err))
 	}
@@ -78,7 +79,7 @@ func (b *Blob) Retention() (keepLast, retainFrom uint64, err error) {
 // fails with a deleted-blob error, and the next GC sweep reclaims all its
 // chunks and metadata across the deployment. Deletion is idempotent.
 func (c *Client) DeleteBlob(id uint64) error {
-	err := c.vm.Call(vmanager.MethodDelete, &vmanager.BlobRef{BlobID: id}, &vmanager.Ack{})
+	err := c.vm.Call(context.Background(), vmanager.MethodDelete, &vmanager.BlobRef{BlobID: id}, &vmanager.Ack{})
 	if err != nil {
 		return fmt.Errorf("core: delete blob %d: %w", id, mapVMError(err))
 	}
@@ -104,7 +105,7 @@ type GCStats struct {
 // GCStats fetches the deployment-wide reclamation totals.
 func (c *Client) GCStats() (*GCStats, error) {
 	var resp vmanager.Counters
-	if err := c.vm.Call(vmanager.MethodMaintStats, &vmanager.Ack{}, &resp); err != nil {
+	if err := c.vm.Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &resp); err != nil {
 		return nil, fmt.Errorf("core: gc stats: %w", err)
 	}
 	return &GCStats{

@@ -29,15 +29,12 @@ func (b *Blob) Read(version uint64, p []byte, off uint64) (int, error) {
 // tracer (or the context already carries a trace), the whole read — the
 // version resolve, every metadata descent round, every chunk fetch —
 // records as one span tree under one trace id.
-func (b *Blob) ReadCtx(ctx context.Context, version uint64, p []byte, off uint64) (int, error) {
+func (b *Blob) ReadCtx(ctx context.Context, version uint64, p []byte, off uint64) (n int, err error) {
 	ctx, op := b.c.cfg.Tracer.StartOp(ctx, "core.read")
-	n, err := b.readCtx(ctx, version, p, off)
-	op.SetBytes(int64(n))
-	finishIgnoringEOF(op, err)
-	return n, err
-}
-
-func (b *Blob) readCtx(ctx context.Context, version uint64, p []byte, off uint64) (int, error) {
+	defer func() {
+		op.SetBytes(int64(n))
+		finishIgnoringEOF(op, err)
+	}()
 	version, sizeBytes, sizeChunks, err := b.resolveVersion(ctx, version)
 	if err != nil {
 		return 0, err
@@ -57,14 +54,14 @@ func (b *Blob) readCtx(ctx context.Context, version uint64, p []byte, off uint64
 		// may have reclaimed its tree or chunks mid-descent. Re-check so
 		// racing readers get the clean typed error, never a confusing
 		// not-found, and never silently torn data (the read fails whole).
-		if vi, infoErr := b.versionInfoCtx(ctx, version); infoErr == nil && vi.Reclaimed {
+		if vi, infoErr := b.versionInfo(ctx, version); infoErr == nil && vi.Reclaimed {
 			return 0, fmt.Errorf("%w: blob %d version %d", ErrVersionReclaimed, b.id, version)
 		} else if infoErr != nil && errors.Is(infoErr, ErrBlobDeleted) {
 			return 0, infoErr
 		}
 		return 0, err
 	}
-	n := int(end - off)
+	n = int(end - off)
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -77,7 +74,7 @@ func (b *Blob) readCtx(ctx context.Context, version uint64, p []byte, off uint64
 // identity metadata, and the merge needs "content as of v-1" regardless of
 // whether v-1's own write succeeded.
 func (b *Blob) readInto(ctx context.Context, version uint64, p []byte, off uint64) error {
-	vi, err := b.versionInfoCtx(ctx, version)
+	vi, err := b.versionInfo(ctx, version)
 	if err != nil {
 		return err
 	}
@@ -92,7 +89,7 @@ func (b *Blob) readInto(ctx context.Context, version uint64, p []byte, off uint6
 func (b *Blob) resolveVersion(ctx context.Context, version uint64) (v, sizeBytes, sizeChunks uint64, err error) {
 	if version == 0 {
 		var lv, size uint64
-		lv, size, err = b.latestCtx(ctx)
+		lv, size, err = b.latest(ctx)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -102,7 +99,7 @@ func (b *Blob) resolveVersion(ctx context.Context, version uint64) (v, sizeBytes
 		cs := b.chunkSize
 		return lv, size, (size + cs - 1) / cs, nil
 	}
-	vi, err := b.versionInfoCtx(ctx, version)
+	vi, err := b.versionInfo(ctx, version)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -123,7 +120,7 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 	cs := b.chunkSize
 	end := off + uint64(len(p))
 	a, z := off/cs, (end+cs-1)/cs
-	refs, leafKeys, err := meta.CollectLeavesWithKeysCtx(ctx, b.c.meta, b.id, version, sizeChunks, a, z)
+	refs, leafKeys, err := meta.CollectLeavesWithKeys(ctx, b.c.meta, b.id, version, sizeChunks, a, z)
 	if err != nil {
 		return fmt.Errorf("core: metadata for read of blob %d v%d: %w", b.id, version, err)
 	}
@@ -157,7 +154,7 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 			// immutable-node caching never invalidates — still serves the
 			// pre-patch replica list. Refresh the leaf from the ring and
 			// retry once with the patched provider order.
-			fresh, refErr := b.c.meta.RefreshNodeCtx(ctx, leafKeys[i])
+			fresh, refErr := b.c.meta.RefreshNode(ctx, leafKeys[i])
 			if refErr != nil || !fresh.Leaf || fresh.Chunk.IsZero() ||
 				slices.Equal(fresh.Chunk.Providers, ref.Providers) {
 				return err
@@ -191,9 +188,6 @@ func (b *Blob) fetchChunkRange(ctx context.Context, ref meta.ChunkRef, off, leng
 		elapsed := time.Since(start)
 		b.c.health.observe(addr, float64(elapsed.Microseconds())/1000, err != nil)
 		b.c.chunkGets.Add(1)
-		if obs := b.c.cfg.Observer; obs != nil {
-			obs.ObserveChunkOp(addr, "get", len(data), elapsed, err)
-		}
 		if err == nil {
 			b.c.chunkBytesIn.Add(int64(len(data)))
 			return data, nil
@@ -238,7 +232,8 @@ type ChunkLocation struct {
 // Locations returns the chunk locations overlapping [off, off+length) of
 // the given version (0 = latest).
 func (b *Blob) Locations(version, off, length uint64) ([]ChunkLocation, error) {
-	version, sizeBytes, sizeChunks, err := b.resolveVersion(context.Background(), version)
+	ctx := context.Background()
+	version, sizeBytes, sizeChunks, err := b.resolveVersion(ctx, version)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +246,7 @@ func (b *Blob) Locations(version, off, length uint64) ([]ChunkLocation, error) {
 	}
 	cs := b.chunkSize
 	a, z := off/cs, (end+cs-1)/cs
-	refs, err := meta.CollectLeaves(b.c.meta, b.id, version, sizeChunks, a, z)
+	refs, err := meta.CollectLeavesCtx(ctx, b.c.meta, b.id, version, sizeChunks, a, z)
 	if err != nil {
 		return nil, err
 	}

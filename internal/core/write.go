@@ -38,15 +38,12 @@ func (b *Blob) Write(p []byte, off uint64) (uint64, error) {
 // WriteCtx is Write carrying the caller's context. With a tracer (or a
 // trace already on the context) the whole write — uploads, assign,
 // weave, metadata puts, commit — records as one span tree.
-func (b *Blob) WriteCtx(ctx context.Context, p []byte, off uint64) (uint64, error) {
+func (b *Blob) WriteCtx(ctx context.Context, p []byte, off uint64) (_ uint64, err error) {
 	ctx, op := b.c.cfg.Tracer.StartOp(ctx, "core.write")
-	v, err := b.writeCtx(ctx, p, off)
-	op.SetBytes(int64(len(p)))
-	op.Finish(err)
-	return v, err
-}
-
-func (b *Blob) writeCtx(ctx context.Context, p []byte, off uint64) (uint64, error) {
+	defer func() {
+		op.SetBytes(int64(len(p)))
+		op.Finish(err)
+	}()
 	if len(p) == 0 {
 		return 0, errors.New("core: empty write")
 	}
@@ -79,7 +76,7 @@ func (b *Blob) writeCtx(ctx context.Context, p []byte, off uint64) (uint64, erro
 
 	// Phase 2: obtain the version and the concurrency context.
 	var assign vmanager.AssignResp
-	err := b.c.vm.CallCtx(ctx, vmanager.MethodAssign,
+	err = b.c.vm.Call(ctx, vmanager.MethodAssign,
 		&vmanager.AssignReq{BlobID: b.id, Offset: off, Size: uint64(len(p)),
 			WantLeaseTTLMs: wantLeaseTTLMs(uint64(len(p)))}, &assign)
 	if err != nil {
@@ -99,18 +96,15 @@ func (b *Blob) Append(p []byte) (version, off uint64, err error) {
 // see WriteCtx).
 func (b *Blob) AppendCtx(ctx context.Context, p []byte) (version, off uint64, err error) {
 	ctx, op := b.c.cfg.Tracer.StartOp(ctx, "core.append")
-	version, off, err = b.appendCtx(ctx, p)
-	op.SetBytes(int64(len(p)))
-	op.Finish(err)
-	return version, off, err
-}
-
-func (b *Blob) appendCtx(ctx context.Context, p []byte) (version, off uint64, err error) {
+	defer func() {
+		op.SetBytes(int64(len(p)))
+		op.Finish(err)
+	}()
 	if len(p) == 0 {
 		return 0, 0, errors.New("core: empty append")
 	}
 	var assign vmanager.AssignResp
-	err = b.c.vm.CallCtx(ctx, vmanager.MethodAssign,
+	err = b.c.vm.Call(ctx, vmanager.MethodAssign,
 		&vmanager.AssignReq{BlobID: b.id, Size: uint64(len(p)), Append: true,
 			WantLeaseTTLMs: wantLeaseTTLMs(uint64(len(p)))}, &assign)
 	if err != nil {
@@ -131,7 +125,7 @@ func (b *Blob) appendCtx(ctx context.Context, p []byte) (version, off uint64, er
 // version is abort-repaired so publication never wedges and the version
 // chain stays fully readable.
 func (b *Blob) finishWrite(ctx context.Context, p []byte, off, writeID uint64, assign *vmanager.AssignResp, stored map[uint64][]string) (uint64, error) {
-	stopRenewal := b.startLeaseRenewal(assign)
+	stopRenewal := b.startLeaseRenewal(ctx, assign)
 	v, err := b.finishWriteInner(ctx, p, off, writeID, assign, stored)
 	stopRenewal()
 	if err != nil {
@@ -141,7 +135,7 @@ func (b *Blob) finishWrite(ctx context.Context, p []byte, off, writeID uint64, a
 			// here would only duplicate that work.
 			return 0, err
 		}
-		b.abortRepair(assign)
+		b.abortRepair(ctx, assign)
 		return 0, err
 	}
 	return v, nil
@@ -170,7 +164,7 @@ func wantLeaseTTLMs(sizeBytes uint64) uint64 {
 // disabled. The returned stop function is idempotent and waits for the
 // heartbeat goroutine to exit, so no renewal races the commit/abort that
 // follows it.
-func (b *Blob) startLeaseRenewal(assign *vmanager.AssignResp) func() {
+func (b *Blob) startLeaseRenewal(ctx context.Context, assign *vmanager.AssignResp) func() {
 	if assign.LeaseTTLMs == 0 {
 		return func() {}
 	}
@@ -190,7 +184,7 @@ func (b *Blob) startLeaseRenewal(assign *vmanager.AssignResp) func() {
 			case <-stop:
 				return
 			case <-t.C:
-				err := b.c.vm.Call(vmanager.MethodRenewLease,
+				err := b.c.vm.Call(ctx, vmanager.MethodRenewLease,
 					&vmanager.VersionRef{BlobID: b.id, Version: assign.Version}, &vmanager.Ack{})
 				var remote *rpc.RemoteError
 				if errors.As(err, &remote) {
@@ -220,8 +214,9 @@ func (b *Blob) startLeaseRenewal(assign *vmanager.AssignResp) func() {
 // marks the version aborted at the version manager, reporting whether the
 // weave landed. An abort reported unwoven becomes server-side debt: the
 // GC sweep lists it via vm.unwoven and repairs it, so the repair no longer
-// depends on the only client that noticed the failure staying alive.
-func (b *Blob) abortRepair(assign *vmanager.AssignResp) {
+// depends on the only client that noticed the failure staying alive. The
+// repair's RPCs join the failed write's trace.
+func (b *Blob) abortRepair(ctx context.Context, assign *vmanager.AssignResp) {
 	// Publication must advance even if the repair itself fails, so the
 	// abort is sent regardless (deferred) — a DROPPED abort wedges the
 	// blob's publish frontier until the version's lease lapses (or, with
@@ -239,7 +234,7 @@ func (b *Blob) abortRepair(assign *vmanager.AssignResp) {
 	//     (it may be mid-revival) are enough.
 	woven := false
 	abort := func() error {
-		return b.c.vm.Call(vmanager.MethodAbort,
+		return b.c.vm.Call(ctx, vmanager.MethodAbort,
 			&vmanager.AbortReq{BlobID: b.id, Version: assign.Version, Woven: woven}, &vmanager.Ack{})
 	}
 	defer func() {
@@ -285,7 +280,7 @@ func (b *Blob) abortRepair(assign *vmanager.AssignResp) {
 	// member of which may itself have aborted treeless by now (the
 	// dangling-descriptor hazard the shared engine avoids).
 	if prev > 0 {
-		if err := b.WaitPublished(prev); err != nil {
+		if err := b.waitPublished(ctx, prev); err != nil {
 			return
 		}
 	}
@@ -301,7 +296,7 @@ func (b *Blob) abortRepair(assign *vmanager.AssignResp) {
 		// versions contributed no content and may lack trees; see
 		// mergePrior). src == 0 means every predecessor failed: all-zero
 		// leaves are the true content.
-		src, vi, err := b.newestLiveVersion(context.Background(), prev)
+		src, vi, err := b.newestLiveVersion(ctx, prev)
 		if err != nil {
 			return
 		}
@@ -309,7 +304,7 @@ func (b *Blob) abortRepair(assign *vmanager.AssignResp) {
 			in.SrcVersion, in.SrcSizeChunks = src, vi.SizeChunks
 		}
 	}
-	if meta.WeaveIdentity(b.c.meta, in) == nil {
+	if meta.WeaveIdentity(ctx, b.c.meta, in) == nil {
 		woven = true
 	}
 }
@@ -399,7 +394,7 @@ func (b *Blob) finishWriteInner(ctx context.Context, p []byte, off, writeID uint
 	}
 
 	// Commit: the version manager publishes in order.
-	err = b.c.vm.CallCtx(ctx, vmanager.MethodCommit,
+	err = b.c.vm.Call(ctx, vmanager.MethodCommit,
 		&vmanager.VersionRef{BlobID: b.id, Version: assign.Version}, &vmanager.Ack{})
 	if err != nil {
 		return 0, fmt.Errorf("core: commit v%d: %w", assign.Version, mapVMError(err))
@@ -416,7 +411,7 @@ func (b *Blob) mergePrior(ctx context.Context, jobs []writeJob, off, end uint64,
 	if prev == 0 {
 		return nil // nothing real to merge with; zeros are already in place
 	}
-	if err := b.waitPublishedCtx(ctx, prev); err != nil {
+	if err := b.waitPublished(ctx, prev); err != nil {
 		return fmt.Errorf("core: waiting for v%d before merge: %w", prev, err)
 	}
 	// Failed predecessors contributed no content, so "content as of prev"
@@ -477,7 +472,7 @@ func (b *Blob) mergePrior(ctx context.Context, jobs []writeJob, off, end uint64,
 // versions have none, and possibly no readable tree either.
 func (b *Blob) newestLiveVersion(ctx context.Context, v uint64) (uint64, *vmanager.VersionInfoResp, error) {
 	for ; v > 0; v-- {
-		vi, err := b.versionInfoCtx(ctx, v)
+		vi, err := b.versionInfo(ctx, v)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -650,20 +645,13 @@ func (b *Blob) putGrouped(ctx context.Context, writeID uint64, jobs []writeJob, 
 			accepted[i] = append(accepted[i], addr)
 		}
 		resMu.Unlock()
-		// Health and observer samples stay per CHUNK, with the batch's
-		// duration amortized across its items: a provider that rejects one
-		// chunk of a 64-chunk batch (e.g. a tombstoned blob) is penalized
-		// for one sample and credited for 63, just as 64 singleton puts
-		// scored it, and per-op latency aggregates stay comparable to the
-		// singleton era instead of multiplying the batch time by its size.
-		perChunk := elapsed / time.Duration(len(items))
-		perChunkMs := float64(perChunk.Microseconds()) / 1000
-		obs := b.c.cfg.Observer
+		// Health samples stay per CHUNK, with the batch's duration
+		// amortized across its items: a provider that rejects one chunk of a
+		// 64-chunk batch (e.g. a tombstoned blob) is penalized for one sample
+		// and credited for 63, just as 64 singleton puts scored it.
+		perChunkMs := float64((elapsed / time.Duration(len(items))).Microseconds()) / 1000
 		for j := range items {
 			b.c.health.observe(addr, perChunkMs, chunkErrs[j] != nil)
-			if obs != nil {
-				obs.ObserveChunkOp(addr, "put", len(items[j].Data), perChunk, chunkErrs[j])
-			}
 		}
 		return nil
 	})

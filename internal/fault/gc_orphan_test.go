@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -73,7 +74,7 @@ func TestAbortedWriteOrphansReclaimed(t *testing.T) {
 	probe := rpc.NewClientFrom(c.Network, 0, "crashed-client")
 	defer probe.Close()
 	orphanKey := chunk.Key{Blob: blob.ID(), Version: 1<<63 | 0xDEAD, Index: 0}
-	if err := provider.PutChunk(probe, c.ProviderAddrs()[0], orphanKey, make([]byte, chunkSize)); err != nil {
+	if err := provider.PutChunk(context.Background(), probe, c.ProviderAddrs()[0], orphanKey, make([]byte, chunkSize)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -163,7 +164,7 @@ func TestWriterLeaseMidUploadCrashOrphansReclaimed(t *testing.T) {
 	const writeID = 1<<63 | 0xBEEF
 	for i := uint64(0); i < 2; i++ {
 		key := chunk.Key{Blob: blob.ID(), Version: writeID, Index: i}
-		if err := provider.PutChunk(probe, c.ProviderAddrs()[0], key, make([]byte, chunkSize)); err != nil {
+		if err := provider.PutChunk(context.Background(), probe, c.ProviderAddrs()[0], key, make([]byte, chunkSize)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,6 +35,7 @@
 package maint
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -221,7 +222,10 @@ func New(cfg Config) (*Engine, error) {
 
 // pass carries one pass's deployment view and results.
 type pass struct {
-	e       *Engine
+	e *Engine
+	// ctx carries the pass's root span: every RPC the pass issues is its
+	// child, so one pass reconstructs as one trace.
+	ctx     context.Context
 	actions Action
 	// st is this pass's counter delta; the embedded firstError its first
 	// failure (later ones are retried next pass like it).
@@ -229,8 +233,8 @@ type pass struct {
 	firstError
 
 	// providers is the pm.report membership and fullness view. good marks
-	// the live, not avoided ones: the only addresses reads should probe
-	// and placement should target.
+	// the live ones: the only addresses reads should probe and placement
+	// should target.
 	providers []pmanager.ProviderStatus
 	good      map[string]bool
 	// corrupt maps provider → quarantined chunk keys (from
@@ -251,11 +255,11 @@ type pass struct {
 // and everything skipped is re-detected next pass. The returned Counters
 // is this pass's delta.
 func (e *Engine) Run(actions Action) (vmanager.Counters, error) {
-	span := e.cfg.RPC.Tracer().StartRoot("maint." + actions.String())
-	p := &pass{e: e, actions: actions, places: make(map[chunk.Key]*chunkPlace)}
+	ctx, span := e.cfg.RPC.Tracer().StartOp(context.Background(), "maint."+actions.String())
+	p := &pass{e: e, ctx: ctx, actions: actions, places: make(map[chunk.Key]*chunkPlace)}
 	p.run()
 
-	p.keep(e.report(&p.st))
+	p.keep(e.report(ctx, &p.st))
 	span.Finish(p.err)
 	return p.st, p.err
 }
@@ -263,13 +267,13 @@ func (e *Engine) Run(actions Action) (vmanager.Counters, error) {
 // report aggregates one pass's delta at the version manager, folding in
 // any deltas earlier failed reports left behind; on failure the merged
 // delta is parked for the next pass.
-func (e *Engine) report(st *vmanager.Counters) error {
+func (e *Engine) report(ctx context.Context, st *vmanager.Counters) error {
 	e.repMu.Lock()
 	delta := e.pending
 	delta.Add(st)
 	e.pending = vmanager.Counters{}
 	e.repMu.Unlock()
-	if err := e.cfg.VM.Call(vmanager.MethodMaintReport, &delta, &vmanager.Ack{}); err != nil {
+	if err := e.cfg.VM.Call(ctx, vmanager.MethodMaintReport, &delta, &vmanager.Ack{}); err != nil {
 		e.repMu.Lock()
 		e.pending.Add(&delta)
 		e.repMu.Unlock()
@@ -281,7 +285,7 @@ func (e *Engine) report(st *vmanager.Counters) error {
 func (p *pass) run() {
 	cfg := &p.e.cfg
 	var report pmanager.ReportResp
-	if err := cfg.RPC.Call(cfg.PM, pmanager.MethodReport, &pmanager.Ack{}, &report); err != nil {
+	if err := cfg.RPC.CallCtx(p.ctx, cfg.PM, pmanager.MethodReport, &pmanager.Ack{}, &report); err != nil {
 		// Without a membership view there is nothing to verify or repair
 		// onto; reclaim still prunes (its delete sweeps defer themselves).
 		p.keep(fmt.Errorf("maint: provider report: %w", err))
@@ -290,7 +294,7 @@ func (p *pass) run() {
 	p.providers = report.Providers
 	p.good = make(map[string]bool, len(p.providers))
 	for _, pr := range p.providers {
-		if pr.Live && !pr.Avoided {
+		if pr.Live {
 			p.good[pr.Addr] = true
 		}
 	}
@@ -346,7 +350,7 @@ func (p *pass) run() {
 // blobIDs fetches one of the version manager's blob listings.
 func (p *pass) blobIDs(method string) []uint64 {
 	var resp vmanager.ListResp
-	if err := p.e.cfg.VM.Call(method, &vmanager.Ack{}, &resp); err != nil {
+	if err := p.e.cfg.VM.Call(p.ctx, method, &vmanager.Ack{}, &resp); err != nil {
 		p.keep(fmt.Errorf("maint: %s: %w", method, err))
 	}
 	return resp.IDs
@@ -366,7 +370,7 @@ type blobView struct {
 // most) one liveness walk.
 func (p *pass) maintainBlob(id uint64, aged map[string][]chunk.Key) {
 	v := &blobView{id: id}
-	if err := p.e.cfg.VM.Call(vmanager.MethodGCStatus, &vmanager.BlobRef{BlobID: id}, &v.status); err != nil {
+	if err := p.e.cfg.VM.Call(p.ctx, vmanager.MethodGCStatus, &vmanager.BlobRef{BlobID: id}, &v.status); err != nil {
 		p.keep(fmt.Errorf("maint: status of blob %d: %w", id, err))
 		return
 	}
@@ -411,7 +415,7 @@ func (p *pass) liveSet(v *blobView) (*meta.LiveSet, error) {
 			// sweep delete referenced data.
 			return nil, fmt.Errorf("maint: status of blob %d does not describe retained version %d", v.id, ver)
 		}
-		if err := meta.CollectLiveInto(live, p.e.cfg.Meta, v.id, ver, size); err != nil {
+		if err := meta.CollectLiveInto(p.ctx, live, p.e.cfg.Meta, v.id, ver, size); err != nil {
 			return nil, fmt.Errorf("maint: live walk of blob %d v%d: %w", v.id, ver, err)
 		}
 	}
@@ -426,7 +430,7 @@ func (p *pass) liveSet(v *blobView) (*meta.LiveSet, error) {
 func (p *pass) loadQuarantine() {
 	p.corrupt = make(map[string]map[chunk.Key]bool)
 	for addr := range p.good {
-		keys, err := provider.CorruptList(p.e.cfg.RPC, addr)
+		keys, err := provider.CorruptList(p.ctx, p.e.cfg.RPC, addr)
 		if err != nil || len(keys) == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package maint_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func TestPassSharesStatusAndWalkAcrossActions(t *testing.T) {
 	// An aborted-write leftover gives the orphan sweep a reason to resolve
 	// the blob's candidates against its live set.
 	orphan := chunk.Key{Blob: blob.ID(), Version: 99, Index: 0}
-	if err := provider.PutChunk(testRPC(t, c), c.ProviderAddrs()[0], orphan, []byte("orphan")); err != nil {
+	if err := provider.PutChunk(context.Background(), testRPC(t, c), c.ProviderAddrs()[0], orphan, []byte("orphan")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond) // age past the grace

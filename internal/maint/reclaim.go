@@ -1,6 +1,7 @@
 package maint
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -46,16 +47,16 @@ import (
 func (p *pass) sweepUnwoven() {
 	cfg := &p.e.cfg
 	var resp vmanager.UnwovenResp
-	if err := cfg.VM.Call(vmanager.MethodUnwoven, &vmanager.Ack{}, &resp); err != nil {
+	if err := cfg.VM.Call(p.ctx, vmanager.MethodUnwoven, &vmanager.Ack{}, &resp); err != nil {
 		p.keep(fmt.Errorf("maint: listing unwoven aborts: %w", err))
 		return
 	}
 	for _, in := range resp.Items {
-		if err := meta.WeaveIdentity(cfg.Meta, in); err != nil {
+		if err := meta.WeaveIdentity(p.ctx, cfg.Meta, in); err != nil {
 			p.keep(fmt.Errorf("maint: weaving identity for blob %d v%d: %w", in.Blob, in.Version, err))
 			continue
 		}
-		if err := cfg.VM.Call(vmanager.MethodMarkWoven,
+		if err := cfg.VM.Call(p.ctx, vmanager.MethodMarkWoven,
 			&vmanager.VersionRef{BlobID: in.Blob, Version: in.Version}, &vmanager.Ack{}); err != nil {
 			p.keep(fmt.Errorf("maint: acking woven blob %d v%d: %w", in.Blob, in.Version, err))
 			continue
@@ -79,12 +80,12 @@ func (p *pass) sweepPruned(v *blobView) error {
 	if err != nil {
 		return err
 	}
-	candidates, err := meta.CollectLive(cfg.Meta, v.id, oldFloor, v.sizes[oldFloor])
+	candidates, err := meta.CollectLive(p.ctx, cfg.Meta, v.id, oldFloor, v.sizes[oldFloor])
 	if err != nil {
 		return fmt.Errorf("maint: candidate walk of blob %d v%d: %w", v.id, oldFloor, err)
 	}
 	for ver := oldFloor + 1; ver < newFloor; ver++ {
-		if err := candidates.AddOwned(cfg.Meta, v.id, ver, v.sizes[ver]); err != nil {
+		if err := candidates.AddOwned(p.ctx, cfg.Meta, v.id, ver, v.sizes[ver]); err != nil {
 			return fmt.Errorf("maint: owned walk of blob %d v%d: %w", v.id, ver, err)
 		}
 	}
@@ -101,7 +102,7 @@ func (p *pass) sweepPruned(v *blobView) error {
 		for hi < len(deadNodes) && deadNodes[hi].Size == deadNodes[lo].Size {
 			hi++
 		}
-		dropped, err := cfg.Meta.DeleteNodes(deadNodes[lo:hi])
+		dropped, err := cfg.Meta.DeleteNodes(p.ctx, deadNodes[lo:hi])
 		st.Nodes += dropped
 		if err != nil {
 			return p.gcReport(v.id, st, err) // frontier stays at oldFloor
@@ -121,7 +122,7 @@ func (p *pass) sweepPruned(v *blobView) error {
 func (p *pass) sweepDeleted(v *blobView) error {
 	cfg := &p.e.cfg
 	var st vmanager.GCReportReq
-	dropped, err := cfg.Meta.DeleteBlob(v.id)
+	dropped, err := cfg.Meta.DeleteBlob(p.ctx, v.id)
 	st.Nodes += dropped
 	if err != nil {
 		return p.gcReport(v.id, st, err)
@@ -139,17 +140,17 @@ func (p *pass) sweepDeleted(v *blobView) error {
 		// either lands before the listing (and is deleted below) or is
 		// rejected by the tombstone — it can no longer slip in after the
 		// listing and leak until the next sweep.
-		if err := provider.Tombstone(cfg.RPC, pr.Addr, []uint64{v.id}); err != nil {
+		if err := provider.Tombstone(p.ctx, cfg.RPC, pr.Addr, []uint64{v.id}); err != nil {
 			return p.gcReport(v.id, st, err)
 		}
-		inv, err := provider.ListChunks(cfg.RPC, pr.Addr, v.id)
+		inv, err := provider.ListChunks(p.ctx, cfg.RPC, pr.Addr, v.id)
 		if err != nil {
 			return p.gcReport(v.id, st, err)
 		}
 		if len(inv.Keys) == 0 {
 			continue
 		}
-		resp, err := provider.DeleteChunks(cfg.RPC, pr.Addr, inv.Keys)
+		resp, err := provider.DeleteChunks(p.ctx, cfg.RPC, pr.Addr, inv.Keys)
 		if err != nil {
 			return p.gcReport(v.id, st, err)
 		}
@@ -169,9 +170,9 @@ func (p *pass) sweepDeleted(v *blobView) error {
 // placement could otherwise shield a stray copy from the re-walk forever
 // (see Engine.confirmed). Errors leave the memo alone — better one stale
 // pass than flushing on every transient RPC failure.
-func (e *Engine) flushConfirmedIfRepaired() {
+func (e *Engine) flushConfirmedIfRepaired(ctx context.Context) {
 	var totals vmanager.Counters
-	if err := e.cfg.VM.Call(vmanager.MethodMaintStats, &vmanager.Ack{}, &totals); err != nil {
+	if err := e.cfg.VM.Call(ctx, vmanager.MethodMaintStats, &vmanager.Ack{}, &totals); err != nil {
 		return
 	}
 	e.confirmedMu.Lock()
@@ -190,14 +191,14 @@ func (e *Engine) flushConfirmedIfRepaired() {
 // blob count.
 func (p *pass) listAged() map[uint64]map[string][]chunk.Key {
 	e := p.e
-	e.flushConfirmedIfRepaired()
+	e.flushConfirmedIfRepaired(p.ctx)
 	graceMs := uint64(e.cfg.OrphanGrace / time.Millisecond)
 	aged := make(map[uint64]map[string][]chunk.Key)
 	for _, pr := range p.providers {
 		if !pr.Live {
 			continue
 		}
-		inv, err := provider.ListChunks(e.cfg.RPC, pr.Addr, 0)
+		inv, err := provider.ListChunks(p.ctx, e.cfg.RPC, pr.Addr, 0)
 		if err != nil {
 			continue // provider down; next pass retries
 		}
@@ -262,7 +263,7 @@ func (p *pass) reclaimOrphans(v *blobView, byAddr map[string][]chunk.Key) error 
 		if len(dead) == 0 {
 			continue
 		}
-		resp, err := provider.DeleteChunks(p.e.cfg.RPC, addr, dead)
+		resp, err := provider.DeleteChunks(p.ctx, p.e.cfg.RPC, addr, dead)
 		if err != nil {
 			continue
 		}
@@ -292,7 +293,7 @@ func (p *pass) deleteChunks(dead []meta.ChunkRef) vmanager.GCReportReq {
 	}
 	p.e.confirmedMu.Unlock()
 	for addr, keys := range batches {
-		resp, err := provider.DeleteChunks(p.e.cfg.RPC, addr, keys)
+		resp, err := provider.DeleteChunks(p.ctx, p.e.cfg.RPC, addr, keys)
 		if err != nil {
 			// A down provider keeps its (unreachable-anyway) copies; the
 			// prune frontier still advances — the replicate action and the
@@ -319,7 +320,7 @@ func (p *pass) gcReport(id uint64, req vmanager.GCReportReq, sweepErr error) err
 	p.st[vmanager.GCOrphans] += req.Orphans
 	req.BlobID = id
 	req.DeletedSwept = req.DeletedSwept && sweepErr == nil
-	if err := p.e.cfg.VM.Call(vmanager.MethodGCReport, &req, &vmanager.Ack{}); err != nil && sweepErr == nil {
+	if err := p.e.cfg.VM.Call(p.ctx, vmanager.MethodGCReport, &req, &vmanager.Ack{}); err != nil && sweepErr == nil {
 		sweepErr = fmt.Errorf("maint: reporting sweep of blob %d: %w", id, err)
 	}
 	return sweepErr

@@ -2,6 +2,7 @@ package maint_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -21,7 +22,7 @@ func providerTotals(t *testing.T, c *cluster.Cluster) (chunks, bytes uint64) {
 	cli := rpc.NewClientFrom(c.Network, 0, "stats-probe")
 	defer cli.Close()
 	for _, addr := range c.ProviderAddrs() {
-		st, err := provider.Stats(cli, addr)
+		st, err := provider.Stats(context.Background(), cli, addr)
 		if err != nil {
 			t.Fatalf("stats of %s: %v", addr, err)
 		}
@@ -361,7 +362,7 @@ func TestDeleteSweepInstallsProviderTombstones(t *testing.T) {
 	raw := rpc.NewClientFrom(c.Network, 0, "late-writer")
 	defer raw.Close()
 	for _, addr := range c.ProviderAddrs() {
-		err := provider.PutChunk(raw, addr, chunk.Key{Blob: doomed.ID(), Version: 99, Index: 0}, []byte("late"))
+		err := provider.PutChunk(context.Background(), raw, addr, chunk.Key{Blob: doomed.ID(), Version: 99, Index: 0}, []byte("late"))
 		if err == nil {
 			t.Fatalf("late put for deleted blob accepted by %s", addr)
 		}

@@ -27,8 +27,8 @@ import (
 //  1. Scan. The pass's leaf-tracking liveness walk (pass.liveSet) yields,
 //     per blob, the chunk → replica-set placement map and, per chunk, the
 //     exact leaf descriptors that reference it.
-//  2. Detect. A replica on a provider that stopped heartbeating (or that
-//     GloBeM says to avoid) is dead, a quarantined copy is lost; a chunk
+//  2. Detect. A replica on a provider that stopped heartbeating is dead,
+//     a quarantined copy is lost; a chunk
 //     short of its blob's replication degree is under-replicated.
 //  3. Re-replicate. Surviving replicas are drained with the batched
 //     provider.getchunks RPC and pushed onto fresh providers — chosen by
@@ -119,7 +119,7 @@ func (p *pass) fetch(bySrc map[string][]*copyJob, errs *firstError) {
 		for i, j := range part {
 			keys[i] = j.place.key
 		}
-		data, digs, err := provider.GetChunks(p.e.cfg.RPC, addr, keys)
+		data, digs, err := provider.GetChunks(p.ctx, p.e.cfg.RPC, addr, keys)
 		if err != nil {
 			errs.keep(fmt.Errorf("maint: getchunks at %s: %w", addr, err))
 			return
@@ -141,7 +141,7 @@ func (p *pass) push(byDst map[string][]*copyJob, errs *firstError) {
 		for i, j := range part {
 			put[i] = provider.PutItem{Key: j.place.key, Data: j.data, Digest: j.digest}
 		}
-		rejected, err := provider.PutChunks(p.e.cfg.RPC, addr, put)
+		rejected, err := provider.PutChunksCtx(p.ctx, p.e.cfg.RPC, addr, put)
 		if err != nil {
 			errs.keep(fmt.Errorf("maint: putchunks at %s: %w", addr, err))
 			return
@@ -286,7 +286,7 @@ func (p *pass) flushWave(items []*repairItem) error {
 		}
 		it.place.providers = final
 	}
-	patched, err := cfg.Meta.PatchReplicas(patches)
+	patched, err := cfg.Meta.PatchReplicas(p.ctx, patches)
 	p.st[vmanager.RepairLeavesPatched] += patched
 	errs.keep(err)
 
@@ -306,7 +306,7 @@ func (p *pass) flushWave(items []*repairItem) error {
 			}
 		}
 		for addr, keys := range purge {
-			if _, err := provider.DeleteChunks(cfg.RPC, addr, keys); err != nil {
+			if _, err := provider.DeleteChunks(p.ctx, cfg.RPC, addr, keys); err != nil {
 				// The quarantined copy lingers but is never served; the next
 				// pass re-lists and re-purges it.
 				errs.keep(fmt.Errorf("maint: purging corrupt copies at %s: %w", addr, err))
@@ -347,7 +347,7 @@ func (p *pass) allocateFresh(items []*repairItem, errs *firstError) {
 	for _, sig := range slices.Sorted(maps.Keys(groups)) {
 		g := groups[sig]
 		var resp pmanager.AllocateResp
-		err := p.e.cfg.RPC.Call(p.e.cfg.PM, pmanager.MethodAllocate,
+		err := p.e.cfg.RPC.CallCtx(p.ctx, p.e.cfg.PM, pmanager.MethodAllocate,
 			&pmanager.AllocateReq{
 				NumChunks:   uint32(len(g.items)),
 				Replication: uint32(g.needed),
@@ -392,14 +392,14 @@ func (p *pass) fetchSources(items []*repairItem, errs *firstError) {
 	p.fetch(bySrc, errs)
 	// Individual fallback for misses (source lost the chunk, its copy
 	// failed digest verification, or its batch failed): try the other
-	// survivors one by one. GetChunk verifies end-to-end, so bytes that
-	// arrive here are proven good.
+	// survivors one by one. A whole-chunk get verifies end-to-end, so
+	// bytes that arrive here are proven good.
 	for _, it := range items {
 		if it.data != nil {
 			continue
 		}
 		for _, addr := range it.healthy {
-			if d, err := provider.GetChunk(p.e.cfg.RPC, addr, it.place.key); err == nil {
+			if d, err := provider.GetChunkRangeCtx(p.ctx, p.e.cfg.RPC, addr, it.place.key, 0, 0); err == nil {
 				it.data = d
 				it.digest = chunk.DigestOf(d)
 				break
@@ -526,7 +526,7 @@ func (p *pass) rebalance() error {
 		m.place.providers = final
 		moved = append(moved, m)
 	}
-	patched, err := cfg.Meta.PatchReplicas(patches)
+	patched, err := cfg.Meta.PatchReplicas(p.ctx, patches)
 	p.st[vmanager.RepairLeavesPatched] += patched
 	if err != nil {
 		// Some metadata replica still names src: deleting the copy there
@@ -546,7 +546,7 @@ func (p *pass) rebalance() error {
 		p.st[vmanager.RepairBytesMoved] += uint64(m.fresh * len(m.data))
 	}
 	for src, keys := range drained {
-		if _, err := provider.DeleteChunks(cfg.RPC, src, keys); err != nil {
+		if _, err := provider.DeleteChunks(p.ctx, cfg.RPC, src, keys); err != nil {
 			// The copy leaks on src until the stray-replica sweep reclaims
 			// it (the patched metadata no longer references it there); the
 			// move itself is complete.

@@ -2,6 +2,7 @@ package maint_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -100,7 +101,7 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 	survivors := c.ProviderAddrs()[1:]
 	before := make(map[string]*provider.StatsResp, len(survivors))
 	for _, a := range survivors {
-		st, err := provider.Stats(rpcCli, a)
+		st, err := provider.Stats(context.Background(), rpcCli, a)
 		if err != nil {
 			t.Fatalf("stats %s: %v", a, err)
 		}
@@ -128,7 +129,7 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 	// provider — never one RPC per chunk.
 	var putBatches, getBatches, copiesStored uint64
 	for _, a := range survivors {
-		after, err := provider.Stats(rpcCli, a)
+		after, err := provider.Stats(context.Background(), rpcCli, a)
 		if err != nil {
 			t.Fatalf("stats %s: %v", a, err)
 		}

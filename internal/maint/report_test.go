@@ -1,6 +1,7 @@
 package maint
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -15,7 +16,7 @@ type flakyVM struct {
 	down bool
 }
 
-func (f *flakyVM) Call(addr, method string, req, resp wire.Message) error {
+func (f *flakyVM) CallCtx(_ context.Context, addr, method string, req, resp wire.Message) error {
 	if f.down {
 		return errors.New("vm unreachable")
 	}
@@ -48,14 +49,14 @@ func TestPendingDeltaSurvivesFailedReport(t *testing.T) {
 				}
 			}
 			vm.down = true
-			if err := e.report(&lost); err == nil {
+			if err := e.report(context.Background(), &lost); err == nil {
 				t.Fatal("report against an unreachable vmanager succeeded")
 			}
 			if got := vm.mgr.MaintStats(); *got != (vmanager.Counters{}) {
 				t.Fatalf("failed report reached the manager: %v", got)
 			}
 			vm.down = false
-			if err := e.report(&next); err != nil {
+			if err := e.report(context.Background(), &next); err != nil {
 				t.Fatal(err)
 			}
 			// The manager owns the journaled GC totals (fed by vm.gcreport
@@ -67,7 +68,7 @@ func TestPendingDeltaSurvivesFailedReport(t *testing.T) {
 				t.Errorf("totals after the retried report:\n got %v\nwant %v", got, want)
 			}
 			// Nothing is left parked: an empty report changes nothing.
-			if err := e.report(&vmanager.Counters{}); err != nil {
+			if err := e.report(context.Background(), &vmanager.Counters{}); err != nil {
 				t.Fatal(err)
 			}
 			if got := vm.mgr.MaintStats(); *got != want {

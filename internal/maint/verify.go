@@ -61,7 +61,7 @@ func (p *pass) scrubProvider(addr string) error {
 	resume := false
 	for {
 		start := time.Now()
-		resp, err := provider.Scrub(p.e.cfg.RPC, addr, cursor, resume, scrubStepBytes)
+		resp, err := provider.Scrub(p.ctx, p.e.cfg.RPC, addr, cursor, resume, scrubStepBytes)
 		if err != nil {
 			return err
 		}

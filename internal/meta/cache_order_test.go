@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -17,9 +18,9 @@ type slowStore struct {
 	delay atomic.Int64
 }
 
-func (s *slowStore) GetNodes(keys []NodeKey) ([]*Node, error) {
+func (s *slowStore) GetNodes(ctx context.Context, keys []NodeKey) ([]*Node, error) {
 	time.Sleep(time.Duration(s.delay.Load()))
-	return s.MemStore.GetNodes(keys)
+	return s.MemStore.GetNodes(ctx, keys)
 }
 
 // What a client caches must not depend on which provider's reply lands

@@ -151,7 +151,7 @@ func (c *Client) Replicas(key NodeKey) []string {
 // metadata operation.
 const putParallelism = 32
 
-// PutNodes stores every node of the batch in the DHT. Placement is still
+// PutNodesCtx stores every node of the batch in the DHT. Placement is still
 // fine-grain — each node hashes independently onto the ring, exactly the
 // distribution the paper relies on ("the tree nodes are distributed in a
 // fine-grain manner among the metadata providers") — but the RPCs are
@@ -165,13 +165,7 @@ const putParallelism = 32
 // node could not be stored anywhere. A provider that rejects a batch
 // application-side (e.g. one poisoned node in it) is retried node by
 // node there, so one bad node cannot take its batch-mates' replicas down
-// with it.
-func (c *Client) PutNodes(nodes []*Node) error {
-	return c.PutNodesCtx(context.Background(), nodes)
-}
-
-// PutNodesCtx is PutNodes carrying the caller's context (ContextStore;
-// trace propagation).
+// with it. ctx is the write's operation context (trace propagation).
 func (c *Client) PutNodesCtx(ctx context.Context, nodes []*Node) error {
 	if len(nodes) == 0 {
 		return nil
@@ -244,6 +238,11 @@ func (c *Client) PutNodesCtx(ctx context.Context, nodes []*Node) error {
 	return nil
 }
 
+// PutNodes is PutNodesCtx with a background context.
+func (c *Client) PutNodes(nodes []*Node) error {
+	return c.PutNodesCtx(context.Background(), nodes)
+}
+
 // isRemoteErr reports whether err came back from a responding server's
 // handler (as opposed to a transport failure).
 func isRemoteErr(err error) bool {
@@ -272,13 +271,7 @@ func (c *Client) cacheNodes(nodes []*Node) {
 // smaller replication degree than the deployment's. Full misses are rare
 // (a genuine hole means a crashed abort-repair), so the extra RPCs don't
 // touch the hot path.
-func (c *Client) GetNode(key NodeKey) (*Node, error) {
-	return c.GetNodeCtx(context.Background(), key)
-}
-
-// GetNodeCtx is GetNode carrying the caller's context (ContextStore;
-// trace propagation).
-func (c *Client) GetNodeCtx(ctx context.Context, key NodeKey) (*Node, error) {
+func (c *Client) GetNode(ctx context.Context, key NodeKey) (*Node, error) {
 	if c.cache != nil {
 		if n, ok := c.cache.get(key); ok {
 			return n, nil
@@ -360,13 +353,7 @@ func (c *Client) PeekNodes(keys []NodeKey) []*Node {
 // the batched descent probes keys speculatively and absences are
 // ordinary there. Callers that must distinguish a definitive hole from
 // an unreachable replica follow up with GetNode on the specific key.
-func (c *Client) GetNodes(keys []NodeKey) ([]*Node, error) {
-	return c.GetNodesCtx(context.Background(), keys)
-}
-
-// GetNodesCtx is GetNodes carrying the caller's context (ContextStore;
-// trace propagation).
-func (c *Client) GetNodesCtx(ctx context.Context, keys []NodeKey) ([]*Node, error) {
+func (c *Client) GetNodes(ctx context.Context, keys []NodeKey) ([]*Node, error) {
 	out := make([]*Node, len(keys))
 	if len(keys) == 0 {
 		return out, nil
@@ -461,7 +448,7 @@ func (c *Client) GetNodesCtx(ctx context.Context, keys []NodeKey) ([]*Node, erro
 // every retained tree, so a sweep that advanced its frontier past a
 // partial delete could never find them again — the caller must not
 // record the sweep as complete until every member acknowledged.
-func (c *Client) DeleteNodes(keys []NodeKey) (uint64, error) {
+func (c *Client) DeleteNodes(ctx context.Context, keys []NodeKey) (uint64, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
@@ -480,7 +467,7 @@ func (c *Client) DeleteNodes(keys []NodeKey) (uint64, error) {
 		go func(addr string) {
 			defer func() { <-sem }()
 			var resp DeleteResp
-			err := c.rpc.Call(addr, MethodDeleteNodes, &DeleteNodesReq{Keys: keys}, &resp)
+			err := c.rpc.CallCtx(ctx, addr, MethodDeleteNodes, &DeleteNodesReq{Keys: keys}, &resp)
 			results <- result{deleted: resp.Deleted, err: err}
 		}(addr)
 	}
@@ -508,7 +495,7 @@ func (c *Client) DeleteNodes(keys []NodeKey) (uint64, error) {
 // unreachable member is an error — its copies still carry the dead
 // placement, so the caller (the repair engine) must re-patch on its next
 // pass rather than record the repair as complete.
-func (c *Client) PatchReplicas(patches []ReplicaPatch) (uint64, error) {
+func (c *Client) PatchReplicas(ctx context.Context, patches []ReplicaPatch) (uint64, error) {
 	if len(patches) == 0 {
 		return 0, nil
 	}
@@ -533,7 +520,7 @@ func (c *Client) PatchReplicas(patches []ReplicaPatch) (uint64, error) {
 		go func(addr string) {
 			defer func() { <-sem }()
 			var resp PatchResp
-			err := c.rpc.Call(addr, MethodPatchReplicas, &PatchReplicasReq{Patches: patches}, &resp)
+			err := c.rpc.CallCtx(ctx, addr, MethodPatchReplicas, &PatchReplicasReq{Patches: patches}, &resp)
 			results <- result{patched: resp.Patched, err: err}
 		}(addr)
 	}
@@ -557,23 +544,17 @@ func (c *Client) PatchReplicas(patches []ReplicaPatch) (uint64, error) {
 // of a cached leaf failed: nodes are immutable EXCEPT for leaf replica
 // lists, which the repair engine patches in place, so a total fetch
 // failure is the one signal that a cached descriptor may be stale.
-func (c *Client) RefreshNode(key NodeKey) (*Node, error) {
-	return c.RefreshNodeCtx(context.Background(), key)
-}
-
-// RefreshNodeCtx is RefreshNode carrying the caller's context (trace
-// propagation).
-func (c *Client) RefreshNodeCtx(ctx context.Context, key NodeKey) (*Node, error) {
+func (c *Client) RefreshNode(ctx context.Context, key NodeKey) (*Node, error) {
 	if c.cache != nil {
 		c.cache.evict(key)
 	}
-	return c.GetNodeCtx(ctx, key)
+	return c.GetNode(ctx, key)
 }
 
 // DeleteBlob drops every node of the blob from every metadata provider in
 // the ring (full blob deletion). Any unreachable member is an error so the
 // blob's tombstone stays pending and the next sweep retries.
-func (c *Client) DeleteBlob(blob uint64) (uint64, error) {
+func (c *Client) DeleteBlob(ctx context.Context, blob uint64) (uint64, error) {
 	nodes := c.ring.Nodes()
 	if len(nodes) == 0 {
 		return 0, errors.New("meta: no metadata providers in ring")
@@ -582,7 +563,7 @@ func (c *Client) DeleteBlob(blob uint64) (uint64, error) {
 	var firstErr error
 	for _, addr := range nodes {
 		var resp DeleteResp
-		if err := c.rpc.Call(addr, MethodDeleteBlob, &DeleteBlobReq{Blob: blob}, &resp); err != nil {
+		if err := c.rpc.CallCtx(ctx, addr, MethodDeleteBlob, &DeleteBlobReq{Blob: blob}, &resp); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}

@@ -1,6 +1,7 @@
 package meta_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func TestPutGetAcrossDHT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range nodes {
-		got, err := rig.client.GetNode(n.Key)
+		got, err := rig.client.GetNode(context.Background(), n.Key)
 		if err != nil {
 			t.Fatalf("get %s: %v", n.Key, err)
 		}
@@ -91,14 +92,14 @@ func TestMetadataReplicationSurvivesProviderLoss(t *testing.T) {
 	// Kill one metadata provider; every node still has replicas.
 	rig.fabric.SetDown(rig.addrs[0], true)
 	for _, n := range nodes {
-		if _, err := rig.client.GetNode(n.Key); err != nil {
+		if _, err := rig.client.GetNode(context.Background(), n.Key); err != nil {
 			t.Fatalf("get %s after provider loss: %v", n.Key, err)
 		}
 	}
 	// Kill a second one.
 	rig.fabric.SetDown(rig.addrs[1], true)
 	for _, n := range nodes {
-		if _, err := rig.client.GetNode(n.Key); err != nil {
+		if _, err := rig.client.GetNode(context.Background(), n.Key); err != nil {
 			t.Fatalf("get %s after two losses: %v", n.Key, err)
 		}
 	}
@@ -130,7 +131,7 @@ func TestClientCacheServesAfterTotalOutage(t *testing.T) {
 	}
 	// Warm the cache.
 	for _, n := range nodes {
-		if _, err := rig.client.GetNode(n.Key); err != nil {
+		if _, err := rig.client.GetNode(context.Background(), n.Key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +140,7 @@ func TestClientCacheServesAfterTotalOutage(t *testing.T) {
 	rig.fabric.SetDown(rig.addrs[0], true)
 	rig.fabric.SetDown(rig.addrs[1], true)
 	for _, n := range nodes {
-		if _, err := rig.client.GetNode(n.Key); err != nil {
+		if _, err := rig.client.GetNode(context.Background(), n.Key); err != nil {
 			t.Fatalf("cached get during outage: %v", err)
 		}
 	}
@@ -151,7 +152,7 @@ func TestClientCacheServesAfterTotalOutage(t *testing.T) {
 
 func TestGetMissingNodeErrors(t *testing.T) {
 	rig := startMetaRig(t, 2, 1, 0)
-	_, err := rig.client.GetNode(meta.NodeKey{Blob: 99, Version: 1, Off: 0, Size: 1})
+	_, err := rig.client.GetNode(context.Background(), meta.NodeKey{Blob: 99, Version: 1, Off: 0, Size: 1})
 	if err == nil {
 		t.Fatal("get of absent node succeeded")
 	}

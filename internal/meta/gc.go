@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -80,9 +81,9 @@ func (l *LiveSet) HasChunk(k chunk.Key) bool {
 // incomplete live set would make the sweep delete data that retained
 // snapshots still reference. sizeChunks is the blob size in chunks at
 // that version.
-func CollectLive(store Store, blob, version, sizeChunks uint64) (*LiveSet, error) {
+func CollectLive(ctx context.Context, store Store, blob, version, sizeChunks uint64) (*LiveSet, error) {
 	live := NewLiveSet()
-	if err := CollectLiveInto(live, store, blob, version, sizeChunks); err != nil {
+	if err := CollectLiveInto(ctx, live, store, blob, version, sizeChunks); err != nil {
 		return nil, err
 	}
 	return live, nil
@@ -98,11 +99,12 @@ func CollectLive(store Store, blob, version, sizeChunks uint64) (*LiveSet, error
 // tree — an empty or partial floor tree then under-counts liveness, and
 // the union walk of the newer retained versions still protects everything
 // they reference.
-func CollectLiveInto(live *LiveSet, store Store, blob, version, sizeChunks uint64) error {
+func CollectLiveInto(ctx context.Context, live *LiveSet, store Store, blob, version, sizeChunks uint64) error {
 	if version == 0 || sizeChunks == 0 {
 		return nil
 	}
 	w := gcWalker{
+		ctx:    ctx,
 		store:  store,
 		set:    live,
 		desc:   "liveness",
@@ -133,6 +135,7 @@ const gcBatch = specBudget
 // delete data retained snapshots still reference. Genuine holes are rare
 // (a crashed abort-repair), so the follow-ups stay off the hot path.
 type gcWalker struct {
+	ctx    context.Context // the walking pass's operation context
 	store  Store
 	set    *LiveSet
 	desc   string
@@ -148,7 +151,7 @@ func (w *gcWalker) walk(frontier []NodeKey) error {
 		} else {
 			pending = nil
 		}
-		nodes, err := w.store.GetNodes(batch)
+		nodes, err := w.store.GetNodes(w.ctx, batch)
 		if err != nil {
 			return fmt.Errorf("meta: %s walk: %w", w.desc, err)
 		}
@@ -158,7 +161,7 @@ func (w *gcWalker) walk(frontier []NodeKey) error {
 		for i, node := range nodes {
 			key := batch[i]
 			if node == nil {
-				n, err := w.store.GetNode(key)
+				n, err := w.store.GetNode(w.ctx, key)
 				if errors.Is(err, ErrNodeNotFound) {
 					continue // definitive hole (crashed writer); references nothing
 				}
@@ -202,11 +205,12 @@ func (w *gcWalker) walk(frontier []NodeKey) error {
 // root and only follows children carrying the same version label.
 // Definitively missing nodes are skipped; transport failures abort, as in
 // CollectLive. Like CollectLive the walk is level-order and batched.
-func (l *LiveSet) AddOwned(store Store, blob, version, sizeChunks uint64) error {
+func (l *LiveSet) AddOwned(ctx context.Context, store Store, blob, version, sizeChunks uint64) error {
 	if version == 0 || sizeChunks == 0 {
 		return nil
 	}
 	w := gcWalker{
+		ctx:    ctx,
 		store:  store,
 		set:    l,
 		desc:   "owned",
@@ -216,9 +220,9 @@ func (l *LiveSet) AddOwned(store Store, blob, version, sizeChunks uint64) error 
 }
 
 // VersionNodes enumerates one version's owned subgraph standalone.
-func VersionNodes(store Store, blob, version, sizeChunks uint64) ([]NodeKey, []ChunkRef, error) {
+func VersionNodes(ctx context.Context, store Store, blob, version, sizeChunks uint64) ([]NodeKey, []ChunkRef, error) {
 	set := NewLiveSet()
-	if err := set.AddOwned(store, blob, version, sizeChunks); err != nil {
+	if err := set.AddOwned(ctx, store, blob, version, sizeChunks); err != nil {
 		return nil, nil, err
 	}
 	nodes := make([]NodeKey, 0, len(set.Nodes))

@@ -1,6 +1,7 @@
 package meta_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/meta"
@@ -21,7 +22,7 @@ func TestGCWalkRPCBound(t *testing.T) {
 	})
 
 	walker := newReaderClient(t, rig, 1, 0)
-	live, err := meta.CollectLive(walker, blob, 2, size)
+	live, err := meta.CollectLive(context.Background(), walker, blob, 2, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestGCWalkRPCBound(t *testing.T) {
 
 	// AddOwned over the overwrite version obeys the same bound.
 	before := stats.GetNodesRPCs
-	if err := live.AddOwned(walker, blob, 2, size); err != nil {
+	if err := live.AddOwned(context.Background(), walker, blob, 2, size); err != nil {
 		t.Fatal(err)
 	}
 	stats = walker.RPCStats()
@@ -65,12 +66,12 @@ func TestGCWalkHoleSkippedWithoutError(t *testing.T) {
 
 	// Kill the left half's inner node on every DHT member.
 	hole := meta.NodeKey{Blob: blob, Version: 1, Off: 0, Size: 4}
-	if _, err := rig.client.DeleteNodes([]meta.NodeKey{hole}); err != nil {
+	if _, err := rig.client.DeleteNodes(context.Background(), []meta.NodeKey{hole}); err != nil {
 		t.Fatal(err)
 	}
 
 	walker := newReaderClient(t, rig, 1, 0)
-	live, err := meta.CollectLive(walker, blob, 1, size)
+	live, err := meta.CollectLive(context.Background(), walker, blob, 1, size)
 	if err != nil {
 		t.Fatalf("walk over a definitive hole must succeed: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestGCWalkUnreachableAborts(t *testing.T) {
 
 	rig.fabric.SetDown(rig.addrs[0], true)
 	walker := newReaderClient(t, rig, 1, 0)
-	if _, err := meta.CollectLive(walker, blob, 1, size); err == nil {
+	if _, err := meta.CollectLive(context.Background(), walker, blob, 1, size); err == nil {
 		t.Fatal("walk with an unreachable replica reported a complete live set")
 	}
 }

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chunk"
@@ -10,7 +11,13 @@ import (
 // [start, end) with the blob at sizeChunks after it, previous published
 // version prevV with prevSize chunks. Chunk keys use v as the write ID so
 // tests can tell versions' chunks apart.
-func weaveSeq(t *testing.T, store Store, blob, v, start, end, sizeChunks, prevV, prevSize uint64) {
+// nodeStore is a Store the tests also write their woven nodes into.
+type nodeStore interface {
+	Store
+	PutNodes(nodes []*Node) error
+}
+
+func weaveSeq(t *testing.T, store nodeStore, blob, v, start, end, sizeChunks, prevV, prevSize uint64) {
 	t.Helper()
 	leaves := make([]ChunkRef, end-start)
 	for i := range leaves {
@@ -41,7 +48,7 @@ func weaveSeq(t *testing.T, store Store, blob, v, start, end, sizeChunks, prevV,
 // The canonical sharing shape: v1 writes the whole blob, v2 and v3 each
 // overwrite only chunk 0. v3's tree shares v1's right-hand subtree, so
 // pruning v1 must keep exactly that subtree (and its chunks) alive.
-func buildChain(t *testing.T) Store {
+func buildChain(t *testing.T) nodeStore {
 	t.Helper()
 	store := NewMemStore()
 	weaveSeq(t, store, 1, 1, 0, 4, 4, 0, 0) // v1: [0,4)
@@ -54,7 +61,7 @@ func key(v, off, size uint64) NodeKey { return NodeKey{Blob: 1, Version: v, Off:
 
 func TestCollectLiveSharedSubtrees(t *testing.T) {
 	store := buildChain(t)
-	live, err := CollectLive(store, 1, 3, 4)
+	live, err := CollectLive(context.Background(), store, 1, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +97,7 @@ func TestCollectLiveSharedSubtrees(t *testing.T) {
 
 func TestVersionNodesEnumeratesOwnedSubgraph(t *testing.T) {
 	store := buildChain(t)
-	nodes, chunks, err := VersionNodes(store, 1, 1, 4)
+	nodes, chunks, err := VersionNodes(context.Background(), store, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +107,7 @@ func TestVersionNodesEnumeratesOwnedSubgraph(t *testing.T) {
 	if len(chunks) != 4 {
 		t.Fatalf("v1 references %d chunks, want 4", len(chunks))
 	}
-	nodes, chunks, err = VersionNodes(store, 1, 2, 4)
+	nodes, chunks, err = VersionNodes(context.Background(), store, 1, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +121,17 @@ func TestVersionNodesEnumeratesOwnedSubgraph(t *testing.T) {
 
 func TestDiffDeadSparesSharedNodes(t *testing.T) {
 	store := buildChain(t)
-	live, err := CollectLive(store, 1, 3, 4)
+	live, err := CollectLive(context.Background(), store, 1, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Floor advance 1 -> 3: candidates are v1's full tree plus v2's owned
 	// subgraph.
-	candidates, err := CollectLive(store, 1, 1, 4)
+	candidates, err := CollectLive(context.Background(), store, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates.AddOwned(store, 1, 2, 4)
+	candidates.AddOwned(context.Background(), store, 1, 2, 4)
 
 	deadNodes, deadChunks := DiffDead(candidates, live)
 	// Dead: v1's overwritten spine (root, (0,2), leaf 0) and v2's whole
@@ -161,16 +168,16 @@ func TestDiffDeadAcrossTwoAdvances(t *testing.T) {
 	weaveSeq(t, store, 1, 4, 0, 4, 4, 3, 4)
 
 	// First advance: 1 -> 3 (as in the sweep above).
-	live3, _ := CollectLive(store, 1, 3, 4)
-	candidates, _ := CollectLive(store, 1, 1, 4)
-	candidates.AddOwned(store, 1, 2, 4)
+	live3, _ := CollectLive(context.Background(), store, 1, 3, 4)
+	candidates, _ := CollectLive(context.Background(), store, 1, 1, 4)
+	candidates.AddOwned(context.Background(), store, 1, 2, 4)
 	deadNodes, _ := DiffDead(candidates, live3)
 	store.(*MemStore).DeleteNodes(deadNodes)
 
 	// Second advance: 3 -> 4. Candidates = reachable(3), which still
 	// includes v1's shared right-hand subtree.
-	live4, _ := CollectLive(store, 1, 4, 4)
-	candidates3, _ := CollectLive(store, 1, 3, 4)
+	live4, _ := CollectLive(context.Background(), store, 1, 4, 4)
+	candidates3, _ := CollectLive(context.Background(), store, 1, 3, 4)
 	deadNodes, deadChunks := DiffDead(candidates3, live4)
 	store.(*MemStore).DeleteNodes(deadNodes)
 
@@ -208,16 +215,16 @@ func TestDiffDeadAcrossTwoAdvances(t *testing.T) {
 // now-missing nodes of pruned versions.
 func TestSweepPreservesRetainedReads(t *testing.T) {
 	store := buildChain(t)
-	live, err := CollectLive(store, 1, 3, 4)
+	live, err := CollectLive(context.Background(), store, 1, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms := store.(*MemStore)
-	candidates, err := CollectLive(store, 1, 1, 4)
+	candidates, err := CollectLive(context.Background(), store, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates.AddOwned(store, 1, 2, 4)
+	candidates.AddOwned(context.Background(), store, 1, 2, 4)
 	deadNodes, _ := DiffDead(candidates, live)
 	ms.DeleteNodes(deadNodes)
 
@@ -232,7 +239,7 @@ func TestSweepPreservesRetainedReads(t *testing.T) {
 	}
 	// Walking a pruned version now hits holes; must not panic and must
 	// not resurrect anything.
-	nodes, _, _ := VersionNodes(store, 1, 1, 4)
+	nodes, _, _ := VersionNodes(context.Background(), store, 1, 1, 4)
 	for _, k := range nodes {
 		if !live.Has(k) {
 			t.Errorf("pruned walk still sees dead node %s", k)
@@ -273,13 +280,13 @@ func TestUnionWalkSurvivesUnwovenFloorVersion(t *testing.T) {
 	// Floor = 2 (the unwoven aborted version). Union walk over retained
 	// versions 2 and 3.
 	live := NewLiveSet()
-	if err := CollectLiveInto(live, store, 1, 2, 4); err != nil {
+	if err := CollectLiveInto(context.Background(), live, store, 1, 2, 4); err != nil {
 		t.Fatalf("walk of unwoven floor: %v", err)
 	}
 	if len(live.Nodes) != 0 {
 		t.Fatalf("unwoven floor contributed %d nodes", len(live.Nodes))
 	}
-	if err := CollectLiveInto(live, store, 1, 3, 4); err != nil {
+	if err := CollectLiveInto(context.Background(), live, store, 1, 3, 4); err != nil {
 		t.Fatal(err)
 	}
 	// v1's untouched right side must be protected via v3's references.
@@ -290,7 +297,7 @@ func TestUnionWalkSurvivesUnwovenFloorVersion(t *testing.T) {
 	}
 
 	// Sweep floor advance 1 -> 2 and verify v3 still reads fully.
-	candidates, err := CollectLive(store, 1, 1, 4)
+	candidates, err := CollectLive(context.Background(), store, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +319,7 @@ func TestUnionWalkSurvivesUnwovenFloorVersion(t *testing.T) {
 
 func TestCollectLiveToleratesMissingRoot(t *testing.T) {
 	store := NewMemStore()
-	live, err := CollectLive(store, 1, 7, 16)
+	live, err := CollectLive(context.Background(), store, 1, 7, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,8 @@ func (in *IdentityInput) Decode(d *wire.Decoder) {
 	in.SrcSizeChunks = d.U64()
 }
 
-// WeaveIdentity builds and stores the identity tree for a dead version:
+// WeaveIdentity builds and stores the identity tree for a dead version
+// through the DHT client, under the repair's operation context:
 // leaves copied from the source snapshot, untouched ranges referenced
 // through it, everything beyond it zero. Later writers hold the dead
 // version's in-flight descriptor and reference its nodes for subtrees that
@@ -73,7 +74,7 @@ func (in *IdentityInput) Decode(d *wire.Decoder) {
 // neighbor may itself have aborted treeless, and a reference into it would
 // dangle. Failed versions contributed no content, so the newest live
 // predecessor IS the content as of Version-1.
-func WeaveIdentity(store Store, in IdentityInput) error {
+func WeaveIdentity(ctx context.Context, c *Client, in IdentityInput) error {
 	leaves := make([]ChunkRef, in.EndChunk-in.StartChunk)
 	if in.SrcVersion > 0 {
 		lo, hi := in.StartChunk, in.EndChunk
@@ -81,14 +82,14 @@ func WeaveIdentity(store Store, in IdentityInput) error {
 			hi = in.SrcSizeChunks
 		}
 		if hi > lo {
-			prior, err := CollectLeaves(store, in.Blob, in.SrcVersion, in.SrcSizeChunks, lo, hi)
+			prior, err := CollectLeavesCtx(ctx, c, in.Blob, in.SrcVersion, in.SrcSizeChunks, lo, hi)
 			if err != nil {
 				return err
 			}
 			copy(leaves, prior)
 		}
 	}
-	nodes, _, err := Weave(store, WeaveInput{
+	nodes, _, err := WeaveCtx(ctx, c, WeaveInput{
 		Blob:          in.Blob,
 		Version:       in.Version,
 		StartChunk:    in.StartChunk,
@@ -101,13 +102,7 @@ func WeaveIdentity(store Store, in IdentityInput) error {
 	if err != nil {
 		return err
 	}
-	return putIdentityNodes(store, nodes)
-}
-
-// WeaveIdentityCtx is WeaveIdentity carrying the caller's context
-// (trace propagation for traced repair planes).
-func WeaveIdentityCtx(ctx context.Context, store Store, in IdentityInput) error {
-	return WeaveIdentity(ctxStore{ctx: ctx, s: store}, in)
+	return putIdentityNodes(ctx, c, nodes)
 }
 
 // putIdentityNodes stores the identity node set, tolerating keys the dead
@@ -118,13 +113,13 @@ func WeaveIdentityCtx(ctx context.Context, store Store, in IdentityInput) error 
 // needs no identity fill — skip it and keep filling the missing ones. The
 // batch put is tried first (the common case: the writer never wove at all,
 // or the weave is a byte-identical re-run).
-func putIdentityNodes(store Store, nodes []*Node) error {
-	err := store.PutNodes(nodes)
+func putIdentityNodes(ctx context.Context, c *Client, nodes []*Node) error {
+	err := c.PutNodesCtx(ctx, nodes)
 	if err == nil || !isNodeConflict(err) {
 		return err
 	}
 	for _, n := range nodes {
-		if err := store.PutNodes([]*Node{n}); err != nil && !isNodeConflict(err) {
+		if err := c.PutNodesCtx(ctx, []*Node{n}); err != nil && !isNodeConflict(err) {
 			return err
 		}
 	}

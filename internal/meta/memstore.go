@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -74,8 +75,8 @@ func (s *MemStore) PatchReplicas(patches []ReplicaPatch) int {
 	return n
 }
 
-// GetNode fetches one node.
-func (s *MemStore) GetNode(key NodeKey) (*Node, error) {
+// GetNode fetches one node (Store; the context is unused locally).
+func (s *MemStore) GetNode(_ context.Context, key NodeKey) (*Node, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n, ok := s.nodes[key]
@@ -88,7 +89,7 @@ func (s *MemStore) GetNode(key NodeKey) (*Node, error) {
 
 // GetNodes fetches a batch under one lock acquisition. Entries for absent
 // keys are nil.
-func (s *MemStore) GetNodes(keys []NodeKey) ([]*Node, error) {
+func (s *MemStore) GetNodes(_ context.Context, keys []NodeKey) ([]*Node, error) {
 	out := make([]*Node, len(keys))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -104,7 +105,7 @@ func (s *MemStore) GetNodes(keys []NodeKey) ([]*Node, error) {
 // PeekNodes implements Peeker: the whole store is local, so peeking is
 // just GetNodes — descents over a MemStore never leave process memory.
 func (s *MemStore) PeekNodes(keys []NodeKey) []*Node {
-	out, _ := s.GetNodes(keys)
+	out, _ := s.GetNodes(context.Background(), keys)
 	return out
 }
 

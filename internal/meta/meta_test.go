@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,7 +70,7 @@ func TestMemStoreConflictDetection(t *testing.T) {
 	if err := s.PutNodes([]*Node{conflict}); err == nil {
 		t.Fatal("conflicting rewrite accepted")
 	}
-	if _, err := s.GetNode(NodeKey{5, 5, 0, 1}); err == nil {
+	if _, err := s.GetNode(context.Background(), NodeKey{5, 5, 0, 1}); err == nil {
 		t.Fatal("GetNode(absent) succeeded")
 	}
 }
@@ -127,7 +128,7 @@ func mkLeaves(blob uint64, w modelWrite, chunkLen uint32) []ChunkRef {
 // published snapshot is version max(0, v-1-publishLag) and everything in
 // between is handed over as in-flight descriptors — exercising reference
 // resolution without any store reads for those versions.
-func weaveHistory(t *testing.T, store Store, blob uint64, history []modelWrite, publishLag int) {
+func weaveHistory(t *testing.T, store nodeStore, blob uint64, history []modelWrite, publishLag int) {
 	t.Helper()
 	descs := make([]WriteDesc, len(history))
 	for i, w := range history {

@@ -17,6 +17,7 @@
 package meta
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/chunk"
@@ -176,13 +177,13 @@ func (w *WriteDesc) Decode(d *wire.Decoder) {
 	w.SizeBytes = d.U64()
 }
 
-// Store abstracts where tree nodes live: the real DHT-backed client or an
-// in-memory map in tests.
+// Store abstracts where the descent, weave and liveness walks read tree
+// nodes from: the real DHT-backed client or an in-memory map in tests.
+// ctx is the walk's operation context; the DHT client attributes every
+// fetch RPC to its trace.
 type Store interface {
-	// PutNodes stores a batch of immutable nodes.
-	PutNodes(nodes []*Node) error
 	// GetNode fetches one node by key.
-	GetNode(key NodeKey) (*Node, error)
+	GetNode(ctx context.Context, key NodeKey) (*Node, error)
 	// GetNodes fetches a batch of nodes in one operation. The result is
 	// aligned with keys; a nil entry means the key was not retrieved —
 	// absent from every replica that responded, or temporarily
@@ -192,7 +193,7 @@ type Store interface {
 	// definitive absent-vs-unreachable distinction for a specific key
 	// follow up with GetNode, which consults the full ring before
 	// declaring absence.
-	GetNodes(keys []NodeKey) ([]*Node, error)
+	GetNodes(ctx context.Context, keys []NodeKey) ([]*Node, error)
 }
 
 // ErrNodeNotFound is returned when a tree node is missing from the store.

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -270,10 +271,14 @@ func (s *PersistentStore) compactLocked() error {
 }
 
 // GetNode serves from RAM.
-func (s *PersistentStore) GetNode(key NodeKey) (*Node, error) { return s.mem.GetNode(key) }
+func (s *PersistentStore) GetNode(ctx context.Context, key NodeKey) (*Node, error) {
+	return s.mem.GetNode(ctx, key)
+}
 
 // GetNodes serves the batch from RAM (nil entries for absent keys).
-func (s *PersistentStore) GetNodes(keys []NodeKey) ([]*Node, error) { return s.mem.GetNodes(keys) }
+func (s *PersistentStore) GetNodes(ctx context.Context, keys []NodeKey) ([]*Node, error) {
+	return s.mem.GetNodes(ctx, keys)
+}
 
 // PeekNodes implements Peeker: nodes live in RAM, so peeking is free.
 func (s *PersistentStore) PeekNodes(keys []NodeKey) []*Node { return s.mem.PeekNodes(keys) }

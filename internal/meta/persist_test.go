@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func TestPersistentStoreSurvivesRestart(t *testing.T) {
 		t.Fatalf("recovered %d nodes, want 20", re.Len())
 	}
 	for _, n := range nodes {
-		got, err := re.GetNode(n.Key)
+		got, err := re.GetNode(context.Background(), n.Key)
 		if err != nil {
 			t.Fatalf("get %s: %v", n.Key, err)
 		}
@@ -140,7 +141,7 @@ func TestPersistentStoreDeletesAreDurable(t *testing.T) {
 		t.Fatalf("recovered %d nodes, want 18 (deletes replayed)", re.Len())
 	}
 	for _, k := range []NodeKey{nodes[0].Key, nodes[1].Key, blob2.Key} {
-		if _, err := re.GetNode(k); err == nil {
+		if _, err := re.GetNode(context.Background(), k); err == nil {
 			t.Errorf("deleted node %s resurrected across restart", k)
 		}
 	}
@@ -172,7 +173,7 @@ func TestPersistentStoreCompactionPreservesState(t *testing.T) {
 	if re.Len() != 10 {
 		t.Fatalf("recovered %d nodes, want 10", re.Len())
 	}
-	if _, err := re.GetNode(nodes[0].Key); err != nil {
+	if _, err := re.GetNode(context.Background(), nodes[0].Key); err != nil {
 		t.Errorf("kept node lost across compaction: %v", err)
 	}
 }

@@ -5,66 +5,6 @@ import (
 	"fmt"
 )
 
-// ContextStore is an optional Store refinement: stores whose operations
-// can be attributed to a caller-provided context (trace propagation)
-// implement it. The DHT client does; in-process test stores need not.
-type ContextStore interface {
-	PutNodesCtx(ctx context.Context, nodes []*Node) error
-	GetNodeCtx(ctx context.Context, key NodeKey) (*Node, error)
-	GetNodesCtx(ctx context.Context, keys []NodeKey) ([]*Node, error)
-}
-
-// ctxStore injects one operation's context into every Store call the
-// descent and weave engines make, when the underlying store can use it.
-// It forwards the optional refinements (Peeker, speculation observer and
-// depth advisor) so wrapping is behavior-neutral; a store without
-// ContextStore simply runs context-free, exactly as before.
-type ctxStore struct {
-	ctx context.Context
-	s   Store
-}
-
-func (cs ctxStore) PutNodes(nodes []*Node) error {
-	if c, ok := cs.s.(ContextStore); ok {
-		return c.PutNodesCtx(cs.ctx, nodes)
-	}
-	return cs.s.PutNodes(nodes)
-}
-
-func (cs ctxStore) GetNode(key NodeKey) (*Node, error) {
-	if c, ok := cs.s.(ContextStore); ok {
-		return c.GetNodeCtx(cs.ctx, key)
-	}
-	return cs.s.GetNode(key)
-}
-
-func (cs ctxStore) GetNodes(keys []NodeKey) ([]*Node, error) {
-	if c, ok := cs.s.(ContextStore); ok {
-		return c.GetNodesCtx(cs.ctx, keys)
-	}
-	return cs.s.GetNodes(keys)
-}
-
-func (cs ctxStore) PeekNodes(keys []NodeKey) []*Node {
-	if p, ok := cs.s.(Peeker); ok {
-		return p.PeekNodes(keys)
-	}
-	return make([]*Node, len(keys)) // all-nil: nothing known locally
-}
-
-func (cs ctxStore) observeSpec(hits, misses int64) {
-	if o, ok := cs.s.(specObserver); ok {
-		o.observeSpec(hits, misses)
-	}
-}
-
-func (cs ctxStore) specExpansionDepth() int {
-	if a, ok := cs.s.(specDepthAdvisor); ok {
-		return a.specExpansionDepth()
-	}
-	return specBudget // same default an unadvised store gets
-}
-
 // specBudget bounds the number of node keys fetched per descent round.
 // Beyond the budget the enumeration truncates breadth-first, so a huge
 // read degrades gracefully into plain level-order rounds instead of
@@ -110,7 +50,7 @@ type span struct {
 	size uint64
 }
 
-// CollectLeaves resolves the chunk references for chunk range [a, b) of
+// CollectLeavesCtx resolves the chunk references for chunk range [a, b) of
 // the given published version by descending its segment tree. sizeChunks
 // is the blob size (in chunks) at that version, as reported by the version
 // manager. Never-written ranges come back as zero ChunkRefs.
@@ -134,34 +74,29 @@ type span struct {
 // the differently-labeled subtree forms the next round's frontier. Rounds
 // are therefore bounded by the tree depth, reached only by pathologically
 // fragmented histories.
-func CollectLeaves(store Store, blob, version, sizeChunks, a, b uint64) ([]ChunkRef, error) {
-	refs, _, err := collectLeaves(store, blob, version, sizeChunks, a, b, false)
+//
+// ctx is the read's operation context: a traced read attributes every
+// descent round's fetches to its trace.
+func CollectLeavesCtx(ctx context.Context, store Store, blob, version, sizeChunks, a, b uint64) ([]ChunkRef, error) {
+	refs, _, err := collectLeaves(ctx, store, blob, version, sizeChunks, a, b, false)
 	return refs, err
 }
 
-// CollectLeavesWithKeys is CollectLeaves additionally reporting each
+// CollectLeaves is CollectLeavesCtx with a background context.
+func CollectLeaves(store Store, blob, version, sizeChunks, a, b uint64) ([]ChunkRef, error) {
+	return CollectLeavesCtx(context.Background(), store, blob, version, sizeChunks, a, b)
+}
+
+// CollectLeavesWithKeys is CollectLeavesCtx additionally reporting each
 // resolved leaf's node key (zero-valued for never-written chunks). The
 // read path uses the keys to refresh a leaf whose cached replica list
 // went stale — every address failing is the signature of a descriptor the
 // repair engine has since patched.
-func CollectLeavesWithKeys(store Store, blob, version, sizeChunks, a, b uint64) ([]ChunkRef, []NodeKey, error) {
-	return collectLeaves(store, blob, version, sizeChunks, a, b, true)
+func CollectLeavesWithKeys(ctx context.Context, store Store, blob, version, sizeChunks, a, b uint64) ([]ChunkRef, []NodeKey, error) {
+	return collectLeaves(ctx, store, blob, version, sizeChunks, a, b, true)
 }
 
-// CollectLeavesCtx is CollectLeaves carrying the caller's context, so a
-// traced read attributes every descent round's fetches to its trace.
-func CollectLeavesCtx(ctx context.Context, store Store, blob, version, sizeChunks, a, b uint64) ([]ChunkRef, error) {
-	refs, _, err := collectLeaves(ctxStore{ctx: ctx, s: store}, blob, version, sizeChunks, a, b, false)
-	return refs, err
-}
-
-// CollectLeavesWithKeysCtx is CollectLeavesWithKeys carrying the
-// caller's context.
-func CollectLeavesWithKeysCtx(ctx context.Context, store Store, blob, version, sizeChunks, a, b uint64) ([]ChunkRef, []NodeKey, error) {
-	return collectLeaves(ctxStore{ctx: ctx, s: store}, blob, version, sizeChunks, a, b, true)
-}
-
-func collectLeaves(store Store, blob, version, sizeChunks, a, b uint64, withKeys bool) ([]ChunkRef, []NodeKey, error) {
+func collectLeaves(ctx context.Context, store Store, blob, version, sizeChunks, a, b uint64, withKeys bool) ([]ChunkRef, []NodeKey, error) {
 	if b < a {
 		return nil, nil, fmt.Errorf("meta: invalid chunk range [%d,%d)", a, b)
 	}
@@ -179,7 +114,7 @@ func collectLeaves(store Store, blob, version, sizeChunks, a, b uint64, withKeys
 	if version == ZeroVersion {
 		return out, outKeys, nil
 	}
-	c := &collector{store: store, blob: blob, a: a, b: b, out: out, outKeys: outKeys}
+	c := &collector{ctx: ctx, store: store, blob: blob, a: a, b: b, out: out, outKeys: outKeys}
 	if p, ok := store.(Peeker); ok {
 		c.peeker = p
 	}
@@ -200,6 +135,7 @@ func collectLeaves(store Store, blob, version, sizeChunks, a, b uint64, withKeys
 }
 
 type collector struct {
+	ctx     context.Context // the read's operation context
 	store   Store
 	peeker  Peeker
 	blob    uint64
@@ -311,7 +247,7 @@ func (c *collector) fetchRound(frontier []span) ([]span, error) {
 		}
 	}
 	var err error
-	c.nodes, err = c.store.GetNodes(c.keys)
+	c.nodes, err = c.store.GetNodes(c.ctx, c.keys)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +288,7 @@ func (c *collector) walk(s span) error {
 	}
 	node := c.nodes[i]
 	if node == nil {
-		n, err := c.store.GetNode(k)
+		n, err := c.store.GetNode(c.ctx, k)
 		if err != nil {
 			return fmt.Errorf("meta: descent at %s: %w", k, err)
 		}

@@ -1,6 +1,7 @@
 package meta_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -29,7 +30,10 @@ type refWrite struct {
 }
 
 // weaveRefHistory weaves a sequentially published history into store.
-func weaveRefHistory(t *testing.T, store meta.Store, blob uint64, history []refWrite) {
+func weaveRefHistory(t *testing.T, store interface {
+	meta.Store
+	PutNodes([]*meta.Node) error
+}, blob uint64, history []refWrite) {
 	t.Helper()
 	pubVersion, pubSize := uint64(0), uint64(0)
 	for _, w := range history {
@@ -94,7 +98,7 @@ func referenceCollect(store meta.Store, blob, version, sizeChunks, a, b uint64) 
 		if ver == meta.ZeroVersion {
 			return nil // zero subtree; out is pre-zeroed
 		}
-		node, err := store.GetNode(meta.NodeKey{Blob: blob, Version: ver, Off: off, Size: size})
+		node, err := store.GetNode(context.Background(), meta.NodeKey{Blob: blob, Version: ver, Off: off, Size: size})
 		if err != nil {
 			return err
 		}

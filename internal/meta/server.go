@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"context"
+
 	"repro/internal/chunk"
 	"repro/internal/rpc"
 	"repro/internal/trace"
@@ -314,6 +316,7 @@ func (r *StatsResp) Decode(d *wire.Decoder) { r.Nodes = d.U64() }
 // restart-surviving) both implement it.
 type ServerStore interface {
 	Store
+	PutNodes(nodes []*Node) error
 	Len() int
 	DeleteNodes(keys []NodeKey) int
 	DeleteBlob(blob uint64) int
@@ -351,7 +354,7 @@ func NewServerWithStore(network rpc.Network, addr string, store ServerStore) *Se
 		})
 	rpc.HandleMsg(s.srv, MethodGetNode, func() *GetNodeReq { return &GetNodeReq{} },
 		func(req *GetNodeReq) (*GetNodeResp, error) {
-			n, err := s.store.GetNode(req.Key)
+			n, err := s.store.GetNode(context.TODO(), req.Key)
 			if err != nil {
 				return &GetNodeResp{Found: false}, nil
 			}
@@ -359,7 +362,7 @@ func NewServerWithStore(network rpc.Network, addr string, store ServerStore) *Se
 		})
 	rpc.HandleMsg(s.srv, MethodGetNodes, func() *GetNodesReq { return &GetNodesReq{} },
 		func(req *GetNodesReq) (*GetNodesResp, error) {
-			nodes, err := s.store.GetNodes(req.Keys)
+			nodes, err := s.store.GetNodes(context.TODO(), req.Keys)
 			if err != nil {
 				return nil, err
 			}

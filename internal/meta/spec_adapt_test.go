@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chunk"
@@ -58,19 +59,19 @@ type depthCappedStore struct {
 }
 
 func (s *depthCappedStore) PutNodes(nodes []*Node) error { return s.mem.PutNodes(nodes) }
-func (s *depthCappedStore) GetNode(key NodeKey) (*Node, error) {
-	return s.mem.GetNode(key)
+func (s *depthCappedStore) GetNode(ctx context.Context, key NodeKey) (*Node, error) {
+	return s.mem.GetNode(ctx, key)
 }
-func (s *depthCappedStore) GetNodes(keys []NodeKey) ([]*Node, error) {
+func (s *depthCappedStore) GetNodes(ctx context.Context, keys []NodeKey) ([]*Node, error) {
 	s.rounds++
 	s.keys += len(keys)
-	return s.mem.GetNodes(keys)
+	return s.mem.GetNodes(ctx, keys)
 }
 func (s *depthCappedStore) specExpansionDepth() int { return s.depth }
 
 // uniformTree weaves one full write of n chunks (every node labeled with
 // the version) into the store.
-func uniformTree(t *testing.T, store Store, blob, version, n uint64) {
+func uniformTree(t *testing.T, store nodeStore, blob, version, n uint64) {
 	t.Helper()
 	leaves := make([]ChunkRef, n)
 	for i := range leaves {
@@ -151,7 +152,7 @@ func TestPatchReplicas(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("mismatched patches applied: %d", n)
 	}
-	if got, _ := s.GetNode(leafKey); got.Chunk.IsZero() {
+	if got, _ := s.GetNode(context.Background(), leafKey); got.Chunk.IsZero() {
 		t.Fatal("empty patch zeroed the leaf")
 	}
 
@@ -163,7 +164,7 @@ func TestPatchReplicas(t *testing.T) {
 	if n := s.PatchReplicas([]ReplicaPatch{patch}); n != 0 {
 		t.Fatalf("duplicate patch applied %d leaves, want 0", n)
 	}
-	got, err := s.GetNode(leafKey)
+	got, err := s.GetNode(context.Background(), leafKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestPatchReplicas(t *testing.T) {
 	if err := s.PutNodes([]*Node{orig}); err != nil {
 		t.Fatalf("late idempotent re-put after patch: %v", err)
 	}
-	got, _ = s.GetNode(leafKey)
+	got, _ = s.GetNode(context.Background(), leafKey)
 	if got.Chunk.Providers[0] != "dp1" {
 		t.Fatalf("late re-put clobbered the patch: %v", got.Chunk.Providers)
 	}
@@ -216,7 +217,7 @@ func TestPersistentStorePatchSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, err := re.GetNode(leafKey)
+	got, err := re.GetNode(context.Background(), leafKey)
 	if err != nil {
 		t.Fatal(err)
 	}

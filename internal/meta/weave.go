@@ -30,7 +30,7 @@ type WeaveInput struct {
 	PubSizeChunks uint64
 }
 
-// Weave computes the new metadata tree nodes for one write. It returns the
+// WeaveCtx computes the new metadata tree nodes for one write. It returns the
 // nodes to store (leaves and inner nodes, all labeled with in.Version) and
 // the new root key.
 //
@@ -43,8 +43,9 @@ type WeaveInput struct {
 //
 // store is only consulted to descend the *published* tree; nodes of
 // unpublished concurrent versions are never read, which is exactly what
-// decouples concurrent writers in BlobSeer.
-func Weave(store Store, in WeaveInput) ([]*Node, NodeKey, error) {
+// decouples concurrent writers in BlobSeer. ctx is the write's operation
+// context: a traced write attributes those descent fetches to its trace.
+func WeaveCtx(ctx context.Context, store Store, in WeaveInput) ([]*Node, NodeKey, error) {
 	if in.EndChunk <= in.StartChunk {
 		return nil, NodeKey{}, fmt.Errorf("meta: empty write range [%d,%d)", in.StartChunk, in.EndChunk)
 	}
@@ -55,7 +56,7 @@ func Weave(store Store, in WeaveInput) ([]*Node, NodeKey, error) {
 	if in.SizeChunks < in.EndChunk {
 		return nil, NodeKey{}, fmt.Errorf("meta: size %d chunks below write end %d", in.SizeChunks, in.EndChunk)
 	}
-	w := &weaver{store: store, in: in}
+	w := &weaver{ctx: ctx, store: store, in: in}
 	// Newest first: the latest intersecting version wins a reference.
 	w.inflight = append(w.inflight, in.InFlight...)
 	sort.Slice(w.inflight, func(i, j int) bool { return w.inflight[i].Version > w.inflight[j].Version })
@@ -74,13 +75,13 @@ func Weave(store Store, in WeaveInput) ([]*Node, NodeKey, error) {
 	return w.out, root, nil
 }
 
-// WeaveCtx is Weave carrying the caller's context, so a traced write
-// attributes its published-tree descent fetches to its trace.
-func WeaveCtx(ctx context.Context, store Store, in WeaveInput) ([]*Node, NodeKey, error) {
-	return Weave(ctxStore{ctx: ctx, s: store}, in)
+// Weave is WeaveCtx with a background context.
+func Weave(store Store, in WeaveInput) ([]*Node, NodeKey, error) {
+	return WeaveCtx(context.Background(), store, in)
 }
 
 type weaver struct {
+	ctx      context.Context // the write's operation context
 	store    Store
 	in       WeaveInput
 	inflight []WriteDesc
@@ -206,7 +207,7 @@ func (w *weaver) descendPublished(off, size uint64) (uint64, error) {
 			// Inside a zero subtree every descendant is zero.
 			return ZeroVersion, nil
 		}
-		node, err := w.store.GetNode(NodeKey{Blob: w.in.Blob, Version: curVer, Off: curOff, Size: curSize})
+		node, err := w.store.GetNode(w.ctx, NodeKey{Blob: w.in.Blob, Version: curVer, Off: curOff, Size: curSize})
 		if err != nil {
 			return 0, fmt.Errorf("meta: descending published tree: %w", err)
 		}

@@ -114,8 +114,9 @@ func (e *Env) tracer(role, node string) *trace.Tracer {
 // client builds the RPC client of one of a role's side loops, sourced at
 // the given fabric node so fault injection applies to its traffic too.
 // The background planes (replication, lease expiry, maintenance) are
-// traced: they have no caller to inherit a trace from, so each of their
-// calls originates its own root trace. Heartbeats are not.
+// traced: they have no caller to inherit a trace from, so each loop
+// iteration opens a root span through the client's tracer and its calls
+// join it. Heartbeats are not.
 func (e *Env) client(role, source string, traced bool) *rpc.Client {
 	cli := rpc.NewClientFrom(e.Network, e.CallTimeout, source)
 	if e.rpcm != nil {
@@ -123,7 +124,6 @@ func (e *Env) client(role, source string, traced bool) *rpc.Client {
 	}
 	if traced {
 		cli.SetTracer(e.tracer(role, source))
-		cli.SetRootTraces(true)
 	}
 	return cli
 }

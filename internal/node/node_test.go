@@ -2,6 +2,7 @@ package node_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
@@ -100,7 +101,7 @@ func roleCases(deps *deployment) map[string]roleCase {
 				}
 			},
 			check: func(t *testing.T, cli *rpc.Client, addr string) {
-				got, err := meta.NewClient(cli, []string{addr}, 1, 0).GetNode(metaNode.Key)
+				got, err := meta.NewClient(cli, []string{addr}, 1, 0).GetNode(context.Background(), metaNode.Key)
 				if err != nil || got.Chunk.Length != 42 {
 					t.Fatalf("node log not recovered: %+v, %v", got, err)
 				}
@@ -119,10 +120,10 @@ func roleCases(deps *deployment) map[string]roleCase {
 				return node.StartProvider(env, spec)
 			},
 			seed: func(t *testing.T, cli *rpc.Client, addr string) {
-				if err := provider.PutChunk(cli, addr, chunk.Key{Blob: 3, Version: 1}, []byte("payload")); err != nil {
+				if err := provider.PutChunk(context.Background(), cli, addr, chunk.Key{Blob: 3, Version: 1}, []byte("payload")); err != nil {
 					t.Fatal(err)
 				}
-				if err := provider.Tombstone(cli, addr, []uint64{9}); err != nil {
+				if err := provider.Tombstone(context.Background(), cli, addr, []uint64{9}); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -131,7 +132,7 @@ func roleCases(deps *deployment) map[string]roleCase {
 					t.Fatalf("chunk not served after restart: %q, %v", got, err)
 				}
 				// The tombstone lives only in the sidecar.
-				if err := provider.PutChunk(cli, addr, chunk.Key{Blob: 9, Version: 1}, []byte("late")); err == nil {
+				if err := provider.PutChunk(context.Background(), cli, addr, chunk.Key{Blob: 9, Version: 1}, []byte("late")); err == nil {
 					t.Fatal("sidecar not recovered: a put for a tombstoned blob was accepted")
 				}
 				var members pmanager.ProvidersResp
@@ -368,11 +369,11 @@ func TestGroupFailoverAndLeaseExpiry(t *testing.T) {
 		// A writer gets a version assigned and vanishes.
 		group := vmanager.NewCaller(cli, []string{a.Addr(), b.Addr()})
 		var blob vmanager.CreateResp
-		if err := group.Call(vmanager.MethodCreate, &vmanager.CreateReq{ChunkSize: 1024, Replication: 1}, &blob); err != nil {
+		if err := group.Call(context.Background(), vmanager.MethodCreate, &vmanager.CreateReq{ChunkSize: 1024, Replication: 1}, &blob); err != nil {
 			t.Fatal(err)
 		}
 		var wedge vmanager.AssignResp
-		if err := group.Call(vmanager.MethodAssign, &vmanager.AssignReq{BlobID: blob.BlobID, Size: 1024}, &wedge); err != nil {
+		if err := group.Call(context.Background(), vmanager.MethodAssign, &vmanager.AssignReq{BlobID: blob.BlobID, Size: 1024}, &wedge); err != nil {
 			t.Fatal(err)
 		}
 
@@ -380,7 +381,7 @@ func TestGroupFailoverAndLeaseExpiry(t *testing.T) {
 		eventually(t, 10*haTTL, "survivor reports leader", func() bool { return haStatus(t, cli, b.Addr()).Role == "leader" })
 		eventually(t, 4*leaseTTL, "survivor's lease loop aborts the vanished writer", func() bool {
 			var vi vmanager.VersionInfoResp
-			err := group.Call(vmanager.MethodVersionInfo, &vmanager.VersionRef{BlobID: blob.BlobID, Version: wedge.Version}, &vi)
+			err := group.Call(context.Background(), vmanager.MethodVersionInfo, &vmanager.VersionRef{BlobID: blob.BlobID, Version: wedge.Version}, &vi)
 			return err == nil && vi.Failed
 		})
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -152,7 +153,7 @@ func StartProvider(env *Env, spec ProviderSpec) (*Provider, error) {
 	// goes silent and ages out of the provider manager.
 	spec.Listen = s.Addr()
 	p := &Provider{Server: s, env: env, spec: spec, hb: env.client("provider", s.Addr(), false)}
-	if err := p.hb.Call(spec.PM, pmanager.MethodRegister, &pmanager.RegisterReq{Addr: s.Addr()}, &pmanager.Ack{}); err != nil {
+	if err := p.hb.CallCtx(context.Background(), spec.PM, pmanager.MethodRegister, &pmanager.RegisterReq{Addr: s.Addr()}, &pmanager.Ack{}); err != nil {
 		p.Kill()
 		return nil, fmt.Errorf("node: registering provider %s with %s: %w", s.Addr(), spec.PM, err)
 	}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -161,9 +162,10 @@ func (v *VManager) Join(peers []string, bootstrap bool) error {
 		LeadershipTTL: v.spec.HATTL,
 		Quorum:        v.spec.Repl == "quorum",
 		Bootstrap:     bootstrap,
-		Transport: func(addr string, req *vmanager.ReplicateReq) (*vmanager.ReplicateResp, error) {
+		Tracer:        cli.Tracer(),
+		Transport: func(ctx context.Context, addr string, req *vmanager.ReplicateReq) (*vmanager.ReplicateResp, error) {
 			var resp vmanager.ReplicateResp
-			if err := cli.Call(addr, vmanager.MethodReplicate, req, &resp); err != nil {
+			if err := cli.CallCtx(ctx, addr, vmanager.MethodReplicate, req, &resp); err != nil {
 				return nil, err
 			}
 			return &resp, nil
@@ -187,7 +189,14 @@ func (v *VManager) runLeaseLoop() {
 		cli := v.env.client("lease", "lease", true)
 		v.clients = append(v.clients, cli)
 		mc := meta.NewClient(cli, ms.Meta, ms.MetaRepl, 0)
-		v.weaver = func(in meta.IdentityInput) error { return meta.WeaveIdentity(mc, in) }
+		// One root span per expired version: the weave's descent and
+		// meta.put calls reconstruct as one trace.
+		v.weaver = func(ctx context.Context, in meta.IdentityInput) error {
+			ctx, op := cli.Tracer().StartOp(ctx, "vm.expirelease")
+			err := meta.WeaveIdentity(ctx, mc, in)
+			op.Finish(err)
+			return err
+		}
 	}
 	v.loops.Add(1)
 	go func() {
@@ -212,7 +221,9 @@ func (v *VManager) runLeaseLoop() {
 
 // RunLeaseExpiry runs one lease-expiry pass now and returns how many
 // versions it aborted.
-func (v *VManager) RunLeaseExpiry() (int, error) { return v.Manager().ExpireLeases(v.weaver) }
+func (v *VManager) RunLeaseExpiry() (int, error) {
+	return v.Manager().ExpireLeases(context.Background(), v.weaver)
+}
 
 // Close shuts the member down in dependency order. The loops that call
 // into the manager stop first. Then the manager is halted BEFORE anything

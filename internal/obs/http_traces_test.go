@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -18,9 +19,9 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	rec := trace.NewRecorder(0, 0)
 	tr := trace.New("provider", "dp0", rec, 1, time.Millisecond)
 
-	fast := tr.StartRoot("provider.get")
+	_, fast := tr.StartOp(context.Background(), "provider.get")
 	fast.Finish(nil)
-	slow := tr.StartRoot("provider.put")
+	_, slow := tr.StartOp(context.Background(), "provider.put")
 	time.Sleep(3 * time.Millisecond) // span duration is wall-clock: trips the 1ms threshold
 	slow.Finish(nil)
 

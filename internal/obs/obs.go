@@ -307,9 +307,6 @@ func RegisterPManager(reg *metrics.Registry, mgr func() *pmanager.Manager) {
 		metrics.GaugeFunc("blobseer_pm_providers_live",
 			"Providers within the heartbeat liveness timeout.", role,
 			func() float64 { return count(func(p pmanager.ProviderStatus) bool { return p.Live }) }),
-		metrics.GaugeFunc("blobseer_pm_providers_avoided",
-			"Providers on the GloBeM avoid list.", role,
-			func() float64 { return count(func(p pmanager.ProviderStatus) bool { return p.Avoided }) }),
 		&pmFullnessCollector{mgr: mgr},
 	)
 }

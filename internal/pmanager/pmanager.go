@@ -2,9 +2,7 @@
 // that "decides which chunks are stored on which data providers when
 // writes or appends are issued" (§I-B2). The chunk distribution strategy
 // is configurable (§I-B3 "data striping") — round-robin for load
-// balancing, random scatter, or least-loaded placement — and the manager
-// additionally honors an avoid-list (pm.avoid), the hook through which the
-// paper's GloBeM quality-of-service pipeline (§IV-E) steers placement.
+// balancing, random scatter, or least-loaded placement.
 package pmanager
 
 import (
@@ -27,7 +25,6 @@ const (
 	MethodRegister  = "pm.register"
 	MethodAllocate  = "pm.allocate"
 	MethodProviders = "pm.providers"
-	MethodAvoid     = "pm.avoid"
 	MethodReport    = "pm.report"
 )
 
@@ -136,32 +133,6 @@ func (r *ProvidersResp) Decode(d *wire.Decoder) {
 	}
 }
 
-// AvoidReq replaces (or clears) the set of providers placement must skip.
-// This is the feedback channel of a GloBeM-style QoS loop.
-type AvoidReq struct {
-	Addrs []string
-	Clear bool
-}
-
-// Encode implements wire.Message.
-func (r *AvoidReq) Encode(e *wire.Encoder) {
-	e.PutBool(r.Clear)
-	e.PutU32(uint32(len(r.Addrs)))
-	for _, a := range r.Addrs {
-		e.PutString(a)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *AvoidReq) Decode(d *wire.Decoder) {
-	r.Clear = d.Bool()
-	n := d.U32()
-	r.Addrs = nil
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		r.Addrs = append(r.Addrs, d.String())
-	}
-}
-
 // Ack is the empty acknowledgment.
 type Ack = provider.Ack
 
@@ -175,11 +146,9 @@ type ProviderStatus struct {
 	FreeBytes uint64
 	// SinceBeatMs is how long ago the provider last heartbeat (ms).
 	SinceBeatMs uint64
-	// Live reflects the manager's heartbeat timeout; Avoided the pm.avoid
-	// set. A registered provider that is neither live nor avoided is
-	// dead: its replicas are repair work.
-	Live    bool
-	Avoided bool
+	// Live reflects the manager's heartbeat timeout. A registered provider
+	// that is not live is dead: its replicas are repair work.
+	Live bool
 }
 
 func (p *ProviderStatus) encode(e *wire.Encoder) {
@@ -190,7 +159,6 @@ func (p *ProviderStatus) encode(e *wire.Encoder) {
 	e.PutU64(p.FreeBytes)
 	e.PutU64(p.SinceBeatMs)
 	e.PutBool(p.Live)
-	e.PutBool(p.Avoided)
 }
 
 func (p *ProviderStatus) decode(d *wire.Decoder) {
@@ -201,7 +169,6 @@ func (p *ProviderStatus) decode(d *wire.Decoder) {
 	p.FreeBytes = d.U64()
 	p.SinceBeatMs = d.U64()
 	p.Live = d.Bool()
-	p.Avoided = d.Bool()
 }
 
 // ReportResp lists every registered provider's status, live or not.
@@ -259,7 +226,6 @@ type Manager struct {
 
 	mu        sync.Mutex
 	providers map[string]*provInfo
-	avoid     map[string]bool
 	rrCounter uint64
 	rng       *rand.Rand
 	now       func() time.Time
@@ -283,7 +249,6 @@ func NewManager(strategy string, hbTimeout time.Duration) (*Manager, error) {
 		strategy:  strategy,
 		hbTimeout: hbTimeout,
 		providers: make(map[string]*provInfo),
-		avoid:     make(map[string]bool),
 		rng:       rand.New(rand.NewSource(1)),
 		now:       time.Now,
 	}, nil
@@ -319,47 +284,14 @@ func (m *Manager) Heartbeat(hb *provider.HeartbeatReq) {
 	p.lastSeen = m.now()
 }
 
-// SetAvoid replaces or clears the avoid set.
-func (m *Manager) SetAvoid(addrs []string, clear bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if clear {
-		m.avoid = make(map[string]bool)
-	}
-	for _, a := range addrs {
-		m.avoid[a] = true
-	}
-}
-
-// Avoided returns the current avoid set (sorted, for stable output).
-func (m *Manager) Avoided() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.avoid))
-	for a := range m.avoid {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// live returns the usable providers: fresh heartbeat and not avoided.
-// If avoiding would leave nothing, the avoid set is ignored (placement
-// must make progress even when GloBeM distrusts everyone).
+// live returns the usable providers: those with a fresh heartbeat.
 func (m *Manager) live() []*provInfo {
 	cutoff := m.now().Add(-m.hbTimeout)
-	var ok, all []*provInfo
+	var ok []*provInfo
 	for _, p := range m.providers {
-		if p.lastSeen.Before(cutoff) {
-			continue
-		}
-		all = append(all, p)
-		if !m.avoid[p.addr] {
+		if !p.lastSeen.Before(cutoff) {
 			ok = append(ok, p)
 		}
-	}
-	if len(ok) == 0 {
-		ok = all
 	}
 	sort.Slice(ok, func(i, j int) bool { return ok[i].addr < ok[j].addr })
 	return ok
@@ -377,8 +309,8 @@ func (m *Manager) Providers() []string {
 	return out
 }
 
-// Report returns the status of every registered provider — live, avoided,
-// or silent — sorted by address. This is the repair engine's membership
+// Report returns the status of every registered provider — live or
+// silent — sorted by address. This is the repair engine's membership
 // and fullness view: a registered provider past the heartbeat timeout is
 // dead, and its replicas are repair work.
 func (m *Manager) Report() []ProviderStatus {
@@ -400,7 +332,6 @@ func (m *Manager) Report() []ProviderStatus {
 			FreeBytes:   p.freeBytes,
 			SinceBeatMs: uint64(since / time.Millisecond),
 			Live:        !p.lastSeen.Before(cutoff),
-			Avoided:     m.avoid[p.addr],
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
@@ -561,11 +492,6 @@ func NewServer(network rpc.Network, addr, strategy string, hbTimeout time.Durati
 	rpc.HandleMsg(s.srv, MethodProviders, func() *Ack { return &Ack{} },
 		func(*Ack) (*ProvidersResp, error) {
 			return &ProvidersResp{Addrs: s.m.Providers()}, nil
-		})
-	rpc.HandleMsg(s.srv, MethodAvoid, func() *AvoidReq { return &AvoidReq{} },
-		func(req *AvoidReq) (*Ack, error) {
-			s.m.SetAvoid(req.Addrs, req.Clear)
-			return &Ack{}, nil
 		})
 	return s, nil
 }

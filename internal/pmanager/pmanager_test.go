@@ -1,6 +1,7 @@
 package pmanager
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -128,36 +129,6 @@ func TestHeartbeatTimeoutRemovesProvider(t *testing.T) {
 	}
 }
 
-func TestAvoidListRespectedButNeverStarves(t *testing.T) {
-	now := time.Unix(1000, 0)
-	m := managerAt(t, StrategyRoundRobin, &now)
-	for _, a := range []string{"p1", "p2", "p3"} {
-		m.Register(a)
-	}
-	m.SetAvoid([]string{"p2"}, false)
-	sets, err := m.Allocate(10, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sets {
-		if s[0] == "p2" {
-			t.Errorf("avoided provider used: %v", s)
-		}
-	}
-	if got := m.Avoided(); len(got) != 1 || got[0] != "p2" {
-		t.Errorf("Avoided = %v", got)
-	}
-	// Avoiding everyone must not starve placement.
-	m.SetAvoid([]string{"p1", "p3"}, false)
-	if _, err := m.Allocate(2, 1, nil); err != nil {
-		t.Fatalf("all-avoided allocate: %v", err)
-	}
-	m.SetAvoid(nil, true)
-	if got := m.Avoided(); len(got) != 0 {
-		t.Errorf("Avoided after clear = %v", got)
-	}
-}
-
 func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 	network := rpc.NewSimNetwork(nil)
 	pm, err := NewServer(network, "pm", StrategyRoundRobin, 500*time.Millisecond)
@@ -192,14 +163,14 @@ func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 
 	// Store and fetch a chunk through the allocated provider.
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
-	if err := provider.PutChunk(cli, "prov1", key, []byte("data")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "prov1", key, []byte("data")); err != nil {
 		t.Fatal(err)
 	}
-	data, from, err := provider.GetChunkReplicas(cli, []string{"ghost", "prov1"}, key)
+	data, from, err := provider.GetChunkReplicas(context.Background(), cli, []string{"ghost", "prov1"}, key)
 	if err != nil || string(data) != "data" || from != "prov1" {
 		t.Fatalf("replica get = %q from %q, %v", data, from, err)
 	}
-	stats, err := provider.Stats(cli, "prov1")
+	stats, err := provider.Stats(context.Background(), cli, "prov1")
 	if err != nil || stats.Chunks != 1 || stats.Puts != 1 {
 		t.Fatalf("stats = %+v, %v", stats, err)
 	}

@@ -19,6 +19,7 @@
 package provider
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -338,9 +339,9 @@ func (s *Server) scrubStep(req *ScrubReq) *ScrubResp {
 
 // VerifyChunk asks a provider to re-verify its copy of key against the
 // recorded digest (see MethodVerify).
-func VerifyChunk(cli *rpc.Client, addr string, key chunk.Key) (*VerifyResp, error) {
+func VerifyChunk(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key) (*VerifyResp, error) {
 	var resp VerifyResp
-	if err := cli.Call(addr, MethodVerify, &VerifyReq{Key: key}, &resp); err != nil {
+	if err := cli.CallCtx(ctx, addr, MethodVerify, &VerifyReq{Key: key}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -348,18 +349,18 @@ func VerifyChunk(cli *rpc.Client, addr string, key chunk.Key) (*VerifyResp, erro
 
 // Scrub runs one bounded verification slice on a provider. Start with
 // resume false; pass back NextCursor with resume true until Done.
-func Scrub(cli *rpc.Client, addr string, cursor chunk.Key, resume bool, maxBytes uint64) (*ScrubResp, error) {
+func Scrub(ctx context.Context, cli *rpc.Client, addr string, cursor chunk.Key, resume bool, maxBytes uint64) (*ScrubResp, error) {
 	var resp ScrubResp
-	if err := cli.Call(addr, MethodScrub, &ScrubReq{Cursor: cursor, Resume: resume, MaxBytes: maxBytes}, &resp); err != nil {
+	if err := cli.CallCtx(ctx, addr, MethodScrub, &ScrubReq{Cursor: cursor, Resume: resume, MaxBytes: maxBytes}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
 // CorruptList fetches a provider's quarantined chunk keys.
-func CorruptList(cli *rpc.Client, addr string) ([]chunk.Key, error) {
+func CorruptList(ctx context.Context, cli *rpc.Client, addr string) ([]chunk.Key, error) {
 	var resp CorruptListResp
-	if err := cli.Call(addr, MethodCorruptList, &Ack{}, &resp); err != nil {
+	if err := cli.CallCtx(ctx, addr, MethodCorruptList, &Ack{}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Keys, nil

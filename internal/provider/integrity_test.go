@@ -1,6 +1,7 @@
 package provider_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ func TestGetQuarantinesCorruptCopy(t *testing.T) {
 	_, srv, cli := startProvider(t, store)
 	key := chunk.Key{Blob: 1, Version: 1<<63 | 1, Index: 0}
 	data := []byte("pristine chunk payload")
-	if err := provider.PutChunk(cli, "dp", key, data); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", key, data); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Corrupt(key, 3); err != nil {
@@ -47,11 +48,11 @@ func TestGetQuarantinesCorruptCopy(t *testing.T) {
 	}
 
 	// The quarantine is what repair consumes, and deletion clears it.
-	keys, err := provider.CorruptList(cli, "dp")
+	keys, err := provider.CorruptList(context.Background(), cli, "dp")
 	if err != nil || len(keys) != 1 || keys[0] != key {
 		t.Fatalf("CorruptList = %v, %v; want [%s]", keys, err, key)
 	}
-	if _, err := provider.DeleteChunks(cli, "dp", []chunk.Key{key}); err != nil {
+	if _, err := provider.DeleteChunks(context.Background(), cli, "dp", []chunk.Key{key}); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.StatsSnapshot(); st.Quarantined != 0 {
@@ -77,7 +78,7 @@ func TestIngestRejectsCorruptPut(t *testing.T) {
 	}
 
 	// The same bytes with the right digest (or none) store fine.
-	if err := provider.PutChunk(cli, "dp", key, data); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", key, data); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,21 +120,21 @@ func TestVerifyChunkRecheck(t *testing.T) {
 
 	key := chunk.Key{Blob: 4, Version: 1<<63 | 4, Index: 0}
 	data := []byte("verify me")
-	if err := provider.PutChunk(cli, "dp2", key, data); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp2", key, data); err != nil {
 		t.Fatal(err)
 	}
-	v, err := provider.VerifyChunk(cli, "dp2", key)
+	v, err := provider.VerifyChunk(context.Background(), cli, "dp2", key)
 	if err != nil || !v.Held || v.Corrupt {
 		t.Fatalf("verify of clean chunk = %+v, %v", v, err)
 	}
 	if err := store.Corrupt(key, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, err = provider.VerifyChunk(cli, "dp2", key)
+	v, err = provider.VerifyChunk(context.Background(), cli, "dp2", key)
 	if err != nil || !v.Held || !v.Corrupt {
 		t.Fatalf("verify of rotted chunk = %+v, %v", v, err)
 	}
-	v, err = provider.VerifyChunk(cli, "dp2", chunk.Key{Blob: 99})
+	v, err = provider.VerifyChunk(context.Background(), cli, "dp2", chunk.Key{Blob: 99})
 	if err != nil || v.Held {
 		t.Fatalf("verify of missing chunk = %+v, %v", v, err)
 	}
@@ -164,7 +165,7 @@ func TestScrubStepBudgetAndResume(t *testing.T) {
 	const n = 5
 	payload := []byte("sixteen-byte-pay")
 	for i := uint64(0); i < n; i++ {
-		if err := provider.PutChunk(cli, "dp", chunk.Key{Blob: 5, Version: 1<<63 | 5, Index: i}, payload); err != nil {
+		if err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 5, Version: 1<<63 | 5, Index: i}, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +177,7 @@ func TestScrubStepBudgetAndResume(t *testing.T) {
 	resume := false
 	var scanned, bytes, corrupt, slices uint64
 	for {
-		resp, err := provider.Scrub(cli, "dp", cursor, resume, 1) // 1-byte budget: one chunk per slice
+		resp, err := provider.Scrub(context.Background(), cli, "dp", cursor, resume, 1) // 1-byte budget: one chunk per slice
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func TestScrubStepBudgetAndResume(t *testing.T) {
 
 	// A second pass is clean: the quarantined copy is skipped, not
 	// re-counted, so corruption totals don't inflate pass over pass.
-	resp, err := provider.Scrub(cli, "dp", chunk.Key{}, false, 0)
+	resp, err := provider.Scrub(context.Background(), cli, "dp", chunk.Key{}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +238,10 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 
 	torn := chunk.Key{Blob: 6, Version: 1<<63 | 6, Index: 0}
 	whole := chunk.Key{Blob: 6, Version: 1<<63 | 6, Index: 1}
-	if err := provider.PutChunk(cli, "dp", torn, []byte("this file will be truncated")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", torn, []byte("this file will be truncated")); err != nil {
 		t.Fatal(err)
 	}
-	if err := provider.PutChunk(cli, "dp", whole, []byte("this file stays whole")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", whole, []byte("this file stays whole")); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()

@@ -951,7 +951,7 @@ func (s *Server) StartHeartbeats(cli *rpc.Client, pmAddr string, interval time.D
 						hb.FreeBytes = uint64(free)
 					}
 				}
-				_ = cli.Call(pmAddr, MethodHeartbeat, hb, &Ack{})
+				_ = cli.CallCtx(context.Background(), pmAddr, MethodHeartbeat, hb, &Ack{})
 			}
 		}
 	}(s.hbStop, s.hbDone)
@@ -1012,11 +1012,11 @@ func (r *HeartbeatReq) Decode(d *wire.Decoder) {
 // PutChunk is the client-side helper to store one chunk at one provider.
 // The content digest is computed here, before the bytes hit the wire, so
 // the provider's ingest check covers the full client→provider path.
-func PutChunk(cli *rpc.Client, addr string, key chunk.Key, data []byte) error {
-	return cli.Call(addr, MethodPut, &PutReq{Key: key, Data: data, Digest: chunk.DigestOf(data)}, &Ack{})
+func PutChunk(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, data []byte) error {
+	return cli.CallCtx(ctx, addr, MethodPut, &PutReq{Key: key, Data: data, Digest: chunk.DigestOf(data)}, &Ack{})
 }
 
-// PutChunks stores a batch of chunks at one provider in one RPC. Items
+// PutChunksCtx stores a batch of chunks at one provider in one RPC. Items
 // without a digest get one computed here (client-side, pre-wire); items
 // that already carry one — repair forwarding a verified source read —
 // keep it, extending the integrity chain across the copy. The returned
@@ -1024,12 +1024,6 @@ func PutChunk(cli *rpc.Client, addr string, key chunk.Key, data []byte) error {
 // a non-nil one carries its individual rejection. A non-nil error means
 // the RPC itself failed (transport, malformed reply) and nothing can be
 // assumed stored.
-func PutChunks(cli *rpc.Client, addr string, items []PutItem) ([]error, error) {
-	return PutChunksCtx(context.Background(), cli, addr, items)
-}
-
-// PutChunksCtx is PutChunks carrying the caller's context (trace
-// propagation).
 func PutChunksCtx(ctx context.Context, cli *rpc.Client, addr string, items []PutItem) ([]error, error) {
 	for i := range items {
 		if items[i].Digest.IsZero() {
@@ -1053,12 +1047,23 @@ func PutChunksCtx(ctx context.Context, cli *rpc.Client, addr string, items []Put
 	return out, nil
 }
 
-// GetChunk fetches one whole chunk from one provider.
-func GetChunk(cli *rpc.Client, addr string, key chunk.Key) ([]byte, error) {
-	return GetChunkRange(cli, addr, key, 0, 0)
+// PutChunks is PutChunksCtx with a background context.
+func PutChunks(cli *rpc.Client, addr string, items []PutItem) ([]error, error) {
+	return PutChunksCtx(context.Background(), cli, addr, items)
 }
 
-// GetChunkRange fetches bytes [off, off+length) of one chunk from one
+// GetChunk fetches one whole chunk from one provider (GetChunkRangeCtx
+// with a background context and a zero range).
+func GetChunk(cli *rpc.Client, addr string, key chunk.Key) ([]byte, error) {
+	return GetChunkRangeCtx(context.Background(), cli, addr, key, 0, 0)
+}
+
+// GetChunkRange is GetChunkRangeCtx with a background context.
+func GetChunkRange(cli *rpc.Client, addr string, key chunk.Key, off, length uint64) ([]byte, error) {
+	return GetChunkRangeCtx(context.Background(), cli, addr, key, off, length)
+}
+
+// GetChunkRangeCtx fetches bytes [off, off+length) of one chunk from one
 // provider (off == 0, length == 0 fetches the whole chunk; length == 0
 // with off > 0 reads to the end). The range is clipped to the chunk's
 // stored size, so the reply may be shorter than requested.
@@ -1069,14 +1074,6 @@ func GetChunk(cli *rpc.Client, addr string, key chunk.Key) ([]byte, error) {
 // mismatch returns ErrChunkCorrupt (the caller fails over to another
 // replica) after asking the provider to recheck its copy, so at-rest rot
 // this client noticed first still gets quarantined.
-func GetChunkRange(cli *rpc.Client, addr string, key chunk.Key, off, length uint64) ([]byte, error) {
-	return GetChunkRangeCtx(context.Background(), cli, addr, key, off, length)
-}
-
-// GetChunkRangeCtx is GetChunkRange carrying the caller's context (trace
-// propagation). The corrective VerifyChunk issued on a digest mismatch
-// stays context-free: it is best-effort background hygiene, not part of
-// the read.
 func GetChunkRangeCtx(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64) ([]byte, error) {
 	var resp GetResp
 	if err := cli.CallCtx(ctx, addr, MethodGet, &GetReq{Key: key, Offset: off, Length: length}, &resp); err != nil {
@@ -1088,7 +1085,7 @@ func GetChunkRangeCtx(ctx context.Context, cli *rpc.Client, addr string, key chu
 	if off == 0 && length == 0 && !resp.Digest.Verify(resp.Data) {
 		// Best effort: the provider's recheck decides whether its copy is
 		// actually bad; we only know OUR copy of the bytes is.
-		_, _ = VerifyChunk(cli, addr, key)
+		_, _ = VerifyChunk(ctx, cli, addr, key)
 		return nil, fmt.Errorf("%w: %s from %s failed end-to-end digest check", ErrChunkCorrupt, key, addr)
 	}
 	return resp.Data, nil
@@ -1103,9 +1100,9 @@ func GetChunkRangeCtx(ctx context.Context, cli *rpc.Client, addr string, key chu
 // another survivor instead of propagating rot. Digests for verified
 // entries are aligned with the data (forwarded by repair puts). A
 // non-nil error means the RPC itself failed and nothing can be assumed.
-func GetChunks(cli *rpc.Client, addr string, keys []chunk.Key) ([][]byte, []chunk.Digest, error) {
+func GetChunks(ctx context.Context, cli *rpc.Client, addr string, keys []chunk.Key) ([][]byte, []chunk.Digest, error) {
 	var resp GetChunksResp
-	if err := cli.Call(addr, MethodGetChunks, &GetChunksReq{Keys: keys}, &resp); err != nil {
+	if err := cli.CallCtx(ctx, addr, MethodGetChunks, &GetChunksReq{Keys: keys}, &resp); err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Found) != len(keys) || len(resp.Data) != len(keys) ||
@@ -1122,7 +1119,7 @@ func GetChunks(cli *rpc.Client, addr string, keys []chunk.Key) ([][]byte, []chun
 		if !resp.Digests[i].Verify(resp.Data[i]) {
 			// Corrupted in transit (or rot the provider's check missed);
 			// ask it to recheck, and do not use these bytes.
-			_, _ = VerifyChunk(cli, addr, keys[i])
+			_, _ = VerifyChunk(ctx, cli, addr, keys[i])
 			continue
 		}
 		out[i] = resp.Data[i]
@@ -1132,10 +1129,10 @@ func GetChunks(cli *rpc.Client, addr string, keys []chunk.Key) ([][]byte, []chun
 }
 
 // GetChunkReplicas fetches a chunk trying each replica in order.
-func GetChunkReplicas(cli *rpc.Client, addrs []string, key chunk.Key) ([]byte, string, error) {
+func GetChunkReplicas(ctx context.Context, cli *rpc.Client, addrs []string, key chunk.Key) ([]byte, string, error) {
 	var lastErr error
 	for _, a := range addrs {
-		data, err := GetChunk(cli, a, key)
+		data, err := GetChunkRangeCtx(ctx, cli, a, key, 0, 0)
 		if err == nil {
 			return data, a, nil
 		}
@@ -1146,18 +1143,18 @@ func GetChunkReplicas(cli *rpc.Client, addrs []string, key chunk.Key) ([]byte, s
 }
 
 // Stats queries a provider's inventory counters.
-func Stats(cli *rpc.Client, addr string) (*StatsResp, error) {
+func Stats(ctx context.Context, cli *rpc.Client, addr string) (*StatsResp, error) {
 	var resp StatsResp
-	if err := cli.Call(addr, MethodStats, &Ack{}, &resp); err != nil {
+	if err := cli.CallCtx(ctx, addr, MethodStats, &Ack{}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
 // ListChunks fetches one provider's inventory of one blob.
-func ListChunks(cli *rpc.Client, addr string, blob uint64) (*ListChunksResp, error) {
+func ListChunks(ctx context.Context, cli *rpc.Client, addr string, blob uint64) (*ListChunksResp, error) {
 	var resp ListChunksResp
-	if err := cli.Call(addr, MethodListChunks, &ListChunksReq{Blob: blob}, &resp); err != nil {
+	if err := cli.CallCtx(ctx, addr, MethodListChunks, &ListChunksReq{Blob: blob}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -1165,9 +1162,9 @@ func ListChunks(cli *rpc.Client, addr string, blob uint64) (*ListChunksResp, err
 
 // DeleteChunks removes chunks from one provider, reporting what was
 // reclaimed there.
-func DeleteChunks(cli *rpc.Client, addr string, keys []chunk.Key) (*DeleteChunksResp, error) {
+func DeleteChunks(ctx context.Context, cli *rpc.Client, addr string, keys []chunk.Key) (*DeleteChunksResp, error) {
 	var resp DeleteChunksResp
-	if err := cli.Call(addr, MethodDeleteChunks, &DeleteChunksReq{Keys: keys}, &resp); err != nil {
+	if err := cli.CallCtx(ctx, addr, MethodDeleteChunks, &DeleteChunksReq{Keys: keys}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -1175,6 +1172,6 @@ func DeleteChunks(cli *rpc.Client, addr string, keys []chunk.Key) (*DeleteChunks
 
 // Tombstone marks blobs deleted on one provider: subsequent puts for them
 // are rejected.
-func Tombstone(cli *rpc.Client, addr string, blobs []uint64) error {
-	return cli.Call(addr, MethodTombstones, &TombstonesReq{Blobs: blobs}, &Ack{})
+func Tombstone(ctx context.Context, cli *rpc.Client, addr string, blobs []uint64) error {
+	return cli.CallCtx(ctx, addr, MethodTombstones, &TombstonesReq{Blobs: blobs}, &Ack{})
 }

@@ -2,6 +2,7 @@ package provider_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func TestPutGetHasStats(t *testing.T) {
 	key := chunk.Key{Blob: 1, Version: 7, Index: 3}
 	data := []byte("chunk-payload")
 
-	if err := provider.PutChunk(cli, "dp", key, data); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", key, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := provider.GetChunk(cli, "dp", key)
@@ -44,7 +45,7 @@ func TestPutGetHasStats(t *testing.T) {
 	if !has.Present {
 		t.Error("Has = false for stored chunk")
 	}
-	stats, err := provider.Stats(cli, "dp")
+	stats, err := provider.Stats(context.Background(), cli, "dp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +65,10 @@ func TestGetMissingChunk(t *testing.T) {
 func TestDuplicatePutRejected(t *testing.T) {
 	_, _, cli := startProvider(t, chunk.NewMemStore())
 	key := chunk.Key{Blob: 2}
-	if err := provider.PutChunk(cli, "dp", key, []byte("a")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	err := provider.PutChunk(cli, "dp", key, []byte("b"))
+	err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("b"))
 	var re *rpc.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("duplicate put: %v, want remote error", err)
@@ -85,20 +86,20 @@ func TestGetChunkReplicasFailover(t *testing.T) {
 	defer cli.Close()
 
 	key := chunk.Key{Blob: 3}
-	if err := provider.PutChunk(cli, "good", key, []byte("x")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "good", key, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	// First replica does not exist at all; second has the chunk.
-	data, from, err := provider.GetChunkReplicas(cli, []string{"dead", "good"}, key)
+	data, from, err := provider.GetChunkReplicas(context.Background(), cli, []string{"dead", "good"}, key)
 	if err != nil || from != "good" || string(data) != "x" {
 		t.Fatalf("failover = %q from %q, %v", data, from, err)
 	}
 	// All replicas dead.
-	if _, _, err := provider.GetChunkReplicas(cli, []string{"dead1", "dead2"}, key); err == nil {
+	if _, _, err := provider.GetChunkReplicas(context.Background(), cli, []string{"dead1", "dead2"}, key); err == nil {
 		t.Fatal("all-dead replicas succeeded")
 	}
 	// Empty replica set.
-	if _, _, err := provider.GetChunkReplicas(cli, nil, key); err == nil {
+	if _, _, err := provider.GetChunkReplicas(context.Background(), cli, nil, key); err == nil {
 		t.Fatal("empty replica set succeeded")
 	}
 }
@@ -121,7 +122,7 @@ func TestServerSurvivesLargeChunk(t *testing.T) {
 		big[i] = byte(i)
 	}
 	key := chunk.Key{Blob: 5}
-	if err := provider.PutChunk(cli, "dp", key, big); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", key, big); err != nil {
 		t.Fatal(err)
 	}
 	got, err := provider.GetChunk(cli, "dp", key)
@@ -135,14 +136,14 @@ func TestTombstoneRejectsLatePuts(t *testing.T) {
 	// A chunk stored before the tombstone stays readable (the delete
 	// sweep, not the tombstone, removes inventory).
 	old := chunk.Key{Blob: 4, Version: 1, Index: 0}
-	if err := provider.PutChunk(cli, "dp", old, []byte("pre")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", old, []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
-	if err := provider.Tombstone(cli, "dp", []uint64{4, 9}); err != nil {
+	if err := provider.Tombstone(context.Background(), cli, "dp", []uint64{4, 9}); err != nil {
 		t.Fatal(err)
 	}
 	// Late phase-1 put for the deleted blob: rejected, nothing stored.
-	err := provider.PutChunk(cli, "dp", chunk.Key{Blob: 4, Version: 2, Index: 0}, []byte("late"))
+	err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 4, Version: 2, Index: 0}, []byte("late"))
 	if err == nil {
 		t.Fatal("put for tombstoned blob succeeded")
 	}
@@ -154,7 +155,7 @@ func TestTombstoneRejectsLatePuts(t *testing.T) {
 		t.Error("rejected chunk was stored anyway")
 	}
 	// Other blobs are unaffected.
-	if err := provider.PutChunk(cli, "dp", chunk.Key{Blob: 5, Version: 1, Index: 0}, []byte("ok")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 5, Version: 1, Index: 0}, []byte("ok")); err != nil {
 		t.Fatalf("put for live blob: %v", err)
 	}
 	if _, err := provider.GetChunk(cli, "dp", old); err != nil {
@@ -197,7 +198,7 @@ func TestPutChunksBatch(t *testing.T) {
 			t.Fatalf("get %s = %q, %v", it.Key, got, err)
 		}
 	}
-	stats, err := provider.Stats(cli, "dp")
+	stats, err := provider.Stats(context.Background(), cli, "dp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestPutChunksBatch(t *testing.T) {
 // rejected while its batch-mates are stored.
 func TestPutChunksPerChunkErrorIsolation(t *testing.T) {
 	_, _, cli := startProvider(t, chunk.NewMemStore())
-	if err := provider.Tombstone(cli, "dp", []uint64{7}); err != nil {
+	if err := provider.Tombstone(context.Background(), cli, "dp", []uint64{7}); err != nil {
 		t.Fatal(err)
 	}
 	items := []provider.PutItem{

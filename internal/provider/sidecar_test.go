@@ -1,6 +1,7 @@
 package provider_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func startSidecarProvider(t *testing.T) (cli *rpc.Client, restart func()) {
 		// failed call drops it and the next one redials (at-most-once
 		// semantics forbid silent auto-retry), so ping until reachable.
 		for i := 0; ; i++ {
-			if _, err := provider.Stats(cli, "dp"); err == nil {
+			if _, err := provider.Stats(context.Background(), cli, "dp"); err == nil {
 				return
 			} else if i >= 100 {
 				t.Fatalf("provider unreachable after restart: %v", err)
@@ -61,22 +62,22 @@ func startSidecarProvider(t *testing.T) (cli *rpc.Client, restart func()) {
 func TestSidecarTombstonesSurviveRestart(t *testing.T) {
 	cli, restart := startSidecarProvider(t)
 
-	if err := provider.Tombstone(cli, "dp", []uint64{7}); err != nil {
+	if err := provider.Tombstone(context.Background(), cli, "dp", []uint64{7}); err != nil {
 		t.Fatal(err)
 	}
-	err := provider.PutChunk(cli, "dp", chunk.Key{Blob: 7, Version: 1, Index: 0}, []byte("x"))
+	err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 7, Version: 1, Index: 0}, []byte("x"))
 	if err == nil || !strings.Contains(err.Error(), "deleted") {
 		t.Fatalf("pre-restart put for tombstoned blob: err = %v, want rejection", err)
 	}
 
 	restart()
 
-	err = provider.PutChunk(cli, "dp", chunk.Key{Blob: 7, Version: 2, Index: 0}, []byte("y"))
+	err = provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 7, Version: 2, Index: 0}, []byte("y"))
 	if err == nil || !strings.Contains(err.Error(), "deleted") {
 		t.Fatalf("post-restart put for tombstoned blob: err = %v, want rejection (tombstone lost?)", err)
 	}
 	// Other blobs are unaffected.
-	if err := provider.PutChunk(cli, "dp", chunk.Key{Blob: 8, Version: 1, Index: 0}, []byte("z")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 8, Version: 1, Index: 0}, []byte("z")); err != nil {
 		t.Fatalf("put for live blob after restart: %v", err)
 	}
 }
@@ -89,7 +90,7 @@ func TestSidecarPutAgesSurviveRestart(t *testing.T) {
 	cli, restart := startSidecarProvider(t)
 
 	key := chunk.Key{Blob: 1, Version: 9, Index: 4}
-	if err := provider.PutChunk(cli, "dp", key, []byte("payload")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	const aged = 150 * time.Millisecond
@@ -97,7 +98,7 @@ func TestSidecarPutAgesSurviveRestart(t *testing.T) {
 
 	restart()
 
-	inv, err := provider.ListChunks(cli, "dp", 0)
+	inv, err := provider.ListChunks(context.Background(), cli, "dp", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +117,16 @@ func TestSidecarDeleteDropsAgeEntries(t *testing.T) {
 	cli, restart := startSidecarProvider(t)
 
 	key := chunk.Key{Blob: 2, Version: 1, Index: 0}
-	if err := provider.PutChunk(cli, "dp", key, []byte("gone")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("gone")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := provider.DeleteChunks(cli, "dp", []chunk.Key{key}); err != nil {
+	if _, err := provider.DeleteChunks(context.Background(), cli, "dp", []chunk.Key{key}); err != nil {
 		t.Fatal(err)
 	}
 
 	restart()
 
-	inv, err := provider.ListChunks(cli, "dp", 0)
+	inv, err := provider.ListChunks(context.Background(), cli, "dp", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +142,13 @@ func TestGetChunksBatch(t *testing.T) {
 	k1 := chunk.Key{Blob: 1, Version: 1, Index: 0}
 	k2 := chunk.Key{Blob: 1, Version: 1, Index: 1}
 	missing := chunk.Key{Blob: 1, Version: 1, Index: 9}
-	if err := provider.PutChunk(cli, "dp", k1, []byte("aa")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", k1, []byte("aa")); err != nil {
 		t.Fatal(err)
 	}
-	if err := provider.PutChunk(cli, "dp", k2, []byte("bbb")); err != nil {
+	if err := provider.PutChunk(context.Background(), cli, "dp", k2, []byte("bbb")); err != nil {
 		t.Fatal(err)
 	}
-	data, digs, err := provider.GetChunks(cli, "dp", []chunk.Key{k1, missing, k2})
+	data, digs, err := provider.GetChunks(context.Background(), cli, "dp", []chunk.Key{k1, missing, k2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestGetChunksBatch(t *testing.T) {
 	if !digs[0].Verify(data[0]) || !digs[2].Verify(data[2]) || !digs[1].IsZero() {
 		t.Fatalf("getchunks digests = %+v", digs)
 	}
-	st, err := provider.Stats(cli, "dp")
+	st, err := provider.Stats(context.Background(), cli, "dp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,11 @@ type Client struct {
 	timeout time.Duration
 	source  string
 
-	mu         sync.Mutex
-	conns      map[string]*clientConn
-	observer   ClientObserver
-	tracer     *trace.Tracer
-	rootTraces bool
-	redial     Backoff
+	mu       sync.Mutex
+	conns    map[string]*clientConn
+	observer ClientObserver
+	tracer   *trace.Tracer
+	redial   Backoff
 }
 
 // SourceDialer is implemented by transports that can attribute a
@@ -84,17 +83,16 @@ type clientConn struct {
 	deadErr error
 }
 
-// Call invokes method at addr, encoding req and decoding the reply into
-// resp (which may be nil for calls with no interesting reply body).
+// Call is CallCtx with a background context (an untraced call).
 func (c *Client) Call(addr, method string, req wire.Message, resp wire.Message) error {
 	return c.CallCtx(context.Background(), addr, method, req, resp)
 }
 
-// CallCtx is Call carrying a trace context: when ctx holds a span and a
-// tracer is attached, the call gets a client-side RPC span (a child of
-// the context's span) and the trace rides the request frame. A
-// context-free call on a SetRootTraces client originates a root trace
-// instead.
+// CallCtx invokes method at addr, encoding req and decoding the reply into
+// resp (which may be nil for calls with no interesting reply body). When
+// ctx holds a span and a tracer is attached, the call gets a client-side
+// RPC span (a child of the context's span) and the trace rides the
+// request frame; a context without a span makes an untraced call.
 func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Message, resp wire.Message) error {
 	payload := wire.Marshal(req)
 	raw, err := c.callRaw(ctx, addr, method, payload)
@@ -110,12 +108,8 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 func (c *Client) callRaw(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
 	obs := c.getObserver()
 	var act *trace.Active
-	if tr, roots := c.getTracer(); tr != nil {
-		if _, ok := trace.FromContext(ctx); ok {
-			_, act = tr.StartOp(ctx, method)
-		} else if roots {
-			act = tr.StartRoot(method)
-		}
+	if _, ok := trace.FromContext(ctx); ok {
+		_, act = c.Tracer().StartOp(ctx, method)
 	}
 	var start time.Time
 	if obs != nil {

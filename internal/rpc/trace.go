@@ -81,28 +81,12 @@ func (c *Client) SetTracer(t *trace.Tracer) {
 	c.mu.Unlock()
 }
 
-// SetRootTraces makes every plain (context-free) call on a
-// tracer-equipped client originate its own root trace, each with its
-// own sampling draw. This is how background planes — maintenance,
-// lease expiry, HA replication — trace their RPCs without
-// threading a context through their engines.
-func (c *Client) SetRootTraces(on bool) {
-	c.mu.Lock()
-	c.rootTraces = on
-	c.mu.Unlock()
-}
-
-// Tracer returns the attached tracer (nil when detached): the maintenance
-// plane records one root span per pass through it, named after the
-// actions the pass ran.
+// Tracer returns the attached tracer (nil when detached). Background
+// loops open each iteration's root span through it — a maintenance pass,
+// one expired lease's weave, one HA ship or probe round — and pass that
+// span's context to every call the iteration makes.
 func (c *Client) Tracer() *trace.Tracer {
-	t, _ := c.getTracer()
-	return t
-}
-
-func (c *Client) getTracer() (*trace.Tracer, bool) {
 	c.mu.Lock()
-	t, roots := c.tracer, c.rootTraces
-	c.mu.Unlock()
-	return t, roots
+	defer c.mu.Unlock()
+	return c.tracer
 }

@@ -205,40 +205,6 @@ func TestTracePropagatesClientToServer(t *testing.T) {
 	}
 }
 
-// TestAmbientRootTraces: a context-free Call on a SetRootTraces client
-// originates its own root trace — the background-plane mode.
-func TestAmbientRootTraces(t *testing.T) {
-	network := NewSimNetwork(nil)
-	srv := startEchoServer(t, network, "svc")
-	srvRec := trace.NewRecorder(64, 64)
-	srv.SetTracer(trace.New("provider", "svc", srvRec, 1, 0))
-
-	cli := NewClient(network, 5*time.Second)
-	t.Cleanup(cli.Close)
-	rec := trace.NewRecorder(64, 64)
-	cli.SetTracer(trace.New("gc", "gc0", rec, 1, 0))
-
-	var resp echoMsg
-	if err := cli.Call(srv.Addr(), "echo", &echoMsg{N: 1}, &resp); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if got := rec.Spans(0, false); len(got) != 0 {
-		t.Fatalf("root traces recorded before opt-in: %d", len(got))
-	}
-
-	cli.SetRootTraces(true)
-	if err := cli.Call(srv.Addr(), "echo", &echoMsg{N: 2}, &resp); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	roots := rec.Spans(0, false)
-	if len(roots) != 1 || roots[0].Parent != 0 || roots[0].Role != "gc" {
-		t.Fatalf("ambient root spans = %+v, want one parentless gc span", roots)
-	}
-	if got := srvRec.Spans(roots[0].Trace, false); len(got) != 1 {
-		t.Fatalf("server did not join the ambient trace: %d spans", len(got))
-	}
-}
-
 // TestUntracedClientAgainstTracedServer: no tracer on the client means
 // byte-identical old-format frames; the traced server records nothing.
 func TestUntracedClientAgainstTracedServer(t *testing.T) {

@@ -303,12 +303,12 @@ func (t *Tracer) StartOp(ctx context.Context, method string) (context.Context, *
 		a := t.startChild(sc, method)
 		return NewContext(ctx, a.Context()), a
 	}
-	a := t.StartRoot(method)
+	a := t.startRoot(method)
 	return NewContext(ctx, a.Context()), a
 }
 
-// StartRoot starts a root span with a fresh trace id and sampling draw.
-func (t *Tracer) StartRoot(method string) *Active {
+// startRoot starts a root span with a fresh trace id and sampling draw.
+func (t *Tracer) startRoot(method string) *Active {
 	if t == nil {
 		return nil
 	}
@@ -337,7 +337,7 @@ func (t *Tracer) StartRemote(sc SpanContext, method string) *Active {
 		return nil
 	}
 	if !sc.Valid() {
-		a := t.StartRoot(method)
+		a := t.startRoot(method)
 		a.span.Sampled = false
 		return a
 	}

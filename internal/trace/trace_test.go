@@ -46,7 +46,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	a.SetBytes(1)
 	a.Finish(nil)
-	if tr.StartRoot("x") != nil || tr.StartRemote(SpanContext{Trace: 1}, "x") != nil {
+	if tr.startRoot("x") != nil || tr.StartRemote(SpanContext{Trace: 1}, "x") != nil {
 		t.Fatal("nil tracer started a span")
 	}
 	if New("r", "n", NewRecorder(0, 0), 0, 0) != nil {
@@ -114,7 +114,7 @@ func TestFlightRecorderThreshold(t *testing.T) {
 	tr.SetSlowThreshold("fast.method", 1*time.Hour)
 
 	mkSpan := func(method string, dur time.Duration) {
-		a := tr.StartRoot(method)
+		a := tr.startRoot(method)
 		a.span.Sampled = false // force the unsampled path regardless of the draw
 		a.start = time.Now().Add(-dur)
 		a.Finish(nil)

@@ -31,24 +31,7 @@ type Caller struct {
 
 // RPCCaller is the subset of rpc.Client the Caller needs.
 type RPCCaller interface {
-	Call(addr, method string, req, resp wire.Message) error
-}
-
-// ctxCaller is an optional RPCCaller refinement: transports that can
-// attribute an RPC to a caller context (trace propagation) implement
-// it. rpc.Client does; test fakes that only implement Call keep
-// working context-free.
-type ctxCaller interface {
 	CallCtx(ctx context.Context, addr, method string, req, resp wire.Message) error
-}
-
-// call routes one RPC through the context-aware path when the
-// transport offers it.
-func (c *Caller) call(ctx context.Context, addr, method string, req, resp wire.Message) error {
-	if cc, ok := c.rpc.(ctxCaller); ok {
-		return cc.CallCtx(ctx, addr, method, req, resp)
-	}
-	return c.rpc.Call(addr, method, req, resp)
 }
 
 // redirectBudget bounds redirect-chasing within one attempt, so two
@@ -88,23 +71,17 @@ func (c *Caller) noteLeader(addr string) {
 // Call invokes a version-manager method at whoever currently leads.
 // Application errors (the remote handler rejecting the request) pass
 // through untouched — only transport failures and redirects engage the
-// failover machinery.
-func (c *Caller) Call(method string, req, resp wire.Message) error {
-	return c.CallCtx(context.Background(), method, req, resp)
-}
-
-// CallCtx is Call carrying the caller's context, so a traced operation
-// attributes its version-manager RPCs — including any failover probing
-// and redirect-chasing — to its trace.
-func (c *Caller) CallCtx(ctx context.Context, method string, req, resp wire.Message) error {
+// failover machinery. A traced ctx attributes every RPC of the call —
+// including any failover probing and redirect-chasing — to its trace.
+func (c *Caller) Call(ctx context.Context, method string, req, resp wire.Message) error {
 	if len(c.addrs) == 1 {
-		return c.call(ctx, c.addrs[0], method, req, resp)
+		return c.rpc.CallCtx(ctx, c.addrs[0], method, req, resp)
 	}
 	target := c.Primary()
 	deadline := time.Now().Add(c.window)
 	redirects := 0
 	for attempt := 0; ; attempt++ {
-		err := c.call(ctx, target, method, req, resp)
+		err := c.rpc.CallCtx(ctx, target, method, req, resp)
 		if err == nil {
 			c.noteLeader(target)
 			return nil
@@ -152,7 +129,7 @@ func (c *Caller) probe(ctx context.Context) string {
 	bestFirstHand := false
 	for _, addr := range c.addrs {
 		var r WhoIsLeaderResp
-		if err := c.call(ctx, addr, MethodWhoIsLeader, &Ack{}, &r); err != nil {
+		if err := c.rpc.CallCtx(ctx, addr, MethodWhoIsLeader, &Ack{}, &r); err != nil {
 			continue
 		}
 		switch {

@@ -15,7 +15,7 @@ type fakeRing struct {
 	views map[string]WhoIsLeaderResp
 }
 
-func (f *fakeRing) Call(addr, method string, req, resp wire.Message) error {
+func (f *fakeRing) CallCtx(_ context.Context, addr, method string, req, resp wire.Message) error {
 	if method != MethodWhoIsLeader {
 		return errors.New("fakeRing: unexpected method " + method)
 	}

@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // High availability for the version manager — the one component whose
@@ -65,9 +68,10 @@ type epochInfo struct {
 }
 
 // ReplicateFunc ships one replication message to a peer and returns its
-// response. Supplied by the deployment (an rpc client sourced at this
-// node's address); the manager itself never dials.
-type ReplicateFunc func(addr string, req *ReplicateReq) (*ReplicateResp, error)
+// response, under the ship or probe round's context. Supplied by the
+// deployment (an rpc client sourced at this node's address); the manager
+// itself never dials.
+type ReplicateFunc func(ctx context.Context, addr string, req *ReplicateReq) (*ReplicateResp, error)
 
 // HAConfig configures one node of a replicated version-manager group.
 type HAConfig struct {
@@ -94,6 +98,10 @@ type HAConfig struct {
 	Bootstrap bool
 	// Transport ships replication messages.
 	Transport ReplicateFunc
+	// Tracer, when set, opens one root span per round — one message
+	// shipped to one standby, or one takeover probe of every peer — whose
+	// context the round's Transport calls carry.
+	Tracer *trace.Tracer
 }
 
 // haState is the Manager's high-availability state. The zero value means
@@ -378,12 +386,11 @@ func (m *Manager) haTick() {
 			return
 		}
 		ei := m.epochView()
-		peers := append([]string(nil), h.cfg.Peers...)
-		transport := h.cfg.Transport
+		cfg := h.cfg
 		// Probe without holding ha.mu: transport calls block, and peers
 		// answering our probe must not convoy behind this node's lock.
 		h.mu.Unlock()
-		if m.deferTakeover(ei, peers, transport) {
+		if m.deferTakeover(ei, cfg) {
 			return
 		}
 		h.mu.Lock()
@@ -418,14 +425,16 @@ func (m *Manager) haTick() {
 // incomparable) fall through to the stagger ranking. Unreachable peers are
 // skipped — with every peer dead, a lone standby must still take over,
 // whatever its cursor says: it is the best history left.
-func (m *Manager) deferTakeover(ei epochInfo, peers []string, transport ReplicateFunc) bool {
+func (m *Manager) deferTakeover(ei epochInfo, cfg HAConfig) bool {
 	h := &m.ha
 	h.applyMu.Lock()
 	selfSession, selfSeq, selfSynced := h.session, h.appliedSeq, h.synced
 	h.applyMu.Unlock()
+	ctx, round := cfg.Tracer.StartOp(context.Background(), "vm.probe")
+	defer round.Finish(nil)
 	req := &ReplicateReq{Probe: true, Epoch: ei.epoch, Leader: ei.leader}
-	for _, addr := range peers {
-		resp, err := transport(addr, req)
+	for _, addr := range cfg.Peers {
+		resp, err := cfg.Transport(ctx, addr, req)
 		if err != nil {
 			continue
 		}

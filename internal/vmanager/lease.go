@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,10 +19,11 @@ import (
 // in-flight writers were still alive and preserves their leases.
 
 // AbortWeaver repairs an aborted version's metadata tree (an identity over
-// its predecessor — see meta.WeaveIdentity). The expiry loop calls it with
-// no manager locks held; errors are tolerated (the version is aborted
-// unwoven and the GC sweep repairs it via UnwovenAborts).
-type AbortWeaver func(meta.IdentityInput) error
+// its predecessor — see meta.WeaveIdentity) under the expiry pass's
+// context. The expiry loop calls it with no manager locks held; errors are
+// tolerated (the version is aborted unwoven and the GC sweep repairs it
+// via UnwovenAborts).
+type AbortWeaver func(ctx context.Context, in meta.IdentityInput) error
 
 // SetLeaseTTL sets the lease TTL granted by Assign (0 disables leases;
 // versions assigned without a lease never expire). Not journaled: the TTL
@@ -97,7 +99,7 @@ func (m *Manager) RenewLease(blobID, version uint64) error {
 // precondition (all predecessors finished) trivially true. Returns the
 // number of versions expired; an error means the journal rejected an
 // abort and the pass should be retried next tick.
-func (m *Manager) ExpireLeases(weaver AbortWeaver) (int, error) {
+func (m *Manager) ExpireLeases(ctx context.Context, weaver AbortWeaver) (int, error) {
 	// Only a live leader expires: a standby aborting versions on its own
 	// would diverge from the leader's journal (it hears about expiries
 	// through the replication stream like any other transition).
@@ -112,7 +114,7 @@ func (m *Manager) ExpireLeases(weaver AbortWeaver) (int, error) {
 	m.mu.Unlock()
 	expired := 0
 	for _, b := range blobs {
-		n, err := m.expireBlob(b, weaver)
+		n, err := m.expireBlob(ctx, b, weaver)
 		expired += n
 		if err != nil {
 			return expired, err
@@ -124,7 +126,7 @@ func (m *Manager) ExpireLeases(weaver AbortWeaver) (int, error) {
 	return expired, nil
 }
 
-func (m *Manager) expireBlob(b *blobState, weaver AbortWeaver) (int, error) {
+func (m *Manager) expireBlob(ctx context.Context, b *blobState, weaver AbortWeaver) (int, error) {
 	expired := 0
 	for {
 		b.mu.Lock()
@@ -171,7 +173,7 @@ func (m *Manager) expireBlob(b *blobState, weaver AbortWeaver) (int, error) {
 		// Weave with no locks held: this talks to the metadata plane.
 		woven := false
 		if weaver != nil {
-			woven = weaver(in) == nil
+			woven = weaver(ctx, in) == nil
 		}
 
 		m.journalBegin()

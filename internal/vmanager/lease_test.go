@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -144,11 +145,11 @@ func TestRenewAfterLapseBeforeExpiryStillSucceeds(t *testing.T) {
 	if err := m.RenewLease(blob, resp.Version); err != nil {
 		t.Fatalf("renew after lapse but before expiry pickup = %v, want grace", err)
 	}
-	if n, err := m.ExpireLeases(nil); n != 0 || err != nil {
+	if n, err := m.ExpireLeases(context.Background(), nil); n != 0 || err != nil {
 		t.Fatalf("ExpireLeases after renewal = %d, %v; want 0 expired", n, err)
 	}
 	clk.advance(50 * time.Millisecond) // renewed lease lapses too
-	if n, _ := m.ExpireLeases(nil); n != 1 {
+	if n, _ := m.ExpireLeases(context.Background(), nil); n != 1 {
 		t.Fatalf("ExpireLeases = %d, want 1", n)
 	}
 	if err := m.RenewLease(blob, resp.Version); !errors.Is(err, ErrLeaseExpired) {
@@ -174,11 +175,11 @@ func TestExpireLeasesWeavesServerSide(t *testing.T) {
 	clk.advance(25 * time.Millisecond)
 
 	var got []meta.IdentityInput
-	weaver := func(in meta.IdentityInput) error {
+	weaver := func(_ context.Context, in meta.IdentityInput) error {
 		got = append(got, in)
 		return nil
 	}
-	n, err := m.ExpireLeases(weaver)
+	n, err := m.ExpireLeases(context.Background(), weaver)
 	if n != 1 || err != nil {
 		t.Fatalf("ExpireLeases = %d, %v; want 1", n, err)
 	}
@@ -226,7 +227,7 @@ func TestExpiryWeaveFailureFallsToGC(t *testing.T) {
 	}
 	clk.advance(15 * time.Millisecond)
 	weaveErr := errors.New("metadata plane down")
-	n, err := m.ExpireLeases(func(meta.IdentityInput) error { return weaveErr })
+	n, err := m.ExpireLeases(context.Background(), func(context.Context, meta.IdentityInput) error { return weaveErr })
 	if n != 1 || err != nil {
 		t.Fatalf("ExpireLeases = %d, %v; want 1 (weave failure still aborts)", n, err)
 	}
@@ -266,7 +267,7 @@ func TestExpiryDrainsCrashStormInOnePass(t *testing.T) {
 		}
 	}
 	clk.advance(20 * time.Millisecond)
-	n, err := m.ExpireLeases(nil)
+	n, err := m.ExpireLeases(context.Background(), nil)
 	if n != 3 || err != nil {
 		t.Fatalf("ExpireLeases = %d, %v; want the whole storm (3)", n, err)
 	}
@@ -301,7 +302,7 @@ func TestExpiryAndWovenMarksSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(15 * time.Millisecond)
-	if n, err := m.ExpireLeases(nil); n != 1 || err != nil {
+	if n, err := m.ExpireLeases(context.Background(), nil); n != 1 || err != nil {
 		t.Fatalf("ExpireLeases = %d, %v", n, err)
 	}
 	re := openM(t, dir)

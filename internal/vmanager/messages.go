@@ -569,7 +569,7 @@ var CounterTable = [NumCounters]CounterDef{
 
 	RepairPasses:          {"repair", "passes", "passes_total", "Completed self-healing repair passes (all engines reporting here)."},
 	RepairScanned:         {"repair", "scanned", "chunks_scanned_total", "Live-chunk placement records examined by repair passes."},
-	RepairUnderReplicated: {"repair", "under-replicated", "", "Chunks found with a dead, avoided or corrupt replica, or short of their replication degree."},
+	RepairUnderReplicated: {"repair", "under-replicated", "", "Chunks found with a dead or corrupt replica, or short of their replication degree."},
 	RepairReReplicated:    {"repair", "re-replicated", "rereplicated_total", "Replica copies recreated on fresh providers."},
 	RepairMigrated:        {"repair", "migrated", "migrated_total", "Chunks moved off overfull providers by the rebalancer."},
 	RepairBytesMoved:      {"repair", "bytes-moved", "bytes_moved_total", "Payload bytes copied by re-replication and rebalance."},

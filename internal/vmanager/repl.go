@@ -1,10 +1,13 @@
 package vmanager
 
 import (
+	"context"
 	"log"
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // The leader half of control-plane replication. The replicator attaches
@@ -50,6 +53,7 @@ type replicator struct {
 	quorum    bool
 	ttl       time.Duration
 	transport ReplicateFunc
+	tracer    *trace.Tracer
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -81,6 +85,7 @@ func newReplicator(m *Manager, epoch uint64, cfg HAConfig) *replicator {
 		quorum:    cfg.Quorum,
 		ttl:       cfg.LeadershipTTL,
 		transport: cfg.Transport,
+		tracer:    cfg.Tracer,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -282,7 +287,9 @@ func (r *replicator) deliver(p *replPeer, item replItem) {
 	}
 	r.mu.Unlock()
 
-	resp, err := r.transport(p.addr, item.req)
+	ctx, round := r.tracer.StartOp(context.Background(), "vm.ship")
+	resp, err := r.transport(ctx, p.addr, item.req)
+	round.Finish(err)
 
 	r.mu.Lock()
 	defer func() {

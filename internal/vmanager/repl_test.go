@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,7 +23,7 @@ func newHAGroup() *haGroup {
 	return &haGroup{nodes: map[string]*Manager{}, down: map[string]bool{}}
 }
 
-func (g *haGroup) transport(addr string, req *ReplicateReq) (*ReplicateResp, error) {
+func (g *haGroup) transport(_ context.Context, addr string, req *ReplicateReq) (*ReplicateResp, error) {
 	g.mu.Lock()
 	m, down := g.nodes[addr], g.down[addr]
 	g.mu.Unlock()

@@ -2,10 +2,7 @@ package workload
 
 import (
 	"bytes"
-	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestFillVerify(t *testing.T) {
@@ -21,112 +18,5 @@ func TestFillVerify(t *testing.T) {
 	Fill(q, 42)
 	if !bytes.Equal(p, q) {
 		t.Fatal("Fill not deterministic")
-	}
-}
-
-func TestPartitionCoversExactly(t *testing.T) {
-	f := func(total uint32, n uint8, alignPow uint8) bool {
-		totalBytes := uint64(total)%(1<<20) + 1
-		clients := int(n%16) + 1
-		align := uint64(1) << (alignPow % 13)
-		ranges := Partition(totalBytes, clients, align)
-		var pos uint64
-		for i, r := range ranges {
-			if r.Off != pos {
-				return false
-			}
-			if r.Len == 0 {
-				return false
-			}
-			if i < len(ranges)-1 && r.Off%align != 0 {
-				return false
-			}
-			pos += r.Len
-		}
-		return pos == totalBytes
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPartitionEdges(t *testing.T) {
-	if got := Partition(0, 4, 8); got != nil {
-		t.Errorf("Partition(0) = %v", got)
-	}
-	if got := Partition(100, 0, 8); got != nil {
-		t.Errorf("Partition(n=0) = %v", got)
-	}
-	// More clients than aligned slots: fewer ranges, still full coverage.
-	ranges := Partition(16, 32, 8)
-	var sum uint64
-	for _, r := range ranges {
-		sum += r.Len
-	}
-	if sum != 16 {
-		t.Errorf("coverage = %d", sum)
-	}
-}
-
-func TestRandomWindowsInBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	wins := RandomWindows(rng, 1<<20, 4096, 512, 200)
-	if len(wins) != 200 {
-		t.Fatalf("count = %d", len(wins))
-	}
-	for _, w := range wins {
-		if w.Off+w.Len > 1<<20 {
-			t.Fatalf("window out of bounds: %+v", w)
-		}
-		if w.Off%512 != 0 {
-			t.Fatalf("window not grain-aligned: %+v", w)
-		}
-	}
-	if RandomWindows(rng, 100, 200, 1, 5) != nil {
-		t.Error("window larger than blob accepted")
-	}
-}
-
-func TestTextCorpusShape(t *testing.T) {
-	corpus := TextCorpus(100, 8, 7)
-	lines := strings.Split(strings.TrimSpace(string(corpus)), "\n")
-	if len(lines) != 100 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	for _, l := range lines {
-		if len(strings.Fields(l)) != 8 {
-			t.Fatalf("line %q has wrong word count", l)
-		}
-	}
-	// Deterministic.
-	if !bytes.Equal(corpus, TextCorpus(100, 8, 7)) {
-		t.Error("TextCorpus not deterministic")
-	}
-	if bytes.Equal(corpus, TextCorpus(100, 8, 8)) {
-		t.Error("TextCorpus ignores seed")
-	}
-}
-
-func TestLogCorpusHasErrors(t *testing.T) {
-	corpus := string(LogCorpus(1000, 10, 3))
-	errs := strings.Count(corpus, "ERROR")
-	if errs < 50 || errs > 200 {
-		t.Errorf("error lines = %d, want ~100", errs)
-	}
-	if got := strings.Count(corpus, "\n"); got != 1000 {
-		t.Errorf("lines = %d", got)
-	}
-}
-
-func TestKeyCorpusSortable(t *testing.T) {
-	corpus := KeyCorpus(50, 9)
-	lines := strings.Split(strings.TrimSpace(string(corpus)), "\n")
-	if len(lines) != 50 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	for _, l := range lines {
-		if len(l) != 16 {
-			t.Fatalf("key %q not fixed width", l)
-		}
 	}
 }
