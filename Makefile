@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet guard bench-vet test race fuzz e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke ci clean
+.PHONY: all build vet guard bench-vet test race micro fuzz e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke ci clean
 
 all: ci
 
@@ -18,9 +18,12 @@ vet:
 # One call signature: below the client API every RPC path takes a
 # context.Context first, so the ambient-root client mode and the adapters
 # that probed for a context-taking callee stay gone.
+# One copy per hop: RPC bodies are encoded straight into the pooled frame,
+# so the rpc layer never marshals a body into a buffer of its own.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
 	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
+	@! grep -rn 'wire\.Marshal' --include='*.go' --exclude='*_test.go' internal/rpc
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
 # with ..), so root `go vet ./...` and `go test ./...` never see it. This
@@ -34,6 +37,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Data-path micro-benchmarks as a short smoke: a 64 KiB chunk get and a
+# 32 x 64 KiB putchunks over TCP loopback (plus the rpc and wire
+# benchmarks), 20 iterations each, with allocation counts.
+micro:
+	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem ./internal/wire/ ./internal/rpc/ ./internal/provider/
 
 # Each fuzz target must run in its own invocation (go test allows one
 # -fuzz pattern per package at a time).
@@ -115,7 +124,7 @@ SOAK_SECS ?= 10
 soak-smoke:
 	BLASTER_SOAK_SECS=$(SOAK_SECS) $(GO) test -race -count=1 -run 'TestSoakSmoke' -timeout 10m ./internal/blaster/
 
-ci: vet guard bench-vet build race fuzz e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke
+ci: vet guard bench-vet build race micro fuzz e2e-restart e2e-maint e2e-lease e2e-failover e2e-trace soak-smoke
 
 clean:
 	$(GO) clean -testcache

@@ -301,13 +301,17 @@ func TestDaemonFailover(t *testing.T) {
 	if _, err := blob.Write(before, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Quorum commits need the standby inside the leader's commit gate.
+	// Quorum commits need the standby inside the leader's commit gate. A
+	// peer counts as synced once its catch-up snapshot is queued, so also
+	// wait for its ack to reach the stream head: killing the leader before
+	// the snapshot lands would leave the successor without the blob.
 	probe := rpc.NewClient(rpc.NewTCPNetwork(), 2*time.Second)
 	defer probe.Close()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		var st vmanager.HAStatusResp
 		if err := probe.Call(addrA, vmanager.MethodHAStatus, &vmanager.Ack{}, &st); err == nil &&
-			st.Role == "leader" && len(st.Standbys) == 1 && st.Standbys[0].Synced {
+			st.Role == "leader" && len(st.Standbys) == 1 && st.Standbys[0].Synced &&
+			st.Standbys[0].AckSeq == st.StreamSeq {
 			break
 		}
 		if time.Now().After(deadline) {

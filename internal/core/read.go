@@ -131,7 +131,7 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 		dst := p[lo-off : hi-off]
 		ref := refs[i]
 		if ref.IsZero() {
-			zero(dst)
+			clear(dst)
 			return nil
 		}
 		// Only [inLo, validHi) of the chunk holds stored bytes for this
@@ -142,7 +142,7 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 		inLo := lo - chunkLo
 		validHi := minU64(hi-chunkLo, uint64(ref.Length))
 		if validHi <= inLo {
-			zero(dst)
+			clear(dst)
 			return nil
 		}
 		data, err := b.fetchChunkRange(ctx, ref, inLo, validHi-inLo)
@@ -165,7 +165,7 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 			}
 		}
 		n := copy(dst, data)
-		zero(dst[n:])
+		clear(dst[n:])
 		return nil
 	})
 }
@@ -202,12 +202,6 @@ func (b *Blob) fetchChunkRange(ctx context.Context, ref meta.ChunkRef, off, leng
 	}
 	return nil, fmt.Errorf("core: chunk %s unavailable on all %d replicas: %w",
 		ref.Key, len(ref.Providers), lastErr)
-}
-
-func zero(p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
 }
 
 // finishIgnoringEOF finishes an operation span without counting io.EOF

@@ -57,12 +57,19 @@ func (r *PutReq) Encode(e *wire.Encoder) {
 	e.PutU32(r.Digest.Sum)
 }
 
-// Decode implements wire.Message.
+// Size implements wire.Sizer.
+func (r *PutReq) Size() int { return putItemSize(len(r.Data)) }
+
+// putItemSize is the encoded size of one chunk put: key, length-prefixed
+// payload, digest.
+func putItemSize(n int) int { return 24 + 4 + n + 5 }
+
+// Decode implements wire.Message. Data aliases the decoded buffer.
 func (r *PutReq) Decode(d *wire.Decoder) {
 	r.Key.Blob = d.U64()
 	r.Key.Version = d.U64()
 	r.Key.Index = d.U64()
-	r.Data = d.BytesCopy()
+	r.Data = d.Bytes()
 	r.Digest.Algo = d.U8()
 	r.Digest.Sum = d.U32()
 }
@@ -96,7 +103,17 @@ func (r *PutChunksReq) Encode(e *wire.Encoder) {
 	}
 }
 
-// Decode implements wire.Message.
+// Size implements wire.Sizer.
+func (r *PutChunksReq) Size() int {
+	n := 4
+	for _, it := range r.Items {
+		n += putItemSize(len(it.Data))
+	}
+	return n
+}
+
+// Decode implements wire.Message. Each item's Data aliases the decoded
+// buffer.
 func (r *PutChunksReq) Decode(d *wire.Decoder) {
 	cnt := d.U32()
 	r.Items = nil
@@ -105,7 +122,7 @@ func (r *PutChunksReq) Decode(d *wire.Decoder) {
 		it.Key.Blob = d.U64()
 		it.Key.Version = d.U64()
 		it.Key.Index = d.U64()
-		it.Data = d.BytesCopy()
+		it.Data = d.Bytes()
 		it.Digest.Algo = d.U8()
 		it.Digest.Sum = d.U32()
 		r.Items = append(r.Items, it)
@@ -187,10 +204,13 @@ func (r *GetResp) Encode(e *wire.Encoder) {
 	e.PutU32(r.Digest.Sum)
 }
 
-// Decode implements wire.Message.
+// Size implements wire.Sizer.
+func (r *GetResp) Size() int { return 1 + 4 + len(r.Data) + 5 }
+
+// Decode implements wire.Message. Data aliases the decoded buffer.
 func (r *GetResp) Decode(d *wire.Decoder) {
 	r.Found = d.Bool()
-	r.Data = d.BytesCopy()
+	r.Data = d.Bytes()
 	r.Digest.Algo = d.U8()
 	r.Digest.Sum = d.U32()
 }
@@ -255,7 +275,19 @@ func (r *GetChunksResp) Encode(e *wire.Encoder) {
 	}
 }
 
-// Decode implements wire.Message.
+// Size implements wire.Sizer.
+func (r *GetChunksResp) Size() int {
+	n := 4 + 2*len(r.Found)
+	for i, ok := range r.Found {
+		if ok {
+			n += 4 + len(r.Data[i]) + 5
+		}
+	}
+	return n
+}
+
+// Decode implements wire.Message. Each Data entry aliases the decoded
+// buffer.
 func (r *GetChunksResp) Decode(d *wire.Decoder) {
 	cnt := d.U32()
 	r.Found, r.Corrupt, r.Data, r.Digests = nil, nil, nil, nil
@@ -264,7 +296,7 @@ func (r *GetChunksResp) Decode(d *wire.Decoder) {
 		r.Found = append(r.Found, ok)
 		r.Corrupt = append(r.Corrupt, d.Bool())
 		if ok {
-			r.Data = append(r.Data, d.BytesCopy())
+			r.Data = append(r.Data, d.Bytes())
 			r.Digests = append(r.Digests, chunk.Digest{Algo: d.U8(), Sum: d.U32()})
 		} else {
 			r.Data = append(r.Data, nil)

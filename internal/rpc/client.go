@@ -93,19 +93,11 @@ func (c *Client) Call(addr, method string, req wire.Message, resp wire.Message) 
 // ctx holds a span and a tracer is attached, the call gets a client-side
 // RPC span (a child of the context's span) and the trace rides the
 // request frame; a context without a span makes an untraced call.
+//
+// req is encoded straight into the request frame. resp is decoded in
+// place: byte-slice fields may alias the response frame, which belongs to
+// the caller from then on.
 func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Message, resp wire.Message) error {
-	payload := wire.Marshal(req)
-	raw, err := c.callRaw(ctx, addr, method, payload)
-	if err != nil {
-		return err
-	}
-	if resp == nil {
-		return nil
-	}
-	return wire.Unmarshal(raw, resp)
-}
-
-func (c *Client) callRaw(ctx context.Context, addr, method string, payload []byte) ([]byte, error) {
 	obs := c.getObserver()
 	var act *trace.Active
 	if _, ok := trace.FromContext(ctx); ok {
@@ -115,28 +107,32 @@ func (c *Client) callRaw(ctx context.Context, addr, method string, payload []byt
 	if obs != nil {
 		start = time.Now()
 	}
-	raw, err := c.callRawAttempts(addr, method, payload, act.Context(), obs)
+	raw, sent, err := c.callAttempts(addr, method, req, act.Context(), obs)
 	if obs != nil {
 		obs.ObserveCall(addr, method, time.Since(start), err)
 	}
 	if act != nil {
-		act.SetBytes(int64(len(payload) + len(raw)))
+		act.SetBytes(int64(sent + len(raw)))
 		act.Finish(err)
 	}
-	return raw, err
+	if err != nil || resp == nil {
+		return err
+	}
+	return wire.Unmarshal(raw, resp)
 }
 
 // maxRedials bounds how many fresh dials one call may burn through when
 // the cached connection keeps dying before anything is sent.
 const maxRedials = 4
 
-func (c *Client) callRawAttempts(addr, method string, payload []byte, sc trace.SpanContext, obs ClientObserver) ([]byte, error) {
+// callAttempts returns the reply body and the encoded request body length.
+func (c *Client) callAttempts(addr, method string, req wire.Message, sc trace.SpanContext, obs ClientObserver) ([]byte, int, error) {
 	for attempt := 0; ; attempt++ {
 		cc, err := c.getConn(addr)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		raw, err := cc.roundTrip(method, payload, sc, c.timeout)
+		raw, sent, err := cc.roundTrip(method, req, sc, c.timeout)
 		if err != nil && !isAppError(err) {
 			// Transport-level failure: drop the cached connection so the
 			// next call re-dials (the peer may have restarted).
@@ -158,7 +154,7 @@ func (c *Client) callRawAttempts(addr, method string, payload []byte, sc trace.S
 				continue
 			}
 		}
-		return raw, err
+		return raw, sent, err
 	}
 }
 
@@ -231,12 +227,14 @@ func (c *Client) Close() {
 // side-effect free.
 var errConnDead = errors.New("rpc: cached connection is dead")
 
-func (cc *clientConn) roundTrip(method string, payload []byte, sc trace.SpanContext, timeout time.Duration) ([]byte, error) {
+// roundTrip encodes req straight into a pooled request frame, sends it,
+// and waits for the reply body. It also returns the request body length.
+func (cc *clientConn) roundTrip(method string, req wire.Message, sc trace.SpanContext, timeout time.Duration) ([]byte, int, error) {
 	cc.mu.Lock()
 	if cc.dead {
 		err := cc.deadErr
 		cc.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", errConnDead, err)
+		return nil, 0, fmt.Errorf("%w: %v", errConnDead, err)
 	}
 	id := cc.nextID.Add(1)
 	call := &pendingCall{done: make(chan struct{})}
@@ -247,7 +245,7 @@ func (cc *clientConn) roundTrip(method string, payload []byte, sc trace.SpanCont
 	enc.PutU8(kindRequest)
 	enc.PutU64(id)
 	enc.PutString(method)
-	enc.PutBytes(payload)
+	sent := enc.PutMessage(req)
 	appendTraceTrailer(enc, sc)
 
 	err := cc.conn.Send(enc.Bytes())
@@ -256,7 +254,7 @@ func (cc *clientConn) roundTrip(method string, payload []byte, sc trace.SpanCont
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		return nil, err
+		return nil, sent, err
 	}
 
 	timer := time.NewTimer(timeout)
@@ -265,19 +263,19 @@ func (cc *clientConn) roundTrip(method string, payload []byte, sc trace.SpanCont
 	case <-call.done:
 		if call.err != nil {
 			if call.err == errRemoteSentinel {
-				return nil, &RemoteError{Method: method, Msg: string(call.resp)}
+				return nil, sent, &RemoteError{Method: method, Msg: string(call.resp)}
 			}
 			if call.err == errRedirectSentinel {
-				return nil, &Redirect{Method: method, Target: call.target, Msg: string(call.resp)}
+				return nil, sent, &Redirect{Method: method, Target: call.target, Msg: string(call.resp)}
 			}
-			return nil, call.err
+			return nil, sent, call.err
 		}
-		return call.resp, nil
+		return call.resp, sent, nil
 	case <-timer.C:
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
+		return nil, sent, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
 	}
 }
 
@@ -317,10 +315,9 @@ func (cc *clientConn) readLoop() {
 		if !ok {
 			continue // timed out already
 		}
-		// Copy out of the transport buffer before handing to the caller.
-		b := make([]byte, len(body))
-		copy(b, body)
-		call.resp = b
+		// body aliases msg, a fresh buffer Recv hands over for good: the
+		// caller takes it without a copy.
+		call.resp = body
 		switch status {
 		case statusOK:
 		case statusRedirect:

@@ -6,9 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Framing-buffer pool for the client and server send paths. Every call
-// frames its payload into a wire.Encoder; without pooling that is one
-// fresh allocation (growing to the frame size) per request AND per
+// Framing-buffer pool for the client and server send paths. Every request
+// and every response body is encoded straight into one of these frames
+// (wire.Encoder.PutMessage) — the only copy of the body on the send side;
+// without pooling that is one fresh allocation per request AND per
 // response, which the garbage collector pays for on the hot path. Both
 // transports copy the buffer out during Send (SimNetwork copies before
 // scheduling delivery, tcpConn writes and flushes synchronously), so an

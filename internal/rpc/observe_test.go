@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 // recordingObserver captures server-side observations for assertions.
@@ -88,7 +88,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	cli := NewClient(network, 5*time.Second)
 	defer cli.Close()
 
-	_, err := cli.callRaw(context.Background(), "s", "explode", []byte("x"))
+	_, err := callRaw(cli, "s", "explode", []byte("x"))
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("want RemoteError from panicking handler, got %v", err)
@@ -98,7 +98,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 
 	// The connection must still work — no redial, same cached conn.
-	raw, err := cli.callRaw(context.Background(), "s", "echo", []byte("still alive"))
+	raw, err := callRaw(cli, "s", "echo", []byte("still alive"))
 	if err != nil || string(raw) != "still alive" {
 		t.Fatalf("connection did not survive the panic: %v %q", err, raw)
 	}
@@ -113,6 +113,47 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 	if obs.requests != 2 {
 		t.Fatalf("observer requests: got %d want 2", obs.requests)
+	}
+}
+
+// panicEncodeMsg's encoder panics after writing into the reply frame.
+type panicEncodeMsg struct{}
+
+func (*panicEncodeMsg) Encode(e *wire.Encoder) {
+	e.PutU64(0xBADC0DE)
+	panic("half-encoded reply")
+}
+
+func (*panicEncodeMsg) Decode(*wire.Decoder) {}
+
+// TestReplyEncodePanicRecovered: replies are encoded straight into the
+// response frame, so a reply whose encoder panics must still become a
+// clean status-error frame (the half-written body dropped), and the
+// connection must keep serving.
+func TestReplyEncodePanicRecovered(t *testing.T) {
+	network := NewSimNetwork(nil)
+	srv := NewServer(network, "s")
+	HandleMsg(srv, "badreply", func() *echoMsg { return &echoMsg{} }, func(*echoMsg) (*panicEncodeMsg, error) {
+		return &panicEncodeMsg{}, nil
+	})
+	HandleMsg(srv, "echo", func() *echoMsg { return &echoMsg{} }, func(req *echoMsg) (*echoMsg, error) {
+		return req, nil
+	})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewClient(network, 5*time.Second)
+	defer cli.Close()
+
+	err := cli.Call("s", "badreply", &echoMsg{}, nil)
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "half-encoded reply") {
+		t.Fatalf("want RemoteError naming the encode panic, got %v", err)
+	}
+	var resp echoMsg
+	if err := cli.Call("s", "echo", &echoMsg{N: 7, S: "ok"}, &resp); err != nil || resp.N != 7 || resp.S != "ok" {
+		t.Fatalf("connection did not survive the encode panic: %v %+v", err, resp)
 	}
 }
 
@@ -136,10 +177,10 @@ func TestObserverSeesTraffic(t *testing.T) {
 	cobs := &recordingClientObserver{}
 	cli.SetObserver(cobs)
 
-	if raw, err := cli.callRaw(context.Background(), "s", "double", []byte("abc")); err != nil || string(raw) != "abcabc" {
+	if raw, err := callRaw(cli, "s", "double", []byte("abc")); err != nil || string(raw) != "abcabc" {
 		t.Fatalf("double: %v %q", err, raw)
 	}
-	if _, err := cli.callRaw(context.Background(), "s", "nope", nil); err == nil {
+	if _, err := callRaw(cli, "s", "nope", nil); err == nil {
 		t.Fatal("unknown method must error")
 	}
 
@@ -172,7 +213,7 @@ func TestNoObserverNoClock(t *testing.T) {
 	defer srv.Close()
 	cli := NewClient(network, time.Second)
 	defer cli.Close()
-	if raw, err := cli.callRaw(context.Background(), "s", "echo", []byte("ok")); err != nil || string(raw) != "ok" {
+	if raw, err := callRaw(cli, "s", "echo", []byte("ok")); err != nil || string(raw) != "ok" {
 		t.Fatalf("nil-observer path: %v %q", err, raw)
 	}
 }

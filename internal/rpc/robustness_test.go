@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -37,7 +36,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	// The connection (and server) must still serve well-formed requests.
 	cli := NewClient(network, 2*time.Second)
 	defer cli.Close()
-	resp, err := cli.callRaw(context.Background(), "svc", "echo", []byte("alive?"))
+	resp, err := callRaw(cli, "svc", "echo", []byte("alive?"))
 	if err != nil || string(resp) != "alive?" {
 		t.Fatalf("after garbage: %q, %v", resp, err)
 	}
@@ -73,7 +72,7 @@ func TestClientSurvivesGarbageResponses(t *testing.T) {
 	}()
 	cli := NewClient(network, 2*time.Second)
 	defer cli.Close()
-	resp, err := cli.callRaw(context.Background(), "rogue", "anything", []byte("ping"))
+	resp, err := callRaw(cli, "rogue", "anything", []byte("ping"))
 	if err != nil || string(resp) != "pong" {
 		t.Fatalf("resp = %q, %v", resp, err)
 	}

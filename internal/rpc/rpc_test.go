@@ -29,6 +29,14 @@ func (m *echoMsg) Decode(d *wire.Decoder) {
 	m.S = d.String()
 }
 
+// callRaw sends payload as an opaque wire.Raw body and returns the raw
+// reply body.
+func callRaw(cli *Client, addr, method string, payload []byte) ([]byte, error) {
+	req, resp := wire.Raw(payload), wire.Raw(nil)
+	err := cli.CallCtx(context.Background(), addr, method, &req, &resp)
+	return resp, err
+}
+
 func startEchoServer(t *testing.T, network Network, addr string) *Server {
 	t.Helper()
 	srv := NewServer(network, addr)
@@ -287,7 +295,7 @@ func BenchmarkSimCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.callRaw(context.Background(), "svc", "echo", payload); err != nil {
+		if _, err := callRaw(cli, "svc", "echo", payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +316,7 @@ func BenchmarkTCPCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.callRaw(context.Background(), srv.Addr(), "echo", payload); err != nil {
+		if _, err := callRaw(cli, srv.Addr(), "echo", payload); err != nil {
 			b.Fatal(err)
 		}
 	}

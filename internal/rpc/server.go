@@ -27,8 +27,13 @@ const (
 
 // Handler processes one request payload and returns the response payload.
 // Returning an error sends a status-error frame; the error text crosses the
-// wire verbatim.
+// wire verbatim. The payload aliases the inbound frame, which the handler
+// owns (see Conn.Recv), so it may be retained.
 type Handler func(payload []byte) ([]byte, error)
+
+// msgHandler is what the server dispatches to: the response comes back as
+// a message, which dispatch encodes straight into the response frame.
+type msgHandler func(payload []byte) (wire.Message, error)
 
 // Server dispatches inbound requests to registered handlers. Each accepted
 // connection gets a reader goroutine; each request runs in its own
@@ -38,7 +43,7 @@ type Server struct {
 	addr    string
 
 	mu       sync.Mutex
-	handlers map[string]Handler
+	handlers map[string]msgHandler
 	observer ServerObserver
 	tracer   *trace.Tracer
 	gate     func(method string) error
@@ -53,36 +58,46 @@ func NewServer(network Network, addr string) *Server {
 	return &Server{
 		network:  network,
 		addr:     addr,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]msgHandler),
 		conns:    make(map[Conn]struct{}),
 	}
 }
 
-// Handle registers h for the given method name. It must be called before
-// Start; registering twice for one method panics (a programming error).
+// Handle registers a raw handler for the given method name: its reply
+// bytes travel as a wire.Raw body. It must be called before Start;
+// registering twice for one method panics (a programming error).
 func (s *Server) Handle(method string, h Handler) {
+	s.register(method, func(payload []byte) (wire.Message, error) {
+		out, err := h(payload)
+		if err != nil {
+			return nil, err
+		}
+		raw := wire.Raw(out)
+		return &raw, nil
+	})
+}
+
+// HandleMsg registers a typed handler: req is decoded into a fresh value
+// produced by newReq (decoders may alias the request frame), and the
+// returned message is encoded straight into the response frame.
+func HandleMsg[Req wire.Message, Resp wire.Message](s *Server, method string, newReq func() Req, h func(Req) (Resp, error)) {
+	s.register(method, func(payload []byte) (wire.Message, error) {
+		req := newReq()
+		if err := wire.Unmarshal(payload, req); err != nil {
+			return nil, err
+		}
+		resp, err := h(req)
+		return resp, err
+	})
+}
+
+func (s *Server) register(method string, h msgHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.handlers[method]; dup {
 		panic(fmt.Sprintf("rpc: duplicate handler for %q", method))
 	}
 	s.handlers[method] = h
-}
-
-// HandleMsg registers a typed handler: req is decoded into a fresh value
-// produced by newReq, and the returned message is encoded as the response.
-func HandleMsg[Req wire.Message, Resp wire.Message](s *Server, method string, newReq func() Req, h func(Req) (Resp, error)) {
-	s.Handle(method, func(payload []byte) ([]byte, error) {
-		req := newReq()
-		if err := wire.Unmarshal(payload, req); err != nil {
-			return nil, err
-		}
-		resp, err := h(req)
-		if err != nil {
-			return nil, err
-		}
-		return wire.Marshal(resp), nil
-	})
 }
 
 // SetGate installs a per-request admission check, run before every
@@ -172,11 +187,9 @@ func (s *Server) serveConn(conn Conn) {
 		// The request may carry a trace-context trailer after the payload;
 		// frames from older peers simply don't, and decode as trace-free.
 		sc := decodeTraceTrailer(dec)
-		// Copy the payload: it aliases msg, which we stop referencing, but
-		// the handler may retain it past this loop iteration.
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		go s.dispatch(conn, id, method, p, sc)
+		// payload aliases msg, a fresh buffer Recv hands over for good, so
+		// the handler owns it without a copy.
+		go s.dispatch(conn, id, method, payload, sc)
 	}
 }
 
@@ -193,7 +206,10 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 	if obs != nil {
 		start = time.Now()
 	}
-	var result []byte
+	enc := getEncoder()
+	defer putEncoder(enc) // Send has copied or written the frame by then
+	putResponseHeader(enc, id)
+	var out int
 	var err error
 	var panicked bool
 	if !ok {
@@ -203,66 +219,70 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 			err = gate(method)
 		}
 		if err == nil {
-			result, err, panicked = invoke(h, method, payload)
+			out, err, panicked = invoke(h, method, payload, enc)
 		}
 	}
+	if err != nil {
+		// Drop whatever a failed or panicking encode left behind.
+		enc.Reset()
+		putResponseHeader(enc, id)
+		var rd redirector
+		if errors.As(err, &rd) {
+			// The handler knows who owns this request (a deposed leader
+			// pointing at its successor): ship the target as structure,
+			// not prose, so the client can follow it.
+			enc.PutU8(statusRedirect)
+			enc.PutString(rd.RedirectTarget())
+		} else {
+			enc.PutU8(statusError)
+		}
+		enc.PutString(err.Error())
+	}
 	if obs != nil {
-		out := len(result)
+		obsOut := out
 		if err != nil {
-			out = len(err.Error())
+			obsOut = len(err.Error())
 		}
 		dur := time.Since(start)
 		if tobs, isTraced := obs.(TracedServerObserver); isTraced && act.Sampled() {
-			tobs.ObserveRequestTraced(method, len(payload), out, dur, err, panicked, act.TraceID())
+			tobs.ObserveRequestTraced(method, len(payload), obsOut, dur, err, panicked, act.TraceID())
 		} else {
-			obs.ObserveRequest(method, len(payload), out, dur, err, panicked)
+			obs.ObserveRequest(method, len(payload), obsOut, dur, err, panicked)
 		}
 	}
 	if act != nil {
-		act.SetBytes(int64(len(payload) + len(result)))
+		act.SetBytes(int64(len(payload) + out))
 		act.Finish(err)
 	}
-
-	enc := getEncoder()
-	enc.PutU8(kindResponse)
-	enc.PutU64(id)
-	var rd redirector
-	switch {
-	case err == nil:
-		enc.PutU8(statusOK)
-		enc.PutBytes(result)
-	case errors.As(err, &rd):
-		// The handler knows who owns this request (a deposed leader
-		// pointing at its successor): ship the target as structure, not
-		// prose, so the client can follow it.
-		enc.PutU8(statusRedirect)
-		enc.PutString(rd.RedirectTarget())
-		enc.PutString(err.Error())
-	default:
-		enc.PutU8(statusError)
-		enc.PutString(err.Error())
-	}
 	// A send failure means the connection died; the client observes it
-	// directly. Either way the frame buffer is recyclable afterwards.
+	// directly.
 	_ = conn.Send(enc.Bytes())
-	putEncoder(enc)
 }
 
-// invoke runs h, converting a panic into a status-error response instead of
-// letting it kill the process (and, with it, every connection the server
-// holds). The panic still reaches the log — it is a server bug — but one
-// poisoned request must not take down unrelated callers.
-func invoke(h Handler, method string, payload []byte) (result []byte, err error, panicked bool) {
+func putResponseHeader(enc *wire.Encoder, id uint64) {
+	enc.PutU8(kindResponse)
+	enc.PutU64(id)
+}
+
+// invoke runs h and encodes its reply into enc as a status-OK body,
+// returning the body length. A panic — in the handler or in its reply's
+// encoder — becomes a status-error response instead of killing the
+// process (and, with it, every connection the server holds). The panic
+// still reaches the log — it is a server bug — but one poisoned request
+// must not take down unrelated callers.
+func invoke(h msgHandler, method string, payload []byte, enc *wire.Encoder) (n int, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = true
-			result = nil
-			err = fmt.Errorf("rpc: handler for %q panicked: %v", method, r)
+			n, err, panicked = 0, fmt.Errorf("rpc: handler for %q panicked: %v", method, r), true
 			log.Printf("rpc: recovered handler panic in %q: %v\n%s", method, r, debug.Stack())
 		}
 	}()
-	result, err = h(payload)
-	return result, err, false
+	resp, err := h(payload)
+	if err != nil {
+		return 0, err, false
+	}
+	enc.PutU8(statusOK)
+	return enc.PutMessage(resp), nil, false
 }
 
 // Close stops the listener and tears down every open connection, then waits

@@ -31,6 +31,12 @@ var ErrUnknownAddr = errors.New("rpc: no listener at address")
 // Conn is a bidirectional, message-oriented connection. Send and Recv are
 // each safe for one concurrent caller; Send is additionally safe for many
 // (it serializes internally).
+//
+// Ownership: Send does not retain msg after it returns, so the caller may
+// reuse it. Recv returns a freshly allocated buffer per frame that the
+// transport never touches again; the caller owns it, so decoders may
+// alias it for as long as they like. Both ends of the RPC layer rely on
+// this to decode bodies in place instead of copying them out.
 type Conn interface {
 	Send(msg []byte) error
 	Recv() ([]byte, error)

@@ -48,7 +48,54 @@ func FuzzDecoder(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip checks encode→decode identity for every primitive.
+// nestMsg is a sized message that can carry another one as a field,
+// encoded with PutMessage — the shape of an RPC body inside its frame.
+type nestMsg struct {
+	N     uint64
+	B     []byte
+	Inner *nestMsg
+}
+
+func (m *nestMsg) Size() int {
+	n := 8 + 4 + len(m.B) + 1
+	if m.Inner != nil {
+		n += 4 + m.Inner.Size()
+	}
+	return n
+}
+
+func (m *nestMsg) Encode(e *Encoder) {
+	e.PutU64(m.N)
+	e.PutBytes(m.B)
+	e.PutBool(m.Inner != nil)
+	if m.Inner != nil {
+		e.PutMessage(m.Inner)
+	}
+}
+
+func (m *nestMsg) Decode(d *Decoder) {
+	m.N = d.U64()
+	m.B = d.Bytes()
+	if d.Bool() {
+		m.Inner = &nestMsg{}
+		inner := NewDecoder(d.Bytes())
+		m.Inner.Decode(inner)
+		if inner.Err() != nil && d.err == nil {
+			d.err = inner.Err()
+		}
+	}
+}
+
+func (m *nestMsg) equal(o *nestMsg) bool {
+	if m == nil || o == nil {
+		return m == o
+	}
+	return m.N == o.N && bytes.Equal(m.B, o.B) && m.Inner.equal(o.Inner)
+}
+
+// FuzzRoundTrip checks encode→decode identity for every primitive, and
+// for a nested message written with PutMessage, which must produce the
+// bytes PutBytes(Marshal(m)) does.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint32(0), "", []byte(nil), false, 0.0)
 	f.Add(^uint64(0), ^uint32(0), "metadata", []byte{0xDE, 0xAD}, true, -1.5)
@@ -61,6 +108,17 @@ func FuzzRoundTrip(f *testing.F) {
 		e.PutBytes(b)
 		e.PutBool(flag)
 		e.PutF64(fv)
+		nested := &nestMsg{N: u64, B: b, Inner: &nestMsg{N: uint64(u32), B: []byte(s)}}
+		at := e.Len()
+		e.PutMessage(nested)
+		ref := NewEncoder(0)
+		ref.PutBytes(Marshal(nested))
+		if !bytes.Equal(e.Bytes()[at:], ref.Bytes()) {
+			t.Fatalf("PutMessage bytes differ from PutBytes(Marshal(m))")
+		}
+		if got := len(ref.Bytes()) - 4; got != nested.Size() {
+			t.Fatalf("Size() = %d, encoded %d", nested.Size(), got)
+		}
 
 		d := NewDecoder(e.Bytes())
 		if got := d.U64(); got != u64 {
@@ -80,6 +138,10 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if got := d.F64(); got != fv && !(fv != fv && got != got) { // NaN-tolerant
 			t.Fatalf("f64 %v != %v", got, fv)
+		}
+		var gotNested nestMsg
+		if err := Unmarshal(d.Bytes(), &gotNested); err != nil || !gotNested.equal(nested) {
+			t.Fatalf("nested message %+v != %+v (%v)", gotNested, nested, err)
 		}
 		if err := d.Err(); err != nil {
 			t.Fatalf("round trip latched error: %v", err)

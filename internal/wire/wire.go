@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrTruncated is reported when a Decoder runs past the end of its buffer.
@@ -91,6 +92,28 @@ func (e *Encoder) PutString(s string) {
 	e.PutU32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 }
+
+// PutMessage appends m as a u32 length prefix followed by its encoding —
+// byte for byte what PutBytes(Marshal(m)) writes, without the intermediate
+// buffer: the body is encoded in place and the prefix patched afterwards.
+// A Sizer message grows the buffer once up front. It returns the body
+// length.
+func (e *Encoder) PutMessage(m Message) int {
+	if s, ok := m.(Sizer); ok {
+		// Headroom past the body lets a short trailer (the rpc layer's
+		// trace context) follow without reallocating a large frame.
+		e.buf = slices.Grow(e.buf, 4+s.Size()+trailerRoom)
+	}
+	at := len(e.buf)
+	e.PutU32(0)
+	m.Encode(e)
+	n := len(e.buf) - at - 4
+	binary.LittleEndian.PutUint32(e.buf[at:], uint32(n))
+	return n
+}
+
+// trailerRoom is the spare capacity PutMessage leaves after a sized body.
+const trailerRoom = 32
 
 // Decoder consumes a byte buffer produced by an Encoder. The first decode
 // failure latches into err; subsequent reads return zero values.
@@ -174,7 +197,9 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Bytes decodes a u32-length-prefixed byte slice. The returned slice
-// aliases the Decoder's buffer; callers that retain it must copy.
+// aliases the Decoder's buffer, so it is only as stable as that buffer;
+// its capacity ends at its length, so an append never overwrites the
+// fields that follow it.
 func (d *Decoder) Bytes() []byte {
 	n := d.U32()
 	if d.err != nil {
@@ -184,7 +209,8 @@ func (d *Decoder) Bytes() []byte {
 		d.err = ErrTooLarge
 		return nil
 	}
-	return d.take(int(n))
+	b := d.take(int(n))
+	return b[:len(b):len(b)]
 }
 
 // BytesCopy decodes a u32-length-prefixed byte slice into fresh memory.
@@ -215,12 +241,38 @@ type Message interface {
 	Decode(dec *Decoder)
 }
 
+// Sizer is an optional Message refinement: Size reports the exact encoded
+// length, so Marshal and PutMessage allocate once instead of doubling
+// their way up to a chunk-sized body. Messages that carry chunk payloads
+// implement it.
+type Sizer interface {
+	Size() int
+}
+
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Message) []byte {
-	enc := NewEncoder(64)
+	n := 64
+	if s, ok := m.(Sizer); ok {
+		n = s.Size()
+	}
+	enc := NewEncoder(n)
 	m.Encode(enc)
 	return enc.Bytes()
 }
+
+// Raw is an opaque message body: it encodes as its bytes verbatim and
+// decodes as everything left in the body, aliasing the decoder's buffer.
+// It carries pre-encoded or free-form payloads through typed call paths.
+type Raw []byte
+
+// Encode implements Message.
+func (r *Raw) Encode(e *Encoder) { e.buf = append(e.buf, *r...) }
+
+// Decode implements Message.
+func (r *Raw) Decode(d *Decoder) { *r = d.take(d.Remaining()) }
+
+// Size implements Sizer.
+func (r *Raw) Size() int { return len(*r) }
 
 // Unmarshal decodes buf into m, returning a descriptive error on failure.
 func Unmarshal(buf []byte, m Message) error {

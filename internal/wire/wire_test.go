@@ -120,6 +120,39 @@ func TestBytesCopyIndependence(t *testing.T) {
 	}
 }
 
+// TestRawBody checks Raw travels verbatim: as a PutMessage body it frames
+// exactly like PutBytes, and it decodes as everything left.
+func TestRawBody(t *testing.T) {
+	in := Raw("opaque")
+	e := NewEncoder(0)
+	if n := e.PutMessage(&in); n != in.Size() {
+		t.Fatalf("PutMessage wrote %d body bytes, Size() = %d", n, in.Size())
+	}
+	want := NewEncoder(0)
+	want.PutBytes([]byte("opaque"))
+	if !bytes.Equal(e.Bytes(), want.Bytes()) {
+		t.Fatalf("Raw framed as %q, want %q", e.Bytes(), want.Bytes())
+	}
+	var out Raw
+	if err := Unmarshal(NewDecoder(e.Bytes()).Bytes(), &out); err != nil || string(out) != "opaque" {
+		t.Fatalf("Raw decoded %q, %v", out, err)
+	}
+}
+
+// TestBytesCapped checks a decoded slice cannot be appended into the
+// fields that follow it in the shared buffer.
+func TestBytesCapped(t *testing.T) {
+	e := NewEncoder(0)
+	e.PutBytes([]byte("ab"))
+	e.PutU32(7)
+	d := NewDecoder(e.Bytes())
+	b := d.Bytes()
+	_ = append(b, 'X', 'X', 'X', 'X')
+	if got := d.U32(); got != 7 || d.Err() != nil {
+		t.Fatalf("field after an appended-to slice = %d, %v", got, d.Err())
+	}
+}
+
 // property: any sequence of (u64, string, bytes, f64) encodes and decodes
 // identically.
 func TestQuickRoundTrip(t *testing.T) {
