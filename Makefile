@@ -39,8 +39,9 @@ race:
 	$(GO) test -race ./...
 
 # Data-path micro-benchmarks as a short smoke: a 64 KiB chunk get and a
-# 32 x 64 KiB putchunks over TCP loopback (plus the rpc and wire
-# benchmarks), 20 iterations each, with allocation counts.
+# 32 x 64 KiB putchunks over TCP loopback, the putchunks also against a
+# disk store with an fsync'd sidecar (plus the rpc and wire benchmarks),
+# 20 iterations each, with allocation counts.
 micro:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem ./internal/wire/ ./internal/rpc/ ./internal/provider/
 
@@ -95,13 +96,14 @@ e2e-lease:
 # within 2x the leadership TTL, zero committed versions may be lost, and
 # the rejoining ex-leader must come back fenced (typed not-leader
 # redirects) and resync to a byte-identical state digest. Plus the
-# replication unit suite: convergence, synchronous quorum, divergent
+# replication unit suite: convergence, synchronous quorum, a standby
+# synced only once its catch-up snapshot is delivered, divergent
 # journal-tail truncation; the group start / kill / restart-in-place units
 # of the role assembly; and the same failover with real blobseerd
 # processes, through the HA, lease and metrics flags.
 e2e-failover:
 	$(GO) test -race -count=1 -run 'TestFailoverMidWriteStorm|TestStandbyCrashDoesNotBlockCommits' -timeout 10m ./internal/fault/
-	$(GO) test -race -count=1 -run 'TestReplication|TestQuorum|TestFailover|TestDivergent|TestRebooted' ./internal/vmanager/
+	$(GO) test -race -count=1 -run 'TestReplication|TestQuorum|TestStandbySynced|TestFailover|TestDivergent|TestRebooted' ./internal/vmanager/
 	$(GO) test -race -count=1 ./internal/node/
 	$(GO) test -race -count=1 -run 'TestDaemonFailover' ./cmd/blobseerd/
 

@@ -37,7 +37,7 @@ func TestDataPathAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, cli := startTCPProvider(t, store)
+	addr, cli := startTCPProvider(t, store, provider.Options{})
 
 	t.Run("read 256x64KiB", func(t *testing.T) {
 		key := chunk.Key{Blob: 1, Version: 1}

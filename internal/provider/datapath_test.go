@@ -24,10 +24,13 @@ func pattern(seed, n int) []byte {
 
 // startTCPProvider serves a provider over TCP loopback and returns its
 // address with a client for it.
-func startTCPProvider(tb testing.TB, store chunk.Store) (string, *rpc.Client) {
+func startTCPProvider(tb testing.TB, store chunk.Store, opts provider.Options) (string, *rpc.Client) {
 	tb.Helper()
 	network := rpc.NewTCPNetwork()
-	srv := provider.NewServer(network, "127.0.0.1:0", store)
+	srv, err := provider.NewServerWithOptions(network, "127.0.0.1:0", store, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	if err := srv.Start(); err != nil {
 		tb.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestPipelinedRangeReadsDecodeInPlace(t *testing.T) {
 
 // BenchmarkGetChunk64K reads one 64 KiB chunk per op over TCP loopback.
 func BenchmarkGetChunk64K(b *testing.B) {
-	addr, cli := startTCPProvider(b, chunk.NewMemStore())
+	addr, cli := startTCPProvider(b, chunk.NewMemStore(), provider.Options{})
 	key := chunk.Key{Blob: 1, Version: 1}
 	if err := provider.PutChunk(context.Background(), cli, addr, key, pattern(1, 64<<10)); err != nil {
 		b.Fatal(err)
@@ -180,7 +183,23 @@ func BenchmarkGetChunk64K(b *testing.B) {
 // over TCP loopback; each batch is deleted again untimed so the store
 // stays small.
 func BenchmarkPutChunks2MiB(b *testing.B) {
-	addr, cli := startTCPProvider(b, chunk.NewMemStore())
+	addr, cli := startTCPProvider(b, chunk.NewMemStore(), provider.Options{})
+	benchPutChunks2MiB(b, addr, cli)
+}
+
+// BenchmarkPutChunks2MiBSidecar is BenchmarkPutChunks2MiB against a disk
+// store with an fsync'd sidecar: the provider's durable write path, where
+// each putchunks pays its sidecar journal's group-commit wait.
+func BenchmarkPutChunks2MiBSidecar(b *testing.B) {
+	store, err := chunk.NewDiskStore(b.TempDir(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, cli := startTCPProvider(b, store, provider.Options{SidecarDir: b.TempDir(), FsyncSidecar: true})
+	benchPutChunks2MiB(b, addr, cli)
+}
+
+func benchPutChunks2MiB(b *testing.B, addr string, cli *rpc.Client) {
 	items := make([]provider.PutItem, 32)
 	keys := make([]chunk.Key, len(items))
 	for i := range items {

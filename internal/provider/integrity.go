@@ -218,15 +218,16 @@ func (s *Server) getVerified(k chunk.Key) (data []byte, dg chunk.Digest, backfil
 	return data, rec.Digest, false, nil
 }
 
-// recordDigest stores a chunk's integrity manifest in RAM and (when a
-// sidecar is configured) journals it. The record is advisory: losing it
-// demotes the chunk to legacy until its next clean read.
+// recordDigest backfills a legacy chunk's integrity manifest: stored in
+// RAM and (when a sidecar is configured) journaled as a one-key digest
+// section, leaving the chunk's put age alone. The record is advisory:
+// losing it demotes the chunk to legacy until its next clean read.
 func (s *Server) recordDigest(k chunk.Key, rec digestRec) {
 	s.digMu.Lock()
 	s.digests[k] = rec
 	var wait func() error
 	if s.side != nil {
-		wait = s.side.appendDigest(k, rec)
+		wait = s.side.appendChunkState(nil, []digestEntry{{Key: k, Rec: rec}})
 	}
 	s.digMu.Unlock()
 	if wait != nil {

@@ -604,7 +604,7 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 	}
 	rpc.HandleMsg(s.srv, MethodPut, func() *PutReq { return &PutReq{} },
 		func(req *PutReq) (*Ack, error) {
-			if err := s.putOne(req.Key, req.Data, req.Digest); err != nil {
+			if err := s.putBatch([]PutItem{{Key: req.Key, Data: req.Data, Digest: req.Digest}})[0]; err != nil {
 				return nil, err
 			}
 			return &Ack{}, nil
@@ -613,8 +613,8 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 		func(req *PutChunksReq) (*PutChunksResp, error) {
 			s.putBatches.Add(1)
 			resp := &PutChunksResp{Errs: make([]string, len(req.Items))}
-			for i, it := range req.Items {
-				if err := s.putOne(it.Key, it.Data, it.Digest); err != nil {
+			for i, err := range s.putBatch(req.Items) {
+				if err != nil {
 					resp.Errs[i] = err.Error()
 				}
 			}
@@ -801,17 +801,17 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 	return s, nil
 }
 
-// maybeCompactSidecar snapshots the put-age table and tombstone set into
-// the sidecar log once it has grown enough. Entries for chunks the store
-// no longer holds are filtered out here, bounding the replayed state by
-// the live inventory.
+// maybeCompactSidecar snapshots the put-age table, tombstone set and
+// digests into the sidecar log once it has grown enough. Entries for
+// chunks the store no longer holds are filtered out here, bounding the
+// replayed state by the live inventory.
 func (s *Server) maybeCompactSidecar() {
 	s.side.maybeCompact(func() ([]byte, bool) {
 		s.putMu.Lock()
-		ages := make(map[chunk.Key]time.Time, len(s.putTimes))
+		ages := make([]ageEntry, 0, len(s.putTimes))
 		for k, t := range s.putTimes {
 			if s.store.Has(k) {
-				ages[k] = t
+				ages = append(ages, ageEntry{Key: k, At: t})
 			}
 		}
 		s.putMu.Unlock()
@@ -822,86 +822,92 @@ func (s *Server) maybeCompactSidecar() {
 		}
 		s.tombMu.Unlock()
 		s.digMu.Lock()
-		digs := make(map[chunk.Key]digestRec, len(s.digests))
+		digs := make([]digestEntry, 0, len(s.digests))
 		for k, rec := range s.digests {
 			if s.store.Has(k) {
-				digs[k] = rec
+				digs = append(digs, digestEntry{Key: k, Rec: rec})
 			}
 		}
 		s.digMu.Unlock()
-		e := wire.NewEncoder(64 + 40*len(ages) + 8*len(tombs) + 33*len(digs))
-		e.PutU8(sideRecPutAge)
-		e.PutU32(uint32(len(ages)))
-		for k, t := range ages {
-			e.PutU64(k.Blob)
-			e.PutU64(k.Version)
-			e.PutU64(k.Index)
-			e.PutU64(uint64(t.UnixMilli()))
-		}
+		e := wire.NewEncoder(3*sideSectionHeader + sideAgeEntry*len(ages) + 8*len(tombs) + sideDigestEntry*len(digs))
+		putAgeSection(e, ages)
 		e.PutU8(sideRecTomb)
 		e.PutU32(uint32(len(tombs)))
 		for _, b := range tombs {
 			e.PutU64(b)
 		}
-		e.PutU8(sideRecDigest)
-		e.PutU32(uint32(len(digs)))
-		for k, rec := range digs {
-			e.PutU64(k.Blob)
-			e.PutU64(k.Version)
-			e.PutU64(k.Index)
-			e.PutU8(rec.Digest.Algo)
-			e.PutU32(rec.Digest.Sum)
-			e.PutU32(rec.Length)
-		}
+		putDigestSection(e, digs)
 		return e.Bytes(), true
 	})
 }
 
-// putOne stores one chunk: tombstone check, ingest digest verification,
-// engine put, put-time stamp, digest manifest. Shared by the singleton
-// put handler and the batched putchunks handler so both enforce
-// identical semantics.
-func (s *Server) putOne(key chunk.Key, data []byte, dg chunk.Digest) error {
-	s.puts.Add(1)
-	s.tombMu.Lock()
-	_, dead := s.tombstones[key.Blob]
-	s.tombMu.Unlock()
-	if dead {
-		return fmt.Errorf("%w: %d", ErrBlobDeleted, key.Blob)
+// putBatch stores a batch of chunks and returns one outcome per item (nil
+// means stored). Each chunk in turn gets the tombstone check, ingest
+// digest verification, engine put, and its in-RAM digest and put time
+// right after the put, so the in-memory view never lags the store. The
+// chunks that landed are then journaled as ONE sidecar record, reserved
+// under putMu after the batch's last RAM update, and its single
+// group-commit wait is paid before returning: the caller's ack means the
+// records are durable. Serves both the singleton put and putchunks, so
+// they enforce identical semantics.
+func (s *Server) putBatch(items []PutItem) []error {
+	errs := make([]error, len(items))
+	ages := make([]ageEntry, 0, len(items))
+	digs := make([]digestEntry, 0, len(items))
+	for i := range items {
+		key, data, dg := items[i].Key, items[i].Data, items[i].Digest
+		s.puts.Add(1)
+		s.tombMu.Lock()
+		_, dead := s.tombstones[key.Blob]
+		s.tombMu.Unlock()
+		if dead {
+			errs[i] = fmt.Errorf("%w: %d", ErrBlobDeleted, key.Blob)
+			continue
+		}
+		if dg.IsZero() {
+			// Writer sent no digest (older client): mint one at ingest so
+			// the chunk is verifiable from now on.
+			dg = chunk.DigestOf(data)
+		} else if !dg.Verify(data) {
+			// The bytes changed between the writer's digest computation
+			// and here — corruption in transit. Reject instead of
+			// persisting rot; the writer's retry path treats this like any
+			// failed put.
+			s.corrupt.Add(1)
+			errs[i] = fmt.Errorf("%w: put of %s failed ingest digest check", ErrChunkCorrupt, key)
+			continue
+		}
+		if err := s.store.Put(key, data); err != nil {
+			errs[i] = err
+			continue
+		}
+		rec := digestRec{Digest: dg, Length: uint32(len(data))}
+		s.digMu.Lock()
+		s.digests[key] = rec
+		s.digMu.Unlock()
+		s.bytesIn.Add(int64(len(data)))
+		s.putMu.Lock()
+		now := time.Now()
+		s.putTimes[key] = now
+		s.putMu.Unlock()
+		ages = append(ages, ageEntry{Key: key, At: now})
+		digs = append(digs, digestEntry{Key: key, Rec: rec})
 	}
-	if dg.IsZero() {
-		// Writer sent no digest (older client): mint one at ingest so the
-		// chunk is verifiable from now on.
-		dg = chunk.DigestOf(data)
-	} else if !dg.Verify(data) {
-		// The bytes changed between the writer's digest computation and
-		// here — corruption in transit. Reject instead of persisting rot;
-		// the writer's retry path treats this like any failed put.
-		s.corrupt.Add(1)
-		return fmt.Errorf("%w: put of %s failed ingest digest check", ErrChunkCorrupt, key)
+	if s.side == nil || len(ages) == 0 {
+		return errs
 	}
-	if err := s.store.Put(key, data); err != nil {
-		return err
-	}
-	s.recordDigest(key, digestRec{Digest: dg, Length: uint32(len(data))})
-	s.bytesIn.Add(int64(len(data)))
+	// Reserve WAL order under putMu, after every RAM update the record
+	// carries; commit outside it: concurrent batches group-commit. A
+	// failed append is tolerated — the entries are advisory; losing them
+	// re-graces these chunks and leaves their digests to be backfilled on
+	// their next clean read. A delete racing the batch can leave replay an
+	// entry for a chunk already gone; the next compaction filters it out.
 	s.putMu.Lock()
-	now := time.Now()
-	s.putTimes[key] = now
-	var wait func() error
-	if s.side != nil {
-		// Reserve WAL order under putMu (RAM-apply order == replay order),
-		// commit outside it: concurrent puts group-commit their age
-		// records. A failed append is tolerated — the entry is advisory;
-		// losing it merely re-graces this one chunk after a restart.
-		wait = s.side.appendPutAge(key, now)
-	}
+	wait := s.side.appendChunkState(ages, digs)
 	s.putMu.Unlock()
-	if wait != nil {
-		_ = wait()
-		s.maybeCompactSidecar()
-	}
-	return nil
+	_ = wait()
+	s.maybeCompactSidecar()
+	return errs
 }
 
 // Start begins serving chunk requests.

@@ -26,13 +26,19 @@ import (
 // Appends ride durable.Log's group commit: the order slot is reserved
 // under the caller's lock via AppendAsync and the write+fsync is paid
 // outside it, so concurrent puts coalesce their journal I/O exactly as
-// the metadata node log does.
+// the metadata node log does. A put batch (one putchunks, or a singleton
+// put) journals every chunk that landed as ONE record — a put-age
+// section then a digest section — and pays ONE group-commit wait before
+// its ack, not two per chunk. The record is one CRC'd frame, so a batch's
+// ages and digests replay together or not at all.
 //
-// Put-age records are advisory — a lost append merely re-graces that one
-// chunk after a restart — so put paths tolerate append errors. Tombstone
-// records are not: the GC delete sweep counts a provider as visited once
-// the tombstone RPC acks, so the ack must imply the tombstone survives a
-// restart; append failures there propagate to the sweep, which retries.
+// Put-age and digest records are advisory — a lost append merely
+// re-graces its chunks after a restart and leaves their digests to be
+// backfilled on the next clean read — so put paths tolerate append
+// errors. Tombstone records are not: the GC delete sweep counts a
+// provider as visited once the tombstone RPC acks, so the ack must imply
+// the tombstone survives a restart; append failures there propagate to
+// the sweep, which retries.
 type sidecar struct {
 	mu           sync.Mutex
 	log          *durable.Log
@@ -85,9 +91,10 @@ func openSidecar(dir string, fsync bool) (*sidecar, map[chunk.Key]time.Time, map
 	return &sidecar{log: log, compactEvery: sidecarCompactEvery}, putTimes, tombstones, digests, nil
 }
 
-// replaySidecarRecord applies one journal record (the snapshot is encoded
-// as one big put-age record followed by one tombstone record, so it
-// replays through the same switch).
+// replaySidecarRecord applies one journal record: a sequence of sections,
+// each a type byte and a count. A put batch's record is a put-age section
+// then a digest section; the compaction snapshot is a put-age, a
+// tombstone and a digest section — all replay through the same switch.
 func replaySidecarRecord(rec []byte, putTimes map[chunk.Key]time.Time, tombstones map[uint64]struct{}, digests map[chunk.Key]digestRec) error {
 	d := wire.NewDecoder(rec)
 	for d.Err() == nil && d.Remaining() > 0 {
@@ -136,20 +143,6 @@ func replaySidecarRecord(rec []byte, putTimes map[chunk.Key]time.Time, tombstone
 	return nil
 }
 
-// appendPutAge journals one chunk's put time. Called with the server's
-// putMu held (reserving WAL order in RAM-apply order); the returned wait
-// commits outside the lock.
-func (s *sidecar) appendPutAge(key chunk.Key, t time.Time) func() error {
-	e := wire.NewEncoder(48)
-	e.PutU8(sideRecPutAge)
-	e.PutU32(1)
-	e.PutU64(key.Blob)
-	e.PutU64(key.Version)
-	e.PutU64(key.Index)
-	e.PutU64(uint64(t.UnixMilli()))
-	return s.log.AppendAsync(e.Bytes())
-}
-
 // appendTombstones journals deleted-blob tombstones (synchronous: the
 // caller's ack must imply restart survival). It holds s.mu across the
 // append so the record cannot land in a WAL generation a concurrent
@@ -173,19 +166,66 @@ func (s *sidecar) appendTombstones(blobs []uint64) error {
 	return s.log.Append(e.Bytes())
 }
 
-// appendDigest journals one chunk's integrity manifest. Advisory like
-// put-ages: a lost append merely demotes that chunk to "legacy, no
-// digest" after a restart, and the next clean read backfills it.
-func (s *sidecar) appendDigest(key chunk.Key, rec digestRec) func() error {
-	e := wire.NewEncoder(48)
+// ageEntry is one chunk's put time in a put-age section.
+type ageEntry struct {
+	Key chunk.Key
+	At  time.Time
+}
+
+// digestEntry is one chunk's integrity manifest in a digest section.
+type digestEntry struct {
+	Key chunk.Key
+	Rec digestRec
+}
+
+// Encoded sizes of a section header (type + count) and of one entry of
+// each section.
+const (
+	sideSectionHeader = 5
+	sideAgeEntry      = 32
+	sideDigestEntry   = 33
+)
+
+// putAgeSection encodes a put-age section: the type, the count, then each
+// chunk's key and put time (unix milliseconds).
+func putAgeSection(e *wire.Encoder, ages []ageEntry) {
+	e.PutU8(sideRecPutAge)
+	e.PutU32(uint32(len(ages)))
+	for _, a := range ages {
+		e.PutU64(a.Key.Blob)
+		e.PutU64(a.Key.Version)
+		e.PutU64(a.Key.Index)
+		e.PutU64(uint64(a.At.UnixMilli()))
+	}
+}
+
+// putDigestSection encodes a digest section: the type, the count, then
+// each chunk's key, digest and exact length.
+func putDigestSection(e *wire.Encoder, digs []digestEntry) {
 	e.PutU8(sideRecDigest)
-	e.PutU32(1)
-	e.PutU64(key.Blob)
-	e.PutU64(key.Version)
-	e.PutU64(key.Index)
-	e.PutU8(rec.Digest.Algo)
-	e.PutU32(rec.Digest.Sum)
-	e.PutU32(rec.Length)
+	e.PutU32(uint32(len(digs)))
+	for _, d := range digs {
+		e.PutU64(d.Key.Blob)
+		e.PutU64(d.Key.Version)
+		e.PutU64(d.Key.Index)
+		e.PutU8(d.Rec.Digest.Algo)
+		e.PutU32(d.Rec.Digest.Sum)
+		e.PutU32(d.Rec.Length)
+	}
+}
+
+// appendChunkState journals put ages and digests as ONE record: a put-age
+// section then a digest section, an empty one left out. Called with the
+// lock whose RAM updates it journals held, so WAL order is RAM-apply
+// order; the returned wait commits outside it.
+func (s *sidecar) appendChunkState(ages []ageEntry, digs []digestEntry) func() error {
+	e := wire.NewEncoder(2*sideSectionHeader + sideAgeEntry*len(ages) + sideDigestEntry*len(digs))
+	if len(ages) > 0 {
+		putAgeSection(e, ages)
+	}
+	if len(digs) > 0 {
+		putDigestSection(e, digs)
+	}
 	return s.log.AppendAsync(e.Bytes())
 }
 

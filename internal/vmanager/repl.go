@@ -128,11 +128,14 @@ func (r *replicator) fencedBy() (uint64, string, bool) {
 }
 
 // status snapshots the stream position and per-standby lag for HAStatus.
+// A standby reports Synced only once its catch-up snapshot's delivery has
+// returned: p.synced flips at enqueue time (stream ordering through the
+// peer queue needs it), before the standby holds the state.
 func (r *replicator) status() (session, seq uint64, standbys []StandbyStatus) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, p := range r.peers {
-		standbys = append(standbys, StandbyStatus{Addr: p.addr, Synced: p.synced, AckSeq: p.ackSeq})
+		standbys = append(standbys, StandbyStatus{Addr: p.addr, Synced: p.synced && !p.resyncing, AckSeq: p.ackSeq})
 	}
 	return r.session, r.seq, standbys
 }

@@ -163,6 +163,55 @@ func TestQuorumCommitIsSynchronous(t *testing.T) {
 	}
 }
 
+// TestStandbySyncedOnlyAfterSnapshotDelivered holds the leader's catch-up
+// snapshot in the transport: until its delivery returns the standby does
+// not hold the state, so the leader's HAStatus must not call it synced.
+func TestStandbySyncedOnlyAfterSnapshotDelivered(t *testing.T) {
+	g := newHAGroup()
+	a := openM(t, t.TempDir())
+	b := openM(t, t.TempDir())
+	defer func() { a.Halt(); b.Halt(); a.Close(); b.Close() }()
+	held, release := make(chan struct{}), make(chan struct{})
+	var heldOnce, releaseOnce sync.Once
+	// Runs before the Halt above: a send loop parked in the transport
+	// would otherwise never let the leader shut down.
+	defer releaseOnce.Do(func() { close(release) })
+	blocking := func(ctx context.Context, addr string, req *ReplicateReq) (*ReplicateResp, error) {
+		if req.Snapshot != nil {
+			heldOnce.Do(func() { close(held) })
+			<-release
+		}
+		return g.transport(ctx, addr, req)
+	}
+
+	// A long TTL: the held snapshot also holds the leader's heartbeats to
+	// B (one queue per peer), and B must not take over meanwhile.
+	const ttl = 5 * time.Second
+	g.set("A", a)
+	if err := a.EnableHA(HAConfig{Self: "A", Peers: []string{"B"}, LeadershipTTL: ttl, Bootstrap: true, Transport: blocking}); err != nil {
+		t.Fatal(err)
+	}
+	g.enable(t, b, "B", []string{"A"}, ttl, false, false)
+
+	select {
+	case <-held:
+	case <-time.After(3 * time.Second):
+		t.Fatal("leader never sent a catch-up snapshot")
+	}
+	for i := 0; i < 10; i++ {
+		if st := a.HAStatus(); len(st.Standbys) != 1 || st.Standbys[0].Synced {
+			t.Fatalf("standby view while its snapshot is undelivered = %+v, want one unsynced standby", st.Standbys)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	releaseOnce.Do(func() { close(release) })
+	waitFor(t, 3*time.Second, "standby to sync after snapshot delivery", func() bool {
+		st := a.HAStatus()
+		return len(st.Standbys) == 1 && st.Standbys[0].Synced && st.Standbys[0].AckSeq == st.StreamSeq
+	})
+}
+
 // TestFailoverPromotesStandby kills the leader and asserts the standby
 // assumes leadership under a higher epoch and serves writes, and that the
 // caller-visible history includes every version committed before the kill.
