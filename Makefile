@@ -20,10 +20,15 @@ vet:
 # that probed for a context-taking callee stay gone.
 # One copy per hop: RPC bodies are encoded straight into the pooled frame,
 # so the rpc layer never marshals a body into a buffer of its own.
+# One transition path: every version-manager state change is a record that
+# apply performs, so no per-kind record encoder or side-door journal append
+# comes back. And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
 	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
 	@! grep -rn 'wire\.Marshal' --include='*.go' --exclude='*_test.go' internal/rpc
+	@! grep -rnE 'logRecord|func enc[A-Z][A-Za-z0-9]*\(' --include='*.go' internal/vmanager
+	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
 # with ..), so root `go vet ./...` and `go test ./...` never see it. This

@@ -126,7 +126,7 @@ type Log struct {
 // append that joined it, committed by a single write+fsync.
 type commitBatch struct {
 	buf  []byte
-	n    uint64 // records in buf
+	n    uint64   // records in buf
 	recs [][]byte // unframed records, kept only while a mirror is attached
 	done bool
 	err  error

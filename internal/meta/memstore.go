@@ -56,8 +56,8 @@ func (s *MemStore) PatchReplicas(patches []ReplicaPatch) int {
 			// would synthesize zeros and the GC liveness walk would stop
 			// protecting the chunk's bytes. No legitimate patch empties a
 			// placement (repair skips no-survivor chunks), so this can
-			// only be corruption (the decoder clamps hostile provider
-			// counts to zero) or a bug: refuse it.
+			// only be corruption or a bug (the decoders already fail on
+			// a provider count past MaxReplicas): refuse it.
 			continue
 		}
 		old, ok := s.nodes[p.Key]

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,6 +11,41 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/wire"
 )
+
+// TestReplicaCountPastCapFailsDecode: a leaf or replica patch naming more
+// than MaxReplicas providers must fail to decode, not come back as a
+// zero-replica (all-zeros) chunk with the fields after the count misread.
+func TestReplicaCountPastCapFailsDecode(t *testing.T) {
+	providers := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("dp%d", i)
+		}
+		return out
+	}
+	for _, n := range []int{MaxReplicas, MaxReplicas + 1} {
+		leaf := &Node{Key: NodeKey{Blob: 1, Version: 1, Size: 1}, Leaf: true,
+			Chunk: ChunkRef{Providers: providers(n), Key: chunk.Key{Blob: 1, Version: 1, Index: 7}, Length: 9}}
+		var got Node
+		err := wire.Unmarshal(wire.Marshal(leaf), &got)
+		if n <= MaxReplicas && (err != nil || !nodesEqual(&got, leaf)) {
+			t.Errorf("%d replicas: leaf round trip = %+v, %v", n, got, err)
+		}
+		if n > MaxReplicas && !errors.Is(err, wire.ErrTooLarge) {
+			t.Errorf("%d replicas: leaf decoded to %d providers, err %v; want ErrTooLarge", n, len(got.Chunk.Providers), err)
+		}
+
+		patch := &PatchReplicasReq{Patches: []ReplicaPatch{{Key: leaf.Key, Chunk: leaf.Chunk.Key, Providers: providers(n)}}}
+		var gotPatch PatchReplicasReq
+		err = wire.Unmarshal(wire.Marshal(patch), &gotPatch)
+		if n <= MaxReplicas && (err != nil || len(gotPatch.Patches) != 1 || len(gotPatch.Patches[0].Providers) != n) {
+			t.Errorf("%d replicas: patch round trip = %+v, %v", n, gotPatch, err)
+		}
+		if n > MaxReplicas && !errors.Is(err, wire.ErrTooLarge) {
+			t.Errorf("%d replicas: patch decoded with err %v; want ErrTooLarge", n, err)
+		}
+	}
+}
 
 func TestNextPow2(t *testing.T) {
 	cases := map[uint64]uint64{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}

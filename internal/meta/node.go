@@ -62,6 +62,11 @@ type ChunkRef struct {
 // IsZero reports whether the reference denotes an all-zeros chunk.
 func (c ChunkRef) IsZero() bool { return len(c.Providers) == 0 }
 
+// MaxReplicas caps a chunk's replica count. The leaf and replica-patch
+// decoders fail on a larger count, and the version manager refuses to
+// create a blob replicated wider, so no valid placement ever exceeds it.
+const MaxReplicas = 64
+
 // Node is one tree node: an inner node (child version labels) or a leaf
 // (chunk descriptor).
 type Node struct {
@@ -116,10 +121,7 @@ func (n *Node) Decode(d *wire.Decoder) {
 	n.Key.Size = d.U64()
 	n.Leaf = d.Bool()
 	if n.Leaf {
-		cnt := d.U32()
-		if cnt > 64 { // replica counts are single digits; reject garbage
-			cnt = 0
-		}
+		cnt := d.Count(MaxReplicas)
 		n.Chunk.Providers = nil
 		for i := uint32(0); i < cnt; i++ {
 			n.Chunk.Providers = append(n.Chunk.Providers, d.String())

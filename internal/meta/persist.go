@@ -2,6 +2,7 @@ package meta
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -15,6 +16,10 @@ import (
 // durable.Log that is replayed on open. This reproduces §IV-B: "we also
 // introduced persistent data and metadata storage while keeping our
 // initial RAM-based storage scheme as an underlying caching mechanism".
+// A journal record is the metadata request that made the mutation (its
+// kind byte, then the request's wire body), and replay hands the decoded
+// request to the same MemStore call the live mutation made — the log
+// shares the RPC codecs and has none of its own.
 //
 // Logging deletes matters as much as logging puts: without them a
 // restarted metadata provider would resurrect every tree node the GC had
@@ -32,7 +37,8 @@ type PersistentStore struct {
 	compactEvery uint64
 }
 
-// Journal record types for the node log.
+// Node log record kinds: the byte before the request body. (The snapshot
+// is a bare PutNodesReq body.)
 const (
 	nodeRecPut        = uint8(1)
 	nodeRecDelete     = uint8(2)
@@ -68,69 +74,58 @@ func NewPersistentStore(dir string, syncWrites bool) (*PersistentStore, error) {
 }
 
 func (s *PersistentStore) loadSnapshot(snap []byte) error {
-	d := wire.NewDecoder(snap)
-	cnt := d.U32()
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		n := &Node{}
-		n.Decode(d)
-		if d.Err() == nil {
-			if err := s.mem.PutNodes([]*Node{n}); err != nil {
-				return fmt.Errorf("meta: loading node snapshot: %w", err)
-			}
-		}
+	var req PutNodesReq
+	if err := wire.Unmarshal(snap, &req); err != nil {
+		return fmt.Errorf("meta: corrupt node snapshot: %w", err)
 	}
-	if d.Err() != nil {
-		return fmt.Errorf("meta: corrupt node snapshot: %w", d.Err())
+	if err := s.mem.PutNodes(req.Nodes); err != nil {
+		return fmt.Errorf("meta: loading node snapshot: %w", err)
 	}
 	return nil
 }
 
+// applyRecord replays one node log record into the same MemStore call
+// the live mutation made.
 func (s *PersistentStore) applyRecord(rec []byte) error {
-	d := wire.NewDecoder(rec)
-	switch kind := d.U8(); kind {
+	if len(rec) == 0 {
+		return errors.New("meta: empty node log record")
+	}
+	var err error
+	switch body := rec[1:]; rec[0] {
 	case nodeRecPut:
-		cnt := d.U32()
-		for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-			n := &Node{}
-			n.Decode(d)
-			if d.Err() != nil {
-				break
-			}
-			if err := s.mem.PutNodes([]*Node{n}); err != nil {
-				return err
-			}
+		var req PutNodesReq
+		if err = wire.Unmarshal(body, &req); err == nil {
+			err = s.mem.PutNodes(req.Nodes)
 		}
 	case nodeRecDelete:
-		cnt := d.U32()
-		keys := make([]NodeKey, 0, cnt)
-		for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-			keys = append(keys, NodeKey{Blob: d.U64(), Version: d.U64(), Off: d.U64(), Size: d.U64()})
-		}
-		if d.Err() == nil {
-			s.mem.DeleteNodes(keys)
+		var req DeleteNodesReq
+		if err = wire.Unmarshal(body, &req); err == nil {
+			s.mem.DeleteNodes(req.Keys)
 		}
 	case nodeRecDeleteBlob:
-		if blob := d.U64(); d.Err() == nil {
-			s.mem.DeleteBlob(blob)
+		var req DeleteBlobReq
+		if err = wire.Unmarshal(body, &req); err == nil {
+			s.mem.DeleteBlob(req.Blob)
 		}
 	case nodeRecPatch:
-		cnt := d.U32()
-		patches := make([]ReplicaPatch, 0, cnt)
-		for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-			var p ReplicaPatch
-			p.decode(d)
-			patches = append(patches, p)
-		}
-		if d.Err() == nil {
-			s.mem.PatchReplicas(patches)
+		var req PatchReplicasReq
+		if err = wire.Unmarshal(body, &req); err == nil {
+			s.mem.PatchReplicas(req.Patches)
 		}
 	default:
-		return fmt.Errorf("meta: unknown node log record type %d", kind)
+		return fmt.Errorf("meta: unknown node log record type %d", rec[0])
 	}
-	if d.Err() != nil {
-		return fmt.Errorf("meta: corrupt node log record: %w", d.Err())
-	}
-	return nil
+	return err
+}
+
+// appendLocked reserves the record (kind byte, then the request body) in
+// WAL order and returns its commit wait. Caller holds s.mu. size presizes
+// the encoder, so a large put is encoded without regrowing its buffer.
+func (s *PersistentStore) appendLocked(kind uint8, body wire.Message, size int) func() error {
+	e := wire.NewEncoder(size)
+	e.PutU8(kind)
+	body.Encode(e)
+	return s.log.AppendAsync(e.Bytes())
 }
 
 // PutNodes stores the batch in RAM and appends it to the log as one
@@ -145,13 +140,7 @@ func (s *PersistentStore) PutNodes(nodes []*Node) error {
 		s.mu.Unlock()
 		return err
 	}
-	e := wire.NewEncoder(64 * len(nodes))
-	e.PutU8(nodeRecPut)
-	e.PutU32(uint32(len(nodes)))
-	for _, n := range nodes {
-		n.Encode(e)
-	}
-	wait := s.log.AppendAsync(e.Bytes())
+	wait := s.appendLocked(nodeRecPut, &PutNodesReq{Nodes: nodes}, 64*len(nodes))
 	s.mu.Unlock()
 	if err := wait(); err != nil {
 		return fmt.Errorf("meta: appending node log: %w", err)
@@ -166,16 +155,7 @@ func (s *PersistentStore) PutNodes(nodes []*Node) error {
 func (s *PersistentStore) DeleteNodes(keys []NodeKey) int {
 	s.mu.Lock()
 	n := s.mem.DeleteNodes(keys)
-	e := wire.NewEncoder(16 + 32*len(keys))
-	e.PutU8(nodeRecDelete)
-	e.PutU32(uint32(len(keys)))
-	for _, k := range keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Off)
-		e.PutU64(k.Size)
-	}
-	wait := s.log.AppendAsync(e.Bytes())
+	wait := s.appendLocked(nodeRecDelete, &DeleteNodesReq{Keys: keys}, 16+32*len(keys))
 	s.mu.Unlock()
 	// A failed append leaves the delete volatile; the GC re-issues deletes
 	// idempotently on its next sweep, so this is tolerated, not fatal.
@@ -198,13 +178,7 @@ func (s *PersistentStore) PatchReplicas(patches []ReplicaPatch) int {
 		s.mu.Unlock()
 		return 0
 	}
-	e := wire.NewEncoder(64 * len(patches))
-	e.PutU8(nodeRecPatch)
-	e.PutU32(uint32(len(patches)))
-	for i := range patches {
-		patches[i].encode(e)
-	}
-	wait := s.log.AppendAsync(e.Bytes())
+	wait := s.appendLocked(nodeRecPatch, &PatchReplicasReq{Patches: patches}, 64*len(patches))
 	s.mu.Unlock()
 	// A failed append leaves the patch volatile; the repair engine's next
 	// pass re-detects the stale placement and re-patches, so this is
@@ -218,10 +192,7 @@ func (s *PersistentStore) PatchReplicas(patches []ReplicaPatch) int {
 func (s *PersistentStore) DeleteBlob(blob uint64) int {
 	s.mu.Lock()
 	n := s.mem.DeleteBlob(blob)
-	e := wire.NewEncoder(16)
-	e.PutU8(nodeRecDeleteBlob)
-	e.PutU64(blob)
-	wait := s.log.AppendAsync(e.Bytes())
+	wait := s.appendLocked(nodeRecDeleteBlob, &DeleteBlobReq{Blob: blob}, 16)
 	s.mu.Unlock()
 	_ = wait()
 	s.maybeCompact()
@@ -260,10 +231,7 @@ func (s *PersistentStore) Compact() error {
 func (s *PersistentStore) compactLocked() error {
 	nodes := s.mem.Snapshot()
 	e := wire.NewEncoder(64 * len(nodes))
-	e.PutU32(uint32(len(nodes)))
-	for _, n := range nodes {
-		n.Encode(e)
-	}
+	(&PutNodesReq{Nodes: nodes}).Encode(e)
 	if err := s.log.Compact(e.Bytes()); err != nil {
 		return fmt.Errorf("meta: compacting node log: %w", err)
 	}

@@ -220,10 +220,7 @@ func (p *ReplicaPatch) decode(d *wire.Decoder) {
 	p.Chunk.Blob = d.U64()
 	p.Chunk.Version = d.U64()
 	p.Chunk.Index = d.U64()
-	cnt := d.U32()
-	if cnt > 64 { // replica counts are single digits; reject garbage
-		cnt = 0
-	}
+	cnt := d.Count(MaxReplicas)
 	p.Providers = nil
 	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
 		p.Providers = append(p.Providers, d.String())

@@ -90,12 +90,12 @@ func TestGateRejectsBeforeHandler(t *testing.T) {
 func TestBackoffJitteredExponentialCapped(t *testing.T) {
 	b := Backoff{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
 	ceilings := []time.Duration{
-		10 * time.Millisecond,  // attempt 0
-		20 * time.Millisecond,  // 1
-		40 * time.Millisecond,  // 2
-		80 * time.Millisecond,  // 3
-		80 * time.Millisecond,  // 4: capped
-		80 * time.Millisecond,  // 10: still capped
+		10 * time.Millisecond, // attempt 0
+		20 * time.Millisecond, // 1
+		40 * time.Millisecond, // 2
+		80 * time.Millisecond, // 3
+		80 * time.Millisecond, // 4: capped
+		80 * time.Millisecond, // 10: still capped
 	}
 	attempts := []int{0, 1, 2, 3, 4, 10}
 	for i, attempt := range attempts {

@@ -167,10 +167,13 @@ func (m *Manager) journalEpoch(epoch uint64, leader string) error {
 	if epoch < cur.epoch || (epoch == cur.epoch && leader == cur.leader) {
 		return nil
 	}
+	r := record{kind: recEpoch, n: epoch, leader: leader}
 	m.journalBegin()
-	err := m.logRecord(encEpoch(epoch, leader))
+	err := m.commit(nil, &r)
 	m.journalEnd()
-	m.adoptEpochInfo(epoch, leader)
+	if err != nil {
+		_ = m.apply(nil, &r) // adopted regardless, as above
+	}
 	return err
 }
 
@@ -324,20 +327,9 @@ func (m *Manager) stepDownLocked(epoch uint64, leader string) {
 // leadership loss: the publishes those callers wait for will happen on
 // another node.
 func (m *Manager) wakeAllWaiters() {
-	m.mu.Lock()
-	blobs := make([]*blobState, 0, len(m.blobs))
-	for _, b := range m.blobs {
-		blobs = append(blobs, b)
-	}
-	m.mu.Unlock()
-	for _, b := range blobs {
+	for _, b := range m.blobList() {
 		b.mu.Lock()
-		for v, chans := range b.waiters {
-			for _, ch := range chans {
-				close(ch)
-			}
-			delete(b.waiters, v)
-		}
+		b.wakeWaitersLocked()
 		b.mu.Unlock()
 	}
 }
@@ -612,20 +604,16 @@ func (m *Manager) installSnapshot(snap []byte) error {
 	// the leader gate and redirects.
 	for _, b := range old {
 		b.mu.Lock()
-		for v, chans := range b.waiters {
-			for _, ch := range chans {
-				close(ch)
-			}
-			delete(b.waiters, v)
-		}
+		b.wakeWaitersLocked()
 		b.mu.Unlock()
 	}
 	return m.j.Compact(snap)
 }
 
 // applyReplicated appends the leader's records to the local journal and
-// replays them into RAM — the standby's copy of the write-ahead
-// discipline (journal first, then state).
+// replays them into RAM through the same apply the leader ran — the
+// standby's copy of the write-ahead discipline (journal first, then
+// state).
 func (m *Manager) applyReplicated(records [][]byte) error {
 	m.journalBegin()
 	defer m.journalEnd()
@@ -633,7 +621,7 @@ func (m *Manager) applyReplicated(records [][]byte) error {
 		return err
 	}
 	for i, rec := range records {
-		if err := m.applyRecord(rec); err != nil {
+		if err := m.replay(rec); err != nil {
 			return fmt.Errorf("vmanager: applying replicated record %d/%d: %w", i+1, len(records), err)
 		}
 	}

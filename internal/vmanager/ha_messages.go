@@ -32,11 +32,11 @@ const (
 //     authority: it must not refresh the lease or fence anyone, and the
 //     Epoch/Leader fields are merely the candidate's current view.
 type ReplicateReq struct {
-	Epoch   uint64 // sender's leadership epoch (fencing token)
-	Leader  string // sender's address, as peers should dial it
-	Session uint64 // random per leader log-instance; seqs are per-session
-	Seq     uint64
-	Probe   bool
+	Epoch    uint64 // sender's leadership epoch (fencing token)
+	Leader   string // sender's address, as peers should dial it
+	Session  uint64 // random per leader log-instance; seqs are per-session
+	Seq      uint64
+	Probe    bool
 	Snapshot []byte
 	Records  [][]byte
 }

@@ -16,10 +16,13 @@ import (
 // the full Manager on boot: snapshot first, then WAL replay, then a
 // conservative abort of writes that were in flight at crash time.
 //
-// Journal records are written while the mutated blob's lock is held, so
-// WAL order is a linearization of the per-blob state transitions; replay
-// re-runs the same transition functions and therefore reconstructs publish
-// frontiers, retention floors and floor caps exactly.
+// Every journaled state change is a record performed by one function,
+// apply. A live mutator validates its request, builds the record and
+// commits it (journal, then apply) while holding the mutated blob's lock,
+// so WAL order is a linearization of the per-blob transitions; recovery
+// and standbys decode the same records and call the same apply. Publish
+// frontiers, retention floors and floor caps therefore come out identical
+// live, on replay and on standbys — the manager is a fold of its records.
 //
 // Snapshotting doubles as version-history compaction: verInfo entries
 // below the GC sweep frontier (fully reclaimed, no longer addressable) are
@@ -95,7 +98,7 @@ func OpenManager(dir string, opts Options) (*Manager, error) {
 		}
 	}
 	for i, r := range rec.Records {
-		if err := m.applyRecord(r); err != nil {
+		if err := m.replay(r); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("vmanager: replaying journal record %d/%d: %w", i+1, len(rec.Records), err)
 		}
@@ -147,20 +150,6 @@ func (m *Manager) journalEnd() {
 	}
 }
 
-// logRecord appends one record to the journal (no-op when volatile).
-// Callers follow write-ahead discipline: they hold the lock guarding the
-// state the record describes and append BEFORE mutating, so WAL order
-// matches mutation order and a failed append leaves RAM untouched — the
-// journal can never fall behind the state it must reproduce. (A crash
-// between append and mutation replays the record, which is the safe
-// direction: the client saw no acknowledgment and retries.)
-func (m *Manager) logRecord(rec []byte) error {
-	if m.j == nil {
-		return nil
-	}
-	return m.j.Append(rec)
-}
-
 // maybeCompact runs a snapshot + log compaction once the WAL has grown
 // past the configured threshold. Called outside all locks after a
 // mutation; safe under concurrency (the worst case is two back-to-back
@@ -200,39 +189,21 @@ func (m *Manager) Compact() (uint64, error) {
 // are recorded unwoven — the crash likely took the control plane down
 // with the writers, so the GC sweep owes each one an identity tree.
 func (m *Manager) abortInFlight() error {
-	m.mu.Lock()
-	blobs := make([]*blobState, 0, len(m.blobs))
-	for _, b := range m.blobs {
-		blobs = append(blobs, b)
-	}
-	m.mu.Unlock()
-	for _, b := range blobs {
+	for _, b := range m.blobList() {
 		b.mu.Lock()
 		// Versions at or below base were compacted away, which requires
 		// they finished: skip them. (A deleted-and-swept blob has base ==
 		// lastAssigned with published frozen lower, so starting at
 		// published+1 alone would ask for compacted descriptors.)
-		start := b.published + 1
-		if s := b.base + 1; s > start {
-			start = s
-		}
-		for v := start; v <= b.lastAssigned(); v++ {
-			vi, err := b.version(v)
-			if err != nil {
+		for v := max(b.published, b.base) + 1; v <= b.lastAssigned(); v++ {
+			vi := b.vi(v)
+			if vi.committed || (vi.leaseUntil > 0 && m.nowMs() <= vi.leaseUntil) {
+				continue
+			}
+			if err := m.commit(b, &record{kind: recAbort, blob: b.id, version: v}); err != nil {
 				b.mu.Unlock()
 				return err
 			}
-			if vi.committed {
-				continue
-			}
-			if vi.leaseUntil > 0 && m.nowMs() <= vi.leaseUntil {
-				continue
-			}
-			if err := m.logRecord(encAbort(b.id, v, false)); err != nil {
-				b.mu.Unlock()
-				return err
-			}
-			b.finishLocked(vi, true)
 		}
 		b.mu.Unlock()
 	}
@@ -240,278 +211,241 @@ func (m *Manager) abortInFlight() error {
 }
 
 // ---------------------------------------------------------------------------
-// Record encoding.
+// Records.
 
-func encCreate(id, chunkSize uint64, replication uint32) []byte {
-	e := wire.NewEncoder(32)
-	e.PutU8(recCreate)
-	e.PutU64(id)
-	e.PutU64(chunkSize)
-	e.PutU32(replication)
-	return e.Bytes()
+// record is one journaled transition. Every kind uses the fields below
+// that its layout lists (after the kind byte; u64 unless noted):
+//
+//	recCreate    blob, n = chunk size, replication (u32)
+//	recAssign    blob, version, vi (start/end chunk, size bytes/chunks,
+//	             assign-time snapshot), n = assigned size, vi lease
+//	             deadline, vi lease TTL (absent in pre-HA journals)
+//	recCommit    blob, version
+//	recAbort     blob, version, flag = woven (bool)
+//	recRetention blob, n = keepLast
+//	recPrune     blob, n = wanted floor
+//	recDelete    blob
+//	recGCReport  blob, n = sweep frontier, flag = swept (bool), then the
+//	             gc deltas: pruned, chunks, bytes, nodes, orphans
+//	recLease     blob, version, n = lease deadline (unix ms)
+//	recWoven     blob, version
+//	recEpoch     n = epoch, leader (string)
+//
+// A GC report records its APPLIED outcome (resolved frontier, latch
+// decision, deltas), so replay never re-runs the latch logic against lost
+// runtime context.
+type record struct {
+	kind        uint8
+	blob        uint64
+	version     uint64
+	vi          verInfo
+	n           uint64
+	replication uint32
+	flag        bool
+	gc          [journaledCounters]uint64
+	leader      string
 }
 
-func encAssign(id, version uint64, vi *verInfo, newAssignedSize uint64) []byte {
+func (r *record) encode() []byte {
 	e := wire.NewEncoder(96)
-	e.PutU8(recAssign)
-	e.PutU64(id)
-	e.PutU64(version)
-	e.PutU64(vi.startChunk)
-	e.PutU64(vi.endChunk)
-	e.PutU64(vi.sizeBytes)
-	e.PutU64(vi.sizeChunks)
-	e.PutU64(vi.assignPub)
-	e.PutU64(newAssignedSize)
-	e.PutU64(vi.leaseUntil)
-	e.PutU64(vi.leaseTTLMs)
-	return e.Bytes()
-}
-
-// encEpoch records a leadership-epoch transition.
-func encEpoch(epoch uint64, leader string) []byte {
-	e := wire.NewEncoder(32)
-	e.PutU8(recEpoch)
-	e.PutU64(epoch)
-	e.PutString(leader)
-	return e.Bytes()
-}
-
-// encVersionRec covers recCommit.
-func encVersionRec(kind uint8, id, version uint64) []byte {
-	e := wire.NewEncoder(24)
-	e.PutU8(kind)
-	e.PutU64(id)
-	e.PutU64(version)
-	return e.Bytes()
-}
-
-// encAbort records an abort and whether the version's identity tree was
-// woven at abort time (false leaves the weave as GC debt).
-func encAbort(id, version uint64, woven bool) []byte {
-	e := wire.NewEncoder(24)
-	e.PutU8(recAbort)
-	e.PutU64(id)
-	e.PutU64(version)
-	e.PutBool(woven)
-	return e.Bytes()
-}
-
-// encLease records a lease grant or renewal: version's lease now runs
-// until the given unix-millisecond deadline.
-func encLease(id, version, until uint64) []byte {
-	e := wire.NewEncoder(32)
-	e.PutU8(recLease)
-	e.PutU64(id)
-	e.PutU64(version)
-	e.PutU64(until)
-	return e.Bytes()
-}
-
-// encWoven records that an aborted version's identity tree reached the
-// metadata plane after the abort (the GC sweep's repair).
-func encWoven(id, version uint64) []byte {
-	e := wire.NewEncoder(24)
-	e.PutU8(recWoven)
-	e.PutU64(id)
-	e.PutU64(version)
-	return e.Bytes()
-}
-
-// encU64Rec covers recRetention (keepLast), recPrune (wantFloor) and
-// recDelete (no argument).
-func encRetention(id, keepLast uint64) []byte {
-	e := wire.NewEncoder(24)
-	e.PutU8(recRetention)
-	e.PutU64(id)
-	e.PutU64(keepLast)
-	return e.Bytes()
-}
-
-func encPrune(id, wantFloor uint64) []byte {
-	e := wire.NewEncoder(24)
-	e.PutU8(recPrune)
-	e.PutU64(id)
-	e.PutU64(wantFloor)
-	return e.Bytes()
-}
-
-func encDelete(id uint64) []byte {
-	e := wire.NewEncoder(16)
-	e.PutU8(recDelete)
-	e.PutU64(id)
-	return e.Bytes()
-}
-
-// encGCReport records the APPLIED outcome of a GCReport — the resolved
-// frontier, latch decision and stat deltas — so replay does not depend on
-// re-running the latch logic against lost runtime context.
-func encGCReport(id, reclaimedTo uint64, deletedSwept bool, pruned uint64, req *GCReportReq) []byte {
-	e := wire.NewEncoder(80)
-	e.PutU8(recGCReport)
-	e.PutU64(id)
-	e.PutU64(reclaimedTo)
-	e.PutBool(deletedSwept)
-	e.PutU64(pruned)
-	e.PutU64(req.Chunks)
-	e.PutU64(req.Bytes)
-	e.PutU64(req.Nodes)
-	e.PutU64(req.Orphans)
-	return e.Bytes()
-}
-
-// ---------------------------------------------------------------------------
-// Replay.
-
-// applyRecord applies one journal record to the (volatile, mid-recovery)
-// manager. It re-runs the same locked transition helpers the live paths
-// use, so replayed state — publish frontiers, floors, floor caps — matches
-// what the live mutations produced.
-func (m *Manager) applyRecord(rec []byte) error {
-	d := wire.NewDecoder(rec)
-	kind := d.U8()
-	if d.Err() != nil {
-		return errJournalCorrupt
+	e.PutU8(r.kind)
+	if r.kind == recEpoch {
+		e.PutU64(r.n)
+		e.PutString(r.leader)
+		return e.Bytes()
 	}
-	if kind == recEpoch {
-		epoch := d.U64()
-		leader := d.String()
-		if d.Err() != nil {
-			return errJournalCorrupt
+	e.PutU64(r.blob)
+	switch r.kind {
+	case recCreate:
+		e.PutU64(r.n)
+		e.PutU32(r.replication)
+	case recAssign:
+		e.PutU64(r.version)
+		e.PutU64(r.vi.startChunk)
+		e.PutU64(r.vi.endChunk)
+		e.PutU64(r.vi.sizeBytes)
+		e.PutU64(r.vi.sizeChunks)
+		e.PutU64(r.vi.assignPub)
+		e.PutU64(r.n)
+		e.PutU64(r.vi.leaseUntil)
+		e.PutU64(r.vi.leaseTTLMs)
+	case recCommit, recWoven:
+		e.PutU64(r.version)
+	case recAbort:
+		e.PutU64(r.version)
+		e.PutBool(r.flag)
+	case recLease:
+		e.PutU64(r.version)
+		e.PutU64(r.n)
+	case recRetention, recPrune:
+		e.PutU64(r.n)
+	case recGCReport:
+		e.PutU64(r.n)
+		e.PutBool(r.flag)
+		e.PutU64(r.gc[GCPruned])
+		for _, d := range r.gc[:GCPruned] { // chunks, bytes, nodes, orphans
+			e.PutU64(d)
 		}
-		m.adoptEpochInfo(epoch, leader)
-		return nil
 	}
-	id := d.U64()
-	if d.Err() != nil {
-		return errJournalCorrupt
+	return e.Bytes()
+}
+
+func decodeRecord(buf []byte) (record, error) {
+	d := wire.NewDecoder(buf)
+	r := record{kind: d.U8()}
+	if r.kind == recEpoch {
+		r.n = d.U64()
+		r.leader = d.String()
+	} else {
+		r.blob = d.U64()
 	}
-	if kind == recCreate {
-		chunkSize := d.U64()
-		replication := d.U32()
-		if d.Err() != nil {
-			return errJournalCorrupt
+	switch r.kind {
+	case recCreate:
+		r.n = d.U64()
+		r.replication = d.U32()
+	case recAssign:
+		r.version = d.U64()
+		r.vi.startChunk = d.U64()
+		r.vi.endChunk = d.U64()
+		r.vi.sizeBytes = d.U64()
+		r.vi.sizeChunks = d.U64()
+		r.vi.assignPub = d.U64()
+		r.n = d.U64()
+		r.vi.leaseUntil = d.U64()
+		if d.Remaining() > 0 {
+			r.vi.leaseTTLMs = d.U64() // absent in pre-HA journals
 		}
+	case recCommit, recWoven:
+		r.version = d.U64()
+	case recAbort:
+		r.version = d.U64()
+		r.flag = d.Bool()
+	case recLease:
+		r.version = d.U64()
+		r.n = d.U64()
+	case recRetention, recPrune:
+		r.n = d.U64()
+	case recGCReport:
+		r.n = d.U64()
+		r.flag = d.Bool()
+		r.gc[GCPruned] = d.U64()
+		for id := range r.gc[:GCPruned] {
+			r.gc[id] = d.U64()
+		}
+	case recDelete, recEpoch: // nothing past the fields read above
+	default:
+		return r, fmt.Errorf("%w: unknown record type %d", errJournalCorrupt, r.kind)
+	}
+	if d.Err() != nil {
+		return r, errJournalCorrupt
+	}
+	return r, nil
+}
+
+// commit journals r, then applies it: the one way a live mutator changes
+// journaled state. Write-ahead: the caller holds the locks apply needs
+// (and jmu shared, via journalBegin), so WAL order matches apply order,
+// and a failed append leaves RAM untouched — the journal can never fall
+// behind the state it must reproduce. (A crash between append and apply
+// replays the record, which is the safe direction: the client saw no
+// acknowledgment and retries.) The caller has checked everything apply
+// checks, so apply cannot fail once the record is in the journal.
+func (m *Manager) commit(b *blobState, r *record) error {
+	if m.j != nil {
+		if err := m.j.Append(r.encode()); err != nil {
+			return err
+		}
+	}
+	return m.apply(b, r)
+}
+
+// replay decodes one journal record and applies it: how recovery and
+// standbys perform a transition that was committed before.
+func (m *Manager) replay(buf []byte) error {
+	r, err := decodeRecord(buf)
+	if err != nil {
+		return err
+	}
+	if r.kind == recCreate || r.kind == recEpoch {
 		m.mu.Lock()
-		if _, dup := m.blobs[id]; dup {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: duplicate create of blob %d", errJournalCorrupt, id)
-		}
-		m.blobs[id] = newBlobState(id, chunkSize, replication)
-		if id >= m.nextID {
-			m.nextID = id + 1
-		}
-		m.mu.Unlock()
-		return nil
+		defer m.mu.Unlock()
+		return m.apply(nil, &r)
 	}
-
-	m.mu.Lock()
-	b, ok := m.blobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: record for unknown blob %d", errJournalCorrupt, id)
+	b, err := m.blob(r.blob)
+	if err != nil {
+		return fmt.Errorf("%w: record for unknown blob %d", errJournalCorrupt, r.blob)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return m.apply(b, &r)
+}
 
-	switch kind {
+// apply performs one transition. It is the only code that changes
+// journaled state — snapshot decode/install and history compaction aside —
+// so live, replayed and replicated managers agree by construction. b is
+// the record's blob, locked by the caller; create and epoch records take
+// b == nil, and a create needs m.mu held instead. The errors reject
+// journals whose records do not apply; a live mutator never hits one.
+func (m *Manager) apply(b *blobState, r *record) error {
+	switch r.kind {
+	case recEpoch:
+		m.adoptEpochInfo(r.n, r.leader)
+		return nil
+	case recCreate:
+		if _, dup := m.blobs[r.blob]; dup {
+			return fmt.Errorf("%w: duplicate create of blob %d", errJournalCorrupt, r.blob)
+		}
+		m.blobs[r.blob] = newBlobState(r.blob, r.n, r.replication)
+		m.nextID = max(m.nextID, r.blob+1)
+		return nil
 	case recAssign:
-		version := d.U64()
-		vi := verInfo{
-			startChunk: d.U64(),
-			endChunk:   d.U64(),
-			sizeBytes:  d.U64(),
-			sizeChunks: d.U64(),
-			assignPub:  d.U64(),
+		if r.version != b.lastAssigned()+1 {
+			return fmt.Errorf("%w: blob %d assign of version %d after %d", errJournalCorrupt, b.id, r.version, b.lastAssigned())
 		}
-		newSize := d.U64()
-		vi.leaseUntil = d.U64()
-		if d.Remaining() > 0 {
-			vi.leaseTTLMs = d.U64() // absent in pre-HA journals
-		}
-		if d.Err() != nil {
-			return errJournalCorrupt
-		}
-		if version != b.lastAssigned()+1 {
-			return fmt.Errorf("%w: blob %d assign of version %d after %d", errJournalCorrupt, id, version, b.lastAssigned())
-		}
-		b.versions = append(b.versions, vi)
-		b.assignedSizeBytes = newSize
-	case recCommit, recAbort:
-		version := d.U64()
-		var woven bool
-		if kind == recAbort {
-			woven = d.Bool()
-		}
-		if d.Err() != nil {
-			return errJournalCorrupt
-		}
-		vi, err := b.version(version)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errJournalCorrupt, err)
-		}
-		if vi.committed {
-			return fmt.Errorf("%w: blob %d version %d finished twice", errJournalCorrupt, id, version)
-		}
-		vi.woven = kind == recAbort && woven
-		b.finishLocked(vi, kind == recAbort)
-	case recLease:
-		version := d.U64()
-		until := d.U64()
-		if d.Err() != nil {
-			return errJournalCorrupt
-		}
-		vi, err := b.version(version)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errJournalCorrupt, err)
-		}
-		vi.leaseUntil = until
-	case recWoven:
-		version := d.U64()
-		if d.Err() != nil {
-			return errJournalCorrupt
-		}
-		vi, err := b.version(version)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errJournalCorrupt, err)
-		}
-		if !vi.committed || !vi.failed {
-			return fmt.Errorf("%w: blob %d version %d woven while not aborted", errJournalCorrupt, id, version)
-		}
-		vi.woven = true
+		b.versions = append(b.versions, r.vi)
+		b.assignedSizeBytes = r.n
+		return nil
 	case recRetention:
-		b.keepLast = d.U64()
-		if d.Err() != nil {
-			return errJournalCorrupt
-		}
+		b.keepLast = r.n
 		b.applyPolicyLocked()
+		return nil
 	case recPrune:
-		want := d.U64()
-		if d.Err() != nil {
-			return errJournalCorrupt
-		}
-		if want > b.wantFloor {
-			b.wantFloor = want
-		}
+		b.wantFloor = max(b.wantFloor, r.n)
 		b.applyPolicyLocked()
+		return nil
 	case recDelete:
 		b.deleted = true
+		b.wakeWaitersLocked()
+		return nil
 	case recGCReport:
-		reclaimedTo := d.U64()
-		deletedSwept := d.Bool()
-		pruned := d.U64()
-		chunks, bytes, nodes, orphans := d.U64(), d.U64(), d.U64(), d.U64()
-		if d.Err() != nil {
-			return errJournalCorrupt
+		b.reclaimedTo = max(b.reclaimedTo, r.n)
+		b.deletedSwept = b.deletedSwept || r.flag
+		m.maintMu.Lock()
+		for id, d := range r.gc {
+			m.maint[id] += d
 		}
-		if reclaimedTo > b.reclaimedTo {
-			b.reclaimedTo = reclaimedTo
+		m.maintMu.Unlock()
+		return nil
+	}
+	// The remaining kinds act on one assigned version.
+	vi, err := b.version(r.version)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errJournalCorrupt, err)
+	}
+	switch r.kind {
+	case recCommit, recAbort:
+		if vi.committed {
+			return fmt.Errorf("%w: blob %d version %d finished twice", errJournalCorrupt, b.id, r.version)
 		}
-		if deletedSwept {
-			b.deletedSwept = true
+		vi.woven = r.kind == recAbort && r.flag
+		b.finishLocked(vi, r.kind == recAbort)
+	case recLease:
+		vi.leaseUntil = r.n
+	case recWoven:
+		if !vi.committed || !vi.failed {
+			return fmt.Errorf("%w: blob %d version %d woven while not aborted", errJournalCorrupt, b.id, r.version)
 		}
-		m.addGCTotals(chunks, bytes, nodes, orphans, pruned)
-	default:
-		return fmt.Errorf("%w: unknown record type %d", errJournalCorrupt, kind)
+		vi.woven = true
 	}
 	return nil
 }

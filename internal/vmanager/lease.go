@@ -82,11 +82,9 @@ func (m *Manager) RenewLease(blobID, version uint64) error {
 	if ttl == 0 {
 		return nil
 	}
-	until := m.nowMs() + ttl
-	if err := m.logRecord(encLease(blobID, version, until)); err != nil {
+	if err := m.commit(b, &record{kind: recLease, blob: blobID, version: version, n: m.nowMs() + ttl}); err != nil {
 		return err
 	}
-	vi.leaseUntil = until
 	m.leasesRenewed.Add(1)
 	return nil
 }
@@ -106,14 +104,8 @@ func (m *Manager) ExpireLeases(ctx context.Context, weaver AbortWeaver) (int, er
 	if !m.expiryAllowed() {
 		return 0, nil
 	}
-	m.mu.Lock()
-	blobs := make([]*blobState, 0, len(m.blobs))
-	for _, b := range m.blobs {
-		blobs = append(blobs, b)
-	}
-	m.mu.Unlock()
 	expired := 0
-	for _, b := range blobs {
+	for _, b := range m.blobList() {
 		n, err := m.expireBlob(ctx, b, weaver)
 		expired += n
 		if err != nil {
@@ -149,25 +141,7 @@ func (m *Manager) expireBlob(ctx context.Context, b *blobState, weaver AbortWeav
 		// fail with ErrLeaseExpired, so the abort below cannot race a late
 		// writer into publishing a version the weave is repairing.
 		vi.expiring = true
-		in := meta.IdentityInput{
-			Blob:       b.id,
-			Version:    v,
-			StartChunk: vi.startChunk,
-			EndChunk:   vi.endChunk,
-			SizeChunks: vi.sizeChunks,
-		}
-		// The identity source is the newest non-failed predecessor — the
-		// same snapshot Assign would hand out here (failed versions carry
-		// no content). If every retained predecessor failed there is no
-		// tree to reference and zeros are the resolvable truth.
-		p := v - 1
-		for p > b.base && b.vi(p).failed {
-			p--
-		}
-		if p > b.base {
-			in.SrcVersion = p
-			in.SrcSizeChunks = b.vi(p).sizeChunks
-		}
+		in := b.identityInput(v)
 		b.mu.Unlock()
 
 		// Weave with no locks held: this talks to the metadata plane.
@@ -181,18 +155,13 @@ func (m *Manager) expireBlob(ctx context.Context, b *blobState, weaver AbortWeav
 		// Re-fetch: Assign may have grown (reallocated) the version slice
 		// while we were weaving. The expiring fence guarantees the version
 		// is still unfinished.
-		vi = b.vi(v)
-		if err := m.logRecord(encAbort(b.id, v, woven)); err != nil {
-			vi.expiring = false
-			b.mu.Unlock()
-			m.journalEnd()
-			return expired, err
-		}
-		vi.woven = woven
-		vi.expiring = false
-		b.finishLocked(vi, true)
+		b.vi(v).expiring = false
+		err := m.commit(b, &record{kind: recAbort, blob: b.id, version: v, flag: woven})
 		b.mu.Unlock()
 		m.journalEnd()
+		if err != nil {
+			return expired, err
+		}
 		m.leasesExpired.Add(1)
 		expired++
 		// Loop: the next frontier version may have expired too (a storm of
@@ -208,11 +177,7 @@ func (m *Manager) expireBlob(ctx context.Context, b *blobState, weaver AbortWeav
 func (m *Manager) expireDeleted(b *blobState) (int, error) {
 	b.mu.Lock()
 	var cand []uint64
-	start := b.published + 1
-	if s := b.base + 1; s > start {
-		start = s
-	}
-	for v := start; v <= b.lastAssigned(); v++ {
+	for v := max(b.published, b.base) + 1; v <= b.lastAssigned(); v++ {
 		vi := b.vi(v)
 		if !vi.committed && !vi.expiring && vi.leaseUntil > 0 && m.nowMs() > vi.leaseUntil {
 			cand = append(cand, v)
@@ -229,14 +194,12 @@ func (m *Manager) expireDeleted(b *blobState) (int, error) {
 			m.journalEnd()
 			continue
 		}
-		if err := m.logRecord(encAbort(b.id, v, false)); err != nil {
-			b.mu.Unlock()
-			m.journalEnd()
-			return expired, err
-		}
-		b.finishLocked(vi, true)
+		err := m.commit(b, &record{kind: recAbort, blob: b.id, version: v})
 		b.mu.Unlock()
 		m.journalEnd()
+		if err != nil {
+			return expired, err
+		}
 		m.leasesExpired.Add(1)
 		expired++
 	}
@@ -254,44 +217,17 @@ func (m *Manager) expireDeleted(b *blobState) (int, error) {
 // predecessors have not all finished, so the identity weave's precondition
 // does not hold yet — they appear once the frontier passes them.
 func (m *Manager) UnwovenAborts() []meta.IdentityInput {
-	m.mu.Lock()
-	blobs := make([]*blobState, 0, len(m.blobs))
-	for _, b := range m.blobs {
-		blobs = append(blobs, b)
-	}
-	m.mu.Unlock()
 	var out []meta.IdentityInput
-	for _, b := range blobs {
+	for _, b := range m.blobList() {
 		b.mu.Lock()
 		if b.deleted {
 			b.mu.Unlock()
 			continue
 		}
-		lo := b.reclaimedTo
-		if lo <= b.base {
-			lo = b.base + 1
-		}
-		for v := lo; v <= b.published; v++ {
-			vi := b.vi(v)
-			if !vi.failed || vi.woven {
-				continue
+		for v := max(b.reclaimedTo, b.base+1); v <= b.published; v++ {
+			if vi := b.vi(v); vi.failed && !vi.woven {
+				out = append(out, b.identityInput(v))
 			}
-			in := meta.IdentityInput{
-				Blob:       b.id,
-				Version:    v,
-				StartChunk: vi.startChunk,
-				EndChunk:   vi.endChunk,
-				SizeChunks: vi.sizeChunks,
-			}
-			p := v - 1
-			for p > b.base && b.vi(p).failed {
-				p--
-			}
-			if p > b.base {
-				in.SrcVersion = p
-				in.SrcSizeChunks = b.vi(p).sizeChunks
-			}
-			out = append(out, in)
 		}
 		b.mu.Unlock()
 	}
@@ -319,11 +255,28 @@ func (m *Manager) MarkWoven(blobID, version uint64) error {
 	if vi.woven {
 		return nil
 	}
-	if err := m.logRecord(encWoven(blobID, version)); err != nil {
-		return err
+	return m.commit(b, &record{kind: recWoven, blob: blobID, version: version})
+}
+
+// identityInput describes the identity weave that repairs aborted version
+// v. The identity source is the newest non-failed predecessor — the same
+// snapshot Assign would hand out here (failed versions carry no content).
+// If every retained predecessor failed there is no tree to reference and
+// zeros are the resolvable truth. Caller holds b.mu.
+func (b *blobState) identityInput(v uint64) meta.IdentityInput {
+	vi := b.vi(v)
+	in := meta.IdentityInput{
+		Blob:       b.id,
+		Version:    v,
+		StartChunk: vi.startChunk,
+		EndChunk:   vi.endChunk,
+		SizeChunks: vi.sizeChunks,
 	}
-	vi.woven = true
-	return nil
+	if p := b.liveAtOrBelow(v - 1); p > b.base {
+		in.SrcVersion = p
+		in.SrcSizeChunks = b.vi(p).sizeChunks
+	}
+	return in
 }
 
 // LeaseStats reports the lease configuration and cumulative counters.
@@ -334,13 +287,7 @@ func (m *Manager) LeaseStats() *LeaseStatsResp {
 		Renewed: m.leasesRenewed.Load(),
 		Expired: m.leasesExpired.Load(),
 	}
-	m.mu.Lock()
-	blobs := make([]*blobState, 0, len(m.blobs))
-	for _, b := range m.blobs {
-		blobs = append(blobs, b)
-	}
-	m.mu.Unlock()
-	for _, b := range blobs {
+	for _, b := range m.blobList() {
 		b.mu.Lock()
 		for i := range b.versions {
 			if !b.versions[i].committed && b.versions[i].leaseUntil > 0 {

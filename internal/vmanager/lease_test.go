@@ -321,7 +321,9 @@ func TestExpiryAndWovenMarksSurviveRestart(t *testing.T) {
 
 // FuzzLeaseRecordReplay feeds arbitrary journal records to a mid-recovery
 // manager holding one blob with one in-flight version. Replay must reject
-// garbage as corruption, never panic or corrupt invariants.
+// garbage as corruption, never panic or corrupt invariants: afterwards the
+// blob answers Info, unless the record was a well-formed delete of it, in
+// which case Info reports the deletion.
 func FuzzLeaseRecordReplay(f *testing.F) {
 	mk := func() (*Manager, uint64) {
 		m := NewManager()
@@ -336,20 +338,27 @@ func FuzzLeaseRecordReplay(f *testing.F) {
 		return m, blob
 	}
 	m0, blob := mk()
-	f.Add(encLease(blob, 1, 12345))
-	f.Add(encLease(blob, 99, 12345))
-	f.Add(encWoven(blob, 1))
-	f.Add(encAbort(blob, 1, true))
-	f.Add(encAbort(blob, 1, false))
-	f.Add(encLease(blob, 1, 12345)[:5])
+	seed := func(r record) []byte { return r.encode() }
+	f.Add(seed(record{kind: recLease, blob: blob, version: 1, n: 12345}))
+	f.Add(seed(record{kind: recLease, blob: blob, version: 99, n: 12345}))
+	f.Add(seed(record{kind: recWoven, blob: blob, version: 1}))
+	f.Add(seed(record{kind: recAbort, blob: blob, version: 1, flag: true}))
+	f.Add(seed(record{kind: recAbort, blob: blob, version: 1}))
+	f.Add(seed(record{kind: recLease, blob: blob, version: 1, n: 12345})[:5])
+	f.Add(seed(record{kind: recDelete, blob: blob}))
 	m0.Close()
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		m, blob := mk()
 		defer m.Close()
-		_ = m.applyRecord(rec) // errors are fine; panics are not
+		_ = m.replay(rec) // errors are fine; panics are not
 		// Whatever replayed, the manager must still answer consistently.
-		if _, err := m.Info(blob); err != nil {
+		_, err := m.Info(blob)
+		if r, derr := decodeRecord(rec); derr == nil && r.kind == recDelete && r.blob == blob {
+			if !errors.Is(err, ErrBlobDeleted) {
+				t.Fatalf("Info after replaying a delete: %v, want ErrBlobDeleted", err)
+			}
+		} else if err != nil {
 			t.Fatalf("Info after replay: %v", err)
 		}
 		_ = m.UnwovenAborts()

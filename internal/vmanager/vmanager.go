@@ -146,9 +146,8 @@ func (b *blobState) version(v uint64) (*verInfo, error) {
 
 // finishLocked marks one version finished (committed or failed), advances
 // the publish frontier over every fully finished prefix, wakes waiters,
-// and re-applies the retention policy. Caller holds b.mu. Shared by the
-// live Commit/Abort path and journal replay so both produce identical
-// state. On a deleted blob the finish is recorded but publication does not
+// and re-applies the retention policy. Caller holds b.mu; only apply calls
+// it. On a deleted blob the finish is recorded but publication does not
 // advance (the delete-sweep latch needs the finish count; readers are gone).
 func (b *blobState) finishLocked(vi *verInfo, failed bool) {
 	vi.committed = true
@@ -167,8 +166,30 @@ func (b *blobState) finishLocked(vi *verInfo, failed bool) {
 	b.applyPolicyLocked()
 }
 
-// newBlobState builds the initial state shared by Create and journal
-// replay.
+// wakeWaitersLocked wakes every WaitPublished waiter of the blob; each
+// re-checks its condition (deleted, leadership lost, state replaced).
+// Caller holds b.mu.
+func (b *blobState) wakeWaitersLocked() {
+	for v, chans := range b.waiters {
+		for _, ch := range chans {
+			close(ch)
+		}
+		delete(b.waiters, v)
+	}
+}
+
+// liveAtOrBelow returns the newest non-failed version at or below v, or
+// b.base when every retained version up to v failed (history below base
+// carries no descriptors). Failed versions have no content, so this is
+// the snapshot a reader of v sees. Caller holds b.mu.
+func (b *blobState) liveAtOrBelow(v uint64) uint64 {
+	for v > b.base && b.vi(v).failed {
+		v--
+	}
+	return v
+}
+
+// newBlobState builds a freshly created blob's state.
 func newBlobState(id, chunkSize uint64, replication uint32) *blobState {
 	return &blobState{
 		id:          id,
@@ -229,22 +250,32 @@ func (m *Manager) Create(chunkSize uint64, replication uint32) (uint64, error) {
 	if replication == 0 {
 		replication = 1
 	}
+	if replication > meta.MaxReplicas {
+		return 0, fmt.Errorf("vmanager: replication degree %d exceeds the cap of %d", replication, meta.MaxReplicas)
+	}
 	m.journalBegin()
 	m.mu.Lock()
 	id := m.nextID
-	// Write-ahead: the record is durable before RAM changes, so a failed
-	// append leaves no divergence and a crash after it replays cleanly.
-	if err := m.logRecord(encCreate(id, chunkSize, replication)); err != nil {
-		m.mu.Unlock()
-		m.journalEnd()
-		return 0, err
-	}
-	m.nextID++
-	m.blobs[id] = newBlobState(id, chunkSize, replication)
+	err := m.commit(nil, &record{kind: recCreate, blob: id, n: chunkSize, replication: replication})
 	m.mu.Unlock()
 	m.journalEnd()
+	if err != nil {
+		return 0, err
+	}
 	m.maybeCompact()
 	return id, nil
+}
+
+// blobList copies the blob set under m.mu, for passes that then lock one
+// blob at a time.
+func (m *Manager) blobList() []*blobState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	blobs := make([]*blobState, 0, len(m.blobs))
+	for _, b := range m.blobs {
+		blobs = append(blobs, b)
+	}
+	return blobs
 }
 
 func (m *Manager) blob(id uint64) (*blobState, error) {
@@ -349,10 +380,7 @@ func (m *Manager) Assign(req *AssignReq) (*AssignResp, error) {
 	// content-wise. (History compacted below base has no trees either;
 	// if everything above base failed, fall back to the frontier —
 	// no better reference exists.)
-	pub := b.published
-	for pub > b.base && b.vi(pub).failed {
-		pub--
-	}
+	pub := b.liveAtOrBelow(b.published)
 	if pub == b.base && b.base > 0 {
 		pub = b.published
 	}
@@ -403,16 +431,12 @@ func (m *Manager) Assign(req *AssignReq) (*AssignResp, error) {
 		vi.leaseTTLMs = grant
 		resp.LeaseTTLMs = grant
 	}
-	// Write-ahead: journal before mutating, so RAM never runs ahead of
-	// the WAL (a divergent journal would fail replay validation on boot).
-	if err := m.logRecord(encAssign(b.id, resp.Version, &vi, newSize)); err != nil {
+	if err := m.commit(b, &record{kind: recAssign, blob: b.id, version: resp.Version, vi: vi, n: newSize}); err != nil {
 		return nil, err
 	}
 	if vi.leaseUntil > 0 {
 		m.leasesGranted.Add(1)
 	}
-	b.versions = append(b.versions, vi)
-	b.assignedSizeBytes = newSize
 	return resp, nil
 }
 
@@ -485,17 +509,13 @@ func (m *Manager) finish(blobID, version uint64, failed, woven bool) error {
 	// after the sweep — so the tombstone latches only once every
 	// assigned version has finished and one more sweep has run (the
 	// finishGen echo in GCReport enforces the "one more").
-	var rec []byte
+	r := record{kind: recCommit, blob: blobID, version: version}
 	if failed {
-		rec = encAbort(blobID, version, woven)
-	} else {
-		rec = encVersionRec(recCommit, blobID, version)
+		r.kind, r.flag = recAbort, woven
 	}
-	if err := m.logRecord(rec); err != nil {
+	if err := m.commit(b, &r); err != nil {
 		return err
 	}
-	vi.woven = failed && woven
-	b.finishLocked(vi, failed)
 	if b.deleted {
 		return fmt.Errorf("%w: %d", ErrBlobDeleted, blobID)
 	}
@@ -517,10 +537,7 @@ func (m *Manager) finish(blobID, version uint64, failed, woven bool) error {
 //     snapshot — otherwise a sweep could delete nodes the write's tree
 //     references the moment it commits.
 func (b *blobState) floorCapLocked() uint64 {
-	limit := b.published
-	for limit > b.base && b.vi(limit).failed {
-		limit--
-	}
+	limit := b.liveAtOrBelow(b.published)
 	for v := b.published + 1; v <= b.lastAssigned(); v++ {
 		ap := b.vi(v).assignPub // v > published: unpublished
 		if ap == 0 {
@@ -563,12 +580,7 @@ func (m *Manager) SetRetention(blobID, keepLast uint64) error {
 	defer m.journalEnd()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := m.logRecord(encRetention(blobID, keepLast)); err != nil {
-		return err
-	}
-	b.keepLast = keepLast
-	b.applyPolicyLocked()
-	return nil
+	return m.commit(b, &record{kind: recRetention, blob: blobID, n: keepLast})
 }
 
 // Prune raises the retention floor so that versions 1..upTo become
@@ -590,15 +602,10 @@ func (m *Manager) Prune(blobID, upTo uint64) (uint64, error) {
 		return 0, fmt.Errorf("%w: blob %d has published %d, prune up to %d",
 			ErrRetainLatest, blobID, b.published, upTo)
 	}
-	want := b.wantFloor
-	if upTo+1 > want {
-		want = upTo + 1
-	}
-	if err := m.logRecord(encPrune(blobID, want)); err != nil {
+	want := max(b.wantFloor, upTo+1)
+	if err := m.commit(b, &record{kind: recPrune, blob: blobID, n: want}); err != nil {
 		return 0, err
 	}
-	b.wantFloor = want
-	b.applyPolicyLocked()
 	return b.retainFrom, nil
 }
 
@@ -617,17 +624,7 @@ func (m *Manager) Delete(blobID uint64) error {
 	if b.deleted {
 		return nil // idempotent
 	}
-	if err := m.logRecord(encDelete(blobID)); err != nil {
-		return err
-	}
-	b.deleted = true
-	for v, chans := range b.waiters {
-		for _, ch := range chans {
-			close(ch)
-		}
-		delete(b.waiters, v)
-	}
-	return nil
+	return m.commit(b, &record{kind: recDelete, blob: blobID})
 }
 
 // Latest reports the newest published version (version 0 with zero sizes
@@ -800,28 +797,22 @@ func (m *Manager) GCReport(req *GCReportReq) error {
 	}
 	m.journalBegin()
 	b.mu.Lock()
-	// Resolve the applied outcome first, then journal it, then apply: the
-	// WAL record always matches what RAM will hold.
-	var pruned uint64
-	target := req.ReclaimedTo
-	if target > b.retainFrom {
-		target = b.retainFrom
+	// Resolve the applied outcome, then commit it: the record carries the
+	// frontier and latch decision RAM will hold, not the request.
+	r := record{kind: recGCReport, blob: req.BlobID, n: b.reclaimedTo, flag: b.deletedSwept,
+		gc: [journaledCounters]uint64{GCChunks: req.Chunks, GCBytes: req.Bytes, GCNodes: req.Nodes, GCOrphans: req.Orphans}}
+	if target := min(req.ReclaimedTo, b.retainFrom); target > b.reclaimedTo {
+		r.gc[GCPruned] = target - b.reclaimedTo
+		r.n = target
 	}
-	newReclaimedTo := b.reclaimedTo
-	if target > b.reclaimedTo {
-		pruned = target - b.reclaimedTo
-		newReclaimedTo = target
-	}
-	swept := b.deletedSwept
 	if req.DeletedSwept && b.deleted {
 		// Latch only when no write is in flight AND no write finished
 		// since the sweep snapshotted the blob (FinishGen echo): an
 		// assigned-but-unfinished version may still upload metadata or
 		// chunks after this sweep ran, and a write that finished mid-
 		// sweep may have uploaded after the sweep listed the providers.
-		// Either way the blob stays in GCWork for one more sweep. (A
-		// writer that crashed without finishing keeps the blob in
-		// GCWork — bounded cleanup needs the write-lease follow-up.)
+		// Either way the blob stays in GCWork for one more sweep; a writer
+		// that crashed without finishing is aborted once its lease lapses.
 		allFinished := req.FinishGen == b.finishGen
 		for i := range b.versions {
 			if !b.versions[i].committed {
@@ -829,38 +820,19 @@ func (m *Manager) GCReport(req *GCReportReq) error {
 				break
 			}
 		}
-		if allFinished {
-			swept = true
-		}
+		r.flag = r.flag || allFinished
 	}
-	if err := m.logRecord(encGCReport(req.BlobID, newReclaimedTo, swept, pruned, req)); err != nil {
-		b.mu.Unlock()
-		m.journalEnd()
+	// The GC totals move inside the journal bracket: a concurrent Compact
+	// excludes mutators, so its snapshot either contains this delta or the
+	// WAL it keeps contains the record — never neither.
+	err = m.commit(b, &r)
+	b.mu.Unlock()
+	m.journalEnd()
+	if err != nil {
 		return err
 	}
-	b.reclaimedTo = newReclaimedTo
-	b.deletedSwept = swept
-	b.mu.Unlock()
-
-	// Stats must update before journalEnd: a concurrent Compact excludes
-	// mutators, so its snapshot either contains this delta or the WAL it
-	// keeps contains the record — never neither.
-	m.addGCTotals(req.Chunks, req.Bytes, req.Nodes, req.Orphans, pruned)
-	m.journalEnd()
 	m.maybeCompact()
 	return nil
-}
-
-// addGCTotals folds one applied GCReport (live or replayed) into the
-// journaled counters.
-func (m *Manager) addGCTotals(chunks, bytes, nodes, orphans, pruned uint64) {
-	m.maintMu.Lock()
-	defer m.maintMu.Unlock()
-	m.maint[GCChunks] += chunks
-	m.maint[GCBytes] += bytes
-	m.maint[GCNodes] += nodes
-	m.maint[GCOrphans] += orphans
-	m.maint[GCPruned] += pruned
 }
 
 // MaintReport folds one engine's pass delta into the cumulative totals.

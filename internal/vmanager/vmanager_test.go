@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/meta"
 	"repro/internal/rpc"
 	"repro/internal/wire"
 )
@@ -37,6 +38,14 @@ func TestCreateAndInfo(t *testing.T) {
 	info2, _ := m.Info(id2)
 	if info2.Replication != 1 {
 		t.Errorf("default replication = %d, want 1", info2.Replication)
+	}
+	// A leaf cannot carry more replicas than its decoder accepts, so no
+	// blob may ask for more.
+	if _, err := m.Create(64, meta.MaxReplicas+1); err == nil {
+		t.Errorf("replication %d accepted", meta.MaxReplicas+1)
+	}
+	if _, err := m.Create(64, meta.MaxReplicas); err != nil {
+		t.Errorf("replication %d refused: %v", meta.MaxReplicas, err)
 	}
 }
 

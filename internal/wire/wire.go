@@ -19,7 +19,8 @@ import (
 // ErrTruncated is reported when a Decoder runs past the end of its buffer.
 var ErrTruncated = errors.New("wire: truncated message")
 
-// ErrTooLarge is reported when a length prefix exceeds MaxChunk.
+// ErrTooLarge is reported when a length prefix exceeds MaxChunk, or an
+// element count exceeds the bound its decoder names (Decoder.Count).
 var ErrTooLarge = errors.New("wire: length prefix too large")
 
 // MaxChunk bounds any single length-prefixed field. It exists so a corrupt
@@ -188,6 +189,18 @@ func (d *Decoder) U64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// Count decodes a u32 element count bounded by max. A larger count is
+// corruption: it latches ErrTooLarge and returns 0, so the decode fails
+// instead of reading on with a clamped count.
+func (d *Decoder) Count(max uint32) uint32 {
+	n := d.U32()
+	if n > max {
+		d.err = ErrTooLarge
+		return 0
+	}
+	return n
 }
 
 // I64 decodes a little-endian int64.

@@ -95,6 +95,17 @@ func TestOversizedLengthPrefix(t *testing.T) {
 	if dec.Err() != ErrTooLarge {
 		t.Errorf("Err = %v, want ErrTooLarge", dec.Err())
 	}
+	// An element count past its decoder's bound fails the same way.
+	enc.Reset()
+	enc.PutU32(7)
+	enc.PutU32(8)
+	dec = NewDecoder(enc.Bytes())
+	if n := dec.Count(7); n != 7 || dec.Err() != nil {
+		t.Errorf("Count(7) of 7 = %d, %v", n, dec.Err())
+	}
+	if n := dec.Count(7); n != 0 || dec.Err() != ErrTooLarge {
+		t.Errorf("Count(7) of 8 = %d, %v; want 0, ErrTooLarge", n, dec.Err())
+	}
 }
 
 func TestErrorLatches(t *testing.T) {
