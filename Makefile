@@ -22,12 +22,15 @@ vet:
 # so the rpc layer never marshals a body into a buffer of its own.
 # One transition path: every version-manager state change is a record that
 # apply performs, so no per-kind record encoder or side-door journal append
-# comes back. And every Go file is gofmt-clean.
+# comes back. One buffer per chunk read: the disk store reads chunk files
+# into the caller's (pooled) buffer, never into a fresh whole-file slice.
+# And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
 	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
 	@! grep -rn 'wire\.Marshal' --include='*.go' --exclude='*_test.go' internal/rpc
 	@! grep -rnE 'logRecord|func enc[A-Z][A-Za-z0-9]*\(' --include='*.go' internal/vmanager
+	@! grep -n 'os\.ReadFile' internal/chunk/disk.go
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
@@ -44,9 +47,9 @@ race:
 	$(GO) test -race ./...
 
 # Data-path micro-benchmarks as a short smoke: a 64 KiB chunk get and a
-# 32 x 64 KiB putchunks over TCP loopback, the putchunks also against a
-# disk store with an fsync'd sidecar (plus the rpc and wire benchmarks),
-# 20 iterations each, with allocation counts.
+# 32 x 64 KiB putchunks over TCP loopback, both also against a disk store
+# with an fsync'd sidecar (plus the rpc and wire benchmarks), 20
+# iterations each, with allocation counts.
 micro:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem ./internal/wire/ ./internal/rpc/ ./internal/provider/
 

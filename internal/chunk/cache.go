@@ -139,13 +139,14 @@ func (s *CachedStore) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Get serves from cache when possible, falling back to the backing store
-// and populating the cache on a miss.
-func (s *CachedStore) Get(k Key) ([]byte, error) {
+// GetInto serves from cache when possible, falling back to the backing
+// store and populating the cache on a miss. The cache keeps what it
+// reads, so a miss reads into a slice of its own, never into buf.
+func (s *CachedStore) GetInto(k Key, _ []byte) ([]byte, error) {
 	if data, ok := s.cacheGet(k); ok {
 		return data, nil
 	}
-	data, err := s.backing.Get(k)
+	data, err := s.backing.GetInto(k, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -160,13 +161,13 @@ func (s *CachedStore) Get(k Key) ([]byte, error) {
 // materializing the whole chunk on every ranged read would defeat the
 // point of a ranged read. But a chunk that keeps getting range-missed is
 // hot despite never being read whole, so after rangeAdmitAfter misses
-// the next one pays for a full backing Get and admits the chunk.
+// the next one pays for a full backing read and admits the chunk.
 func (s *CachedStore) GetRange(k Key, off, length uint64) ([]byte, error) {
 	if data, ok := s.cacheGet(k); ok {
 		return clipRange(data, off, length), nil
 	}
 	if s.noteRangeMiss(k) {
-		if data, err := s.backing.Get(k); err == nil {
+		if data, err := s.backing.GetInto(k, nil); err == nil {
 			s.cachePut(k, data)
 			s.mu.Lock()
 			s.rangeAdmits++

@@ -29,7 +29,7 @@ func (s *MemStore) Corrupt(k Key, off uint64) error {
 	if off >= uint64(len(d)) {
 		return fmt.Errorf("chunk: corrupt offset %d beyond %s (%d bytes)", off, k, len(d))
 	}
-	// Get hands out the internal slice, so mutate a copy: a reader that
+	// GetInto hands out the internal slice, so mutate a copy: a reader that
 	// already holds the old slice keeps its (clean) bytes, exactly like a
 	// page cache holding pre-rot data.
 	cp := make([]byte, len(d))
@@ -82,7 +82,7 @@ func (s *CachedStore) Corrupt(k Key, off uint64) error {
 
 // TamperStore wraps any Store and lets tests corrupt chunks even when the
 // backing engine does not implement Corruptor: tampered keys have one
-// byte flipped on the way out of Get/GetRange, the stored bytes stay
+// byte flipped on the way out of GetInto/GetRange, the stored bytes stay
 // pristine. It doubles as a read-path-corruption simulator (bad NIC, bad
 // RAM between disk and wire).
 type TamperStore struct {
@@ -127,9 +127,10 @@ func (s *TamperStore) flip(k Key, data []byte, base uint64) []byte {
 	return cp
 }
 
-// Get returns the stored bytes, tampered if marked.
-func (s *TamperStore) Get(k Key) ([]byte, error) {
-	data, err := s.Store.Get(k)
+// GetInto returns the stored bytes, tampered if marked. A tampered read
+// is a fresh copy, so buf and the stored bytes stay untouched.
+func (s *TamperStore) GetInto(k Key, buf []byte) ([]byte, error) {
+	data, err := s.Store.GetInto(k, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -54,13 +54,13 @@ func TestCorruptHooks(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Warm any cache so Corrupt must also defeat it.
-			if _, err := s.Get(k); err != nil {
+			if _, err := s.GetInto(k, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.(Corruptor).Corrupt(k, 100); err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Get(k)
+			got, err := s.GetInto(k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -121,19 +121,50 @@ func (s *DiskStore) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Get reads the chunk bytes from disk.
-func (s *DiskStore) Get(k Key) ([]byte, error) {
+// Get reads the chunk bytes from disk into a fresh slice: GetInto with
+// no buffer.
+func (s *DiskStore) Get(k Key) ([]byte, error) { return s.GetInto(k, nil) }
+
+// GetInto reads the chunk file into buf when its capacity holds the
+// manifest size, and into a fresh slice otherwise. The result is whatever
+// the file holds: a file truncated or extended behind the store's back
+// comes back shorter or longer than the manifest, so the provider's
+// length-and-digest check rejects it.
+func (s *DiskStore) GetInto(k Key, buf []byte) ([]byte, error) {
 	s.mu.RLock()
 	size, ok := s.sizes[k]
 	s.mu.RUnlock()
 	if !ok || size < 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	data, err := os.ReadFile(s.path(k))
+	f, err := os.Open(s.path(k))
 	if err != nil {
 		return nil, fmt.Errorf("chunk: reading %s: %w", k, err)
 	}
-	return data, nil
+	defer f.Close()
+	if int64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	n, err := io.ReadFull(f, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return buf[:n], nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("chunk: reading %s: %w", k, err)
+	}
+	var probe [1]byte
+	if m, _ := f.Read(probe[:]); m == 0 {
+		return buf, nil
+	}
+	// Longer than the manifest: return every byte, in a fresh slice.
+	rest, err := io.ReadAll(f)
+	if err != nil {
+		return nil, fmt.Errorf("chunk: reading %s: %w", k, err)
+	}
+	out := make([]byte, 0, len(buf)+1+len(rest))
+	out = append(append(out, buf...), probe[0])
+	return append(out, rest...), nil
 }
 
 // GetRange reads only the requested bytes from the chunk file — a

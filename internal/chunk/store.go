@@ -6,7 +6,8 @@
 //
 // Chunks are immutable: a (blob, version, index) triple is written at most
 // once, by the single writer that was assigned that version. Stores may
-// therefore return internal buffers from Get; callers must not modify them.
+// therefore return internal buffers from GetInto; callers must not modify
+// them.
 package chunk
 
 import (
@@ -47,14 +48,19 @@ type Store interface {
 	// Put stores data under k. Storing the same key twice is an error:
 	// chunks are immutable and a duplicate Put indicates a protocol bug.
 	Put(k Key, data []byte) error
-	// Get returns the chunk bytes. The returned slice must not be
-	// modified by the caller.
-	Get(k Key) ([]byte, error)
+	// GetInto returns the chunk bytes. An engine that reads them from
+	// storage reads them into buf when its capacity holds the chunk;
+	// otherwise, and for engines that hold the bytes in RAM, the result is
+	// the engine's own immutable copy or a fresh slice. No engine keeps
+	// buf: the caller owns it before and after the call, may recycle it
+	// once done with the result (which may alias it), and passes nil when
+	// it has no buffer. The returned slice must not be modified.
+	GetInto(k Key, buf []byte) ([]byte, error)
 	// GetRange returns the chunk's bytes in [off, off+length), clipped
 	// to the stored size; length == 0 means "to the end of the chunk".
 	// Reading past the stored size yields a short (possibly empty)
 	// slice, not an error — only a missing key is ErrNotFound. Like
-	// Get, the result may alias internal buffers and must not be
+	// GetInto, the result may alias internal buffers and must not be
 	// modified. Engines serve this without materializing the whole
 	// chunk where they can (DiskStore reads only the requested bytes),
 	// which is what lets boundary reads move only the bytes they need.
@@ -104,8 +110,8 @@ func (s *MemStore) Put(k Key, data []byte) error {
 	return nil
 }
 
-// Get returns the stored bytes for k.
-func (s *MemStore) Get(k Key) ([]byte, error) {
+// GetInto returns the stored bytes for k; buf is not used.
+func (s *MemStore) GetInto(k Key, _ []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d, ok := s.data[k]

@@ -49,7 +49,7 @@ func TestStoreContract(t *testing.T) {
 			k1 := Key{Blob: 1, Version: 2, Index: 3}
 			k2 := Key{Blob: 1, Version: 2, Index: 4}
 
-			if _, err := s.Get(k1); !errors.Is(err, ErrNotFound) {
+			if _, err := s.GetInto(k1, nil); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Get absent: %v, want ErrNotFound", err)
 			}
 			if s.Has(k1) {
@@ -64,7 +64,7 @@ func TestStoreContract(t *testing.T) {
 			if err := s.Put(k1, []byte("again")); !errors.Is(err, ErrDuplicate) {
 				t.Fatalf("duplicate Put: %v, want ErrDuplicate", err)
 			}
-			got, err := s.Get(k1)
+			got, err := s.GetInto(k1, nil)
 			if err != nil || !bytes.Equal(got, []byte("hello")) {
 				t.Fatalf("Get = %q, %v", got, err)
 			}
@@ -105,7 +105,7 @@ func TestPutCopiesCallerBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 			buf[0] = 'X'
-			got, err := s.Get(k)
+			got, err := s.GetInto(k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestConcurrentPutGet(t *testing.T) {
 						t.Errorf("Put %d: %v", i, err)
 						return
 					}
-					got, err := s.Get(k)
+					got, err := s.GetInto(k, nil)
 					if err != nil || !bytes.Equal(got, data) {
 						t.Errorf("Get %d = %q, %v", i, got, err)
 					}
@@ -174,7 +174,7 @@ func TestDiskStoreRecoversIndex(t *testing.T) {
 		t.Fatalf("recovered Len = %d, want %d", re.Len(), len(want))
 	}
 	for k, v := range want {
-		got, err := re.Get(k)
+		got, err := re.GetInto(k, nil)
 		if err != nil || !bytes.Equal(got, v) {
 			t.Errorf("recovered Get(%s) = %q, %v", k, got, err)
 		}
@@ -199,7 +199,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// Every chunk is still readable (from backing even if evicted).
 	for i := 0; i < 5; i++ {
-		if _, err := s.Get(Key{Index: uint64(i)}); err != nil {
+		if _, err := s.GetInto(Key{Index: uint64(i)}, nil); err != nil {
 			t.Errorf("Get(%d): %v", i, err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestCacheHitAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.Get(k); err != nil {
+		if _, err := s.GetInto(k, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestCacheHitAccounting(t *testing.T) {
 	if hits != 3 || misses != 0 {
 		t.Errorf("hits=%d misses=%d, want 3,0", hits, misses)
 	}
-	if _, err := s.Get(Key{Blob: 99}); err == nil {
+	if _, err := s.GetInto(Key{Blob: 99}, nil); err == nil {
 		t.Error("Get absent succeeded")
 	}
 	_, misses2, _ := s.CacheStats()
@@ -304,7 +304,7 @@ func TestCacheServesAfterBackingDelete(t *testing.T) {
 	if err := s.Delete(k); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(k); !errors.Is(err, ErrNotFound) {
+	if _, err := s.GetInto(k, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get after Delete = %v, want ErrNotFound", err)
 	}
 }
@@ -377,7 +377,7 @@ func BenchmarkCachedGetHit(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Get(k); err != nil {
+		if _, err := s.GetInto(k, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

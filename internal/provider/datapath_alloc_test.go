@@ -29,8 +29,9 @@ func allocated(f func()) uint64 {
 // TestDataPathAllocationBudget bounds what moving chunk payloads over TCP
 // loopback to a disk store allocates, client and server together, as a
 // multiple of the payload. One copy per hop leaves one send frame (pooled
-// up to a size) and one receive buffer per frame, plus the store reading
-// the chunk file; decoding must not add another.
+// up to a size) and one receive buffer per frame; decoding must not add
+// another, and the provider reads chunk files into pooled buffers, so a
+// read allocates little more than the client's receive buffer.
 func TestDataPathAllocationBudget(t *testing.T) {
 	const chunkSize = 64 << 10
 	store, err := chunk.NewDiskStore(t.TempDir(), false)
@@ -59,8 +60,8 @@ func TestDataPathAllocationBudget(t *testing.T) {
 		}
 		ratio := float64(n) / float64(reads*chunkSize)
 		t.Logf("read: %.2fx the payload allocated", ratio)
-		if ratio > 3 {
-			t.Fatalf("a %d x 64 KiB read allocated %.2fx its payload, budget 3x", reads, ratio)
+		if ratio > 1.5 {
+			t.Fatalf("a %d x 64 KiB read allocated %.2fx its payload, budget 1.5x", reads, ratio)
 		}
 	})
 

@@ -187,12 +187,16 @@ func (r *CorruptListResp) Decode(d *wire.Decoder) {
 const scrubDefaultBytes = 8 << 20
 
 // getVerified reads a whole chunk and checks it against the recorded
-// digest. Quarantined keys and digest mismatches return ErrChunkCorrupt;
-// a chunk with no digest on file (legacy) is served as-is and backfilled.
-// The returned digest is what the wire response carries so the reader
-// can re-verify end-to-end; backfilled reports whether this read minted
-// the chunk's digest.
-func (s *Server) getVerified(k chunk.Key) (data []byte, dg chunk.Digest, backfilled bool, err error) {
+// digest; it is the only way the provider reads a whole chunk. The store
+// reads into buf when it reads at all (see chunk.Store.GetInto), so data
+// may alias buf: the caller releases the buf it passed in (readBuf's),
+// never the returned slice, and only once it is done with data.
+// Quarantined keys and digest mismatches return ErrChunkCorrupt; a chunk
+// with no digest on file (legacy) is served as-is and backfilled. The
+// returned digest is what the wire response carries so the reader can
+// re-verify end-to-end; backfilled reports whether this read minted the
+// chunk's digest.
+func (s *Server) getVerified(k chunk.Key, buf []byte) (data []byte, dg chunk.Digest, backfilled bool, err error) {
 	s.digMu.Lock()
 	_, quar := s.quarantine[k]
 	rec, hasDig := s.digests[k]
@@ -200,7 +204,7 @@ func (s *Server) getVerified(k chunk.Key) (data []byte, dg chunk.Digest, backfil
 	if quar {
 		return nil, chunk.Digest{}, false, fmt.Errorf("%w: %s (quarantined)", ErrChunkCorrupt, k)
 	}
-	data, err = s.store.Get(k)
+	data, err = s.store.GetInto(k, buf)
 	if err != nil {
 		return nil, chunk.Digest{}, false, err
 	}
@@ -216,6 +220,24 @@ func (s *Server) getVerified(k chunk.Key) (data []byte, dg chunk.Digest, backfil
 		return nil, chunk.Digest{}, false, fmt.Errorf("%w: %s", ErrChunkCorrupt, k)
 	}
 	return data, rec.Digest, false, nil
+}
+
+// readBuf takes a pooled buffer for a whole read of k, sized by its
+// recorded length or, for a legacy chunk, by the store's manifest; nil
+// when neither knows the size. Return it with chunk.PutBuf.
+func (s *Server) readBuf(k chunk.Key) []byte {
+	s.digMu.Lock()
+	rec, ok := s.digests[k]
+	s.digMu.Unlock()
+	if ok {
+		return chunk.GetBuf(int(rec.Length))
+	}
+	if sz, isSizer := s.store.(sizer); isSizer {
+		if n, held := sz.Size(k); held {
+			return chunk.GetBuf(int(n))
+		}
+	}
+	return nil
 }
 
 // recordDigest backfills a legacy chunk's integrity manifest: stored in
@@ -320,7 +342,10 @@ func (s *Server) scrubStep(req *ScrubReq) *ScrubResp {
 		if quar {
 			continue
 		}
-		data, _, backfilled, err := s.getVerified(k)
+		buf := s.readBuf(k)
+		data, _, backfilled, err := s.getVerified(k, buf)
+		n := len(data)
+		chunk.PutBuf(buf)
 		if IsCorrupt(err) {
 			resp.Scanned++
 			resp.Corrupt++
@@ -330,7 +355,7 @@ func (s *Server) scrubStep(req *ScrubReq) *ScrubResp {
 			continue // deleted mid-scan
 		}
 		resp.Scanned++
-		resp.Bytes += uint64(len(data))
+		resp.Bytes += uint64(n)
 		if backfilled {
 			resp.Backfilled++
 		}

@@ -194,6 +194,15 @@ type GetResp struct {
 	Found  bool
 	Data   []byte
 	Digest chunk.Digest
+
+	buf []byte // pooled read buffer Data may alias; see Release
+}
+
+// Release returns the pooled read buffer behind Data; the rpc server
+// calls it once the reply is encoded. Data must not be used afterwards.
+func (r *GetResp) Release() {
+	chunk.PutBuf(r.buf)
+	r.buf = nil
 }
 
 // Encode implements wire.Message.
@@ -259,6 +268,17 @@ type GetChunksResp struct {
 	Corrupt []bool
 	Data    [][]byte
 	Digests []chunk.Digest
+
+	bufs [][]byte // pooled read buffers Data may alias; see Release
+}
+
+// Release returns the pooled read buffers behind Data; the rpc server
+// calls it once the reply is encoded. Data must not be used afterwards.
+func (r *GetChunksResp) Release() {
+	for _, b := range r.bufs {
+		chunk.PutBuf(b)
+	}
+	r.bufs = nil
 }
 
 // Encode implements wire.Message.
@@ -627,13 +647,14 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 			s.digMu.Lock()
 			_, hasDig := s.digests[req.Key]
 			s.digMu.Unlock()
+			resp := &GetResp{}
 			var data []byte
-			var dg chunk.Digest
 			var err error
 			if whole || hasDig {
 				// Verify the full chunk even for a sub-range when a digest
 				// is on file: a few extra bytes off disk beats serving rot.
-				data, dg, _, err = s.getVerified(req.Key)
+				resp.buf = s.readBuf(req.Key)
+				data, resp.Digest, _, err = s.getVerified(req.Key, resp.buf)
 				if err == nil && !whole {
 					data = chunk.Clip(data, req.Offset, req.Length)
 				}
@@ -646,10 +667,11 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 				return nil, err
 			}
 			if err != nil {
-				return &GetResp{Found: false}, nil
+				return resp, nil // not found; still carries its buffer
 			}
 			s.bytesOut.Add(int64(len(data)))
-			return &GetResp{Found: true, Data: data, Digest: dg}, nil
+			resp.Found, resp.Data = true, data
+			return resp, nil
 		})
 	rpc.HandleMsg(s.srv, MethodGetChunks, func() *GetChunksReq { return &GetChunksReq{} },
 		func(req *GetChunksReq) (*GetChunksResp, error) {
@@ -660,9 +682,11 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 				Corrupt: make([]bool, len(req.Keys)),
 				Data:    make([][]byte, len(req.Keys)),
 				Digests: make([]chunk.Digest, len(req.Keys)),
+				bufs:    make([][]byte, len(req.Keys)),
 			}
 			for i, k := range req.Keys {
-				data, dg, _, err := s.getVerified(k)
+				resp.bufs[i] = s.readBuf(k)
+				data, dg, _, err := s.getVerified(k, resp.bufs[i])
 				if IsCorrupt(err) {
 					resp.Corrupt[i] = true // lost, not absent
 					continue
@@ -683,7 +707,9 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 			// recheck: getVerified quarantines if the stored bytes really
 			// are bad; if they verify here, the reader saw transit
 			// corruption and its retry will succeed.
-			_, _, _, err := s.getVerified(req.Key)
+			buf := s.readBuf(req.Key)
+			_, _, _, err := s.getVerified(req.Key, buf)
+			chunk.PutBuf(buf)
 			if IsCorrupt(err) {
 				return &VerifyResp{Held: true, Corrupt: true}, nil
 			}

@@ -321,3 +321,49 @@ func BenchmarkTCPCall(b *testing.B) {
 		}
 	}
 }
+
+// releaseMsg counts its Release calls; its encoder panics when told to.
+type releaseMsg struct {
+	released int
+	panicEnc bool
+}
+
+func (m *releaseMsg) Encode(e *wire.Encoder) {
+	if m.panicEnc {
+		panic("encode")
+	}
+	e.PutU64(7)
+}
+
+func (m *releaseMsg) Decode(*wire.Decoder) {}
+
+func (m *releaseMsg) Release() { m.released++ }
+
+// TestInvokeReleasesEncodedReply: a reply that borrows pooled buffers is
+// released exactly once, after it is encoded into the frame; a reply from
+// a failed handler or a panicking encoder is never released (its buffers
+// may still be referenced, and the garbage collector takes them).
+func TestInvokeReleasesEncodedReply(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		resp *releaseMsg
+		err  error
+		want int
+	}{
+		{"encoded", &releaseMsg{}, nil, 1},
+		{"handler error", &releaseMsg{}, errors.New("boom"), 0},
+		{"encoder panic", &releaseMsg{panicEnc: true}, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := func([]byte) (wire.Message, error) { return tc.resp, tc.err }
+			enc := wire.NewEncoder(0)
+			n, err, _ := invoke(h, "m", nil, enc)
+			if tc.want == 1 && (err != nil || n != 8) {
+				t.Fatalf("invoke = %d, %v; want an 8-byte body", n, err)
+			}
+			if tc.resp.released != tc.want {
+				t.Fatalf("released %d times, want %d", tc.resp.released, tc.want)
+			}
+		})
+	}
+}

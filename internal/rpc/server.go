@@ -265,11 +265,14 @@ func putResponseHeader(enc *wire.Encoder, id uint64) {
 }
 
 // invoke runs h and encodes its reply into enc as a status-OK body,
-// returning the body length. A panic — in the handler or in its reply's
+// returning the body length. A reply that implements releaser (one
+// carrying pooled buffers) is released once encoded: the frame holds the
+// only copy the wire needs. A panic — in the handler or in its reply's
 // encoder — becomes a status-error response instead of killing the
-// process (and, with it, every connection the server holds). The panic
-// still reaches the log — it is a server bug — but one poisoned request
-// must not take down unrelated callers.
+// process (and, with it, every connection the server holds); a reply
+// from a failed or panicking handler is left to the garbage collector.
+// The panic still reaches the log — it is a server bug — but one
+// poisoned request must not take down unrelated callers.
 func invoke(h msgHandler, method string, payload []byte, enc *wire.Encoder) (n int, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -282,8 +285,16 @@ func invoke(h msgHandler, method string, payload []byte, enc *wire.Encoder) (n i
 		return 0, err, false
 	}
 	enc.PutU8(statusOK)
-	return enc.PutMessage(resp), nil, false
+	n = enc.PutMessage(resp)
+	if r, ok := resp.(releaser); ok {
+		r.Release()
+	}
+	return n, nil, false
 }
+
+// releaser is implemented by replies that borrow pooled buffers until
+// they are encoded.
+type releaser interface{ Release() }
 
 // Close stops the listener and tears down every open connection, then waits
 // for serving goroutines to drain.

@@ -127,10 +127,13 @@ func TestReplicationConvergence(t *testing.T) {
 				t.Fatalf("leader leaderGate = %v, want nil", err)
 			}
 
-			st := a.HAStatus()
-			if len(st.Standbys) != 1 || !st.Standbys[0].Synced {
-				t.Fatalf("leader standby view = %+v, want one synced standby", st.Standbys)
-			}
+			// The standby can hold the catch-up snapshot (digests equal)
+			// before its delivery call returns and the leader flips Synced,
+			// so wait for the flag, not the digest.
+			waitFor(t, 3*time.Second, "leader to report one synced standby", func() bool {
+				st := a.HAStatus()
+				return len(st.Standbys) == 1 && st.Standbys[0].Synced
+			})
 		})
 	}
 }
