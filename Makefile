@@ -24,13 +24,17 @@ vet:
 # apply performs, so no per-kind record encoder or side-door journal append
 # comes back. One buffer per chunk read: the disk store reads chunk files
 # into the caller's (pooled) buffer, never into a fresh whole-file slice.
-# And every Go file is gofmt-clean.
+# One field list per message: Decode is a one-line adapter over the
+# message's Wire method, and no list count is read as a bare u32 (Codec's
+# Count bounds it). And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
 	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
 	@! grep -rn 'wire\.Marshal' --include='*.go' --exclude='*_test.go' internal/rpc
 	@! grep -rnE 'logRecord|func enc[A-Z][A-Za-z0-9]*\(' --include='*.go' internal/vmanager
 	@! grep -n 'os\.ReadFile' internal/chunk/disk.go
+	@! grep -rnE 'Decode\((d|dec) \*wire\.Decoder\) \{$$' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -v '^internal/wire/'
+	@! grep -rnE '(^|[^A-Za-z0-9_])(cnt|n|m|count|num[A-Za-z]*) :?= [a-z]+\.U32\(\)|make\([^)]*\.U32\(\)' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -v '^internal/wire/'
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
@@ -58,6 +62,7 @@ micro:
 fuzz:
 	$(GO) test -fuzz=FuzzDecoder -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzMessageRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzNodeDecode -fuzztime=$(FUZZTIME) ./internal/meta/
 	$(GO) test -fuzz=FuzzWriteDescDecode -fuzztime=$(FUZZTIME) ./internal/meta/
 	$(GO) test -fuzz=FuzzPutNodesReqDecode -fuzztime=$(FUZZTIME) ./internal/meta/

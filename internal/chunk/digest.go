@@ -6,7 +6,11 @@
 // evolve without a flag day.
 package chunk
 
-import "hash/crc32"
+import (
+	"hash/crc32"
+
+	"repro/internal/wire"
+)
 
 // Digest algorithms. Zero means "no digest recorded" (legacy chunks
 // written before digests existed); readers treat those as unverifiable
@@ -22,6 +26,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Digest struct {
 	Algo uint8
 	Sum  uint32
+}
+
+// Wire codes the digest in every message that carries one.
+func (d *Digest) Wire(c *wire.Codec) {
+	c.U8(&d.Algo)
+	c.U32(&d.Sum)
 }
 
 // DigestOf computes the current-generation digest of data.

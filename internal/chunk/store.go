@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // ErrNotFound is returned when a chunk is not present in a store.
@@ -25,6 +27,13 @@ type Key struct {
 	Blob    uint64
 	Version uint64
 	Index   uint64
+}
+
+// Wire codes the key in every message that carries one.
+func (k *Key) Wire(c *wire.Codec) {
+	c.U64(&k.Blob)
+	c.U64(&k.Version)
+	c.U64(&k.Index)
 }
 
 // String renders the key as blob/version/index.

@@ -299,6 +299,9 @@ func (b *Blob) waitPublished(ctx context.Context, version uint64) error {
 // avoiding the excluded providers (retry after a full replica-set
 // failure).
 func (c *Client) allocate(ctx context.Context, n int, replication uint32, exclude []string) ([][]string, error) {
+	if n > pmanager.MaxAllocateChunks {
+		return nil, fmt.Errorf("core: allocate %d chunks: %w", n, pmanager.ErrTooManyChunks)
+	}
 	var resp pmanager.AllocateResp
 	err := c.rpc.CallCtx(ctx, c.cfg.PMAddr, pmanager.MethodAllocate,
 		&pmanager.AllocateReq{NumChunks: uint32(n), Replication: replication, Exclude: exclude}, &resp)

@@ -36,27 +36,18 @@ type IdentityInput struct {
 	SrcSizeChunks uint64
 }
 
-// Encode implements wire.Message (the version manager ships these to GC
-// sweepers as treeless-abort repair work).
-func (in *IdentityInput) Encode(e *wire.Encoder) {
-	e.PutU64(in.Blob)
-	e.PutU64(in.Version)
-	e.PutU64(in.StartChunk)
-	e.PutU64(in.EndChunk)
-	e.PutU64(in.SizeChunks)
-	e.PutU64(in.SrcVersion)
-	e.PutU64(in.SrcSizeChunks)
-}
-
-// Decode implements wire.Message.
-func (in *IdentityInput) Decode(d *wire.Decoder) {
-	in.Blob = d.U64()
-	in.Version = d.U64()
-	in.StartChunk = d.U64()
-	in.EndChunk = d.U64()
-	in.SizeChunks = d.U64()
-	in.SrcVersion = d.U64()
-	in.SrcSizeChunks = d.U64()
+// Encode, Decode and Wire implement wire.Message (the version manager
+// ships these to GC sweepers as treeless-abort repair work).
+func (in *IdentityInput) Encode(e *wire.Encoder) { in.Wire(e.Codec()) }
+func (in *IdentityInput) Decode(d *wire.Decoder) { in.Wire(d.Codec()) }
+func (in *IdentityInput) Wire(c *wire.Codec) {
+	c.U64(&in.Blob)
+	c.U64(&in.Version)
+	c.U64(&in.StartChunk)
+	c.U64(&in.EndChunk)
+	c.U64(&in.SizeChunks)
+	c.U64(&in.SrcVersion)
+	c.U64(&in.SrcSizeChunks)
 }
 
 // WeaveIdentity builds and stores the identity tree for a dead version

@@ -42,6 +42,14 @@ func (k NodeKey) Hash() uint64 {
 	return dht.HashKey(k.Blob, k.Version, k.Off, k.Size)
 }
 
+// Wire codes the key in every message that carries one.
+func (k *NodeKey) Wire(c *wire.Codec) {
+	c.U64(&k.Blob)
+	c.U64(&k.Version)
+	c.U64(&k.Off)
+	c.U64(&k.Size)
+}
+
 // String renders the key for diagnostics.
 func (k NodeKey) String() string {
 	return fmt.Sprintf("blob%d/v%d/[%d,%d)", k.Blob, k.Version, k.Off, k.Off+k.Size)
@@ -91,48 +99,19 @@ func (n *Node) RightKey() NodeKey {
 	return NodeKey{Blob: n.Key.Blob, Version: n.RightVer, Off: n.Key.Off + n.Key.Size/2, Size: n.Key.Size / 2}
 }
 
-// Encode appends the node to enc (wire.Message).
-func (n *Node) Encode(e *wire.Encoder) {
-	e.PutU64(n.Key.Blob)
-	e.PutU64(n.Key.Version)
-	e.PutU64(n.Key.Off)
-	e.PutU64(n.Key.Size)
-	e.PutBool(n.Leaf)
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (n *Node) Encode(e *wire.Encoder) { n.Wire(e.Codec()) }
+func (n *Node) Decode(d *wire.Decoder) { n.Wire(d.Codec()) }
+func (n *Node) Wire(c *wire.Codec) {
+	n.Key.Wire(c)
+	c.Bool(&n.Leaf)
 	if n.Leaf {
-		e.PutU32(uint32(len(n.Chunk.Providers)))
-		for _, p := range n.Chunk.Providers {
-			e.PutString(p)
-		}
-		e.PutU64(n.Chunk.Key.Blob)
-		e.PutU64(n.Chunk.Key.Version)
-		e.PutU64(n.Chunk.Key.Index)
-		e.PutU32(n.Chunk.Length)
+		c.Strings(&n.Chunk.Providers, MaxReplicas)
+		n.Chunk.Key.Wire(c)
+		c.U32(&n.Chunk.Length)
 	} else {
-		e.PutU64(n.LeftVer)
-		e.PutU64(n.RightVer)
-	}
-}
-
-// Decode consumes the node from dec (wire.Message).
-func (n *Node) Decode(d *wire.Decoder) {
-	n.Key.Blob = d.U64()
-	n.Key.Version = d.U64()
-	n.Key.Off = d.U64()
-	n.Key.Size = d.U64()
-	n.Leaf = d.Bool()
-	if n.Leaf {
-		cnt := d.Count(MaxReplicas)
-		n.Chunk.Providers = nil
-		for i := uint32(0); i < cnt; i++ {
-			n.Chunk.Providers = append(n.Chunk.Providers, d.String())
-		}
-		n.Chunk.Key.Blob = d.U64()
-		n.Chunk.Key.Version = d.U64()
-		n.Chunk.Key.Index = d.U64()
-		n.Chunk.Length = d.U32()
-	} else {
-		n.LeftVer = d.U64()
-		n.RightVer = d.U64()
+		c.U64(&n.LeftVer)
+		c.U64(&n.RightVer)
 	}
 }
 
@@ -161,22 +140,15 @@ type WriteDesc struct {
 // RootSize returns the tree shape (root span) of the version described.
 func (w WriteDesc) RootSize() uint64 { return NextPow2(w.SizeChunks) }
 
-// Encode appends the descriptor to enc.
-func (w *WriteDesc) Encode(e *wire.Encoder) {
-	e.PutU64(w.Version)
-	e.PutU64(w.StartChunk)
-	e.PutU64(w.EndChunk)
-	e.PutU64(w.SizeChunks)
-	e.PutU64(w.SizeBytes)
-}
-
-// Decode consumes the descriptor from dec.
-func (w *WriteDesc) Decode(d *wire.Decoder) {
-	w.Version = d.U64()
-	w.StartChunk = d.U64()
-	w.EndChunk = d.U64()
-	w.SizeChunks = d.U64()
-	w.SizeBytes = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (w *WriteDesc) Encode(e *wire.Encoder) { w.Wire(e.Codec()) }
+func (w *WriteDesc) Decode(d *wire.Decoder) { w.Wire(d.Codec()) }
+func (w *WriteDesc) Wire(c *wire.Codec) {
+	c.U64(&w.Version)
+	c.U64(&w.StartChunk)
+	c.U64(&w.EndChunk)
+	c.U64(&w.SizeChunks)
+	c.U64(&w.SizeBytes)
 }
 
 // Store abstracts where the descent, weave and liveness walks read tree

@@ -25,23 +25,16 @@ type PutNodesReq struct {
 	Nodes []*Node
 }
 
-// Encode implements wire.Message.
-func (r *PutNodesReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Nodes)))
-	for _, n := range r.Nodes {
-		n.Encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *PutNodesReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Nodes = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		n := &Node{}
-		n.Decode(d)
-		r.Nodes = append(r.Nodes, n)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *PutNodesReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PutNodesReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PutNodesReq) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Nodes, wire.MaxCount, func(n **Node, c *wire.Codec) {
+		if *n == nil {
+			*n = &Node{}
+		}
+		(*n).Wire(c)
+	})
 }
 
 // GetNodeReq asks for one node by key.
@@ -49,21 +42,10 @@ type GetNodeReq struct {
 	Key NodeKey
 }
 
-// Encode implements wire.Message.
-func (r *GetNodeReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.Key.Blob)
-	e.PutU64(r.Key.Version)
-	e.PutU64(r.Key.Off)
-	e.PutU64(r.Key.Size)
-}
-
-// Decode implements wire.Message.
-func (r *GetNodeReq) Decode(d *wire.Decoder) {
-	r.Key.Blob = d.U64()
-	r.Key.Version = d.U64()
-	r.Key.Off = d.U64()
-	r.Key.Size = d.U64()
-}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GetNodeReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetNodeReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetNodeReq) Wire(c *wire.Codec)     { r.Key.Wire(c) }
 
 // GetNodeResp returns the node when found.
 type GetNodeResp struct {
@@ -71,19 +53,13 @@ type GetNodeResp struct {
 	Node  Node
 }
 
-// Encode implements wire.Message.
-func (r *GetNodeResp) Encode(e *wire.Encoder) {
-	e.PutBool(r.Found)
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GetNodeResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetNodeResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetNodeResp) Wire(c *wire.Codec) {
+	c.Bool(&r.Found)
 	if r.Found {
-		r.Node.Encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *GetNodeResp) Decode(d *wire.Decoder) {
-	r.Found = d.Bool()
-	if r.Found {
-		r.Node.Decode(d)
+		r.Node.Wire(c)
 	}
 }
 
@@ -95,29 +71,11 @@ type GetNodesReq struct {
 	Keys []NodeKey
 }
 
-// Encode implements wire.Message.
-func (r *GetNodesReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Keys)))
-	for _, k := range r.Keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Off)
-		e.PutU64(k.Size)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *GetNodesReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Keys = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var k NodeKey
-		k.Blob = d.U64()
-		k.Version = d.U64()
-		k.Off = d.U64()
-		k.Size = d.U64()
-		r.Keys = append(r.Keys, k)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GetNodesReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetNodesReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetNodesReq) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Keys, wire.MaxCount, (*NodeKey).Wire)
 }
 
 // GetNodesResp returns the nodes aligned with the request keys; a nil
@@ -127,30 +85,19 @@ type GetNodesResp struct {
 	Nodes []*Node
 }
 
-// Encode implements wire.Message.
-func (r *GetNodesResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Nodes)))
-	for _, n := range r.Nodes {
-		e.PutBool(n != nil)
-		if n != nil {
-			n.Encode(e)
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GetNodesResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetNodesResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetNodesResp) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Nodes, wire.MaxCount, func(n **Node, c *wire.Codec) {
+		found := *n != nil
+		if c.Bool(&found); found {
+			if *n == nil {
+				*n = &Node{}
+			}
+			(*n).Wire(c)
 		}
-	}
-}
-
-// Decode implements wire.Message.
-func (r *GetNodesResp) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Nodes = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		if !d.Bool() {
-			r.Nodes = append(r.Nodes, nil)
-			continue
-		}
-		n := &Node{}
-		n.Decode(d)
-		r.Nodes = append(r.Nodes, n)
-	}
+	})
 }
 
 // DeleteNodesReq names tree nodes to drop (garbage collection of pruned
@@ -159,29 +106,11 @@ type DeleteNodesReq struct {
 	Keys []NodeKey
 }
 
-// Encode implements wire.Message.
-func (r *DeleteNodesReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Keys)))
-	for _, k := range r.Keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Off)
-		e.PutU64(k.Size)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *DeleteNodesReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Keys = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var k NodeKey
-		k.Blob = d.U64()
-		k.Version = d.U64()
-		k.Off = d.U64()
-		k.Size = d.U64()
-		r.Keys = append(r.Keys, k)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *DeleteNodesReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *DeleteNodesReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *DeleteNodesReq) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Keys, wire.MaxCount, (*NodeKey).Wire)
 }
 
 // ReplicaPatch rewrites the replica list of one leaf's chunk descriptor.
@@ -198,33 +127,10 @@ type ReplicaPatch struct {
 	Providers []string
 }
 
-func (p *ReplicaPatch) encode(e *wire.Encoder) {
-	e.PutU64(p.Key.Blob)
-	e.PutU64(p.Key.Version)
-	e.PutU64(p.Key.Off)
-	e.PutU64(p.Key.Size)
-	e.PutU64(p.Chunk.Blob)
-	e.PutU64(p.Chunk.Version)
-	e.PutU64(p.Chunk.Index)
-	e.PutU32(uint32(len(p.Providers)))
-	for _, a := range p.Providers {
-		e.PutString(a)
-	}
-}
-
-func (p *ReplicaPatch) decode(d *wire.Decoder) {
-	p.Key.Blob = d.U64()
-	p.Key.Version = d.U64()
-	p.Key.Off = d.U64()
-	p.Key.Size = d.U64()
-	p.Chunk.Blob = d.U64()
-	p.Chunk.Version = d.U64()
-	p.Chunk.Index = d.U64()
-	cnt := d.Count(MaxReplicas)
-	p.Providers = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		p.Providers = append(p.Providers, d.String())
-	}
+func (p *ReplicaPatch) wire(c *wire.Codec) {
+	p.Key.Wire(c)
+	p.Chunk.Wire(c)
+	c.Strings(&p.Providers, MaxReplicas)
 }
 
 // PatchReplicasReq carries a batch of leaf replica-list rewrites (the
@@ -236,23 +142,11 @@ type PatchReplicasReq struct {
 	Patches []ReplicaPatch
 }
 
-// Encode implements wire.Message.
-func (r *PatchReplicasReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Patches)))
-	for i := range r.Patches {
-		r.Patches[i].encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *PatchReplicasReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Patches = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var p ReplicaPatch
-		p.decode(d)
-		r.Patches = append(r.Patches, p)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *PatchReplicasReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PatchReplicasReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PatchReplicasReq) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Patches, wire.MaxCount, (*ReplicaPatch).wire)
 }
 
 // PatchResp reports how many leaves a patch rewrote on this provider.
@@ -260,41 +154,36 @@ type PatchResp struct {
 	Patched uint64
 }
 
-// Encode implements wire.Message.
-func (r *PatchResp) Encode(e *wire.Encoder) { e.PutU64(r.Patched) }
-
-// Decode implements wire.Message.
-func (r *PatchResp) Decode(d *wire.Decoder) { r.Patched = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *PatchResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PatchResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PatchResp) Wire(c *wire.Codec)     { c.U64(&r.Patched) }
 
 // DeleteBlobReq drops every node of one blob (full blob deletion).
 type DeleteBlobReq struct {
 	Blob uint64
 }
 
-// Encode implements wire.Message.
-func (r *DeleteBlobReq) Encode(e *wire.Encoder) { e.PutU64(r.Blob) }
-
-// Decode implements wire.Message.
-func (r *DeleteBlobReq) Decode(d *wire.Decoder) { r.Blob = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *DeleteBlobReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *DeleteBlobReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *DeleteBlobReq) Wire(c *wire.Codec)     { c.U64(&r.Blob) }
 
 // DeleteResp reports how many nodes a delete dropped on this provider.
 type DeleteResp struct {
 	Deleted uint64
 }
 
-// Encode implements wire.Message.
-func (r *DeleteResp) Encode(e *wire.Encoder) { e.PutU64(r.Deleted) }
-
-// Decode implements wire.Message.
-func (r *DeleteResp) Decode(d *wire.Decoder) { r.Deleted = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *DeleteResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *DeleteResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *DeleteResp) Wire(c *wire.Codec)     { c.U64(&r.Deleted) }
 
 // Ack is the empty acknowledgment payload.
 type Ack struct{}
 
-// Encode implements wire.Message.
+// Encode and Decode implement wire.Message: the body is empty.
 func (a *Ack) Encode(e *wire.Encoder) {}
-
-// Decode implements wire.Message.
 func (a *Ack) Decode(d *wire.Decoder) {}
 
 // StatsResp reports a metadata provider's node inventory.
@@ -302,11 +191,10 @@ type StatsResp struct {
 	Nodes uint64
 }
 
-// Encode implements wire.Message.
-func (r *StatsResp) Encode(e *wire.Encoder) { e.PutU64(r.Nodes) }
-
-// Decode implements wire.Message.
-func (r *StatsResp) Decode(d *wire.Decoder) { r.Nodes = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *StatsResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *StatsResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *StatsResp) Wire(c *wire.Codec)     { c.U64(&r.Nodes) }
 
 // ServerStore is the storage engine behind one metadata provider: node
 // CRUD plus inventory. MemStore (volatile) and PersistentStore (durable,

@@ -38,16 +38,24 @@ const (
 // ErrNoProviders is returned when no live provider can host a chunk.
 var ErrNoProviders = errors.New("pmanager: no live data providers")
 
+// ErrTooManyChunks rejects an allocation whose reply could not fit in one
+// RPC frame.
+var ErrTooManyChunks = errors.New("pmanager: allocation reply exceeds one rpc frame")
+
+// MaxAllocateChunks bounds the replica sets of one allocation: each takes
+// at least 8 bytes of an AllocateResp (its count and one length-prefixed
+// address), so no more than this many fit in one RPC frame.
+const MaxAllocateChunks = rpc.MaxFrame / 8
+
 // RegisterReq announces a new provider.
 type RegisterReq struct {
 	Addr string
 }
 
-// Encode implements wire.Message.
-func (r *RegisterReq) Encode(e *wire.Encoder) { e.PutString(r.Addr) }
-
-// Decode implements wire.Message.
-func (r *RegisterReq) Decode(d *wire.Decoder) { r.Addr = d.String() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *RegisterReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *RegisterReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *RegisterReq) Wire(c *wire.Codec)     { c.String(&r.Addr) }
 
 // AllocateReq asks for placements for NumChunks chunks, each replicated
 // Replication times. Exclude lists providers placement must avoid — a
@@ -60,25 +68,13 @@ type AllocateReq struct {
 	Exclude     []string
 }
 
-// Encode implements wire.Message.
-func (r *AllocateReq) Encode(e *wire.Encoder) {
-	e.PutU32(r.NumChunks)
-	e.PutU32(r.Replication)
-	e.PutU32(uint32(len(r.Exclude)))
-	for _, a := range r.Exclude {
-		e.PutString(a)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *AllocateReq) Decode(d *wire.Decoder) {
-	r.NumChunks = d.U32()
-	r.Replication = d.U32()
-	cnt := d.U32()
-	r.Exclude = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		r.Exclude = append(r.Exclude, d.String())
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *AllocateReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *AllocateReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *AllocateReq) Wire(c *wire.Codec) {
+	c.U32(&r.NumChunks)
+	c.U32(&r.Replication)
+	c.Strings(&r.Exclude, wire.MaxCount)
 }
 
 // AllocateResp returns one replica set per chunk.
@@ -86,29 +82,11 @@ type AllocateResp struct {
 	Sets [][]string
 }
 
-// Encode implements wire.Message.
-func (r *AllocateResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Sets)))
-	for _, set := range r.Sets {
-		e.PutU32(uint32(len(set)))
-		for _, a := range set {
-			e.PutString(a)
-		}
-	}
-}
-
-// Decode implements wire.Message.
-func (r *AllocateResp) Decode(d *wire.Decoder) {
-	n := d.U32()
-	r.Sets = nil
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		m := d.U32()
-		set := make([]string, 0, m)
-		for j := uint32(0); j < m && d.Err() == nil; j++ {
-			set = append(set, d.String())
-		}
-		r.Sets = append(r.Sets, set)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *AllocateResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *AllocateResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *AllocateResp) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Sets, MaxAllocateChunks, func(set *[]string, c *wire.Codec) { c.Strings(set, wire.MaxCount) })
 }
 
 // ProvidersResp lists live provider addresses.
@@ -116,21 +94,11 @@ type ProvidersResp struct {
 	Addrs []string
 }
 
-// Encode implements wire.Message.
-func (r *ProvidersResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Addrs)))
-	for _, a := range r.Addrs {
-		e.PutString(a)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *ProvidersResp) Decode(d *wire.Decoder) {
-	n := d.U32()
-	r.Addrs = nil
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		r.Addrs = append(r.Addrs, d.String())
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ProvidersResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ProvidersResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ProvidersResp) Wire(c *wire.Codec) {
+	c.Strings(&r.Addrs, wire.MaxCount)
 }
 
 // Ack is the empty acknowledgment.
@@ -151,24 +119,14 @@ type ProviderStatus struct {
 	Live bool
 }
 
-func (p *ProviderStatus) encode(e *wire.Encoder) {
-	e.PutString(p.Addr)
-	e.PutU64(p.Chunks)
-	e.PutU64(p.Bytes)
-	e.PutU64(p.CapBytes)
-	e.PutU64(p.FreeBytes)
-	e.PutU64(p.SinceBeatMs)
-	e.PutBool(p.Live)
-}
-
-func (p *ProviderStatus) decode(d *wire.Decoder) {
-	p.Addr = d.String()
-	p.Chunks = d.U64()
-	p.Bytes = d.U64()
-	p.CapBytes = d.U64()
-	p.FreeBytes = d.U64()
-	p.SinceBeatMs = d.U64()
-	p.Live = d.Bool()
+func (p *ProviderStatus) wire(c *wire.Codec) {
+	c.String(&p.Addr)
+	c.U64(&p.Chunks)
+	c.U64(&p.Bytes)
+	c.U64(&p.CapBytes)
+	c.U64(&p.FreeBytes)
+	c.U64(&p.SinceBeatMs)
+	c.Bool(&p.Live)
 }
 
 // ReportResp lists every registered provider's status, live or not.
@@ -179,23 +137,11 @@ type ReportResp struct {
 	Providers []ProviderStatus
 }
 
-// Encode implements wire.Message.
-func (r *ReportResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Providers)))
-	for i := range r.Providers {
-		r.Providers[i].encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *ReportResp) Decode(d *wire.Decoder) {
-	n := d.U32()
-	r.Providers = nil
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		var p ProviderStatus
-		p.decode(d)
-		r.Providers = append(r.Providers, p)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ReportResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ReportResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ReportResp) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Providers, wire.MaxCount, (*ProviderStatus).wire)
 }
 
 type provInfo struct {
@@ -393,6 +339,14 @@ func (m *Manager) Allocate(numChunks, replication int, exclude []string) ([][]st
 	}
 	if replication > len(live) {
 		replication = len(live)
+	}
+	// Size the reply from the shortest address before allocating for it.
+	minAddr := len(live[0].addr)
+	for _, p := range live {
+		minAddr = min(minAddr, len(p.addr))
+	}
+	if setBytes := 4 + replication*(4+minAddr); numChunks > (rpc.MaxFrame-4)/setBytes {
+		return nil, fmt.Errorf("%w: %d chunks x %d replicas", ErrTooManyChunks, numChunks, replication)
 	}
 	sets := make([][]string, numChunks)
 	switch m.strategy {

@@ -2,13 +2,16 @@ package pmanager
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/provider"
 	"repro/internal/rpc"
+	"repro/internal/wire"
 )
 
 func managerAt(t *testing.T, strategy string, now *time.Time) *Manager {
@@ -218,5 +221,34 @@ func TestAllocateExclusion(t *testing.T) {
 	sets, err = m.Allocate(2, 1, []string{"dp0", "dp1", "dp2", "dp3"})
 	if err != nil || len(sets) != 2 {
 		t.Fatalf("full exclusion: sets=%v err=%v", sets, err)
+	}
+}
+
+// TestAllocateRejectsCountPastOneFrame: a 12-byte request naming 2^32-1
+// chunks must be refused before the manager sizes its reply, since no
+// such reply fits in one RPC frame; the largest count that fits is served.
+func TestAllocateRejectsCountPastOneFrame(t *testing.T) {
+	now := time.Unix(1000, 0)
+	m := managerAt(t, StrategyRoundRobin, &now)
+	m.Register("dp0")
+	if _, err := m.Allocate(math.MaxUint32, 1, nil); !errors.Is(err, ErrTooManyChunks) {
+		t.Fatalf("err = %v, want ErrTooManyChunks", err)
+	}
+	// One set of one 3-byte address takes 4+4+3 bytes of the reply.
+	fits := (rpc.MaxFrame - 4) / 11
+	if _, err := m.Allocate(fits+1, 1, nil); !errors.Is(err, ErrTooManyChunks) {
+		t.Fatalf("one set past a frame: err = %v, want ErrTooManyChunks", err)
+	}
+	if _, err := m.Allocate(2, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllocateRespCorruptCount: a set count larger than the bytes left
+// fails the decode with ErrTooLarge instead of sizing an allocation.
+func TestAllocateRespCorruptCount(t *testing.T) {
+	body, _ := hex.DecodeString("01000000ffffffff")
+	if err := wire.Unmarshal(body, &AllocateResp{}); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }

@@ -61,19 +61,10 @@ type VerifyReq struct {
 	Key chunk.Key
 }
 
-// Encode implements wire.Message.
-func (r *VerifyReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.Key.Blob)
-	e.PutU64(r.Key.Version)
-	e.PutU64(r.Key.Index)
-}
-
-// Decode implements wire.Message.
-func (r *VerifyReq) Decode(d *wire.Decoder) {
-	r.Key.Blob = d.U64()
-	r.Key.Version = d.U64()
-	r.Key.Index = d.U64()
-}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *VerifyReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *VerifyReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *VerifyReq) Wire(c *wire.Codec)     { r.Key.Wire(c) }
 
 // VerifyResp reports the provider's own verdict on its copy.
 type VerifyResp struct {
@@ -81,16 +72,12 @@ type VerifyResp struct {
 	Corrupt bool // the copy failed the provider's own recheck
 }
 
-// Encode implements wire.Message.
-func (r *VerifyResp) Encode(e *wire.Encoder) {
-	e.PutBool(r.Held)
-	e.PutBool(r.Corrupt)
-}
-
-// Decode implements wire.Message.
-func (r *VerifyResp) Decode(d *wire.Decoder) {
-	r.Held = d.Bool()
-	r.Corrupt = d.Bool()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *VerifyResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *VerifyResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *VerifyResp) Wire(c *wire.Codec) {
+	c.Bool(&r.Held)
+	c.Bool(&r.Corrupt)
 }
 
 // ScrubReq verifies inventory from Cursor (exclusive, ignored unless
@@ -102,22 +89,13 @@ type ScrubReq struct {
 	MaxBytes uint64
 }
 
-// Encode implements wire.Message.
-func (r *ScrubReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.Cursor.Blob)
-	e.PutU64(r.Cursor.Version)
-	e.PutU64(r.Cursor.Index)
-	e.PutBool(r.Resume)
-	e.PutU64(r.MaxBytes)
-}
-
-// Decode implements wire.Message.
-func (r *ScrubReq) Decode(d *wire.Decoder) {
-	r.Cursor.Blob = d.U64()
-	r.Cursor.Version = d.U64()
-	r.Cursor.Index = d.U64()
-	r.Resume = d.Bool()
-	r.MaxBytes = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ScrubReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ScrubReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ScrubReq) Wire(c *wire.Codec) {
+	r.Cursor.Wire(c)
+	c.Bool(&r.Resume)
+	c.U64(&r.MaxBytes)
 }
 
 // ScrubResp reports one scrub slice: where to resume, and what it found.
@@ -130,28 +108,16 @@ type ScrubResp struct {
 	Backfilled uint64
 }
 
-// Encode implements wire.Message.
-func (r *ScrubResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.NextCursor.Blob)
-	e.PutU64(r.NextCursor.Version)
-	e.PutU64(r.NextCursor.Index)
-	e.PutBool(r.Done)
-	e.PutU64(r.Scanned)
-	e.PutU64(r.Bytes)
-	e.PutU64(r.Corrupt)
-	e.PutU64(r.Backfilled)
-}
-
-// Decode implements wire.Message.
-func (r *ScrubResp) Decode(d *wire.Decoder) {
-	r.NextCursor.Blob = d.U64()
-	r.NextCursor.Version = d.U64()
-	r.NextCursor.Index = d.U64()
-	r.Done = d.Bool()
-	r.Scanned = d.U64()
-	r.Bytes = d.U64()
-	r.Corrupt = d.U64()
-	r.Backfilled = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ScrubResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ScrubResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ScrubResp) Wire(c *wire.Codec) {
+	r.NextCursor.Wire(c)
+	c.Bool(&r.Done)
+	c.U64(&r.Scanned)
+	c.U64(&r.Bytes)
+	c.U64(&r.Corrupt)
+	c.U64(&r.Backfilled)
 }
 
 // CorruptListResp returns the quarantined keys.
@@ -159,27 +125,11 @@ type CorruptListResp struct {
 	Keys []chunk.Key
 }
 
-// Encode implements wire.Message.
-func (r *CorruptListResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Keys)))
-	for _, k := range r.Keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Index)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *CorruptListResp) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Keys = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var k chunk.Key
-		k.Blob = d.U64()
-		k.Version = d.U64()
-		k.Index = d.U64()
-		r.Keys = append(r.Keys, k)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *CorruptListResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *CorruptListResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *CorruptListResp) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Keys, wire.MaxCount, (*chunk.Key).Wire)
 }
 
 // scrubDefaultBytes is the per-RPC verification budget when the request

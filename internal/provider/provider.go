@@ -47,14 +47,14 @@ type PutReq struct {
 	Digest chunk.Digest
 }
 
-// Encode implements wire.Message.
-func (r *PutReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.Key.Blob)
-	e.PutU64(r.Key.Version)
-	e.PutU64(r.Key.Index)
-	e.PutBytes(r.Data)
-	e.PutU8(r.Digest.Algo)
-	e.PutU32(r.Digest.Sum)
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+// A decoded Data aliases the body.
+func (r *PutReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PutReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PutReq) Wire(c *wire.Codec) {
+	r.Key.Wire(c)
+	c.Bytes(&r.Data)
+	r.Digest.Wire(c)
 }
 
 // Size implements wire.Sizer.
@@ -64,21 +64,17 @@ func (r *PutReq) Size() int { return putItemSize(len(r.Data)) }
 // payload, digest.
 func putItemSize(n int) int { return 24 + 4 + n + 5 }
 
-// Decode implements wire.Message. Data aliases the decoded buffer.
-func (r *PutReq) Decode(d *wire.Decoder) {
-	r.Key.Blob = d.U64()
-	r.Key.Version = d.U64()
-	r.Key.Index = d.U64()
-	r.Data = d.Bytes()
-	r.Digest.Algo = d.U8()
-	r.Digest.Sum = d.U32()
-}
-
 // PutItem is one chunk within a batched put (digest semantics as PutReq).
 type PutItem struct {
 	Key    chunk.Key
 	Data   []byte
 	Digest chunk.Digest
+}
+
+func (it *PutItem) wire(c *wire.Codec) {
+	it.Key.Wire(c)
+	c.Bytes(&it.Data)
+	it.Digest.Wire(c)
 }
 
 // PutChunksReq stores a batch of chunks in one round trip. This is the
@@ -90,17 +86,12 @@ type PutChunksReq struct {
 	Items []PutItem
 }
 
-// Encode implements wire.Message.
-func (r *PutChunksReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Items)))
-	for _, it := range r.Items {
-		e.PutU64(it.Key.Blob)
-		e.PutU64(it.Key.Version)
-		e.PutU64(it.Key.Index)
-		e.PutBytes(it.Data)
-		e.PutU8(it.Digest.Algo)
-		e.PutU32(it.Digest.Sum)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+// Each decoded item's Data aliases the body.
+func (r *PutChunksReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PutChunksReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PutChunksReq) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Items, wire.MaxCount, (*PutItem).wire)
 }
 
 // Size implements wire.Sizer.
@@ -112,23 +103,6 @@ func (r *PutChunksReq) Size() int {
 	return n
 }
 
-// Decode implements wire.Message. Each item's Data aliases the decoded
-// buffer.
-func (r *PutChunksReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Items = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var it PutItem
-		it.Key.Blob = d.U64()
-		it.Key.Version = d.U64()
-		it.Key.Index = d.U64()
-		it.Data = d.Bytes()
-		it.Digest.Algo = d.U8()
-		it.Digest.Sum = d.U32()
-		r.Items = append(r.Items, it)
-	}
-}
-
 // PutChunksResp reports per-chunk outcomes, aligned with the request
 // items: an empty string is success, anything else is that chunk's error.
 // Per-chunk isolation is what lets one rejected chunk (say, a tombstoned
@@ -138,21 +112,11 @@ type PutChunksResp struct {
 	Errs []string
 }
 
-// Encode implements wire.Message.
-func (r *PutChunksResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Errs)))
-	for _, s := range r.Errs {
-		e.PutString(s)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *PutChunksResp) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Errs = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		r.Errs = append(r.Errs, d.String())
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *PutChunksResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PutChunksResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PutChunksResp) Wire(c *wire.Codec) {
+	c.Strings(&r.Errs, wire.MaxCount)
 }
 
 // GetReq fetches one chunk, or — when Offset/Length name a sub-range —
@@ -167,22 +131,13 @@ type GetReq struct {
 	Length uint64
 }
 
-// Encode implements wire.Message.
-func (r *GetReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.Key.Blob)
-	e.PutU64(r.Key.Version)
-	e.PutU64(r.Key.Index)
-	e.PutU64(r.Offset)
-	e.PutU64(r.Length)
-}
-
-// Decode implements wire.Message.
-func (r *GetReq) Decode(d *wire.Decoder) {
-	r.Key.Blob = d.U64()
-	r.Key.Version = d.U64()
-	r.Key.Index = d.U64()
-	r.Offset = d.U64()
-	r.Length = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GetReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetReq) Wire(c *wire.Codec) {
+	r.Key.Wire(c)
+	c.U64(&r.Offset)
+	c.U64(&r.Length)
 }
 
 // GetResp returns chunk bytes when found. Digest is the full chunk's
@@ -205,24 +160,18 @@ func (r *GetResp) Release() {
 	r.buf = nil
 }
 
-// Encode implements wire.Message.
-func (r *GetResp) Encode(e *wire.Encoder) {
-	e.PutBool(r.Found)
-	e.PutBytes(r.Data)
-	e.PutU8(r.Digest.Algo)
-	e.PutU32(r.Digest.Sum)
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+// A decoded Data aliases the body.
+func (r *GetResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetResp) Wire(c *wire.Codec) {
+	c.Bool(&r.Found)
+	c.Bytes(&r.Data)
+	r.Digest.Wire(c)
 }
 
 // Size implements wire.Sizer.
 func (r *GetResp) Size() int { return 1 + 4 + len(r.Data) + 5 }
-
-// Decode implements wire.Message. Data aliases the decoded buffer.
-func (r *GetResp) Decode(d *wire.Decoder) {
-	r.Found = d.Bool()
-	r.Data = d.Bytes()
-	r.Digest.Algo = d.U8()
-	r.Digest.Sum = d.U32()
-}
 
 // GetChunksReq fetches a batch of whole chunks in one round trip: the
 // read-plane twin of putchunks, used by the repair engine to drain many
@@ -232,27 +181,11 @@ type GetChunksReq struct {
 	Keys []chunk.Key
 }
 
-// Encode implements wire.Message.
-func (r *GetChunksReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Keys)))
-	for _, k := range r.Keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Index)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *GetChunksReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Keys = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var k chunk.Key
-		k.Blob = d.U64()
-		k.Version = d.U64()
-		k.Index = d.U64()
-		r.Keys = append(r.Keys, k)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GetChunksReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetChunksReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetChunksReq) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Keys, wire.MaxCount, (*chunk.Key).Wire)
 }
 
 // GetChunksResp returns the chunks aligned with the request keys; a nil
@@ -281,16 +214,23 @@ func (r *GetChunksResp) Release() {
 	r.bufs = nil
 }
 
-// Encode implements wire.Message.
-func (r *GetChunksResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Found)))
-	for i, ok := range r.Found {
-		e.PutBool(ok)
-		e.PutBool(r.Corrupt[i])
-		if ok {
-			e.PutBytes(r.Data[i])
-			e.PutU8(r.Digests[i].Algo)
-			e.PutU32(r.Digests[i].Sum)
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+// Each decoded Data entry aliases the body.
+func (r *GetChunksResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GetChunksResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GetChunksResp) Wire(c *wire.Codec) {
+	n := len(r.Found)
+	c.Count(&n, wire.MaxCount)
+	wire.Make(c, &r.Found, n)
+	wire.Make(c, &r.Corrupt, n)
+	wire.Make(c, &r.Data, n)
+	wire.Make(c, &r.Digests, n)
+	for i := range n {
+		c.Bool(&r.Found[i])
+		c.Bool(&r.Corrupt[i])
+		if r.Found[i] {
+			c.Bytes(&r.Data[i])
+			r.Digests[i].Wire(c)
 		}
 	}
 }
@@ -306,35 +246,15 @@ func (r *GetChunksResp) Size() int {
 	return n
 }
 
-// Decode implements wire.Message. Each Data entry aliases the decoded
-// buffer.
-func (r *GetChunksResp) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Found, r.Corrupt, r.Data, r.Digests = nil, nil, nil, nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		ok := d.Bool()
-		r.Found = append(r.Found, ok)
-		r.Corrupt = append(r.Corrupt, d.Bool())
-		if ok {
-			r.Data = append(r.Data, d.Bytes())
-			r.Digests = append(r.Digests, chunk.Digest{Algo: d.U8(), Sum: d.U32()})
-		} else {
-			r.Data = append(r.Data, nil)
-			r.Digests = append(r.Digests, chunk.Digest{})
-		}
-	}
-}
-
 // HasResp reports chunk presence.
 type HasResp struct {
 	Present bool
 }
 
-// Encode implements wire.Message.
-func (r *HasResp) Encode(e *wire.Encoder) { e.PutBool(r.Present) }
-
-// Decode implements wire.Message.
-func (r *HasResp) Decode(d *wire.Decoder) { r.Present = d.Bool() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *HasResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *HasResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *HasResp) Wire(c *wire.Codec)     { c.Bool(&r.Present) }
 
 // StatsResp reports a provider's inventory.
 type StatsResp struct {
@@ -366,38 +286,23 @@ type StatsResp struct {
 	Backfilled  uint64
 }
 
-// Encode implements wire.Message.
-func (r *StatsResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.Chunks)
-	e.PutU64(r.Bytes)
-	e.PutU64(r.Puts)
-	e.PutU64(r.Gets)
-	e.PutU64(r.Deletes)
-	e.PutU64(r.PutBatches)
-	e.PutU64(r.GetBatches)
-	e.PutU64(r.BytesIn)
-	e.PutU64(r.BytesOut)
-	e.PutU64(r.Verified)
-	e.PutU64(r.Corrupt)
-	e.PutU64(r.Quarantined)
-	e.PutU64(r.Backfilled)
-}
-
-// Decode implements wire.Message.
-func (r *StatsResp) Decode(d *wire.Decoder) {
-	r.Chunks = d.U64()
-	r.Bytes = d.U64()
-	r.Puts = d.U64()
-	r.Gets = d.U64()
-	r.Deletes = d.U64()
-	r.PutBatches = d.U64()
-	r.GetBatches = d.U64()
-	r.BytesIn = d.U64()
-	r.BytesOut = d.U64()
-	r.Verified = d.U64()
-	r.Corrupt = d.U64()
-	r.Quarantined = d.U64()
-	r.Backfilled = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *StatsResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *StatsResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *StatsResp) Wire(c *wire.Codec) {
+	c.U64(&r.Chunks)
+	c.U64(&r.Bytes)
+	c.U64(&r.Puts)
+	c.U64(&r.Gets)
+	c.U64(&r.Deletes)
+	c.U64(&r.PutBatches)
+	c.U64(&r.GetBatches)
+	c.U64(&r.BytesIn)
+	c.U64(&r.BytesOut)
+	c.U64(&r.Verified)
+	c.U64(&r.Corrupt)
+	c.U64(&r.Quarantined)
+	c.U64(&r.Backfilled)
 }
 
 // ListChunksReq asks for the provider's inventory of one blob, or the
@@ -407,11 +312,10 @@ type ListChunksReq struct {
 	Blob uint64
 }
 
-// Encode implements wire.Message.
-func (r *ListChunksReq) Encode(e *wire.Encoder) { e.PutU64(r.Blob) }
-
-// Decode implements wire.Message.
-func (r *ListChunksReq) Decode(d *wire.Decoder) { r.Blob = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ListChunksReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ListChunksReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ListChunksReq) Wire(c *wire.Codec)     { c.U64(&r.Blob) }
 
 // ListChunksResp returns the stored keys of one blob plus each chunk's age
 // since it was put (milliseconds). Chunks whose put time is unknown (for
@@ -423,28 +327,17 @@ type ListChunksResp struct {
 	AgeMs []uint64
 }
 
-// Encode implements wire.Message.
-func (r *ListChunksResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Keys)))
-	for i, k := range r.Keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Index)
-		e.PutU64(r.AgeMs[i])
-	}
-}
-
-// Decode implements wire.Message.
-func (r *ListChunksResp) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Keys, r.AgeMs = nil, nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var k chunk.Key
-		k.Blob = d.U64()
-		k.Version = d.U64()
-		k.Index = d.U64()
-		r.Keys = append(r.Keys, k)
-		r.AgeMs = append(r.AgeMs, d.U64())
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ListChunksResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ListChunksResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ListChunksResp) Wire(c *wire.Codec) {
+	n := len(r.Keys)
+	c.Count(&n, wire.MaxCount)
+	wire.Make(c, &r.Keys, n)
+	wire.Make(c, &r.AgeMs, n)
+	for i := range n {
+		r.Keys[i].Wire(c)
+		c.U64(&r.AgeMs[i])
 	}
 }
 
@@ -453,27 +346,11 @@ type DeleteChunksReq struct {
 	Keys []chunk.Key
 }
 
-// Encode implements wire.Message.
-func (r *DeleteChunksReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Keys)))
-	for _, k := range r.Keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Index)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *DeleteChunksReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Keys = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var k chunk.Key
-		k.Blob = d.U64()
-		k.Version = d.U64()
-		k.Index = d.U64()
-		r.Keys = append(r.Keys, k)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *DeleteChunksReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *DeleteChunksReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *DeleteChunksReq) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Keys, wire.MaxCount, (*chunk.Key).Wire)
 }
 
 // TombstonesReq marks blobs as deleted on this provider: any later chunk
@@ -485,21 +362,11 @@ type TombstonesReq struct {
 	Blobs []uint64
 }
 
-// Encode implements wire.Message.
-func (r *TombstonesReq) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Blobs)))
-	for _, b := range r.Blobs {
-		e.PutU64(b)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *TombstonesReq) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Blobs = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		r.Blobs = append(r.Blobs, d.U64())
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *TombstonesReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *TombstonesReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *TombstonesReq) Wire(c *wire.Codec) {
+	c.U64s(&r.Blobs, wire.MaxCount)
 }
 
 // DeleteChunksResp reports what a delete reclaimed on this provider.
@@ -508,16 +375,12 @@ type DeleteChunksResp struct {
 	Bytes   uint64
 }
 
-// Encode implements wire.Message.
-func (r *DeleteChunksResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.Deleted)
-	e.PutU64(r.Bytes)
-}
-
-// Decode implements wire.Message.
-func (r *DeleteChunksResp) Decode(d *wire.Decoder) {
-	r.Deleted = d.U64()
-	r.Bytes = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *DeleteChunksResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *DeleteChunksResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *DeleteChunksResp) Wire(c *wire.Codec) {
+	c.U64(&r.Deleted)
+	c.U64(&r.Bytes)
 }
 
 // Ack is the empty acknowledgment.
@@ -1055,22 +918,15 @@ type HeartbeatReq struct {
 	FreeBytes uint64
 }
 
-// Encode implements wire.Message.
-func (r *HeartbeatReq) Encode(e *wire.Encoder) {
-	e.PutString(r.Addr)
-	e.PutU64(r.Chunks)
-	e.PutU64(r.Bytes)
-	e.PutU64(r.CapBytes)
-	e.PutU64(r.FreeBytes)
-}
-
-// Decode implements wire.Message.
-func (r *HeartbeatReq) Decode(d *wire.Decoder) {
-	r.Addr = d.String()
-	r.Chunks = d.U64()
-	r.Bytes = d.U64()
-	r.CapBytes = d.U64()
-	r.FreeBytes = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *HeartbeatReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *HeartbeatReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *HeartbeatReq) Wire(c *wire.Codec) {
+	c.String(&r.Addr)
+	c.U64(&r.Chunks)
+	c.U64(&r.Bytes)
+	c.U64(&r.CapBytes)
+	c.U64(&r.FreeBytes)
 }
 
 // PutChunk is the client-side helper to store one chunk at one provider.

@@ -100,7 +100,7 @@ func replaySidecarRecord(rec []byte, putTimes map[chunk.Key]time.Time, tombstone
 	for d.Err() == nil && d.Remaining() > 0 {
 		switch kind := d.U8(); kind {
 		case sideRecPutAge:
-			cnt := d.U32()
+			cnt := d.Count(wire.MaxCount)
 			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
 				k := chunk.Key{Blob: d.U64(), Version: d.U64(), Index: d.U64()}
 				ms := d.U64()
@@ -109,14 +109,14 @@ func replaySidecarRecord(rec []byte, putTimes map[chunk.Key]time.Time, tombstone
 				}
 			}
 		case sideRecTomb:
-			cnt := d.U32()
+			cnt := d.Count(wire.MaxCount)
 			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
 				if b := d.U64(); d.Err() == nil {
 					tombstones[b] = struct{}{}
 				}
 			}
 		case sideRecDelete:
-			cnt := d.U32()
+			cnt := d.Count(wire.MaxCount)
 			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
 				k := chunk.Key{Blob: d.U64(), Version: d.U64(), Index: d.U64()}
 				if d.Err() == nil {
@@ -125,7 +125,7 @@ func replaySidecarRecord(rec []byte, putTimes map[chunk.Key]time.Time, tombstone
 				}
 			}
 		case sideRecDigest:
-			cnt := d.U32()
+			cnt := d.Count(wire.MaxCount)
 			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
 				k := chunk.Key{Blob: d.U64(), Version: d.U64(), Index: d.U64()}
 				rec := digestRec{Digest: chunk.Digest{Algo: d.U8(), Sum: d.U32()}, Length: d.U32()}

@@ -9,9 +9,10 @@ import (
 	"sync"
 )
 
-// maxFrame bounds a single TCP frame. Chunks are at most a few MiB in any
-// sane configuration; 256 MiB leaves ample headroom while bounding memory.
-const maxFrame = 256 << 20
+// MaxFrame bounds a single TCP frame, and so every RPC body. Chunks are at
+// most a few MiB in any sane configuration; 256 MiB leaves ample headroom
+// while bounding memory.
+const MaxFrame = 256 << 20
 
 // TCPNetwork implements Network over real TCP sockets with 4-byte
 // big-endian length framing. Addresses are standard host:port strings;
@@ -71,7 +72,7 @@ func newTCPConn(c net.Conn) *tcpConn {
 }
 
 func (t *tcpConn) Send(msg []byte) error {
-	if len(msg) > maxFrame {
+	if len(msg) > MaxFrame {
 		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(msg))
 	}
 	var hdr [4]byte
@@ -93,7 +94,7 @@ func (t *tcpConn) Recv() ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
+	if n > MaxFrame {
 		return nil, fmt.Errorf("rpc: inbound frame of %d bytes exceeds limit", n)
 	}
 	msg := make([]byte, n)

@@ -41,36 +41,17 @@ type ReplicateReq struct {
 	Records  [][]byte
 }
 
-// Encode implements wire.Message.
-func (r *ReplicateReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.Epoch)
-	e.PutString(r.Leader)
-	e.PutU64(r.Session)
-	e.PutU64(r.Seq)
-	e.PutBool(r.Probe)
-	e.PutBytes(r.Snapshot)
-	e.PutU32(uint32(len(r.Records)))
-	for _, rec := range r.Records {
-		e.PutBytes(rec)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *ReplicateReq) Decode(d *wire.Decoder) {
-	r.Epoch = d.U64()
-	r.Leader = d.String()
-	r.Session = d.U64()
-	r.Seq = d.U64()
-	r.Probe = d.Bool()
-	r.Snapshot = d.BytesCopy()
-	if len(r.Snapshot) == 0 {
-		r.Snapshot = nil
-	}
-	cnt := d.U32()
-	r.Records = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		r.Records = append(r.Records, d.BytesCopy())
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ReplicateReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ReplicateReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ReplicateReq) Wire(c *wire.Codec) {
+	c.U64(&r.Epoch)
+	c.String(&r.Leader)
+	c.U64(&r.Session)
+	c.U64(&r.Seq)
+	c.Bool(&r.Probe)
+	c.BytesCopy(&r.Snapshot)
+	wire.Slice(c, &r.Records, wire.MaxCount, func(rec *[]byte, c *wire.Codec) { c.BytesCopy(rec) })
 }
 
 // ReplicateResp acknowledges a replication message.
@@ -97,30 +78,19 @@ type ReplicateResp struct {
 	AppliedSeq uint64
 }
 
-// Encode implements wire.Message.
-func (r *ReplicateResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.AckSeq)
-	e.PutBool(r.NeedSync)
-	e.PutBool(r.Fenced)
-	e.PutU64(r.Epoch)
-	e.PutString(r.Leader)
-	e.PutBool(r.IsLeader)
-	e.PutBool(r.Synced)
-	e.PutU64(r.Session)
-	e.PutU64(r.AppliedSeq)
-}
-
-// Decode implements wire.Message.
-func (r *ReplicateResp) Decode(d *wire.Decoder) {
-	r.AckSeq = d.U64()
-	r.NeedSync = d.Bool()
-	r.Fenced = d.Bool()
-	r.Epoch = d.U64()
-	r.Leader = d.String()
-	r.IsLeader = d.Bool()
-	r.Synced = d.Bool()
-	r.Session = d.U64()
-	r.AppliedSeq = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ReplicateResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ReplicateResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ReplicateResp) Wire(c *wire.Codec) {
+	c.U64(&r.AckSeq)
+	c.Bool(&r.NeedSync)
+	c.Bool(&r.Fenced)
+	c.U64(&r.Epoch)
+	c.String(&r.Leader)
+	c.Bool(&r.IsLeader)
+	c.Bool(&r.Synced)
+	c.U64(&r.Session)
+	c.U64(&r.AppliedSeq)
 }
 
 // WhoIsLeaderResp answers a leadership probe with this node's view.
@@ -132,20 +102,14 @@ type WhoIsLeaderResp struct {
 	Epoch    uint64
 }
 
-// Encode implements wire.Message.
-func (r *WhoIsLeaderResp) Encode(e *wire.Encoder) {
-	e.PutString(r.Self)
-	e.PutBool(r.IsLeader)
-	e.PutString(r.Leader)
-	e.PutU64(r.Epoch)
-}
-
-// Decode implements wire.Message.
-func (r *WhoIsLeaderResp) Decode(d *wire.Decoder) {
-	r.Self = d.String()
-	r.IsLeader = d.Bool()
-	r.Leader = d.String()
-	r.Epoch = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *WhoIsLeaderResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *WhoIsLeaderResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *WhoIsLeaderResp) Wire(c *wire.Codec) {
+	c.String(&r.Self)
+	c.Bool(&r.IsLeader)
+	c.String(&r.Leader)
+	c.U64(&r.Epoch)
 }
 
 // StandbyStatus is one peer's replication state as the leader sees it.
@@ -155,18 +119,13 @@ type StandbyStatus struct {
 	AckSeq uint64 // stream sequence acked through
 }
 
-// Encode implements wire.Message.
-func (s *StandbyStatus) Encode(e *wire.Encoder) {
-	e.PutString(s.Addr)
-	e.PutBool(s.Synced)
-	e.PutU64(s.AckSeq)
-}
-
-// Decode implements wire.Message.
-func (s *StandbyStatus) Decode(d *wire.Decoder) {
-	s.Addr = d.String()
-	s.Synced = d.Bool()
-	s.AckSeq = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (s *StandbyStatus) Encode(e *wire.Encoder) { s.Wire(e.Codec()) }
+func (s *StandbyStatus) Decode(d *wire.Decoder) { s.Wire(d.Codec()) }
+func (s *StandbyStatus) Wire(c *wire.Codec) {
+	c.String(&s.Addr)
+	c.Bool(&s.Synced)
+	c.U64(&s.AckSeq)
 }
 
 // HAStatusResp is one node's full high-availability view.
@@ -188,41 +147,19 @@ type HAStatusResp struct {
 	Standbys        []StandbyStatus
 }
 
-// Encode implements wire.Message.
-func (r *HAStatusResp) Encode(e *wire.Encoder) {
-	e.PutString(r.Self)
-	e.PutBool(r.Enabled)
-	e.PutString(r.Role)
-	e.PutU64(r.Epoch)
-	e.PutString(r.Leader)
-	e.PutU64(r.Session)
-	e.PutU64(r.StreamSeq)
-	e.PutU64(r.Takeovers)
-	e.PutU64(r.Fences)
-	e.PutU64(r.NoQuorumCommits)
-	e.PutU32(uint32(len(r.Standbys)))
-	for i := range r.Standbys {
-		r.Standbys[i].Encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *HAStatusResp) Decode(d *wire.Decoder) {
-	r.Self = d.String()
-	r.Enabled = d.Bool()
-	r.Role = d.String()
-	r.Epoch = d.U64()
-	r.Leader = d.String()
-	r.Session = d.U64()
-	r.StreamSeq = d.U64()
-	r.Takeovers = d.U64()
-	r.Fences = d.U64()
-	r.NoQuorumCommits = d.U64()
-	cnt := d.U32()
-	r.Standbys = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var s StandbyStatus
-		s.Decode(d)
-		r.Standbys = append(r.Standbys, s)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *HAStatusResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *HAStatusResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *HAStatusResp) Wire(c *wire.Codec) {
+	c.String(&r.Self)
+	c.Bool(&r.Enabled)
+	c.String(&r.Role)
+	c.U64(&r.Epoch)
+	c.String(&r.Leader)
+	c.U64(&r.Session)
+	c.U64(&r.StreamSeq)
+	c.U64(&r.Takeovers)
+	c.U64(&r.Fences)
+	c.U64(&r.NoQuorumCommits)
+	wire.Slice(c, &r.Standbys, wire.MaxCount, (*StandbyStatus).Wire)
 }

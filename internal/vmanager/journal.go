@@ -246,94 +246,64 @@ type record struct {
 	leader      string
 }
 
-func (r *record) encode() []byte {
-	e := wire.NewEncoder(96)
-	e.PutU8(r.kind)
+// wire is the record's one field list, in the layout above. The lease
+// TTL of an assign sits under Tail: pre-HA journals end the record
+// before it.
+func (r *record) wire(c *wire.Codec) {
+	c.U8(&r.kind)
 	if r.kind == recEpoch {
-		e.PutU64(r.n)
-		e.PutString(r.leader)
-		return e.Bytes()
+		c.U64(&r.n)
+		c.String(&r.leader)
+		return
 	}
-	e.PutU64(r.blob)
+	c.U64(&r.blob)
 	switch r.kind {
 	case recCreate:
-		e.PutU64(r.n)
-		e.PutU32(r.replication)
+		c.U64(&r.n)
+		c.U32(&r.replication)
 	case recAssign:
-		e.PutU64(r.version)
-		e.PutU64(r.vi.startChunk)
-		e.PutU64(r.vi.endChunk)
-		e.PutU64(r.vi.sizeBytes)
-		e.PutU64(r.vi.sizeChunks)
-		e.PutU64(r.vi.assignPub)
-		e.PutU64(r.n)
-		e.PutU64(r.vi.leaseUntil)
-		e.PutU64(r.vi.leaseTTLMs)
+		c.U64(&r.version)
+		c.U64(&r.vi.startChunk)
+		c.U64(&r.vi.endChunk)
+		c.U64(&r.vi.sizeBytes)
+		c.U64(&r.vi.sizeChunks)
+		c.U64(&r.vi.assignPub)
+		c.U64(&r.n)
+		c.U64(&r.vi.leaseUntil)
+		if c.Tail() {
+			c.U64(&r.vi.leaseTTLMs)
+		}
 	case recCommit, recWoven:
-		e.PutU64(r.version)
+		c.U64(&r.version)
 	case recAbort:
-		e.PutU64(r.version)
-		e.PutBool(r.flag)
+		c.U64(&r.version)
+		c.Bool(&r.flag)
 	case recLease:
-		e.PutU64(r.version)
-		e.PutU64(r.n)
+		c.U64(&r.version)
+		c.U64(&r.n)
 	case recRetention, recPrune:
-		e.PutU64(r.n)
+		c.U64(&r.n)
 	case recGCReport:
-		e.PutU64(r.n)
-		e.PutBool(r.flag)
-		e.PutU64(r.gc[GCPruned])
-		for _, d := range r.gc[:GCPruned] { // chunks, bytes, nodes, orphans
-			e.PutU64(d)
+		c.U64(&r.n)
+		c.Bool(&r.flag)
+		c.U64(&r.gc[GCPruned])
+		for id := range r.gc[:GCPruned] { // chunks, bytes, nodes, orphans
+			c.U64(&r.gc[id])
 		}
 	}
+}
+
+func (r *record) encode() []byte {
+	e := wire.NewEncoder(96)
+	r.wire(e.Codec())
 	return e.Bytes()
 }
 
 func decodeRecord(buf []byte) (record, error) {
+	var r record
 	d := wire.NewDecoder(buf)
-	r := record{kind: d.U8()}
-	if r.kind == recEpoch {
-		r.n = d.U64()
-		r.leader = d.String()
-	} else {
-		r.blob = d.U64()
-	}
-	switch r.kind {
-	case recCreate:
-		r.n = d.U64()
-		r.replication = d.U32()
-	case recAssign:
-		r.version = d.U64()
-		r.vi.startChunk = d.U64()
-		r.vi.endChunk = d.U64()
-		r.vi.sizeBytes = d.U64()
-		r.vi.sizeChunks = d.U64()
-		r.vi.assignPub = d.U64()
-		r.n = d.U64()
-		r.vi.leaseUntil = d.U64()
-		if d.Remaining() > 0 {
-			r.vi.leaseTTLMs = d.U64() // absent in pre-HA journals
-		}
-	case recCommit, recWoven:
-		r.version = d.U64()
-	case recAbort:
-		r.version = d.U64()
-		r.flag = d.Bool()
-	case recLease:
-		r.version = d.U64()
-		r.n = d.U64()
-	case recRetention, recPrune:
-		r.n = d.U64()
-	case recGCReport:
-		r.n = d.U64()
-		r.flag = d.Bool()
-		r.gc[GCPruned] = d.U64()
-		for id := range r.gc[:GCPruned] {
-			r.gc[id] = d.U64()
-		}
-	case recDelete, recEpoch: // nothing past the fields read above
-	default:
+	r.wire(d.Codec())
+	if r.kind < recCreate || r.kind > recEpoch {
 		return r, fmt.Errorf("%w: unknown record type %d", errJournalCorrupt, r.kind)
 	}
 	if d.Err() != nil {
@@ -544,11 +514,15 @@ func (m *Manager) decodeSnapshot(snap []byte) error {
 			m.adoptEpochInfo(epoch, leader)
 		}
 	}
-	numBlobs := d.U32()
+	// Counts go through Codec.Count, which holds them to the bytes left,
+	// so a corrupt count fails the decode instead of sizing an allocation.
+	c := d.Codec()
+	var numBlobs int
+	c.Count(&numBlobs, wire.MaxCount)
 	if d.Err() != nil {
 		return fmt.Errorf("vmanager: corrupt snapshot header: %w", d.Err())
 	}
-	for i := uint32(0); i < numBlobs; i++ {
+	for i := range numBlobs {
 		id := d.U64()
 		chunkSize := d.U64()
 		replication := d.U32()
@@ -563,7 +537,8 @@ func (m *Manager) decodeSnapshot(snap []byte) error {
 		b.finishGen = d.U64()
 		b.deleted = d.Bool()
 		b.deletedSwept = d.Bool()
-		numVers := d.U32()
+		var numVers int
+		c.Count(&numVers, wire.MaxCount)
 		if d.Err() != nil {
 			return fmt.Errorf("vmanager: corrupt snapshot blob %d: %w", i, d.Err())
 		}

@@ -2,7 +2,11 @@ package vmanager
 
 import (
 	"errors"
+	"math"
 	"testing"
+
+	"repro/internal/durable"
+	"repro/internal/wire"
 )
 
 // openM opens a persistent manager rooted at dir, failing the test on
@@ -439,5 +443,44 @@ func TestConcurrentCommitsGroupCommitJournal(t *testing.T) {
 		if err != nil || latest.Version != 1 || latest.SizeBytes != 8192 {
 			t.Fatalf("blob %d after recovery: %+v, %v", id, latest, err)
 		}
+	}
+}
+
+// TestOpenManagerRejectsCorruptSnapshotCount: a snapshot whose version
+// count exceeds the bytes left must fail OpenManager with an error, not
+// size an allocation from the count.
+func TestOpenManagerRejectsCorruptSnapshotCount(t *testing.T) {
+	e := wire.NewEncoder(0)
+	e.PutU8(snapFormat)
+	e.PutU64(2) // next blob id
+	for range journaledCounters {
+		e.PutU64(0)
+	}
+	e.PutU64(0) // epoch
+	e.PutString("")
+	e.PutU32(1) // blobs
+	e.PutU64(1) // blob id
+	e.PutU64(64)
+	e.PutU32(1)
+	for range 8 { // base .. finishGen
+		e.PutU64(0)
+	}
+	e.PutBool(false)
+	e.PutBool(false)
+	e.PutU32(math.MaxUint32) // versions
+	dir := t.TempDir()
+	log, _, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Compact(e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if m, err := OpenManager(dir, Options{}); !errors.Is(err, wire.ErrTooLarge) {
+		if m != nil {
+			m.Close()
+		}
+		t.Fatalf("OpenManager = %v, want ErrTooLarge", err)
 	}
 }

@@ -37,16 +37,12 @@ type CreateReq struct {
 	Replication uint32
 }
 
-// Encode implements wire.Message.
-func (r *CreateReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.ChunkSize)
-	e.PutU32(r.Replication)
-}
-
-// Decode implements wire.Message.
-func (r *CreateReq) Decode(d *wire.Decoder) {
-	r.ChunkSize = d.U64()
-	r.Replication = d.U32()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *CreateReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *CreateReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *CreateReq) Wire(c *wire.Codec) {
+	c.U64(&r.ChunkSize)
+	c.U32(&r.Replication)
 }
 
 // CreateResp returns the new blob's identifier.
@@ -54,22 +50,20 @@ type CreateResp struct {
 	BlobID uint64
 }
 
-// Encode implements wire.Message.
-func (r *CreateResp) Encode(e *wire.Encoder) { e.PutU64(r.BlobID) }
-
-// Decode implements wire.Message.
-func (r *CreateResp) Decode(d *wire.Decoder) { r.BlobID = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *CreateResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *CreateResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *CreateResp) Wire(c *wire.Codec)     { c.U64(&r.BlobID) }
 
 // BlobRef names a blob.
 type BlobRef struct {
 	BlobID uint64
 }
 
-// Encode implements wire.Message.
-func (r *BlobRef) Encode(e *wire.Encoder) { e.PutU64(r.BlobID) }
-
-// Decode implements wire.Message.
-func (r *BlobRef) Decode(d *wire.Decoder) { r.BlobID = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *BlobRef) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *BlobRef) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *BlobRef) Wire(c *wire.Codec)     { c.U64(&r.BlobID) }
 
 // InfoResp describes a blob's static parameters, published state, and
 // retention state.
@@ -85,26 +79,17 @@ type InfoResp struct {
 	RetainFrom uint64
 }
 
-// Encode implements wire.Message.
-func (r *InfoResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.ChunkSize)
-	e.PutU32(r.Replication)
-	e.PutU64(r.Published)
-	e.PutU64(r.SizeBytes)
-	e.PutU64(r.SizeChunks)
-	e.PutU64(r.KeepLast)
-	e.PutU64(r.RetainFrom)
-}
-
-// Decode implements wire.Message.
-func (r *InfoResp) Decode(d *wire.Decoder) {
-	r.ChunkSize = d.U64()
-	r.Replication = d.U32()
-	r.Published = d.U64()
-	r.SizeBytes = d.U64()
-	r.SizeChunks = d.U64()
-	r.KeepLast = d.U64()
-	r.RetainFrom = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *InfoResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *InfoResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *InfoResp) Wire(c *wire.Codec) {
+	c.U64(&r.ChunkSize)
+	c.U32(&r.Replication)
+	c.U64(&r.Published)
+	c.U64(&r.SizeBytes)
+	c.U64(&r.SizeChunks)
+	c.U64(&r.KeepLast)
+	c.U64(&r.RetainFrom)
 }
 
 // AssignReq asks for a version number for a write or append.
@@ -120,22 +105,15 @@ type AssignReq struct {
 	WantLeaseTTLMs uint64
 }
 
-// Encode implements wire.Message.
-func (r *AssignReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.BlobID)
-	e.PutU64(r.Offset)
-	e.PutU64(r.Size)
-	e.PutBool(r.Append)
-	e.PutU64(r.WantLeaseTTLMs)
-}
-
-// Decode implements wire.Message.
-func (r *AssignReq) Decode(d *wire.Decoder) {
-	r.BlobID = d.U64()
-	r.Offset = d.U64()
-	r.Size = d.U64()
-	r.Append = d.Bool()
-	r.WantLeaseTTLMs = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *AssignReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *AssignReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *AssignReq) Wire(c *wire.Codec) {
+	c.U64(&r.BlobID)
+	c.U64(&r.Offset)
+	c.U64(&r.Size)
+	c.Bool(&r.Append)
+	c.U64(&r.WantLeaseTTLMs)
 }
 
 // AssignResp carries everything the writer needs to upload chunks and
@@ -157,43 +135,21 @@ type AssignResp struct {
 	InFlight   []meta.WriteDesc
 }
 
-// Encode implements wire.Message.
-func (r *AssignResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.Version)
-	e.PutU64(r.Offset)
-	e.PutU64(r.PrevSizeBytes)
-	e.PutU64(r.SizeBytes)
-	e.PutU64(r.SizeChunks)
-	e.PutU64(r.StartChunk)
-	e.PutU64(r.EndChunk)
-	e.PutU64(r.PubVersion)
-	e.PutU64(r.PubSizeChunks)
-	e.PutU64(r.LeaseTTLMs)
-	e.PutU32(uint32(len(r.InFlight)))
-	for i := range r.InFlight {
-		r.InFlight[i].Encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *AssignResp) Decode(d *wire.Decoder) {
-	r.Version = d.U64()
-	r.Offset = d.U64()
-	r.PrevSizeBytes = d.U64()
-	r.SizeBytes = d.U64()
-	r.SizeChunks = d.U64()
-	r.StartChunk = d.U64()
-	r.EndChunk = d.U64()
-	r.PubVersion = d.U64()
-	r.PubSizeChunks = d.U64()
-	r.LeaseTTLMs = d.U64()
-	cnt := d.U32()
-	r.InFlight = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var w meta.WriteDesc
-		w.Decode(d)
-		r.InFlight = append(r.InFlight, w)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *AssignResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *AssignResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *AssignResp) Wire(c *wire.Codec) {
+	c.U64(&r.Version)
+	c.U64(&r.Offset)
+	c.U64(&r.PrevSizeBytes)
+	c.U64(&r.SizeBytes)
+	c.U64(&r.SizeChunks)
+	c.U64(&r.StartChunk)
+	c.U64(&r.EndChunk)
+	c.U64(&r.PubVersion)
+	c.U64(&r.PubSizeChunks)
+	c.U64(&r.LeaseTTLMs)
+	wire.Slice(c, &r.InFlight, wire.MaxCount, (*meta.WriteDesc).Wire)
 }
 
 // VersionRef names one version of one blob.
@@ -202,16 +158,12 @@ type VersionRef struct {
 	Version uint64
 }
 
-// Encode implements wire.Message.
-func (r *VersionRef) Encode(e *wire.Encoder) {
-	e.PutU64(r.BlobID)
-	e.PutU64(r.Version)
-}
-
-// Decode implements wire.Message.
-func (r *VersionRef) Decode(d *wire.Decoder) {
-	r.BlobID = d.U64()
-	r.Version = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *VersionRef) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *VersionRef) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *VersionRef) Wire(c *wire.Codec) {
+	c.U64(&r.BlobID)
+	c.U64(&r.Version)
 }
 
 // AbortReq names the version to abort and whether the aborting client
@@ -223,18 +175,13 @@ type AbortReq struct {
 	Woven   bool
 }
 
-// Encode implements wire.Message.
-func (r *AbortReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.BlobID)
-	e.PutU64(r.Version)
-	e.PutBool(r.Woven)
-}
-
-// Decode implements wire.Message.
-func (r *AbortReq) Decode(d *wire.Decoder) {
-	r.BlobID = d.U64()
-	r.Version = d.U64()
-	r.Woven = d.Bool()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *AbortReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *AbortReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *AbortReq) Wire(c *wire.Codec) {
+	c.U64(&r.BlobID)
+	c.U64(&r.Version)
+	c.Bool(&r.Woven)
 }
 
 // LeaseStatsResp reports the lease configuration and counters.
@@ -246,22 +193,15 @@ type LeaseStatsResp struct {
 	Expired uint64
 }
 
-// Encode implements wire.Message.
-func (r *LeaseStatsResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.TTLMs)
-	e.PutU64(r.Active)
-	e.PutU64(r.Granted)
-	e.PutU64(r.Renewed)
-	e.PutU64(r.Expired)
-}
-
-// Decode implements wire.Message.
-func (r *LeaseStatsResp) Decode(d *wire.Decoder) {
-	r.TTLMs = d.U64()
-	r.Active = d.U64()
-	r.Granted = d.U64()
-	r.Renewed = d.U64()
-	r.Expired = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *LeaseStatsResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *LeaseStatsResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *LeaseStatsResp) Wire(c *wire.Codec) {
+	c.U64(&r.TTLMs)
+	c.U64(&r.Active)
+	c.U64(&r.Granted)
+	c.U64(&r.Renewed)
+	c.U64(&r.Expired)
 }
 
 // UnwovenResp lists aborted versions still owed an identity weave; the GC
@@ -270,23 +210,11 @@ type UnwovenResp struct {
 	Items []meta.IdentityInput
 }
 
-// Encode implements wire.Message.
-func (r *UnwovenResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.Items)))
-	for i := range r.Items {
-		r.Items[i].Encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *UnwovenResp) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.Items = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var it meta.IdentityInput
-		it.Decode(d)
-		r.Items = append(r.Items, it)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *UnwovenResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *UnwovenResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *UnwovenResp) Wire(c *wire.Codec) {
+	wire.Slice(c, &r.Items, wire.MaxCount, (*meta.IdentityInput).Wire)
 }
 
 // VersionInfoResp describes one version's extent.
@@ -300,22 +228,15 @@ type VersionInfoResp struct {
 	Reclaimed bool
 }
 
-// Encode implements wire.Message.
-func (r *VersionInfoResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.SizeBytes)
-	e.PutU64(r.SizeChunks)
-	e.PutBool(r.Published)
-	e.PutBool(r.Failed)
-	e.PutBool(r.Reclaimed)
-}
-
-// Decode implements wire.Message.
-func (r *VersionInfoResp) Decode(d *wire.Decoder) {
-	r.SizeBytes = d.U64()
-	r.SizeChunks = d.U64()
-	r.Published = d.Bool()
-	r.Failed = d.Bool()
-	r.Reclaimed = d.Bool()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *VersionInfoResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *VersionInfoResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *VersionInfoResp) Wire(c *wire.Codec) {
+	c.U64(&r.SizeBytes)
+	c.U64(&r.SizeChunks)
+	c.Bool(&r.Published)
+	c.Bool(&r.Failed)
+	c.Bool(&r.Reclaimed)
 }
 
 // LatestResp identifies the latest published snapshot.
@@ -325,18 +246,13 @@ type LatestResp struct {
 	SizeChunks uint64
 }
 
-// Encode implements wire.Message.
-func (r *LatestResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.Version)
-	e.PutU64(r.SizeBytes)
-	e.PutU64(r.SizeChunks)
-}
-
-// Decode implements wire.Message.
-func (r *LatestResp) Decode(d *wire.Decoder) {
-	r.Version = d.U64()
-	r.SizeBytes = d.U64()
-	r.SizeChunks = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *LatestResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *LatestResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *LatestResp) Wire(c *wire.Codec) {
+	c.U64(&r.Version)
+	c.U64(&r.SizeBytes)
+	c.U64(&r.SizeChunks)
 }
 
 // ListResp enumerates existing blob IDs.
@@ -344,22 +260,10 @@ type ListResp struct {
 	IDs []uint64
 }
 
-// Encode implements wire.Message.
-func (r *ListResp) Encode(e *wire.Encoder) {
-	e.PutU32(uint32(len(r.IDs)))
-	for _, id := range r.IDs {
-		e.PutU64(id)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *ListResp) Decode(d *wire.Decoder) {
-	cnt := d.U32()
-	r.IDs = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		r.IDs = append(r.IDs, d.U64())
-	}
-}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *ListResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *ListResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *ListResp) Wire(c *wire.Codec)     { c.U64s(&r.IDs, wire.MaxCount) }
 
 // RetentionReq installs a keep-last-N retention policy on a blob.
 type RetentionReq struct {
@@ -367,16 +271,12 @@ type RetentionReq struct {
 	KeepLast uint64 // 0 = keep all versions
 }
 
-// Encode implements wire.Message.
-func (r *RetentionReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.BlobID)
-	e.PutU64(r.KeepLast)
-}
-
-// Decode implements wire.Message.
-func (r *RetentionReq) Decode(d *wire.Decoder) {
-	r.BlobID = d.U64()
-	r.KeepLast = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *RetentionReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *RetentionReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *RetentionReq) Wire(c *wire.Codec) {
+	c.U64(&r.BlobID)
+	c.U64(&r.KeepLast)
 }
 
 // PruneReq makes versions 1..UpTo of a blob reclaimable.
@@ -385,16 +285,12 @@ type PruneReq struct {
 	UpTo   uint64
 }
 
-// Encode implements wire.Message.
-func (r *PruneReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.BlobID)
-	e.PutU64(r.UpTo)
-}
-
-// Decode implements wire.Message.
-func (r *PruneReq) Decode(d *wire.Decoder) {
-	r.BlobID = d.U64()
-	r.UpTo = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *PruneReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PruneReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PruneReq) Wire(c *wire.Codec) {
+	c.U64(&r.BlobID)
+	c.U64(&r.UpTo)
 }
 
 // PruneResp returns the blob's retention floor after a prune.
@@ -402,11 +298,10 @@ type PruneResp struct {
 	RetainFrom uint64
 }
 
-// Encode implements wire.Message.
-func (r *PruneResp) Encode(e *wire.Encoder) { e.PutU64(r.RetainFrom) }
-
-// Decode implements wire.Message.
-func (r *PruneResp) Decode(d *wire.Decoder) { r.RetainFrom = d.U64() }
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *PruneResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *PruneResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *PruneResp) Wire(c *wire.Codec)     { c.U64(&r.RetainFrom) }
 
 // GCStatusResp describes one blob's reclamation state for a GC sweeper.
 type GCStatusResp struct {
@@ -426,39 +321,19 @@ type GCStatusResp struct {
 	Versions []meta.WriteDesc
 }
 
-// Encode implements wire.Message.
-func (r *GCStatusResp) Encode(e *wire.Encoder) {
-	e.PutBool(r.Deleted)
-	e.PutU64(r.RetainFrom)
-	e.PutU64(r.ReclaimedTo)
-	e.PutU64(r.Published)
-	e.PutU64(r.Assigned)
-	e.PutU64(r.ChunkSize)
-	e.PutU32(r.Replication)
-	e.PutU64(r.FinishGen)
-	e.PutU32(uint32(len(r.Versions)))
-	for i := range r.Versions {
-		r.Versions[i].Encode(e)
-	}
-}
-
-// Decode implements wire.Message.
-func (r *GCStatusResp) Decode(d *wire.Decoder) {
-	r.Deleted = d.Bool()
-	r.RetainFrom = d.U64()
-	r.ReclaimedTo = d.U64()
-	r.Published = d.U64()
-	r.Assigned = d.U64()
-	r.ChunkSize = d.U64()
-	r.Replication = d.U32()
-	r.FinishGen = d.U64()
-	cnt := d.U32()
-	r.Versions = nil
-	for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-		var w meta.WriteDesc
-		w.Decode(d)
-		r.Versions = append(r.Versions, w)
-	}
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GCStatusResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GCStatusResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GCStatusResp) Wire(c *wire.Codec) {
+	c.Bool(&r.Deleted)
+	c.U64(&r.RetainFrom)
+	c.U64(&r.ReclaimedTo)
+	c.U64(&r.Published)
+	c.U64(&r.Assigned)
+	c.U64(&r.ChunkSize)
+	c.U32(&r.Replication)
+	c.U64(&r.FinishGen)
+	wire.Slice(c, &r.Versions, wire.MaxCount, (*meta.WriteDesc).Wire)
 }
 
 // GCReportReq records a completed sweep for one blob.
@@ -478,28 +353,18 @@ type GCReportReq struct {
 	Orphans uint64
 }
 
-// Encode implements wire.Message.
-func (r *GCReportReq) Encode(e *wire.Encoder) {
-	e.PutU64(r.BlobID)
-	e.PutU64(r.ReclaimedTo)
-	e.PutBool(r.DeletedSwept)
-	e.PutU64(r.FinishGen)
-	e.PutU64(r.Chunks)
-	e.PutU64(r.Bytes)
-	e.PutU64(r.Nodes)
-	e.PutU64(r.Orphans)
-}
-
-// Decode implements wire.Message.
-func (r *GCReportReq) Decode(d *wire.Decoder) {
-	r.BlobID = d.U64()
-	r.ReclaimedTo = d.U64()
-	r.DeletedSwept = d.Bool()
-	r.FinishGen = d.U64()
-	r.Chunks = d.U64()
-	r.Bytes = d.U64()
-	r.Nodes = d.U64()
-	r.Orphans = d.U64()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *GCReportReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *GCReportReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *GCReportReq) Wire(c *wire.Codec) {
+	c.U64(&r.BlobID)
+	c.U64(&r.ReclaimedTo)
+	c.Bool(&r.DeletedSwept)
+	c.U64(&r.FinishGen)
+	c.U64(&r.Chunks)
+	c.U64(&r.Bytes)
+	c.U64(&r.Nodes)
+	c.U64(&r.Orphans)
 }
 
 // Counter names one maintenance-plane counter. The ids index Counters and
@@ -601,17 +466,12 @@ func (c *Counters) Add(o *Counters) {
 	}
 }
 
-// Encode implements wire.Message.
-func (c *Counters) Encode(e *wire.Encoder) {
-	for _, v := range c {
-		e.PutU64(v)
-	}
-}
-
-// Decode implements wire.Message.
-func (c *Counters) Decode(d *wire.Decoder) {
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (c *Counters) Encode(e *wire.Encoder) { c.Wire(e.Codec()) }
+func (c *Counters) Decode(d *wire.Decoder) { c.Wire(d.Codec()) }
+func (c *Counters) Wire(w *wire.Codec) {
 	for i := range c {
-		c[i] = d.U64()
+		w.U64(&c[i])
 	}
 }
 
@@ -625,16 +485,12 @@ type CompactResp struct {
 	Persistent bool
 }
 
-// Encode implements wire.Message.
-func (r *CompactResp) Encode(e *wire.Encoder) {
-	e.PutU64(r.CompactedVersions)
-	e.PutBool(r.Persistent)
-}
-
-// Decode implements wire.Message.
-func (r *CompactResp) Decode(d *wire.Decoder) {
-	r.CompactedVersions = d.U64()
-	r.Persistent = d.Bool()
+// Encode, Decode and Wire implement wire.Message: Wire is the field list.
+func (r *CompactResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
+func (r *CompactResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
+func (r *CompactResp) Wire(c *wire.Codec) {
+	c.U64(&r.CompactedVersions)
+	c.Bool(&r.Persistent)
 }
 
 // Ack is the empty acknowledgment.

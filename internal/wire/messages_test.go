@@ -440,3 +440,36 @@ func TestMessagesWireFrozen(t *testing.T) {
 		})
 	}
 }
+
+// FuzzMessageRoundTrip feeds arbitrary bytes to Unmarshal for every
+// message type. No input may panic, and whatever decodes must be a fixed
+// point of Marshal→Unmarshal→Marshal.
+func FuzzMessageRoundTrip(f *testing.F) {
+	for _, enc := range frozenMessages {
+		for _, h := range enc {
+			b, err := hex.DecodeString(h)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	msgs := messages()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, m := range msgs {
+			first := m.zero()
+			if wire.Unmarshal(data, first) != nil {
+				continue
+			}
+			once := wire.Marshal(first)
+			second := m.zero()
+			if err := wire.Unmarshal(once, second); err != nil {
+				t.Fatalf("%s: re-decoding its own encoding %x: %v", m.name, once, err)
+			}
+			if twice := wire.Marshal(second); !bytes.Equal(twice, once) {
+				t.Fatalf("%s: encodes as %x, then as %x after a round trip", m.name, once, twice)
+			}
+		}
+	})
+}

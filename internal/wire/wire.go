@@ -6,6 +6,25 @@
 // An Encoder appends to an internal buffer; a Decoder consumes a buffer and
 // latches the first error so call sites can decode a whole message and check
 // Err() once at the end.
+//
+// # Messages
+//
+// Every message spells its format once, as a field list:
+//
+//   - One Wire(c *Codec) method per message lists its fields. Its Encode
+//     and Decode are one-line adapters, r.Wire(e.Codec()) and
+//     r.Wire(d.Codec()), and a field group that several messages share
+//     (a chunk key, a digest, a tree-node key) has a Wire method of its
+//     own, used by all of them.
+//   - Field order is the format. Reordering, retyping or removing a field
+//     changes the bytes on the wire and on disk.
+//   - A new field is appended at the end and read under Tail(), so bodies
+//     written before it still decode.
+//   - Every list goes through Count or Slice with a named bound: the
+//     protocol's own limit where it has one (meta.MaxReplicas,
+//     pmanager.MaxAllocateChunks), MaxCount otherwise. Count also holds a
+//     decoded length to the bytes left in the body, so a corrupt count
+//     fails the decode before anything is allocated from it.
 package wire
 
 import (
@@ -20,7 +39,8 @@ import (
 var ErrTruncated = errors.New("wire: truncated message")
 
 // ErrTooLarge is reported when a length prefix exceeds MaxChunk, or an
-// element count exceeds the bound its decoder names (Decoder.Count).
+// element count exceeds the bound its decoder names (Decoder.Count) or,
+// through Codec.Count, the bytes left in the body.
 var ErrTooLarge = errors.New("wire: length prefix too large")
 
 // MaxChunk bounds any single length-prefixed field. It exists so a corrupt
@@ -31,7 +51,8 @@ const MaxChunk = 1 << 30
 // Encoder serializes values into a growing byte buffer.
 // The zero value is ready to use.
 type Encoder struct {
-	buf []byte
+	buf   []byte
+	codec Codec
 }
 
 // NewEncoder returns an Encoder with capacity preallocated for n bytes.
@@ -119,9 +140,10 @@ const trailerRoom = 32
 // Decoder consumes a byte buffer produced by an Encoder. The first decode
 // failure latches into err; subsequent reads return zero values.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	codec Codec
 }
 
 // NewDecoder returns a Decoder over buf. The Decoder does not copy buf.
@@ -253,6 +275,156 @@ type Message interface {
 	// Decode consumes the message body from dec.
 	Decode(dec *Decoder)
 }
+
+// Codec runs one field list in either direction: it wraps an Encoder,
+// where each method appends the value its argument points to, or a
+// Decoder, where each method reads into it. A message's Wire method is
+// that list, and its Encode and Decode hand it e.Codec() or d.Codec().
+type Codec struct {
+	e *Encoder // nil when decoding
+	d *Decoder // nil when encoding
+}
+
+// Codec returns a Codec that appends to e. It lives in e, so handing it
+// to field lists that pass it on costs no allocation.
+func (e *Encoder) Codec() *Codec {
+	e.codec = Codec{e: e}
+	return &e.codec
+}
+
+// Codec returns a Codec that reads from d. It lives in d, like
+// Encoder.Codec's.
+func (d *Decoder) Codec() *Codec {
+	d.codec = Codec{d: d}
+	return &d.codec
+}
+
+// U8 codes one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.d != nil {
+		*v = c.d.U8()
+	} else {
+		c.e.PutU8(*v)
+	}
+}
+
+// Bool codes a bool as one byte.
+func (c *Codec) Bool(v *bool) {
+	if c.d != nil {
+		*v = c.d.Bool()
+	} else {
+		c.e.PutBool(*v)
+	}
+}
+
+// U32 codes a little-endian uint32.
+func (c *Codec) U32(v *uint32) {
+	if c.d != nil {
+		*v = c.d.U32()
+	} else {
+		c.e.PutU32(*v)
+	}
+}
+
+// U64 codes a little-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	if c.d != nil {
+		*v = c.d.U64()
+	} else {
+		c.e.PutU64(*v)
+	}
+}
+
+// String codes a u32-length-prefixed string.
+func (c *Codec) String(v *string) {
+	if c.d != nil {
+		*v = c.d.String()
+	} else {
+		c.e.PutString(*v)
+	}
+}
+
+// Bytes codes a u32-length-prefixed byte slice. A decoded slice aliases
+// the Decoder's buffer (see Decoder.Bytes).
+func (c *Codec) Bytes(v *[]byte) {
+	if c.d != nil {
+		*v = c.d.Bytes()
+	} else {
+		c.e.PutBytes(*v)
+	}
+}
+
+// BytesCopy codes a u32-length-prefixed byte slice, decoding it into
+// fresh memory; an empty one decodes as nil.
+func (c *Codec) BytesCopy(v *[]byte) {
+	if c.d == nil {
+		c.e.PutBytes(*v)
+	} else if *v = c.d.BytesCopy(); len(*v) == 0 {
+		*v = nil
+	}
+}
+
+// Count codes a list length as a u32. A decoded count above max, or above
+// the bytes left in the body (every element takes at least one), fails
+// the decode with ErrTooLarge and reads as 0, so no list is allocated
+// from a corrupt count.
+func (c *Codec) Count(n *int, max int) {
+	if c.d == nil {
+		c.e.PutU32(uint32(*n))
+		return
+	}
+	*n = int(c.d.Count(uint32(max)))
+	if *n > c.d.Remaining() {
+		c.d.err, *n = ErrTooLarge, 0
+	}
+}
+
+// Tail reports whether the optional fields at the end of a body follow:
+// always when encoding, and when decoding only if bytes are left. Fields
+// appended to a message after it first shipped go under Tail, so bodies
+// written before them still decode.
+func (c *Codec) Tail() bool { return c.d == nil || c.d.Remaining() > 0 }
+
+// ok reports whether decoding has not failed (always, when encoding).
+func (c *Codec) ok() bool { return c.d == nil || c.d.err == nil }
+
+// Strings codes a list of strings bounded by max.
+func (c *Codec) Strings(s *[]string, max int) {
+	Slice(c, s, max, func(v *string, c *Codec) { c.String(v) })
+}
+
+// U64s codes a list of uint64s bounded by max.
+func (c *Codec) U64s(s *[]uint64, max int) {
+	Slice(c, s, max, func(v *uint64, c *Codec) { c.U64(v) })
+}
+
+// Slice codes a list: its Count, bounded by max, then every element
+// through elem (usually a method expression such as (*T).Wire).
+func Slice[T any](c *Codec, s *[]T, max int, elem func(*T, *Codec)) {
+	n := len(*s)
+	c.Count(&n, max)
+	Make(c, s, n)
+	for i := 0; i < n && c.ok(); i++ {
+		elem(&(*s)[i], c)
+	}
+}
+
+// Make sizes a list whose count the caller has coded: when decoding it
+// replaces *s with n zero elements (nil for none); when encoding it does
+// nothing. Lists that share one count, kept as parallel slices, use it.
+func Make[T any](c *Codec, s *[]T, n int) {
+	if c.d == nil {
+		return
+	}
+	*s = nil
+	if n > 0 {
+		*s = make([]T, n)
+	}
+}
+
+// MaxCount bounds a list whose only limit is the body it arrives in:
+// Count still holds it to the bytes left.
+const MaxCount = MaxChunk
 
 // Sizer is an optional Message refinement: Size reports the exact encoded
 // length, so Marshal and PutMessage allocate once instead of doubling

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -236,5 +237,75 @@ func BenchmarkDecode(b *testing.B) {
 		if dec.Err() != nil {
 			b.Fatal(dec.Err())
 		}
+	}
+}
+
+// codecMsg exercises every Codec method through one field list.
+type codecMsg struct {
+	A    uint8
+	B    bool
+	C    uint32
+	D    uint64
+	S    string
+	Raw  []byte
+	Copy []byte
+	IDs  []uint64
+	Tags []string
+	Opt  uint64 // appended later: read under Tail
+}
+
+func (m *codecMsg) Encode(e *Encoder) { m.Wire(e.Codec()) }
+func (m *codecMsg) Decode(d *Decoder) { m.Wire(d.Codec()) }
+func (m *codecMsg) Wire(c *Codec) {
+	c.U8(&m.A)
+	c.Bool(&m.B)
+	c.U32(&m.C)
+	c.U64(&m.D)
+	c.String(&m.S)
+	c.Bytes(&m.Raw)
+	c.BytesCopy(&m.Copy)
+	c.U64s(&m.IDs, 4)
+	c.Strings(&m.Tags, MaxCount)
+	if c.Tail() {
+		c.U64(&m.Opt)
+	}
+}
+
+func TestCodecFieldList(t *testing.T) {
+	in := codecMsg{A: 1, B: true, C: 3, D: 4, S: "five", Raw: []byte{6}, Copy: []byte{7, 8}, IDs: []uint64{9, 10}, Tags: []string{"", "x"}, Opt: 11}
+	body := Marshal(&in)
+	var out codecMsg
+	if err := Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+	// A body written before Opt was appended decodes with Opt zero.
+	out = codecMsg{}
+	if err := Unmarshal(body[:len(body)-8], &out); err != nil || out.Opt != 0 || out.Tags[1] != "x" {
+		t.Fatalf("pre-Opt body: %+v, %v", out, err)
+	}
+	// Empty lists and an empty copied slice decode as nil.
+	out = codecMsg{IDs: []uint64{1}, Copy: []byte{1}}
+	if err := Unmarshal(Marshal(&codecMsg{}), &out); err != nil || out.IDs != nil || out.Tags != nil || out.Copy != nil {
+		t.Fatalf("zero message decoded as %+v, %v", out, err)
+	}
+}
+
+func TestCodecCountBounds(t *testing.T) {
+	c := NewDecoder([]byte{5, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}).Codec()
+	var ids []uint64
+	c.U64s(&ids, 4) // five ids, bound four
+	if c.d.Err() != ErrTooLarge || ids != nil {
+		t.Fatalf("count past its bound: %v, %v", ids, c.d.Err())
+	}
+	// A count within its bound but past the bytes left fails the same
+	// way, before the list is allocated.
+	c = NewDecoder([]byte{3, 0, 0, 0, 1, 2}).Codec()
+	var tags []string
+	c.Strings(&tags, MaxCount)
+	if c.d.Err() != ErrTooLarge || tags != nil {
+		t.Fatalf("count past the bytes left: %v, %v", tags, c.d.Err())
 	}
 }
