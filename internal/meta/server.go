@@ -91,7 +91,8 @@ func (r *GetNodesResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
 func (r *GetNodesResp) Wire(c *wire.Codec) {
 	wire.Slice(c, &r.Nodes, wire.MaxCount, func(n **Node, c *wire.Codec) {
 		found := *n != nil
-		if c.Bool(&found); found {
+		c.Bool(&found)
+		if found {
 			if *n == nil {
 				*n = &Node{}
 			}
