@@ -26,7 +26,9 @@ vet:
 # into the caller's (pooled) buffer, never into a fresh whole-file slice.
 # One field list per message: Decode is a one-line adapter over the
 # message's Wire method, and no list count is read as a bare u32 (Codec's
-# Count bounds it). And every Go file is gofmt-clean.
+# Count bounds it). One RPC per operation: the retired singleton RPCs
+# (provider.put, provider.has, meta.get, meta.stats) stay gone, and each
+# role server has one constructor. And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
 	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
@@ -35,6 +37,8 @@ guard:
 	@! grep -n 'os\.ReadFile' internal/chunk/disk.go
 	@! grep -rnE 'Decode\((d|dec) \*wire\.Decoder\) \{$$' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -v '^internal/wire/'
 	@! grep -rnE '(^|[^A-Za-z0-9_])(cnt|n|m|count|num[A-Za-z]*) :?= [a-z]+\.U32\(\)|make\([^)]*\.U32\(\)' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -v '^internal/wire/'
+	@! grep -rnE '"(provider\.(put|has)|meta\.(get|stats))"' --include='*.go' --exclude='*_test.go' cmd internal examples *.go
+	@! grep -rn 'func NewServerWith' --include='*.go' internal/provider internal/meta internal/vmanager
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro

@@ -293,8 +293,8 @@ func main() {
 		must(rpcCli.CallCtx(context.Background(), *pm, pmanager.MethodProviders, &pmanager.Ack{}, &provs))
 		fmt.Printf("providers: %d live\n", len(provs.Addrs))
 		for _, addr := range provs.Addrs {
-			var ps provider.StatsResp
-			if err := rpcCli.CallCtx(context.Background(), addr, provider.MethodStats, &provider.Ack{}, &ps); err != nil {
+			ps, err := provider.Stats(context.Background(), rpcCli, addr)
+			if err != nil {
 				fmt.Printf("  %-22s unreachable: %v\n", addr, err)
 				continue
 			}

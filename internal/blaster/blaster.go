@@ -255,10 +255,6 @@ func New(cfg Config) (*Blaster, error) {
 	return b, nil
 }
 
-// Latency exposes the per-op latency histograms (for embedding the blaster
-// under an external registry or test).
-func (b *Blaster) Latency() *metrics.HistogramVec { return b.latency }
-
 type job struct {
 	op   string
 	blob *core.Blob

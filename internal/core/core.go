@@ -38,7 +38,6 @@ import (
 var (
 	ErrNotPublished  = errors.New("core: version not yet published")
 	ErrFailedVersion = errors.New("core: version was aborted by its writer")
-	ErrDegradedWrite = errors.New("core: chunk stored with fewer replicas than requested")
 	// ErrLeaseExpired marks a write whose lease lapsed before Commit: the
 	// version manager aborted (and wove away) the version, so nothing was
 	// published and the write must be retried from scratch.

@@ -490,12 +490,11 @@ func (b *Blob) newestLiveVersion(ctx context.Context, v uint64) (uint64, *vmanag
 // M providers costs at most min(W×R, M-ish) round trips instead of W×R
 // (the write-plane mirror of PutNodes's per-provider grouping).
 //
-// The durability contract is per chunk, unchanged from the singleton-put
-// days: a chunk succeeds when at least one replica accepted it. Per-chunk
-// errors inside a batch are isolated by the putchunks reply, and chunks
-// that lose EVERY replica (e.g. their whole set crashed) get one fresh
-// placement — excluding the providers that just failed them — before the
-// write gives up.
+// The durability contract is per chunk: a chunk succeeds when at least
+// one replica accepted it. Per-chunk errors inside a batch are isolated
+// by the putchunks reply, and chunks that lose EVERY replica (e.g. their
+// whole set crashed) get one fresh placement — excluding the providers
+// that just failed them — before the write gives up.
 func (b *Blob) uploadChunks(ctx context.Context, writeID uint64, jobs []writeJob, sets [][]string, stored map[uint64][]string) error {
 	if len(jobs) == 0 {
 		return nil
@@ -648,7 +647,7 @@ func (b *Blob) putGrouped(ctx context.Context, writeID uint64, jobs []writeJob, 
 		// Health samples stay per CHUNK, with the batch's duration
 		// amortized across its items: a provider that rejects one chunk of a
 		// 64-chunk batch (e.g. a tombstoned blob) is penalized for one sample
-		// and credited for 63, just as 64 singleton puts scored it.
+		// and credited for 63.
 		perChunkMs := float64((elapsed / time.Duration(len(items))).Microseconds()) / 1000
 		for j := range items {
 			b.c.health.observe(addr, perChunkMs, chunkErrs[j] != nil)

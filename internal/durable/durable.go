@@ -493,9 +493,6 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // appendFrame appends one framed record to buf.
 func appendFrame(buf, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte

@@ -2,7 +2,6 @@ package fault_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"testing"
@@ -74,8 +73,8 @@ func TestAbortedWriteOrphansReclaimed(t *testing.T) {
 	probe := rpc.NewClientFrom(c.Network, 0, "crashed-client")
 	defer probe.Close()
 	orphanKey := chunk.Key{Blob: blob.ID(), Version: 1<<63 | 0xDEAD, Index: 0}
-	if err := provider.PutChunk(context.Background(), probe, c.ProviderAddrs()[0], orphanKey, make([]byte, chunkSize)); err != nil {
-		t.Fatal(err)
+	if errs, err := provider.PutChunks(probe, c.ProviderAddrs()[0], []provider.PutItem{{Key: orphanKey, Data: make([]byte, chunkSize)}}); err != nil || errs[0] != nil {
+		t.Fatal(err, errs)
 	}
 
 	midChunks, _ := providerChunkTotal(c)

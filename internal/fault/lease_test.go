@@ -2,7 +2,6 @@ package fault_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -164,8 +163,8 @@ func TestWriterLeaseMidUploadCrashOrphansReclaimed(t *testing.T) {
 	const writeID = 1<<63 | 0xBEEF
 	for i := uint64(0); i < 2; i++ {
 		key := chunk.Key{Blob: blob.ID(), Version: writeID, Index: i}
-		if err := provider.PutChunk(context.Background(), probe, c.ProviderAddrs()[0], key, make([]byte, chunkSize)); err != nil {
-			t.Fatal(err)
+		if errs, err := provider.PutChunks(probe, c.ProviderAddrs()[0], []provider.PutItem{{Key: key, Data: make([]byte, chunkSize)}}); err != nil || errs[0] != nil {
+			t.Fatal(err, errs)
 		}
 	}
 	wedge, err := c.VM.Manager().Assign(&vmanager.AssignReq{BlobID: blob.ID(), Offset: 0, Size: 2 * chunkSize})

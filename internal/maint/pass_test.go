@@ -1,7 +1,6 @@
 package maint_test
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -74,8 +73,8 @@ func TestPassSharesStatusAndWalkAcrossActions(t *testing.T) {
 	// An aborted-write leftover gives the orphan sweep a reason to resolve
 	// the blob's candidates against its live set.
 	orphan := chunk.Key{Blob: blob.ID(), Version: 99, Index: 0}
-	if err := provider.PutChunk(context.Background(), testRPC(t, c), c.ProviderAddrs()[0], orphan, []byte("orphan")); err != nil {
-		t.Fatal(err)
+	if errs, err := provider.PutChunks(testRPC(t, c), c.ProviderAddrs()[0], []provider.PutItem{{Key: orphan, Data: []byte("orphan")}}); err != nil || errs[0] != nil {
+		t.Fatal(err, errs)
 	}
 	time.Sleep(5 * time.Millisecond) // age past the grace
 

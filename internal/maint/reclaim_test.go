@@ -362,8 +362,8 @@ func TestDeleteSweepInstallsProviderTombstones(t *testing.T) {
 	raw := rpc.NewClientFrom(c.Network, 0, "late-writer")
 	defer raw.Close()
 	for _, addr := range c.ProviderAddrs() {
-		err := provider.PutChunk(context.Background(), raw, addr, chunk.Key{Blob: doomed.ID(), Version: 99, Index: 0}, []byte("late"))
-		if err == nil {
+		errs, err := provider.PutChunks(raw, addr, []provider.PutItem{{Key: chunk.Key{Blob: doomed.ID(), Version: 99, Index: 0}, Data: []byte("late")}})
+		if err == nil && errs[0] == nil {
 			t.Fatalf("late put for deleted blob accepted by %s", addr)
 		}
 	}

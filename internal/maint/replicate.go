@@ -33,8 +33,7 @@ import (
 //  3. Re-replicate. Surviving replicas are drained with the batched
 //     provider.getchunks RPC and pushed onto fresh providers — chosen by
 //     the capacity-aware allocator, excluding every provider the chunk
-//     already touched — with batched provider.putchunks (never singleton
-//     puts).
+//     already touched — with batched provider.putchunks.
 //  4. Patch. The affected leaves are rewritten in place through the
 //     meta.patchreplicas RPC (journaled by PersistentStore), surviving
 //     replicas first, so reads stop probing dead addresses.

@@ -32,7 +32,7 @@ func TestGetNodesCacheIndependentOfReplyOrder(t *testing.T) {
 	stores := []*slowStore{{MemStore: NewMemStore()}, {MemStore: NewMemStore()}}
 	addrs := []string{"mp0", "mp1"}
 	for i, st := range stores {
-		srv := NewServerWithStore(network, addrs[i], st)
+		srv := NewServer(network, addrs[i], st)
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}

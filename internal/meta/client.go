@@ -31,8 +31,8 @@ type Client struct {
 	// RPC accounting (monotonic): the batching refactor is a performance
 	// claim, and these counters are what the tests and benchmarks assert
 	// it on.
-	statGets       metrics.Counter // singleton meta.get calls
-	statBatchGets  metrics.Counter // batched meta.getnodes calls
+	statGets       metrics.Counter // GetNode's one-key meta.getnodes calls
+	statBatchGets  metrics.Counter // GetNodes' batched meta.getnodes calls
 	statPuts       metrics.Counter // meta.put calls (one per provider batch)
 	statNodesIn    metrics.Counter // nodes received over the network
 	statNodesOut   metrics.Counter // node replicas sent over the network
@@ -56,8 +56,8 @@ const (
 
 // RPCStats is a snapshot of the metadata-plane RPCs a client has issued.
 type RPCStats struct {
-	GetRPCs      int64 // singleton meta.get calls
-	GetNodesRPCs int64 // batched meta.getnodes calls
+	GetRPCs      int64 // GetNode's one-key meta.getnodes calls
+	GetNodesRPCs int64 // GetNodes' batched meta.getnodes calls
 	PutRPCs      int64 // meta.put calls (one per provider batch)
 	NodesFetched int64 // nodes received over the network
 	NodesStored  int64 // node replicas sent over the network
@@ -260,13 +260,14 @@ func (c *Client) cacheNodes(nodes []*Node) {
 }
 
 // GetNode fetches a node, trying the cache first, then each replica, and
-// finally — on a full miss — every remaining ring member. The error is
-// wrapped ErrNodeNotFound ONLY when every member of the ring responded
-// and none had the node — a definitive absence. If anyone was
-// unreachable, the transport error wins: callers like the GC liveness
-// walk must be able to tell "the node does not exist" (a prunable hole)
-// from "I could not check" (retry later), because confusing the two
-// deletes live data. Consulting the whole ring before declaring absence
+// finally — on a full miss — every remaining ring member, asking each
+// with a one-key meta.getnodes (a reply of any other length counts as an
+// unreachable member). The error is wrapped ErrNodeNotFound ONLY when
+// every member of the ring responded and none had the node — a
+// definitive absence. If anyone was unreachable, the transport error
+// wins: callers like the GC liveness walk must be able to tell "the node
+// does not exist" (a prunable hole) from "I could not check" (retry
+// later), because confusing the two deletes live data. Consulting the whole ring before declaring absence
 // also makes the destructive walk immune to a client configured with a
 // smaller replication degree than the deployment's. Full misses are rare
 // (a genuine hole means a crashed abort-repair), so the extra RPCs don't
@@ -286,21 +287,24 @@ func (c *Client) GetNode(ctx context.Context, key NodeKey) (*Node, error) {
 	ask := func(addr string) *Node {
 		tried[addr] = true
 		c.statGets.Add(1)
-		var resp GetNodeResp
-		err := c.rpc.CallCtx(ctx, addr, MethodGetNode, &GetNodeReq{Key: key}, &resp)
+		var resp GetNodesResp
+		err := c.rpc.CallCtx(ctx, addr, MethodGetNodes, &GetNodesReq{Keys: []NodeKey{key}}, &resp)
+		if err == nil && len(resp.Nodes) != 1 {
+			err = fmt.Errorf("meta: getnodes at %s returned %d nodes for 1 key", addr, len(resp.Nodes))
+		}
 		if err != nil {
 			transportErr = err
 			return nil
 		}
-		if !resp.Found {
+		n := resp.Nodes[0]
+		if n == nil {
 			return nil
 		}
 		c.statNodesIn.Add(1)
-		n := resp.Node
 		if c.cache != nil {
-			c.cache.put(&n)
+			c.cache.put(n)
 		}
-		return &n
+		return n
 	}
 	for _, o := range owners {
 		if n := ask(o); n != nil {

@@ -2,6 +2,7 @@ package meta_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func startMetaRig(t *testing.T, n, replication, cacheNodes int) *metaRig {
 	network := rpc.NewSimNetwork(fabric)
 	rig := &metaRig{network: network, fabric: fabric}
 	for i := 0; i < n; i++ {
-		s := meta.NewServer(network, fmt.Sprintf("mp%d", i))
+		s := meta.NewServer(network, fmt.Sprintf("mp%d", i), meta.NewMemStore())
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -150,10 +151,85 @@ func TestClientCacheServesAfterTotalOutage(t *testing.T) {
 	}
 }
 
+// getNodeRPCs runs GetNode and reports how many one-key getnodes calls
+// it issued (RPCStats().GetRPCs counts one per member asked).
+func getNodeRPCs(rig *metaRig, key meta.NodeKey) (*meta.Node, int64, error) {
+	before := rig.client.RPCStats().GetRPCs
+	n, err := rig.client.GetNode(context.Background(), key)
+	return n, rig.client.RPCStats().GetRPCs - before, err
+}
+
+// ownerAndOther returns the index of key's owner in a two-member,
+// replication-1 rig and the index of the other member.
+func ownerAndOther(t *testing.T, rig *metaRig, key meta.NodeKey) (int, int) {
+	t.Helper()
+	owners := rig.client.Replicas(key)
+	if len(owners) != 1 {
+		t.Fatalf("owners = %v, want one", owners)
+	}
+	if owners[0] == rig.addrs[0] {
+		return 0, 1
+	}
+	return 1, 0
+}
+
+// GetNode asks the owner first and, on a miss, the rest of the ring: a
+// node on its owner costs one lookup, a node only a non-owner holds (a
+// client configured with a smaller replication degree than the
+// deployment's) is still found, one lookup per member asked.
+func TestGetNodeFindsOwnerThenRing(t *testing.T) {
+	rig := startMetaRig(t, 2, 1, 0)
+	nodes := someNodes(11, 2)
+
+	onOwner := nodes[0]
+	if err := rig.client.PutNodes([]*meta.Node{onOwner}); err != nil {
+		t.Fatal(err)
+	}
+	got, rpcs, err := getNodeRPCs(rig, onOwner.Key)
+	if err != nil || got.Key != onOwner.Key || got.Chunk.Length != 42 {
+		t.Fatalf("get of a node on its owner = %+v, %v", got, err)
+	}
+	if rpcs != 1 {
+		t.Errorf("node on its owner took %d lookups, want 1", rpcs)
+	}
+
+	offOwner := nodes[1]
+	_, other := ownerAndOther(t, rig, offOwner.Key)
+	if err := rig.servers[other].Store().PutNodes([]*meta.Node{offOwner}); err != nil {
+		t.Fatal(err)
+	}
+	got, rpcs, err = getNodeRPCs(rig, offOwner.Key)
+	if err != nil || got.Key != offOwner.Key || got.Chunk.Length != 42 {
+		t.Fatalf("get of a node only a non-owner holds = %+v, %v", got, err)
+	}
+	if rpcs != 2 {
+		t.Errorf("node on a non-owner took %d lookups, want 2 (owner, then the rest of the ring)", rpcs)
+	}
+}
+
+// Absence is definitive only when every ring member answered: a node
+// absent everywhere is ErrNodeNotFound, but with one member down the
+// error is the transport failure, never ErrNodeNotFound (the GC liveness
+// walk would otherwise prune live data).
 func TestGetMissingNodeErrors(t *testing.T) {
 	rig := startMetaRig(t, 2, 1, 0)
-	_, err := rig.client.GetNode(context.Background(), meta.NodeKey{Blob: 99, Version: 1, Off: 0, Size: 1})
-	if err == nil {
-		t.Fatal("get of absent node succeeded")
+	key := meta.NodeKey{Blob: 99, Version: 1, Off: 0, Size: 1}
+
+	_, rpcs, err := getNodeRPCs(rig, key)
+	if !errors.Is(err, meta.ErrNodeNotFound) {
+		t.Fatalf("get of a node absent everywhere: err = %v, want ErrNodeNotFound", err)
+	}
+	if rpcs != 2 {
+		t.Errorf("absent node took %d lookups, want 2 (every member)", rpcs)
+	}
+
+	_, other := ownerAndOther(t, rig, key)
+	rig.fabric.SetDown(rig.addrs[other], true)
+	_, rpcs, err = getNodeRPCs(rig, key)
+	if err == nil || errors.Is(err, meta.ErrNodeNotFound) {
+		t.Fatalf("get of an absent node with a member down: err = %v, want a transport error", err)
+	}
+	if rpcs != 2 {
+		t.Errorf("absent node with a member down took %d lookups, want 2", rpcs)
 	}
 }

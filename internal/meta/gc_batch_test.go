@@ -10,7 +10,7 @@ import (
 // TestGCWalkRPCBound asserts the batched liveness walk's cost bound: a
 // full-floor walk of a 256-chunk tree against M metadata providers issues
 // at most M × tree-depth meta.getnodes RPCs and — with no holes in the
-// tree — zero singleton meta.get fallbacks. (The node-at-a-time walker
+// tree — zero GetNode point-lookup fallbacks. (The node-at-a-time walker
 // this replaced paid one RPC per node: ~511 for this tree.)
 func TestGCWalkRPCBound(t *testing.T) {
 	const m, size = 4, 256
@@ -35,7 +35,7 @@ func TestGCWalkRPCBound(t *testing.T) {
 		t.Errorf("full-floor walk issued %d meta.getnodes RPCs, bound %d", stats.GetNodesRPCs, bound)
 	}
 	if stats.GetRPCs != 0 {
-		t.Errorf("walk of an intact tree fell back to %d singleton meta.get RPCs", stats.GetRPCs)
+		t.Errorf("walk of an intact tree fell back to %d GetNode point lookups", stats.GetRPCs)
 	}
 	t.Logf("CollectLive: %d getnodes RPCs (bound %d) for %d nodes", stats.GetNodesRPCs, bound, len(live.Nodes))
 
@@ -49,7 +49,7 @@ func TestGCWalkRPCBound(t *testing.T) {
 		t.Errorf("owned walk issued %d meta.getnodes RPCs, bound %d", got, bound)
 	}
 	if stats.GetRPCs != 0 {
-		t.Errorf("owned walk fell back to %d singleton meta.get RPCs", stats.GetRPCs)
+		t.Errorf("owned walk fell back to %d GetNode point lookups", stats.GetRPCs)
 	}
 }
 

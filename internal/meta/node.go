@@ -89,16 +89,6 @@ type Node struct {
 	Chunk ChunkRef
 }
 
-// LeftKey returns the key of the left child given its version label.
-func (n *Node) LeftKey() NodeKey {
-	return NodeKey{Blob: n.Key.Blob, Version: n.LeftVer, Off: n.Key.Off, Size: n.Key.Size / 2}
-}
-
-// RightKey returns the key of the right child given its version label.
-func (n *Node) RightKey() NodeKey {
-	return NodeKey{Blob: n.Key.Blob, Version: n.RightVer, Off: n.Key.Off + n.Key.Size/2, Size: n.Key.Size / 2}
-}
-
 // Encode, Decode and Wire implement wire.Message: Wire is the field list.
 func (n *Node) Encode(e *wire.Encoder) { n.Wire(e.Codec()) }
 func (n *Node) Decode(d *wire.Decoder) { n.Wire(d.Codec()) }

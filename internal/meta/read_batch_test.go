@@ -299,7 +299,7 @@ func TestDescentRPCBound(t *testing.T) {
 				t.Errorf("cold 256-chunk read issued %d meta.getnodes RPCs, bound %d", stats.GetNodesRPCs, bound)
 			}
 			if stats.GetRPCs != 0 {
-				t.Errorf("cold read fell back to %d singleton meta.get RPCs", stats.GetRPCs)
+				t.Errorf("cold read fell back to %d GetNode point lookups", stats.GetRPCs)
 			}
 			t.Logf("%s: %d getnodes RPCs (bound %d), %d nodes fetched",
 				name, stats.GetNodesRPCs, bound, stats.NodesFetched)

@@ -12,9 +12,7 @@ import (
 // Method names served by a metadata provider.
 const (
 	MethodPutNodes      = "meta.put"
-	MethodGetNode       = "meta.get"
 	MethodGetNodes      = "meta.getnodes"
-	MethodStats         = "meta.stats"
 	MethodDeleteNodes   = "meta.delete"
 	MethodDeleteBlob    = "meta.deleteblob"
 	MethodPatchReplicas = "meta.patchreplicas"
@@ -35,32 +33,6 @@ func (r *PutNodesReq) Wire(c *wire.Codec) {
 		}
 		(*n).Wire(c)
 	})
-}
-
-// GetNodeReq asks for one node by key.
-type GetNodeReq struct {
-	Key NodeKey
-}
-
-// Encode, Decode and Wire implement wire.Message: Wire is the field list.
-func (r *GetNodeReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *GetNodeReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *GetNodeReq) Wire(c *wire.Codec)     { r.Key.Wire(c) }
-
-// GetNodeResp returns the node when found.
-type GetNodeResp struct {
-	Found bool
-	Node  Node
-}
-
-// Encode, Decode and Wire implement wire.Message: Wire is the field list.
-func (r *GetNodeResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *GetNodeResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *GetNodeResp) Wire(c *wire.Codec) {
-	c.Bool(&r.Found)
-	if r.Found {
-		r.Node.Wire(c)
-	}
 }
 
 // GetNodesReq asks for a batch of nodes in one round trip. This is the
@@ -187,16 +159,6 @@ type Ack struct{}
 func (a *Ack) Encode(e *wire.Encoder) {}
 func (a *Ack) Decode(d *wire.Decoder) {}
 
-// StatsResp reports a metadata provider's node inventory.
-type StatsResp struct {
-	Nodes uint64
-}
-
-// Encode, Decode and Wire implement wire.Message: Wire is the field list.
-func (r *StatsResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *StatsResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *StatsResp) Wire(c *wire.Codec)     { c.U64(&r.Nodes) }
-
 // ServerStore is the storage engine behind one metadata provider: node
 // CRUD plus inventory. MemStore (volatile) and PersistentStore (durable,
 // restart-surviving) both implement it.
@@ -220,16 +182,11 @@ type Server struct {
 	srv   *rpc.Server
 }
 
-// NewServer creates a volatile metadata provider listening at addr on
-// network.
-func NewServer(network rpc.Network, addr string) *Server {
-	return NewServerWithStore(network, addr, NewMemStore())
-}
-
-// NewServerWithStore creates a metadata provider over an existing storage
-// engine — a PersistentStore for deployments that must survive restarts,
-// or a recovered engine when restarting a provider in place.
-func NewServerWithStore(network rpc.Network, addr string, store ServerStore) *Server {
+// NewServer creates a metadata provider listening at addr on network over
+// a storage engine: a MemStore for a volatile provider, a PersistentStore
+// for deployments that must survive restarts, or a recovered engine when
+// restarting a provider in place.
+func NewServer(network rpc.Network, addr string, store ServerStore) *Server {
 	s := &Server{addr: addr, store: store, srv: rpc.NewServer(network, addr)}
 	rpc.HandleMsg(s.srv, MethodPutNodes, func() *PutNodesReq { return &PutNodesReq{} },
 		func(req *PutNodesReq) (*Ack, error) {
@@ -238,14 +195,6 @@ func NewServerWithStore(network rpc.Network, addr string, store ServerStore) *Se
 			}
 			return &Ack{}, nil
 		})
-	rpc.HandleMsg(s.srv, MethodGetNode, func() *GetNodeReq { return &GetNodeReq{} },
-		func(req *GetNodeReq) (*GetNodeResp, error) {
-			n, err := s.store.GetNode(context.TODO(), req.Key)
-			if err != nil {
-				return &GetNodeResp{Found: false}, nil
-			}
-			return &GetNodeResp{Found: true, Node: *n}, nil
-		})
 	rpc.HandleMsg(s.srv, MethodGetNodes, func() *GetNodesReq { return &GetNodesReq{} },
 		func(req *GetNodesReq) (*GetNodesResp, error) {
 			nodes, err := s.store.GetNodes(context.TODO(), req.Keys)
@@ -253,10 +202,6 @@ func NewServerWithStore(network rpc.Network, addr string, store ServerStore) *Se
 				return nil, err
 			}
 			return &GetNodesResp{Nodes: nodes}, nil
-		})
-	rpc.HandleMsg(s.srv, MethodStats, func() *Ack { return &Ack{} },
-		func(*Ack) (*StatsResp, error) {
-			return &StatsResp{Nodes: uint64(s.store.Len())}, nil
 		})
 	rpc.HandleMsg(s.srv, MethodDeleteNodes, func() *DeleteNodesReq { return &DeleteNodesReq{} },
 		func(req *DeleteNodesReq) (*DeleteResp, error) {

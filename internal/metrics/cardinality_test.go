@@ -56,19 +56,25 @@ func TestExemplarLatestWinsPerBucket(t *testing.T) {
 	}
 }
 
+// TestVecCardinalityCap fills a counter vector to DefaultMaxLabelChildren
+// distinct series; past that, new label values share one _overflow child
+// and are counted as dropped, while existing children are untouched.
 func TestVecCardinalityCap(t *testing.T) {
 	cv := NewCounterVec("reqs", "requests", []string{"peer"})
-	cv.SetMaxChildren(2)
-	cv.With("a").Add(1)
-	cv.With("b").Add(2)
-	cv.With("c").Add(4) // over the cap: diverted
-	cv.With("d").Add(8) // diverted into the same overflow child
-	cv.With("a").Add(1) // existing child: not affected by the cap
+	for i := 0; i < DefaultMaxLabelChildren; i++ {
+		cv.With(fmt.Sprintf("p%d", i)).Add(1)
+	}
+	if got := cv.DroppedLabels(); got != 0 {
+		t.Fatalf("DroppedLabels = %d at the cap, want 0", got)
+	}
+	cv.With("c").Add(4)  // over the cap: diverted
+	cv.With("d").Add(8)  // diverted into the same overflow child
+	cv.With("p0").Add(1) // existing child: not affected by the cap
 
 	if got := cv.DroppedLabels(); got != 2 {
 		t.Fatalf("DroppedLabels = %d, want 2", got)
 	}
-	if got := cv.With("a").Load(); got != 2 {
+	if got := cv.With("p0").Load(); got != 2 {
 		t.Fatalf("existing child = %d, want 2", got)
 	}
 	if got := cv.With("c").Load(); got != 12 {
@@ -83,28 +89,23 @@ func TestVecCardinalityCap(t *testing.T) {
 	}
 	got := sb.String()
 	if !strings.Contains(got, `reqs{peer="_overflow"} 12`) {
-		t.Fatalf("overflow series missing:\n%s", got)
+		t.Fatal("overflow series missing")
 	}
 	if !strings.Contains(got, `blobseer_metrics_dropped_labels_total{vec="reqs"} 3`) {
-		t.Fatalf("dropped-labels accounting missing:\n%s", got)
+		t.Fatal("dropped-labels accounting missing")
+	}
+	if n := strings.Count(got, "\nreqs{"); n != DefaultMaxLabelChildren+1 {
+		t.Fatalf("rendered %d reqs series, want %d children + overflow", n, DefaultMaxLabelChildren)
 	}
 }
 
-func TestGaugeAndHistogramVecCap(t *testing.T) {
-	gv := NewGaugeVec("g", "gauge", []string{"k"})
-	gv.SetMaxChildren(1)
-	gv.With("x").Set(1)
-	gv.With("y").Set(9)
-	if gv.DroppedLabels() != 1 {
-		t.Fatalf("gauge dropped = %d", gv.DroppedLabels())
-	}
-	if gv.With("z").Load() != 9 {
-		t.Fatal("gauge overflow child not shared")
-	}
-
+// TestHistogramVecCap is the histogram twin: past the cap, observations
+// for new label values land in one shared _overflow histogram.
+func TestHistogramVecCap(t *testing.T) {
 	hv := NewHistogramVec("h", "hist", []string{"k"}, []float64{1})
-	hv.SetMaxChildren(1)
-	hv.With("x").Observe(0.5)
+	for i := 0; i < DefaultMaxLabelChildren; i++ {
+		hv.With(fmt.Sprintf("k%d", i)).Observe(0.5)
+	}
 	hv.With("y").Observe(0.5)
 	hv.With("z").Observe(0.5)
 	if hv.DroppedLabels() != 2 {
@@ -113,10 +114,8 @@ func TestGaugeAndHistogramVecCap(t *testing.T) {
 	if hv.With("y").Count() != 2 {
 		t.Fatal("hist overflow child not shared")
 	}
-	seen := 0
-	hv.Each(func(labels []Label, h *Histogram) { seen++ })
-	if seen != 2 { // one real child + the overflow child
-		t.Fatalf("Each visited %d children, want 2", seen)
+	if hv.With("k0").Count() != 1 {
+		t.Fatal("existing hist child affected by the cap")
 	}
 }
 

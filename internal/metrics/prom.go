@@ -125,9 +125,6 @@ func (h *Histogram) WorstExemplar() *Exemplar {
 	return nil
 }
 
-// ObserveSince records the elapsed time since start, in seconds.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -491,11 +488,10 @@ type CounterVec struct {
 	fam   Family
 	names []string
 
-	mu          sync.RWMutex
-	children    map[string]*counterChild
-	maxChildren int
-	overflow    *counterChild
-	dropped     atomic.Int64
+	mu       sync.RWMutex
+	children map[string]*counterChild
+	overflow *counterChild
+	dropped  atomic.Int64
 }
 
 type counterChild struct {
@@ -528,7 +524,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if ch, ok = v.children[key]; !ok {
-		if len(v.children) >= vecCap(v.maxChildren) {
+		if len(v.children) >= DefaultMaxLabelChildren {
 			v.dropped.Add(1)
 			if v.overflow == nil {
 				v.overflow = &counterChild{labels: overflowLabels(v.names)}
@@ -539,14 +535,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		v.children[key] = ch
 	}
 	return &ch.c
-}
-
-// SetMaxChildren overrides the vector's cardinality cap (n < 1 restores
-// the default). Configure before heavy use.
-func (v *CounterVec) SetMaxChildren(n int) {
-	v.mu.Lock()
-	v.maxChildren = n
-	v.mu.Unlock()
 }
 
 // DroppedLabels reports how many series creations the cap diverted.
@@ -568,105 +556,16 @@ func (v *CounterVec) Collect(emit func(Sample)) {
 	}
 }
 
-func vecCap(maxChildren int) int {
-	if maxChildren < 1 {
-		return DefaultMaxLabelChildren
-	}
-	return maxChildren
-}
-
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	fam   Family
-	names []string
-
-	mu          sync.RWMutex
-	children    map[string]*gaugeChild
-	maxChildren int
-	overflow    *gaugeChild
-	dropped     atomic.Int64
-}
-
-type gaugeChild struct {
-	labels []Label
-	g      Gauge
-}
-
-// NewGaugeVec creates a gauge family with the given label names.
-func NewGaugeVec(name, help string, labelNames []string) *GaugeVec {
-	return &GaugeVec{
-		fam:      Family{Name: name, Help: help, Type: "gauge"},
-		names:    labelNames,
-		children: make(map[string]*gaugeChild),
-	}
-}
-
-// With returns the gauge for the given label values (created on first use).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	key := labelKey(values)
-	v.mu.RLock()
-	ch, ok := v.children[key]
-	v.mu.RUnlock()
-	if ok {
-		return &ch.g
-	}
-	if len(values) != len(v.names) {
-		panic(fmt.Sprintf("metrics: %s wants %d labels, got %d", v.fam.Name, len(v.names), len(values)))
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ch, ok = v.children[key]; !ok {
-		if len(v.children) >= vecCap(v.maxChildren) {
-			v.dropped.Add(1)
-			if v.overflow == nil {
-				v.overflow = &gaugeChild{labels: overflowLabels(v.names)}
-			}
-			return &v.overflow.g
-		}
-		ch = &gaugeChild{labels: zipLabels(v.names, values)}
-		v.children[key] = ch
-	}
-	return &ch.g
-}
-
-// SetMaxChildren overrides the vector's cardinality cap (n < 1 restores
-// the default). Configure before heavy use.
-func (v *GaugeVec) SetMaxChildren(n int) {
-	v.mu.Lock()
-	v.maxChildren = n
-	v.mu.Unlock()
-}
-
-// DroppedLabels reports how many series creations the cap diverted.
-func (v *GaugeVec) DroppedLabels() int64 { return v.dropped.Load() }
-
-// Family implements Collector.
-func (v *GaugeVec) Family() Family { return v.fam }
-
-// Collect implements Collector.
-func (v *GaugeVec) Collect(emit func(Sample)) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, key := range sortedKeys(v.children) {
-		ch := v.children[key]
-		emit(Sample{Labels: ch.labels, Value: ch.g.Load()})
-	}
-	if v.overflow != nil {
-		emit(Sample{Labels: v.overflow.labels, Value: v.overflow.g.Load()})
-	}
-}
-
 // HistogramVec is a family of histograms keyed by label values.
 type HistogramVec struct {
 	fam    Family
 	names  []string
 	bounds []float64
 
-	mu          sync.RWMutex
-	children    map[string]*histChild
-	maxChildren int
-	overflow    *histChild
-	dropped     atomic.Int64
+	mu       sync.RWMutex
+	children map[string]*histChild
+	overflow *histChild
+	dropped  atomic.Int64
 }
 
 type histChild struct {
@@ -704,7 +603,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if ch, ok = v.children[key]; !ok {
-		if len(v.children) >= vecCap(v.maxChildren) {
+		if len(v.children) >= DefaultMaxLabelChildren {
 			v.dropped.Add(1)
 			if v.overflow == nil {
 				v.overflow = &histChild{labels: overflowLabels(v.names), h: NewHistogram(v.bounds)}
@@ -717,28 +616,8 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return ch.h
 }
 
-// SetMaxChildren overrides the vector's cardinality cap (n < 1 restores
-// the default). Configure before heavy use.
-func (v *HistogramVec) SetMaxChildren(n int) {
-	v.mu.Lock()
-	v.maxChildren = n
-	v.mu.Unlock()
-}
-
 // DroppedLabels reports how many series creations the cap diverted.
 func (v *HistogramVec) DroppedLabels() int64 { return v.dropped.Load() }
-
-// Each visits every child with its label values.
-func (v *HistogramVec) Each(fn func(labels []Label, h *Histogram)) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, ch := range v.children {
-		fn(ch.labels, ch.h)
-	}
-	if v.overflow != nil {
-		fn(v.overflow.labels, v.overflow.h)
-	}
-}
 
 // Family implements Collector.
 func (v *HistogramVec) Family() Family { return v.fam }

@@ -120,8 +120,8 @@ func roleCases(deps *deployment) map[string]roleCase {
 				return node.StartProvider(env, spec)
 			},
 			seed: func(t *testing.T, cli *rpc.Client, addr string) {
-				if err := provider.PutChunk(context.Background(), cli, addr, chunk.Key{Blob: 3, Version: 1}, []byte("payload")); err != nil {
-					t.Fatal(err)
+				if errs, err := provider.PutChunks(cli, addr, []provider.PutItem{{Key: chunk.Key{Blob: 3, Version: 1}, Data: []byte("payload")}}); err != nil || errs[0] != nil {
+					t.Fatal(err, errs)
 				}
 				if err := provider.Tombstone(context.Background(), cli, addr, []uint64{9}); err != nil {
 					t.Fatal(err)
@@ -132,7 +132,7 @@ func roleCases(deps *deployment) map[string]roleCase {
 					t.Fatalf("chunk not served after restart: %q, %v", got, err)
 				}
 				// The tombstone lives only in the sidecar.
-				if err := provider.PutChunk(context.Background(), cli, addr, chunk.Key{Blob: 9, Version: 1}, []byte("late")); err == nil {
+				if errs, err := provider.PutChunks(cli, addr, []provider.PutItem{{Key: chunk.Key{Blob: 9, Version: 1}, Data: []byte("late")}}); err == nil && errs[0] == nil {
 					t.Fatal("sidecar not recovered: a put for a tombstoned blob was accepted")
 				}
 				var members pmanager.ProvidersResp

@@ -74,7 +74,7 @@ func StartMetadata(env *Env, spec MetadataSpec) (*Metadata, error) {
 		}
 		store = ps
 	}
-	m := &Metadata{Server: meta.NewServerWithStore(env.Network, spec.Listen, store), env: env, spec: spec}
+	m := &Metadata{Server: meta.NewServer(env.Network, spec.Listen, store), env: env, spec: spec}
 	if err := env.serve("metadata", m.Server); err != nil {
 		m.Close()
 		return nil, err
@@ -137,7 +137,7 @@ func StartProvider(env *Env, spec ProviderSpec) (*Provider, error) {
 	if spec.PM == "" || spec.Store == nil {
 		return nil, errors.New("node: a data provider requires the provider manager address (-pm) and a chunk store")
 	}
-	s, err := provider.NewServerWithOptions(env.Network, spec.Listen, spec.Store, spec.Options)
+	s, err := provider.NewServer(env.Network, spec.Listen, spec.Store, spec.Options)
 	if err != nil {
 		return nil, fmt.Errorf("node: opening data provider at %s: %w", spec.Listen, err)
 	}

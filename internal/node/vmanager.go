@@ -97,7 +97,7 @@ func StartVManager(env *Env, spec VManagerSpec) (*VManager, error) {
 	}
 	mgr.SetLeaseTTL(spec.LeaseTTL)
 	v := &VManager{
-		Server: vmanager.NewServerWithManager(env.Network, spec.Listen, mgr),
+		Server: vmanager.NewServer(env.Network, spec.Listen, mgr),
 		env:    env, spec: spec, stop: make(chan struct{}),
 	}
 	if err := env.serve("vmanager", v.Server); err != nil {

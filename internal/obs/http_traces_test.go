@@ -21,7 +21,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 
 	_, fast := tr.StartOp(context.Background(), "provider.get")
 	fast.Finish(nil)
-	_, slow := tr.StartOp(context.Background(), "provider.put")
+	_, slow := tr.StartOp(context.Background(), "provider.putchunks")
 	time.Sleep(3 * time.Millisecond) // span duration is wall-clock: trips the 1ms threshold
 	slow.Finish(nil)
 
@@ -55,8 +55,8 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 
 	slowOnly := get("/debug/traces?slow=1")
-	if len(slowOnly.Spans) != 1 || slowOnly.Spans[0].Method != "provider.put" || !slowOnly.Spans[0].Slow {
-		t.Fatalf("flight recorder view = %+v, want just the slow provider.put", slowOnly.Spans)
+	if len(slowOnly.Spans) != 1 || slowOnly.Spans[0].Method != "provider.putchunks" || !slowOnly.Spans[0].Slow {
+		t.Fatalf("flight recorder view = %+v, want just the slow provider.putchunks", slowOnly.Spans)
 	}
 
 	id := slowOnly.Spans[0].Trace

@@ -383,7 +383,7 @@ func RegisterCoreClient(reg *metrics.Registry, instance string, cli *core.Client
 		metrics.CounterFunc("blobseer_client_chunk_corrupt_reads_total",
 			"Replica reads rejected client-side by the end-to-end digest check (failed over).", l, func() float64 { return float64(io().ChunkCorruptReads) }),
 		metrics.CounterFunc("blobseer_client_meta_get_rpcs_total",
-			"Singleton meta.get calls issued.", l, func() float64 { return float64(ms().GetRPCs) }),
+			"GetNode point lookups issued (one-key meta.getnodes calls).", l, func() float64 { return float64(ms().GetRPCs) }),
 		metrics.CounterFunc("blobseer_client_meta_getnodes_rpcs_total",
 			"Batched meta.getnodes calls issued.", l, func() float64 { return float64(ms().GetNodesRPCs) }),
 		metrics.CounterFunc("blobseer_client_meta_put_rpcs_total",

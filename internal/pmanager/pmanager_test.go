@@ -146,7 +146,10 @@ func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 	cli := rpc.NewClient(network, 5*time.Second)
 	defer cli.Close()
 
-	prov := provider.NewServer(network, "prov1", chunk.NewMemStore())
+	prov, err := provider.NewServer(network, "prov1", chunk.NewMemStore(), provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := prov.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +169,11 @@ func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 
 	// Store and fetch a chunk through the allocated provider.
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
-	if err := provider.PutChunk(context.Background(), cli, "prov1", key, []byte("data")); err != nil {
-		t.Fatal(err)
+	if errs, err := provider.PutChunks(cli, "prov1", []provider.PutItem{{Key: key, Data: []byte("data")}}); err != nil || errs[0] != nil {
+		t.Fatal(err, errs)
 	}
-	data, from, err := provider.GetChunkReplicas(context.Background(), cli, []string{"ghost", "prov1"}, key)
-	if err != nil || string(data) != "data" || from != "prov1" {
-		t.Fatalf("replica get = %q from %q, %v", data, from, err)
+	if data, err := provider.GetChunk(cli, "prov1", key); err != nil || string(data) != "data" {
+		t.Fatalf("get = %q, %v", data, err)
 	}
 	stats, err := provider.Stats(context.Background(), cli, "prov1")
 	if err != nil || stats.Chunks != 1 || stats.Puts != 1 {

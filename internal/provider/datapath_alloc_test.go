@@ -7,7 +7,6 @@
 package provider_test
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -42,7 +41,7 @@ func TestDataPathAllocationBudget(t *testing.T) {
 
 	t.Run("read 256x64KiB", func(t *testing.T) {
 		key := chunk.Key{Blob: 1, Version: 1}
-		if err := provider.PutChunk(context.Background(), cli, addr, key, pattern(1, chunkSize)); err != nil {
+		if err := putOne(cli, addr, key, pattern(1, chunkSize)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := provider.GetChunk(cli, addr, key); err != nil { // warm the pools

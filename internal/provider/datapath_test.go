@@ -27,7 +27,7 @@ func pattern(seed, n int) []byte {
 func startTCPProvider(tb testing.TB, store chunk.Store, opts provider.Options) (string, *rpc.Client) {
 	tb.Helper()
 	network := rpc.NewTCPNetwork()
-	srv, err := provider.NewServerWithOptions(network, "127.0.0.1:0", store, opts)
+	srv, err := provider.NewServer(network, "127.0.0.1:0", store, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -53,8 +53,6 @@ func TestSizedMessagesWireFrozen(t *testing.T) {
 			wire.Sizer
 		}
 	}{
-		{"PutReq", &provider.PutReq{Key: chunk.Key{Blob: 1, Version: 2, Index: 3}, Data: pattern(1, 100), Digest: dg}},
-		{"PutReq/empty", &provider.PutReq{}},
 		{"PutChunksReq", &provider.PutChunksReq{Items: []provider.PutItem{
 			{Key: chunk.Key{Blob: 1, Index: 0}, Data: pattern(2, 64), Digest: dg},
 			{Key: chunk.Key{Blob: 1, Index: 1}},
@@ -105,7 +103,10 @@ func TestPipelinedRangeReadsDecodeInPlace(t *testing.T) {
 		{"tcp", rpc.NewTCPNetwork(), "127.0.0.1:0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := provider.NewServer(tc.network, tc.addr, chunk.NewMemStore())
+			srv, err := provider.NewServer(tc.network, tc.addr, chunk.NewMemStore(), provider.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := srv.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +179,7 @@ func TestConcurrentDiskGetsKeepTheirBuffers(t *testing.T) {
 	keys := make([]chunk.Key, calls)
 	for i := range keys {
 		keys[i] = chunk.Key{Blob: 1, Version: 1, Index: uint64(i)}
-		if err := provider.PutChunk(context.Background(), cli, addr, keys[i], pattern(i, size)); err != nil {
+		if err := putOne(cli, addr, keys[i], pattern(i, size)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +226,7 @@ func BenchmarkGetChunk64KDisk(b *testing.B) {
 
 func benchGetChunk64K(b *testing.B, addr string, cli *rpc.Client) {
 	key := chunk.Key{Blob: 1, Version: 1}
-	if err := provider.PutChunk(context.Background(), cli, addr, key, pattern(1, 64<<10)); err != nil {
+	if err := putOne(cli, addr, key, pattern(1, 64<<10)); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(64 << 10)

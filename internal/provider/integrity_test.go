@@ -23,7 +23,7 @@ func TestGetQuarantinesCorruptCopy(t *testing.T) {
 	_, srv, cli := startProvider(t, store)
 	key := chunk.Key{Blob: 1, Version: 1<<63 | 1, Index: 0}
 	data := []byte("pristine chunk payload")
-	if err := provider.PutChunk(context.Background(), cli, "dp", key, data); err != nil {
+	if err := putOne(cli, "dp", key, data); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Corrupt(key, 3); err != nil {
@@ -69,8 +69,11 @@ func TestIngestRejectsCorruptPut(t *testing.T) {
 	data := []byte("payload that will be framed wrong")
 	bad := chunk.DigestOf([]byte("different bytes"))
 
-	err := cli.Call("dp", provider.MethodPut, &provider.PutReq{Key: key, Data: data, Digest: bad}, &provider.Ack{})
-	if !provider.IsCorrupt(err) {
+	errs, err := provider.PutChunks(cli, "dp", []provider.PutItem{{Key: key, Data: data, Digest: bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errs[0]; !provider.IsCorrupt(err) {
 		t.Fatalf("put with mismatched digest: err = %v, want ErrChunkCorrupt", err)
 	}
 	if store.Has(key) {
@@ -78,7 +81,7 @@ func TestIngestRejectsCorruptPut(t *testing.T) {
 	}
 
 	// The same bytes with the right digest (or none) store fine.
-	if err := provider.PutChunk(context.Background(), cli, "dp", key, data); err != nil {
+	if err := putOne(cli, "dp", key, data); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -120,7 +123,7 @@ func TestVerifyChunkRecheck(t *testing.T) {
 
 	key := chunk.Key{Blob: 4, Version: 1<<63 | 4, Index: 0}
 	data := []byte("verify me")
-	if err := provider.PutChunk(context.Background(), cli, "dp2", key, data); err != nil {
+	if err := putOne(cli, "dp2", key, data); err != nil {
 		t.Fatal(err)
 	}
 	v, err := provider.VerifyChunk(context.Background(), cli, "dp2", key)
@@ -145,7 +148,10 @@ func TestVerifyChunkRecheck(t *testing.T) {
 func startProviderAt(t *testing.T, store chunk.Store, addr string) (*rpc.SimNetwork, *provider.Server, *rpc.Client) {
 	t.Helper()
 	network := rpc.NewSimNetwork(nil)
-	srv := provider.NewServer(network, addr, store)
+	srv, err := provider.NewServer(network, addr, store, provider.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +171,7 @@ func TestScrubStepBudgetAndResume(t *testing.T) {
 	const n = 5
 	payload := []byte("sixteen-byte-pay")
 	for i := uint64(0); i < n; i++ {
-		if err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 5, Version: 1<<63 | 5, Index: i}, payload); err != nil {
+		if err := putOne(cli, "dp", chunk.Key{Blob: 5, Version: 1<<63 | 5, Index: i}, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +232,7 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := provider.NewServerWithOptions(network, "dp", store, provider.Options{SidecarDir: sideDir})
+	srv, err := provider.NewServer(network, "dp", store, provider.Options{SidecarDir: sideDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +244,10 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 
 	torn := chunk.Key{Blob: 6, Version: 1<<63 | 6, Index: 0}
 	whole := chunk.Key{Blob: 6, Version: 1<<63 | 6, Index: 1}
-	if err := provider.PutChunk(context.Background(), cli, "dp", torn, []byte("this file will be truncated")); err != nil {
+	if err := putOne(cli, "dp", torn, []byte("this file will be truncated")); err != nil {
 		t.Fatal(err)
 	}
-	if err := provider.PutChunk(context.Background(), cli, "dp", whole, []byte("this file stays whole")); err != nil {
+	if err := putOne(cli, "dp", whole, []byte("this file stays whole")); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -256,7 +262,7 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := provider.NewServerWithOptions(network, "dp", store2, provider.Options{SidecarDir: sideDir})
+	srv2, err := provider.NewServer(network, "dp", store2, provider.Options{SidecarDir: sideDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,15 +289,15 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 }
 
 // FuzzDigestWireDecode throws corrupt bytes at every digest-bearing wire
-// message's Decode. None may panic; a PutReq that decodes cleanly must
-// survive an encode→decode round trip unchanged (the wire layer cannot
-// silently alter a digest).
+// message's Decode. None may panic; a PutChunksReq that decodes cleanly
+// must survive an encode→decode round trip with every item's key, digest
+// and data unchanged (the wire layer cannot silently alter a digest).
 func FuzzDigestWireDecode(f *testing.F) {
-	put := &provider.PutReq{
+	put := &provider.PutChunksReq{Items: []provider.PutItem{{
 		Key:    chunk.Key{Blob: 1, Version: 1 << 63, Index: 3},
 		Data:   []byte("payload"),
 		Digest: chunk.DigestOf([]byte("payload")),
-	}
+	}}}
 	f.Add(wire.Marshal(put))
 	f.Add(wire.Marshal(&provider.GetResp{Found: true, Data: []byte("x"), Digest: chunk.DigestOf([]byte("x"))}))
 	f.Add(wire.Marshal(&provider.ScrubResp{NextCursor: chunk.Key{Blob: 2}, Scanned: 9, Bytes: 512, Corrupt: 1}))
@@ -301,25 +307,31 @@ func FuzzDigestWireDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range []wire.Message{
-			&provider.PutReq{}, &provider.PutChunksReq{}, &provider.GetResp{},
+			&provider.PutChunksReq{}, &provider.GetResp{},
 			&provider.GetChunksResp{}, &provider.ScrubReq{}, &provider.ScrubResp{},
 			&provider.VerifyReq{}, &provider.VerifyResp{}, &provider.CorruptListResp{},
 		} {
 			d := wire.NewDecoder(data)
 			m.Decode(d) // must not panic, whatever the bytes
 		}
-		var req provider.PutReq
+		var req provider.PutChunksReq
 		d := wire.NewDecoder(data)
 		req.Decode(d)
 		if d.Err() != nil {
 			return
 		}
-		var rt provider.PutReq
+		var rt provider.PutChunksReq
 		if err := wire.Unmarshal(wire.Marshal(&req), &rt); err != nil {
-			t.Fatalf("re-decoding a cleanly decoded PutReq: %v", err)
+			t.Fatalf("re-decoding a cleanly decoded PutChunksReq: %v", err)
 		}
-		if rt.Key != req.Key || rt.Digest != req.Digest || string(rt.Data) != string(req.Data) {
-			t.Fatalf("round trip changed PutReq: %+v -> %+v", req, rt)
+		if len(rt.Items) != len(req.Items) {
+			t.Fatalf("round trip changed the item count: %d -> %d", len(req.Items), len(rt.Items))
+		}
+		for i, it := range req.Items {
+			got := rt.Items[i]
+			if got.Key != it.Key || got.Digest != it.Digest || string(got.Data) != string(it.Data) {
+				t.Fatalf("round trip changed item %d: %+v -> %+v", i, it, got)
+			}
 		}
 	})
 }

@@ -21,11 +21,9 @@ import (
 
 // Method names served by a data provider.
 const (
-	MethodPut          = "provider.put"
 	MethodPutChunks    = "provider.putchunks"
 	MethodGet          = "provider.get"
 	MethodGetChunks    = "provider.getchunks"
-	MethodHas          = "provider.has"
 	MethodStats        = "provider.stats"
 	MethodListChunks   = "provider.list"
 	MethodDeleteChunks = "provider.delete"
@@ -37,34 +35,11 @@ const (
 // rather than retry.
 var ErrBlobDeleted = fmt.Errorf("provider: blob deleted")
 
-// PutReq stores one chunk. Digest is the writer-computed content digest
-// (algorithm id + sum); the provider re-checks the received bytes
-// against it, so corruption in transit is rejected at ingest instead of
-// persisted. A zero digest is accepted (the provider computes its own).
-type PutReq struct {
-	Key    chunk.Key
-	Data   []byte
-	Digest chunk.Digest
-}
-
-// Encode, Decode and Wire implement wire.Message: Wire is the field list.
-// A decoded Data aliases the body.
-func (r *PutReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *PutReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *PutReq) Wire(c *wire.Codec) {
-	r.Key.Wire(c)
-	c.Bytes(&r.Data)
-	r.Digest.Wire(c)
-}
-
-// Size implements wire.Sizer.
-func (r *PutReq) Size() int { return putItemSize(len(r.Data)) }
-
-// putItemSize is the encoded size of one chunk put: key, length-prefixed
-// payload, digest.
-func putItemSize(n int) int { return 24 + 4 + n + 5 }
-
-// PutItem is one chunk within a batched put (digest semantics as PutReq).
+// PutItem is one chunk within a batched put. Digest is the
+// writer-computed content digest (algorithm id + sum); the provider
+// re-checks the received bytes against it, so corruption in transit is
+// rejected at ingest instead of persisted. A zero digest is accepted (the
+// provider computes its own).
 type PutItem struct {
 	Key    chunk.Key
 	Data   []byte
@@ -98,7 +73,7 @@ func (r *PutChunksReq) Wire(c *wire.Codec) {
 func (r *PutChunksReq) Size() int {
 	n := 4
 	for _, it := range r.Items {
-		n += putItemSize(len(it.Data))
+		n += 24 + 4 + len(it.Data) + 5 // key, length-prefixed payload, digest
 	}
 	return n
 }
@@ -245,16 +220,6 @@ func (r *GetChunksResp) Size() int {
 	}
 	return n
 }
-
-// HasResp reports chunk presence.
-type HasResp struct {
-	Present bool
-}
-
-// Encode, Decode and Wire implement wire.Message: Wire is the field list.
-func (r *HasResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *HasResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *HasResp) Wire(c *wire.Codec)     { c.Bool(&r.Present) }
 
 // StatsResp reports a provider's inventory.
 type StatsResp struct {
@@ -457,15 +422,10 @@ type Server struct {
 	stopped bool
 }
 
-// NewServer creates a data provider at addr backed by store.
-func NewServer(network rpc.Network, addr string, store chunk.Store) *Server {
-	s, _ := NewServerWithOptions(network, addr, store, Options{})
-	return s
-}
-
-// NewServerWithOptions creates a data provider with durable sidecar state
-// and/or a capacity declaration (see Options).
-func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, opts Options) (*Server, error) {
+// NewServer creates a data provider at addr backed by store, with durable
+// sidecar state and/or a capacity declaration (see Options; the zero
+// Options is a volatile, uncapped provider).
+func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options) (*Server, error) {
 	s := &Server{
 		store:      store,
 		srv:        rpc.NewServer(network, addr),
@@ -485,13 +445,6 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 		// its journaled manifest is quarantined before it can be served.
 		s.bootCheck()
 	}
-	rpc.HandleMsg(s.srv, MethodPut, func() *PutReq { return &PutReq{} },
-		func(req *PutReq) (*Ack, error) {
-			if err := s.putBatch([]PutItem{{Key: req.Key, Data: req.Data, Digest: req.Digest}})[0]; err != nil {
-				return nil, err
-			}
-			return &Ack{}, nil
-		})
 	rpc.HandleMsg(s.srv, MethodPutChunks, func() *PutChunksReq { return &PutChunksReq{} },
 		func(req *PutChunksReq) (*PutChunksResp, error) {
 			s.putBatches.Add(1)
@@ -592,10 +545,6 @@ func NewServerWithOptions(network rpc.Network, addr string, store chunk.Store, o
 			s.digMu.Unlock()
 			sort.Slice(resp.Keys, func(i, j int) bool { return resp.Keys[i].Less(resp.Keys[j]) })
 			return resp, nil
-		})
-	rpc.HandleMsg(s.srv, MethodHas, func() *GetReq { return &GetReq{} },
-		func(req *GetReq) (*HasResp, error) {
-			return &HasResp{Present: s.store.Has(req.Key)}, nil
 		})
 	rpc.HandleMsg(s.srv, MethodStats, func() *Ack { return &Ack{} },
 		func(*Ack) (*StatsResp, error) {
@@ -737,8 +686,7 @@ func (s *Server) maybeCompactSidecar() {
 // chunks that landed are then journaled as ONE sidecar record, reserved
 // under putMu after the batch's last RAM update, and its single
 // group-commit wait is paid before returning: the caller's ack means the
-// records are durable. Serves both the singleton put and putchunks, so
-// they enforce identical semantics.
+// records are durable.
 func (s *Server) putBatch(items []PutItem) []error {
 	errs := make([]error, len(items))
 	ages := make([]ageEntry, 0, len(items))
@@ -929,13 +877,6 @@ func (r *HeartbeatReq) Wire(c *wire.Codec) {
 	c.U64(&r.FreeBytes)
 }
 
-// PutChunk is the client-side helper to store one chunk at one provider.
-// The content digest is computed here, before the bytes hit the wire, so
-// the provider's ingest check covers the full client→provider path.
-func PutChunk(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, data []byte) error {
-	return cli.CallCtx(ctx, addr, MethodPut, &PutReq{Key: key, Data: data, Digest: chunk.DigestOf(data)}, &Ack{})
-}
-
 // PutChunksCtx stores a batch of chunks at one provider in one RPC. Items
 // without a digest get one computed here (client-side, pre-wire); items
 // that already carry one — repair forwarding a verified source read —
@@ -1046,20 +987,6 @@ func GetChunks(ctx context.Context, cli *rpc.Client, addr string, keys []chunk.K
 		digs[i] = resp.Digests[i]
 	}
 	return out, digs, nil
-}
-
-// GetChunkReplicas fetches a chunk trying each replica in order.
-func GetChunkReplicas(ctx context.Context, cli *rpc.Client, addrs []string, key chunk.Key) ([]byte, string, error) {
-	var lastErr error
-	for _, a := range addrs {
-		data, err := GetChunkRangeCtx(ctx, cli, a, key, 0, 0)
-		if err == nil {
-			return data, a, nil
-		}
-		lastErr = err
-	}
-	return nil, "", fmt.Errorf("provider: chunk %s unavailable on all %d replicas: %w",
-		key, len(addrs), lastErr)
 }
 
 // Stats queries a provider's inventory counters.

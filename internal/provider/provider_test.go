@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/provider"
@@ -15,15 +14,17 @@ import (
 
 func startProvider(t *testing.T, store chunk.Store) (*rpc.SimNetwork, *provider.Server, *rpc.Client) {
 	t.Helper()
-	network := rpc.NewSimNetwork(nil)
-	srv := provider.NewServer(network, "dp", store)
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
+	return startProviderAt(t, store, "dp")
+}
+
+// putOne stores one chunk with a one-item putchunks. It returns the RPC's
+// error, or else that chunk's own outcome.
+func putOne(cli *rpc.Client, addr string, key chunk.Key, data []byte) error {
+	errs, err := provider.PutChunks(cli, addr, []provider.PutItem{{Key: key, Data: data}})
+	if err != nil {
+		return err
 	}
-	t.Cleanup(srv.Close)
-	cli := rpc.NewClient(network, 5*time.Second)
-	t.Cleanup(cli.Close)
-	return network, srv, cli
+	return errs[0]
 }
 
 func TestPutGetHasStats(t *testing.T) {
@@ -31,25 +32,18 @@ func TestPutGetHasStats(t *testing.T) {
 	key := chunk.Key{Blob: 1, Version: 7, Index: 3}
 	data := []byte("chunk-payload")
 
-	if err := provider.PutChunk(context.Background(), cli, "dp", key, data); err != nil {
+	if err := putOne(cli, "dp", key, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := provider.GetChunk(cli, "dp", key)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get = %q, %v", got, err)
 	}
-	var has provider.HasResp
-	if err := cli.Call("dp", provider.MethodHas, &provider.GetReq{Key: key}, &has); err != nil {
-		t.Fatal(err)
-	}
-	if !has.Present {
-		t.Error("Has = false for stored chunk")
-	}
 	stats, err := provider.Stats(context.Background(), cli, "dp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Chunks != 1 || stats.Bytes != uint64(len(data)) || stats.Puts != 1 || stats.Gets != 1 {
+	if stats.Chunks != 1 || stats.Bytes != uint64(len(data)) || stats.Puts != 1 || stats.PutBatches != 1 || stats.Gets != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
@@ -65,42 +59,14 @@ func TestGetMissingChunk(t *testing.T) {
 func TestDuplicatePutRejected(t *testing.T) {
 	_, _, cli := startProvider(t, chunk.NewMemStore())
 	key := chunk.Key{Blob: 2}
-	if err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("a")); err != nil {
+	if err := putOne(cli, "dp", key, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("b"))
-	var re *rpc.RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("duplicate put: %v, want remote error", err)
+	if err := putOne(cli, "dp", key, []byte("b")); err == nil {
+		t.Fatal("duplicate put accepted")
 	}
-}
-
-func TestGetChunkReplicasFailover(t *testing.T) {
-	network := rpc.NewSimNetwork(nil)
-	good := provider.NewServer(network, "good", chunk.NewMemStore())
-	if err := good.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer good.Close()
-	cli := rpc.NewClient(network, time.Second)
-	defer cli.Close()
-
-	key := chunk.Key{Blob: 3}
-	if err := provider.PutChunk(context.Background(), cli, "good", key, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// First replica does not exist at all; second has the chunk.
-	data, from, err := provider.GetChunkReplicas(context.Background(), cli, []string{"dead", "good"}, key)
-	if err != nil || from != "good" || string(data) != "x" {
-		t.Fatalf("failover = %q from %q, %v", data, from, err)
-	}
-	// All replicas dead.
-	if _, _, err := provider.GetChunkReplicas(context.Background(), cli, []string{"dead1", "dead2"}, key); err == nil {
-		t.Fatal("all-dead replicas succeeded")
-	}
-	// Empty replica set.
-	if _, _, err := provider.GetChunkReplicas(context.Background(), cli, nil, key); err == nil {
-		t.Fatal("empty replica set succeeded")
+	if got, err := provider.GetChunk(cli, "dp", key); err != nil || string(got) != "a" {
+		t.Fatalf("get after duplicate put = %q, %v; want the first copy", got, err)
 	}
 }
 
@@ -122,7 +88,7 @@ func TestServerSurvivesLargeChunk(t *testing.T) {
 		big[i] = byte(i)
 	}
 	key := chunk.Key{Blob: 5}
-	if err := provider.PutChunk(context.Background(), cli, "dp", key, big); err != nil {
+	if err := putOne(cli, "dp", key, big); err != nil {
 		t.Fatal(err)
 	}
 	got, err := provider.GetChunk(cli, "dp", key)
@@ -136,26 +102,22 @@ func TestTombstoneRejectsLatePuts(t *testing.T) {
 	// A chunk stored before the tombstone stays readable (the delete
 	// sweep, not the tombstone, removes inventory).
 	old := chunk.Key{Blob: 4, Version: 1, Index: 0}
-	if err := provider.PutChunk(context.Background(), cli, "dp", old, []byte("pre")); err != nil {
+	if err := putOne(cli, "dp", old, []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
 	if err := provider.Tombstone(context.Background(), cli, "dp", []uint64{4, 9}); err != nil {
 		t.Fatal(err)
 	}
 	// Late phase-1 put for the deleted blob: rejected, nothing stored.
-	err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 4, Version: 2, Index: 0}, []byte("late"))
+	err := putOne(cli, "dp", chunk.Key{Blob: 4, Version: 2, Index: 0}, []byte("late"))
 	if err == nil {
 		t.Fatal("put for tombstoned blob succeeded")
 	}
-	var has provider.HasResp
-	if err := cli.Call("dp", provider.MethodHas, &provider.GetReq{Key: chunk.Key{Blob: 4, Version: 2, Index: 0}}, &has); err != nil {
-		t.Fatal(err)
-	}
-	if has.Present {
-		t.Error("rejected chunk was stored anyway")
+	if _, err := provider.GetChunk(cli, "dp", chunk.Key{Blob: 4, Version: 2, Index: 0}); !errors.Is(err, chunk.ErrNotFound) {
+		t.Errorf("rejected chunk: get = %v, want ErrNotFound", err)
 	}
 	// Other blobs are unaffected.
-	if err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 5, Version: 1, Index: 0}, []byte("ok")); err != nil {
+	if err := putOne(cli, "dp", chunk.Key{Blob: 5, Version: 1, Index: 0}, []byte("ok")); err != nil {
 		t.Fatalf("put for live blob: %v", err)
 	}
 	if _, err := provider.GetChunk(cli, "dp", old); err != nil {

@@ -26,10 +26,10 @@ import (
 // Appends ride durable.Log's group commit: the order slot is reserved
 // under the caller's lock via AppendAsync and the write+fsync is paid
 // outside it, so concurrent puts coalesce their journal I/O exactly as
-// the metadata node log does. A put batch (one putchunks, or a singleton
-// put) journals every chunk that landed as ONE record — a put-age
-// section then a digest section — and pays ONE group-commit wait before
-// its ack, not two per chunk. The record is one CRC'd frame, so a batch's
+// the metadata node log does. A put batch (one putchunks) journals every
+// chunk that landed as ONE record — a put-age section then a digest
+// section — and pays ONE group-commit wait before its ack, not two per
+// chunk. The record is one CRC'd frame, so a batch's
 // ages and digests replay together or not at all.
 //
 // Put-age and digest records are advisory — a lost append merely

@@ -41,7 +41,7 @@ func (r *sidecarRig) open() {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	srv, err := NewServerWithOptions(r.network, "dp", store, Options{SidecarDir: r.sideDir, FsyncSidecar: true})
+	srv, err := NewServer(r.network, "dp", store, Options{SidecarDir: r.sideDir, FsyncSidecar: true})
 	if err != nil {
 		r.t.Fatal(err)
 	}

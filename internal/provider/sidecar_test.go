@@ -26,7 +26,7 @@ func startSidecarProvider(t *testing.T) (cli *rpc.Client, restart func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := provider.NewServerWithOptions(network, "dp", store, opts)
+		srv, err := provider.NewServer(network, "dp", store, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,19 +65,19 @@ func TestSidecarTombstonesSurviveRestart(t *testing.T) {
 	if err := provider.Tombstone(context.Background(), cli, "dp", []uint64{7}); err != nil {
 		t.Fatal(err)
 	}
-	err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 7, Version: 1, Index: 0}, []byte("x"))
+	err := putOne(cli, "dp", chunk.Key{Blob: 7, Version: 1, Index: 0}, []byte("x"))
 	if err == nil || !strings.Contains(err.Error(), "deleted") {
 		t.Fatalf("pre-restart put for tombstoned blob: err = %v, want rejection", err)
 	}
 
 	restart()
 
-	err = provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 7, Version: 2, Index: 0}, []byte("y"))
+	err = putOne(cli, "dp", chunk.Key{Blob: 7, Version: 2, Index: 0}, []byte("y"))
 	if err == nil || !strings.Contains(err.Error(), "deleted") {
 		t.Fatalf("post-restart put for tombstoned blob: err = %v, want rejection (tombstone lost?)", err)
 	}
 	// Other blobs are unaffected.
-	if err := provider.PutChunk(context.Background(), cli, "dp", chunk.Key{Blob: 8, Version: 1, Index: 0}, []byte("z")); err != nil {
+	if err := putOne(cli, "dp", chunk.Key{Blob: 8, Version: 1, Index: 0}, []byte("z")); err != nil {
 		t.Fatalf("put for live blob after restart: %v", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestSidecarPutAgesSurviveRestart(t *testing.T) {
 	cli, restart := startSidecarProvider(t)
 
 	key := chunk.Key{Blob: 1, Version: 9, Index: 4}
-	if err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("payload")); err != nil {
+	if err := putOne(cli, "dp", key, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	const aged = 150 * time.Millisecond
@@ -117,7 +117,7 @@ func TestSidecarDeleteDropsAgeEntries(t *testing.T) {
 	cli, restart := startSidecarProvider(t)
 
 	key := chunk.Key{Blob: 2, Version: 1, Index: 0}
-	if err := provider.PutChunk(context.Background(), cli, "dp", key, []byte("gone")); err != nil {
+	if err := putOne(cli, "dp", key, []byte("gone")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := provider.DeleteChunks(context.Background(), cli, "dp", []chunk.Key{key}); err != nil {
@@ -142,10 +142,10 @@ func TestGetChunksBatch(t *testing.T) {
 	k1 := chunk.Key{Blob: 1, Version: 1, Index: 0}
 	k2 := chunk.Key{Blob: 1, Version: 1, Index: 1}
 	missing := chunk.Key{Blob: 1, Version: 1, Index: 9}
-	if err := provider.PutChunk(context.Background(), cli, "dp", k1, []byte("aa")); err != nil {
+	if err := putOne(cli, "dp", k1, []byte("aa")); err != nil {
 		t.Fatal(err)
 	}
-	if err := provider.PutChunk(context.Background(), cli, "dp", k2, []byte("bbb")); err != nil {
+	if err := putOne(cli, "dp", k2, []byte("bbb")); err != nil {
 		t.Fatal(err)
 	}
 	data, digs, err := provider.GetChunks(context.Background(), cli, "dp", []chunk.Key{k1, missing, k2})

@@ -268,14 +268,6 @@ func (t *Tracer) SlowThreshold(method string) time.Duration {
 	return t.slowDef
 }
 
-// Recorder exposes the tracer's recorder (nil for a nil tracer).
-func (t *Tracer) Recorder() *Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.rec
-}
-
 func (t *Tracer) sampled() bool {
 	if t.sampleN <= 1 {
 		return true

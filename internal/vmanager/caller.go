@@ -48,9 +48,6 @@ func NewCaller(rc RPCCaller, addrs []string) *Caller {
 	}
 }
 
-// Addrs returns the configured version-manager addresses.
-func (c *Caller) Addrs() []string { return c.addrs }
-
 // Primary returns the best current guess at the leader's address, for
 // display and for callers that need a concrete address (never empty).
 func (c *Caller) Primary() string {

@@ -35,11 +35,6 @@ func (m *Manager) SetLeaseTTL(ttl time.Duration) {
 	m.leaseTTLMs.Store(uint64(ttl / time.Millisecond))
 }
 
-// LeaseTTL reports the configured lease TTL.
-func (m *Manager) LeaseTTL() time.Duration {
-	return time.Duration(m.leaseTTLMs.Load()) * time.Millisecond
-}
-
 func (m *Manager) nowMs() uint64 {
 	if m.now == nil {
 		return uint64(time.Now().UnixMilli())

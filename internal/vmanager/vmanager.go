@@ -875,15 +875,10 @@ type Server struct {
 	srv *rpc.Server
 }
 
-// NewServer wires a fresh volatile Manager to an RPC server at addr.
-func NewServer(network rpc.Network, addr string) *Server {
-	return NewServerWithManager(network, addr, NewManager())
-}
-
-// NewServerWithManager exposes an existing Manager (typically one
-// recovered with OpenManager) over RPC — the hook that makes a version
-// manager restartable in place.
-func NewServerWithManager(network rpc.Network, addr string, m *Manager) *Server {
+// NewServer exposes a Manager over RPC at addr: a fresh volatile one
+// (NewManager), or one recovered with OpenManager — the hook that makes a
+// version manager restartable in place.
+func NewServer(network rpc.Network, addr string, m *Manager) *Server {
 	s := &Server{m: m, srv: rpc.NewServer(network, addr)}
 	// The leader gate runs before every handler. HA control methods stay
 	// answerable on every role: replication is how a standby follows, and

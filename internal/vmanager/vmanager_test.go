@@ -287,7 +287,7 @@ func TestInFlightWindowInvariant(t *testing.T) {
 
 func TestServerOverRPC(t *testing.T) {
 	network := rpc.NewSimNetwork(nil)
-	srv := NewServer(network, "vm")
+	srv := NewServer(network, "vm", NewManager())
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
