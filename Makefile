@@ -28,7 +28,10 @@ vet:
 # message's Wire method, and no list count is read as a bare u32 (Codec's
 # Count bounds it). One RPC per operation: the retired singleton RPCs
 # (provider.put, provider.has, meta.get, meta.stats) stay gone, and each
-# role server has one constructor. And every Go file is gofmt-clean.
+# role server has one constructor. One buffer per chunk read, client side:
+# the read path fetches chunks into the caller's buffer (GetChunkInto),
+# never through the copy-out GetChunkRange forms that keep their frames.
+# And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
 	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
@@ -39,6 +42,7 @@ guard:
 	@! grep -rnE '(^|[^A-Za-z0-9_])(cnt|n|m|count|num[A-Za-z]*) :?= [a-z]+\.U32\(\)|make\([^)]*\.U32\(\)' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -v '^internal/wire/'
 	@! grep -rnE '"(provider\.(put|has)|meta\.(get|stats))"' --include='*.go' --exclude='*_test.go' cmd internal examples *.go
 	@! grep -rn 'func NewServerWith' --include='*.go' internal/provider internal/meta internal/vmanager
+	@! grep -rnE 'GetChunkRangeCtx|GetChunkRange\(' --include='*.go' internal/core
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
@@ -56,8 +60,9 @@ race:
 
 # Data-path micro-benchmarks as a short smoke: a 64 KiB chunk get and a
 # 32 x 64 KiB putchunks over TCP loopback, both also against a disk store
-# with an fsync'd sidecar (plus the rpc and wire benchmarks), 20
-# iterations each, with allocation counts.
+# with an fsync'd sidecar, and the client read path's 64 KiB get into the
+# caller's buffer against that disk store (plus the rpc and wire
+# benchmarks), 20 iterations each, with allocation counts.
 micro:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem ./internal/wire/ ./internal/rpc/ ./internal/provider/
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestGetIntoNeverKeepsBuf pins the GetInto ownership rule: the caller's
@@ -43,7 +45,7 @@ func TestGetIntoNeverKeepsBuf(t *testing.T) {
 				expect[7] ^= 0xFF
 			}
 			for i := 0; i < 3; i++ {
-				buf := GetBuf(len(want))
+				buf := wire.GetBuf(len(want))
 				got, err := s.GetInto(k, buf)
 				if err != nil {
 					t.Fatal(err)
@@ -54,7 +56,7 @@ func TestGetIntoNeverKeepsBuf(t *testing.T) {
 				for j := range buf[:cap(buf)] {
 					buf[:cap(buf)][j] = 0xEE
 				}
-				PutBuf(buf)
+				wire.PutBuf(buf)
 			}
 			if got, _ := s.GetInto(k, nil); !bytes.Equal(got, expect) {
 				t.Fatalf("read without a buffer: wrong bytes")
@@ -90,7 +92,7 @@ func TestDiskGetIntoReturnsFileAsItIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	for _, buf := range [][]byte{nil, GetBuf(len(want))} {
+	for _, buf := range [][]byte{nil, wire.GetBuf(len(want))} {
 		got, err := d.GetInto(short, buf)
 		if err != nil || !bytes.Equal(got, want[:100]) {
 			t.Fatalf("truncated file: %d bytes, err %v; want its 100 bytes", len(got), err)
@@ -99,23 +101,5 @@ func TestDiskGetIntoReturnsFileAsItIs(t *testing.T) {
 		if err != nil || !bytes.Equal(got, append(bytes.Clone(want), "tail"...)) {
 			t.Fatalf("extended file: %d bytes, err %v; want its %d bytes", len(got), err, len(want)+4)
 		}
-	}
-}
-
-func TestBufPoolClasses(t *testing.T) {
-	for _, tc := range []struct{ n, cap int }{
-		{0, 1 << 10}, {1, 1 << 10}, {1 << 10, 1 << 10}, {1<<10 + 1, 2 << 10},
-		{64 << 10, 64 << 10}, {1 << 20, 1 << 20}, {1<<20 + 1, 1<<20 + 1},
-	} {
-		b := GetBuf(tc.n)
-		if len(b) != tc.n || cap(b) != tc.cap {
-			t.Errorf("GetBuf(%d): len %d cap %d, want len %d cap %d", tc.n, len(b), cap(b), tc.n, tc.cap)
-		}
-		PutBuf(b)
-	}
-	PutBuf(nil)
-	PutBuf(make([]byte, 3000)) // not a class size: dropped
-	if b := GetBuf(3000); cap(b) != 4<<10 {
-		t.Errorf("GetBuf(3000) after PutBuf of a 3000-byte slice: cap %d, want 4096", cap(b))
 	}
 }

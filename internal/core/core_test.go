@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/maint"
@@ -820,5 +822,64 @@ func TestWriteAfterTreelessAbortedVersion(t *testing.T) {
 	copy(wantF[450:], final)
 	if !bytes.Equal(got, wantF) {
 		t.Fatal("post-GC write content diverged")
+	}
+}
+
+// TestConcurrentReadsKeepTheirFrames runs 64 concurrent readers, 4 rounds,
+// each reading one distinct 64 KiB chunk into its own buffer over the
+// simulated network. Every chunk reply's frame comes from the buffer pool
+// and goes back once copied into the reader's buffer. Every fourth chunk's
+// first-choice replica is rotted, so those reads get a corrupt reply and
+// fail over to the other replica. A frame handed back before its bytes
+// were copied out shows as another chunk's bytes (and, under -race, as a
+// data race).
+func TestConcurrentReadsKeepTheirFrames(t *testing.T) {
+	c := startCluster(t, cluster.Config{})
+	cli := newClient(t, c, cluster.ClientOptions{})
+	const readers, size = 64, 64 << 10
+	blob, err := cli.CreateBlob(size, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 0, readers*size)
+	for i := 0; i < readers; i++ {
+		data = append(data, pattern(size, byte(i))...)
+	}
+	v, err := blob.Write(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := blob.Locations(v, 0, uint64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < readers; i += 4 {
+		p := slices.Index(c.ProviderAddrs(), locs[i].Providers[0])
+		keys := c.Providers[p].Store().Keys()
+		k := slices.IndexFunc(keys, func(k chunk.Key) bool { return k.Blob == blob.ID() && k.Index == uint64(i) })
+		if p < 0 || k < 0 {
+			t.Fatalf("chunk %d: no copy on its first replica %s", i, locs[i].Providers[0])
+		}
+		if err := c.CorruptChunk(p, keys[k], 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 4; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				buf := make([]byte, size)
+				if _, err := blob.Read(v, buf, uint64(i*size)); err != nil {
+					t.Errorf("round %d, reader %d: %v", round, i, err)
+					return
+				}
+				if !bytes.Equal(buf, pattern(size, byte(i))) {
+					t.Errorf("round %d, reader %d: bytes that are not its chunk", round, i)
+				}
+			}(i)
+		}
+		wg.Wait()
 	}
 }

@@ -138,14 +138,14 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 		// read; everything past the chunk's valid length reads as zeros
 		// (sparse regions within a partially written chunk). Fetch only
 		// the valid sub-range — a boundary read moves just the bytes it
-		// needs — then copy it and zero-fill the tail.
+		// needs — straight into dst, then zero-fill the tail.
 		inLo := lo - chunkLo
 		validHi := minU64(hi-chunkLo, uint64(ref.Length))
 		if validHi <= inLo {
 			clear(dst)
 			return nil
 		}
-		data, err := b.fetchChunkRange(ctx, ref, inLo, validHi-inLo)
+		n, err := b.fetchChunkRange(ctx, ref, inLo, validHi-inLo, dst)
 		if err != nil {
 			// Every replica in the descriptor failed. The one way that
 			// happens with data still intact is a stale descriptor: the
@@ -159,24 +159,24 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 				slices.Equal(fresh.Chunk.Providers, ref.Providers) {
 				return err
 			}
-			data, err = b.fetchChunkRange(ctx, fresh.Chunk, inLo, validHi-inLo)
+			n, err = b.fetchChunkRange(ctx, fresh.Chunk, inLo, validHi-inLo, dst)
 			if err != nil {
 				return err
 			}
 		}
-		n := copy(dst, data)
 		clear(dst[n:])
 		return nil
 	})
 }
 
-// fetchChunkRange retrieves bytes [off, off+length) of one chunk, trying
-// replicas healthiest-first (the client-side QoS feedback of §IV-E: a
-// degraded provider stops being the first choice after a few slow
-// operations) and failing over on error. A full-chunk read is requested
-// as the whole chunk (zero range) so providers keep serving it from — and
-// admitting it into — their RAM cache.
-func (b *Blob) fetchChunkRange(ctx context.Context, ref meta.ChunkRef, off, length uint64) ([]byte, error) {
+// fetchChunkRange reads bytes [off, off+length) of one chunk into dst,
+// returning how many it wrote, trying replicas healthiest-first (the
+// client-side QoS feedback of §IV-E: a degraded provider stops being the
+// first choice after a few slow operations) and failing over on error. A
+// full-chunk read is requested as the whole chunk (zero range) so
+// providers keep serving it from — and admitting it into — their RAM
+// cache.
+func (b *Blob) fetchChunkRange(ctx context.Context, ref meta.ChunkRef, off, length uint64, dst []byte) (int, error) {
 	if off == 0 && length >= uint64(ref.Length) {
 		off, length = 0, 0 // whole chunk
 	}
@@ -184,13 +184,13 @@ func (b *Blob) fetchChunkRange(ctx context.Context, ref meta.ChunkRef, off, leng
 	var lastErr error
 	for _, addr := range ordered {
 		start := time.Now()
-		data, err := provider.GetChunkRangeCtx(ctx, b.c.rpc, addr, ref.Key, off, length)
+		n, err := provider.GetChunkInto(ctx, b.c.rpc, addr, ref.Key, off, length, dst)
 		elapsed := time.Since(start)
 		b.c.health.observe(addr, float64(elapsed.Microseconds())/1000, err != nil)
 		b.c.chunkGets.Add(1)
 		if err == nil {
-			b.c.chunkBytesIn.Add(int64(len(data)))
-			return data, nil
+			b.c.chunkBytesIn.Add(int64(n))
+			return n, nil
 		}
 		if provider.IsCorrupt(err) {
 			// The replica's bytes failed the end-to-end digest check (the
@@ -200,7 +200,7 @@ func (b *Blob) fetchChunkRange(ctx context.Context, ref meta.ChunkRef, off, leng
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("core: chunk %s unavailable on all %d replicas: %w",
+	return 0, fmt.Errorf("core: chunk %s unavailable on all %d replicas: %w",
 		ref.Key, len(ref.Providers), lastErr)
 }
 

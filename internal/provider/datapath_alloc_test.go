@@ -7,6 +7,8 @@
 package provider_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -30,7 +32,9 @@ func allocated(f func()) uint64 {
 // multiple of the payload. One copy per hop leaves one send frame (pooled
 // up to a size) and one receive buffer per frame; decoding must not add
 // another, and the provider reads chunk files into pooled buffers, so a
-// read allocates little more than the client's receive buffer.
+// read allocates little more than the client's receive buffer. A read
+// into the caller's buffer hands that receive buffer back to the pool as
+// well, so it allocates almost nothing per chunk.
 func TestDataPathAllocationBudget(t *testing.T) {
 	const chunkSize = 64 << 10
 	store, err := chunk.NewDiskStore(t.TempDir(), false)
@@ -61,6 +65,40 @@ func TestDataPathAllocationBudget(t *testing.T) {
 		t.Logf("read: %.2fx the payload allocated", ratio)
 		if ratio > 1.5 {
 			t.Fatalf("a %d x 64 KiB read allocated %.2fx its payload, budget 1.5x", reads, ratio)
+		}
+	})
+
+	t.Run("read-into 256x64KiB", func(t *testing.T) {
+		key := chunk.Key{Blob: 1, Version: 2}
+		want := pattern(2, chunkSize)
+		if err := putOne(cli, addr, key, want); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, chunkSize)
+		readInto := func() error {
+			_, err := provider.GetChunkInto(context.Background(), cli, addr, key, 0, 0, dst)
+			return err
+		}
+		if err := readInto(); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		const reads = 256
+		var err error
+		n := allocated(func() {
+			for i := 0; i < reads && err == nil; i++ {
+				err = readInto()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatal("read-into left bytes that are not the chunk's")
+		}
+		ratio := float64(n) / float64(reads*chunkSize)
+		t.Logf("read-into: %.3fx the payload allocated", ratio)
+		if ratio > 0.1 {
+			t.Fatalf("a %d x 64 KiB read into one buffer allocated %.3fx its payload, budget 0.1x", reads, ratio)
 		}
 	})
 

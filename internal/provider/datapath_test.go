@@ -3,6 +3,7 @@ package provider_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -206,6 +207,98 @@ func TestConcurrentDiskGetsKeepTheirBuffers(t *testing.T) {
 	}
 }
 
+// badNIC is a client transport that flips one byte in the middle of every
+// chunk-sized frame received from one address: corruption in transit,
+// which only the client's end-to-end digest check can see (a provider
+// checks its stored bytes before serving them, so rot at rest comes back
+// as a corrupt error, never as a reply that fails the client's check).
+type badNIC struct {
+	rpc.Network
+	addr string
+}
+
+func (n badNIC) Dial(addr string) (rpc.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil || addr != n.addr {
+		return c, err
+	}
+	return flipConn{c}, nil
+}
+
+type flipConn struct{ rpc.Conn }
+
+func (c flipConn) Recv() ([]byte, error) {
+	msg, err := c.Conn.Recv()
+	if err == nil && len(msg) >= 64<<10 {
+		msg[len(msg)/2] ^= 0xFF
+	}
+	return msg, err
+}
+
+// TestConcurrentReadsKeepTheirFrames runs 64 concurrent GetChunkInto
+// reads of distinct 64 KiB chunks, 4 rounds, over TCP loopback from two
+// disk-store replicas. Each reply frame comes from the buffer pool and
+// goes back once copied into the reader's buffer. Every read tries first
+// the replica behind a bad NIC, whose digest-mismatch reply is released
+// unread, then the good one, whose reply likely lands in a frame another
+// read just released. A frame handed back before its bytes were copied
+// out shows as another chunk's bytes in the reader's buffer (and, under
+// -race, as a data race).
+func TestConcurrentReadsKeepTheirFrames(t *testing.T) {
+	const calls, size = 64, 64 << 10
+	var addrs [2]string
+	for i := range addrs {
+		store, err := chunk.NewDiskStore(t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cli *rpc.Client
+		addrs[i], cli = startTCPProvider(t, store, provider.Options{})
+		items := make([]provider.PutItem, calls)
+		for j := range items {
+			data := pattern(j, size)
+			items[j] = provider.PutItem{Key: chunk.Key{Blob: 1, Version: 1, Index: uint64(j)}, Data: data, Digest: chunk.DigestOf(data)}
+		}
+		for _, item := range items {
+			if errs, err := provider.PutChunks(cli, addrs[i], []provider.PutItem{item}); err != nil || errs[0] != nil {
+				t.Fatalf("put %s on replica %d: %v %v", item.Key, i, err, errs)
+			}
+		}
+	}
+	bad, good := addrs[0], addrs[1]
+	cli := rpc.NewClient(badNIC{Network: rpc.NewTCPNetwork(), addr: bad}, 10*time.Second)
+	defer cli.Close()
+	ctx := context.Background()
+	for round := 0; round < 4; round++ {
+		got := make([][]byte, calls)
+		errs := make([]error, calls)
+		var wg sync.WaitGroup
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				key := chunk.Key{Blob: 1, Version: 1, Index: uint64(i)}
+				dst := make([]byte, size)
+				if _, err := provider.GetChunkInto(ctx, cli, bad, key, 0, 0, dst); !provider.IsCorrupt(err) {
+					errs[i] = fmt.Errorf("read through the bad NIC: err = %v, want ErrChunkCorrupt", err)
+					return
+				}
+				n, err := provider.GetChunkInto(ctx, cli, good, key, 0, 0, dst)
+				got[i], errs[i] = dst[:n], err
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("round %d, read %d: %v", round, i, errs[i])
+			}
+			if !bytes.Equal(got[i], pattern(i, size)) {
+				t.Fatalf("round %d, read %d: %d bytes that are not its chunk", round, i, len(got[i]))
+			}
+		}
+	}
+}
+
 // BenchmarkGetChunk64K reads one 64 KiB chunk per op over TCP loopback.
 func BenchmarkGetChunk64K(b *testing.B) {
 	addr, cli := startTCPProvider(b, chunk.NewMemStore(), provider.Options{})
@@ -222,6 +315,30 @@ func BenchmarkGetChunk64KDisk(b *testing.B) {
 	}
 	addr, cli := startTCPProvider(b, store, provider.Options{SidecarDir: b.TempDir(), FsyncSidecar: true})
 	benchGetChunk64K(b, addr, cli)
+}
+
+// BenchmarkGetChunkInto64K is BenchmarkGetChunk64KDisk reading through
+// GetChunkInto, the client read path: the reply frame comes from the
+// buffer pool and goes back once copied into the caller's buffer.
+func BenchmarkGetChunkInto64K(b *testing.B) {
+	store, err := chunk.NewDiskStore(b.TempDir(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, cli := startTCPProvider(b, store, provider.Options{SidecarDir: b.TempDir(), FsyncSidecar: true})
+	key := chunk.Key{Blob: 1, Version: 1}
+	if err := putOne(cli, addr, key, pattern(1, 64<<10)); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, 64<<10)
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := provider.GetChunkInto(context.Background(), cli, addr, key, 0, 0, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchGetChunk64K(b *testing.B, addr string, cli *rpc.Client) {

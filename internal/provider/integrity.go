@@ -174,17 +174,17 @@ func (s *Server) getVerified(k chunk.Key, buf []byte) (data []byte, dg chunk.Dig
 
 // readBuf takes a pooled buffer for a whole read of k, sized by its
 // recorded length or, for a legacy chunk, by the store's manifest; nil
-// when neither knows the size. Return it with chunk.PutBuf.
+// when neither knows the size. Return it with wire.PutBuf.
 func (s *Server) readBuf(k chunk.Key) []byte {
 	s.digMu.Lock()
 	rec, ok := s.digests[k]
 	s.digMu.Unlock()
 	if ok {
-		return chunk.GetBuf(int(rec.Length))
+		return wire.GetBuf(int(rec.Length))
 	}
 	if sz, isSizer := s.store.(sizer); isSizer {
 		if n, held := sz.Size(k); held {
-			return chunk.GetBuf(int(n))
+			return wire.GetBuf(int(n))
 		}
 	}
 	return nil
@@ -295,7 +295,7 @@ func (s *Server) scrubStep(req *ScrubReq) *ScrubResp {
 		buf := s.readBuf(k)
 		data, _, backfilled, err := s.getVerified(k, buf)
 		n := len(data)
-		chunk.PutBuf(buf)
+		wire.PutBuf(buf)
 		if IsCorrupt(err) {
 			resp.Scanned++
 			resp.Corrupt++

@@ -125,15 +125,21 @@ type GetResp struct {
 	Data   []byte
 	Digest chunk.Digest
 
-	buf []byte // pooled read buffer Data may alias; see Release
+	buf []byte // pooled buffer Data may alias; see Release
 }
 
-// Release returns the pooled read buffer behind Data; the rpc server
-// calls it once the reply is encoded. Data must not be used afterwards.
+// Release returns the pooled buffer behind Data: on the provider the read
+// buffer, which the rpc server releases once the reply is encoded; on the
+// client the received frame, which whoever holds the decoded reply
+// releases once done with Data. Data must not be used afterwards.
 func (r *GetResp) Release() {
-	chunk.PutBuf(r.buf)
+	wire.PutBuf(r.buf)
 	r.buf = nil
 }
+
+// TakeFrame hands a decoded reply the frame its Data aliases, for Release
+// to return (the rpc client calls it).
+func (r *GetResp) TakeFrame(frame []byte) { r.buf = frame }
 
 // Encode, Decode and Wire implement wire.Message: Wire is the field list.
 // A decoded Data aliases the body.
@@ -184,7 +190,7 @@ type GetChunksResp struct {
 // calls it once the reply is encoded. Data must not be used afterwards.
 func (r *GetChunksResp) Release() {
 	for _, b := range r.bufs {
-		chunk.PutBuf(b)
+		wire.PutBuf(b)
 	}
 	r.bufs = nil
 }
@@ -525,7 +531,7 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 			// corruption and its retry will succeed.
 			buf := s.readBuf(req.Key)
 			_, _, _, err := s.getVerified(req.Key, buf)
-			chunk.PutBuf(buf)
+			wire.PutBuf(buf)
 			if IsCorrupt(err) {
 				return &VerifyResp{Held: true, Corrupt: true}, nil
 			}
@@ -927,7 +933,9 @@ func GetChunkRange(cli *rpc.Client, addr string, key chunk.Key, off, length uint
 // GetChunkRangeCtx fetches bytes [off, off+length) of one chunk from one
 // provider (off == 0, length == 0 fetches the whole chunk; length == 0
 // with off > 0 reads to the end). The range is clipped to the chunk's
-// stored size, so the reply may be shorter than requested.
+// stored size, so the reply may be shorter than requested. The returned
+// bytes alias the reply frame, which is never handed back to the pool;
+// a reader with a buffer of its own uses GetChunkInto instead.
 //
 // Whole-chunk fetches re-verify the received bytes against the digest in
 // the response — the end-to-end check that catches corruption in
@@ -936,20 +944,48 @@ func GetChunkRange(cli *rpc.Client, addr string, key chunk.Key, off, length uint
 // replica) after asking the provider to recheck its copy, so at-rest rot
 // this client noticed first still gets quarantined.
 func GetChunkRangeCtx(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64) ([]byte, error) {
-	var resp GetResp
-	if err := cli.CallCtx(ctx, addr, MethodGet, &GetReq{Key: key, Offset: off, Length: length}, &resp); err != nil {
+	resp, err := getChunk(ctx, cli, addr, key, off, length)
+	if err != nil {
 		return nil, err
 	}
-	if !resp.Found {
-		return nil, fmt.Errorf("%w: %s at %s", chunk.ErrNotFound, key, addr)
+	return resp.Data, nil
+}
+
+// GetChunkInto is GetChunkRangeCtx reading into dst: it copies the reply's
+// bytes into dst (as many as fit) and hands the reply frame back to the
+// pool, returning the number of bytes copied. dst is written only when
+// the fetch succeeds, so a failed replica leaves it untouched.
+func GetChunkInto(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64, dst []byte) (int, error) {
+	resp, err := getChunk(ctx, cli, addr, key, off, length)
+	if err != nil {
+		return 0, err
 	}
-	if off == 0 && length == 0 && !resp.Digest.Verify(resp.Data) {
+	n := copy(dst, resp.Data)
+	resp.Release()
+	return n, nil
+}
+
+// getChunk is the get call under GetChunkRangeCtx and GetChunkInto,
+// with the end-to-end digest check of a whole-chunk fetch. On success the
+// reply holds its frame, for the caller to Release once done with Data;
+// on failure the frame is already released.
+func getChunk(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64) (*GetResp, error) {
+	resp := &GetResp{}
+	err := cli.CallCtx(ctx, addr, MethodGet, &GetReq{Key: key, Offset: off, Length: length}, resp)
+	if err == nil && !resp.Found {
+		err = fmt.Errorf("%w: %s at %s", chunk.ErrNotFound, key, addr)
+	}
+	if err == nil && off == 0 && length == 0 && !resp.Digest.Verify(resp.Data) {
 		// Best effort: the provider's recheck decides whether its copy is
 		// actually bad; we only know OUR copy of the bytes is.
 		_, _ = VerifyChunk(ctx, cli, addr, key)
-		return nil, fmt.Errorf("%w: %s from %s failed end-to-end digest check", ErrChunkCorrupt, key, addr)
+		err = fmt.Errorf("%w: %s from %s failed end-to-end digest check", ErrChunkCorrupt, key, addr)
 	}
-	return resp.Data, nil
+	if err != nil {
+		resp.Release()
+		return nil, err
+	}
+	return resp, nil
 }
 
 // GetChunks fetches a batch of whole chunks from one provider in one RPC

@@ -64,9 +64,10 @@ func NewClientFrom(network Network, timeout time.Duration, source string) *Clien
 }
 
 type pendingCall struct {
-	done chan struct{}
-	resp []byte
-	err  error
+	done  chan struct{}
+	resp  []byte
+	frame []byte // the received frame resp aliases
+	err   error
 	// target carries the redirect destination when err is
 	// errRedirectSentinel (resp then holds the remote error text).
 	target string
@@ -95,8 +96,10 @@ func (c *Client) Call(addr, method string, req wire.Message, resp wire.Message) 
 // request frame; a context without a span makes an untraced call.
 //
 // req is encoded straight into the request frame. resp is decoded in
-// place: byte-slice fields may alias the response frame, which belongs to
-// the caller from then on.
+// place: byte-slice fields may alias the response frame. A resp with a
+// TakeFrame method is handed the frame (also when the decode fails), and
+// whoever holds that resp returns the frame to the pool through it once
+// done with its fields; any other frame is left to the garbage collector.
 func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Message, resp wire.Message) error {
 	obs := c.getObserver()
 	var act *trace.Active
@@ -107,7 +110,7 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 	if obs != nil {
 		start = time.Now()
 	}
-	raw, sent, err := c.callAttempts(addr, method, req, act.Context(), obs)
+	raw, frame, sent, err := c.callAttempts(addr, method, req, act.Context(), obs)
 	if obs != nil {
 		obs.ObserveCall(addr, method, time.Since(start), err)
 	}
@@ -118,21 +121,30 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 	if err != nil || resp == nil {
 		return err
 	}
-	return wire.Unmarshal(raw, resp)
+	err = wire.Unmarshal(raw, resp)
+	if t, ok := resp.(frameTaker); ok {
+		t.TakeFrame(frame)
+	}
+	return err
 }
+
+// frameTaker is implemented by replies that hand their frame back to the
+// pool (wire.PutBuf) once their holder is done with them.
+type frameTaker interface{ TakeFrame(frame []byte) }
 
 // maxRedials bounds how many fresh dials one call may burn through when
 // the cached connection keeps dying before anything is sent.
 const maxRedials = 4
 
-// callAttempts returns the reply body and the encoded request body length.
-func (c *Client) callAttempts(addr, method string, req wire.Message, sc trace.SpanContext, obs ClientObserver) ([]byte, int, error) {
+// callAttempts returns the reply body, the frame it aliases, and the
+// encoded request body length.
+func (c *Client) callAttempts(addr, method string, req wire.Message, sc trace.SpanContext, obs ClientObserver) ([]byte, []byte, int, error) {
 	for attempt := 0; ; attempt++ {
 		cc, err := c.getConn(addr)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
-		raw, sent, err := cc.roundTrip(method, req, sc, c.timeout)
+		raw, frame, sent, err := cc.roundTrip(method, req, sc, c.timeout)
 		if err != nil && !isAppError(err) {
 			// Transport-level failure: drop the cached connection so the
 			// next call re-dials (the peer may have restarted).
@@ -154,7 +166,7 @@ func (c *Client) callAttempts(addr, method string, req wire.Message, sc trace.Sp
 				continue
 			}
 		}
-		return raw, sent, err
+		return raw, frame, sent, err
 	}
 }
 
@@ -228,13 +240,14 @@ func (c *Client) Close() {
 var errConnDead = errors.New("rpc: cached connection is dead")
 
 // roundTrip encodes req straight into a pooled request frame, sends it,
-// and waits for the reply body. It also returns the request body length.
-func (cc *clientConn) roundTrip(method string, req wire.Message, sc trace.SpanContext, timeout time.Duration) ([]byte, int, error) {
+// and waits for the reply body and the frame it aliases. It also returns
+// the request body length.
+func (cc *clientConn) roundTrip(method string, req wire.Message, sc trace.SpanContext, timeout time.Duration) ([]byte, []byte, int, error) {
 	cc.mu.Lock()
 	if cc.dead {
 		err := cc.deadErr
 		cc.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: %v", errConnDead, err)
+		return nil, nil, 0, fmt.Errorf("%w: %v", errConnDead, err)
 	}
 	id := cc.nextID.Add(1)
 	call := &pendingCall{done: make(chan struct{})}
@@ -254,7 +267,7 @@ func (cc *clientConn) roundTrip(method string, req wire.Message, sc trace.SpanCo
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		return nil, sent, err
+		return nil, nil, sent, err
 	}
 
 	timer := time.NewTimer(timeout)
@@ -263,19 +276,19 @@ func (cc *clientConn) roundTrip(method string, req wire.Message, sc trace.SpanCo
 	case <-call.done:
 		if call.err != nil {
 			if call.err == errRemoteSentinel {
-				return nil, sent, &RemoteError{Method: method, Msg: string(call.resp)}
+				return nil, nil, sent, &RemoteError{Method: method, Msg: string(call.resp)}
 			}
 			if call.err == errRedirectSentinel {
-				return nil, sent, &Redirect{Method: method, Target: call.target, Msg: string(call.resp)}
+				return nil, nil, sent, &Redirect{Method: method, Target: call.target, Msg: string(call.resp)}
 			}
-			return nil, sent, call.err
+			return nil, nil, sent, call.err
 		}
-		return call.resp, sent, nil
+		return call.resp, call.frame, sent, nil
 	case <-timer.C:
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		return nil, sent, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
+		return nil, nil, sent, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
 	}
 }
 
@@ -315,9 +328,9 @@ func (cc *clientConn) readLoop() {
 		if !ok {
 			continue // timed out already
 		}
-		// body aliases msg, a fresh buffer Recv hands over for good: the
-		// caller takes it without a copy.
-		call.resp = body
+		// body aliases msg, a buffer Recv hands over for good: the caller
+		// takes both without a copy.
+		call.resp, call.frame = body, msg
 		switch status {
 		case statusOK:
 		case statusRedirect:

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // MaxFrame bounds a single TCP frame, and so every RPC body. Chunks are at
@@ -97,8 +99,9 @@ func (t *tcpConn) Recv() ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("rpc: inbound frame of %d bytes exceeds limit", n)
 	}
-	msg := make([]byte, n)
+	msg := wire.GetBuf(int(n))
 	if _, err := io.ReadFull(t.r, msg); err != nil {
+		wire.PutBuf(msg)
 		return nil, err
 	}
 	return msg, nil

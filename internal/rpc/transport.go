@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 // ErrClosed is returned by operations on a closed connection or listener.
@@ -33,10 +34,13 @@ var ErrUnknownAddr = errors.New("rpc: no listener at address")
 // (it serializes internally).
 //
 // Ownership: Send does not retain msg after it returns, so the caller may
-// reuse it. Recv returns a freshly allocated buffer per frame that the
-// transport never touches again; the caller owns it, so decoders may
-// alias it for as long as they like. Both ends of the RPC layer rely on
-// this to decode bodies in place instead of copying them out.
+// reuse it. Recv returns a buffer per frame, taken from the wire buffer
+// pool (wire.GetBuf), that the transport never touches again; the caller
+// owns it, so decoders may alias it for as long as they like, and may hand
+// it back with wire.PutBuf once nothing aliases it. A frame nobody hands
+// back is left to the garbage collector. Both ends of the RPC layer rely
+// on this to decode bodies in place instead of copying them out; see
+// Client.CallCtx for who hands a reply frame back.
 type Conn interface {
 	Send(msg []byte) error
 	Recv() ([]byte, error)
@@ -191,8 +195,10 @@ func (c *simConn) Send(msg []byte) error {
 	if err != nil {
 		return err
 	}
-	// Copy: the caller may reuse its buffer after Send returns.
-	cp := make([]byte, len(msg))
+	// Copy: the caller may reuse its buffer after Send returns. The copy
+	// is the frame the peer's Recv hands over, so it comes from the pool
+	// exactly as a TCP receive buffer does.
+	cp := wire.GetBuf(len(msg))
 	copy(cp, msg)
 
 	deliver := func() {
