@@ -31,6 +31,10 @@ vet:
 # role server has one constructor. One buffer per chunk read, client side:
 # the read path fetches chunks into the caller's buffer (GetChunkInto),
 # never through the copy-out GetChunkRange forms that keep their frames.
+# One field list per durable format: the version-manager journal and
+# snapshot and the provider sidecar are coded through their wire.Codec
+# lists, never hand-written Put/read calls, and no decoder reads an
+# optional tail (only the current formats decode).
 # And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
@@ -43,6 +47,8 @@ guard:
 	@! grep -rnE '"(provider\.(put|has)|meta\.(get|stats))"' --include='*.go' --exclude='*_test.go' cmd internal examples *.go
 	@! grep -rn 'func NewServerWith' --include='*.go' internal/provider internal/meta internal/vmanager
 	@! grep -rnE 'GetChunkRangeCtx|GetChunkRange\(' --include='*.go' internal/core
+	@! grep -rnE '\.Put(U8|U16|U32|U64|Bool|String)\(|\.(U8|U16|U32|U64|Bool|String|Count)\(\)' --include='*.go' --exclude='*_test.go' internal/vmanager internal/provider
+	@! grep -rn '\.Tail()' --include='*.go' .
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro

@@ -688,6 +688,48 @@ func TestWritePutRPCBound(t *testing.T) {
 	t.Logf("%d chunk-replica ops in %d putchunks RPCs", st.ChunkPutOps, st.ChunkPutRPCs)
 }
 
+// TestWriteDescentRPCBound: with the metadata cache off, a write's weave
+// fetches each published-tree node it needs once, so its GetNode lookups
+// stay at or below the nodes it stores (depth + 1) however many versions
+// the blob has. Two shapes: one-chunk appends (the tree grows under them)
+// and one-chunk overwrites of a 512-chunk blob.
+func TestWriteDescentRPCBound(t *testing.T) {
+	const chunkSize, versions = 64, 1000
+	c := startCluster(t, cluster.Config{})
+	cli := newClient(t, c, cluster.ClientOptions{})
+	data := pattern(chunkSize, 3)
+	for _, shape := range []struct {
+		name  string
+		first []byte
+		write func(b *core.Blob, i int) error
+	}{
+		{"append", data, func(b *core.Blob, _ int) error { _, _, err := b.Append(data); return err }},
+		{"overwrite", pattern(512*chunkSize, 4), func(b *core.Blob, i int) error {
+			_, err := b.Write(data, uint64(i*37%512)*chunkSize)
+			return err
+		}},
+	} {
+		blob, err := cli.CreateBlob(chunkSize, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := blob.Write(shape.first, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := 2; i <= versions; i++ {
+			before := cli.MetaRPCStats()
+			if err := shape.write(blob, i); err != nil {
+				t.Fatalf("%s: version %d: %v", shape.name, i, err)
+			}
+			after := cli.MetaRPCStats()
+			gets, stored := after.GetRPCs-before.GetRPCs, after.NodesStored-before.NodesStored
+			if gets > stored {
+				t.Fatalf("%s: version %d issued %d GetNode lookups for %d nodes stored", shape.name, i, gets, stored)
+			}
+		}
+	}
+}
+
 // TestWriteRetryExcludesFailedProviders kills half the data plane right
 // before a replicated write, so some replica sets consist entirely of
 // dead providers (the provider manager has not aged them out yet). The

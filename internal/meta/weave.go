@@ -86,6 +86,10 @@ type weaver struct {
 	in       WeaveInput
 	inflight []WriteDesc
 	out      []*Node
+	// fetched holds the published-tree nodes this weave has read: the
+	// descents to untouched siblings share their path from the root, so
+	// each node on it is fetched once, not once per sibling below it.
+	fetched map[NodeKey]*Node
 }
 
 func overlaps(aLo, aHi, bLo, bHi uint64) bool { return aLo < bHi && bLo < aHi }
@@ -207,7 +211,7 @@ func (w *weaver) descendPublished(off, size uint64) (uint64, error) {
 			// Inside a zero subtree every descendant is zero.
 			return ZeroVersion, nil
 		}
-		node, err := w.store.GetNode(w.ctx, NodeKey{Blob: w.in.Blob, Version: curVer, Off: curOff, Size: curSize})
+		node, err := w.published(NodeKey{Blob: w.in.Blob, Version: curVer, Off: curOff, Size: curSize})
 		if err != nil {
 			return 0, fmt.Errorf("meta: descending published tree: %w", err)
 		}
@@ -224,4 +228,20 @@ func (w *weaver) descendPublished(off, size uint64) (uint64, error) {
 			curSize = half
 		}
 	}
+}
+
+// published fetches a published-tree node, at most once per weave.
+func (w *weaver) published(key NodeKey) (*Node, error) {
+	if n, ok := w.fetched[key]; ok {
+		return n, nil
+	}
+	n, err := w.store.GetNode(w.ctx, key)
+	if err != nil {
+		return nil, err
+	}
+	if w.fetched == nil {
+		w.fetched = make(map[NodeKey]*Node)
+	}
+	w.fetched[key] = n
+	return n, nil
 }

@@ -655,7 +655,7 @@ func (s *Server) maybeCompactSidecar() {
 		ages := make([]ageEntry, 0, len(s.putTimes))
 		for k, t := range s.putTimes {
 			if s.store.Has(k) {
-				ages = append(ages, ageEntry{Key: k, At: t})
+				ages = append(ages, ageEntry{Key: k, AtMs: uint64(t.UnixMilli())})
 			}
 		}
 		s.putMu.Unlock()
@@ -673,15 +673,11 @@ func (s *Server) maybeCompactSidecar() {
 			}
 		}
 		s.digMu.Unlock()
-		e := wire.NewEncoder(3*sideSectionHeader + sideAgeEntry*len(ages) + 8*len(tombs) + sideDigestEntry*len(digs))
-		putAgeSection(e, ages)
-		e.PutU8(sideRecTomb)
-		e.PutU32(uint32(len(tombs)))
-		for _, b := range tombs {
-			e.PutU64(b)
-		}
-		putDigestSection(e, digs)
-		return e.Bytes(), true
+		return encodeRecord(
+			section{kind: sideRecPutAge, ages: ages},
+			section{kind: sideRecTomb, tombs: tombs},
+			section{kind: sideRecDigest, digs: digs},
+		), true
 	})
 }
 
@@ -733,7 +729,7 @@ func (s *Server) putBatch(items []PutItem) []error {
 		now := time.Now()
 		s.putTimes[key] = now
 		s.putMu.Unlock()
-		ages = append(ages, ageEntry{Key: key, At: now})
+		ages = append(ages, ageEntry{Key: key, AtMs: uint64(now.UnixMilli())})
 		digs = append(digs, digestEntry{Key: key, Rec: rec})
 	}
 	if s.side == nil || len(ages) == 0 {

@@ -45,7 +45,7 @@ type sidecar struct {
 	compactEvery uint64
 }
 
-// Sidecar journal record types.
+// Sidecar section kinds.
 const (
 	sideRecPutAge = uint8(1)
 	sideRecTomb   = uint8(2)
@@ -91,56 +91,119 @@ func openSidecar(dir string, fsync bool) (*sidecar, map[chunk.Key]time.Time, map
 	return &sidecar{log: log, compactEvery: sidecarCompactEvery}, putTimes, tombstones, digests, nil
 }
 
-// replaySidecarRecord applies one journal record: a sequence of sections,
-// each a type byte and a count. A put batch's record is a put-age section
-// then a digest section; the compaction snapshot is a put-age, a
-// tombstone and a digest section — all replay through the same switch.
+// replaySidecarRecord applies one journal record: a run of sections. A
+// put batch's record is a put-age section then a digest section; the
+// compaction snapshot is a put-age, a tombstone and a digest section — all
+// replay through section.apply.
 func replaySidecarRecord(rec []byte, putTimes map[chunk.Key]time.Time, tombstones map[uint64]struct{}, digests map[chunk.Key]digestRec) error {
 	d := wire.NewDecoder(rec)
-	for d.Err() == nil && d.Remaining() > 0 {
-		switch kind := d.U8(); kind {
-		case sideRecPutAge:
-			cnt := d.Count(wire.MaxCount)
-			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-				k := chunk.Key{Blob: d.U64(), Version: d.U64(), Index: d.U64()}
-				ms := d.U64()
-				if d.Err() == nil {
-					putTimes[k] = time.UnixMilli(int64(ms))
-				}
-			}
-		case sideRecTomb:
-			cnt := d.Count(wire.MaxCount)
-			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-				if b := d.U64(); d.Err() == nil {
-					tombstones[b] = struct{}{}
-				}
-			}
-		case sideRecDelete:
-			cnt := d.Count(wire.MaxCount)
-			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-				k := chunk.Key{Blob: d.U64(), Version: d.U64(), Index: d.U64()}
-				if d.Err() == nil {
-					delete(putTimes, k)
-					delete(digests, k)
-				}
-			}
-		case sideRecDigest:
-			cnt := d.Count(wire.MaxCount)
-			for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-				k := chunk.Key{Blob: d.U64(), Version: d.U64(), Index: d.U64()}
-				rec := digestRec{Digest: chunk.Digest{Algo: d.U8(), Sum: d.U32()}, Length: d.U32()}
-				if d.Err() == nil {
-					digests[k] = rec
-				}
-			}
-		default:
-			return fmt.Errorf("unknown sidecar record type %d", kind)
+	c := d.Codec()
+	for d.Remaining() > 0 {
+		var sec section
+		sec.wire(c)
+		if d.Err() != nil {
+			return fmt.Errorf("corrupt sidecar record: %w", d.Err())
+		}
+		if err := sec.apply(putTimes, tombstones, digests); err != nil {
+			return err
 		}
 	}
-	if d.Err() != nil {
-		return fmt.Errorf("corrupt sidecar record: %w", d.Err())
+	return nil
+}
+
+// section is one run of a sidecar record: a kind byte, then a counted list
+// of the entries that kind carries.
+type section struct {
+	kind  uint8
+	ages  []ageEntry    // sideRecPutAge
+	tombs []uint64      // sideRecTomb: blob IDs
+	keys  []chunk.Key   // sideRecDelete
+	digs  []digestEntry // sideRecDigest
+}
+
+// wire is the section's one field list. An unknown kind codes no list, and
+// apply rejects it.
+func (sec *section) wire(c *wire.Codec) {
+	c.U8(&sec.kind)
+	switch sec.kind {
+	case sideRecPutAge:
+		wire.Slice(c, &sec.ages, wire.MaxCount, (*ageEntry).wire)
+	case sideRecTomb:
+		c.U64s(&sec.tombs, wire.MaxCount)
+	case sideRecDelete:
+		wire.Slice(c, &sec.keys, wire.MaxCount, (*chunk.Key).Wire)
+	case sideRecDigest:
+		wire.Slice(c, &sec.digs, wire.MaxCount, (*digestEntry).wire)
+	}
+}
+
+// size is the section's encoded length: the kind byte and count, then
+// each entry (only the list its kind carries is non-empty).
+func (sec *section) size() int {
+	return 5 + 32*len(sec.ages) + 8*len(sec.tombs) + 24*len(sec.keys) + 33*len(sec.digs)
+}
+
+// apply replays the section into the provider's maps.
+func (sec *section) apply(putTimes map[chunk.Key]time.Time, tombstones map[uint64]struct{}, digests map[chunk.Key]digestRec) error {
+	switch sec.kind {
+	case sideRecPutAge:
+		for _, a := range sec.ages {
+			putTimes[a.Key] = time.UnixMilli(int64(a.AtMs))
+		}
+	case sideRecTomb:
+		for _, b := range sec.tombs {
+			tombstones[b] = struct{}{}
+		}
+	case sideRecDelete:
+		for _, k := range sec.keys {
+			delete(putTimes, k)
+			delete(digests, k)
+		}
+	case sideRecDigest:
+		for _, d := range sec.digs {
+			digests[d.Key] = d.Rec
+		}
+	default:
+		return fmt.Errorf("unknown sidecar record type %d", sec.kind)
 	}
 	return nil
+}
+
+// encodeRecord codes sections, in order, as one journal record.
+func encodeRecord(secs ...section) []byte {
+	n := 0
+	for i := range secs {
+		n += secs[i].size()
+	}
+	e := wire.NewEncoder(n)
+	c := e.Codec()
+	for i := range secs {
+		secs[i].wire(c)
+	}
+	return e.Bytes()
+}
+
+// ageEntry is one chunk's put time in a put-age section.
+type ageEntry struct {
+	Key  chunk.Key
+	AtMs uint64 // unix milliseconds
+}
+
+func (a *ageEntry) wire(c *wire.Codec) {
+	a.Key.Wire(c)
+	c.U64(&a.AtMs)
+}
+
+// digestEntry is one chunk's integrity manifest in a digest section.
+type digestEntry struct {
+	Key chunk.Key
+	Rec digestRec
+}
+
+func (d *digestEntry) wire(c *wire.Codec) {
+	d.Key.Wire(c)
+	d.Rec.Digest.Wire(c)
+	c.U32(&d.Rec.Length)
 }
 
 // appendTombstones journals deleted-blob tombstones (synchronous: the
@@ -155,63 +218,10 @@ func replaySidecarRecord(rec []byte, putTimes map[chunk.Key]time.Time, tombstone
 // re-graces a chunk or leaks an age entry until the next compaction,
 // which is the documented advisory contract.
 func (s *sidecar) appendTombstones(blobs []uint64) error {
-	e := wire.NewEncoder(8 + 8*len(blobs))
-	e.PutU8(sideRecTomb)
-	e.PutU32(uint32(len(blobs)))
-	for _, b := range blobs {
-		e.PutU64(b)
-	}
+	rec := encodeRecord(section{kind: sideRecTomb, tombs: blobs})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.log.Append(e.Bytes())
-}
-
-// ageEntry is one chunk's put time in a put-age section.
-type ageEntry struct {
-	Key chunk.Key
-	At  time.Time
-}
-
-// digestEntry is one chunk's integrity manifest in a digest section.
-type digestEntry struct {
-	Key chunk.Key
-	Rec digestRec
-}
-
-// Encoded sizes of a section header (type + count) and of one entry of
-// each section.
-const (
-	sideSectionHeader = 5
-	sideAgeEntry      = 32
-	sideDigestEntry   = 33
-)
-
-// putAgeSection encodes a put-age section: the type, the count, then each
-// chunk's key and put time (unix milliseconds).
-func putAgeSection(e *wire.Encoder, ages []ageEntry) {
-	e.PutU8(sideRecPutAge)
-	e.PutU32(uint32(len(ages)))
-	for _, a := range ages {
-		e.PutU64(a.Key.Blob)
-		e.PutU64(a.Key.Version)
-		e.PutU64(a.Key.Index)
-		e.PutU64(uint64(a.At.UnixMilli()))
-	}
-}
-
-// putDigestSection encodes a digest section: the type, the count, then
-// each chunk's key, digest and exact length.
-func putDigestSection(e *wire.Encoder, digs []digestEntry) {
-	e.PutU8(sideRecDigest)
-	e.PutU32(uint32(len(digs)))
-	for _, d := range digs {
-		e.PutU64(d.Key.Blob)
-		e.PutU64(d.Key.Version)
-		e.PutU64(d.Key.Index)
-		e.PutU8(d.Rec.Digest.Algo)
-		e.PutU32(d.Rec.Digest.Sum)
-		e.PutU32(d.Rec.Length)
-	}
+	return s.log.Append(rec)
 }
 
 // appendChunkState journals put ages and digests as ONE record: a put-age
@@ -219,28 +229,20 @@ func putDigestSection(e *wire.Encoder, digs []digestEntry) {
 // lock whose RAM updates it journals held, so WAL order is RAM-apply
 // order; the returned wait commits outside it.
 func (s *sidecar) appendChunkState(ages []ageEntry, digs []digestEntry) func() error {
-	e := wire.NewEncoder(2*sideSectionHeader + sideAgeEntry*len(ages) + sideDigestEntry*len(digs))
+	secs := make([]section, 0, 2)
 	if len(ages) > 0 {
-		putAgeSection(e, ages)
+		secs = append(secs, section{kind: sideRecPutAge, ages: ages})
 	}
 	if len(digs) > 0 {
-		putDigestSection(e, digs)
+		secs = append(secs, section{kind: sideRecDigest, digs: digs})
 	}
-	return s.log.AppendAsync(e.Bytes())
+	return s.log.AppendAsync(encodeRecord(secs...))
 }
 
 // appendDeletes journals put-age removals for deleted chunks so a replay
 // does not resurrect (and leak) their entries.
 func (s *sidecar) appendDeletes(keys []chunk.Key) func() error {
-	e := wire.NewEncoder(8 + 24*len(keys))
-	e.PutU8(sideRecDelete)
-	e.PutU32(uint32(len(keys)))
-	for _, k := range keys {
-		e.PutU64(k.Blob)
-		e.PutU64(k.Version)
-		e.PutU64(k.Index)
-	}
-	return s.log.AppendAsync(e.Bytes())
+	return s.log.AppendAsync(encodeRecord(section{kind: sideRecDelete, keys: keys}))
 }
 
 // maybeCompact snapshots live state and truncates the log once it has

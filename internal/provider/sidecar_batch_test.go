@@ -10,7 +10,6 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/durable"
 	"repro/internal/rpc"
-	"repro/internal/wire"
 )
 
 // sidecarRig is a provider over a disk store with an fsync'd sidecar,
@@ -220,11 +219,11 @@ func TestSidecarMixedBatchReplaysAckedChunksOnly(t *testing.T) {
 	}
 }
 
-// The batch record is the sidecar's existing multi-section layout — a
-// put-age section then a digest section — so replaySidecarRecord reads it
-// unchanged, and its bytes are exactly that layout encoded field by field.
-// A digest backfill (a legacy chunk's first clean read) journals a lone
-// digest section and leaves the chunk's put age alone.
+// The batch record is the sidecar's multi-section layout — a put-age
+// section then a digest section — so replaySidecarRecord reads it
+// unchanged. A digest backfill (a legacy chunk's first clean read)
+// journals a lone digest section and leaves the chunk's put age alone.
+// TestSidecarFormatFrozen pins the bytes of each section.
 func TestSidecarBatchRecordLayout(t *testing.T) {
 	r := newSidecarRig(t)
 	items := []PutItem{
@@ -234,28 +233,15 @@ func TestSidecarBatchRecordLayout(t *testing.T) {
 	if errs, err := PutChunks(r.cli, "dp", items); err != nil || errs[0] != nil || errs[1] != nil {
 		t.Fatalf("putchunks: %v %v", errs, err)
 	}
-	want := wire.NewEncoder(0)
-	want.PutU8(1) // put-age section
-	want.PutU32(uint32(len(items)))
+	var ages []ageEntry
+	var digs []digestEntry
 	r.srv.putMu.Lock()
 	for _, it := range items {
-		want.PutU64(it.Key.Blob)
-		want.PutU64(it.Key.Version)
-		want.PutU64(it.Key.Index)
-		want.PutU64(uint64(r.srv.putTimes[it.Key].UnixMilli()))
+		ages = append(ages, ageEntry{Key: it.Key, AtMs: uint64(r.srv.putTimes[it.Key].UnixMilli())})
+		digs = append(digs, digestEntry{Key: it.Key, Rec: digestRec{Digest: chunk.DigestOf(it.Data), Length: uint32(len(it.Data))}})
 	}
 	r.srv.putMu.Unlock()
-	want.PutU8(4) // digest section
-	want.PutU32(uint32(len(items)))
-	for _, it := range items {
-		dg := chunk.DigestOf(it.Data)
-		want.PutU64(it.Key.Blob)
-		want.PutU64(it.Key.Version)
-		want.PutU64(it.Key.Index)
-		want.PutU8(dg.Algo)
-		want.PutU32(dg.Sum)
-		want.PutU32(uint32(len(it.Data)))
-	}
+	want := encodeRecord(section{kind: sideRecPutAge, ages: ages}, section{kind: sideRecDigest, digs: digs})
 	legacy, legacyData := chunk.Key{Blob: 3, Version: 1, Index: 0}, fill(22, 500)
 	if err := r.srv.Store().Put(legacy, legacyData); err != nil {
 		t.Fatal(err)
@@ -263,16 +249,9 @@ func TestSidecarBatchRecordLayout(t *testing.T) {
 	if _, err := GetChunk(r.cli, "dp", legacy); err != nil {
 		t.Fatal(err)
 	}
-	wantBackfill := wire.NewEncoder(0)
-	wantBackfill.PutU8(4)
-	wantBackfill.PutU32(1)
-	wantBackfill.PutU64(legacy.Blob)
-	wantBackfill.PutU64(legacy.Version)
-	wantBackfill.PutU64(legacy.Index)
-	dg := chunk.DigestOf(legacyData)
-	wantBackfill.PutU8(dg.Algo)
-	wantBackfill.PutU32(dg.Sum)
-	wantBackfill.PutU32(uint32(len(legacyData)))
+	wantBackfill := encodeRecord(section{kind: sideRecDigest, digs: []digestEntry{
+		{Key: legacy, Rec: digestRec{Digest: chunk.DigestOf(legacyData), Length: uint32(len(legacyData))}},
+	}})
 	r.srv.Close()
 
 	log, rec, err := durable.Open(r.sideDir, durable.Options{})
@@ -283,11 +262,11 @@ func TestSidecarBatchRecordLayout(t *testing.T) {
 	if rec.Snapshot != nil || len(rec.Records) != 2 {
 		t.Fatalf("sidecar holds snapshot %v and %d records, want two records", rec.Snapshot != nil, len(rec.Records))
 	}
-	if !bytes.Equal(rec.Records[0], want.Bytes()) {
-		t.Fatalf("batch record bytes differ from the put-age + digest section layout:\n got %x\nwant %x", rec.Records[0], want.Bytes())
+	if !bytes.Equal(rec.Records[0], want) {
+		t.Fatalf("batch record bytes differ from the put-age + digest section layout:\n got %x\nwant %x", rec.Records[0], want)
 	}
-	if !bytes.Equal(rec.Records[1], wantBackfill.Bytes()) {
-		t.Fatalf("backfill record bytes differ from a one-key digest section:\n got %x\nwant %x", rec.Records[1], wantBackfill.Bytes())
+	if !bytes.Equal(rec.Records[1], wantBackfill) {
+		t.Fatalf("backfill record bytes differ from a one-key digest section:\n got %x\nwant %x", rec.Records[1], wantBackfill)
 	}
 	putTimes := make(map[chunk.Key]time.Time)
 	digests := make(map[chunk.Key]digestRec)

@@ -46,7 +46,7 @@ func TestSidecarFormatFrozen(t *testing.T) {
 	ctx := context.Background()
 	r := newSidecarRig(t)
 	if err := r.srv.side.appendChunkState(
-		[]ageEntry{{Key: frozenKeyA, At: frozenAtA}, {Key: frozenKeyB, At: frozenAtB}},
+		[]ageEntry{{Key: frozenKeyA, AtMs: uint64(frozenAtA.UnixMilli())}, {Key: frozenKeyB, AtMs: uint64(frozenAtB.UnixMilli())}},
 		[]digestEntry{{Key: frozenKeyA, Rec: frozenDigA}, {Key: frozenKeyB, Rec: frozenDigB}},
 	)(); err != nil {
 		t.Fatal(err)

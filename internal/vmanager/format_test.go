@@ -3,6 +3,7 @@ package vmanager
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 	"time"
 
@@ -38,11 +39,6 @@ var frozenRecords = []struct{ kind, hex string }{
 
 // frozenSnapshot is the snapshot of the manager frozenScript leaves.
 const frozenSnapshot = "03030000000000000003000000000000000400000000000000050000000000000006000000000000000100000000000000070000000000000009000000766d2d613a3434303002000000010000000000000000040000000000000200000000000000000000000300000000000000ac0d0000000000000200000000000000020000000000000002000000000000000200000000000000030000000000000000000300000000000000000000000300000000000000b80b000000000000030000000000000000000000000000000100044c0f000000000000d00700000000000001000000000000000200000000000000b80b000000000000030000000000000001000000000000000101bc570f000000000001881300000000000002000000000000000400000000000000ac0d000000000000040000000000000001000000000000000100044c0f000000000000d007000000000000020000000000000000020000000000000100000000000000000000000000000000000000000000000000000000000000000000000100000000000000000000000000000001000000000000000000000000000000010000000000"
-
-// frozenPreHAAssign is an assign record as journals written before
-// per-version lease TTLs hold it: no trailing TTL field. Blob 1, version 1,
-// chunks [0, 1), 100 bytes, lease deadline 1000500 ms.
-const frozenPreHAAssign = "020100000000000000010000000000000000000000000000000100000000000000640000000000000001000000000000000000000000000000640000000000000034440f0000000000"
 
 // frozenScript performs one transition of every journaled kind on m under
 // a fixed clock.
@@ -136,8 +132,7 @@ func TestJournalFormatFrozen(t *testing.T) {
 }
 
 // TestJournalReplayFrozen: the frozen records replay to the frozen
-// snapshot, the frozen snapshot decodes and re-encodes byte for byte, and
-// a pre-HA assign record still replays (with no negotiated TTL).
+// snapshot, and the frozen snapshot decodes and re-encodes byte for byte.
 func TestJournalReplayFrozen(t *testing.T) {
 	dir := t.TempDir()
 	var hexRecs []string
@@ -162,17 +157,48 @@ func TestJournalReplayFrozen(t *testing.T) {
 	if got, _ := fresh.encodeSnapshotOpt(false); !bytes.Equal(got, snap) {
 		t.Errorf("snapshot round trip\n got %x\nwant %s", got, frozenSnapshot)
 	}
+}
 
-	dir = t.TempDir()
-	writeJournal(t, dir, frozenRecords[0].hex, frozenPreHAAssign)
-	m = openM(t, dir)
-	defer m.Close()
-	b, err := m.blob(1)
+// TestOpenManagerRejectsRetiredFormats: a journal from before snapshot
+// format 3 is refused by name, not read. A format-2 snapshot and an assign
+// record without its lease TTL each fail OpenManager with
+// errJournalFormat.
+func TestOpenManagerRejectsRetiredFormats(t *testing.T) {
+	snap := mustHex(t, frozenSnapshot)
+	snap[0] = 2
+	dir := t.TempDir()
+	log, _, err := durable.Open(dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vi := b.vi(1)
-	if vi.leaseUntil != 1_000_500 || vi.leaseTTLMs != 0 || vi.sizeBytes != 100 || !vi.committed || !vi.failed {
-		t.Fatalf("pre-HA assign replayed to %+v, want a lapsed 100-byte lease aborted on open", *vi)
+	if err := log.Compact(snap); err != nil {
+		t.Fatal(err)
 	}
+	log.Close()
+	if m, err := OpenManager(dir, Options{}); !errors.Is(err, errJournalFormat) {
+		if m != nil {
+			m.Close()
+		}
+		t.Fatalf("OpenManager over a format-2 snapshot = %v, want errJournalFormat", err)
+	}
+
+	// The first frozen assign record with its trailing lease TTL cut off.
+	assign := frozenRecords[1].hex
+	dir = t.TempDir()
+	writeJournal(t, dir, frozenRecords[0].hex, assign[:len(assign)-16])
+	if m, err := OpenManager(dir, Options{}); !errors.Is(err, errJournalFormat) {
+		if m != nil {
+			m.Close()
+		}
+		t.Fatalf("OpenManager over a TTL-less assign record = %v, want errJournalFormat", err)
+	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

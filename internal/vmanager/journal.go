@@ -1,9 +1,11 @@
 package vmanager
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/durable"
 	"repro/internal/wire"
@@ -50,19 +52,26 @@ const (
 	recEpoch = uint8(11)
 )
 
-// snapFormat versions the snapshot encoding. Format 2 added the per-version
-// lease deadline and woven flag; format 3 added the leadership epoch and
-// the per-version granted lease TTL. Older formats still decode (their
-// versions simply carry no lease / no epoch).
+// snapFormat versions the snapshot encoding. It is the only format read:
+// a journal from before it (a snapshot in format 1 or 2, an assign record
+// without its lease TTL) fails OpenManager with errJournalFormat.
 const snapFormat = uint8(3)
 
-// defaultCompactEvery bounds WAL growth: after this many records the next
+// journalCompactEvery bounds WAL growth: after this many records the next
 // mutation triggers a snapshot + log compaction.
-const defaultCompactEvery = 1 << 14
+const journalCompactEvery = 1 << 14
 
 // errJournalCorrupt reports a WAL whose records are internally
 // inconsistent (CRC-valid frames that do not decode or do not apply).
 var errJournalCorrupt = errors.New("vmanager: corrupt journal record")
+
+// errJournalFormat reports a journal written in a format this build no
+// longer reads.
+var errJournalFormat = errors.New("vmanager: journal format no longer read")
+
+// preHAAssignLen is the length of an assign record without its lease TTL:
+// the kind byte and nine u64 fields.
+const preHAAssignLen = 1 + 9*8
 
 // Options tune a persistent Manager.
 type Options struct {
@@ -70,9 +79,6 @@ type Options struct {
 	// reach the OS immediately (they survive process crashes, not machine
 	// crashes); snapshots are always fsynced.
 	Fsync bool
-	// CompactEvery is the WAL record count that triggers automatic
-	// snapshot + compaction (0 = a sensible default).
-	CompactEvery uint64
 }
 
 // OpenManager opens (creating if needed) a durable version manager rooted
@@ -82,15 +88,11 @@ type Options struct {
 // either dead (their work is reclaimed by the orphan sweep) or will
 // observe a commit failure and retry the write.
 func OpenManager(dir string, opts Options) (*Manager, error) {
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = defaultCompactEvery
-	}
 	log, rec, err := durable.Open(dir, durable.Options{Fsync: opts.Fsync})
 	if err != nil {
 		return nil, err
 	}
 	m := NewManager()
-	m.compactEvery = opts.CompactEvery
 	if rec.Snapshot != nil {
 		if err := m.decodeSnapshot(rec.Snapshot); err != nil {
 			log.Close()
@@ -151,7 +153,7 @@ func (m *Manager) journalEnd() {
 }
 
 // maybeCompact runs a snapshot + log compaction once the WAL has grown
-// past the configured threshold. Called outside all locks after a
+// past compactEvery records. Called outside all locks after a
 // mutation; safe under concurrency (the worst case is two back-to-back
 // compactions).
 func (m *Manager) maybeCompact() {
@@ -219,7 +221,7 @@ func (m *Manager) abortInFlight() error {
 //	recCreate    blob, n = chunk size, replication (u32)
 //	recAssign    blob, version, vi (start/end chunk, size bytes/chunks,
 //	             assign-time snapshot), n = assigned size, vi lease
-//	             deadline, vi lease TTL (absent in pre-HA journals)
+//	             deadline, vi lease TTL
 //	recCommit    blob, version
 //	recAbort     blob, version, flag = woven (bool)
 //	recRetention blob, n = keepLast
@@ -246,9 +248,7 @@ type record struct {
 	leader      string
 }
 
-// wire is the record's one field list, in the layout above. The lease
-// TTL of an assign sits under Tail: pre-HA journals end the record
-// before it.
+// wire is the record's one field list, in the layout above.
 func (r *record) wire(c *wire.Codec) {
 	c.U8(&r.kind)
 	if r.kind == recEpoch {
@@ -270,9 +270,7 @@ func (r *record) wire(c *wire.Codec) {
 		c.U64(&r.vi.assignPub)
 		c.U64(&r.n)
 		c.U64(&r.vi.leaseUntil)
-		if c.Tail() {
-			c.U64(&r.vi.leaseTTLMs)
-		}
+		c.U64(&r.vi.leaseTTLMs)
 	case recCommit, recWoven:
 		c.U64(&r.version)
 	case recAbort:
@@ -307,6 +305,9 @@ func decodeRecord(buf []byte) (record, error) {
 		return r, fmt.Errorf("%w: unknown record type %d", errJournalCorrupt, r.kind)
 	}
 	if d.Err() != nil {
+		if r.kind == recAssign && len(buf) == preHAAssignLen {
+			return r, fmt.Errorf("%w: assign record without a lease TTL", errJournalFormat)
+		}
 		return r, errJournalCorrupt
 	}
 	return r, nil
@@ -441,131 +442,112 @@ func (m *Manager) encodeSnapshotOpt(compact bool) ([]byte, uint64) {
 	ei := m.epochView()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := wire.NewEncoder(1024)
-	e.PutU8(snapFormat)
-	e.PutU64(m.nextID)
+	s := snapshot{format: snapFormat, nextID: m.nextID, epoch: ei.epoch, leader: ei.leader, compact: compact}
 	m.maintMu.Lock()
-	for _, v := range m.maint[:journaledCounters] {
-		e.PutU64(v)
-	}
+	copy(s.maint[:], m.maint[:journaledCounters])
 	m.maintMu.Unlock()
-	e.PutU64(ei.epoch)
-	e.PutString(ei.leader)
-	ids := make([]uint64, 0, len(m.blobs))
-	for id := range m.blobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.PutU32(uint32(len(ids)))
-	var dropped uint64
-	for _, id := range ids {
-		b := m.blobs[id]
-		b.mu.Lock()
-		if compact {
-			dropped += b.compactHistoryLocked()
-		}
-		e.PutU64(b.id)
-		e.PutU64(b.chunkSize)
-		e.PutU32(b.replication)
-		e.PutU64(b.base)
-		e.PutU64(b.published)
-		e.PutU64(b.assignedSizeBytes)
-		e.PutU64(b.keepLast)
-		e.PutU64(b.retainFrom)
-		e.PutU64(b.wantFloor)
-		e.PutU64(b.reclaimedTo)
-		e.PutU64(b.finishGen)
-		e.PutBool(b.deleted)
-		e.PutBool(b.deletedSwept)
-		e.PutU32(uint32(len(b.versions)))
-		for i := range b.versions {
-			vi := &b.versions[i]
-			e.PutU64(vi.startChunk)
-			e.PutU64(vi.endChunk)
-			e.PutU64(vi.sizeBytes)
-			e.PutU64(vi.sizeChunks)
-			e.PutU64(vi.assignPub)
-			e.PutBool(vi.committed)
-			e.PutBool(vi.failed)
-			e.PutU64(vi.leaseUntil)
-			e.PutBool(vi.woven)
-			e.PutU64(vi.leaseTTLMs)
-		}
-		b.mu.Unlock()
-	}
-	return e.Bytes(), dropped
+	s.blobs = slices.SortedFunc(maps.Values(m.blobs), func(a, b *blobState) int { return cmp.Compare(a.id, b.id) })
+	e := wire.NewEncoder(1024)
+	s.wire(e.Codec())
+	return e.Bytes(), s.dropped
 }
 
 // decodeSnapshot rebuilds manager state from a snapshot payload.
 func (m *Manager) decodeSnapshot(snap []byte) error {
+	var s snapshot
 	d := wire.NewDecoder(snap)
-	format := d.U8()
-	if format < 1 || format > snapFormat {
-		return fmt.Errorf("vmanager: unknown snapshot format %d", format)
-	}
-	m.nextID = d.U64()
-	for id := range m.maint[:journaledCounters] {
-		m.maint[id] = d.U64()
-	}
-	if format >= 3 {
-		epoch := d.U64()
-		leader := d.String()
-		if epoch > 0 {
-			m.adoptEpochInfo(epoch, leader)
-		}
-	}
-	// Counts go through Codec.Count, which holds them to the bytes left,
-	// so a corrupt count fails the decode instead of sizing an allocation.
-	c := d.Codec()
-	var numBlobs int
-	c.Count(&numBlobs, wire.MaxCount)
+	s.wire(d.Codec())
 	if d.Err() != nil {
-		return fmt.Errorf("vmanager: corrupt snapshot header: %w", d.Err())
+		return fmt.Errorf("vmanager: corrupt snapshot: %w", d.Err())
 	}
-	for i := range numBlobs {
-		id := d.U64()
-		chunkSize := d.U64()
-		replication := d.U32()
-		b := newBlobState(id, chunkSize, replication)
-		b.base = d.U64()
-		b.published = d.U64()
-		b.assignedSizeBytes = d.U64()
-		b.keepLast = d.U64()
-		b.retainFrom = d.U64()
-		b.wantFloor = d.U64()
-		b.reclaimedTo = d.U64()
-		b.finishGen = d.U64()
-		b.deleted = d.Bool()
-		b.deletedSwept = d.Bool()
-		var numVers int
-		c.Count(&numVers, wire.MaxCount)
-		if d.Err() != nil {
-			return fmt.Errorf("vmanager: corrupt snapshot blob %d: %w", i, d.Err())
-		}
-		b.versions = make([]verInfo, numVers)
-		for v := range b.versions {
-			vi := &b.versions[v]
-			vi.startChunk = d.U64()
-			vi.endChunk = d.U64()
-			vi.sizeBytes = d.U64()
-			vi.sizeChunks = d.U64()
-			vi.assignPub = d.U64()
-			vi.committed = d.Bool()
-			vi.failed = d.Bool()
-			if format >= 2 {
-				vi.leaseUntil = d.U64()
-				vi.woven = d.Bool()
-			}
-			if format >= 3 {
-				vi.leaseTTLMs = d.U64()
-			}
-		}
-		if d.Err() != nil {
-			return fmt.Errorf("vmanager: corrupt snapshot blob %d versions: %w", id, d.Err())
-		}
-		m.blobs[id] = b
+	if s.format != snapFormat {
+		return fmt.Errorf("%w: snapshot format %d", errJournalFormat, s.format)
+	}
+	m.nextID = s.nextID
+	copy(m.maint[:journaledCounters], s.maint[:])
+	if s.epoch > 0 {
+		m.adoptEpochInfo(s.epoch, s.leader)
+	}
+	for _, b := range s.blobs {
+		m.blobs[b.id] = b
 	}
 	return nil
+}
+
+// snapshot is the snapshot's one field list: a header (the format, the
+// blob ID allocator, the journaled GC counters and the leadership epoch),
+// then every blob. Its list counts go through wire.Slice, which holds them
+// to the bytes left, so a corrupt count fails the decode instead of sizing
+// an allocation.
+type snapshot struct {
+	format  uint8
+	nextID  uint64
+	maint   [journaledCounters]uint64
+	epoch   uint64
+	leader  string
+	blobs   []*blobState
+	compact bool   // encoding: fold each blob's reclaimed history first
+	dropped uint64 // encoding: verInfo entries the folding dropped
+}
+
+func (s *snapshot) wire(c *wire.Codec) {
+	c.U8(&s.format)
+	if s.format != snapFormat {
+		return // only when decoding; decodeSnapshot rejects the format
+	}
+	c.U64(&s.nextID)
+	for i := range s.maint {
+		c.U64(&s.maint[i])
+	}
+	c.U64(&s.epoch)
+	c.String(&s.leader)
+	wire.Slice(c, &s.blobs, wire.MaxCount, s.blob)
+}
+
+// blob codes one blob under its lock, after folding its reclaimed history
+// when the snapshot compacts. A decoded blob starts from newBlobState.
+func (s *snapshot) blob(b **blobState, c *wire.Codec) {
+	if *b == nil {
+		*b = newBlobState(0, 0, 0)
+	}
+	(*b).mu.Lock()
+	defer (*b).mu.Unlock()
+	if s.compact {
+		s.dropped += (*b).compactHistoryLocked()
+	}
+	(*b).wire(c)
+}
+
+// wire is a blob's field list in the snapshot.
+func (b *blobState) wire(c *wire.Codec) {
+	c.U64(&b.id)
+	c.U64(&b.chunkSize)
+	c.U32(&b.replication)
+	c.U64(&b.base)
+	c.U64(&b.published)
+	c.U64(&b.assignedSizeBytes)
+	c.U64(&b.keepLast)
+	c.U64(&b.retainFrom)
+	c.U64(&b.wantFloor)
+	c.U64(&b.reclaimedTo)
+	c.U64(&b.finishGen)
+	c.Bool(&b.deleted)
+	c.Bool(&b.deletedSwept)
+	wire.Slice(c, &b.versions, wire.MaxCount, (*verInfo).wire)
+}
+
+// wire is a version descriptor's field list in the snapshot.
+func (vi *verInfo) wire(c *wire.Codec) {
+	c.U64(&vi.startChunk)
+	c.U64(&vi.endChunk)
+	c.U64(&vi.sizeBytes)
+	c.U64(&vi.sizeChunks)
+	c.U64(&vi.assignPub)
+	c.Bool(&vi.committed)
+	c.Bool(&vi.failed)
+	c.U64(&vi.leaseUntil)
+	c.Bool(&vi.woven)
+	c.U64(&vi.leaseTTLMs)
 }
 
 // compactHistoryLocked folds fully reclaimed version history into the

@@ -320,16 +320,17 @@ func TestReopenAfterCompactingSweptDeletedBlob(t *testing.T) {
 
 func TestAutoCompactionBoundsJournal(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManager(dir, Options{CompactEvery: 64})
+	m, err := OpenManager(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.compactEvery = 64
 	b, _ := m.Create(32, 1)
 	for i := 0; i < 200; i++ {
 		assignCommit(t, m, b, 32)
 	}
 	if got := m.j.Records(); got > 64+2 {
-		t.Errorf("journal holds %d records despite CompactEvery=64", got)
+		t.Errorf("journal holds %d records despite compactEvery=64", got)
 	}
 	m.Close()
 	re := openM(t, dir)

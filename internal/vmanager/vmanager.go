@@ -238,7 +238,7 @@ type Manager struct {
 // NewManager creates an empty, volatile version manager (state dies with
 // the process; see OpenManager for the durable variant).
 func NewManager() *Manager {
-	return &Manager{blobs: make(map[uint64]*blobState), nextID: 1, compactEvery: defaultCompactEvery, now: time.Now}
+	return &Manager{blobs: make(map[uint64]*blobState), nextID: 1, compactEvery: journalCompactEvery, now: time.Now}
 }
 
 // Create registers a new blob with the given chunk size and replication

@@ -16,10 +16,10 @@
 //     r.Wire(d.Codec()), and a field group that several messages share
 //     (a chunk key, a digest, a tree-node key) has a Wire method of its
 //     own, used by all of them.
-//   - Field order is the format. Reordering, retyping or removing a field
-//     changes the bytes on the wire and on disk.
-//   - A new field is appended at the end and read under Tail(), so bodies
-//     written before it still decode.
+//   - Field order is the format. Reordering, retyping, adding or removing
+//     a field changes the bytes on the wire and on disk, and bodies
+//     written before the change no longer decode. Frozen-byte tests pin
+//     every message and every on-disk format.
 //   - Every list goes through Count or Slice with a named bound: the
 //     protocol's own limit where it has one (meta.MaxReplicas,
 //     pmanager.MaxAllocateChunks), MaxCount otherwise. Count also holds a
@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -39,8 +38,8 @@ import (
 var ErrTruncated = errors.New("wire: truncated message")
 
 // ErrTooLarge is reported when a length prefix exceeds MaxChunk, or an
-// element count exceeds the bound its decoder names (Decoder.Count) or,
-// through Codec.Count, the bytes left in the body.
+// element count (Codec.Count) exceeds the bound its decoder names or the
+// bytes left in the body.
 var ErrTooLarge = errors.New("wire: length prefix too large")
 
 // MaxChunk bounds any single length-prefixed field. It exists so a corrupt
@@ -82,11 +81,6 @@ func (e *Encoder) PutBool(v bool) {
 	}
 }
 
-// PutU16 appends a little-endian uint16.
-func (e *Encoder) PutU16(v uint16) {
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-}
-
 // PutU32 appends a little-endian uint32.
 func (e *Encoder) PutU32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
@@ -96,12 +90,6 @@ func (e *Encoder) PutU32(v uint32) {
 func (e *Encoder) PutU64(v uint64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
-
-// PutI64 appends a little-endian int64.
-func (e *Encoder) PutI64(v int64) { e.PutU64(uint64(v)) }
-
-// PutF64 appends an IEEE-754 float64.
-func (e *Encoder) PutF64(v float64) { e.PutU64(math.Float64bits(v)) }
 
 // PutBytes appends a u32 length prefix followed by the raw bytes.
 func (e *Encoder) PutBytes(b []byte) {
@@ -186,15 +174,6 @@ func (d *Decoder) U8() uint8 {
 // Bool decodes a bool encoded as one byte.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// U16 decodes a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U32 decodes a little-endian uint32.
 func (d *Decoder) U32() uint32 {
 	b := d.take(4)
@@ -213,10 +192,10 @@ func (d *Decoder) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// Count decodes a u32 element count bounded by max. A larger count is
+// count decodes a u32 element count bounded by max. A larger count is
 // corruption: it latches ErrTooLarge and returns 0, so the decode fails
 // instead of reading on with a clamped count.
-func (d *Decoder) Count(max uint32) uint32 {
+func (d *Decoder) count(max uint32) uint32 {
 	n := d.U32()
 	if n > max {
 		d.err = ErrTooLarge
@@ -224,12 +203,6 @@ func (d *Decoder) Count(max uint32) uint32 {
 	}
 	return n
 }
-
-// I64 decodes a little-endian int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// F64 decodes an IEEE-754 float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Bytes decodes a u32-length-prefixed byte slice. The returned slice
 // aliases the Decoder's buffer, so it is only as stable as that buffer;
@@ -373,17 +346,11 @@ func (c *Codec) Count(n *int, max int) {
 		c.e.PutU32(uint32(*n))
 		return
 	}
-	*n = int(c.d.Count(uint32(max)))
+	*n = int(c.d.count(uint32(max)))
 	if *n > c.d.Remaining() {
 		c.d.err, *n = ErrTooLarge, 0
 	}
 }
-
-// Tail reports whether the optional fields at the end of a body follow:
-// always when encoding, and when decoding only if bytes are left. Fields
-// appended to a message after it first shipped go under Tail, so bodies
-// written before them still decode.
-func (c *Codec) Tail() bool { return c.d == nil || c.d.Remaining() > 0 }
 
 // ok reports whether decoding has not failed (always, when encoding).
 func (c *Codec) ok() bool { return c.d == nil || c.d.err == nil }

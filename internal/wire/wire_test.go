@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -13,11 +12,8 @@ func TestRoundTripScalars(t *testing.T) {
 	enc.PutU8(0xAB)
 	enc.PutBool(true)
 	enc.PutBool(false)
-	enc.PutU16(0xBEEF)
 	enc.PutU32(0xDEADBEEF)
 	enc.PutU64(0x0123456789ABCDEF)
-	enc.PutI64(-42)
-	enc.PutF64(3.14159)
 	enc.PutString("blobseer")
 	enc.PutBytes([]byte{1, 2, 3})
 	enc.PutBytes(nil)
@@ -29,20 +25,11 @@ func TestRoundTripScalars(t *testing.T) {
 	if !dec.Bool() || dec.Bool() {
 		t.Errorf("Bool sequence mismatch")
 	}
-	if got := dec.U16(); got != 0xBEEF {
-		t.Errorf("U16 = %#x", got)
-	}
 	if got := dec.U32(); got != 0xDEADBEEF {
 		t.Errorf("U32 = %#x", got)
 	}
 	if got := dec.U64(); got != 0x0123456789ABCDEF {
 		t.Errorf("U64 = %#x", got)
-	}
-	if got := dec.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := dec.F64(); got != 3.14159 {
-		t.Errorf("F64 = %v", got)
 	}
 	if got := dec.String(); got != "blobseer" {
 		t.Errorf("String = %q", got)
@@ -101,10 +88,10 @@ func TestOversizedLengthPrefix(t *testing.T) {
 	enc.PutU32(7)
 	enc.PutU32(8)
 	dec = NewDecoder(enc.Bytes())
-	if n := dec.Count(7); n != 7 || dec.Err() != nil {
+	if n := dec.count(7); n != 7 || dec.Err() != nil {
 		t.Errorf("Count(7) of 7 = %d, %v", n, dec.Err())
 	}
-	if n := dec.Count(7); n != 0 || dec.Err() != ErrTooLarge {
+	if n := dec.count(7); n != 0 || dec.Err() != ErrTooLarge {
 		t.Errorf("Count(7) of 8 = %d, %v; want 0, ErrTooLarge", n, dec.Err())
 	}
 }
@@ -165,27 +152,24 @@ func TestBytesCapped(t *testing.T) {
 	}
 }
 
-// property: any sequence of (u64, string, bytes, f64) encodes and decodes
-// identically.
+// property: any sequence of (u64, string, bytes, bool) encodes and
+// decodes identically.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(a uint64, s string, b []byte, x float64, flag bool) bool {
+	f := func(a uint64, s string, b []byte, flag bool) bool {
 		enc := NewEncoder(0)
 		enc.PutU64(a)
 		enc.PutString(s)
 		enc.PutBytes(b)
-		enc.PutF64(x)
 		enc.PutBool(flag)
 		dec := NewDecoder(enc.Bytes())
 		ga := dec.U64()
 		gs := dec.String()
 		gb := dec.Bytes()
-		gx := dec.F64()
 		gf := dec.Bool()
 		if dec.Err() != nil || dec.Remaining() != 0 {
 			return false
 		}
-		sameF := gx == x || (math.IsNaN(gx) && math.IsNaN(x))
-		return ga == a && gs == s && bytes.Equal(gb, b) && sameF && gf == flag
+		return ga == a && gs == s && bytes.Equal(gb, b) && gf == flag
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -251,7 +235,6 @@ type codecMsg struct {
 	Copy []byte
 	IDs  []uint64
 	Tags []string
-	Opt  uint64 // appended later: read under Tail
 }
 
 func (m *codecMsg) Encode(e *Encoder) { m.Wire(e.Codec()) }
@@ -266,13 +249,10 @@ func (m *codecMsg) Wire(c *Codec) {
 	c.BytesCopy(&m.Copy)
 	c.U64s(&m.IDs, 4)
 	c.Strings(&m.Tags, MaxCount)
-	if c.Tail() {
-		c.U64(&m.Opt)
-	}
 }
 
 func TestCodecFieldList(t *testing.T) {
-	in := codecMsg{A: 1, B: true, C: 3, D: 4, S: "five", Raw: []byte{6}, Copy: []byte{7, 8}, IDs: []uint64{9, 10}, Tags: []string{"", "x"}, Opt: 11}
+	in := codecMsg{A: 1, B: true, C: 3, D: 4, S: "five", Raw: []byte{6}, Copy: []byte{7, 8}, IDs: []uint64{9, 10}, Tags: []string{"", "x"}}
 	body := Marshal(&in)
 	var out codecMsg
 	if err := Unmarshal(body, &out); err != nil {
@@ -280,11 +260,6 @@ func TestCodecFieldList(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("decoded %+v, want %+v", out, in)
-	}
-	// A body written before Opt was appended decodes with Opt zero.
-	out = codecMsg{}
-	if err := Unmarshal(body[:len(body)-8], &out); err != nil || out.Opt != 0 || out.Tags[1] != "x" {
-		t.Fatalf("pre-Opt body: %+v, %v", out, err)
 	}
 	// Empty lists and an empty copied slice decode as nil.
 	out = codecMsg{IDs: []uint64{1}, Copy: []byte{1}}
