@@ -146,10 +146,7 @@ func TestJournalReplayFrozen(t *testing.T) {
 	}
 	m.Close()
 
-	snap, err := hex.DecodeString(frozenSnapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := mustHex(t, frozenSnapshot)
 	fresh := NewManager()
 	if err := fresh.decodeSnapshot(snap); err != nil {
 		t.Fatal(err)
