@@ -35,6 +35,10 @@ vet:
 # snapshot and the provider sidecar are coded through their wire.Codec
 # lists, never hand-written Put/read calls, and no decoder reads an
 # optional tail (only the current formats decode).
+# One maintenance host: a maintenance engine and its loop are assembled in
+# internal/node alone (NewMaint, behind blobseerd -role maint, blobseer-cli
+# maint and the cluster harness), so no other process grows a loop of its
+# own.
 # And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
@@ -49,6 +53,7 @@ guard:
 	@! grep -rnE 'GetChunkRangeCtx|GetChunkRange\(' --include='*.go' internal/core
 	@! grep -rnE '\.Put(U8|U16|U32|U64|Bool|String)\(|\.(U8|U16|U32|U64|Bool|String|Count)\(\)' --include='*.go' --exclude='*_test.go' internal/vmanager internal/provider
 	@! grep -rn '\.Tail()' --include='*.go' .
+	@! grep -rnE 'maint\.(New|StartLoop)\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|maint)/'
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro

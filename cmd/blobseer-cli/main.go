@@ -20,9 +20,9 @@
 // verify (rate-limited bit-rot scrub; what it quarantines is healed by
 // the same pass) — or of all three over one shared walk:
 //
-//	blobseer-cli ... maint reclaim -orphan-grace 5m
-//	blobseer-cli ... maint replicate -high 0.85 -low 0.70
-//	blobseer-cli ... maint verify -rate-mb 32
+//	blobseer-cli ... maint reclaim -gc-orphan-grace 5m
+//	blobseer-cli ... maint replicate -fullness-watermark 0.85 -repair-low 0.70
+//	blobseer-cli ... maint verify -scrub-rate-mb 32
 //	blobseer-cli ... maint all
 //	blobseer-cli ... maint-stats                   # cumulative totals (all engines)
 //
@@ -66,7 +66,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/maint"
-	"repro/internal/meta"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pmanager"
 	"repro/internal/provider"
@@ -215,38 +215,21 @@ func main() {
 		must(client.DeleteBlob(*id))
 		fmt.Printf("blob %d deleted (space returns on the next reclaim pass)\n", *id)
 	case "maint":
+		// The same flags and engine assembly as blobseerd -role maint, for
+		// one pass and no schedule.
 		fs := flag.NewFlagSet("maint", flag.ExitOnError)
-		grace := fs.Duration("orphan-grace", 5*time.Minute, "reclaim: minimum chunk age before orphan reclaim")
-		high := fs.Float64("high", 0.85, "replicate: rebalance fullness high watermark")
-		low := fs.Float64("low", 0.70, "replicate: rebalance fullness low watermark")
-		moveMB := fs.Int64("max-move-mb", 1024, "replicate: max payload migrated by this pass")
-		rateMB := fs.Int64("rate-mb", 32, "verify: verification rate limit in MiB/s (<=0 = unlimited)")
-		metaRepl := fs.Int("meta-repl", 1, "deployment's metadata replication degree (walk resilience; deletes and patches always reach every member)")
+		maintFlags := node.BindMaintFlags(fs)
 		if len(args) < 1 {
 			log.Fatal("blobseer-cli: maint needs an action (reclaim|replicate|verify|all)")
 		}
 		action, err := maint.ParseAction(args[0])
 		must(err)
 		fs.Parse(args[1:])
-		rpcCli := client.RPC()
-		cfg := maint.Config{
-			Deployment: maint.Deployment{
-				RPC:  rpcCli,
-				Meta: meta.NewClient(rpcCli, strings.Split(*metaList, ","), *metaRepl, 0),
-				VM:   vmanager.NewCaller(rpcCli, vmAddrs),
-				PM:   *pm,
-			},
-			OrphanGrace:      *grace,
-			HighWater:        *high,
-			LowWater:         *low,
-			MaxMoveBytes:     uint64(*moveMB) << 20,
-			ScrubBytesPerSec: maint.NoRateLimit,
-		}
-		if *rateMB > 0 {
-			cfg.ScrubBytesPerSec = uint64(*rateMB) << 20
-		}
-		eng, err := maint.New(cfg)
+		spec := node.MaintSpec{VM: vmAddrs, PM: *pm, Meta: strings.Split(*metaList, ",")}
+		maintFlags.Apply(&spec)
+		eng, err := node.NewMaint(node.NewEnv(node.EnvConfig{Network: rpc.NewTCPNetwork()}), spec)
 		must(err)
+		defer eng.Close()
 		st, err := eng.Run(action)
 		if st[vmanager.ScrubCorruptFound] > 0 {
 			action |= maint.Replicate // the pass healed what verify quarantined

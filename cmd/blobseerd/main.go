@@ -8,9 +8,11 @@
 //	blobseerd -role maint     -vm host:4400 -pm host:4401 -meta host:4410 -gc-interval 1m
 //
 // It only maps flags to a spec: internal/node starts the role (the cluster
-// harness starts its in-process roles through the same constructors). The
-// README's "Deploying" section lists, per role, the flags it reads and the
-// loops it runs beside its server; -help lists every flag.
+// harness starts its in-process roles through the same constructors).
+// Maintenance runs in role=maint alone: its intervals and tuning flags are
+// refused on every other role. The README's "Deploying" section lists, per
+// role, the flags it reads and the loops it runs beside its server; -help
+// lists every flag.
 package main
 
 import (
@@ -34,7 +36,7 @@ func main() {
 	role := flag.String("role", "", "vmanager | pmanager | metadata | provider | maint")
 	listen := flag.String("listen", ":0", "TCP listen address")
 	vmAddr := flag.String("vm", "", "version manager address, comma-separated list for an HA group (role=maint)")
-	pmAddr := flag.String("pm", "", "provider manager address (role=provider|maint; role=vmanager with a maintenance interval)")
+	pmAddr := flag.String("pm", "", "provider manager address (role=provider|maint)")
 	strategy := flag.String("strategy", "roundrobin", "placement strategy (role=pmanager)")
 	storeKind := flag.String("store", "mem", "chunk store: mem | disk | cached (role=provider)")
 	dir := flag.String("dir", "", "data directory: chunks + sidecar (role=provider, store=disk|cached), journal (role=vmanager), node log (role=metadata)")
@@ -43,16 +45,13 @@ func main() {
 	capacityMB := flag.Int64("capacity-mb", 0, "declared storage capacity, 0 = unknown (role=provider; enables fullness-aware placement and rebalance)")
 	hbInterval := flag.Duration("heartbeat", time.Second, "heartbeat interval (role=provider)")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "provider liveness timeout (role=pmanager)")
-	gcInterval := flag.Duration("gc-interval", 0, "background reclaim (GC) pass interval, 0 = off (role=maint|vmanager; vmanager needs -pm and -meta)")
-	gcGrace := flag.Duration("gc-orphan-grace", 5*time.Minute, "minimum chunk age before orphan reclaim (role=maint|vmanager)")
-	repairInterval := flag.Duration("repair-interval", 0, "background replicate (repair + rebalance) pass interval, 0 = off (role=maint|vmanager)")
-	repairLow := flag.Float64("repair-low", 0.70, "rebalance fullness low watermark (role=maint|vmanager)")
-	repairMoveMB := flag.Int64("repair-max-move-mb", 1024, "max payload the rebalancer migrates per pass (role=maint|vmanager)")
-	fullness := flag.Float64("fullness-watermark", 0, "provider fullness cutoff in (0, 1]: the rebalance high watermark, shared with the placement plane (0 = keep the 0.85 default)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "background verify (bit-rot scrub) pass interval, 0 = off (role=maint|vmanager)")
-	scrubRateMB := flag.Int64("scrub-rate-mb", 32, "scrub verification rate limit in MiB/s, 0 = unlimited (role=maint|vmanager)")
-	metaList := flag.String("meta", "", "comma-separated metadata provider addresses (role=maint; role=vmanager with a maintenance interval or -lease-ttl)")
-	metaRepl := flag.Int("meta-repl", 1, "metadata replication degree of the deployment (role=maint; role=vmanager loops)")
+	gcInterval := flag.Duration("gc-interval", 0, "background reclaim (GC) pass interval, 0 = off (role=maint)")
+	repairInterval := flag.Duration("repair-interval", 0, "background replicate (repair + rebalance) pass interval, 0 = off (role=maint)")
+	scrubInterval := flag.Duration("scrub-interval", 0, "background verify (bit-rot scrub) pass interval, 0 = off (role=maint)")
+	// -meta-repl and the actions' tuning (role=maint; -meta-repl also
+	// role=vmanager with -lease-ttl).
+	maintFlags := node.BindMaintFlags(flag.CommandLine)
+	metaList := flag.String("meta", "", "comma-separated metadata provider addresses (role=maint; role=vmanager with -lease-ttl)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "write-lease TTL granted on Assign, 0 = leases off (role=vmanager)")
 	advertise := flag.String("advertise", "", "address peers and clients dial this vmanager at; default = bound listen address (role=vmanager with -vm-peers/-standby-of)")
 	vmPeers := flag.String("vm-peers", "", "comma-separated addresses of the other vmanager group members; this member bootstraps epoch 1 on a virgin journal (role=vmanager; requires -dir)")
@@ -74,24 +73,25 @@ func main() {
 		TraceSample:      *traceSample,
 		TraceSlow:        *traceSlow,
 	})
-	// The maintenance plane's settings, shared by role=maint and the
-	// vmanager's in-daemon loop.
 	maintSpec := node.MaintSpec{
 		VM:        list(*vmAddr),
 		PM:        *pmAddr,
 		Meta:      list(*metaList),
-		MetaRepl:  *metaRepl,
 		Intervals: maint.Intervals{Reclaim: *gcInterval, Replicate: *repairInterval, Verify: *scrubInterval},
-		Tuning: maint.Config{
-			OrphanGrace:      *gcGrace,
-			HighWater:        *fullness,
-			LowWater:         *repairLow,
-			MaxMoveBytes:     uint64(*repairMoveMB) << 20,
-			ScrubBytesPerSec: uint64(*scrubRateMB) << 20,
-		},
 	}
-	if *scrubRateMB <= 0 {
-		maintSpec.Tuning.ScrubBytesPerSec = maint.NoRateLimit
+	maintFlags.Apply(&maintSpec)
+	// A vmanager used to run the maintenance loop itself; refusing its old
+	// command line keeps an upgrade from silently collecting no garbage.
+	if *role != "maint" {
+		given := maintFlags.TuningGiven()
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "gc-interval" || f.Name == "repair-interval" || f.Name == "scrub-interval" {
+				given = append(given, "-"+f.Name)
+			}
+		})
+		if len(given) > 0 {
+			log.Fatalf("blobseerd: %s configure maintenance, which runs only in -role maint, not role=%s", strings.Join(given, " "), *role)
+		}
 	}
 	if *dir == "" && (*role == "vmanager" || *role == "metadata") {
 		log.Printf("blobseerd: %s running VOLATILE (no -dir); state dies with the process", *role)
@@ -115,7 +115,8 @@ func main() {
 			Advertise: *advertise,
 			HATTL:     *haTTL,
 			Repl:      *replMode,
-			Maint:     maintSpec,
+			Meta:      maintSpec.Meta,
+			MetaRepl:  maintSpec.MetaRepl,
 		})
 	case "pmanager":
 		h, err = node.StartPManager(env, node.PManagerSpec{Listen: *listen, Strategy: *strategy, HeartbeatTimeout: *hbTimeout})

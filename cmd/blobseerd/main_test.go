@@ -3,6 +3,7 @@ package main_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -129,6 +130,24 @@ func TestMultiProcessDeployment(t *testing.T) {
 	size, err := blob.Size(0)
 	if err != nil || size != uint64(len(data)+4096) {
 		t.Fatalf("size = %d, %v", size, err)
+	}
+}
+
+// Maintenance runs in role=maint alone. A vmanager command line that still
+// schedules it must fail at start, naming where it belongs, instead of
+// serving without ever collecting garbage.
+func TestVManagerRefusesMaintenanceFlags(t *testing.T) {
+	bin := buildDaemon(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-role", "vmanager", "-listen", "127.0.0.1:0",
+		"-gc-interval", "1m", "-pm", "127.0.0.1:1", "-meta", "127.0.0.1:2").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || ctx.Err() != nil {
+		t.Fatalf("daemon did not exit with an error (err=%v) within the timeout; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-role maint") || !strings.Contains(string(out), "-gc-interval") {
+		t.Fatalf("refusal does not name -gc-interval and -role maint:\n%s", out)
 	}
 }
 

@@ -30,8 +30,6 @@ type Config struct {
 	// and 2).
 	DataProviders int
 	MetaProviders int
-	// Strategy selects the chunk placement strategy (default roundrobin).
-	Strategy string
 	// Fabric, when set, shapes the simulated network. Ignored for TCP.
 	Fabric *netsim.Fabric
 	// UseTCP runs everything over real loopback sockets instead of the
@@ -107,10 +105,6 @@ type Config struct {
 	// hears nothing from the leader for longer — plus a rank stagger —
 	// fences the old epoch and takes over.
 	VMLeadershipTTL time.Duration
-	// VMReplAsync selects asynchronous replication (repl=async) instead of
-	// the default quorum gating (repl=quorum), trading the no-lost-commits
-	// guarantee for zero commit-path latency.
-	VMReplAsync bool
 	// Metrics enables the observability plane without HTTP exposition:
 	// a metrics.Registry collecting per-RPC latency histograms from every
 	// role server and client plus all plane counters (maintenance/lease
@@ -127,25 +121,15 @@ type Config struct {
 	// default, so deployments and benchmarks exercise the shipping
 	// path); 1 samples every operation; negative disables tracing.
 	TraceSample int
-	// TraceSlow is the flight-recorder threshold: a span slower than
-	// this is force-retained in the slow ring even when head sampling
-	// skipped its trace (tail sampling for the ops that matter most).
-	// Zero means the default (50ms); negative disables the recorder.
-	TraceSlow time.Duration
-	// Pprof mounts net/http/pprof under /debug/pprof/ on the
-	// MetricsListen HTTP server.
-	Pprof bool
-	// MetricsExemplars renders OpenMetrics exemplars — the sampled trace
-	// id pinned to each histogram bucket — on /metrics.
-	MetricsExemplars bool
 }
 
 // Tracing defaults: head sampling at 1/256 keeps the recording cost
-// invisible on the hot path; 50ms is far past any healthy op on the
-// simulated fabric, so the flight recorder holds genuine outliers.
+// invisible on the hot path; the flight recorder retains any span slower
+// than 50ms, far past any healthy op on the simulated fabric, so it holds
+// genuine outliers.
 const (
 	defaultTraceSample = 256
-	defaultTraceSlow   = 50 * time.Millisecond
+	traceSlow          = 50 * time.Millisecond
 )
 
 // Cluster is a running deployment. Every role in it was started by an
@@ -226,9 +210,6 @@ func Start(cfg Config) (*Cluster, error) {
 	if cfg.TraceSample == 0 {
 		cfg.TraceSample = defaultTraceSample
 	}
-	if cfg.TraceSlow == 0 {
-		cfg.TraceSlow = defaultTraceSlow
-	}
 	if cfg.Fabric == nil && !cfg.UseTCP {
 		// A default, unshaped fabric so fault injection (KillProvider /
 		// ReviveProvider) works even when no shaping was requested.
@@ -240,14 +221,12 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, Network: network, Fabric: cfg.Fabric}
 	c.env = node.NewEnv(node.EnvConfig{
-		Network:          network,
-		Metrics:          cfg.Metrics,
-		MetricsListen:    cfg.MetricsListen,
-		MetricsExemplars: cfg.MetricsExemplars,
-		Pprof:            cfg.Pprof,
-		TraceSample:      cfg.TraceSample,
-		TraceSlow:        cfg.TraceSlow,
-		CallTimeout:      cfg.CallTimeout,
+		Network:       network,
+		Metrics:       cfg.Metrics,
+		MetricsListen: cfg.MetricsListen,
+		TraceSample:   cfg.TraceSample,
+		TraceSlow:     traceSlow,
+		CallTimeout:   cfg.CallTimeout,
 	})
 	if err := c.start(); err != nil {
 		c.Close()
@@ -277,7 +256,7 @@ func (c *Cluster) start() error {
 	}
 
 	pm, err := node.StartPManager(c.env, node.PManagerSpec{
-		Listen: addr("pm"), Strategy: cfg.Strategy, HeartbeatTimeout: cfg.HeartbeatTimeout,
+		Listen: addr("pm"), HeartbeatTimeout: cfg.HeartbeatTimeout,
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: provider manager: %w", err)
@@ -299,10 +278,6 @@ func (c *Cluster) start() error {
 	// 1+VMStandbys members when standbys are asked for. Instance 0 keeps
 	// the pre-HA names so existing deployments upgrade in place; standbys
 	// journal beside it.
-	repl := "quorum"
-	if cfg.VMReplAsync {
-		repl = "async"
-	}
 	for i := 0; i <= cfg.VMStandbys; i++ {
 		spec := node.VManagerSpec{
 			Listen:   addr("vm"),
@@ -310,8 +285,9 @@ func (c *Cluster) start() error {
 			Fsync:    !cfg.NoFsyncWAL,
 			LeaseTTL: cfg.LeaseTTL,
 			HATTL:    cfg.VMLeadershipTTL,
-			Repl:     repl,
-			Maint:    node.MaintSpec{Meta: c.metaAddrs, MetaRepl: cfg.MetaReplication},
+			Repl:     "quorum",
+			Meta:     c.metaAddrs,
+			MetaRepl: cfg.MetaReplication,
 		}
 		if i > 0 {
 			spec.Listen, spec.Dir = addr("vm-sb%d", i), dir("vmanager-sb%d", i)
@@ -458,8 +434,6 @@ type ClientOptions struct {
 	Name string
 	// MetaCacheNodes enables the client-side metadata cache when > 0.
 	MetaCacheNodes int
-	// ParallelIO bounds concurrent chunk transfers (default 16).
-	ParallelIO int
 }
 
 // NewClient builds a client wired to this deployment. Each client is
@@ -481,7 +455,6 @@ func (c *Cluster) NewClient(opts ClientOptions) (*core.Client, error) {
 		MetaProviders:     c.metaAddrs,
 		MetaReplication:   c.cfg.MetaReplication,
 		MetaCacheNodes:    opts.MetaCacheNodes,
-		ParallelIO:        opts.ParallelIO,
 		FullnessWatermark: c.cfg.FullnessWatermark,
 	})
 	if err != nil {

@@ -68,9 +68,6 @@ type Config struct {
 	MetaCacheNodes int
 	// CallTimeout bounds each RPC (default 30s).
 	CallTimeout time.Duration
-	// ParallelIO bounds concurrent chunk transfers per operation
-	// (default 16).
-	ParallelIO int
 	// FullnessWatermark is the provider fullness (used/capacity) above
 	// which retried chunk placements exclude a provider (default 0.85).
 	// Deployments tune it together with the repair engine's HighWater so
@@ -156,9 +153,6 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.MetaReplication < 1 {
 		cfg.MetaReplication = 1
 	}
-	if cfg.ParallelIO <= 0 {
-		cfg.ParallelIO = 16
-	}
 	if cfg.FullnessWatermark == 0 {
 		cfg.FullnessWatermark = defaultFullnessWatermark
 	}
@@ -178,7 +172,7 @@ func NewClient(cfg Config) (*Client, error) {
 		rpc:    rpcCli,
 		vm:     vmanager.NewCaller(rpcCli, vmAddrs),
 		meta:   meta.NewClient(rpcCli, cfg.MetaProviders, cfg.MetaReplication, cfg.MetaCacheNodes),
-		sem:    make(chan struct{}, cfg.ParallelIO),
+		sem:    make(chan struct{}, parallelIO),
 		health: newProviderHealth(),
 	}, nil
 }
@@ -342,8 +336,11 @@ func (c *Client) fullProviders(ctx context.Context, watermark float64) []string 
 	return full
 }
 
-// parallel runs fn(0..n-1) with bounded concurrency and returns the first
-// error.
+// parallelIO bounds a client's concurrent chunk transfers.
+const parallelIO = 16
+
+// parallel runs fn(0..n-1) with at most parallelIO calls in flight across
+// the client and returns the first error.
 func (c *Client) parallel(n int, fn func(i int) error) error {
 	if n == 0 {
 		return nil

@@ -27,11 +27,12 @@
 //
 // The engine keeps no progress between passes — reclamation bookkeeping
 // lives at the version manager and anything half-done is simply
-// re-detected — so any node may run one and crashed passes simply rerun:
-// the cluster harness, a `blobseerd -role maint` daemon, a
-// vmanager-attached loop, or `blobseer-cli maint`. Pass counters
-// aggregate at the version manager (vm.maintreport; the journaled GC
-// frontier moves through vm.gcreport).
+// re-detected — so crashed passes simply rerun. Every engine is assembled
+// by internal/node (node.NewMaint): the cluster harness's, the one
+// scheduled loop of a TCP deployment (`blobseerd -role maint`), and the
+// single pass of `blobseer-cli maint`. Pass counters aggregate at the
+// version manager (vm.maintreport; the journaled GC frontier moves
+// through vm.gcreport).
 package maint
 
 import (

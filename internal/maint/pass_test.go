@@ -19,7 +19,7 @@ type methodCounter struct {
 	n  map[string]int
 }
 
-func (m *methodCounter) ObserveRequest(method string, _, _ int, _ time.Duration, _ error, _ bool) {
+func (m *methodCounter) ObserveRequest(method string, _, _ int, _ time.Duration, _ error, _ bool, _ uint64) {
 	m.mu.Lock()
 	m.n[method]++
 	m.mu.Unlock()

@@ -3,6 +3,7 @@ package node_test
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"slices"
@@ -271,12 +272,10 @@ func TestInvalidSpecs(t *testing.T) {
 		"ha without dir": {func() (handle, error) {
 			return node.StartVManager(env, node.VManagerSpec{Listen: "x", StandbyOf: []string{"a"}, Repl: "async"})
 		}, "requires a journal directory"},
-		"vmanager loop without pm": {vm(node.VManagerSpec{Maint: with(func(ms *node.MaintSpec) { ms.Intervals, ms.PM = hour, "" })}), "-pm"},
-		"vmanager watermark":       {vm(node.VManagerSpec{Maint: with(func(ms *node.MaintSpec) { ms.Tuning.HighWater = -0.1 })}), "out of range (0, 1]"},
-		"maint without intervals":  {mt(view), "at least one of"},
-		"maint without vm":         {mt(with(func(ms *node.MaintSpec) { ms.Intervals, ms.VM = hour, nil })), "-vm"},
-		"maint without meta":       {mt(with(func(ms *node.MaintSpec) { ms.Intervals, ms.Meta = hour, nil })), "-meta"},
-		"maint watermark":          {mt(with(func(ms *node.MaintSpec) { ms.Intervals, ms.Tuning.HighWater = hour, 1.5 })), "out of range (0, 1]"},
+		"maint without intervals": {mt(view), "at least one of"},
+		"maint without vm":        {mt(with(func(ms *node.MaintSpec) { ms.Intervals, ms.VM = hour, nil })), "-vm"},
+		"maint without meta":      {mt(with(func(ms *node.MaintSpec) { ms.Intervals, ms.Meta = hour, nil })), "-meta"},
+		"maint watermark":         {mt(with(func(ms *node.MaintSpec) { ms.Intervals, ms.Tuning.HighWater = hour, 1.5 })), "out of range (0, 1]"},
 		"provider without pm": {func() (handle, error) {
 			return node.StartProvider(env, node.ProviderSpec{Listen: "x", Store: chunk.NewMemStore()})
 		}, "-pm"},
@@ -296,6 +295,31 @@ func TestInvalidSpecs(t *testing.T) {
 			}
 			l.Close()
 		})
+	}
+}
+
+// The maintenance flags parse into the spec the engine gets: MiB become
+// bytes, a non-positive scrub rate lifts the limit, and only the tuning
+// flags given count as given.
+func TestMaintFlags(t *testing.T) {
+	fs := flag.NewFlagSet("maint", flag.ContinueOnError)
+	mf := node.BindMaintFlags(fs)
+	if err := fs.Parse([]string{"-repair-max-move-mb", "2", "-scrub-rate-mb", "0", "-meta-repl", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	var spec node.MaintSpec
+	mf.Apply(&spec)
+	if got := spec.Tuning.MaxMoveBytes; got != 2<<20 {
+		t.Errorf("-repair-max-move-mb 2 gives %d bytes, want %d", got, 2<<20)
+	}
+	if got := spec.Tuning.ScrubBytesPerSec; got != maint.NoRateLimit {
+		t.Errorf("-scrub-rate-mb 0 gives %d bytes/s, want maint.NoRateLimit", got)
+	}
+	if spec.MetaRepl != 3 || spec.Tuning.OrphanGrace != 5*time.Minute || spec.Tuning.LowWater != 0.70 {
+		t.Errorf("spec = %+v, want meta-repl 3 and the default grace and low watermark", spec)
+	}
+	if got := mf.TuningGiven(); !slices.Equal(got, []string{"-repair-max-move-mb", "-scrub-rate-mb"}) {
+		t.Errorf("TuningGiven = %v, want the two tuning flags set", got)
 	}
 }
 

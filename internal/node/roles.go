@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"log"
 	"sync"
@@ -199,19 +200,69 @@ type MaintSpec struct {
 	Tuning maint.Config
 }
 
-// validate checks what a loop needs; standalone is the maintenance daemon,
-// which has nothing to do without a schedule.
-func (s *MaintSpec) validate(standalone bool) error {
-	scheduled := s.Intervals != (maint.Intervals{})
-	switch hw := s.Tuning.HighWater; {
-	case hw != 0 && (hw <= 0 || hw > 1):
-		return fmt.Errorf("node: fullness watermark (-fullness-watermark) %v out of range (0, 1]", hw)
-	case standalone && (!scheduled || len(s.VM) == 0):
+// validate checks what the maintenance daemon needs: a schedule, since it
+// has nothing else to do, and the whole deployment to run it against.
+func (s *MaintSpec) validate() error {
+	switch {
+	case s.Intervals == (maint.Intervals{}) || len(s.VM) == 0:
 		return errors.New("node: the maintenance role requires the version manager address (-vm) and at least one of the reclaim (-gc-interval), replicate (-repair-interval) and verify (-scrub-interval) intervals")
-	case scheduled && (s.PM == "" || len(s.Meta) == 0):
+	case s.PM == "" || len(s.Meta) == 0:
 		return errors.New("node: maintenance passes require the provider manager (-pm) and metadata provider (-meta) addresses to reach the deployment")
 	}
 	return nil
+}
+
+// MaintFlags are the maintenance settings read from a command line: the
+// deployment's metadata replication degree and the actions' tuning. One
+// declaration serves blobseerd -role maint and blobseer-cli maint, so both
+// spell and default them alike.
+type MaintFlags struct {
+	fs             *flag.FlagSet
+	metaRepl       *int
+	grace          *time.Duration
+	high, low      *float64
+	moveMB, rateMB *int64
+}
+
+// BindMaintFlags declares the maintenance flags on fs.
+func BindMaintFlags(fs *flag.FlagSet) *MaintFlags {
+	return &MaintFlags{
+		fs:       fs,
+		metaRepl: fs.Int("meta-repl", 1, "the deployment's metadata replication degree (walk resilience; deletes and patches always reach every member)"),
+		grace:    fs.Duration("gc-orphan-grace", 5*time.Minute, "reclaim: minimum chunk age before orphan reclaim"),
+		high:     fs.Float64("fullness-watermark", 0, "replicate: provider fullness in (0, 1] above which the rebalancer drains it (0 = the 0.85 default)"),
+		low:      fs.Float64("repair-low", 0.70, "replicate: rebalance fullness low watermark"),
+		moveMB:   fs.Int64("repair-max-move-mb", 1024, "replicate: max payload the rebalancer migrates per pass"),
+		rateMB:   fs.Int64("scrub-rate-mb", 32, "verify: verification rate limit in MiB/s, <=0 = unlimited"),
+	}
+}
+
+// Apply fills the spec's MetaRepl and Tuning from the parsed flags.
+func (f *MaintFlags) Apply(spec *MaintSpec) {
+	spec.MetaRepl = *f.metaRepl
+	spec.Tuning = maint.Config{
+		OrphanGrace:      *f.grace,
+		HighWater:        *f.high,
+		LowWater:         *f.low,
+		MaxMoveBytes:     uint64(*f.moveMB) << 20,
+		ScrubBytesPerSec: maint.NoRateLimit,
+	}
+	if *f.rateMB > 0 {
+		spec.Tuning.ScrubBytesPerSec = uint64(*f.rateMB) << 20
+	}
+}
+
+// TuningGiven names the tuning flags set on the command line (not
+// -meta-repl), in lexical order.
+func (f *MaintFlags) TuningGiven() []string {
+	var given []string
+	f.fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "gc-orphan-grace", "fullness-watermark", "repair-low", "repair-max-move-mb", "scrub-rate-mb":
+			given = append(given, "-"+fl.Name)
+		}
+	})
+	return given
 }
 
 // Maint is a running maintenance plane: the engine (which also runs passes
@@ -226,16 +277,19 @@ type Maint struct {
 // StartMaint runs the maintenance daemon: the engine plus a loop over the
 // spec's intervals, of which at least one must be set.
 func StartMaint(env *Env, spec MaintSpec) (*Maint, error) {
-	if err := spec.validate(true); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	return NewMaint(env, spec)
 }
 
 // NewMaint builds the maintenance engine for a deployment and starts the
-// loop for whatever intervals are set — none is fine for a harness that
-// runs its passes on demand.
+// loop for whatever intervals are set — none is fine for the harness and
+// blobseer-cli maint, which run their passes on demand.
 func NewMaint(env *Env, spec MaintSpec) (*Maint, error) {
+	if hw := spec.Tuning.HighWater; hw < 0 || hw > 1 {
+		return nil, fmt.Errorf("node: fullness watermark (-fullness-watermark) %v out of range (0, 1]", hw)
+	}
 	cli := env.client("maint", "maint", true)
 	cfg := spec.Tuning
 	cfg.Deployment = maint.Deployment{

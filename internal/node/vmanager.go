@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/maint"
 	"repro/internal/meta"
 	"repro/internal/obs"
 	"repro/internal/rpc"
@@ -24,11 +23,14 @@ type VManagerSpec struct {
 	Dir   string
 	Fsync bool
 	// LeaseTTL > 0 grants write leases on Assign and runs the expiry loop
-	// that aborts versions whose writer vanished. With Maint.Meta set the
-	// loop also weaves each aborted version's identity tree server-side;
-	// without, the weave is left to reclaim's unwoven sweep (the abort —
-	// and the frontier unwedge — happens either way).
+	// that aborts versions whose writer vanished. With Meta set (the
+	// metadata providers, replicated MetaRepl-fold) the loop also weaves
+	// each aborted version's identity tree server-side; without, the weave
+	// is left to reclaim's unwoven sweep (the abort — and the frontier
+	// unwedge — happens either way).
 	LeaseTTL time.Duration
+	Meta     []string
+	MetaRepl int
 	// Peers (this member may bootstrap epoch 1 on a virgin journal) or
 	// StandbyOf (it never does) lists the other members of a replicated
 	// group, which this one joins; at most one may be set. A harness that
@@ -40,11 +42,6 @@ type VManagerSpec struct {
 	Advertise        string
 	HATTL            time.Duration
 	Repl             string
-	// Maint locates the deployment for the member's side loops: Meta and
-	// MetaRepl serve the lease weaver, and with any interval set the member
-	// runs the maintenance loop in-process, against its own group (Maint.VM
-	// is ignored).
-	Maint MaintSpec
 }
 
 // validate checks the spec; ha says whether the member joins a group.
@@ -57,11 +54,12 @@ func (s *VManagerSpec) validate(ha bool) error {
 	case ha && s.Repl != "quorum" && s.Repl != "async":
 		return fmt.Errorf("node: vmanager replication mode (-repl) must be quorum or async, got %q", s.Repl)
 	}
-	return s.Maint.validate(false)
+	return nil
 }
 
 // VManager is a running version manager: the RPC server plus the member's
-// replication client, lease-expiry loop and in-process maintenance loop.
+// replication client and lease-expiry loop. Maintenance runs elsewhere
+// (StartMaint), so each pass runs once however many members the group has.
 type VManager struct {
 	*vmanager.Server
 	env  *Env
@@ -70,7 +68,6 @@ type VManager struct {
 
 	weaver  vmanager.AbortWeaver
 	clients []*rpc.Client // replication, lease weaver
-	maint   *Maint
 
 	stop      chan struct{} // ends the lease loop
 	loops     sync.WaitGroup
@@ -78,8 +75,8 @@ type VManager struct {
 }
 
 // StartVManager opens the journal (or a volatile manager), serves it, and
-// starts what the spec asks for beside it: group membership, the lease
-// loop, the maintenance loop.
+// starts what the spec asks for beside it: group membership and the lease
+// loop.
 func StartVManager(env *Env, spec VManagerSpec) (*VManager, error) {
 	peers, bootstrap := spec.Peers, true
 	if len(spec.StandbyOf) > 0 {
@@ -122,17 +119,6 @@ func StartVManager(env *Env, spec VManagerSpec) (*VManager, error) {
 	}
 	if spec.LeaseTTL > 0 {
 		v.runLeaseLoop()
-	}
-	if spec.Maint.Intervals != (maint.Intervals{}) {
-		// The colocated loop resolves the leader across the whole group
-		// instead of pinning this member.
-		ms := spec.Maint
-		ms.VM = append([]string{v.self}, peers...)
-		var err error
-		if v.maint, err = StartMaint(env, ms); err != nil {
-			v.Kill()
-			return nil, err
-		}
 	}
 	return v, nil
 }
@@ -185,10 +171,10 @@ func (v *VManager) Join(peers []string, bootstrap bool) error {
 // is a manager method, not an RPC). In a group every member runs the loop
 // and the manager gates it on being the live leader, so exactly one acts.
 func (v *VManager) runLeaseLoop() {
-	if ms := v.spec.Maint; len(ms.Meta) > 0 {
+	if len(v.spec.Meta) > 0 {
 		cli := v.env.client("lease", "lease", true)
 		v.clients = append(v.clients, cli)
-		mc := meta.NewClient(cli, ms.Meta, ms.MetaRepl, 0)
+		mc := meta.NewClient(cli, v.spec.Meta, v.spec.MetaRepl, 0)
 		// One root span per expired version: the weave's descent and
 		// meta.put calls reconstruct as one trace.
 		v.weaver = func(ctx context.Context, in meta.IdentityInput) error {
@@ -225,18 +211,15 @@ func (v *VManager) RunLeaseExpiry() (int, error) {
 	return v.Manager().ExpireLeases(context.Background(), v.weaver)
 }
 
-// Close shuts the member down in dependency order. The loops that call
-// into the manager stop first. Then the manager is halted BEFORE anything
-// it writes to goes away: a live leader's replicator or a standby's
-// takeover racing the journal close would be shutdown noise, not a real
-// deployment event. Then the server, the journal and the clients.
+// Close shuts the member down in dependency order. The lease loop, which
+// calls into the manager, stops first. Then the manager is halted BEFORE
+// anything it writes to goes away: a live leader's replicator or a
+// standby's takeover racing the journal close would be shutdown noise, not
+// a real deployment event. Then the server, the journal and the clients.
 func (v *VManager) Close() {
 	v.closeOnce.Do(func() {
 		close(v.stop)
 		v.loops.Wait()
-		if v.maint != nil {
-			v.maint.Close()
-		}
 		v.Manager().Halt()
 		v.Server.Close()
 		v.Manager().Close()

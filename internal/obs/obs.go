@@ -74,20 +74,11 @@ type serverObserver struct {
 	role string
 }
 
-func (o serverObserver) ObserveRequest(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool) {
-	o.m.srvLatency.With(o.role, method).Observe(dur.Seconds())
-	o.observeRest(method, bytesIn, bytesOut, err, panicked)
-}
-
-// ObserveRequestTraced implements rpc.TracedServerObserver: requests
-// carrying a sampled trace pin their trace id as the latency bucket's
-// exemplar, so a bad tail links straight to a stitchable trace.
-func (o serverObserver) ObserveRequestTraced(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool, traceID uint64) {
+// ObserveRequest records one served request. A request carrying a sampled
+// trace pins its trace id as the latency bucket's exemplar, so a bad tail
+// links straight to a stitchable trace.
+func (o serverObserver) ObserveRequest(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool, traceID uint64) {
 	o.m.srvLatency.With(o.role, method).ObserveWithExemplar(dur.Seconds(), traceID)
-	o.observeRest(method, bytesIn, bytesOut, err, panicked)
-}
-
-func (o serverObserver) observeRest(method string, bytesIn, bytesOut int, err error, panicked bool) {
 	o.m.srvBytesIn.With(o.role, method).Add(int64(bytesIn))
 	o.m.srvBytesOut.With(o.role, method).Add(int64(bytesOut))
 	if err != nil {
@@ -99,7 +90,7 @@ func (o serverObserver) observeRest(method string, bytesIn, bytesOut int, err er
 }
 
 // ServerObserver returns an rpc.ServerObserver recording under the given
-// role label (also an rpc.TracedServerObserver, feeding exemplars).
+// role label.
 func (m *RPCMetrics) ServerObserver(role string) rpc.ServerObserver {
 	return serverObserver{m: m, role: role}
 }

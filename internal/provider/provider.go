@@ -648,7 +648,8 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 // maybeCompactSidecar snapshots the put-age table, tombstone set and
 // digests into the sidecar log once it has grown enough. Entries for
 // chunks the store no longer holds are filtered out here, bounding the
-// replayed state by the live inventory.
+// replayed state by the live inventory. Each section is sorted (by key,
+// tombstones ascending), so one state always compacts to the same bytes.
 func (s *Server) maybeCompactSidecar() {
 	s.side.maybeCompact(func() ([]byte, bool) {
 		s.putMu.Lock()
@@ -659,12 +660,14 @@ func (s *Server) maybeCompactSidecar() {
 			}
 		}
 		s.putMu.Unlock()
+		sort.Slice(ages, func(i, j int) bool { return ages[i].Key.Less(ages[j].Key) })
 		s.tombMu.Lock()
 		tombs := make([]uint64, 0, len(s.tombstones))
 		for b := range s.tombstones {
 			tombs = append(tombs, b)
 		}
 		s.tombMu.Unlock()
+		sort.Slice(tombs, func(i, j int) bool { return tombs[i] < tombs[j] })
 		s.digMu.Lock()
 		digs := make([]digestEntry, 0, len(s.digests))
 		for k, rec := range s.digests {
@@ -673,6 +676,7 @@ func (s *Server) maybeCompactSidecar() {
 			}
 		}
 		s.digMu.Unlock()
+		sort.Slice(digs, func(i, j int) bool { return digs[i].Key.Less(digs[j].Key) })
 		return encodeRecord(
 			section{kind: sideRecPutAge, ages: ages},
 			section{kind: sideRecTomb, tombs: tombs},

@@ -42,6 +42,10 @@ var frozenSidecarRecords = []struct{ kind, hex string }{
 // tombstone and one digest.
 const frozenSidecarSnapshot = "0101000000030000000000000002000000000000000100000000000000fa68e5cf8b01000002010000000900000000000000040100000003000000000000000200000000000000010000000000000001040302014d000000"
 
+// frozenSidecarSnapshotTwo is the compaction snapshot of two entries per
+// section, in key order.
+const frozenSidecarSnapshotTwo = "01020000000300000000000000010000000000000005000000000000000068e5cf8b010000030000000000000002000000000000000100000000000000fa68e5cf8b0100000202000000070000000000000009000000000000000402000000030000000000000001000000000000000500000000000000010df0fecaf401000003000000000000000200000000000000010000000000000001040302014d000000"
+
 func TestSidecarFormatFrozen(t *testing.T) {
 	ctx := context.Background()
 	r := newSidecarRig(t)
@@ -86,35 +90,53 @@ func TestSidecarFormatFrozen(t *testing.T) {
 		map[uint64]struct{}{7: {}, 9: {}},
 		map[chunk.Key]digestRec{frozenKeyB: frozenDigB, frozenKeyC: frozenDigC})
 
-	// Compaction keeps entries for chunks the store holds; one entry per
-	// section keeps the snapshot's bytes independent of map order.
-	r.open()
-	if err := r.srv.Store().Put(frozenKeyB, fill(2, 77)); err != nil {
-		t.Fatal(err)
+	// Compaction keeps entries for chunks the store holds (B, then B and C),
+	// each section in key order and tombstones ascending, so a state with
+	// two entries per section compacts to the same bytes on every run.
+	for _, tc := range []struct {
+		name    string
+		hold    chunk.Key
+		times   map[chunk.Key]time.Time
+		tombs   map[uint64]struct{}
+		digests map[chunk.Key]digestRec
+		hex     string
+	}{
+		{"one entry per section", frozenKeyB,
+			map[chunk.Key]time.Time{frozenKeyB: frozenAtB},
+			map[uint64]struct{}{9: {}},
+			map[chunk.Key]digestRec{frozenKeyB: frozenDigB},
+			frozenSidecarSnapshot},
+		{"two entries per section", frozenKeyC,
+			map[chunk.Key]time.Time{frozenKeyB: frozenAtB, frozenKeyC: frozenAtA},
+			map[uint64]struct{}{9: {}, 7: {}},
+			map[chunk.Key]digestRec{frozenKeyB: frozenDigB, frozenKeyC: frozenDigC},
+			frozenSidecarSnapshotTwo},
+	} {
+		r.open()
+		if err := r.srv.Store().Put(tc.hold, fill(2, int(tc.digests[tc.hold].Length))); err != nil {
+			t.Fatal(err)
+		}
+		r.srv.putTimes = maps.Clone(tc.times)
+		r.srv.tombstones = maps.Clone(tc.tombs)
+		r.srv.digests = maps.Clone(tc.digests)
+		r.srv.side.compactEvery = 0 // compact whatever the log holds
+		r.srv.maybeCompactSidecar()
+		r.srv.Close()
+		recs, snap = sidecarContents(t, r.sideDir)
+		if len(recs) != 0 {
+			t.Fatalf("%s: sidecar holds %d records after compaction, want 0", tc.name, len(recs))
+		}
+		if got := hex.EncodeToString(snap); got != tc.hex {
+			t.Errorf("%s: compaction snapshot\n got %s\nwant %s", tc.name, got, tc.hex)
+		}
+		putTimes = make(map[chunk.Key]time.Time)
+		tombs = make(map[uint64]struct{})
+		digests = make(map[chunk.Key]digestRec)
+		if err := replaySidecarRecord(mustHex(t, tc.hex), putTimes, tombs, digests); err != nil {
+			t.Fatalf("%s: replaying the snapshot: %v", tc.name, err)
+		}
+		checkSidecarMaps(t, putTimes, tombs, digests, tc.times, tc.tombs, tc.digests)
 	}
-	r.srv.putTimes = map[chunk.Key]time.Time{frozenKeyB: frozenAtB}
-	r.srv.tombstones = map[uint64]struct{}{9: {}}
-	r.srv.digests = map[chunk.Key]digestRec{frozenKeyB: frozenDigB}
-	r.srv.side.compactEvery = 1
-	r.srv.maybeCompactSidecar()
-	r.srv.Close()
-	recs, snap = sidecarContents(t, r.sideDir)
-	if len(recs) != 0 {
-		t.Fatalf("sidecar holds %d records after compaction, want 0", len(recs))
-	}
-	if got := hex.EncodeToString(snap); got != frozenSidecarSnapshot {
-		t.Errorf("compaction snapshot\n got %s\nwant %s", got, frozenSidecarSnapshot)
-	}
-	putTimes = make(map[chunk.Key]time.Time)
-	tombs = make(map[uint64]struct{})
-	digests = make(map[chunk.Key]digestRec)
-	if err := replaySidecarRecord(mustHex(t, frozenSidecarSnapshot), putTimes, tombs, digests); err != nil {
-		t.Fatalf("replaying the snapshot: %v", err)
-	}
-	checkSidecarMaps(t, putTimes, tombs, digests,
-		map[chunk.Key]time.Time{frozenKeyB: frozenAtB},
-		map[uint64]struct{}{9: {}},
-		map[chunk.Key]digestRec{frozenKeyB: frozenDigB})
 }
 
 func sidecarContents(t *testing.T, dir string) ([][]byte, []byte) {

@@ -7,9 +7,11 @@ import "time"
 // goroutines. bytesIn/bytesOut are request/response payload sizes (the
 // response error text for failed calls). err is non-nil for error
 // responses, including unknown methods; panicked marks a handler panic that
-// the server recovered into an error response.
+// the server recovered into an error response. traceID is the request's
+// trace when it is sampled (0 when not), so the metrics plane can pin it
+// as an exemplar.
 type ServerObserver interface {
-	ObserveRequest(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool)
+	ObserveRequest(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool, traceID uint64)
 }
 
 // ClientObserver sees every unary call a Client issues (round-trip latency

@@ -22,7 +22,7 @@ type recordingObserver struct {
 	methods  map[string]int
 }
 
-func (o *recordingObserver) ObserveRequest(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool) {
+func (o *recordingObserver) ObserveRequest(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool, _ uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.requests++

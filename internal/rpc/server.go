@@ -243,12 +243,11 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 		if err != nil {
 			obsOut = len(err.Error())
 		}
-		dur := time.Since(start)
-		if tobs, isTraced := obs.(TracedServerObserver); isTraced && act.Sampled() {
-			tobs.ObserveRequestTraced(method, len(payload), obsOut, dur, err, panicked, act.TraceID())
-		} else {
-			obs.ObserveRequest(method, len(payload), obsOut, dur, err, panicked)
+		var traceID uint64
+		if act.Sampled() {
+			traceID = act.TraceID()
 		}
+		obs.ObserveRequest(method, len(payload), obsOut, time.Since(start), err, panicked, traceID)
 	}
 	if act != nil {
 		act.SetBytes(int64(len(payload) + out))

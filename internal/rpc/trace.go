@@ -1,8 +1,6 @@
 package rpc
 
 import (
-	"time"
-
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -52,15 +50,6 @@ func decodeTraceTrailer(dec *wire.Decoder) trace.SpanContext {
 		return trace.SpanContext{}
 	}
 	return sc
-}
-
-// TracedServerObserver is an optional ServerObserver refinement: when a
-// dispatched request carries a sampled trace, the server reports the
-// trace id alongside the usual observation so the metrics plane can
-// attach exemplars to its histograms.
-type TracedServerObserver interface {
-	ServerObserver
-	ObserveRequestTraced(method string, bytesIn, bytesOut int, dur time.Duration, err error, panicked bool, traceID uint64)
 }
 
 // SetTracer attaches t to the server (nil detaches): every inbound
