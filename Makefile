@@ -39,6 +39,10 @@ vet:
 # internal/node alone (NewMaint, behind blobseerd -role maint, blobseer-cli
 # maint and the cluster harness), so no other process grows a loop of its
 # own.
+# One flag set per role: each role's flags are declared in internal/node,
+# beside the spec they fill, so blobseerd declares -role alone and never
+# touches the process-global flag set. Providers join by heartbeat, so the
+# retired registration RPC stays gone.
 # And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
@@ -54,6 +58,9 @@ guard:
 	@! grep -rnE '\.Put(U8|U16|U32|U64|Bool|String)\(|\.(U8|U16|U32|U64|Bool|String|Count)\(\)' --include='*.go' --exclude='*_test.go' internal/vmanager internal/provider
 	@! grep -rn '\.Tail()' --include='*.go' .
 	@! grep -rnE 'maint\.(New|StartLoop)\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|maint)/'
+	@! grep -rnE '\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(([^,]+, *)?"' --include='*.go' --exclude='*_test.go' cmd/blobseerd | grep -v '"role"'
+	@! grep -rnE 'flag\.(CommandLine|Parse\(|Args?\(|NArg\(|NFlag\(|Visit|Lookup\(|Set\(|Usage|PrintDefaults)' --include='*.go' cmd/blobseerd
+	@! grep -rnE '"pm\.register"|MethodRegister' --include='*.go' .
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro

@@ -24,13 +24,9 @@
 //	blobseer-cli ... maint replicate -fullness-watermark 0.85 -repair-low 0.70
 //	blobseer-cli ... maint verify -scrub-rate-mb 32
 //	blobseer-cli ... maint all
-//	blobseer-cli ... maint-stats                   # cumulative totals (all engines)
 //
-// Write leases (see blobseerd -lease-ttl):
-//
-//	blobseer-cli ... lease-stats                   # lease grant/renew/expiry counters
-//
-// Unified health snapshot (maintenance + leases + per-provider stats):
+// Deployment counters: cumulative maintenance totals (all engines), write
+// leases (see blobseerd -lease-ttl) and per-provider stats:
 //
 //	blobseer-cli ... stats
 //
@@ -83,7 +79,7 @@ func main() {
 	traceOp := flag.Bool("trace", false, "trace this read/write/append end-to-end (sampling forced on) and print its waterfall from the -obs endpoints")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		log.Fatal("blobseer-cli: missing subcommand (create|write|append|read|stat|list|retention|prune|delete|maint|maint-stats|lease-stats|stats|compact|ha-status|trace|slowops)")
+		log.Fatal("blobseer-cli: missing subcommand (create|write|append|read|stat|list|retention|prune|delete|maint|stats|compact|ha-status|trace|slowops)")
 	}
 	vmAddrs := strings.Split(*vm, ",")
 	obsAddrs := splitNonEmpty(*obsList)
@@ -217,16 +213,15 @@ func main() {
 	case "maint":
 		// The same flags and engine assembly as blobseerd -role maint, for
 		// one pass and no schedule.
+		spec := node.MaintSpec{VM: vmAddrs, PM: *pm, Meta: strings.Split(*metaList, ",")}
 		fs := flag.NewFlagSet("maint", flag.ExitOnError)
-		maintFlags := node.BindMaintFlags(fs)
+		spec.BindTuningFlags(fs)
 		if len(args) < 1 {
 			log.Fatal("blobseer-cli: maint needs an action (reclaim|replicate|verify|all)")
 		}
 		action, err := maint.ParseAction(args[0])
 		must(err)
 		fs.Parse(args[1:])
-		spec := node.MaintSpec{VM: vmAddrs, PM: *pm, Meta: strings.Split(*metaList, ",")}
-		maintFlags.Apply(&spec)
 		eng, err := node.NewMaint(node.NewEnv(node.EnvConfig{Network: rpc.NewTCPNetwork()}), spec)
 		must(err)
 		defer eng.Close()
@@ -236,27 +231,11 @@ func main() {
 		}
 		fmt.Println(action.Summary(&st, "\n"))
 		must(err)
-	case "maint-stats":
-		var st vmanager.Counters
-		must(vmanager.NewCaller(client.RPC(), vmAddrs).Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &st))
-		fmt.Println(maint.All.Summary(&st, "\n"))
-	case "lease-stats":
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
-		var st vmanager.LeaseStatsResp
-		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(context.Background(), vmanager.MethodLeaseStats, &vmanager.Ack{}, &st))
-		if st.TTLMs == 0 {
-			fmt.Println("leases: off (vmanager started without -lease-ttl)")
-			break
-		}
-		fmt.Printf("leases: ttl-ms=%d active=%d granted=%d renewed=%d expired=%d\n",
-			st.TTLMs, st.Active, st.Granted, st.Renewed, st.Expired)
 	case "stats":
-		// One deployment-health snapshot: what maint-stats and lease-stats
-		// report separately, plus a per-provider inventory — the
-		// human-readable cousin of scraping every /metrics endpoint.
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
+		// One deployment-health snapshot: the maintenance and lease
+		// counters plus a per-provider inventory — the human-readable
+		// cousin of scraping every /metrics endpoint.
+		rpcCli := client.RPC()
 		vmc := vmanager.NewCaller(rpcCli, vmAddrs)
 
 		var mt vmanager.Counters
@@ -266,7 +245,7 @@ func main() {
 		var ls vmanager.LeaseStatsResp
 		must(vmc.Call(context.Background(), vmanager.MethodLeaseStats, &vmanager.Ack{}, &ls))
 		if ls.TTLMs == 0 {
-			fmt.Println("leases:  off")
+			fmt.Println("leases:  off (vmanager started without -lease-ttl)")
 		} else {
 			fmt.Printf("leases:  ttl-ms=%d active=%d granted=%d renewed=%d expired=%d\n",
 				ls.TTLMs, ls.Active, ls.Granted, ls.Renewed, ls.Expired)
@@ -287,10 +266,8 @@ func main() {
 		}
 		printWorstExemplars(obsAddrs)
 	case "compact":
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
 		var resp vmanager.CompactResp
-		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(context.Background(), vmanager.MethodCompact, &vmanager.Ack{}, &resp))
+		must(vmanager.NewCaller(client.RPC(), vmAddrs).Call(context.Background(), vmanager.MethodCompact, &vmanager.Ack{}, &resp))
 		if !resp.Persistent {
 			fmt.Println("version manager is volatile (no journal); nothing to compact")
 			break
@@ -299,11 +276,9 @@ func main() {
 	case "ha-status":
 		// One line per group member: role, epoch, who it follows, and —
 		// on the leader — each standby's replication lag in records.
-		rpcCli := rpc.NewClient(rpc.NewTCPNetwork(), 0)
-		defer rpcCli.Close()
 		for _, a := range vmAddrs {
 			var st vmanager.HAStatusResp
-			if err := rpcCli.CallCtx(context.Background(), a, vmanager.MethodHAStatus, &vmanager.Ack{}, &st); err != nil {
+			if err := client.RPC().CallCtx(context.Background(), a, vmanager.MethodHAStatus, &vmanager.Ack{}, &st); err != nil {
 				fmt.Printf("%-22s unreachable: %v\n", a, err)
 				continue
 			}

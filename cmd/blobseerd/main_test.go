@@ -151,6 +151,89 @@ func TestVManagerRefusesMaintenanceFlags(t *testing.T) {
 	}
 }
 
+// Every role refuses a flag it does not read: the daemon exits 2 before
+// starting anything, naming the role that reads it.
+func TestRolesRefuseForeignFlags(t *testing.T) {
+	bin := buildDaemon(t)
+	cases := map[string]struct {
+		args        []string
+		flag, owner string
+	}{
+		"vmanager": {[]string{"-listen", "127.0.0.1:0", "-cache-mb", "64"}, "-cache-mb", "-role provider"},
+		"pmanager": {[]string{"-listen", "127.0.0.1:0", "-lease-ttl", "10s"}, "-lease-ttl", "-role vmanager"},
+		"metadata": {[]string{"-listen", "127.0.0.1:0", "-heartbeat-timeout=5s"}, "-heartbeat-timeout", "-role pmanager"},
+		"provider": {[]string{"-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-lease-ttl", "10s"}, "-lease-ttl", "-role vmanager"},
+		"maint": {[]string{"-vm", "127.0.0.1:1", "-pm", "127.0.0.1:1", "-meta", "127.0.0.1:1", "-gc-interval", "1m",
+			"-listen", "127.0.0.1:0"}, "-listen", "-role vmanager"},
+	}
+	for role, tc := range cases {
+		t.Run(role, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			args := append([]string{"-role", role}, tc.args...)
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || ctx.Err() != nil {
+				t.Fatalf("%v: want exit status 2 before starting, got err=%v; output:\n%s", args, err, out)
+			}
+			if !strings.Contains(string(out), tc.flag+" is a flag of ") || !strings.Contains(string(out), tc.owner) {
+				t.Fatalf("refusal does not say that %s is a flag of %s:\n%s", tc.flag, tc.owner, out)
+			}
+		})
+	}
+}
+
+// The command lines the benchmark deploys (benchmark/deploy.go), each with
+// the -metrics-listen its traced runs append, start every role, and the
+// deployment serves a write and its read-back.
+func TestBenchmarkCommandLines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test is not -short")
+	}
+	bin := buildDaemon(t)
+	dir := t.TempDir()
+	spawn := func(args ...string) string {
+		obs := freeAddr(t)
+		addr, _ := spawnDaemon(t, bin, append(args, "-metrics-listen", obs)...)
+		res, err := http.Get("http://" + obs + "/healthz")
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		res.Body.Close()
+		return addr
+	}
+	vm := spawn("-role", "vmanager", "-listen", "127.0.0.1:0", "-dir", filepath.Join(dir, "vm"), "-lease-ttl", "10s")
+	pm := spawn("-role", "pmanager", "-listen", "127.0.0.1:0")
+	mp := spawn("-role", "metadata", "-listen", "127.0.0.1:0", "-dir", filepath.Join(dir, "meta0"))
+	spawn("-role", "provider", "-listen", "127.0.0.1:0", "-dir", filepath.Join(dir, "prov0"),
+		"-pm", pm, "-store", "disk", "-heartbeat", "200ms")
+
+	client, err := core.NewClient(core.Config{
+		Network:       rpc.NewTCPNetwork(),
+		VMAddr:        vm,
+		PMAddr:        pm,
+		MetaProviders: []string{mp},
+		CallTimeout:   10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	blob, err := client.CreateBlob(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("bench-args"), 4096)
+	v, err := blob.Write(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := blob.Read(v, got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read-back mismatch (err=%v)", err)
+	}
+}
+
 // The daemon-level acceptance scenario for durability: a version manager
 // and a metadata provider running with -dir are kill -9'd mid-deployment
 // and respawned on the same addresses and directories. Every published

@@ -184,9 +184,6 @@ func (c *Client) Close() { c.rpc.Close() }
 // client can share it.
 func (c *Client) RPC() *rpc.Client { return c.rpc }
 
-// MetaCacheStats reports client-side metadata cache hits/misses.
-func (c *Client) MetaCacheStats() (hits, misses int64) { return c.meta.CacheStats() }
-
 // Blob is a handle on one blob.
 type Blob struct {
 	c           *Client

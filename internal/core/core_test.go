@@ -484,7 +484,8 @@ func TestMetadataCacheEffectiveness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := cli.MetaCacheStats()
+	st := cli.MetaRPCStats()
+	hits, misses := st.CacheHits, st.CacheMisses
 	if hits == 0 {
 		t.Errorf("metadata cache never hit (hits=%d misses=%d)", hits, misses)
 	}

@@ -117,10 +117,6 @@ func (c *Client) observeSpec(hits, misses int64) {
 // specExpansionDepth implements specDepthAdvisor for the batched descent.
 func (c *Client) specExpansionDepth() int { return int(c.specDepth.Load()) }
 
-// SpecDepth reports the current adaptive expansion depth (observability
-// and tests).
-func (c *Client) SpecDepth() int { return int(c.specDepth.Load()) }
-
 // NewClient builds a metadata client over the given metadata provider
 // addresses. replication is the number of replicas per node (clamped to
 // the provider count, minimum 1). cacheNodes > 0 enables a client-side

@@ -219,23 +219,6 @@ func (l *LiveSet) AddOwned(ctx context.Context, store Store, blob, version, size
 	return w.walk([]NodeKey{{Blob: blob, Version: version, Off: 0, Size: NextPow2(sizeChunks)}})
 }
 
-// VersionNodes enumerates one version's owned subgraph standalone.
-func VersionNodes(ctx context.Context, store Store, blob, version, sizeChunks uint64) ([]NodeKey, []ChunkRef, error) {
-	set := NewLiveSet()
-	if err := set.AddOwned(ctx, store, blob, version, sizeChunks); err != nil {
-		return nil, nil, err
-	}
-	nodes := make([]NodeKey, 0, len(set.Nodes))
-	for k := range set.Nodes {
-		nodes = append(nodes, k)
-	}
-	chunks := make([]ChunkRef, 0, len(set.Chunks))
-	for _, c := range set.Chunks {
-		chunks = append(chunks, c)
-	}
-	return nodes, chunks, nil
-}
-
 // DiffDead returns the members of candidates absent from live: the nodes
 // and chunks that die when the retention floor advances. Chunk references
 // are deduplicated by key (abort-repair copies leaves, so one chunk can

@@ -95,27 +95,27 @@ func TestCollectLiveSharedSubtrees(t *testing.T) {
 	}
 }
 
-func TestVersionNodesEnumeratesOwnedSubgraph(t *testing.T) {
+func TestAddOwnedEnumeratesOwnedSubgraph(t *testing.T) {
 	store := buildChain(t)
-	nodes, chunks, err := VersionNodes(context.Background(), store, 1, 1, 4)
-	if err != nil {
+	v1 := NewLiveSet()
+	if err := v1.AddOwned(context.Background(), store, 1, 1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 7 { // root, two inner, four leaves
-		t.Fatalf("v1 owns %d nodes, want 7", len(nodes))
+	if len(v1.Nodes) != 7 { // root, two inner, four leaves
+		t.Fatalf("v1 owns %d nodes, want 7", len(v1.Nodes))
 	}
-	if len(chunks) != 4 {
-		t.Fatalf("v1 references %d chunks, want 4", len(chunks))
+	if len(v1.Chunks) != 4 {
+		t.Fatalf("v1 references %d chunks, want 4", len(v1.Chunks))
 	}
-	nodes, chunks, err = VersionNodes(context.Background(), store, 1, 2, 4)
-	if err != nil {
+	v2 := NewLiveSet()
+	if err := v2.AddOwned(context.Background(), store, 1, 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != 3 { // root, (0,2), leaf 0 — the rest is referenced, not owned
-		t.Fatalf("v2 owns %d nodes, want 3", len(nodes))
+	if len(v2.Nodes) != 3 { // root, (0,2), leaf 0 — the rest is referenced, not owned
+		t.Fatalf("v2 owns %d nodes, want 3", len(v2.Nodes))
 	}
-	if len(chunks) != 1 {
-		t.Fatalf("v2 references %d chunks, want 1", len(chunks))
+	if len(v2.Chunks) != 1 {
+		t.Fatalf("v2 references %d chunks, want 1", len(v2.Chunks))
 	}
 }
 
@@ -239,8 +239,9 @@ func TestSweepPreservesRetainedReads(t *testing.T) {
 	}
 	// Walking a pruned version now hits holes; must not panic and must
 	// not resurrect anything.
-	nodes, _, _ := VersionNodes(context.Background(), store, 1, 1, 4)
-	for _, k := range nodes {
+	pruned := NewLiveSet()
+	_ = pruned.AddOwned(context.Background(), store, 1, 1, 4)
+	for k := range pruned.Nodes {
 		if !live.Has(k) {
 			t.Errorf("pruned walk still sees dead node %s", k)
 		}

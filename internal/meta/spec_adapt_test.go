@@ -11,12 +11,12 @@ import (
 // majority-miss rounds halve it (floor 1), near-perfect rounds add one.
 func TestSpecDepthAIMD(t *testing.T) {
 	c := NewClient(nil, []string{"m0"}, 1, 0)
-	if got := c.SpecDepth(); got != specMaxDepth {
+	if got := c.specExpansionDepth(); got != specMaxDepth {
 		t.Fatalf("initial depth = %d, want %d", got, specMaxDepth)
 	}
 	// Tiny rounds carry no signal.
 	c.observeSpec(0, specAdaptMinRound-1)
-	if got := c.SpecDepth(); got != specMaxDepth {
+	if got := c.specExpansionDepth(); got != specMaxDepth {
 		t.Fatalf("depth after under-sample round = %d, want unchanged %d", got, specMaxDepth)
 	}
 	// Majority-miss rounds: 62 -> 31 -> 15 -> ... -> 1, never 0.
@@ -27,18 +27,18 @@ func TestSpecDepthAIMD(t *testing.T) {
 		if want < 1 {
 			want = 1
 		}
-		if got := c.SpecDepth(); got != want {
+		if got := c.specExpansionDepth(); got != want {
 			t.Fatalf("depth after miss round %d = %d, want %d", i+1, got, want)
 		}
 	}
 	// Near-perfect rounds re-deepen one level at a time.
 	c.observeSpec(specAdaptMinRound, 0)
-	if got := c.SpecDepth(); got != 2 {
+	if got := c.specExpansionDepth(); got != 2 {
 		t.Fatalf("depth after perfect round = %d, want 2", got)
 	}
 	// A round with a meaningful miss share (but not majority) holds.
 	c.observeSpec(12, 4)
-	if got := c.SpecDepth(); got != 2 {
+	if got := c.specExpansionDepth(); got != 2 {
 		t.Fatalf("depth after mixed round = %d, want unchanged 2", got)
 	}
 	// Hit/miss totals still accumulate for RPCStats.

@@ -3,10 +3,11 @@
 // maintenance daemon, client — each taking a spec and
 // returning a handle that owns everything the role runs: its server, its
 // durable state, its metrics and tracing attachments and its side loops
-// (HA replication, lease expiry, heartbeats, maintenance). cmd/blobseerd
-// maps flags to one spec and the cluster harness maps its Config to many;
-// neither wires anything beside these constructors, so the in-process
-// fault suites exercise the assembly that ships.
+// (HA replication, lease expiry, heartbeats, maintenance). Each role's
+// flags are declared here too, beside its spec (Roles): cmd/blobseerd
+// parses one role's flags into one spec and the cluster harness maps its
+// Config to many; neither wires anything beside these constructors, so
+// the in-process fault suites exercise the assembly that ships.
 //
 // Every handle has Addr, Close (graceful, in dependency order) and Kill
 // (kill -9: the RPC port goes dark first, and durable logs are released so

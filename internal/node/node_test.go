@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -299,16 +300,14 @@ func TestInvalidSpecs(t *testing.T) {
 }
 
 // The maintenance flags parse into the spec the engine gets: MiB become
-// bytes, a non-positive scrub rate lifts the limit, and only the tuning
-// flags given count as given.
+// bytes and a non-positive scrub rate lifts the limit.
 func TestMaintFlags(t *testing.T) {
 	fs := flag.NewFlagSet("maint", flag.ContinueOnError)
-	mf := node.BindMaintFlags(fs)
+	var spec node.MaintSpec
+	spec.BindTuningFlags(fs)
 	if err := fs.Parse([]string{"-repair-max-move-mb", "2", "-scrub-rate-mb", "0", "-meta-repl", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	var spec node.MaintSpec
-	mf.Apply(&spec)
 	if got := spec.Tuning.MaxMoveBytes; got != 2<<20 {
 		t.Errorf("-repair-max-move-mb 2 gives %d bytes, want %d", got, 2<<20)
 	}
@@ -318,9 +317,75 @@ func TestMaintFlags(t *testing.T) {
 	if spec.MetaRepl != 3 || spec.Tuning.OrphanGrace != 5*time.Minute || spec.Tuning.LowWater != 0.70 {
 		t.Errorf("spec = %+v, want meta-repl 3 and the default grace and low watermark", spec)
 	}
-	if got := mf.TuningGiven(); !slices.Equal(got, []string{"-repair-max-move-mb", "-scrub-rate-mb"}) {
-		t.Errorf("TuningGiven = %v, want the two tuning flags set", got)
+}
+
+// Each role declares exactly its own flags (besides the process-wide
+// ones), with their defaults.
+func TestRoleFlags(t *testing.T) {
+	want := map[string]string{
+		"vmanager": "advertise= dir= fsync=true ha-ttl=1s lease-ttl=0s listen=:0 meta= meta-repl=1 repl=quorum standby-of= vm-peers=",
+		"pmanager": "heartbeat-timeout=5s listen=:0 strategy=roundrobin",
+		"metadata": "dir= fsync=true listen=:0",
+		"provider": "cache-mb=256 capacity-mb=0 dir= fsync=true heartbeat=1s listen=:0 pm= store=mem",
+		"maint": "fullness-watermark=0 gc-interval=0s gc-orphan-grace=5m0s meta= meta-repl=1 pm= repair-interval=0s " +
+			"repair-low=0.7 repair-max-move-mb=1024 scrub-interval=0s scrub-rate-mb=32 vm=",
 	}
+	if len(node.Roles) != len(want) {
+		t.Fatalf("%d roles, want %d", len(node.Roles), len(want))
+	}
+	for role, bind := range node.Roles {
+		fs := flag.NewFlagSet(role, flag.ContinueOnError)
+		bind(fs)
+		var got []string
+		fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+		if g := strings.Join(got, " "); g != want[role] {
+			t.Errorf("-role %s flags:\n got %s\nwant %s", role, g, want[role])
+		}
+	}
+	var env node.EnvConfig
+	fs := flag.NewFlagSet("env", flag.ContinueOnError)
+	env.BindFlags(fs)
+	var n int
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 5 || env.TraceSample != 256 || env.TraceSlow != 50*time.Millisecond {
+		t.Errorf("%d process-wide flags, defaults %+v; want 5, sampling 1 in 256, slow at 50ms", n, env)
+	}
+}
+
+// A provider started before its provider manager listens keeps serving,
+// and its heartbeats join it to the manager once the manager is up.
+func TestProviderJoinsLateProviderManager(t *testing.T) {
+	const beat = 50 * time.Millisecond
+	networks(t, func(t *testing.T, env *node.Env, addr func(string) string) {
+		cli := testClient(t, env)
+		pmAddr := addr("pm-late")
+		if strings.HasSuffix(pmAddr, ":0") {
+			l, err := net.Listen("tcp", pmAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pmAddr = l.Addr().String()
+			l.Close()
+		}
+		p, err := node.StartProvider(env, node.ProviderSpec{Listen: addr("dp-early"), PM: pmAddr, Heartbeat: beat, Store: chunk.NewMemStore()})
+		if err != nil {
+			t.Fatalf("provider failed to start before its provider manager: %v", err)
+		}
+		defer p.Close()
+		if _, err := provider.Stats(context.Background(), cli, p.Addr()); err != nil {
+			t.Fatalf("provider does not serve: %v", err)
+		}
+		pm, err := node.StartPManager(env, node.PManagerSpec{Listen: pmAddr, HeartbeatTimeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pm.Close()
+		eventually(t, 10*beat, "the late provider manager lists the provider", func() bool {
+			var members pmanager.ProvidersResp
+			err := cli.Call(pm.Addr(), pmanager.MethodProviders, &pmanager.Ack{}, &members)
+			return err == nil && slices.Contains(members.Addrs, p.Addr())
+		})
+	})
 }
 
 func haStatus(t *testing.T, cli *rpc.Client, addr string) *vmanager.HAStatusResp {

@@ -1,9 +1,7 @@
 package node
 
 import (
-	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"log"
 	"sync"
@@ -110,8 +108,8 @@ func (m *Metadata) Restart() (*Metadata, error) {
 // ProviderSpec describes a data provider process.
 type ProviderSpec struct {
 	Listen string
-	// PM is the provider manager to register with and then heartbeat to
-	// every Heartbeat.
+	// PM is the provider manager to heartbeat to every Heartbeat; the
+	// first beat registers the provider.
 	PM        string
 	Heartbeat time.Duration
 	// Store is the chunk engine. Close closes it; Kill leaves it open — it
@@ -124,7 +122,7 @@ type ProviderSpec struct {
 }
 
 // Provider is a running data provider: the chunk server plus its
-// registration and heartbeats.
+// heartbeats.
 type Provider struct {
 	*provider.Server
 	env  *Env
@@ -132,8 +130,8 @@ type Provider struct {
 	hb   *rpc.Client
 }
 
-// StartProvider serves the store, registers with the provider manager and
-// starts heartbeating.
+// StartProvider serves the store and starts heartbeating to the provider
+// manager, which need not be up yet.
 func StartProvider(env *Env, spec ProviderSpec) (*Provider, error) {
 	if spec.PM == "" || spec.Store == nil {
 		return nil, errors.New("node: a data provider requires the provider manager address (-pm) and a chunk store")
@@ -149,16 +147,15 @@ func StartProvider(env *Env, spec ProviderSpec) (*Provider, error) {
 	register(env, "provider/"+s.Addr(), s, func(get func() *provider.Server) {
 		obs.RegisterProvider(env.Registry, s.Addr(), get)
 	})
-	// Registration and heartbeats go through a client sourced at the
-	// provider's own address, so a provider the fabric marks down really
-	// goes silent and ages out of the provider manager.
+	// Heartbeats go through a client sourced at the provider's own
+	// address, so a provider the fabric marks down really goes silent and
+	// ages out of the provider manager. The first beat joins the provider;
+	// a manager not listening yet hears a later one.
 	spec.Listen = s.Addr()
 	p := &Provider{Server: s, env: env, spec: spec, hb: env.client("provider", s.Addr(), false)}
-	if err := p.hb.CallCtx(context.Background(), spec.PM, pmanager.MethodRegister, &pmanager.RegisterReq{Addr: s.Addr()}, &pmanager.Ack{}); err != nil {
-		p.Kill()
-		return nil, fmt.Errorf("node: registering provider %s with %s: %w", s.Addr(), spec.PM, err)
+	if err := s.StartHeartbeats(p.hb, spec.PM, spec.Heartbeat); err != nil {
+		log.Printf("node: provider %s: first heartbeat to %s failed, retrying every %v: %v", s.Addr(), spec.PM, spec.Heartbeat, err)
 	}
-	s.StartHeartbeats(p.hb, spec.PM, spec.Heartbeat)
 	return p, nil
 }
 
@@ -210,59 +207,6 @@ func (s *MaintSpec) validate() error {
 		return errors.New("node: maintenance passes require the provider manager (-pm) and metadata provider (-meta) addresses to reach the deployment")
 	}
 	return nil
-}
-
-// MaintFlags are the maintenance settings read from a command line: the
-// deployment's metadata replication degree and the actions' tuning. One
-// declaration serves blobseerd -role maint and blobseer-cli maint, so both
-// spell and default them alike.
-type MaintFlags struct {
-	fs             *flag.FlagSet
-	metaRepl       *int
-	grace          *time.Duration
-	high, low      *float64
-	moveMB, rateMB *int64
-}
-
-// BindMaintFlags declares the maintenance flags on fs.
-func BindMaintFlags(fs *flag.FlagSet) *MaintFlags {
-	return &MaintFlags{
-		fs:       fs,
-		metaRepl: fs.Int("meta-repl", 1, "the deployment's metadata replication degree (walk resilience; deletes and patches always reach every member)"),
-		grace:    fs.Duration("gc-orphan-grace", 5*time.Minute, "reclaim: minimum chunk age before orphan reclaim"),
-		high:     fs.Float64("fullness-watermark", 0, "replicate: provider fullness in (0, 1] above which the rebalancer drains it (0 = the 0.85 default)"),
-		low:      fs.Float64("repair-low", 0.70, "replicate: rebalance fullness low watermark"),
-		moveMB:   fs.Int64("repair-max-move-mb", 1024, "replicate: max payload the rebalancer migrates per pass"),
-		rateMB:   fs.Int64("scrub-rate-mb", 32, "verify: verification rate limit in MiB/s, <=0 = unlimited"),
-	}
-}
-
-// Apply fills the spec's MetaRepl and Tuning from the parsed flags.
-func (f *MaintFlags) Apply(spec *MaintSpec) {
-	spec.MetaRepl = *f.metaRepl
-	spec.Tuning = maint.Config{
-		OrphanGrace:      *f.grace,
-		HighWater:        *f.high,
-		LowWater:         *f.low,
-		MaxMoveBytes:     uint64(*f.moveMB) << 20,
-		ScrubBytesPerSec: maint.NoRateLimit,
-	}
-	if *f.rateMB > 0 {
-		spec.Tuning.ScrubBytesPerSec = uint64(*f.rateMB) << 20
-	}
-}
-
-// TuningGiven names the tuning flags set on the command line (not
-// -meta-repl), in lexical order.
-func (f *MaintFlags) TuningGiven() []string {
-	var given []string
-	f.fs.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "gc-orphan-grace", "fullness-watermark", "repair-low", "repair-max-move-mb", "scrub-rate-mb":
-			given = append(given, "-"+fl.Name)
-		}
-	})
-	return given
 }
 
 // Maint is a running maintenance plane: the engine (which also runs passes

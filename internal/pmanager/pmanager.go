@@ -22,7 +22,6 @@ import (
 // Method names served by the provider manager. Heartbeat is declared in
 // package provider to keep the dependency one-way.
 const (
-	MethodRegister  = "pm.register"
 	MethodAllocate  = "pm.allocate"
 	MethodProviders = "pm.providers"
 	MethodReport    = "pm.report"
@@ -46,16 +45,6 @@ var ErrTooManyChunks = errors.New("pmanager: allocation reply exceeds one rpc fr
 // at least 8 bytes of an AllocateResp (its count and one length-prefixed
 // address), so no more than this many fit in one RPC frame.
 const MaxAllocateChunks = rpc.MaxFrame / 8
-
-// RegisterReq announces a new provider.
-type RegisterReq struct {
-	Addr string
-}
-
-// Encode, Decode and Wire implement wire.Message: Wire is the field list.
-func (r *RegisterReq) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *RegisterReq) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *RegisterReq) Wire(c *wire.Codec)     { c.String(&r.Addr) }
 
 // AllocateReq asks for placements for NumChunks chunks, each replicated
 // Replication times. Exclude lists providers placement must avoid — a
@@ -200,20 +189,8 @@ func NewManager(strategy string, hbTimeout time.Duration) (*Manager, error) {
 	}, nil
 }
 
-// Register adds a provider (idempotent); registration counts as a beat.
-func (m *Manager) Register(addr string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.providers[addr]
-	if !ok {
-		p = &provInfo{addr: addr}
-		m.providers[addr] = p
-	}
-	p.lastSeen = m.now()
-}
-
-// Heartbeat refreshes a provider's liveness, load, and free space.
-// Unknown providers are auto-registered (a restarted provider re-appears
+// Heartbeat refreshes a provider's liveness, load, and free space. A
+// provider joins with its first beat (so a restarted one re-appears
 // transparently).
 func (m *Manager) Heartbeat(hb *provider.HeartbeatReq) {
 	m.mu.Lock()
@@ -421,11 +398,6 @@ func NewServer(network rpc.Network, addr, strategy string, hbTimeout time.Durati
 		return nil, err
 	}
 	s := &Server{m: m, srv: rpc.NewServer(network, addr)}
-	rpc.HandleMsg(s.srv, MethodRegister, func() *RegisterReq { return &RegisterReq{} },
-		func(req *RegisterReq) (*Ack, error) {
-			s.m.Register(req.Addr)
-			return &Ack{}, nil
-		})
 	rpc.HandleMsg(s.srv, provider.MethodHeartbeat, func() *provider.HeartbeatReq { return &provider.HeartbeatReq{} },
 		func(req *provider.HeartbeatReq) (*Ack, error) {
 			s.m.Heartbeat(req)

@@ -51,7 +51,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 	now := time.Unix(1000, 0)
 	m := managerAt(t, StrategyRoundRobin, &now)
 	for _, a := range []string{"p1", "p2", "p3"} {
-		m.Register(a)
+		beat(m, a, 0, 0)
 	}
 	sets, err := m.Allocate(6, 1, nil)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestReplicationDistinctAndClamped(t *testing.T) {
 	for _, strat := range []string{StrategyRoundRobin, StrategyRandom, StrategyLeastLoaded} {
 		m := managerAt(t, strat, &now)
 		for _, a := range []string{"p1", "p2", "p3"} {
-			m.Register(a)
+			beat(m, a, 0, 0)
 		}
 		sets, err := m.Allocate(10, 5, nil) // ask for more replicas than providers
 		if err != nil {
@@ -116,8 +116,8 @@ func TestLeastLoadedPrefersEmpty(t *testing.T) {
 func TestHeartbeatTimeoutRemovesProvider(t *testing.T) {
 	now := time.Unix(1000, 0)
 	m := managerAt(t, StrategyRoundRobin, &now)
-	m.Register("p1")
-	m.Register("p2")
+	beat(m, "p1", 0, 0)
+	beat(m, "p2", 0, 0)
 	now = now.Add(500 * time.Millisecond)
 	beat(m, "p2", 0, 0) // p2 stays fresh
 	now = now.Add(700 * time.Millisecond)
@@ -154,10 +154,11 @@ func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer prov.Close()
-	if err := cli.Call("pm", MethodRegister, &RegisterReq{Addr: "prov1"}, &Ack{}); err != nil {
+	// The first beat is sent before StartHeartbeats returns, so the
+	// provider is placeable at once.
+	if err := prov.StartHeartbeats(cli, "pm", 50*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	prov.StartHeartbeats(cli, "pm", 50*time.Millisecond)
 
 	var alloc AllocateResp
 	if err := cli.Call("pm", MethodAllocate, &AllocateReq{NumChunks: 2, Replication: 1}, &alloc); err != nil {
@@ -204,7 +205,7 @@ func TestAllocateExclusion(t *testing.T) {
 	now := time.Unix(1000, 0)
 	m := managerAt(t, StrategyRoundRobin, &now)
 	for _, a := range []string{"dp0", "dp1", "dp2", "dp3"} {
-		m.Register(a)
+		beat(m, a, 0, 0)
 	}
 	// Excluding two providers must keep every replica on the other two.
 	sets, err := m.Allocate(8, 2, []string{"dp0", "dp1"})
@@ -232,7 +233,7 @@ func TestAllocateExclusion(t *testing.T) {
 func TestAllocateRejectsCountPastOneFrame(t *testing.T) {
 	now := time.Unix(1000, 0)
 	m := managerAt(t, StrategyRoundRobin, &now)
-	m.Register("dp0")
+	beat(m, "dp0", 0, 0)
 	if _, err := m.Allocate(math.MaxUint32, 1, nil); !errors.Is(err, ErrTooManyChunks) {
 		t.Fatalf("err = %v, want ErrTooManyChunks", err)
 	}

@@ -800,17 +800,20 @@ func (s *Server) SetRPCObserver(o rpc.ServerObserver) { s.srv.SetObserver(o) }
 // sampled request records a server span under the caller's trace.
 func (s *Server) SetRPCTracer(t *trace.Tracer) { s.srv.SetTracer(t) }
 
-// StartHeartbeats begins reporting to the provider manager at pmAddr every
-// interval until Close. Heartbeat failures are ignored: if the fabric says
-// this node is down, the manager notices through the missing beats.
-func (s *Server) StartHeartbeats(cli *rpc.Client, pmAddr string, interval time.Duration) {
+// StartHeartbeats reports to the provider manager at pmAddr now and then
+// every interval until Close. The first beat, which is also how a
+// provider joins the manager, is sent before it returns and its error is
+// returned; later failures are ignored: if the fabric says this node is
+// down, the manager notices through the missing beats, and a manager not
+// up yet hears the next beat once it is.
+func (s *Server) StartHeartbeats(cli *rpc.Client, pmAddr string, interval time.Duration) error {
+	err := s.heartbeat(cli, pmAddr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.hbStop != nil || s.stopped {
-		return
+		return err
 	}
-	s.hbStop = make(chan struct{})
-	s.hbDone = make(chan struct{})
+	s.hbStop, s.hbDone = make(chan struct{}), make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
 		t := time.NewTicker(interval)
@@ -820,22 +823,28 @@ func (s *Server) StartHeartbeats(cli *rpc.Client, pmAddr string, interval time.D
 			case <-stop:
 				return
 			case <-t.C:
-				used := s.store.Bytes()
-				hb := &HeartbeatReq{
-					Addr:   s.Addr(), // the BOUND address: a ":0" listen address names nobody
-					Chunks: uint64(s.store.Len()),
-					Bytes:  uint64(used),
-				}
-				if s.capBytes > 0 {
-					hb.CapBytes = uint64(s.capBytes)
-					if free := s.capBytes - used; free > 0 {
-						hb.FreeBytes = uint64(free)
-					}
-				}
-				_ = cli.CallCtx(context.Background(), pmAddr, MethodHeartbeat, hb, &Ack{})
+				_ = s.heartbeat(cli, pmAddr)
 			}
 		}
 	}(s.hbStop, s.hbDone)
+	return err
+}
+
+// heartbeat sends one beat: the provider's load and free space.
+func (s *Server) heartbeat(cli *rpc.Client, pmAddr string) error {
+	used := s.store.Bytes()
+	hb := &HeartbeatReq{
+		Addr:   s.Addr(), // the BOUND address: a ":0" listen address names nobody
+		Chunks: uint64(s.store.Len()),
+		Bytes:  uint64(used),
+	}
+	if s.capBytes > 0 {
+		hb.CapBytes = uint64(s.capBytes)
+		if free := s.capBytes - used; free > 0 {
+			hb.FreeBytes = uint64(free)
+		}
+	}
+	return cli.CallCtx(context.Background(), pmAddr, MethodHeartbeat, hb, &Ack{})
 }
 
 // Close stops heartbeats, the RPC server, and the sidecar log.

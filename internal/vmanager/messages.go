@@ -455,7 +455,7 @@ var CounterTable = [NumCounters]CounterDef{
 // the vm.maintreport payload, an engine's lifetime totals and the
 // vm.maintstats response alike. The version manager is the aggregation
 // point — passes may run from the cluster harness, a maint daemon or the
-// CLI, and `blobseer-cli maint-stats` must see them all — but apart from
+// CLI, and `blobseer-cli stats` must see them all — but apart from
 // the journaled GC totals the counters are pure observability.
 type Counters [NumCounters]uint64
 

@@ -104,7 +104,6 @@ func messages() []message {
 		{"meta.Ack", &meta.Ack{}, newOf[meta.Ack]()},
 
 		// pmanager
-		{"pm.RegisterReq", &pmanager.RegisterReq{Addr: "dp1:4420"}, newOf[pmanager.RegisterReq]()},
 		{"pm.AllocateReq", &pmanager.AllocateReq{NumChunks: 1, Replication: 2, Exclude: []string{"x", "yz"}}, newOf[pmanager.AllocateReq]()},
 		{"pm.AllocateResp", &pmanager.AllocateResp{Sets: [][]string{{"a", "b"}, {}, {"c"}}}, newOf[pmanager.AllocateResp]()},
 		{"pm.ProvidersResp", &pmanager.ProvidersResp{Addrs: []string{"a", "bc"}}, newOf[pmanager.ProvidersResp]()},
@@ -290,10 +289,6 @@ var frozenMessages = map[string][2]string{
 	"meta.Ack": {
 		"",
 		"",
-	},
-	"pm.RegisterReq": {
-		"080000006470313a34343230",
-		"00000000",
 	},
 	"pm.AllocateReq": {
 		"010000000200000002000000010000007802000000797a",
