@@ -47,8 +47,9 @@
 //     still references it — then deletes dead tree nodes from the
 //     metadata providers and dead chunks from the data providers, and
 //     sweeps orphan chunks left by aborted writes once they outlive a
-//     grace period. Reclamation totals are reported through
-//     Client.GCStats.
+//     grace period. Reclamation totals are the gc plane of the version
+//     manager's counter table (vm.maintstats, `blobseer-cli stats`,
+//     /metrics).
 //   - replicate scans every retained snapshot's placement on that same
 //     walk, re-replicates chunks whose replicas sit on dead or
 //     quarantined copies (batched getchunks/putchunks — RPC count tracks
@@ -108,9 +109,6 @@ type (
 	// FabricConfig shapes the simulated network of a deployment.
 	FabricConfig = netsim.Config
 )
-
-// GCStats reports deployment-wide reclamation totals (Client.GCStats).
-type GCStats = core.GCStats
 
 // Errors re-exported from the client library.
 var (

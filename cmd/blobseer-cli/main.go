@@ -25,8 +25,9 @@
 //	blobseer-cli ... maint verify -scrub-rate-mb 32
 //	blobseer-cli ... maint all
 //
-// Deployment counters: cumulative maintenance totals (all engines), write
-// leases (see blobseerd -lease-ttl) and per-provider stats:
+// Deployment counters: the version manager's counter table (cumulative
+// maintenance totals of all engines, and write leases; see blobseerd
+// -lease-ttl) and each provider's:
 //
 //	blobseer-cli ... stats
 //
@@ -62,6 +63,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/maint"
+	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pmanager"
@@ -232,37 +234,24 @@ func main() {
 		fmt.Println(action.Summary(&st, "\n"))
 		must(err)
 	case "stats":
-		// One deployment-health snapshot: the maintenance and lease
-		// counters plus a per-provider inventory — the human-readable
-		// cousin of scraping every /metrics endpoint.
+		// One deployment-health snapshot: the version manager's counter
+		// table plus each provider's — the human-readable cousin of
+		// scraping every /metrics endpoint.
 		rpcCli := client.RPC()
-		vmc := vmanager.NewCaller(rpcCli, vmAddrs)
-
-		var mt vmanager.Counters
-		must(vmc.Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &mt))
-		fmt.Println(maint.All.Summary(&mt, "\n"))
-
-		var ls vmanager.LeaseStatsResp
-		must(vmc.Call(context.Background(), vmanager.MethodLeaseStats, &vmanager.Ack{}, &ls))
-		if ls.TTLMs == 0 {
-			fmt.Println("leases:  off (vmanager started without -lease-ttl)")
-		} else {
-			fmt.Printf("leases:  ttl-ms=%d active=%d granted=%d renewed=%d expired=%d\n",
-				ls.TTLMs, ls.Active, ls.Granted, ls.Renewed, ls.Expired)
-		}
+		var vc vmanager.Counters
+		must(vmanager.NewCaller(rpcCli, vmAddrs).Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &vc))
+		fmt.Println(metrics.Summary(vmanager.CounterTable[:], vc[:], "\n", nil))
 
 		var provs pmanager.ProvidersResp
 		must(rpcCli.CallCtx(context.Background(), *pm, pmanager.MethodProviders, &pmanager.Ack{}, &provs))
 		fmt.Printf("providers: %d live\n", len(provs.Addrs))
 		for _, addr := range provs.Addrs {
-			ps, err := provider.Stats(context.Background(), rpcCli, addr)
+			pc, err := provider.Stats(context.Background(), rpcCli, addr)
 			if err != nil {
 				fmt.Printf("  %-22s unreachable: %v\n", addr, err)
 				continue
 			}
-			fmt.Printf("  %-22s chunks=%d bytes=%d puts=%d gets=%d deletes=%d bytes-in=%d bytes-out=%d verified=%d corrupt=%d quarantined=%d backfilled=%d\n",
-				addr, ps.Chunks, ps.Bytes, ps.Puts, ps.Gets, ps.Deletes, ps.BytesIn, ps.BytesOut,
-				ps.Verified, ps.Corrupt, ps.Quarantined, ps.Backfilled)
+			fmt.Printf("  %-22s %s\n", addr, metrics.Summary(provider.CounterTable[:], pc[:], " ", nil))
 		}
 		printWorstExemplars(obsAddrs)
 	case "compact":

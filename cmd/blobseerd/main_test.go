@@ -183,6 +183,24 @@ func TestRolesRefuseForeignFlags(t *testing.T) {
 	}
 }
 
+// A provider given a non-positive heartbeat interval is refused before it
+// serves, by an error naming the flag, rather than logging "serving at"
+// and then panicking in its heartbeat loop.
+func TestProviderRefusesZeroHeartbeat(t *testing.T) {
+	bin := buildDaemon(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	args := []string{"-role", "provider", "-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-heartbeat", "0"}
+	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || ctx.Err() != nil {
+		t.Fatalf("%v: want a non-zero exit, got err=%v; output:\n%s", args, err, out)
+	}
+	if !strings.Contains(string(out), "-heartbeat") || strings.Contains(string(out), "panic:") {
+		t.Fatalf("%v: want a refusal naming -heartbeat and no panic:\n%s", args, out)
+	}
+}
+
 // The command lines the benchmark deploys (benchmark/deploy.go), each with
 // the -metrics-listen its traced runs append, start every role, and the
 // deployment serves a write and its read-back.

@@ -85,35 +85,3 @@ func (c *Client) DeleteBlob(id uint64) error {
 	}
 	return nil
 }
-
-// GCStats reports the deployment's cumulative garbage-collection totals as
-// aggregated by the version manager.
-type GCStats struct {
-	// Chunks and Bytes count reclaimed chunk replicas and their payload.
-	Chunks uint64
-	Bytes  uint64
-	// Nodes counts reclaimed metadata tree node replicas.
-	Nodes uint64
-	// Orphans counts chunks reclaimed from aborted writes.
-	Orphans uint64
-	// PrunedVersions counts versions fully swept.
-	PrunedVersions uint64
-	// PendingBlobs counts blobs with outstanding GC work.
-	PendingBlobs uint64
-}
-
-// GCStats fetches the deployment-wide reclamation totals.
-func (c *Client) GCStats() (*GCStats, error) {
-	var resp vmanager.Counters
-	if err := c.vm.Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &resp); err != nil {
-		return nil, fmt.Errorf("core: gc stats: %w", err)
-	}
-	return &GCStats{
-		Chunks:         resp[vmanager.GCChunks],
-		Bytes:          resp[vmanager.GCBytes],
-		Nodes:          resp[vmanager.GCNodes],
-		Orphans:        resp[vmanager.GCOrphans],
-		PrunedVersions: resp[vmanager.GCPruned],
-		PendingBlobs:   resp[vmanager.GCPending],
-	}, nil
-}

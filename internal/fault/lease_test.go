@@ -89,8 +89,8 @@ func TestWriterLeaseUnwedgesVanishedWriter(t *testing.T) {
 	if !wi.Failed {
 		t.Fatalf("wedged version %d not aborted: %+v", wedge.Version, wi)
 	}
-	if st := mgr.LeaseStats(); st.Expired == 0 {
-		t.Fatalf("lease stats report no expiries: %+v", st)
+	if st := mgr.MaintStats(); st[vmanager.LeaseExpired] == 0 {
+		t.Fatalf("lease stats report no expiries: %s", maint.All.Summary(st, "; "))
 	}
 
 	// B wove against the wedged version's in-flight descriptor, so a full
@@ -264,12 +264,12 @@ func TestWriterLeaseRenewalKeepsSlowWriterAlive(t *testing.T) {
 		&vmanager.VersionRef{BlobID: blob.ID(), Version: assign.Version}, &vmanager.Ack{}); err != nil {
 		t.Fatalf("commit after %v of renewed upload: %v", 3*leaseTTL, err)
 	}
-	var stats vmanager.LeaseStatsResp
-	if err := raw.Call(c.VMAddr(), vmanager.MethodLeaseStats, &vmanager.Ack{}, &stats); err != nil {
+	var stats vmanager.Counters
+	if err := raw.Call(c.VMAddr(), vmanager.MethodMaintStats, &vmanager.Ack{}, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Renewed < 6 || stats.Expired != 0 {
-		t.Fatalf("lease stats = %+v, want >=6 renewals and no expiries", stats)
+	if stats[vmanager.LeaseRenewed] < 6 || stats[vmanager.LeaseExpired] != 0 {
+		t.Fatalf("lease renewed=%d expired=%d, want >=6 renewals and no expiries", stats[vmanager.LeaseRenewed], stats[vmanager.LeaseExpired])
 	}
 
 	// Same writer, no heartbeats: the version expires and the late commit

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/cluster"
 	"repro/internal/maint"
+	"repro/internal/provider"
 	"repro/internal/vmanager"
 )
 
@@ -112,9 +113,9 @@ func TestCorruptReplicaReadFailover(t *testing.T) {
 	if got := reader.IOStats().ChunkCorruptReads; got < 1 {
 		t.Errorf("client ChunkCorruptReads = %d, want >= 1 (corrupt replica was first choice)", got)
 	}
-	ps := c.Providers[victim].StatsSnapshot()
-	if ps.Corrupt < 1 || ps.Quarantined < 1 {
-		t.Errorf("victim provider corrupt=%d quarantined=%d, want both >= 1", ps.Corrupt, ps.Quarantined)
+	ps := c.Providers[victim].Counters()
+	if ps[provider.Corrupt] < 1 || ps[provider.Quarantined] < 1 {
+		t.Errorf("victim provider corrupt=%d quarantined=%d, want both >= 1", ps[provider.Corrupt], ps[provider.Quarantined])
 	}
 }
 
@@ -182,7 +183,7 @@ func testScrubRestoresDegree(t *testing.T, cfg cluster.Config) {
 		if c.Providers[i].Store().Has(key) {
 			copies++
 		}
-		if q := c.Providers[i].StatsSnapshot().Quarantined; q != 0 {
+		if q := c.Providers[i].Counters()[provider.Quarantined]; q != 0 {
 			t.Errorf("provider %d still quarantines %d copies after heal", i, q)
 		}
 	}

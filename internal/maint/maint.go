@@ -38,12 +38,14 @@ package maint
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/meta"
+	"repro/internal/metrics"
 	"repro/internal/pmanager"
 	"repro/internal/provider"
 	"repro/internal/rpc"
@@ -82,20 +84,10 @@ func (a Action) String() string {
 // Summary renders the counters the set's actions own, one
 // "plane: name=value ..." group per action, joined by sep.
 func (a Action) Summary(st *vmanager.Counters, sep string) string {
-	var parts []string
-	for i, plane := range actionPlanes {
-		if a&(1<<i) == 0 {
-			continue
-		}
-		text := plane + ":"
-		for id, def := range vmanager.CounterTable {
-			if def.Plane == plane {
-				text += fmt.Sprintf(" %s=%d", def.Name, st[id])
-			}
-		}
-		parts = append(parts, text)
-	}
-	return strings.Join(parts, sep)
+	return metrics.Summary(vmanager.CounterTable[:], st[:], sep, func(plane string) bool {
+		i := slices.Index(actionPlanes[:], plane)
+		return i >= 0 && a&(1<<i) != 0
+	})
 }
 
 // ParseAction resolves one action name, or "all".

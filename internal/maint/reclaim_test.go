@@ -26,10 +26,22 @@ func providerTotals(t *testing.T, c *cluster.Cluster) (chunks, bytes uint64) {
 		if err != nil {
 			t.Fatalf("stats of %s: %v", addr, err)
 		}
-		chunks += st.Chunks
-		bytes += st.Bytes
+		chunks += st[provider.Chunks]
+		bytes += st[provider.Bytes]
 	}
 	return chunks, bytes
+}
+
+// vmTotals reads the version manager's counter table over vm.maintstats.
+func vmTotals(t *testing.T, c *cluster.Cluster) *vmanager.Counters {
+	t.Helper()
+	cli := rpc.NewClientFrom(c.Network, 0, "stats-probe")
+	defer cli.Close()
+	var st vmanager.Counters
+	if err := vmanager.NewCaller(cli, c.VMAddrs()).Call(context.Background(), vmanager.MethodMaintStats, &vmanager.Ack{}, &st); err != nil {
+		t.Fatal(err)
+	}
+	return &st
 }
 
 func metaNodeTotal(c *cluster.Cluster) int {
@@ -110,12 +122,9 @@ func TestKeepLastOneReclaimsToFinalSnapshotSize(t *testing.T) {
 		}
 	}
 	// Deployment-wide stats surfaced through the version manager.
-	gs, err := cli.GCStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.PrunedVersions != versions-1 || gs.Bytes != stats[vmanager.GCBytes] {
-		t.Fatalf("gc stats = %+v, want %d pruned and %d bytes", gs, versions-1, stats[vmanager.GCBytes])
+	gs := vmTotals(t, c)
+	if gs[vmanager.GCPruned] != versions-1 || gs[vmanager.GCBytes] != stats[vmanager.GCBytes] {
+		t.Fatalf("gc stats = %s, want %d pruned and %d bytes", maint.Reclaim.Summary(gs, "; "), versions-1, stats[vmanager.GCBytes])
 	}
 }
 
@@ -272,12 +281,8 @@ func TestDeleteBlobReclaimsEverything(t *testing.T) {
 	if !bytes.Equal(buf, payload) {
 		t.Fatal("keeper blob corrupted by delete sweep")
 	}
-	gs, err := cli.GCStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.PendingBlobs != 0 {
-		t.Fatalf("pending GC work after sweep: %+v", gs)
+	if gs := vmTotals(t, c); gs[vmanager.GCPending] != 0 {
+		t.Fatalf("pending GC work after sweep: %s", maint.Reclaim.Summary(gs, "; "))
 	}
 }
 

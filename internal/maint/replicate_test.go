@@ -99,7 +99,7 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 
 	rpcCli := testRPC(t, c)
 	survivors := c.ProviderAddrs()[1:]
-	before := make(map[string]*provider.StatsResp, len(survivors))
+	before := make(map[string]*provider.Counters, len(survivors))
 	for _, a := range survivors {
 		st, err := provider.Stats(context.Background(), rpcCli, a)
 		if err != nil {
@@ -133,9 +133,9 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stats %s: %v", a, err)
 		}
-		putBatches += after.PutBatches - before[a].PutBatches
-		getBatches += after.GetBatches - before[a].GetBatches
-		copiesStored += after.Puts - before[a].Puts
+		putBatches += after[provider.PutBatches] - before[a][provider.PutBatches]
+		getBatches += after[provider.GetBatches] - before[a][provider.GetBatches]
+		copiesStored += after[provider.Puts] - before[a][provider.Puts]
 	}
 	if copiesStored != chunks/2 {
 		t.Errorf("survivors stored %d repair copies, want %d", copiesStored, chunks/2)

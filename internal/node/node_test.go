@@ -281,6 +281,15 @@ func TestInvalidSpecs(t *testing.T) {
 			return node.StartProvider(env, node.ProviderSpec{Listen: "x", Store: chunk.NewMemStore()})
 		}, "-pm"},
 		"provider without its store": {func() (handle, error) { return node.StartProvider(env, node.ProviderSpec{Listen: "x", PM: "pm"}) }, "chunk store"},
+		"provider heartbeat 0": {func() (handle, error) {
+			return node.StartProvider(env, node.ProviderSpec{Listen: "x", PM: "pm", Store: chunk.NewMemStore()})
+		}, "-heartbeat"},
+		"provider negative heartbeat": {func() (handle, error) {
+			return node.StartProvider(env, node.ProviderSpec{Listen: "x", PM: "pm", Heartbeat: -time.Second, Store: chunk.NewMemStore()})
+		}, "-heartbeat"},
+		"pmanager negative heartbeat timeout": {func() (handle, error) {
+			return node.StartPManager(env, node.PManagerSpec{Listen: "x", HeartbeatTimeout: -time.Second})
+		}, "-heartbeat-timeout"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

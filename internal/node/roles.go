@@ -18,7 +18,8 @@ import (
 )
 
 // PManagerSpec describes a provider manager process: its chunk placement
-// strategy ("" = roundrobin) and how long a silent provider stays live.
+// strategy ("" = roundrobin) and how long a silent provider stays live
+// (0 = the manager's default; a negative timeout is refused).
 type PManagerSpec struct {
 	Listen           string
 	Strategy         string
@@ -31,6 +32,9 @@ type PManager struct{ *pmanager.Server }
 
 // StartPManager serves a provider manager.
 func StartPManager(env *Env, spec PManagerSpec) (*PManager, error) {
+	if spec.HeartbeatTimeout < 0 {
+		return nil, fmt.Errorf("node: a provider manager requires a non-negative liveness timeout (-heartbeat-timeout), got %v", spec.HeartbeatTimeout)
+	}
 	s, err := pmanager.NewServer(env.Network, spec.Listen, spec.Strategy, spec.HeartbeatTimeout)
 	if err != nil {
 		return nil, err
@@ -108,8 +112,8 @@ func (m *Metadata) Restart() (*Metadata, error) {
 // ProviderSpec describes a data provider process.
 type ProviderSpec struct {
 	Listen string
-	// PM is the provider manager to heartbeat to every Heartbeat; the
-	// first beat registers the provider.
+	// PM is the provider manager to heartbeat to every Heartbeat, which
+	// must be positive; the first beat registers the provider.
 	PM        string
 	Heartbeat time.Duration
 	// Store is the chunk engine. Close closes it; Kill leaves it open — it
@@ -135,6 +139,9 @@ type Provider struct {
 func StartProvider(env *Env, spec ProviderSpec) (*Provider, error) {
 	if spec.PM == "" || spec.Store == nil {
 		return nil, errors.New("node: a data provider requires the provider manager address (-pm) and a chunk store")
+	}
+	if spec.Heartbeat <= 0 {
+		return nil, fmt.Errorf("node: a data provider requires a positive heartbeat interval (-heartbeat), got %v", spec.Heartbeat)
 	}
 	s, err := provider.NewServer(env.Network, spec.Listen, spec.Store, spec.Options)
 	if err != nil {

@@ -7,7 +7,6 @@
 package obs
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -119,36 +118,17 @@ func (m *RPCMetrics) ClientObserver(role string) rpc.ClientObserver {
 
 func u(v uint64) float64 { return float64(v) }
 
-// RegisterVManager exposes the version manager's maintenance (GC, repair,
-// scrub), lease and journal totals. mgr is an accessor so restart-in-place
-// harnesses can swap the instance under a live registry.
+// RegisterVManager exposes the version manager's counter table (the
+// maintenance totals and the lease counters) and its journal totals. mgr
+// is an accessor so restart-in-place harnesses can swap the instance
+// under a live registry.
 func RegisterVManager(reg *metrics.Registry, mgr func() *vmanager.Manager) {
-	gcL := []metrics.Label{{Name: "role", Value: "vmanager"}}
-	// One family per exported row of the maintenance counter table:
-	// blobseer_gc_*, blobseer_repair_* and blobseer_scrub_*.
-	for id, def := range vmanager.CounterTable {
-		if def.Metric == "" {
-			continue
-		}
-		fn := metrics.CounterFunc
-		if !strings.HasSuffix(def.Metric, "_total") {
-			fn = metrics.GaugeFunc
-		}
-		reg.MustRegister(fn("blobseer_"+def.Plane+"_"+def.Metric, def.Help, gcL,
-			func() float64 { return u(mgr().MaintCounter(vmanager.Counter(id))) }))
-	}
-	reg.MustRegister(
-		metrics.GaugeFunc("blobseer_lease_ttl_seconds",
-			"Configured write-lease TTL (0 = leases disabled).", gcL, func() float64 { return float64(mgr().LeaseStats().TTLMs) / 1000 }),
-		metrics.GaugeFunc("blobseer_lease_active",
-			"Unfinished versions currently holding a write lease.", gcL, func() float64 { return u(mgr().LeaseStats().Active) }),
-		metrics.CounterFunc("blobseer_lease_granted_total",
-			"Write leases granted on Assign.", gcL, func() float64 { return u(mgr().LeaseStats().Granted) }),
-		metrics.CounterFunc("blobseer_lease_renewed_total",
-			"Write-lease renewals.", gcL, func() float64 { return u(mgr().LeaseStats().Renewed) }),
-		metrics.CounterFunc("blobseer_lease_expired_total",
-			"Write leases expired (version auto-aborted server-side).", gcL, func() float64 { return u(mgr().LeaseStats().Expired) }),
-	)
+	l := []metrics.Label{{Name: "role", Value: "vmanager"}}
+	reg.MustRegister(metrics.TableCollectors(vmanager.CounterTable[:], l,
+		func(id int) uint64 { return mgr().MaintCounter(vmanager.Counter(id)) })...)
+	reg.MustRegister(metrics.GaugeFunc("blobseer_lease_ttl_seconds",
+		"Configured write-lease TTL (0 = leases disabled).", l,
+		func() float64 { return float64(mgr().MaintCounter(vmanager.LeaseTTLMs)) / 1000 }))
 	RegisterWAL(reg, "vmanager", func() durable.LogStats { return mgr().JournalStats() })
 }
 
@@ -222,41 +202,14 @@ func RegisterWAL(reg *metrics.Registry, instance string, stats func() durable.Lo
 	)
 }
 
-// RegisterProvider exposes one data provider's inventory and transfer
-// counters (plus sidecar WAL costs when it keeps one and, for cached
-// stores, cache effectiveness) under the given instance label. srv is an accessor so crash/revive harnesses can swap
-// the instance under a live registry.
+// RegisterProvider exposes one data provider's counter table (plus
+// sidecar WAL costs when it keeps one and, for cached stores, cache
+// effectiveness) under the given instance label. srv is an accessor so
+// crash/revive harnesses can swap the instance under a live registry.
 func RegisterProvider(reg *metrics.Registry, instance string, srv func() *provider.Server) {
 	l := []metrics.Label{{Name: "instance", Value: instance}}
-	snap := func() provider.StatsResp { return srv().StatsSnapshot() }
-	reg.MustRegister(
-		metrics.GaugeFunc("blobseer_provider_chunks",
-			"Chunk replicas resident on the provider.", l, func() float64 { return u(snap().Chunks) }),
-		metrics.GaugeFunc("blobseer_provider_bytes",
-			"Payload bytes resident on the provider.", l, func() float64 { return u(snap().Bytes) }),
-		metrics.CounterFunc("blobseer_provider_puts_total",
-			"Individual chunks stored (across put and putchunks).", l, func() float64 { return u(snap().Puts) }),
-		metrics.CounterFunc("blobseer_provider_gets_total",
-			"Individual chunk retrievals served (across get and getchunks).", l, func() float64 { return u(snap().Gets) }),
-		metrics.CounterFunc("blobseer_provider_deletes_total",
-			"Chunk deletions applied.", l, func() float64 { return u(snap().Deletes) }),
-		metrics.CounterFunc("blobseer_provider_put_batches_total",
-			"putchunks RPCs served (puts/put_batches is the write coalescing factor).", l, func() float64 { return u(snap().PutBatches) }),
-		metrics.CounterFunc("blobseer_provider_get_batches_total",
-			"getchunks RPCs served (repair source reads).", l, func() float64 { return u(snap().GetBatches) }),
-		metrics.CounterFunc("blobseer_provider_bytes_in_total",
-			"Payload bytes accepted by puts.", l, func() float64 { return u(snap().BytesIn) }),
-		metrics.CounterFunc("blobseer_provider_bytes_out_total",
-			"Payload bytes served by gets (ranged reads move only what they need).", l, func() float64 { return u(snap().BytesOut) }),
-		metrics.CounterFunc("blobseer_chunk_verifications_total",
-			"Full-chunk digest checks performed (reads, ingest and scrub).", l, func() float64 { return u(snap().Verified) }),
-		metrics.CounterFunc("blobseer_chunk_corruption_total",
-			"Chunk copies that failed a digest check (each counted once, at quarantine).", l, func() float64 { return u(snap().Corrupt) }),
-		metrics.GaugeFunc("blobseer_chunk_quarantined",
-			"Chunk copies currently quarantined awaiting repair and deletion.", l, func() float64 { return u(snap().Quarantined) }),
-		metrics.CounterFunc("blobseer_chunk_digest_backfilled_total",
-			"Legacy digestless chunks whose digest was minted on first clean read.", l, func() float64 { return u(snap().Backfilled) }),
-	)
+	reg.MustRegister(metrics.TableCollectors(provider.CounterTable[:], l,
+		func(id int) uint64 { return srv().Counters()[id] })...)
 	if _, ok := srv().SidecarStats(); ok {
 		RegisterWAL(reg, instance, func() durable.LogStats { st, _ := srv().SidecarStats(); return st })
 	}

@@ -177,7 +177,7 @@ func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 		t.Fatalf("get = %q, %v", data, err)
 	}
 	stats, err := provider.Stats(context.Background(), cli, "prov1")
-	if err != nil || stats.Chunks != 1 || stats.Puts != 1 {
+	if err != nil || stats[provider.Chunks] != 1 || stats[provider.Puts] != 1 {
 		t.Fatalf("stats = %+v, %v", stats, err)
 	}
 

@@ -158,11 +158,11 @@ func (s *Server) getVerified(k chunk.Key, buf []byte) (data []byte, dg chunk.Dig
 	if err != nil {
 		return nil, chunk.Digest{}, false, err
 	}
-	s.verifies.Add(1)
+	s.counts[Verified].Add(1)
 	if !hasDig || rec.Digest.IsZero() {
 		dg = chunk.DigestOf(data)
 		s.recordDigest(k, digestRec{Digest: dg, Length: uint32(len(data))})
-		s.backfills.Add(1)
+		s.counts[Backfilled].Add(1)
 		return data, dg, true, nil
 	}
 	if uint32(len(data)) != rec.Length || !rec.Digest.Verify(data) {
@@ -219,7 +219,7 @@ func (s *Server) quarantineKey(k chunk.Key) {
 	}
 	s.digMu.Unlock()
 	if !already {
-		s.corrupt.Add(1)
+		s.counts[Corrupt].Add(1)
 	}
 }
 

@@ -36,9 +36,9 @@ func TestGetQuarantinesCorruptCopy(t *testing.T) {
 			t.Fatalf("get %d of rotted chunk: err = %v, want ErrChunkCorrupt", i, err)
 		}
 	}
-	st := srv.StatsSnapshot()
-	if st.Corrupt != 1 || st.Quarantined != 1 {
-		t.Errorf("corrupt=%d quarantined=%d, want 1/1 (counted once at quarantine)", st.Corrupt, st.Quarantined)
+	st := srv.Counters()
+	if st[provider.Corrupt] != 1 || st[provider.Quarantined] != 1 {
+		t.Errorf("corrupt=%d quarantined=%d, want 1/1 (counted once at quarantine)", st[provider.Corrupt], st[provider.Quarantined])
 	}
 
 	// Ranged reads refuse the quarantined copy too — a slice of rot is
@@ -55,8 +55,8 @@ func TestGetQuarantinesCorruptCopy(t *testing.T) {
 	if _, err := provider.DeleteChunks(context.Background(), cli, "dp", []chunk.Key{key}); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.StatsSnapshot(); st.Quarantined != 0 {
-		t.Errorf("quarantined = %d after delete, want 0", st.Quarantined)
+	if st := srv.Counters(); st[provider.Quarantined] != 0 {
+		t.Errorf("quarantined = %d after delete, want 0", st[provider.Quarantined])
 	}
 }
 
@@ -102,8 +102,8 @@ func TestLegacyChunkBackfilledOnRead(t *testing.T) {
 	if err != nil || string(got) != string(data) {
 		t.Fatalf("legacy get = %q, %v", got, err)
 	}
-	if st := srv.StatsSnapshot(); st.Backfilled != 1 {
-		t.Errorf("backfilled = %d, want 1", st.Backfilled)
+	if st := srv.Counters(); st[provider.Backfilled] != 1 {
+		t.Errorf("backfilled = %d, want 1", st[provider.Backfilled])
 	}
 
 	if err := store.Corrupt(key, 0); err != nil {
@@ -271,8 +271,8 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	if st := srv2.StatsSnapshot(); st.Quarantined != 1 {
-		t.Errorf("quarantined after boot = %d, want 1 (torn file caught before any read)", st.Quarantined)
+	if st := srv2.Counters(); st[provider.Quarantined] != 1 {
+		t.Errorf("quarantined after boot = %d, want 1 (torn file caught before any read)", st[provider.Quarantined])
 	}
 	if _, err := provider.GetChunk(cli, "dp", torn); !provider.IsCorrupt(err) {
 		t.Errorf("get of torn chunk: err = %v, want ErrChunkCorrupt", err)
@@ -283,8 +283,8 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 	if err != nil || string(got) != "this file stays whole" {
 		t.Fatalf("get of whole chunk = %q, %v", got, err)
 	}
-	if st := srv2.StatsSnapshot(); st.Backfilled != 0 {
-		t.Errorf("backfilled = %d after restart, want 0 (digests replayed, not re-minted)", st.Backfilled)
+	if st := srv2.Counters(); st[provider.Backfilled] != 0 {
+		t.Errorf("backfilled = %d after restart, want 0 (digests replayed, not re-minted)", st[provider.Backfilled])
 	}
 }
 

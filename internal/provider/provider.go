@@ -227,53 +227,62 @@ func (r *GetChunksResp) Size() int {
 	return n
 }
 
-// StatsResp reports a provider's inventory.
-type StatsResp struct {
-	Chunks  uint64
-	Bytes   uint64
-	Puts    uint64
-	Gets    uint64
-	Deletes uint64
-	// PutBatches counts putchunks RPCs served; Puts counts individual
-	// chunks stored, so Puts/PutBatches is the server-side view of the
-	// write-plane coalescing factor. GetBatches is the read-plane twin:
-	// getchunks RPCs served (repair source reads), with Gets counting
-	// individual chunk retrievals across both RPCs.
-	PutBatches uint64
-	GetBatches uint64
-	// BytesIn counts payload bytes accepted by puts (batched or not);
-	// BytesOut counts payload bytes served by gets. With ranged reads the
-	// latter is what shows boundary reads moving only the bytes they need.
-	BytesIn  uint64
-	BytesOut uint64
-	// Integrity counters: Verified counts full-chunk digest checks,
-	// Corrupt counts copies that failed one (each counted once, at
-	// quarantine time), Quarantined is the number currently quarantined
-	// awaiting repair + deletion, and Backfilled counts legacy chunks
-	// whose digest was minted on first clean read.
-	Verified    uint64
-	Corrupt     uint64
-	Quarantined uint64
-	Backfilled  uint64
+// Counter names one provider counter. The ids index Counters and
+// CounterTable, and their order is the wire order of provider.stats, so
+// new counters are appended, never inserted.
+type Counter uint8
+
+// The provider counters, grouped by plane: provider (inventory and
+// transfer) and chunk (integrity).
+const (
+	Chunks Counter = iota
+	Bytes
+	Puts
+	Gets
+	Deletes
+	PutBatches
+	GetBatches
+	BytesIn
+	BytesOut
+	Verified
+	Corrupt
+	Quarantined
+	Backfilled
+	NumCounters
+)
+
+// CounterTable is the one place a provider counter is declared; the wire
+// codec, the /metrics families and the CLI output all range over it.
+// Puts/PutBatches is the server-side view of the write-plane coalescing
+// factor; a ranged read adds only the bytes it moves to BytesOut.
+var CounterTable = [NumCounters]metrics.CounterDef{
+	Chunks:     {Plane: "provider", Name: "chunks", Metric: "chunks", Help: "Chunk replicas resident on the provider."},
+	Bytes:      {Plane: "provider", Name: "bytes", Metric: "bytes", Help: "Payload bytes resident on the provider."},
+	Puts:       {Plane: "provider", Name: "puts", Metric: "puts_total", Help: "Individual chunks stored (across put and putchunks)."},
+	Gets:       {Plane: "provider", Name: "gets", Metric: "gets_total", Help: "Individual chunk retrievals served (across get and getchunks)."},
+	Deletes:    {Plane: "provider", Name: "deletes", Metric: "deletes_total", Help: "Chunk deletions applied."},
+	PutBatches: {Plane: "provider", Name: "put-batches", Metric: "put_batches_total", Help: "putchunks RPCs served (puts/put_batches is the write coalescing factor)."},
+	GetBatches: {Plane: "provider", Name: "get-batches", Metric: "get_batches_total", Help: "getchunks RPCs served (repair source reads)."},
+	BytesIn:    {Plane: "provider", Name: "bytes-in", Metric: "bytes_in_total", Help: "Payload bytes accepted by puts."},
+	BytesOut:   {Plane: "provider", Name: "bytes-out", Metric: "bytes_out_total", Help: "Payload bytes served by gets (ranged reads move only what they need)."},
+
+	Verified:    {Plane: "chunk", Name: "verified", Metric: "verifications_total", Help: "Full-chunk digest checks performed (reads, ingest and scrub)."},
+	Corrupt:     {Plane: "chunk", Name: "corrupt", Metric: "corruption_total", Help: "Chunk copies that failed a digest check (each counted once, at quarantine)."},
+	Quarantined: {Plane: "chunk", Name: "quarantined", Metric: "quarantined", Help: "Chunk copies currently quarantined awaiting repair and deletion."},
+	Backfilled:  {Plane: "chunk", Name: "backfilled", Metric: "digest_backfilled_total", Help: "Legacy digestless chunks whose digest was minted on first clean read."},
 }
 
+// Counters is one value per provider counter: the provider.stats
+// response and the in-process snapshot alike.
+type Counters [NumCounters]uint64
+
 // Encode, Decode and Wire implement wire.Message: Wire is the field list.
-func (r *StatsResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *StatsResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *StatsResp) Wire(c *wire.Codec) {
-	c.U64(&r.Chunks)
-	c.U64(&r.Bytes)
-	c.U64(&r.Puts)
-	c.U64(&r.Gets)
-	c.U64(&r.Deletes)
-	c.U64(&r.PutBatches)
-	c.U64(&r.GetBatches)
-	c.U64(&r.BytesIn)
-	c.U64(&r.BytesOut)
-	c.U64(&r.Verified)
-	c.U64(&r.Corrupt)
-	c.U64(&r.Quarantined)
-	c.U64(&r.Backfilled)
+func (c *Counters) Encode(e *wire.Encoder) { c.Wire(e.Codec()) }
+func (c *Counters) Decode(d *wire.Decoder) { c.Wire(d.Codec()) }
+func (c *Counters) Wire(w *wire.Codec) {
+	for i := range c {
+		w.U64(&c[i])
+	}
 }
 
 // ListChunksReq asks for the provider's inventory of one blob, or the
@@ -387,16 +396,9 @@ type Server struct {
 	capBytes int64
 	side     *sidecar // nil when the sidecar is not configured
 
-	puts       metrics.Counter
-	putBatches metrics.Counter // putchunks RPCs served
-	gets       metrics.Counter
-	getBatches metrics.Counter // getchunks RPCs served
-	deletes    metrics.Counter
-	bytesIn    metrics.Counter // payload bytes accepted by puts
-	bytesOut   metrics.Counter // payload bytes served by Get (ranged or full)
-	verifies   metrics.Counter // full-chunk digest verifications
-	corrupt    metrics.Counter // copies that failed verification (once each)
-	backfills  metrics.Counter // legacy chunks digest-backfilled on clean read
+	// counts holds the counters the handlers bump, indexed by Counter;
+	// Chunks, Bytes and Quarantined are computed when read (Counters).
+	counts [NumCounters]metrics.Counter
 
 	// digests holds each stored chunk's integrity manifest (content
 	// digest + exact length), replayed from the sidecar; quarantine holds
@@ -453,7 +455,7 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 	}
 	rpc.HandleMsg(s.srv, MethodPutChunks, func() *PutChunksReq { return &PutChunksReq{} },
 		func(req *PutChunksReq) (*PutChunksResp, error) {
-			s.putBatches.Add(1)
+			s.counts[PutBatches].Add(1)
 			resp := &PutChunksResp{Errs: make([]string, len(req.Items))}
 			for i, err := range s.putBatch(req.Items) {
 				if err != nil {
@@ -464,7 +466,7 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 		})
 	rpc.HandleMsg(s.srv, MethodGet, func() *GetReq { return &GetReq{} },
 		func(req *GetReq) (*GetResp, error) {
-			s.gets.Add(1)
+			s.counts[Gets].Add(1)
 			whole := req.Offset == 0 && req.Length == 0
 			s.digMu.Lock()
 			_, hasDig := s.digests[req.Key]
@@ -491,14 +493,14 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 			if err != nil {
 				return resp, nil // not found; still carries its buffer
 			}
-			s.bytesOut.Add(int64(len(data)))
+			s.counts[BytesOut].Add(int64(len(data)))
 			resp.Found, resp.Data = true, data
 			return resp, nil
 		})
 	rpc.HandleMsg(s.srv, MethodGetChunks, func() *GetChunksReq { return &GetChunksReq{} },
 		func(req *GetChunksReq) (*GetChunksResp, error) {
-			s.getBatches.Add(1)
-			s.gets.Add(int64(len(req.Keys)))
+			s.counts[GetBatches].Add(1)
+			s.counts[Gets].Add(int64(len(req.Keys)))
 			resp := &GetChunksResp{
 				Found:   make([]bool, len(req.Keys)),
 				Corrupt: make([]bool, len(req.Keys)),
@@ -519,7 +521,7 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 				resp.Found[i] = true
 				resp.Data[i] = data
 				resp.Digests[i] = dg
-				s.bytesOut.Add(int64(len(data)))
+				s.counts[BytesOut].Add(int64(len(data)))
 			}
 			return resp, nil
 		})
@@ -553,9 +555,9 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 			return resp, nil
 		})
 	rpc.HandleMsg(s.srv, MethodStats, func() *Ack { return &Ack{} },
-		func(*Ack) (*StatsResp, error) {
-			st := s.StatsSnapshot()
-			return &st, nil
+		func(*Ack) (*Counters, error) {
+			c := s.Counters()
+			return &c, nil
 		})
 	rpc.HandleMsg(s.srv, MethodListChunks, func() *ListChunksReq { return &ListChunksReq{} },
 		func(req *ListChunksReq) (*ListChunksResp, error) {
@@ -627,7 +629,7 @@ func NewServer(network rpc.Network, addr string, store chunk.Store, opts Options
 				s.putMu.Unlock()
 				s.dropIntegrity(k)
 				dropped = append(dropped, k)
-				s.deletes.Add(1)
+				s.counts[Deletes].Add(1)
 				resp.Deleted++
 			}
 			if s.side != nil && len(dropped) > 0 {
@@ -699,7 +701,7 @@ func (s *Server) putBatch(items []PutItem) []error {
 	digs := make([]digestEntry, 0, len(items))
 	for i := range items {
 		key, data, dg := items[i].Key, items[i].Data, items[i].Digest
-		s.puts.Add(1)
+		s.counts[Puts].Add(1)
 		s.tombMu.Lock()
 		_, dead := s.tombstones[key.Blob]
 		s.tombMu.Unlock()
@@ -716,7 +718,7 @@ func (s *Server) putBatch(items []PutItem) []error {
 			// and here — corruption in transit. Reject instead of
 			// persisting rot; the writer's retry path treats this like any
 			// failed put.
-			s.corrupt.Add(1)
+			s.counts[Corrupt].Add(1)
 			errs[i] = fmt.Errorf("%w: put of %s failed ingest digest check", ErrChunkCorrupt, key)
 			continue
 		}
@@ -728,7 +730,7 @@ func (s *Server) putBatch(items []PutItem) []error {
 		s.digMu.Lock()
 		s.digests[key] = rec
 		s.digMu.Unlock()
-		s.bytesIn.Add(int64(len(data)))
+		s.counts[BytesIn].Add(int64(len(data)))
 		s.putMu.Lock()
 		now := time.Now()
 		s.putTimes[key] = now
@@ -762,25 +764,18 @@ func (s *Server) Addr() string { return s.srv.Addr() }
 // Store exposes the underlying engine (tests, repair tooling).
 func (s *Server) Store() chunk.Store { return s.store }
 
-// StatsSnapshot reports the provider's inventory counters in-process —
-// the same numbers the stats RPC serves, without a round trip (the
-// /metrics registry scrapes this).
-func (s *Server) StatsSnapshot() StatsResp {
-	return StatsResp{
-		Chunks:      uint64(s.store.Len()),
-		Bytes:       uint64(s.store.Bytes()),
-		Puts:        uint64(s.puts.Load()),
-		Gets:        uint64(s.gets.Load()),
-		Deletes:     uint64(s.deletes.Load()),
-		PutBatches:  uint64(s.putBatches.Load()),
-		GetBatches:  uint64(s.getBatches.Load()),
-		BytesIn:     uint64(s.bytesIn.Load()),
-		BytesOut:    uint64(s.bytesOut.Load()),
-		Verified:    uint64(s.verifies.Load()),
-		Corrupt:     uint64(s.corrupt.Load()),
-		Quarantined: uint64(s.quarantinedCount()),
-		Backfilled:  uint64(s.backfills.Load()),
+// Counters reports the provider's counters in-process — the same numbers
+// the stats RPC serves, without a round trip (the /metrics registry
+// scrapes this).
+func (s *Server) Counters() Counters {
+	var c Counters
+	for id := range c {
+		c[id] = uint64(s.counts[id].Load())
 	}
+	c[Chunks] = uint64(s.store.Len())
+	c[Bytes] = uint64(s.store.Bytes())
+	c[Quarantined] = uint64(s.quarantinedCount())
+	return c
 }
 
 // SidecarStats reports the sidecar WAL's cumulative append/write/fsync
@@ -1034,9 +1029,9 @@ func GetChunks(ctx context.Context, cli *rpc.Client, addr string, keys []chunk.K
 	return out, digs, nil
 }
 
-// Stats queries a provider's inventory counters.
-func Stats(ctx context.Context, cli *rpc.Client, addr string) (*StatsResp, error) {
-	var resp StatsResp
+// Stats queries a provider's counters.
+func Stats(ctx context.Context, cli *rpc.Client, addr string) (*Counters, error) {
+	var resp Counters
 	if err := cli.CallCtx(ctx, addr, MethodStats, &Ack{}, &resp); err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func TestPutGetHasStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Chunks != 1 || stats.Bytes != uint64(len(data)) || stats.Puts != 1 || stats.PutBatches != 1 || stats.Gets != 1 {
+	if stats[provider.Chunks] != 1 || stats[provider.Bytes] != uint64(len(data)) || stats[provider.Puts] != 1 || stats[provider.PutBatches] != 1 || stats[provider.Gets] != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
@@ -164,11 +164,11 @@ func TestPutChunksBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PutBatches != 1 || stats.Puts != 3 {
-		t.Errorf("PutBatches=%d Puts=%d, want 1/3", stats.PutBatches, stats.Puts)
+	if stats[provider.PutBatches] != 1 || stats[provider.Puts] != 3 {
+		t.Errorf("PutBatches=%d Puts=%d, want 1/3", stats[provider.PutBatches], stats[provider.Puts])
 	}
-	if want := uint64(4 + 6 + 2); stats.BytesIn != want {
-		t.Errorf("BytesIn=%d, want %d", stats.BytesIn, want)
+	if want := uint64(4 + 6 + 2); stats[provider.BytesIn] != want {
+		t.Errorf("BytesIn=%d, want %d", stats[provider.BytesIn], want)
 	}
 	_ = srv
 }

@@ -214,8 +214,8 @@ func TestSidecarMixedBatchReplaysAckedChunksOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Backfilled != 0 {
-		t.Fatalf("Backfilled = %d after restart, want 0 (an acked chunk lost its digest)", st.Backfilled)
+	if st[Backfilled] != 0 {
+		t.Fatalf("Backfilled = %d after restart, want 0 (an acked chunk lost its digest)", st[Backfilled])
 	}
 }
 

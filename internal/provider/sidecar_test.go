@@ -162,7 +162,7 @@ func TestGetChunksBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GetBatches != 1 {
-		t.Errorf("GetBatches = %d, want 1", st.GetBatches)
+	if st[provider.GetBatches] != 1 {
+		t.Errorf("GetBatches = %d, want 1", st[provider.GetBatches])
 	}
 }

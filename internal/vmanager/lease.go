@@ -80,7 +80,7 @@ func (m *Manager) RenewLease(blobID, version uint64) error {
 	if err := m.commit(b, &record{kind: recLease, blob: blobID, version: version, n: m.nowMs() + ttl}); err != nil {
 		return err
 	}
-	m.leasesRenewed.Add(1)
+	m.count(LeaseRenewed)
 	return nil
 }
 
@@ -157,7 +157,7 @@ func (m *Manager) expireBlob(ctx context.Context, b *blobState, weaver AbortWeav
 		if err != nil {
 			return expired, err
 		}
-		m.leasesExpired.Add(1)
+		m.count(LeaseExpired)
 		expired++
 		// Loop: the next frontier version may have expired too (a storm of
 		// crashed writers drains in one pass).
@@ -195,7 +195,7 @@ func (m *Manager) expireDeleted(b *blobState) (int, error) {
 		if err != nil {
 			return expired, err
 		}
-		m.leasesExpired.Add(1)
+		m.count(LeaseExpired)
 		expired++
 	}
 	return expired, nil
@@ -274,22 +274,17 @@ func (b *blobState) identityInput(v uint64) meta.IdentityInput {
 	return in
 }
 
-// LeaseStats reports the lease configuration and cumulative counters.
-func (m *Manager) LeaseStats() *LeaseStatsResp {
-	resp := &LeaseStatsResp{
-		TTLMs:   m.leaseTTLMs.Load(),
-		Granted: m.leasesGranted.Load(),
-		Renewed: m.leasesRenewed.Load(),
-		Expired: m.leasesExpired.Load(),
-	}
+// activeLeases counts the unfinished versions holding a write lease.
+func (m *Manager) activeLeases() uint64 {
+	var n uint64
 	for _, b := range m.blobList() {
 		b.mu.Lock()
 		for i := range b.versions {
 			if !b.versions[i].committed && b.versions[i].leaseUntil > 0 {
-				resp.Active++
+				n++
 			}
 		}
 		b.mu.Unlock()
 	}
-	return resp
+	return n
 }

@@ -45,9 +45,9 @@ func TestAssignGrantsJournaledLease(t *testing.T) {
 	if resp.LeaseTTLMs != 60_000 {
 		t.Fatalf("LeaseTTLMs = %d, want 60000", resp.LeaseTTLMs)
 	}
-	st := m.LeaseStats()
-	if st.Granted != 1 || st.Active != 1 {
-		t.Fatalf("stats = %+v, want granted=1 active=1", st)
+	st := m.MaintStats()
+	if st[LeaseGranted] != 1 || st[LeaseActive] != 1 {
+		t.Fatalf("granted=%d active=%d, want 1 and 1", st[LeaseGranted], st[LeaseActive])
 	}
 	// Simulated kill -9: no Close. The lease record rode the journal, so
 	// recovery knows this writer may still be alive and spares the version
@@ -115,8 +115,8 @@ func TestRenewLeaseJournaledAndGraced(t *testing.T) {
 	if err := m.RenewLease(blob, resp.Version); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.LeaseStats(); st.Renewed != 1 {
-		t.Fatalf("renewed = %d, want 1", st.Renewed)
+	if st := m.MaintStats(); st[LeaseRenewed] != 1 {
+		t.Fatalf("renewed = %d, want 1", st[LeaseRenewed])
 	}
 	// Kill -9: the renew record must replay, or recovery would see the
 	// original grant (now closer to lapsing) instead of the extension.
@@ -205,8 +205,8 @@ func TestExpireLeasesWeavesServerSide(t *testing.T) {
 	if err != nil || latest.Version != v {
 		t.Fatalf("latest = %+v, %v; want %d", latest, err, v)
 	}
-	if st := m.LeaseStats(); st.Expired != 1 || st.Active != 0 {
-		t.Fatalf("stats = %+v, want expired=1 active=0", st)
+	if st := m.MaintStats(); st[LeaseExpired] != 1 || st[LeaseActive] != 0 {
+		t.Fatalf("expired=%d active=%d, want 1 and 0", st[LeaseExpired], st[LeaseActive])
 	}
 }
 
@@ -362,6 +362,40 @@ func FuzzLeaseRecordReplay(f *testing.F) {
 			t.Fatalf("Info after replay: %v", err)
 		}
 		_ = m.UnwovenAborts()
-		_ = m.LeaseStats()
+		_ = m.MaintStats()
 	})
+}
+
+// The lease plane belongs to the manager: a vm.maintreport delta that
+// carries non-zero lease rows (or GC rows) moves only the engines' rows.
+func TestMaintReportLeavesLeaseRowsAlone(t *testing.T) {
+	m := NewManager()
+	defer m.Close()
+	m.SetLeaseTTL(time.Minute)
+	blob, err := m.Create(1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Assign(&AssignReq{BlobID: blob, Size: 500, Append: true}); err != nil {
+		t.Fatal(err)
+	}
+	before := m.MaintStats()
+	var delta Counters
+	for id := range delta {
+		delta[id] = 7
+	}
+	m.MaintReport(&delta)
+	after := m.MaintStats()
+	for id := range after {
+		want := before[id]
+		if !Counter(id).owned() {
+			want += 7
+		}
+		if after[id] != want {
+			t.Errorf("%s %s = %d after the report, want %d", CounterTable[id].Plane, CounterTable[id].Name, after[id], want)
+		}
+	}
+	if after[LeaseTTLMs] != 60_000 || after[LeaseGranted] != 1 || after[LeaseActive] != 1 {
+		t.Errorf("lease ttl-ms=%d granted=%d active=%d, want 60000, 1 and 1", after[LeaseTTLMs], after[LeaseGranted], after[LeaseActive])
+	}
 }

@@ -2,6 +2,7 @@ package vmanager
 
 import (
 	"repro/internal/meta"
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -26,7 +27,6 @@ const (
 	MethodMaintReport   = "vm.maintreport"
 	MethodMaintStats    = "vm.maintstats"
 	MethodRenewLease    = "vm.renew"
-	MethodLeaseStats    = "vm.leasestats"
 	MethodUnwoven       = "vm.unwoven"
 	MethodMarkWoven     = "vm.markwoven"
 )
@@ -182,26 +182,6 @@ func (r *AbortReq) Wire(c *wire.Codec) {
 	c.U64(&r.BlobID)
 	c.U64(&r.Version)
 	c.Bool(&r.Woven)
-}
-
-// LeaseStatsResp reports the lease configuration and counters.
-type LeaseStatsResp struct {
-	TTLMs   uint64 // configured lease TTL (0 = leases disabled)
-	Active  uint64 // unfinished versions currently holding a lease
-	Granted uint64
-	Renewed uint64
-	Expired uint64
-}
-
-// Encode, Decode and Wire implement wire.Message: Wire is the field list.
-func (r *LeaseStatsResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
-func (r *LeaseStatsResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
-func (r *LeaseStatsResp) Wire(c *wire.Codec) {
-	c.U64(&r.TTLMs)
-	c.U64(&r.Active)
-	c.U64(&r.Granted)
-	c.U64(&r.Renewed)
-	c.U64(&r.Expired)
 }
 
 // UnwovenResp lists aborted versions still owed an identity weave; the GC
@@ -367,13 +347,13 @@ func (r *GCReportReq) Wire(c *wire.Codec) {
 	c.U64(&r.Orphans)
 }
 
-// Counter names one maintenance-plane counter. The ids index Counters and
+// Counter names one version-manager counter. The ids index Counters and
 // CounterTable, and their order is the wire order of vm.maintreport and
 // vm.maintstats, so new counters are appended, never inserted.
 type Counter uint8
 
-// The maintenance counters, grouped by plane: gc (the reclaim action),
-// repair (replicate) and scrub (verify).
+// The version manager's counters, grouped by plane: gc (the reclaim
+// action), repair (replicate), scrub (verify) and lease (write leases).
 const (
 	GCChunks Counter = iota
 	GCBytes
@@ -398,61 +378,71 @@ const (
 	ScrubCorruptFound
 	ScrubBackfilled
 	ScrubErrors
+	LeaseTTLMs
+	LeaseActive
+	LeaseGranted
+	LeaseRenewed
+	LeaseExpired
 	NumCounters
 )
 
 // journaledCounters is how many leading counters (GCChunks..GCPruned) are
 // fed only by the journaled vm.gcreport and persisted in snapshots, in id
 // order. ownedCounters additionally covers GCPending, which the manager
-// computes at read time. vm.maintreport never touches either group: an
-// unjournaled delta to a journaled total would make RAM diverge from
-// replay (and a leader's state digest from its standbys').
+// computes at read time; the manager also owns the lease plane (see
+// owned). vm.maintreport never touches an owned counter: an unjournaled
+// delta to a journaled total would make RAM diverge from replay (and a
+// leader's state digest from its standbys').
 const (
 	journaledCounters = GCPruned + 1
 	ownedCounters     = GCPending + 1
 )
 
-// CounterDef describes one counter: Plane groups it ("gc", "repair" or
-// "scrub"), Name labels it in CLI output, and Metric is the family suffix
-// after blobseer_<plane>_ ("" = not exported; a suffix without _total is a
-// gauge) with Help as its help string (and the counter's documentation).
-type CounterDef struct {
-	Plane, Name, Metric, Help string
-}
+// owned reports whether the manager keeps counter id itself, so that
+// maintenance engines never report it.
+func (id Counter) owned() bool { return id < ownedCounters || CounterTable[id].Plane == "lease" }
 
-// CounterTable is the one place a maintenance counter is declared; the
-// wire codec, the manager's totals, the /metrics families and the CLI
+// CounterTable is the one place a version-manager counter is declared;
+// the wire codec, the manager's totals, the /metrics families and the CLI
 // output all range over it.
-var CounterTable = [NumCounters]CounterDef{
-	GCChunks:  {"gc", "chunks", "reclaimed_chunks_total", "Chunk replicas reclaimed by GC sweeps."},
-	GCBytes:   {"gc", "bytes", "reclaimed_bytes_total", "Payload bytes reclaimed by GC sweeps."},
-	GCNodes:   {"gc", "nodes", "reclaimed_nodes_total", "Metadata tree nodes reclaimed by GC sweeps."},
-	GCOrphans: {"gc", "orphans", "reclaimed_orphans_total", "Aborted-write orphan chunks reclaimed by GC sweeps."},
-	GCPruned:  {"gc", "pruned-versions", "pruned_versions_total", "Blob versions fully reclaimed (pruned past the retention floor)."},
-	GCPending: {"gc", "pending-blobs", "pending_blobs", "Blobs with reclamation work outstanding."},
-	GCWoven:   {"gc", "woven", "", "Aborted versions whose missing identity trees a sweep rebuilt (repair, not reclamation)."},
+var CounterTable = [NumCounters]metrics.CounterDef{
+	GCChunks:  {Plane: "gc", Name: "chunks", Metric: "reclaimed_chunks_total", Help: "Chunk replicas reclaimed by GC sweeps."},
+	GCBytes:   {Plane: "gc", Name: "bytes", Metric: "reclaimed_bytes_total", Help: "Payload bytes reclaimed by GC sweeps."},
+	GCNodes:   {Plane: "gc", Name: "nodes", Metric: "reclaimed_nodes_total", Help: "Metadata tree nodes reclaimed by GC sweeps."},
+	GCOrphans: {Plane: "gc", Name: "orphans", Metric: "reclaimed_orphans_total", Help: "Aborted-write orphan chunks reclaimed by GC sweeps."},
+	GCPruned:  {Plane: "gc", Name: "pruned-versions", Metric: "pruned_versions_total", Help: "Blob versions fully reclaimed (pruned past the retention floor)."},
+	GCPending: {Plane: "gc", Name: "pending-blobs", Metric: "pending_blobs", Help: "Blobs with reclamation work outstanding."},
+	GCWoven:   {Plane: "gc", Name: "woven", Metric: "", Help: "Aborted versions whose missing identity trees a sweep rebuilt (repair, not reclamation)."},
 
-	RepairPasses:          {"repair", "passes", "passes_total", "Completed self-healing repair passes (all engines reporting here)."},
-	RepairScanned:         {"repair", "scanned", "chunks_scanned_total", "Live-chunk placement records examined by repair passes."},
-	RepairUnderReplicated: {"repair", "under-replicated", "", "Chunks found with a dead or corrupt replica, or short of their replication degree."},
-	RepairReReplicated:    {"repair", "re-replicated", "rereplicated_total", "Replica copies recreated on fresh providers."},
-	RepairMigrated:        {"repair", "migrated", "migrated_total", "Chunks moved off overfull providers by the rebalancer."},
-	RepairBytesMoved:      {"repair", "bytes-moved", "bytes_moved_total", "Payload bytes copied by re-replication and rebalance."},
-	RepairLeavesPatched:   {"repair", "leaves-patched", "leaves_patched_total", "Metadata leaf descriptors rewritten to new placements."},
-	RepairLost:            {"repair", "lost", "lost_chunks", "Chunks with no surviving replica (unrecoverable until a provider returns)."},
-	RepairCorruptPurged:   {"repair", "corrupt-purged", "corrupt_purged_total", "Quarantined corrupt replicas deleted after a verified copy replaced them."},
-	RepairErrors:          {"repair", "errors", "errors_total", "Per-blob repair failures (retried next pass)."},
+	RepairPasses:          {Plane: "repair", Name: "passes", Metric: "passes_total", Help: "Completed self-healing repair passes (all engines reporting here)."},
+	RepairScanned:         {Plane: "repair", Name: "scanned", Metric: "chunks_scanned_total", Help: "Live-chunk placement records examined by repair passes."},
+	RepairUnderReplicated: {Plane: "repair", Name: "under-replicated", Metric: "", Help: "Chunks found with a dead or corrupt replica, or short of their replication degree."},
+	RepairReReplicated:    {Plane: "repair", Name: "re-replicated", Metric: "rereplicated_total", Help: "Replica copies recreated on fresh providers."},
+	RepairMigrated:        {Plane: "repair", Name: "migrated", Metric: "migrated_total", Help: "Chunks moved off overfull providers by the rebalancer."},
+	RepairBytesMoved:      {Plane: "repair", Name: "bytes-moved", Metric: "bytes_moved_total", Help: "Payload bytes copied by re-replication and rebalance."},
+	RepairLeavesPatched:   {Plane: "repair", Name: "leaves-patched", Metric: "leaves_patched_total", Help: "Metadata leaf descriptors rewritten to new placements."},
+	RepairLost:            {Plane: "repair", Name: "lost", Metric: "lost_chunks", Help: "Chunks with no surviving replica (unrecoverable until a provider returns)."},
+	RepairCorruptPurged:   {Plane: "repair", Name: "corrupt-purged", Metric: "corrupt_purged_total", Help: "Quarantined corrupt replicas deleted after a verified copy replaced them."},
+	RepairErrors:          {Plane: "repair", Name: "errors", Metric: "errors_total", Help: "Per-blob repair failures (retried next pass)."},
 
-	ScrubPasses:       {"scrub", "passes", "passes_total", "Completed scrub passes (all engines reporting here)."},
-	ScrubScanned:      {"scrub", "scanned", "chunks_scanned_total", "Chunk replicas verified against their digests by scrub passes."},
-	ScrubBytes:        {"scrub", "bytes", "bytes_scanned_total", "Payload bytes read back and verified by scrub passes."},
-	ScrubCorruptFound: {"scrub", "corrupt", "corrupt_found_total", "Replicas that failed verification during a scrub (quarantined for repair)."},
-	ScrubBackfilled:   {"scrub", "backfilled", "backfilled_total", "Legacy digestless chunks whose digest was minted by a scrub."},
-	ScrubErrors:       {"scrub", "errors", "errors_total", "Per-provider scrub failures (retried next pass)."},
+	ScrubPasses:       {Plane: "scrub", Name: "passes", Metric: "passes_total", Help: "Completed scrub passes (all engines reporting here)."},
+	ScrubScanned:      {Plane: "scrub", Name: "scanned", Metric: "chunks_scanned_total", Help: "Chunk replicas verified against their digests by scrub passes."},
+	ScrubBytes:        {Plane: "scrub", Name: "bytes", Metric: "bytes_scanned_total", Help: "Payload bytes read back and verified by scrub passes."},
+	ScrubCorruptFound: {Plane: "scrub", Name: "corrupt", Metric: "corrupt_found_total", Help: "Replicas that failed verification during a scrub (quarantined for repair)."},
+	ScrubBackfilled:   {Plane: "scrub", Name: "backfilled", Metric: "backfilled_total", Help: "Legacy digestless chunks whose digest was minted by a scrub."},
+	ScrubErrors:       {Plane: "scrub", Name: "errors", Metric: "errors_total", Help: "Per-provider scrub failures (retried next pass)."},
+
+	// The TTL is exported in seconds, as blobseer_lease_ttl_seconds, by
+	// the one family registered by hand (obs.RegisterVManager).
+	LeaseTTLMs:   {Plane: "lease", Name: "ttl-ms", Metric: "", Help: "Configured write-lease TTL in milliseconds (0 = leases disabled)."},
+	LeaseActive:  {Plane: "lease", Name: "active", Metric: "active", Help: "Unfinished versions currently holding a write lease."},
+	LeaseGranted: {Plane: "lease", Name: "granted", Metric: "granted_total", Help: "Write leases granted on Assign."},
+	LeaseRenewed: {Plane: "lease", Name: "renewed", Metric: "renewed_total", Help: "Write-lease renewals."},
+	LeaseExpired: {Plane: "lease", Name: "expired", Metric: "expired_total", Help: "Write leases expired (version auto-aborted server-side)."},
 }
 
-// Counters is one value per maintenance counter. It is a pass's delta,
-// the vm.maintreport payload, an engine's lifetime totals and the
+// Counters is one value per version-manager counter. It is a pass's
+// delta, the vm.maintreport payload, an engine's lifetime totals and the
 // vm.maintstats response alike. The version manager is the aggregation
 // point — passes may run from the cluster harness, a maint daemon or the
 // CLI, and `blobseer-cli stats` must see them all — but apart from

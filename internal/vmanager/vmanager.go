@@ -214,21 +214,17 @@ type Manager struct {
 	jmu          sync.RWMutex
 	compactEvery uint64
 
-	// Cumulative maintenance accounting. The leading journaledCounters
-	// (GC reclamation totals) are fed by GCReport and persisted; the rest
-	// arrive through MaintReport and are observability only — never
-	// journaled.
+	// Cumulative counters. The leading journaledCounters (GC reclamation
+	// totals) are fed by GCReport and persisted. The lease paths bump the
+	// lease rows (count) and the engines' rows arrive through MaintReport;
+	// both are observability only — never journaled.
 	maintMu sync.Mutex
 	maint   Counters
 
 	// Write-lease state. leaseTTLMs is the TTL granted by Assign (0
-	// disables leases). now is the clock, swappable by tests. The counters
-	// are observability only.
-	leaseTTLMs    atomic.Uint64
-	now           func() time.Time
-	leasesGranted atomic.Uint64
-	leasesRenewed atomic.Uint64
-	leasesExpired atomic.Uint64
+	// disables leases). now is the clock, swappable by tests.
+	leaseTTLMs atomic.Uint64
+	now        func() time.Time
 
 	// High-availability state: leadership epoch, role, replication stream
 	// (see ha.go / repl.go). Zero value = HA disabled, every gate passes.
@@ -435,7 +431,7 @@ func (m *Manager) Assign(req *AssignReq) (*AssignResp, error) {
 		return nil, err
 	}
 	if vi.leaseUntil > 0 {
-		m.leasesGranted.Add(1)
+		m.count(LeaseGranted)
 	}
 	return resp, nil
 }
@@ -838,34 +834,50 @@ func (m *Manager) GCReport(req *GCReportReq) error {
 // MaintReport folds one engine's pass delta into the cumulative totals.
 // Deltas carry their own pass counts: an engine whose earlier report RPC
 // failed resends the lost delta merged into its next report. The counters
-// the manager owns (see ownedCounters) are skipped.
+// the manager owns (see Counter.owned) are skipped.
 func (m *Manager) MaintReport(delta *Counters) {
 	m.maintMu.Lock()
 	defer m.maintMu.Unlock()
-	for id := ownedCounters; id < NumCounters; id++ {
-		m.maint[id] += delta[id]
+	for id := range delta {
+		if !Counter(id).owned() {
+			m.maint[id] += delta[id]
+		}
 	}
 }
 
-// MaintCounter reads one cumulative maintenance counter — what /metrics
-// scrapes per family, so only GCPending (the number of blobs with
-// outstanding GC work) pays for the GCWork scan.
+// count adds one to a counter the manager keeps itself.
+func (m *Manager) count(id Counter) {
+	m.maintMu.Lock()
+	m.maint[id]++
+	m.maintMu.Unlock()
+}
+
+// MaintCounter reads one cumulative counter — what /metrics scrapes per
+// family, so only GCPending (the number of blobs with outstanding GC work)
+// and LeaseActive (the versions holding a lease) pay for a scan.
 func (m *Manager) MaintCounter(id Counter) uint64 {
-	if id == GCPending {
+	switch id {
+	case GCPending:
 		return uint64(len(m.GCWork()))
+	case LeaseTTLMs:
+		return m.leaseTTLMs.Load()
+	case LeaseActive:
+		return m.activeLeases()
 	}
 	m.maintMu.Lock()
 	defer m.maintMu.Unlock()
 	return m.maint[id]
 }
 
-// MaintStats reports every cumulative maintenance counter, as one
+// MaintStats reports every cumulative counter, the kept ones as one
 // consistent snapshot.
 func (m *Manager) MaintStats() *Counters {
 	m.maintMu.Lock()
 	cp := m.maint
 	m.maintMu.Unlock()
-	cp[GCPending] = uint64(len(m.GCWork()))
+	for _, id := range []Counter{GCPending, LeaseTTLMs, LeaseActive} {
+		cp[id] = m.MaintCounter(id)
+	}
 	return &cp
 }
 
@@ -920,8 +932,6 @@ func NewServer(network rpc.Network, addr string, m *Manager) *Server {
 		func(req *VersionRef) (*Ack, error) {
 			return &Ack{}, s.m.RenewLease(req.BlobID, req.Version)
 		})
-	rpc.HandleMsg(s.srv, MethodLeaseStats, func() *Ack { return &Ack{} },
-		func(*Ack) (*LeaseStatsResp, error) { return s.m.LeaseStats(), nil })
 	rpc.HandleMsg(s.srv, MethodUnwoven, func() *Ack { return &Ack{} },
 		func(*Ack) (*UnwovenResp, error) {
 			return &UnwovenResp{Items: s.m.UnwovenAborts()}, nil

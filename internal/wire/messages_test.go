@@ -64,7 +64,6 @@ func messages() []message {
 			PubVersion: 8, PubSizeChunks: 9, LeaseTTLMs: 10, InFlight: []meta.WriteDesc{wd1, wd2}}, newOf[vmanager.AssignResp]()},
 		{"vm.VersionRef", &vmanager.VersionRef{BlobID: 1, Version: 2}, newOf[vmanager.VersionRef]()},
 		{"vm.AbortReq", &vmanager.AbortReq{BlobID: 1, Version: 2, Woven: true}, newOf[vmanager.AbortReq]()},
-		{"vm.LeaseStatsResp", &vmanager.LeaseStatsResp{TTLMs: 1, Active: 2, Granted: 3, Renewed: 4, Expired: 5}, newOf[vmanager.LeaseStatsResp]()},
 		{"vm.UnwovenResp", &vmanager.UnwovenResp{Items: []meta.IdentityInput{ii1, {Blob: 51}}}, newOf[vmanager.UnwovenResp]()},
 		{"vm.VersionInfoResp", &vmanager.VersionInfoResp{SizeBytes: 1, SizeChunks: 2, Published: true, Failed: false, Reclaimed: true}, newOf[vmanager.VersionInfoResp]()},
 		{"vm.LatestResp", &vmanager.LatestResp{Version: 1, SizeBytes: 2, SizeChunks: 3}, newOf[vmanager.LatestResp]()},
@@ -118,8 +117,7 @@ func messages() []message {
 		{"dp.GetChunksReq", &provider.GetChunksReq{Keys: []chunk.Key{key1, key2}}, newOf[provider.GetChunksReq]()},
 		{"dp.GetChunksResp", &provider.GetChunksResp{Found: []bool{true, false, true}, Corrupt: []bool{false, true, false},
 			Data: [][]byte{[]byte("ab"), nil, []byte("c")}, Digests: []chunk.Digest{dig1, {}, {}}}, newOf[provider.GetChunksResp]()},
-		{"dp.StatsResp", &provider.StatsResp{Chunks: 1, Bytes: 2, Puts: 3, Gets: 4, Deletes: 5, PutBatches: 6, GetBatches: 7, BytesIn: 8, BytesOut: 9,
-			Verified: 10, Corrupt: 11, Quarantined: 12, Backfilled: 13}, newOf[provider.StatsResp]()},
+		{"dp.StatsResp", &provider.Counters{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, newOf[provider.Counters]()},
 		{"dp.ListChunksReq", &provider.ListChunksReq{Blob: 3}, newOf[provider.ListChunksReq]()},
 		{"dp.ListChunksResp", &provider.ListChunksResp{Keys: []chunk.Key{key1, key2}, AgeMs: []uint64{100, 200}}, newOf[provider.ListChunksResp]()},
 		{"dp.DeleteChunksReq", &provider.DeleteChunksReq{Keys: []chunk.Key{key2, key1}}, newOf[provider.DeleteChunksReq]()},
@@ -170,10 +168,6 @@ var frozenMessages = map[string][2]string{
 		"0100000000000000020000000000000001",
 		"0000000000000000000000000000000000",
 	},
-	"vm.LeaseStatsResp": {
-		"01000000000000000200000000000000030000000000000004000000000000000500000000000000",
-		"00000000000000000000000000000000000000000000000000000000000000000000000000000000",
-	},
 	"vm.UnwovenResp": {
 		"0200000029000000000000002a000000000000002b000000000000002c000000000000002d000000000000002e000000000000002f000000000000003300000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
 		"00000000",
@@ -211,8 +205,8 @@ var frozenMessages = map[string][2]string{
 		"000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
 	},
 	"vm.Counters": {
-		"6400000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000006a000000000000006b000000000000006c000000000000006d000000000000006e000000000000006f0000000000000070000000000000007100000000000000720000000000000073000000000000007400000000000000750000000000000076000000000000007700000000000000780000000000000079000000000000007a00000000000000",
-		"00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+		"6400000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000006a000000000000006b000000000000006c000000000000006d000000000000006e000000000000006f0000000000000070000000000000007100000000000000720000000000000073000000000000007400000000000000750000000000000076000000000000007700000000000000780000000000000079000000000000007a000000000000007b000000000000007c000000000000007d000000000000007e000000000000007f00000000000000",
+		"0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
 	},
 	"vm.CompactResp": {
 		"010000000000000001",
