@@ -106,7 +106,8 @@ type (
 	DeployOptions = cluster.Config
 	// ClientOptions tune clients created from a Cluster.
 	ClientOptions = cluster.ClientOptions
-	// FabricConfig shapes the simulated network of a deployment.
+	// FabricConfig shapes the simulated network of a deployment: a
+	// one-way latency per message and a bandwidth per NIC.
 	FabricConfig = netsim.Config
 )
 
@@ -133,7 +134,7 @@ func NewClient(cfg Config) (*Client, error) { return core.NewClient(cfg) }
 func Deploy(opts DeployOptions) (*Cluster, error) { return cluster.Start(opts) }
 
 // NewFabric builds a simulated network fabric for Deploy, modeling
-// per-NIC bandwidth, latency and per-message service cost.
+// per-NIC bandwidth and latency. Its SetDown takes a node off the network.
 func NewFabric(cfg FabricConfig) *netsim.Fabric { return netsim.NewFabric(cfg) }
 
 // NewTCPNetwork returns the TCP transport for NewClient configs that

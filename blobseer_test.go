@@ -83,7 +83,12 @@ func TestPublicShapedDeploy(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch over shaped fabric")
 	}
-	if fabric.NodeStats(cluster.ProviderAddrs()[0]).MsgsIn == 0 {
-		t.Error("fabric recorded no traffic at providers")
+	// The caller's fabric carries the provider traffic: with every provider
+	// down on it, the same read fails.
+	for _, addr := range cluster.ProviderAddrs() {
+		fabric.SetDown(addr, true)
+	}
+	if _, err := blob.Read(0, got, 0); err == nil {
+		t.Error("read succeeded with every provider down on the caller's fabric")
 	}
 }

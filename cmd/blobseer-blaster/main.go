@@ -115,7 +115,7 @@ func main() {
 	}
 
 	if *metricsListen != "" {
-		h, err := obs.ServeHTTPWith(*metricsListen, obs.HTTPConfig{Registry: reg, Traces: traces})
+		h, err := obs.ServeHTTP(*metricsListen, obs.HTTPConfig{Registry: reg, Traces: traces})
 		if err != nil {
 			log.Fatal(err)
 		}

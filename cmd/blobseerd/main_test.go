@@ -137,18 +137,25 @@ func TestMultiProcessDeployment(t *testing.T) {
 // schedules it must fail at start, naming where it belongs, instead of
 // serving without ever collecting garbage.
 func TestVManagerRefusesMaintenanceFlags(t *testing.T) {
-	bin := buildDaemon(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, "-role", "vmanager", "-listen", "127.0.0.1:0",
-		"-gc-interval", "1m", "-pm", "127.0.0.1:1", "-meta", "127.0.0.1:2").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || ctx.Err() != nil {
-		t.Fatalf("daemon did not exit with an error (err=%v) within the timeout; output:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "-role maint") || !strings.Contains(string(out), "-gc-interval") {
+	out := refusal(t, buildDaemon(t), "-role", "vmanager", "-listen", "127.0.0.1:0",
+		"-gc-interval", "1m", "-pm", "127.0.0.1:1", "-meta", "127.0.0.1:2")
+	if !strings.Contains(out, "-role maint") || !strings.Contains(out, "-gc-interval") {
 		t.Fatalf("refusal does not name -gc-interval and -role maint:\n%s", out)
 	}
+}
+
+// refusal runs blobseerd with args and returns its output, failing the
+// test unless the daemon exits non-zero on its own within 10 s.
+func refusal(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || ctx.Err() != nil {
+		t.Fatalf("%v: want a non-zero exit, got err=%v; output:\n%s", args, err, out)
+	}
+	return string(out)
 }
 
 // Every role refuses a flag it does not read: the daemon exits 2 before
@@ -187,17 +194,20 @@ func TestRolesRefuseForeignFlags(t *testing.T) {
 // serves, by an error naming the flag, rather than logging "serving at"
 // and then panicking in its heartbeat loop.
 func TestProviderRefusesZeroHeartbeat(t *testing.T) {
-	bin := buildDaemon(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	args := []string{"-role", "provider", "-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-heartbeat", "0"}
-	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || ctx.Err() != nil {
-		t.Fatalf("%v: want a non-zero exit, got err=%v; output:\n%s", args, err, out)
+	out := refusal(t, buildDaemon(t), "-role", "provider", "-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-heartbeat", "0")
+	if !strings.Contains(out, "-heartbeat") || strings.Contains(out, "panic:") {
+		t.Fatalf("want a refusal naming -heartbeat and no panic:\n%s", out)
 	}
-	if !strings.Contains(string(out), "-heartbeat") || strings.Contains(string(out), "panic:") {
-		t.Fatalf("%v: want a refusal naming -heartbeat and no panic:\n%s", args, out)
+}
+
+// A provider given -dir but left on the default -store mem is refused
+// before it serves, by an error naming -store disk: its sidecar under -dir
+// would outlive the RAM chunks and replay digests for chunks a restart
+// lost.
+func TestProviderRefusesDirWithMemStore(t *testing.T) {
+	out := refusal(t, buildDaemon(t), "-role", "provider", "-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-dir", t.TempDir())
+	if !strings.Contains(out, "-store disk") || addrRe.MatchString(out) {
+		t.Fatalf("want a refusal naming -store disk before serving:\n%s", out)
 	}
 }
 

@@ -526,22 +526,14 @@ func (c *Cluster) ReviveProvider(i int) error {
 	return restart(c, "provider", c.Providers, i)
 }
 
-// KillVM crashes the primary version manager (instance 0); see
-// KillVMIndex.
-func (c *Cluster) KillVM() { c.KillVMIndex(0) }
+// KillVM crashes version-manager instance i the way a kill -9 would.
+func (c *Cluster) KillVM(i int) { kill(c, c.VMs, i) }
 
-// KillVMIndex crashes version-manager instance i the way a kill -9 would.
-func (c *Cluster) KillVMIndex(i int) { kill(c, c.VMs, i) }
-
-// RestartVM brings the primary version manager (instance 0) back; see
-// RestartVMIndex.
-func (c *Cluster) RestartVM() error { return c.RestartVMIndex(0) }
-
-// RestartVMIndex brings version-manager instance i back on its original
+// RestartVM brings version-manager instance i back on its original
 // address, recovering all state from the journal when the deployment is
 // durable (with a fresh empty manager otherwise, which is what a RAM-only
 // restart really loses). With HA it rejoins as a standby.
-func (c *Cluster) RestartVMIndex(i int) error {
+func (c *Cluster) RestartVM(i int) error {
 	err := restart(c, "version manager", c.VMs, i)
 	c.srvMu.Lock()
 	c.VM = c.VMs[0]

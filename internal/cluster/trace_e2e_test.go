@@ -164,7 +164,7 @@ func TestTracePropagationAcrossFailoverAndRestart(t *testing.T) {
 	if lead < 0 {
 		t.Fatal("no leader elected")
 	}
-	c.KillVMIndex(lead)
+	c.KillVM(lead)
 
 	// First write to succeed after the kill rode the failover: the
 	// client probed/redirected to the new leader mid-trace.

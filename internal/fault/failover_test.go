@@ -113,7 +113,7 @@ func TestFailoverMidWriteStorm(t *testing.T) {
 	// RPC server dark instantly, nothing flushed, in-process HA halted.
 	time.Sleep(150 * time.Millisecond)
 	killedAt := time.Now()
-	c.KillVMIndex(lead)
+	c.KillVM(lead)
 
 	// Failover clock: first successful write after the kill. The standby
 	// must fence the old epoch and serve Assign/Publish within 2x the
@@ -167,7 +167,7 @@ func TestFailoverMidWriteStorm(t *testing.T) {
 	// The ex-leader reboots. Its journal knows the old epoch, so it rejoins
 	// as a standby, is fenced by the new epoch, and resyncs — divergent
 	// journal tail truncated — until both managers hash to the same state.
-	if err := c.RestartVMIndex(lead); err != nil {
+	if err := c.RestartVM(lead); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 30*time.Second, "ex-leader fenced to standby", func() bool {
@@ -252,7 +252,7 @@ func TestStandbyCrashDoesNotBlockCommits(t *testing.T) {
 		t.Fatal("no leader elected")
 	}
 	standby := 1 - lead
-	c.KillVMIndex(standby)
+	c.KillVM(standby)
 
 	// Commits keep flowing while the group is degraded. The first write
 	// may pay one quorum timeout (the leader demotes the dead standby),
@@ -264,7 +264,7 @@ func TestStandbyCrashDoesNotBlockCommits(t *testing.T) {
 		}
 	}
 
-	if err := c.RestartVMIndex(standby); err != nil {
+	if err := c.RestartVM(standby); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 30*time.Second, "restarted standby resynced", func() bool {

@@ -355,11 +355,11 @@ func TestWriterLeaseLateCommitTypedError(t *testing.T) {
 		}
 		return nil
 	})
-	if err := mgr.AbortWoven(blob.ID(), bVersion, false); err != nil {
+	if err := mgr.Abort(blob.ID(), bVersion, false); err != nil {
 		t.Fatal(err)
 	}
 	// Release B: abort the wedge so the frontier passes both versions.
-	if err := mgr.AbortWoven(blob.ID(), wedge.Version, false); err != nil {
+	if err := mgr.Abort(blob.ID(), wedge.Version, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-writeDone; !errors.Is(err, core.ErrLeaseExpired) {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/maint"
 	"repro/internal/vmanager"
 )
@@ -144,14 +143,14 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 		// storm — badly enough under the race detector on a loaded CI
 		// machine to flirt with the package timeout. Machine-crash
 		// durability and group commit are covered by internal/durable's
-		// tests and the E13 benchmark.
+		// tests.
 		NoFsyncWAL:  true,
 		CallTimeout: 10 * time.Second,
-		// Generous liveness detection, for the same reason the bench
-		// harness uses it: under the race detector on a loaded machine,
-		// host-side CPU starvation can delay heartbeats past a short
-		// timeout, age every provider out of the manager, and tip the
-		// retrying write storm into a self-sustaining allocate-fail loop.
+		// Generous liveness detection: under the race detector on a
+		// loaded machine, host-side CPU starvation can delay heartbeats
+		// past a short timeout, age every provider out of the manager,
+		// and tip the retrying write storm into a self-sustaining
+		// allocate-fail loop.
 		HeartbeatTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -180,16 +179,27 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 		blobs[i] = b
 	}
 
-	// Mid-storm control-plane crashes, via the schedule machinery: the
-	// version manager dies and revives, then a metadata provider does.
-	// Both are kill -9 (nothing flushed); revival replays the journals.
-	runner := fault.Start(c, fault.Schedule{
-		{At: 20 * time.Millisecond, Kind: fault.KillVManager},
-		{At: 90 * time.Millisecond, Kind: fault.ReviveVManager},
-		{At: 160 * time.Millisecond, Kind: fault.KillMetadata, Provider: 0},
-		{At: 230 * time.Millisecond, Kind: fault.ReviveMetadata, Provider: 0},
-	})
-	defer runner.Stop()
+	// Mid-storm control-plane crashes: the version manager dies and
+	// revives, then a metadata provider does. Both are kill -9 (nothing
+	// flushed); revival replays the journals.
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		start := time.Now()
+		at := func(d time.Duration) { time.Sleep(time.Until(start.Add(d))) }
+		at(20 * time.Millisecond)
+		c.KillVM(0)
+		at(90 * time.Millisecond)
+		if err := c.RestartVM(0); err != nil {
+			t.Errorf("mid-storm version manager restart: %v", err)
+		}
+		at(160 * time.Millisecond)
+		c.KillMeta(0)
+		at(230 * time.Millisecond)
+		if err := c.RestartMeta(0); err != nil {
+			t.Errorf("mid-storm metadata restart: %v", err)
+		}
+	}()
 
 	expected := make([][]byte, writers)
 	var wg sync.WaitGroup
@@ -208,7 +218,7 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	runner.Wait()
+	<-crashed
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -242,10 +252,10 @@ func TestCrashRecoveryMidWriteStorm(t *testing.T) {
 	preStats := *c.VM.Manager().MaintStats()
 
 	// Quiesced kill -9 of the entire durable control plane, then revival.
-	c.KillVM()
+	c.KillVM(0)
 	c.KillMeta(0)
 	c.KillMeta(1)
-	if err := c.RestartVM(); err != nil {
+	if err := c.RestartVM(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RestartMeta(0); err != nil {
@@ -335,8 +345,8 @@ func TestRestartVolatileVMComesBackEmpty(t *testing.T) {
 	if _, err := cli.CreateBlob(256, 1); err != nil {
 		t.Fatal(err)
 	}
-	c.KillVM()
-	if err := c.RestartVM(); err != nil {
+	c.KillVM(0)
+	if err := c.RestartVM(0); err != nil {
 		t.Fatal(err)
 	}
 	var ids []uint64

@@ -16,10 +16,6 @@ func TestExemplarRecordedAndRendered(t *testing.T) {
 	if h.Count() != 3 {
 		t.Fatalf("count = %d, want 3", h.Count())
 	}
-	worst := h.WorstExemplar()
-	if worst == nil || worst.TraceID != 0xdef {
-		t.Fatalf("WorstExemplar = %+v, want trace 0xdef", worst)
-	}
 
 	reg := NewRegistry()
 	reg.MustRegister(hv)
@@ -48,11 +44,20 @@ func TestExemplarRecordedAndRendered(t *testing.T) {
 }
 
 func TestExemplarLatestWinsPerBucket(t *testing.T) {
-	h := NewHistogram([]float64{1})
+	hv := NewHistogramVec("lat", "latency", []string{"method"}, []float64{1})
+	h := hv.With("get")
 	h.ObserveWithExemplar(0.5, 1)
 	h.ObserveWithExemplar(0.6, 2)
-	if e := h.WorstExemplar(); e == nil || e.TraceID != 2 {
-		t.Fatalf("latest exemplar should win: %+v", e)
+	reg := NewRegistry()
+	reg.MustRegister(hv)
+	reg.SetExemplars(true)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`lat_bucket{method="get",le="1"} 2 # {trace_id="%016x"} 0.6`, uint64(2))
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("latest exemplar should win; want %q in:\n%s", want, b.String())
 	}
 }
 

@@ -113,18 +113,6 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID uint64) {
 	}
 }
 
-// WorstExemplar returns the exemplar from the highest-latency bucket
-// holding one (nil when no exemplar has been recorded) — the trace to
-// chase when the tail looks bad.
-func (h *Histogram) WorstExemplar() *Exemplar {
-	for i := len(h.exemplars) - 1; i >= 0; i-- {
-		if e := h.exemplars[i].Load(); e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -1,24 +1,20 @@
-// Package netsim models the network fabric of a large-scale testbed
-// (the reproduction's stand-in for Grid'5000). Every node address owns a
-// simulated NIC with a finite bandwidth; a transfer of n bytes between two
-// nodes reserves serial transmission time on both NICs and is additionally
-// charged a per-message service overhead and a propagation latency.
+// Package netsim is the simulated network fabric behind rpc.SimNetwork,
+// the in-process transport of the cluster harness. Every node address owns
+// a simulated NIC with a finite bandwidth; a transfer of n bytes between
+// two nodes reserves serial transmission time on both NICs and is
+// additionally charged a propagation latency. A node can be marked down,
+// which is how the harness injects provider crashes.
 //
 // The model is intentionally simple — a serial link per NIC with FIFO
-// queueing — because that is exactly the mechanism that produces the
-// throughput shapes the BlobSeer evaluation is about: aggregate bandwidth
-// that grows with the number of data providers, and a centralized server
-// that saturates at 1/serviceTime requests per second.
+// queueing — so that aggregate bandwidth grows with the number of
+// distinct node pairs while one NIC saturates on its own.
 //
 // Reservations are made against a virtual per-NIC clock (nextFree), so the
 // computed delays reflect queueing even though callers sleep in real time.
-// All delays are divided by Config.TimeScale, letting experiments run the
-// same contention pattern faster than real time.
 package netsim
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -26,34 +22,13 @@ import (
 // ErrNodeDown is returned for transfers involving a failed node.
 var ErrNodeDown = errors.New("netsim: node is down")
 
-// ErrBacklogFull is returned when a NIC's transmit queue (in simulated
-// time) exceeds Config.MaxBacklog: the realistic failure mode of pushing
-// traffic at a degraded node.
-var ErrBacklogFull = errors.New("netsim: NIC backlog full")
-
 // Config describes the fabric characteristics.
 type Config struct {
 	// Latency is the one-way propagation delay added to every message.
 	Latency time.Duration
-	// Jitter, if nonzero, adds a uniform random delay in [0, Jitter).
-	Jitter time.Duration
-	// BandwidthBps is the default per-NIC bandwidth in bytes/second.
+	// BandwidthBps is the per-NIC bandwidth in bytes/second.
 	// Zero means unlimited (no transmission delay).
 	BandwidthBps float64
-	// PerMessage is the fixed service overhead charged on the *receiver*
-	// NIC for every message, independent of size. This is what makes a
-	// centralized metadata server saturate under high request rates.
-	PerMessage time.Duration
-	// TimeScale divides every delay; 1 (or 0) means real time, 10 means
-	// the simulation runs 10x faster while preserving contention ratios.
-	TimeScale float64
-	// MaxBacklog bounds how far into the future a NIC may queue
-	// transmissions; beyond it transfers fail with ErrBacklogFull.
-	// Zero means unbounded.
-	MaxBacklog time.Duration
-	// Seed seeds the jitter source. Zero picks a fixed default so runs
-	// are reproducible unless a seed is chosen explicitly.
-	Seed int64
 }
 
 // Fabric is a shared-nothing collection of simulated NICs.
@@ -62,37 +37,22 @@ type Config struct {
 type Fabric struct {
 	cfg Config
 
-	mu    sync.Mutex
-	nics  map[string]*nic
-	down  map[string]bool
-	rng   *rand.Rand
-	rngMu sync.Mutex
+	mu   sync.Mutex
+	nics map[string]*nic
+	down map[string]bool
 }
 
 type nic struct {
 	mu       sync.Mutex
-	bps      float64
 	nextFree time.Time
-	// counters for observability
-	bytesIn  int64
-	bytesOut int64
-	msgsIn   int64
 }
 
 // NewFabric creates a fabric with the given configuration.
 func NewFabric(cfg Config) *Fabric {
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 1
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 42
-	}
 	return &Fabric{
 		cfg:  cfg,
 		nics: make(map[string]*nic),
 		down: make(map[string]bool),
-		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -101,21 +61,10 @@ func (f *Fabric) nicFor(addr string) *nic {
 	defer f.mu.Unlock()
 	n, ok := f.nics[addr]
 	if !ok {
-		n = &nic{bps: f.cfg.BandwidthBps}
+		n = &nic{}
 		f.nics[addr] = n
 	}
 	return n
-}
-
-// SetBandwidth overrides the bandwidth of one node's NIC.
-func (f *Fabric) SetBandwidth(addr string, bps float64) {
-	if f == nil {
-		return
-	}
-	n := f.nicFor(addr)
-	n.mu.Lock()
-	n.bps = bps
-	n.mu.Unlock()
 }
 
 // SetDown marks a node as failed (true) or healthy (false). Transfers
@@ -139,28 +88,19 @@ func (f *Fabric) IsDown(addr string) bool {
 	return f.down[addr]
 }
 
-// reserve books n bytes plus overhead of serial transmission time on the
-// NIC and returns how long from now the transmission completes. When the
-// queue already extends more than maxBacklog into the future the transfer
-// is rejected instead of queued.
-func (n *nic) reserve(nbytes int, overhead, maxBacklog time.Duration, scale float64) (time.Duration, error) {
+// reserve books nbytes of serial transmission time on the NIC and returns
+// how long from now the transmission completes.
+func (n *nic) reserve(nbytes int, bps float64) time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := time.Now()
 	if n.nextFree.Before(now) {
 		n.nextFree = now
 	}
-	if maxBacklog > 0 && n.nextFree.Sub(now) > maxBacklog {
-		return 0, ErrBacklogFull
+	if bps > 0 {
+		n.nextFree = n.nextFree.Add(time.Duration(float64(nbytes) / bps * float64(time.Second)))
 	}
-	var tx time.Duration
-	if n.bps > 0 {
-		tx = time.Duration(float64(nbytes) / n.bps * float64(time.Second))
-	}
-	tx += overhead
-	tx = time.Duration(float64(tx) / scale)
-	n.nextFree = n.nextFree.Add(tx)
-	return n.nextFree.Sub(now), nil
+	return n.nextFree.Sub(now)
 }
 
 // Delay computes the completion delay for sending nbytes from one address
@@ -177,57 +117,9 @@ func (f *Fabric) Delay(from, to string, nbytes int) (time.Duration, error) {
 	}
 	f.mu.Unlock()
 
-	src := f.nicFor(from)
-	dst := f.nicFor(to)
-	dSend, err := src.reserve(nbytes, 0, f.cfg.MaxBacklog, f.cfg.TimeScale)
-	if err != nil {
-		return 0, err
-	}
-	dRecv, err := dst.reserve(nbytes, f.cfg.PerMessage, f.cfg.MaxBacklog, f.cfg.TimeScale)
-	if err != nil {
-		return 0, err
-	}
-	d := dSend
-	if dRecv > d {
+	d := f.nicFor(from).reserve(nbytes, f.cfg.BandwidthBps)
+	if dRecv := f.nicFor(to).reserve(nbytes, f.cfg.BandwidthBps); dRecv > d {
 		d = dRecv
 	}
-	lat := f.cfg.Latency
-	if f.cfg.Jitter > 0 {
-		f.rngMu.Lock()
-		lat += time.Duration(f.rng.Int63n(int64(f.cfg.Jitter)))
-		f.rngMu.Unlock()
-	}
-	d += time.Duration(float64(lat) / f.cfg.TimeScale)
-
-	src.mu.Lock()
-	src.bytesOut += int64(nbytes)
-	src.mu.Unlock()
-	dst.mu.Lock()
-	dst.bytesIn += int64(nbytes)
-	dst.msgsIn++
-	dst.mu.Unlock()
-	return d, nil
-}
-
-// Stats is a point-in-time snapshot of one NIC's counters.
-type Stats struct {
-	BytesIn  int64
-	BytesOut int64
-	MsgsIn   int64
-}
-
-// NodeStats returns the counters for addr (zeros if never used).
-func (f *Fabric) NodeStats(addr string) Stats {
-	if f == nil {
-		return Stats{}
-	}
-	f.mu.Lock()
-	n, ok := f.nics[addr]
-	f.mu.Unlock()
-	if !ok {
-		return Stats{}
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return Stats{BytesIn: n.bytesIn, BytesOut: n.bytesOut, MsgsIn: n.msgsIn}
+	return d + f.cfg.Latency, nil
 }

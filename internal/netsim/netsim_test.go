@@ -16,7 +16,6 @@ func TestNilFabricIsPerfect(t *testing.T) {
 		t.Error("nil fabric reports node down")
 	}
 	f.SetDown("a", true) // must not panic
-	f.SetBandwidth("a", 1)
 }
 
 func TestDelayScalesWithSize(t *testing.T) {
@@ -49,43 +48,6 @@ func TestLatencyAdded(t *testing.T) {
 	}
 }
 
-func TestPerMessageOverheadOnReceiver(t *testing.T) {
-	f := NewFabric(Config{PerMessage: time.Millisecond})
-	// ten messages to the same receiver queue serially: last sees ~10ms
-	var last time.Duration
-	for i := 0; i < 10; i++ {
-		d, err := f.Delay("client", "server", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = d
-	}
-	if last < 9*time.Millisecond {
-		t.Errorf("receiver queueing too small: %v", last)
-	}
-	// messages to distinct receivers do not queue on each other
-	d, err := f.Delay("client2", "other", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 2*time.Millisecond {
-		t.Errorf("independent receiver queued: %v", d)
-	}
-}
-
-func TestTimeScaleDividesDelay(t *testing.T) {
-	slow := NewFabric(Config{Latency: 100 * time.Millisecond})
-	fast := NewFabric(Config{Latency: 100 * time.Millisecond, TimeScale: 100})
-	ds, _ := slow.Delay("a", "b", 0)
-	df, _ := fast.Delay("a", "b", 0)
-	if df >= ds {
-		t.Errorf("timescale not applied: slow=%v fast=%v", ds, df)
-	}
-	if df > 2*time.Millisecond {
-		t.Errorf("fast delay = %v, want ~1ms", df)
-	}
-}
-
 func TestDownNode(t *testing.T) {
 	f := NewFabric(Config{})
 	f.SetDown("b", true)
@@ -101,42 +63,22 @@ func TestDownNode(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	f := NewFabric(Config{})
-	for i := 0; i < 5; i++ {
-		if _, err := f.Delay("a", "b", 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sa := f.NodeStats("a")
-	sb := f.NodeStats("b")
-	if sa.BytesOut != 500 {
-		t.Errorf("a.BytesOut = %d, want 500", sa.BytesOut)
-	}
-	if sb.BytesIn != 500 || sb.MsgsIn != 5 {
-		t.Errorf("b stats = %+v", sb)
-	}
-	if got := f.NodeStats("never"); got != (Stats{}) {
-		t.Errorf("unknown node stats = %+v", got)
-	}
-}
-
 func TestConcurrentDelaySafe(t *testing.T) {
-	f := NewFabric(Config{BandwidthBps: 1e9, Jitter: time.Microsecond})
+	f := NewFabric(Config{BandwidthBps: 1e9, Latency: time.Microsecond})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				_, _ = f.Delay("x", "y", 1000)
+				if _, err := f.Delay("x", "y", 1000); err != nil {
+					t.Errorf("delay %d: %v", j, err)
+					return
+				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	if got := f.NodeStats("y").MsgsIn; got != 3200 {
-		t.Errorf("MsgsIn = %d, want 3200", got)
-	}
 }
 
 // Aggregate bandwidth across distinct NIC pairs must exceed a single pair's:
@@ -159,5 +101,16 @@ func TestAggregateBandwidthScales(t *testing.T) {
 	}
 	if spread*2 >= single {
 		t.Errorf("striping gave no speedup: spread=%v single=%v", spread, single)
+	}
+}
+
+// A saturated NIC queues transfers behind each other; it never refuses
+// one.
+func TestBacklogUnboundedByDefault(t *testing.T) {
+	f := NewFabric(Config{BandwidthBps: 1e3})
+	for i := 0; i < 5; i++ {
+		if _, err := f.Delay("a", "b", 1000); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
 	}
 }

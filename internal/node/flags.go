@@ -74,6 +74,11 @@ var Roles = map[string]func(fs *flag.FlagSet) Starter{
 		mibVar(fs, &s.CapacityBytes, "capacity-mb", 0, 0, "declared storage capacity in `MiB`, 0 = unknown; enables fullness-aware placement and rebalance")
 		bindFsync(fs, &s.FsyncSidecar, "sidecar")
 		return func(env *Env) (Handle, error) {
+			if *dir != "" && *kind == "mem" {
+				// The sidecar under -dir would outlive the RAM chunks and
+				// replay digests for chunks a restart lost.
+				return nil, fmt.Errorf("node: provider -dir %s with -store mem keeps chunks in RAM; use -store disk (or cached) to keep them under -dir", *dir)
+			}
 			chunkDir := "blobseer-chunks"
 			if *dir != "" {
 				chunkDir, s.SidecarDir = *dir, filepath.Join(*dir, "sidecar")

@@ -84,7 +84,7 @@ func (e *Env) ServeMetrics() error {
 	if e.MetricsListen == "" {
 		return nil
 	}
-	h, err := obs.ServeHTTPWith(e.MetricsListen, obs.HTTPConfig{Registry: e.Registry, Traces: e.Traces, Pprof: e.Pprof})
+	h, err := obs.ServeHTTP(e.MetricsListen, obs.HTTPConfig{Registry: e.Registry, Traces: e.Traces, Pprof: e.Pprof})
 	e.http = h
 	return err
 }

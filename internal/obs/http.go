@@ -34,14 +34,9 @@ type HTTPConfig struct {
 	Pprof bool
 }
 
-// ServeHTTP starts serving reg on listen (host:port; ":0" picks a free
-// port — read it back with Addr).
-func ServeHTTP(listen string, reg *metrics.Registry) (*HTTPServer, error) {
-	return ServeHTTPWith(listen, HTTPConfig{Registry: reg})
-}
-
-// ServeHTTPWith is ServeHTTP with the full endpoint selection.
-func ServeHTTPWith(listen string, cfg HTTPConfig) (*HTTPServer, error) {
+// ServeHTTP starts serving the endpoints cfg selects on listen
+// (host:port; ":0" picks a free port — read it back with Addr).
+func ServeHTTP(listen string, cfg HTTPConfig) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listener: %w", err)

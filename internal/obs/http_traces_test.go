@@ -25,7 +25,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	time.Sleep(3 * time.Millisecond) // span duration is wall-clock: trips the 1ms threshold
 	slow.Finish(nil)
 
-	h, err := obs.ServeHTTPWith("127.0.0.1:0", obs.HTTPConfig{Traces: rec, Pprof: true})
+	h, err := obs.ServeHTTP("127.0.0.1:0", obs.HTTPConfig{Traces: rec, Pprof: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 
 	// ...and absent — along with /debug/traces — on a default server.
-	plain, err := obs.ServeHTTPWith("127.0.0.1:0", obs.HTTPConfig{})
+	plain, err := obs.ServeHTTP("127.0.0.1:0", obs.HTTPConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,6 @@ func NewSimNetwork(fabric *netsim.Fabric) *SimNetwork {
 	return &SimNetwork{fabric: fabric, listeners: make(map[string]*simListener)}
 }
 
-// Fabric exposes the underlying fabric for fault injection and stats.
-func (n *SimNetwork) Fabric() *netsim.Fabric { return n.fabric }
-
 // Listen registers addr. Listening on a taken address is an error.
 func (n *SimNetwork) Listen(addr string) (Listener, error) {
 	n.mu.Lock()
@@ -210,8 +207,9 @@ func (c *simConn) Send(msg []byte) error {
 		}
 		p.mu.Unlock()
 	}
-	// Enforce FIFO even with zero/jittered delays: never deliver before a
-	// previously scheduled message on this connection.
+	// Enforce FIFO: never deliver before a previously scheduled message
+	// on this connection, even when concurrent senders read the fabric's
+	// delays and the clock in different orders.
 	c.mu.Lock()
 	expiry := time.Now().Add(d)
 	if expiry.Before(c.lastExpiry) {

@@ -2,7 +2,7 @@
 // trace context (trace id, parent span id, sampling bit) rides every RPC
 // frame, each role records finished spans into a lock-free per-process
 // ring buffer, and a tail-based flight recorder force-retains any op
-// slower than a per-method threshold regardless of the sampling verdict.
+// slower than one threshold regardless of the sampling verdict.
 // Zero dependencies, same spirit as internal/metrics: the hot path is a
 // couple of atomic stores and clock reads, all rendering happens at
 // dump time.
@@ -223,16 +223,15 @@ type Tracer struct {
 	node    string
 	rec     *Recorder
 	sampleN uint64
-	slowDef time.Duration
-	slowBy  map[string]time.Duration // set before concurrent use
+	slow    time.Duration
 }
 
 // New creates a tracer recording into rec. sampleN is the head-sampling
 // denominator (1 = always sample, <=0 disables the tracer — New
-// returns nil so all call sites no-op). slowDefault is the per-method
-// slow threshold when no override is set (<=0 disables the flight
-// recorder).
-func New(role, node string, rec *Recorder, sampleN int, slowDefault time.Duration) *Tracer {
+// returns nil so all call sites no-op). slow is the flight-recorder
+// threshold: a span at least that long is retained whatever its sampling
+// draw (<=0 disables the flight recorder).
+func New(role, node string, rec *Recorder, sampleN int, slow time.Duration) *Tracer {
 	if sampleN <= 0 || rec == nil {
 		return nil
 	}
@@ -241,31 +240,8 @@ func New(role, node string, rec *Recorder, sampleN int, slowDefault time.Duratio
 		node:    node,
 		rec:     rec,
 		sampleN: uint64(sampleN),
-		slowDef: slowDefault,
-		slowBy:  make(map[string]time.Duration),
+		slow:    slow,
 	}
-}
-
-// SetSlowThreshold overrides the flight-recorder threshold for one
-// method. Not safe concurrently with active spans — configure at
-// construction time.
-func (t *Tracer) SetSlowThreshold(method string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.slowBy[method] = d
-}
-
-// SlowThreshold reports the effective flight-recorder threshold for a
-// method (0 = flight recorder off for it).
-func (t *Tracer) SlowThreshold(method string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	if d, ok := t.slowBy[method]; ok {
-		return d
-	}
-	return t.slowDef
 }
 
 func (t *Tracer) sampled() bool {
@@ -391,7 +367,7 @@ func (a *Active) Finish(err error) {
 	if err != nil {
 		a.span.Err = err.Error()
 	}
-	if thr := a.t.SlowThreshold(a.span.Method); thr > 0 && dur >= thr {
+	if a.t.slow > 0 && dur >= a.t.slow {
 		a.span.Slow = true
 	}
 	if a.span.Sampled || a.span.Slow {

@@ -62,7 +62,7 @@ func frozenScript(t *testing.T, m *Manager) {
 	must(m.Commit(blob, 1))
 	_, err = m.Assign(&AssignReq{BlobID: blob, Offset: 1024, Size: 100, WantLeaseTTLMs: 5000})
 	must(err)
-	must(m.AbortWoven(blob, 2, false))
+	must(m.Abort(blob, 2, false))
 	must(m.MarkWoven(blob, 2))
 	_, err = m.Assign(&AssignReq{BlobID: blob, Size: 500, Append: true})
 	must(err)

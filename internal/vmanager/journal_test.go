@@ -56,7 +56,7 @@ func TestManagerRecoversFullState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Abort(b1, ar.Version); err != nil {
+	if err := m.Abort(b1, ar.Version, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetRetention(b1, 4); err != nil {

@@ -674,7 +674,7 @@ func FuzzReplicationDivergence(f *testing.F) {
 				if op%6 == 1 {
 					_ = m.Commit(id, resp.Version)
 				} else {
-					_ = m.Abort(id, resp.Version)
+					_ = m.Abort(id, resp.Version, false)
 				}
 			case 3:
 				if len(blobs) == 0 {

@@ -252,7 +252,7 @@ func TestFloorNeverPassesNewestLiveVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Abort(id, a2.Version); err != nil {
+	if err := m.Abort(id, a2.Version, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetRetention(id, 1); err != nil {

@@ -450,17 +450,11 @@ func (m *Manager) Commit(blobID, version uint64) error {
 
 // Abort marks a version as failed. Publication still advances past it —
 // otherwise one crashed writer would wedge the blob forever — but reads
-// naming the failed version are rejected. The caller did NOT repair the
-// version's metadata tree; the lease expiry loop or the GC sweep weaves
-// the identity tree later (see AbortWoven for callers that did).
-func (m *Manager) Abort(blobID, version uint64) error {
-	return m.AbortWoven(blobID, version, false)
-}
-
-// AbortWoven is Abort with the caller vouching (woven=true) that the
-// version's identity tree is already in the metadata plane — the client
-// abort-repair path — so no server-side weave is owed for it.
-func (m *Manager) AbortWoven(blobID, version uint64, woven bool) error {
+// naming the failed version are rejected. woven is the caller vouching
+// that the version's identity tree is already in the metadata plane (the
+// client abort-repair path), so no server-side weave is owed for it;
+// otherwise the lease expiry loop or the GC sweep weaves it later.
+func (m *Manager) Abort(blobID, version uint64, woven bool) error {
 	err := m.finish(blobID, version, true, woven)
 	m.maybeCompact()
 	return err
@@ -926,7 +920,7 @@ func NewServer(network rpc.Network, addr string, m *Manager) *Server {
 		})
 	rpc.HandleMsg(s.srv, MethodAbort, func() *AbortReq { return &AbortReq{} },
 		func(req *AbortReq) (*Ack, error) {
-			return &Ack{}, s.m.AbortWoven(req.BlobID, req.Version, req.Woven)
+			return &Ack{}, s.m.Abort(req.BlobID, req.Version, req.Woven)
 		})
 	rpc.HandleMsg(s.srv, MethodRenewLease, func() *VersionRef { return &VersionRef{} },
 		func(req *VersionRef) (*Ack, error) {

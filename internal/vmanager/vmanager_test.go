@@ -168,7 +168,7 @@ func TestAbortAdvancesPublication(t *testing.T) {
 	id, _ := m.Create(64, 1)
 	r1, _ := m.Assign(&AssignReq{BlobID: id, Size: 64, Append: true})
 	r2, _ := m.Assign(&AssignReq{BlobID: id, Size: 64, Append: true})
-	if err := m.Abort(id, r1.Version); err != nil {
+	if err := m.Abort(id, r1.Version, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(id, r2.Version); err != nil {
