@@ -46,12 +46,14 @@ vet:
 # One declaration per counter: provider and lease counters are rows of
 # their counter tables, so the hand-kept twins (the lease stats RPC, the
 # provider stats struct, GCStats) stay gone and internal/obs registers no
-# provider or chunk family by hand (the chunk cache's families belong to
-# the cached store, not to the provider table).
+# provider or chunk family by hand.
 # One fault surface: internal/fault holds tests only, which crash roles
 # through the harness handles (one kill and one restart method per role),
 # and the seed-era schedule runner, the fabric knobs no caller set and the
 # test-only twins in obs, trace, metrics and vmanager stay gone.
+# One chunk engine per medium and one placement policy: the RAM cache
+# over the disk store, the read-path tamper wrapper, the random and
+# least-loaded strategies and their -cache-mb/-strategy flags stay gone.
 # And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
@@ -71,9 +73,10 @@ guard:
 	@! grep -rnE 'flag\.(CommandLine|Parse\(|Args?\(|NArg\(|NFlag\(|Visit|Lookup\(|Set\(|Usage|PrintDefaults)' --include='*.go' cmd/blobseerd
 	@! grep -rnE '"pm\.register"|MethodRegister' --include='*.go' .
 	@! grep -rnE 'LeaseStatsResp|MethodLeaseStats|"vm\.leasestats"|provider\.StatsResp|type StatsResp|GCStats' --include='*.go' .
-	@! grep -rnE '"blobseer_(provider|chunk)_' --include='*.go' --exclude='*_test.go' internal/obs | grep -v '"blobseer_provider_cache_'
+	@! grep -rnE '"blobseer_(provider|chunk)_' --include='*.go' --exclude='*_test.go' internal/obs
 	@test -z "$$(find internal/fault -name '*.go' ! -name '*_test.go')" || { echo 'internal/fault holds non-test Go files:'; find internal/fault -name '*.go' ! -name '*_test.go'; exit 1; }
 	@! grep -rnE '\b(fault\.Start|DegradeThenCrash|KillVMIndex|RestartVMIndex|TimeScale|PerMessage|MaxBacklog|SetBandwidth|NodeStats|ServeHTTPWith|SetSlowThreshold|WorstExemplar|AbortWoven)\b' --include='*.go' --exclude-dir=benchmark .
+	@! grep -rnE 'CachedStore|NewCachedStore|TamperStore|StrategyRandom|StrategyLeastLoaded|"(cache-mb|strategy)"' --include='*.go' cmd internal
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro

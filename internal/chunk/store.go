@@ -1,8 +1,7 @@
 // Package chunk defines chunk identity and the storage engines data
-// providers run on. The paper's storage evolution is reproduced exactly:
-// the initial prototype was RAM-only (MemStore), later extended with
-// persistent storage keeping RAM as a cache (DiskStore wrapped by
-// CachedStore, §IV-B).
+// providers run on, one per medium: the initial prototype's RAM engine
+// (MemStore, §IV-A) and the persistent one added later (DiskStore,
+// §IV-B).
 //
 // Chunks are immutable: a (blob, version, index) triple is written at most
 // once, by the single writer that was assigned that version. Stores may

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -29,15 +31,6 @@ func storeFactories(t *testing.T) map[string]func() Store {
 			}
 			return s
 		},
-		"cached-mem": func() Store { return NewCachedStore(NewMemStore(), 1<<20) },
-		"cached-disk": func() Store {
-			d, err := NewDiskStore(t.TempDir(), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewCachedStore(d, 1<<20)
-		},
-		"cached-zero-capacity": func() Store { return NewCachedStore(NewMemStore(), 0) },
 	}
 }
 
@@ -184,128 +177,35 @@ func TestDiskStoreRecoversIndex(t *testing.T) {
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	backing := NewMemStore()
-	s := NewCachedStore(backing, 100)
-	data := make([]byte, 40)
-	for i := 0; i < 5; i++ {
-		if err := s.Put(Key{Index: uint64(i)}, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, _, resident := s.CacheStats()
-	if resident > 100 {
-		t.Errorf("resident = %d, exceeds capacity", resident)
-	}
-	// Every chunk is still readable (from backing even if evicted).
-	for i := 0; i < 5; i++ {
-		if _, err := s.GetInto(Key{Index: uint64(i)}, nil); err != nil {
-			t.Errorf("Get(%d): %v", i, err)
-		}
-	}
-}
-
-func TestCacheHitAccounting(t *testing.T) {
-	s := NewCachedStore(NewMemStore(), 1<<20)
-	k := Key{Blob: 3}
-	if err := s.Put(k, []byte("x")); err != nil {
+// TestDiskStoreRemovesCrashDebris: the temp file of a Put a crash cut
+// short is removed when the directory is opened again, and the published
+// chunks beside it stay.
+func TestDiskStoreRemovesCrashDebris(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDiskStore(dir, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.GetInto(k, nil); err != nil {
-			t.Fatal(err)
-		}
+	k := Key{Blob: 1, Version: 1, Index: 0}
+	if err := s.Put(k, []byte("kept")); err != nil {
+		t.Fatal(err)
 	}
-	hits, misses, _ := s.CacheStats()
-	if hits != 3 || misses != 0 {
-		t.Errorf("hits=%d misses=%d, want 3,0", hits, misses)
-	}
-	if _, err := s.GetInto(Key{Blob: 99}, nil); err == nil {
-		t.Error("Get absent succeeded")
-	}
-	_, misses2, _ := s.CacheStats()
-	if misses2 != 1 {
-		t.Errorf("misses = %d, want 1", misses2)
-	}
-}
-
-func TestCacheRangeAdmission(t *testing.T) {
-	backing := NewMemStore()
-	s := NewCachedStore(backing, 1<<20)
-	k := Key{Blob: 7, Index: 2}
-	payload := bytes.Repeat([]byte("abcd"), 64)
-	if err := backing.Put(k, payload); err != nil { // bypass cache: cold chunk
+	s.Close()
+	debris := filepath.Join(dir, "put-12345")
+	if err := os.WriteFile(debris, []byte("half a chunk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// The first rangeAdmitAfter-1 misses stay ranged: nothing admitted.
-	for i := 0; i < rangeAdmitAfter-1; i++ {
-		got, err := s.GetRange(k, 4, 8)
-		if err != nil || !bytes.Equal(got, payload[4:12]) {
-			t.Fatalf("GetRange #%d = %q, %v", i, got, err)
-		}
-	}
-	if n := s.RangeAdmits(); n != 0 {
-		t.Fatalf("RangeAdmits after %d misses = %d, want 0", rangeAdmitAfter-1, n)
-	}
-	hits, _, _ := s.CacheStats()
-	if hits != 0 {
-		t.Fatalf("hits before admission = %d, want 0", hits)
-	}
-
-	// The threshold miss promotes the whole chunk into the cache.
-	if got, err := s.GetRange(k, 4, 8); err != nil || !bytes.Equal(got, payload[4:12]) {
-		t.Fatalf("admitting GetRange = %q, %v", got, err)
-	}
-	if n := s.RangeAdmits(); n != 1 {
-		t.Fatalf("RangeAdmits = %d, want 1", n)
-	}
-	if got, err := s.GetRange(k, 100, 28); err != nil || !bytes.Equal(got, payload[100:128]) {
-		t.Fatalf("post-admission GetRange = %q, %v", got, err)
-	}
-	if hits, _, _ := s.CacheStats(); hits != 1 {
-		t.Errorf("hits after admission = %d, want 1 (served from RAM)", hits)
-	}
-
-	// Delete clears the residency and the miss counter.
-	if err := s.Delete(k); err != nil {
+	re, err := NewDiskStore(dir, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := backing.Put(k, payload); err != nil {
-		t.Fatal(err)
+	defer re.Close()
+	if _, err := os.Stat(debris); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("crash debris after open: %v, want it removed", err)
 	}
-	if _, err := s.GetRange(k, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.RangeAdmits(); n != 1 {
-		t.Errorf("RangeAdmits after delete+miss = %d, want 1 (counter was reset)", n)
-	}
-
-	// Zero-capacity caches never admit.
-	off := NewCachedStore(backing, 0)
-	for i := 0; i < rangeAdmitAfter+2; i++ {
-		if _, err := off.GetRange(k, 0, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := off.RangeAdmits(); n != 0 {
-		t.Errorf("zero-capacity RangeAdmits = %d, want 0", n)
-	}
-}
-
-func TestCacheServesAfterBackingDelete(t *testing.T) {
-	// Documents the read-your-cache semantics: immutability makes stale
-	// reads impossible, deletes purge the cache explicitly.
-	s := NewCachedStore(NewMemStore(), 1<<20)
-	k := Key{Blob: 1}
-	if err := s.Put(k, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(k); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GetInto(k, nil); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after Delete = %v, want ErrNotFound", err)
+	if got, err := re.GetInto(k, nil); err != nil || string(got) != "kept" || re.Len() != 1 {
+		t.Fatalf("chunk beside the debris: %q, %v, Len %d", got, err, re.Len())
 	}
 }
 
@@ -362,22 +262,6 @@ func BenchmarkMemStorePut64K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Put(Key{Index: uint64(i)}, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCachedGetHit(b *testing.B) {
-	s := NewCachedStore(NewMemStore(), 1<<26)
-	data := make([]byte, 64<<10)
-	k := Key{Blob: 1}
-	if err := s.Put(k, data); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.GetInto(k, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,12 +38,13 @@ func providerIndex(t *testing.T, c *cluster.Cluster, addr string) int {
 	return -1
 }
 
-// The ISSUE acceptance scenario, detection half: with one replica of a
+// The detection half of the bit-rot scenario: with one replica of a
 // repl-2 chunk bit-rotted, no reader may ever receive wrong bytes. The
-// corrupted copy sits FIRST in placement order, so a fresh client (all
-// health scores zero, stable sort preserves placement order) provably
-// reads it, gets the provider's typed ErrChunkCorrupt instead of rot,
-// and fails over to the good replica — concurrently, under -race.
+// corrupted copy sits FIRST in placement order, so a fresh client reading
+// that chunk alone (all health scores zero, stable sort preserves
+// placement order) provably reads it, gets the provider's typed
+// ErrChunkCorrupt instead of rot, and fails over to the good replica.
+// Concurrent readers of the whole blob follow, under -race.
 func TestCorruptReplicaReadFailover(t *testing.T) {
 	c, err := cluster.Start(cluster.Config{DataProviders: 3, MetaProviders: 1})
 	if err != nil {
@@ -85,6 +86,16 @@ func TestCorruptReplicaReadFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Chunk 0 first and alone: a parallel fetch of another chunk from the
+	// victim could score it before chunk 0's replicas are ordered, and
+	// then the rotted copy would never be read.
+	first := make([]byte, chunkSize)
+	if _, err := rblob.Read(0, first, 0); err != nil {
+		t.Fatalf("first read of chunk 0: %v", err)
+	}
+	if !bytes.Equal(first, expected[:chunkSize]) {
+		t.Fatal("first read of chunk 0 got wrong bytes through corrupt replica")
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for r := 0; r < len(errs); r++ {
@@ -119,7 +130,7 @@ func TestCorruptReplicaReadFailover(t *testing.T) {
 	}
 }
 
-// The ISSUE acceptance scenario, healing half: a scrub pass finds the
+// The healing half of the bit-rot scenario: a scrub pass finds the
 // rotted copy with no reader involved, and one RunScrub call (scrub +
 // chained repair) restores the replication degree — a verified copy on a
 // fresh provider, the quarantined one deleted — with reads clean after.
@@ -128,7 +139,7 @@ func TestScrubRestoresDegree(t *testing.T) {
 }
 
 // Same scenario on the persistent engine: the rot lives in a chunk FILE
-// (flipped on disk, cache dropped), the heal deletes that file, and the
+// (flipped on disk), the heal deletes that file, and the
 // sidecar carries the digests.
 func TestScrubRestoresDegreeDiskEngine(t *testing.T) {
 	testScrubRestoresDegree(t, cluster.Config{DataProviders: 3, MetaProviders: 1, DataDir: t.TempDir()})

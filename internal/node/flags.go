@@ -48,7 +48,6 @@ var Roles = map[string]func(fs *flag.FlagSet) Starter{
 	"pmanager": func(fs *flag.FlagSet) Starter {
 		var s PManagerSpec
 		bindListen(fs, &s.Listen)
-		fs.StringVar(&s.Strategy, "strategy", "roundrobin", "placement strategy: roundrobin | random | leastloaded")
 		fs.DurationVar(&s.HeartbeatTimeout, "heartbeat-timeout", 5*time.Second, "provider liveness timeout")
 		return func(env *Env) (Handle, error) { return StartPManager(env, s) }
 	},
@@ -67,24 +66,22 @@ var Roles = map[string]func(fs *flag.FlagSet) Starter{
 		bindListen(fs, &s.Listen)
 		fs.StringVar(&s.PM, "pm", "", "provider manager address")
 		fs.DurationVar(&s.Heartbeat, "heartbeat", time.Second, "heartbeat interval")
-		kind := fs.String("store", "mem", "chunk store: mem | disk | cached")
-		dir := fs.String("dir", "", "chunk directory (store=disk|cached; default ./blobseer-chunks), with the durable sidecar (put ages, tombstones, digests) in <dir>/sidecar")
-		var cacheBytes int64
-		mibVar(fs, &cacheBytes, "cache-mb", 256, 0, "RAM cache size in `MiB` (store=cached)")
+		kind := fs.String("store", "mem", "chunk store: mem | disk")
+		dir := fs.String("dir", "", "chunk directory (store=disk; default ./blobseer-chunks), with the durable sidecar (put ages, tombstones, digests) in <dir>/sidecar")
 		mibVar(fs, &s.CapacityBytes, "capacity-mb", 0, 0, "declared storage capacity in `MiB`, 0 = unknown; enables fullness-aware placement and rebalance")
 		bindFsync(fs, &s.FsyncSidecar, "sidecar")
 		return func(env *Env) (Handle, error) {
 			if *dir != "" && *kind == "mem" {
 				// The sidecar under -dir would outlive the RAM chunks and
 				// replay digests for chunks a restart lost.
-				return nil, fmt.Errorf("node: provider -dir %s with -store mem keeps chunks in RAM; use -store disk (or cached) to keep them under -dir", *dir)
+				return nil, fmt.Errorf("node: provider -dir %s with -store mem keeps chunks in RAM; use -store disk to keep them under -dir", *dir)
 			}
 			chunkDir := "blobseer-chunks"
 			if *dir != "" {
 				chunkDir, s.SidecarDir = *dir, filepath.Join(*dir, "sidecar")
 			}
 			var err error
-			if s.Store, err = openChunkStore(*kind, chunkDir, cacheBytes); err != nil {
+			if s.Store, err = openChunkStore(*kind, chunkDir); err != nil {
 				return nil, err
 			}
 			return StartProvider(env, s)
@@ -113,17 +110,14 @@ func (c *EnvConfig) BindFlags(fs *flag.FlagSet) {
 }
 
 // openChunkStore opens the chunk store -store names.
-func openChunkStore(kind, dir string, cacheBytes int64) (chunk.Store, error) {
-	if kind == "mem" {
+func openChunkStore(kind, dir string) (chunk.Store, error) {
+	switch kind {
+	case "mem":
 		return chunk.NewMemStore(), nil
-	} else if kind != "disk" && kind != "cached" {
-		return nil, fmt.Errorf("node: unknown chunk store %q (-store mem | disk | cached)", kind)
+	case "disk":
+		return chunk.NewDiskStore(dir, false)
 	}
-	disk, err := chunk.NewDiskStore(dir, false)
-	if err != nil || kind == "disk" {
-		return disk, err
-	}
-	return chunk.NewCachedStore(disk, cacheBytes), nil
+	return nil, fmt.Errorf("node: unknown chunk store %q (-store mem | disk)", kind)
 }
 
 // BindTuningFlags declares the deployment's metadata replication degree

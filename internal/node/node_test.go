@@ -333,9 +333,9 @@ func TestMaintFlags(t *testing.T) {
 func TestRoleFlags(t *testing.T) {
 	want := map[string]string{
 		"vmanager": "advertise= dir= fsync=true ha-ttl=1s lease-ttl=0s listen=:0 meta= meta-repl=1 repl=quorum standby-of= vm-peers=",
-		"pmanager": "heartbeat-timeout=5s listen=:0 strategy=roundrobin",
+		"pmanager": "heartbeat-timeout=5s listen=:0",
 		"metadata": "dir= fsync=true listen=:0",
-		"provider": "cache-mb=256 capacity-mb=0 dir= fsync=true heartbeat=1s listen=:0 pm= store=mem",
+		"provider": "capacity-mb=0 dir= fsync=true heartbeat=1s listen=:0 pm= store=mem",
 		"maint": "fullness-watermark=0 gc-interval=0s gc-orphan-grace=5m0s meta= meta-repl=1 pm= repair-interval=0s " +
 			"repair-low=0.7 repair-max-move-mb=1024 scrub-interval=0s scrub-rate-mb=32 vm=",
 	}

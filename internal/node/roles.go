@@ -17,12 +17,11 @@ import (
 	"repro/internal/vmanager"
 )
 
-// PManagerSpec describes a provider manager process: its chunk placement
-// strategy ("" = roundrobin) and how long a silent provider stays live
-// (0 = the manager's default; a negative timeout is refused).
+// PManagerSpec describes a provider manager process: how long a silent
+// provider stays live (0 = the manager's default; a negative timeout is
+// refused).
 type PManagerSpec struct {
 	Listen           string
-	Strategy         string
 	HeartbeatTimeout time.Duration
 }
 
@@ -35,10 +34,7 @@ func StartPManager(env *Env, spec PManagerSpec) (*PManager, error) {
 	if spec.HeartbeatTimeout < 0 {
 		return nil, fmt.Errorf("node: a provider manager requires a non-negative liveness timeout (-heartbeat-timeout), got %v", spec.HeartbeatTimeout)
 	}
-	s, err := pmanager.NewServer(env.Network, spec.Listen, spec.Strategy, spec.HeartbeatTimeout)
-	if err != nil {
-		return nil, err
-	}
+	s := pmanager.NewServer(env.Network, spec.Listen, spec.HeartbeatTimeout)
 	if err := env.serve("pmanager", s); err != nil {
 		return nil, err
 	}

@@ -203,30 +203,15 @@ func RegisterWAL(reg *metrics.Registry, instance string, stats func() durable.Lo
 }
 
 // RegisterProvider exposes one data provider's counter table (plus
-// sidecar WAL costs when it keeps one and, for cached stores, cache
-// effectiveness) under the given instance label. srv is an accessor so
-// crash/revive harnesses can swap the instance under a live registry.
+// sidecar WAL costs when it keeps one) under the given instance label.
+// srv is an accessor so crash/revive harnesses can swap the instance
+// under a live registry.
 func RegisterProvider(reg *metrics.Registry, instance string, srv func() *provider.Server) {
 	l := []metrics.Label{{Name: "instance", Value: instance}}
 	reg.MustRegister(metrics.TableCollectors(provider.CounterTable[:], l,
 		func(id int) uint64 { return srv().Counters()[id] })...)
 	if _, ok := srv().SidecarStats(); ok {
 		RegisterWAL(reg, instance, func() durable.LogStats { st, _ := srv().SidecarStats(); return st })
-	}
-	if cs, ok := srv().Store().(interface {
-		CacheStats() (hits, misses, residentBytes int64)
-		RangeAdmits() int64
-	}); ok {
-		reg.MustRegister(
-			metrics.CounterFunc("blobseer_provider_cache_hits_total",
-				"Chunk cache hits.", l, func() float64 { h, _, _ := cs.CacheStats(); return float64(h) }),
-			metrics.CounterFunc("blobseer_provider_cache_misses_total",
-				"Chunk cache misses.", l, func() float64 { _, m, _ := cs.CacheStats(); return float64(m) }),
-			metrics.GaugeFunc("blobseer_provider_cache_resident_bytes",
-				"Bytes resident in the chunk cache.", l, func() float64 { _, _, r := cs.CacheStats(); return float64(r) }),
-			metrics.CounterFunc("blobseer_provider_cache_range_admits_total",
-				"Chunks promoted to full admission by range-miss frequency.", l, func() float64 { return float64(cs.RangeAdmits()) }),
-		)
 	}
 }
 

@@ -1,14 +1,13 @@
 // Package pmanager implements BlobSeer's provider manager: the component
 // that "decides which chunks are stored on which data providers when
-// writes or appends are issued" (§I-B2). The chunk distribution strategy
-// is configurable (§I-B3 "data striping") — round-robin for load
-// balancing, random scatter, or least-loaded placement.
+// writes or appends are issued" (§I-B2). Placement stripes chunks over
+// the live providers round-robin (§I-B3 "data striping"), skipping nearly
+// full ones.
 package pmanager
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -25,13 +24,6 @@ const (
 	MethodAllocate  = "pm.allocate"
 	MethodProviders = "pm.providers"
 	MethodReport    = "pm.report"
-)
-
-// Strategy names accepted by NewManager.
-const (
-	StrategyRoundRobin  = "roundrobin"
-	StrategyRandom      = "random"
-	StrategyLeastLoaded = "leastloaded"
 )
 
 // ErrNoProviders is returned when no live provider can host a chunk.
@@ -120,8 +112,8 @@ func (p *ProviderStatus) wire(c *wire.Codec) {
 
 // ReportResp lists every registered provider's status, live or not.
 // Fullness scoring belongs to the consumers (the repair engine projects
-// load as it plans moves; Allocate scores via provInfo.fullness), so the
-// status carries only the raw byte/capacity facts.
+// load as it plans moves; Allocate's watermark reads provInfo.fullness),
+// so the status carries only the raw byte/capacity facts.
 type ReportResp struct {
 	Providers []ProviderStatus
 }
@@ -142,51 +134,35 @@ type provInfo struct {
 	lastSeen  time.Time
 }
 
-// fullness mirrors ProviderStatus.Fullness on the manager's own records.
+// fullness is bytes over declared capacity (0 = no capacity declared).
 func (p *provInfo) fullness() float64 {
 	if p.capBytes == 0 {
 		return 0
 	}
-	f := float64(p.bytes) / float64(p.capBytes)
-	if f > 1 {
-		f = 1
-	}
-	return f
+	return float64(p.bytes) / float64(p.capBytes)
 }
 
 // Manager tracks providers and computes placements.
 type Manager struct {
-	strategy  string
 	hbTimeout time.Duration
 
 	mu        sync.Mutex
 	providers map[string]*provInfo
 	rrCounter uint64
-	rng       *rand.Rand
 	now       func() time.Time
 }
 
-// NewManager creates a manager using the named strategy ("roundrobin",
-// "random", "leastloaded"). hbTimeout is how long a provider may stay
+// NewManager creates a manager. hbTimeout is how long a provider may stay
 // silent before being considered dead (0 = 2s).
-func NewManager(strategy string, hbTimeout time.Duration) (*Manager, error) {
-	switch strategy {
-	case StrategyRoundRobin, StrategyRandom, StrategyLeastLoaded:
-	case "":
-		strategy = StrategyRoundRobin
-	default:
-		return nil, fmt.Errorf("pmanager: unknown strategy %q", strategy)
-	}
+func NewManager(hbTimeout time.Duration) *Manager {
 	if hbTimeout == 0 {
 		hbTimeout = 2 * time.Second
 	}
 	return &Manager{
-		strategy:  strategy,
 		hbTimeout: hbTimeout,
 		providers: make(map[string]*provInfo),
-		rng:       rand.New(rand.NewSource(1)),
 		now:       time.Now,
-	}, nil
+	}
 }
 
 // Heartbeat refreshes a provider's liveness, load, and free space. A
@@ -326,61 +302,13 @@ func (m *Manager) Allocate(numChunks, replication int, exclude []string) ([][]st
 		return nil, fmt.Errorf("%w: %d chunks x %d replicas", ErrTooManyChunks, numChunks, replication)
 	}
 	sets := make([][]string, numChunks)
-	switch m.strategy {
-	case StrategyRoundRobin:
-		for i := range sets {
-			set := make([]string, replication)
-			for r := 0; r < replication; r++ {
-				set[r] = live[(m.rrCounter+uint64(r))%uint64(len(live))].addr
-			}
-			m.rrCounter++
-			sets[i] = set
+	for i := range sets {
+		set := make([]string, replication)
+		for r := 0; r < replication; r++ {
+			set[r] = live[(m.rrCounter+uint64(r))%uint64(len(live))].addr
 		}
-	case StrategyRandom:
-		for i := range sets {
-			perm := m.rng.Perm(len(live))
-			set := make([]string, replication)
-			for r := 0; r < replication; r++ {
-				set[r] = live[perm[r]].addr
-			}
-			sets[i] = set
-		}
-	case StrategyLeastLoaded:
-		// Greedy: always pick the least-loaded providers, tracking load we
-		// are about to add so one Allocate spreads. When every live
-		// provider declared a capacity the score is FULLNESS (bytes/cap),
-		// so a heterogeneous pool fills proportionally — the small disk is
-		// not crushed by byte-count parity with the big one; otherwise the
-		// score falls back to raw bytes.
-		byFullness := true
-		for _, p := range live {
-			if p.capBytes == 0 {
-				byFullness = false
-				break
-			}
-		}
-		load := make(map[string]float64, len(live))
-		for _, p := range live {
-			if byFullness {
-				load[p.addr] = p.fullness() * float64(len(live)*numChunks+1)
-			} else {
-				load[p.addr] = float64(p.bytes)
-			}
-		}
-		for i := range sets {
-			sort.Slice(live, func(a, b int) bool {
-				if load[live[a].addr] != load[live[b].addr] {
-					return load[live[a].addr] < load[live[b].addr]
-				}
-				return live[a].addr < live[b].addr
-			})
-			set := make([]string, replication)
-			for r := 0; r < replication; r++ {
-				set[r] = live[r].addr
-				load[live[r].addr]++ // unit cost per chunk replica
-			}
-			sets[i] = set
-		}
+		m.rrCounter++
+		sets[i] = set
 	}
 	return sets, nil
 }
@@ -392,12 +320,8 @@ type Server struct {
 }
 
 // NewServer wires a Manager to an RPC server at addr.
-func NewServer(network rpc.Network, addr, strategy string, hbTimeout time.Duration) (*Server, error) {
-	m, err := NewManager(strategy, hbTimeout)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{m: m, srv: rpc.NewServer(network, addr)}
+func NewServer(network rpc.Network, addr string, hbTimeout time.Duration) *Server {
+	s := &Server{m: NewManager(hbTimeout), srv: rpc.NewServer(network, addr)}
 	rpc.HandleMsg(s.srv, provider.MethodHeartbeat, func() *provider.HeartbeatReq { return &provider.HeartbeatReq{} },
 		func(req *provider.HeartbeatReq) (*Ack, error) {
 			s.m.Heartbeat(req)
@@ -419,7 +343,7 @@ func NewServer(network rpc.Network, addr, strategy string, hbTimeout time.Durati
 		func(*Ack) (*ProvidersResp, error) {
 			return &ProvidersResp{Addrs: s.m.Providers()}, nil
 		})
-	return s, nil
+	return s
 }
 
 // Start begins serving.

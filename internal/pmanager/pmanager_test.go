@@ -14,12 +14,8 @@ import (
 	"repro/internal/wire"
 )
 
-func managerAt(t *testing.T, strategy string, now *time.Time) *Manager {
-	t.Helper()
-	m, err := NewManager(strategy, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+func managerAt(now *time.Time) *Manager {
+	m := NewManager(time.Second)
 	m.now = func() time.Time { return *now }
 	return m
 }
@@ -29,19 +25,9 @@ func beat(m *Manager, addr string, chunks, bytes uint64) {
 	m.Heartbeat(&provider.HeartbeatReq{Addr: addr, Chunks: chunks, Bytes: bytes})
 }
 
-func TestUnknownStrategyRejected(t *testing.T) {
-	if _, err := NewManager("mystery", 0); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	m, err := NewManager("", 0)
-	if err != nil || m.strategy != StrategyRoundRobin {
-		t.Fatalf("default strategy: %v %q", err, m.strategy)
-	}
-}
-
 func TestAllocateNoProviders(t *testing.T) {
 	now := time.Unix(1000, 0)
-	m := managerAt(t, StrategyRoundRobin, &now)
+	m := managerAt(&now)
 	if _, err := m.Allocate(3, 1, nil); !errors.Is(err, ErrNoProviders) {
 		t.Fatalf("err = %v, want ErrNoProviders", err)
 	}
@@ -49,7 +35,7 @@ func TestAllocateNoProviders(t *testing.T) {
 
 func TestRoundRobinSpreads(t *testing.T) {
 	now := time.Unix(1000, 0)
-	m := managerAt(t, StrategyRoundRobin, &now)
+	m := managerAt(&now)
 	for _, a := range []string{"p1", "p2", "p3"} {
 		beat(m, a, 0, 0)
 	}
@@ -73,49 +59,54 @@ func TestRoundRobinSpreads(t *testing.T) {
 
 func TestReplicationDistinctAndClamped(t *testing.T) {
 	now := time.Unix(1000, 0)
-	for _, strat := range []string{StrategyRoundRobin, StrategyRandom, StrategyLeastLoaded} {
-		m := managerAt(t, strat, &now)
-		for _, a := range []string{"p1", "p2", "p3"} {
-			beat(m, a, 0, 0)
-		}
-		sets, err := m.Allocate(10, 5, nil) // ask for more replicas than providers
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		for _, s := range sets {
-			if len(s) != 3 {
-				t.Fatalf("%s: replicas = %d, want clamp to 3", strat, len(s))
-			}
-			seen := map[string]bool{}
-			for _, a := range s {
-				if seen[a] {
-					t.Fatalf("%s: duplicate replica in %v", strat, s)
-				}
-				seen[a] = true
-			}
-		}
+	m := managerAt(&now)
+	for _, a := range []string{"p1", "p2", "p3"} {
+		beat(m, a, 0, 0)
 	}
-}
-
-func TestLeastLoadedPrefersEmpty(t *testing.T) {
-	now := time.Unix(1000, 0)
-	m := managerAt(t, StrategyLeastLoaded, &now)
-	beat(m, "busy", 1000, 1<<30)
-	beat(m, "idle", 0, 0)
-	sets, err := m.Allocate(4, 1, nil)
+	sets, err := m.Allocate(10, 5, nil) // ask for more replicas than providers
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range sets {
-		if s[0] != "idle" {
-			t.Errorf("placement %v, want idle", s)
+		if len(s) != 3 {
+			t.Fatalf("replicas = %d, want clamp to 3", len(s))
 		}
+		seen := map[string]bool{}
+		for _, a := range s {
+			if seen[a] {
+				t.Fatalf("duplicate replica in %v", s)
+			}
+			seen[a] = true
+		}
+	}
+}
+
+// TestAllocateSkipsNearlyFull: a provider above the capacity watermark
+// gets no placements while another can take them, and still gets them
+// when every provider is that full.
+func TestAllocateSkipsNearlyFull(t *testing.T) {
+	now := time.Unix(1000, 0)
+	m := managerAt(&now)
+	m.Heartbeat(&provider.HeartbeatReq{Addr: "full", Bytes: 96, CapBytes: 100})
+	beat(m, "roomy", 0, 0)
+	sets, err := m.Allocate(4, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range sets {
+		if len(set) != 1 || set[0] != "roomy" {
+			t.Fatalf("set %v, want [roomy] alone", set)
+		}
+	}
+	m.Heartbeat(&provider.HeartbeatReq{Addr: "roomy", Bytes: 99, CapBytes: 100})
+	if sets, err = m.Allocate(1, 2, nil); err != nil || len(sets[0]) != 2 {
+		t.Fatalf("every provider full: sets %v, err %v; want both", sets, err)
 	}
 }
 
 func TestHeartbeatTimeoutRemovesProvider(t *testing.T) {
 	now := time.Unix(1000, 0)
-	m := managerAt(t, StrategyRoundRobin, &now)
+	m := managerAt(&now)
 	beat(m, "p1", 0, 0)
 	beat(m, "p2", 0, 0)
 	now = now.Add(500 * time.Millisecond)
@@ -134,10 +125,7 @@ func TestHeartbeatTimeoutRemovesProvider(t *testing.T) {
 
 func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 	network := rpc.NewSimNetwork(nil)
-	pm, err := NewServer(network, "pm", StrategyRoundRobin, 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm := NewServer(network, "pm", 500*time.Millisecond)
 	if err := pm.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +191,7 @@ func TestServerEndToEndWithProviderHeartbeats(t *testing.T) {
 
 func TestAllocateExclusion(t *testing.T) {
 	now := time.Unix(1000, 0)
-	m := managerAt(t, StrategyRoundRobin, &now)
+	m := managerAt(&now)
 	for _, a := range []string{"dp0", "dp1", "dp2", "dp3"} {
 		beat(m, a, 0, 0)
 	}
@@ -232,7 +220,7 @@ func TestAllocateExclusion(t *testing.T) {
 // such reply fits in one RPC frame; the largest count that fits is served.
 func TestAllocateRejectsCountPastOneFrame(t *testing.T) {
 	now := time.Unix(1000, 0)
-	m := managerAt(t, StrategyRoundRobin, &now)
+	m := managerAt(&now)
 	beat(m, "dp0", 0, 0)
 	if _, err := m.Allocate(math.MaxUint32, 1, nil); !errors.Is(err, ErrTooManyChunks) {
 		t.Fatalf("err = %v, want ErrTooManyChunks", err)

@@ -1,7 +1,7 @@
 // Package provider implements BlobSeer's data providers: the services that
 // "physically store the chunks" (§I-B2). A provider is a thin RPC shim
-// over a chunk.Store engine (RAM, disk, or disk+RAM cache) plus a
-// heartbeat loop that reports capacity to the provider manager.
+// over a chunk.Store engine (RAM or disk) plus a heartbeat loop that
+// reports capacity to the provider manager.
 package provider
 
 import (
