@@ -22,8 +22,11 @@ vet:
 # so the rpc layer never marshals a body into a buffer of its own.
 # One transition path: every version-manager state change is a record that
 # apply performs, so no per-kind record encoder or side-door journal append
-# comes back. One buffer per chunk read: the disk store reads chunk files
+# comes back. One buffer per chunk read: the disk store reads chunk records
 # into the caller's (pooled) buffer, never into a fresh whole-file slice.
+# One file per provider, not one per chunk: the disk store appends chunks
+# to pack files, so no per-chunk temp file, rename or chunk file name
+# comes back.
 # One field list per message: Decode is a one-line adapter over the
 # message's Wire method, and no list count is read as a bare u32 (Codec's
 # Count bounds it). One RPC per operation: the retired singleton RPCs
@@ -60,7 +63,7 @@ guard:
 	@! grep -rnE 'SetRootTraces|ContextStore|ctxStore|ctxCaller' --include='*.go' --exclude-dir=benchmark .
 	@! grep -rn 'wire\.Marshal' --include='*.go' --exclude='*_test.go' internal/rpc
 	@! grep -rnE 'logRecord|func enc[A-Z][A-Za-z0-9]*\(' --include='*.go' internal/vmanager
-	@! grep -n 'os\.ReadFile' internal/chunk/disk.go
+	@! grep -nE 'os\.(ReadFile|CreateTemp|Rename)|chunkName' internal/chunk/disk.go
 	@! grep -rnE 'Decode\((d|dec) \*wire\.Decoder\) \{$$' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -v '^internal/wire/'
 	@! grep -rnE '(^|[^A-Za-z0-9_])(cnt|n|m|count|num[A-Za-z]*) :?= [a-z]+\.U32\(\)|make\([^)]*\.U32\(\)' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -v '^internal/wire/'
 	@! grep -rnE '"(provider\.(put|has)|meta\.(get|stats))"' --include='*.go' --exclude='*_test.go' cmd internal examples *.go
@@ -96,9 +99,10 @@ race:
 # 32 x 64 KiB putchunks over TCP loopback, both also against a disk store
 # with an fsync'd sidecar, and the client read path's 64 KiB get into the
 # caller's buffer against that disk store (plus the rpc and wire
-# benchmarks), 20 iterations each, with allocation counts.
+# benchmarks); and the disk store's own per-chunk costs (64 KiB Put and
+# GetInto, 4 KiB GetRange). 20 iterations each, with allocation counts.
 micro:
-	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem ./internal/wire/ ./internal/rpc/ ./internal/provider/
+	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem ./internal/wire/ ./internal/rpc/ ./internal/provider/ ./internal/chunk/
 
 # Each fuzz target must run in its own invocation (go test allows one
 # -fuzz pattern per package at a time).

@@ -5,10 +5,7 @@
 // cluster harness (cluster.CorruptChunk) and from unit tests.
 package chunk
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Corruptor is implemented by every store engine, for injecting bit-rot
 // in tests: Corrupt flips one byte of the stored chunk at off, bypassing
@@ -38,28 +35,22 @@ func (s *MemStore) Corrupt(k Key, off uint64) error {
 	return nil
 }
 
-// Corrupt flips the byte at off in the chunk's file on disk.
+// Corrupt flips the byte at off in the chunk's payload in its pack.
 func (s *DiskStore) Corrupt(k Key, off uint64) error {
-	s.mu.RLock()
-	size, ok := s.sizes[k]
-	s.mu.RUnlock()
-	if !ok || size < 0 {
-		return fmt.Errorf("%w: %s", ErrNotFound, k)
-	}
-	if off >= uint64(size) {
-		return fmt.Errorf("chunk: corrupt offset %d beyond %s (%d bytes)", off, k, size)
-	}
-	f, err := os.OpenFile(s.path(k), os.O_RDWR, 0)
+	l, err := s.lookup(k)
 	if err != nil {
-		return fmt.Errorf("chunk: opening %s for corruption: %w", k, err)
+		return err
 	}
-	defer f.Close()
+	if off >= uint64(l.n) {
+		return fmt.Errorf("chunk: corrupt offset %d beyond %s (%d bytes)", off, k, l.n)
+	}
+	at := l.off + headerSize + int64(off)
 	var b [1]byte
-	if _, err := f.ReadAt(b[:], int64(off)); err != nil {
+	if _, err := l.p.f.ReadAt(b[:], at); err != nil {
 		return fmt.Errorf("chunk: reading %s for corruption: %w", k, err)
 	}
 	b[0] ^= 0xFF
-	if _, err := f.WriteAt(b[:], int64(off)); err != nil {
+	if _, err := l.p.f.WriteAt(b[:], at); err != nil {
 		return fmt.Errorf("chunk: corrupting %s: %w", k, err)
 	}
 	return nil

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
 )
 
 // storeFactories enumerates every Store implementation under test.
@@ -177,54 +177,81 @@ func TestDiskStoreRecoversIndex(t *testing.T) {
 	}
 }
 
-// TestDiskStoreRemovesCrashDebris: the temp file of a Put a crash cut
-// short is removed when the directory is opened again, and the published
-// chunks beside it stay.
+// TestDiskStoreRemovesCrashDebris: whatever a crash can leave after a
+// pack's last whole record (a payload whose header was never written, part
+// of a payload, part of a header) is cut off when the directory is opened
+// again; the record before it stays, and the store takes new Puts and
+// keeps them across the next open.
 func TestDiskStoreRemovesCrashDebris(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewDiskStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	k := Key{Blob: 1, Version: 1, Index: 0}
-	if err := s.Put(k, []byte("kept")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	debris := filepath.Join(dir, "put-12345")
-	if err := os.WriteFile(debris, []byte("half a chunk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	next := Key{Blob: 1, Version: 1, Index: 1}
+	want := payload(1, 5000)
+	for name, debris := range map[string][]byte{
+		"payload without header": append(make([]byte, headerSize), payload(2, 3000)...),
+		"part of a payload":      make([]byte, headerSize+17),
+		"part of a header":       encodeHeader(&wire.Encoder{}, next, 3000)[:20],
+		"header with a bad sum":  append(flipped(encodeHeader(&wire.Encoder{}, next, 10), 5), payload(3, 10)...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openDisk(t, dir)
+			mustPut(t, s, k, want)
+			s.Close()
+			pack := packFiles(t, dir)[0]
+			whole := fileSize(t, pack)
+			appendFile(t, pack, debris)
 
-	re, err := NewDiskStore(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, err := os.Stat(debris); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("crash debris after open: %v, want it removed", err)
-	}
-	if got, err := re.GetInto(k, nil); err != nil || string(got) != "kept" || re.Len() != 1 {
-		t.Fatalf("chunk beside the debris: %q, %v, Len %d", got, err, re.Len())
+			re := openDisk(t, dir)
+			if got := fileSize(t, pack); got != whole {
+				t.Fatalf("pack after open: %d bytes, want %d", got, whole)
+			}
+			if got, err := re.Get(k); err != nil || !bytes.Equal(got, want) || re.Len() != 1 || re.Bytes() != int64(len(want)) {
+				t.Fatalf("record before the debris: %d bytes, %v; Len %d, Bytes %d", len(got), err, re.Len(), re.Bytes())
+			}
+			mustPut(t, re, next, []byte("after"))
+			re.Close()
+			re = openDisk(t, dir)
+			defer re.Close()
+			if got, err := re.Get(next); err != nil || string(got) != "after" || re.Len() != 2 {
+				t.Fatalf("Put after the debris, reopened: %q, %v, Len %d", got, err, re.Len())
+			}
+		})
 	}
 }
 
-func TestParseChunkName(t *testing.T) {
+func flipped(b []byte, i int) []byte {
+	b = bytes.Clone(b)
+	b[i] ^= 0xFF
+	return b
+}
+
+// TestDecodeHeader: a header decodes only whole and with its sum intact;
+// the dead flag is outside the sum.
+func TestDecodeHeader(t *testing.T) {
+	k := Key{Blob: 10, Version: 0, Index: 999}
+	live := bytes.Clone(encodeHeader(&wire.Encoder{}, k, 1000))
+	dead := bytes.Clone(live)
+	dead[deadByte] |= deadBit >> 24
+	flip := func(i int) []byte { b := bytes.Clone(live); b[i] ^= 1; return b }
 	cases := []struct {
 		name string
-		want Key
+		b    []byte
 		ok   bool
+		word uint32
 	}{
-		{"1-2-3.chunk", Key{1, 2, 3}, true},
-		{"10-0-999.chunk", Key{10, 0, 999}, true},
-		{"put-12345", Key{}, false},
-		{"1-2.chunk", Key{}, false},
-		{"x-y-z.chunk", Key{}, false},
+		{"live", live, true, 1000},
+		{"dead", dead, true, 1000 | deadBit},
+		{"followed by payload", append(bytes.Clone(live), "payload"...), true, 1000},
+		{"key bit flipped", flip(3), false, 0},
+		{"length bit flipped", flip(24), false, 0},
+		{"sum bit flipped", flip(30), false, 0},
+		{"cut short", live[:headerSize-1], false, 0},
+		{"zeros", make([]byte, headerSize), false, 0},
 	}
 	for _, c := range cases {
-		got, ok := parseChunkName(c.name)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("parseChunkName(%q) = %v,%v want %v,%v", c.name, got, ok, c.want, c.ok)
+		h, ok := decodeHeader(c.b)
+		if ok != c.ok || (ok && (h.Key != k || h.Word != c.word)) {
+			t.Errorf("%s: decodeHeader = %+v,%v want key %v word %#x,%v", c.name, h, ok, k, c.word, c.ok)
 		}
 	}
 }

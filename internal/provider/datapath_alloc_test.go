@@ -31,7 +31,7 @@ func allocated(f func()) uint64 {
 // loopback to a disk store allocates, client and server together, as a
 // multiple of the payload. One copy per hop leaves one send frame (pooled
 // up to a size) and one receive buffer per frame; decoding must not add
-// another, and the provider reads chunk files into pooled buffers, so a
+// another, and the provider reads chunk records into pooled buffers, so a
 // read allocates little more than the client's receive buffer. A read
 // into the caller's buffer hands that receive buffer back to the pool as
 // well, so it allocates almost nothing per chunk.

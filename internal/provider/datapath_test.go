@@ -306,7 +306,7 @@ func BenchmarkGetChunk64K(b *testing.B) {
 }
 
 // BenchmarkGetChunk64KDisk is BenchmarkGetChunk64K against a disk store
-// with an fsync'd sidecar: the provider reads the chunk file into a pooled
+// with an fsync'd sidecar: the provider reads the chunk record into a pooled
 // buffer and checks its journaled digest before serving it.
 func BenchmarkGetChunk64KDisk(b *testing.B) {
 	store, err := chunk.NewDiskStore(b.TempDir(), false)

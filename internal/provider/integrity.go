@@ -239,16 +239,17 @@ func (s *Server) quarantinedCount() int {
 }
 
 // sizer is implemented by engines that can report a stored chunk's size
-// without reading it (the disk store's in-memory manifest).
+// without reading it (the disk store's in-memory index).
 type sizer interface {
 	Size(k chunk.Key) (int64, bool)
 }
 
 // bootCheck cross-checks the store's inventory against the sidecar's
 // integrity manifests on startup: a chunk whose on-disk length disagrees
-// with its recorded length is torn (crash between file write and rename
-// cannot cause this — Put is atomic — but filesystem truncation or
-// external tampering can) and is quarantined before it can be served.
+// with its recorded length is torn (a crashed Put cannot cause this — the
+// disk store drops a record whose header was never written — but
+// filesystem truncation or external tampering can) and is quarantined
+// before it can be served.
 func (s *Server) bootCheck() {
 	sz, ok := s.store.(sizer)
 	if !ok {

@@ -220,7 +220,7 @@ func TestScrubStepBudgetAndResume(t *testing.T) {
 }
 
 // Digest manifests survive restarts via the sidecar, and the boot
-// cross-check quarantines a chunk whose file was truncated while the
+// cross-check quarantines a chunk whose record was cut short while the
 // provider was down — before a single read can be served from it.
 func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 	dir := t.TempDir()
@@ -244,17 +244,28 @@ func TestSidecarDigestReplayAndTornFileBootCheck(t *testing.T) {
 
 	torn := chunk.Key{Blob: 6, Version: 1<<63 | 6, Index: 0}
 	whole := chunk.Key{Blob: 6, Version: 1<<63 | 6, Index: 1}
-	if err := putOne(cli, "dp", torn, []byte("this file will be truncated")); err != nil {
+	tornData := []byte("this file will be truncated")
+	if err := putOne(cli, "dp", whole, []byte("this file stays whole")); err != nil {
 		t.Fatal(err)
 	}
-	if err := putOne(cli, "dp", whole, []byte("this file stays whole")); err != nil {
+	if err := putOne(cli, "dp", torn, tornData); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 
-	// Truncate one chunk file behind the store's back (fs corruption /
-	// external tampering — Put's atomic rename can't cause this).
-	if err := os.Truncate(filepath.Join(storeDir, "6-9223372036854775814-0.chunk"), 4); err != nil {
+	// Cut the pack inside the torn chunk's record, its last, behind the
+	// store's back (fs corruption / external tampering — a crashed Put
+	// leaves no valid header, so it can't cause this), keeping 4 bytes of
+	// its payload.
+	packs, err := filepath.Glob(filepath.Join(storeDir, "*.pack"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("packs = %v, %v; want one", packs, err)
+	}
+	st, err := os.Stat(packs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(packs[0], st.Size()-int64(len(tornData))+4); err != nil {
 		t.Fatal(err)
 	}
 
