@@ -57,6 +57,9 @@ vet:
 # One chunk engine per medium and one placement policy: the RAM cache
 # over the disk store, the read-path tamper wrapper, the random and
 # least-loaded strategies and their -cache-mb/-strategy flags stay gone.
+# One write per frame: the TCP transport sends a frame's segments (chunk
+# payloads from the buffers they sit in) with one write, so no staging
+# writer copying them comes back in internal/rpc.
 # And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
@@ -80,6 +83,7 @@ guard:
 	@test -z "$$(find internal/fault -name '*.go' ! -name '*_test.go')" || { echo 'internal/fault holds non-test Go files:'; find internal/fault -name '*.go' ! -name '*_test.go'; exit 1; }
 	@! grep -rnE '\b(fault\.Start|DegradeThenCrash|KillVMIndex|RestartVMIndex|TimeScale|PerMessage|MaxBacklog|SetBandwidth|NodeStats|ServeHTTPWith|SetSlowThreshold|WorstExemplar|AbortWoven)\b' --include='*.go' --exclude-dir=benchmark .
 	@! grep -rnE 'CachedStore|NewCachedStore|TamperStore|StrategyRandom|StrategyLeastLoaded|"(cache-mb|strategy)"' --include='*.go' cmd internal
+	@! grep -rn 'bufio\.NewWriter' --include='*.go' internal/rpc
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -43,27 +44,16 @@ func (h *providerHealth) observe(addr string, ms float64, failed bool) {
 	h.mu.Unlock()
 }
 
-// order returns addrs sorted healthiest-first. Providers never observed
-// score 0 (optimistic: they get probed). The sort is stable so placement
-// order breaks ties.
+// order returns addrs sorted healthiest-first, in a copy. Providers never
+// observed score 0 (optimistic: they get probed). The sort is stable so
+// placement order breaks ties.
 func (h *providerHealth) order(addrs []string) []string {
 	if len(addrs) < 2 {
 		return addrs
 	}
-	type scored struct {
-		addr string
-		s    float64
-	}
-	items := make([]scored, len(addrs))
+	out := slices.Clone(addrs)
 	h.mu.Lock()
-	for i, a := range addrs {
-		items[i] = scored{addr: a, s: h.score[a]}
-	}
+	slices.SortStableFunc(out, func(a, b string) int { return cmp.Compare(h.score[a], h.score[b]) })
 	h.mu.Unlock()
-	sort.SliceStable(items, func(i, j int) bool { return items[i].s < items[j].s })
-	out := make([]string, len(addrs))
-	for i, it := range items {
-		out[i] = it.addr
-	}
 	return out
 }

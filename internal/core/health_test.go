@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,5 +74,36 @@ func TestHealthOrderStableAndComplete(t *testing.T) {
 	}
 	if got := h.order(nil); got != nil {
 		t.Errorf("nil = %v", got)
+	}
+}
+
+// TestHealthOrderTiesKeepPlacementAndAllocatesOnce: replicas with equal
+// scores keep their placement order around better and worse ones, the
+// caller's slice is left as it was, and ordering costs at most one
+// allocation (the copy it returns).
+func TestHealthOrderTiesKeepPlacementAndAllocatesOnce(t *testing.T) {
+	h := newProviderHealth()
+	h.observe("slow", 50, false)
+	h.observe("t1", 5, false)
+	h.observe("t2", 5, false)
+	h.observe("t3", 5, false)
+	h.observe("fast", 1, false)
+	addrs := []string{"t3", "slow", "t1", "fast", "t2"}
+	got := h.order(addrs)
+	if want := []string{"fast", "t3", "t1", "t2", "slow"}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if !slices.Equal(addrs, []string{"t3", "slow", "t1", "fast", "t2"}) {
+		t.Fatalf("order reordered its argument: %v", addrs)
+	}
+	for _, pair := range [][]string{{"new1", "new2"}, {"t2", "t1"}} {
+		if got := h.order(pair); !slices.Equal(got, pair) {
+			t.Fatalf("tied pair %v ordered as %v", pair, got)
+		}
+	}
+	for _, in := range [][]string{{"slow", "fast"}, addrs} {
+		if n := testing.AllocsPerRun(100, func() { h.order(in) }); n > 1 {
+			t.Fatalf("order of %d replicas made %.0f allocations, want at most 1", len(in), n)
+		}
 	}
 }

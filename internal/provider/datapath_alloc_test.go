@@ -29,12 +29,14 @@ func allocated(f func()) uint64 {
 
 // TestDataPathAllocationBudget bounds what moving chunk payloads over TCP
 // loopback to a disk store allocates, client and server together, as a
-// multiple of the payload. One copy per hop leaves one send frame (pooled
-// up to a size) and one receive buffer per frame; decoding must not add
-// another, and the provider reads chunk records into pooled buffers, so a
-// read allocates little more than the client's receive buffer. A read
-// into the caller's buffer hands that receive buffer back to the pool as
-// well, so it allocates almost nothing per chunk.
+// multiple of the payload. Chunk payloads are sent from the buffers they
+// sit in (a pooled send frame holds only headers), and each frame is
+// received into one buffer; decoding must not add another, and the
+// provider reads chunk records into pooled buffers, so a read allocates
+// little more than the client's receive buffer, and a putchunks little
+// more than the provider's (its 2 MiB frame is past the pool's largest
+// class). A read into the caller's buffer lands the payload there, so it
+// allocates almost nothing per chunk.
 func TestDataPathAllocationBudget(t *testing.T) {
 	const chunkSize = 64 << 10
 	store, err := chunk.NewDiskStore(t.TempDir(), false)
@@ -138,8 +140,8 @@ func TestDataPathAllocationBudget(t *testing.T) {
 		}
 		ratio := float64(n) / float64(batches*perBatch*chunkSize)
 		t.Logf("putchunks: %.2fx the payload allocated", ratio)
-		if ratio > 2.5 {
-			t.Fatalf("a %d x 64 KiB putchunks allocated %.2fx its payload, budget 2.5x", perBatch, ratio)
+		if ratio > 1.25 {
+			t.Fatalf("a %d x 64 KiB putchunks allocated %.2fx its payload, budget 1.25x", perBatch, ratio)
 		}
 	})
 }

@@ -3,7 +3,11 @@ package provider_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -42,38 +46,52 @@ func startTCPProvider(tb testing.TB, store chunk.Store, opts provider.Options) (
 }
 
 // TestSizedMessagesWireFrozen pins the encoding of every wire.Sizer
-// message: Size must equal the encoded length (or Marshal reallocates and
-// PutMessage over-grows), and PutMessage must write exactly what
-// PutBytes(Marshal(m)) wrote before bodies were encoded in place.
+// message: Size(0) must equal the encoded length (or Marshal reallocates
+// and PutMessage over-grows), Size(r) what an encoder referencing fields
+// of at least r bytes keeps in its buffer, and PutMessage must write
+// exactly what PutBytes(Marshal(m)) wrote before bodies were encoded in
+// place.
 func TestSizedMessagesWireFrozen(t *testing.T) {
 	dg := chunk.DigestOf([]byte("d"))
+	put := []provider.PutItem{
+		{Key: chunk.Key{Blob: 1, Index: 0}, Data: pattern(2, 64), Digest: dg},
+		{Key: chunk.Key{Blob: 1, Index: 1}},
+		{Key: chunk.Key{Blob: 1, Index: 2}, Data: pattern(3, 5000)},
+	}
+	get := pattern(4, 300)
+	getMany := [][]byte{pattern(5, 70), nil, {}}
 	for _, tc := range []struct {
 		name string
 		msg  interface {
 			wire.Message
 			wire.Sizer
 		}
+		payloads [][]byte
 	}{
-		{"PutChunksReq", &provider.PutChunksReq{Items: []provider.PutItem{
-			{Key: chunk.Key{Blob: 1, Index: 0}, Data: pattern(2, 64), Digest: dg},
-			{Key: chunk.Key{Blob: 1, Index: 1}},
-			{Key: chunk.Key{Blob: 1, Index: 2}, Data: pattern(3, 5000)},
-		}}},
-		{"PutChunksReq/empty", &provider.PutChunksReq{}},
-		{"GetResp", &provider.GetResp{Found: true, Data: pattern(4, 300), Digest: dg}},
-		{"GetResp/missing", &provider.GetResp{}},
+		{"PutChunksReq", &provider.PutChunksReq{Items: put}, [][]byte{put[0].Data, put[2].Data}},
+		{"PutChunksReq/empty", &provider.PutChunksReq{}, nil},
+		{"GetResp", &provider.GetResp{Found: true, Data: get, Digest: dg}, [][]byte{get}},
+		{"GetResp/missing", &provider.GetResp{}, nil},
 		{"GetChunksResp", &provider.GetChunksResp{
 			Found:   []bool{true, false, true},
 			Corrupt: []bool{false, true, false},
-			Data:    [][]byte{pattern(5, 70), nil, {}},
+			Data:    getMany,
 			Digests: []chunk.Digest{dg, {}, {}},
-		}},
-		{"GetChunksResp/empty", &provider.GetChunksResp{}},
+		}, getMany[:1]},
+		{"GetChunksResp/empty", &provider.GetChunksResp{}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body := wire.Marshal(tc.msg)
-			if got := tc.msg.Size(); got != len(body) {
-				t.Fatalf("Size() = %d, encoded length %d", got, len(body))
+			if got := tc.msg.Size(0); got != len(body) {
+				t.Fatalf("Size(0) = %d, encoded length %d", got, len(body))
+			}
+			for _, r := range []int{1, 65, 301, 5000, 5001} {
+				e := wire.NewEncoder(0)
+				e.ReferenceFrom(r)
+				tc.msg.Encode(e)
+				if got, want := tc.msg.Size(r), buffered(e, tc.payloads); got != want {
+					t.Fatalf("Size(%d) = %d, but %d bytes of the encoding are copied", r, got, want)
+				}
 			}
 			want := wire.NewEncoder(0)
 			want.PutBytes(body)
@@ -86,6 +104,22 @@ func TestSizedMessagesWireFrozen(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buffered returns how many of e's bytes it copied into its own buffer:
+// all but the segments that are one of payloads, referenced.
+func buffered(e *wire.Encoder, payloads [][]byte) int {
+	n := 0
+	for _, s := range e.Segments() {
+		n += len(s)
+		for _, p := range payloads {
+			if len(s) > 0 && len(p) == len(s) && &p[0] == &s[0] {
+				n -= len(s)
+				break
+			}
+		}
+	}
+	return n
 }
 
 // TestPipelinedRangeReadsDecodeInPlace pipelines 64 concurrent ranged
@@ -237,8 +271,10 @@ func (c flipConn) Recv() ([]byte, error) {
 
 // TestConcurrentReadsKeepTheirFrames runs 64 concurrent GetChunkInto
 // reads of distinct 64 KiB chunks, 4 rounds, over TCP loopback from two
-// disk-store replicas. Each reply frame comes from the buffer pool and
-// goes back once copied into the reader's buffer. Every read tries first
+// disk-store replicas, through a transport wrapper that only has Recv, so
+// replies take the frame path, not the land-in-place one: each reply
+// frame comes from the buffer pool and goes back once copied into the
+// reader's buffer. Every read tries first
 // the replica behind a bad NIC, whose digest-mismatch reply is released
 // unread, then the good one, whose reply likely lands in a frame another
 // read just released. A frame handed back before its bytes were copied
@@ -299,6 +335,136 @@ func TestConcurrentReadsKeepTheirFrames(t *testing.T) {
 	}
 }
 
+// flipProxy is a TCP proxy in front of one provider that flips one byte
+// in the middle of every reply frame of at least 64 KiB — corruption on
+// the wire, below the rpc layer, so the client reads it off the socket
+// straight into the caller's buffer — and records the method of every
+// request it forwards.
+type flipProxy struct {
+	l       net.Listener
+	target  string
+	mu      sync.Mutex
+	methods []string
+}
+
+func startFlipProxy(t *testing.T, target string) *flipProxy {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &flipProxy{l: l, target: target}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			s, err := net.Dial("tcp", target)
+			if err != nil {
+				c.Close()
+				return
+			}
+			go p.pipe(c, s, p.request)
+			go p.pipe(s, c, flipMiddle)
+		}
+	}()
+	return p
+}
+
+// pipe forwards frames from src to dst, passing each through f.
+func (p *flipProxy) pipe(src, dst net.Conn, f func([]byte)) {
+	defer src.Close()
+	defer dst.Close()
+	for {
+		var hdr [4]byte
+		if _, err := io.ReadFull(src, hdr[:]); err != nil {
+			return
+		}
+		msg := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(src, msg); err != nil {
+			return
+		}
+		f(msg)
+		if _, err := dst.Write(append(hdr[:], msg...)); err != nil {
+			return
+		}
+	}
+}
+
+// request records a request frame's method: kind u8, id u64, method.
+func (p *flipProxy) request(msg []byte) {
+	d := wire.NewDecoder(msg)
+	d.U8()
+	d.U64()
+	m := d.String()
+	p.mu.Lock()
+	p.methods = append(p.methods, m)
+	p.mu.Unlock()
+}
+
+func (p *flipProxy) sawMethod(m string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Contains(p.methods, m)
+}
+
+func flipMiddle(msg []byte) {
+	if len(msg) >= 64<<10 {
+		msg[len(msg)/2] ^= 0xFF
+	}
+}
+
+// TestTransitCorruptionLandsInPlace: a chunk reply corrupted on the wire
+// is read straight into the caller's buffer and fails its digest check
+// there: GetChunkInto returns ErrChunkCorrupt and asks the provider to
+// verify its copy, and the failover to a good replica overwrites the
+// rot in the same buffer with the chunk's bytes.
+func TestTransitCorruptionLandsInPlace(t *testing.T) {
+	const size = 64 << 10
+	key := chunk.Key{Blob: 1, Version: 1}
+	want := pattern(1, size)
+	var addrs [2]string
+	for i := range addrs {
+		var cli *rpc.Client
+		addrs[i], cli = startTCPProvider(t, chunk.NewMemStore(), provider.Options{})
+		if err := putOne(cli, addrs[i], key, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy := startFlipProxy(t, addrs[0])
+	bad, good := proxy.l.Addr().String(), addrs[1]
+	cli := rpc.NewClient(rpc.NewTCPNetwork(), 10*time.Second)
+	defer cli.Close()
+	ctx := context.Background()
+	dst := make([]byte, size)
+	if _, err := provider.GetChunkInto(ctx, cli, bad, key, 0, 0, dst); !provider.IsCorrupt(err) {
+		t.Fatalf("read through the corrupting proxy: err = %v, want ErrChunkCorrupt", err)
+	}
+	if bytes.Equal(dst, want) || bytes.Equal(dst, make([]byte, size)) {
+		t.Fatal("the corrupt reply did not land in the caller's buffer")
+	}
+	if !proxy.sawMethod(provider.MethodVerify) {
+		t.Fatal("the provider behind the proxy was not asked to verify")
+	}
+	n, err := provider.GetChunkInto(ctx, cli, good, key, 0, 0, dst)
+	if err != nil || n != size || !bytes.Equal(dst, want) {
+		t.Fatalf("failover read: %d bytes, %v; chunk's bytes in the buffer: %v", n, err, bytes.Equal(dst, want))
+	}
+}
+
+// TestGetRespLandingOffset pins GetResp.Landing's offset to its field
+// list: the u32 there is Data's length prefix.
+func TestGetRespLandingOffset(t *testing.T) {
+	r := &provider.GetResp{Found: true, Data: pattern(1, 300), Digest: chunk.DigestOf([]byte("d"))}
+	_, at := r.Landing()
+	body := wire.Marshal(r)
+	if n := binary.LittleEndian.Uint32(body[at:]); n != 300 || !bytes.Equal(body[at+4:at+4+300], r.Data) {
+		t.Fatalf("offset %d holds length %d, not Data's", at, n)
+	}
+}
+
 // BenchmarkGetChunk64K reads one 64 KiB chunk per op over TCP loopback.
 func BenchmarkGetChunk64K(b *testing.B) {
 	addr, cli := startTCPProvider(b, chunk.NewMemStore(), provider.Options{})
@@ -318,8 +484,8 @@ func BenchmarkGetChunk64KDisk(b *testing.B) {
 }
 
 // BenchmarkGetChunkInto64K is BenchmarkGetChunk64KDisk reading through
-// GetChunkInto, the client read path: the reply frame comes from the
-// buffer pool and goes back once copied into the caller's buffer.
+// GetChunkInto, the client read path: the reply's payload is read from
+// the socket straight into the caller's buffer.
 func BenchmarkGetChunkInto64K(b *testing.B) {
 	store, err := chunk.NewDiskStore(b.TempDir(), false)
 	if err != nil {

@@ -70,10 +70,10 @@ func (r *PutChunksReq) Wire(c *wire.Codec) {
 }
 
 // Size implements wire.Sizer.
-func (r *PutChunksReq) Size() int {
+func (r *PutChunksReq) Size(refFrom int) int {
 	n := 4
 	for _, it := range r.Items {
-		n += 24 + 4 + len(it.Data) + 5 // key, length-prefixed payload, digest
+		n += 24 + 4 + wire.Copied(len(it.Data), refFrom) + 5 // key, length-prefixed payload, digest
 	}
 	return n
 }
@@ -126,10 +126,11 @@ type GetResp struct {
 	Digest chunk.Digest
 
 	buf []byte // pooled buffer Data may alias; see Release
+	dst []byte // the caller's buffer for Data; see Landing
 }
 
 // Release returns the pooled buffer behind Data: on the provider the read
-// buffer, which the rpc server releases once the reply is encoded; on the
+// buffer, which the rpc server releases once the reply is sent; on the
 // client the received frame, which whoever holds the decoded reply
 // releases once done with Data. Data must not be used afterwards.
 func (r *GetResp) Release() {
@@ -140,6 +141,11 @@ func (r *GetResp) Release() {
 // TakeFrame hands a decoded reply the frame its Data aliases, for Release
 // to return (the rpc client calls it).
 func (r *GetResp) TakeFrame(frame []byte) { r.buf = frame }
+
+// Landing names the caller's buffer for Data, which the rpc client reads
+// the payload straight into when it can (see rpc.Client.CallCtx), and
+// Data's offset in the body: it follows Found.
+func (r *GetResp) Landing() ([]byte, int) { return r.dst, 1 }
 
 // Encode, Decode and Wire implement wire.Message: Wire is the field list.
 // A decoded Data aliases the body.
@@ -152,7 +158,7 @@ func (r *GetResp) Wire(c *wire.Codec) {
 }
 
 // Size implements wire.Sizer.
-func (r *GetResp) Size() int { return 1 + 4 + len(r.Data) + 5 }
+func (r *GetResp) Size(refFrom int) int { return 1 + 4 + wire.Copied(len(r.Data), refFrom) + 5 }
 
 // GetChunksReq fetches a batch of whole chunks in one round trip: the
 // read-plane twin of putchunks, used by the repair engine to drain many
@@ -217,11 +223,11 @@ func (r *GetChunksResp) Wire(c *wire.Codec) {
 }
 
 // Size implements wire.Sizer.
-func (r *GetChunksResp) Size() int {
+func (r *GetChunksResp) Size(refFrom int) int {
 	n := 4 + 2*len(r.Found)
 	for i, ok := range r.Found {
 		if ok {
-			n += 4 + len(r.Data[i]) + 5
+			n += 4 + wire.Copied(len(r.Data[i]), refFrom) + 5
 		}
 	}
 	return n
@@ -948,33 +954,41 @@ func GetChunkRange(cli *rpc.Client, addr string, key chunk.Key, off, length uint
 // replica) after asking the provider to recheck its copy, so at-rest rot
 // this client noticed first still gets quarantined.
 func GetChunkRangeCtx(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64) ([]byte, error) {
-	resp, err := getChunk(ctx, cli, addr, key, off, length)
+	resp, err := getChunk(ctx, cli, addr, key, off, length, nil)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Data, nil
 }
 
-// GetChunkInto is GetChunkRangeCtx reading into dst: it copies the reply's
-// bytes into dst (as many as fit) and hands the reply frame back to the
-// pool, returning the number of bytes copied. dst is written only when
-// the fetch succeeds, so a failed replica leaves it untouched.
+// GetChunkInto is GetChunkRangeCtx reading into dst, returning the
+// number of bytes read. Over TCP a reply that fits dst is read from the
+// socket straight into it, and a whole chunk's digest is checked there;
+// otherwise the reply's bytes are copied into dst (as many as fit) and
+// its frame handed back to the pool. On error dst holds no claim, as
+// with io.ReaderAt: it may hold any bytes, a corrupt replica's among
+// them, so a failover to another replica reads into dst again. Nothing
+// writes dst once GetChunkInto returns.
 func GetChunkInto(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64, dst []byte) (int, error) {
-	resp, err := getChunk(ctx, cli, addr, key, off, length)
+	resp, err := getChunk(ctx, cli, addr, key, off, length, dst)
 	if err != nil {
 		return 0, err
 	}
-	n := copy(dst, resp.Data)
+	n := len(resp.Data)
+	if n > 0 && (len(dst) == 0 || &resp.Data[0] != &dst[0]) { // not landed
+		n = copy(dst, resp.Data)
+	}
 	resp.Release()
 	return n, nil
 }
 
 // getChunk is the get call under GetChunkRangeCtx and GetChunkInto,
-// with the end-to-end digest check of a whole-chunk fetch. On success the
-// reply holds its frame, for the caller to Release once done with Data;
-// on failure the frame is already released.
-func getChunk(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64) (*GetResp, error) {
-	resp := &GetResp{}
+// with the end-to-end digest check of a whole-chunk fetch; dst, when not
+// nil, is where the reply's Data may land. On success the reply holds
+// its frame, for the caller to Release once done with Data; on failure
+// the frame is already released.
+func getChunk(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, off, length uint64, dst []byte) (*GetResp, error) {
+	resp := &GetResp{dst: dst}
 	err := cli.CallCtx(ctx, addr, MethodGet, &GetReq{Key: key, Offset: off, Length: length}, resp)
 	if err == nil && !resp.Found {
 		err = fmt.Errorf("%w: %s at %s", chunk.ErrNotFound, key, addr)

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -71,6 +72,14 @@ type pendingCall struct {
 	// target carries the redirect destination when err is
 	// errRedirectSentinel (resp then holds the remote error text).
 	target string
+
+	// dst, when set, is the caller's buffer for the reply's payload
+	// field, whose length prefix sits at offset at of the body (see
+	// lander). landed reports that the payload was read into dst: resp
+	// then holds the body without the payload's bytes.
+	dst    []byte
+	at     int
+	landed bool
 }
 
 type clientConn struct {
@@ -82,6 +91,8 @@ type clientConn struct {
 	pending map[uint64]*pendingCall
 	dead    bool
 	deadErr error
+
+	head [replyHead + maxLandAt + 4]byte // recvLanding's, read loop only
 }
 
 // Call is CallCtx with a background context (an untraced call).
@@ -95,11 +106,20 @@ func (c *Client) Call(addr, method string, req wire.Message, resp wire.Message) 
 // RPC span (a child of the context's span) and the trace rides the
 // request frame; a context without a span makes an untraced call.
 //
-// req is encoded straight into the request frame. resp is decoded in
-// place: byte-slice fields may alias the response frame. A resp with a
-// TakeFrame method is handed the frame (also when the decode fails), and
-// whoever holds that resp returns the frame to the pool through it once
-// done with its fields; any other frame is left to the garbage collector.
+// req is encoded straight into the request frame; its large payloads
+// are sent from req's own slices (see encPool). resp is decoded in place:
+// byte-slice fields may alias the response frame. A resp with a TakeFrame
+// method is handed the frame (also when the decode fails), and whoever
+// holds that resp returns the frame to the pool through it once done
+// with its fields; any other frame is left to the garbage collector.
+//
+// A resp that names a landing buffer (a Landing method returning a
+// non-nil dst) may get its payload field read from the TCP socket
+// straight into dst, when the reply's status is OK and the payload fits;
+// the field then aliases dst, and the frame holds only the rest of the
+// body. Otherwise — SimNetwork, an error reply, a payload longer than
+// dst — the field aliases the frame as usual. Either way dst is written
+// only while the call runs: once CallCtx returns, nothing writes it.
 func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Message, resp wire.Message) error {
 	obs := c.getObserver()
 	var act *trace.Active
@@ -110,20 +130,38 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 	if obs != nil {
 		start = time.Now()
 	}
-	raw, frame, sent, err := c.callAttempts(addr, method, req, act.Context(), obs)
+	call := &pendingCall{done: make(chan struct{})}
+	if l, ok := resp.(lander); ok {
+		call.dst, call.at = l.Landing()
+		if call.at < 0 || call.at > maxLandAt {
+			call.dst = nil
+		}
+	}
+	sent, err := c.callAttempts(addr, method, req, call, act.Context(), obs)
 	if obs != nil {
 		obs.ObserveCall(addr, method, time.Since(start), err)
 	}
 	if act != nil {
-		act.SetBytes(int64(sent + len(raw)))
+		got := 0
+		if err == nil {
+			got = len(call.resp)
+			if call.landed {
+				got += len(call.dst)
+			}
+		}
+		act.SetBytes(int64(sent + got))
 		act.Finish(err)
 	}
 	if err != nil || resp == nil {
 		return err
 	}
-	err = wire.Unmarshal(raw, resp)
+	if call.landed {
+		err = wire.UnmarshalLanded(call.resp, call.at, call.dst, resp)
+	} else {
+		err = wire.Unmarshal(call.resp, resp)
+	}
 	if t, ok := resp.(frameTaker); ok {
-		t.TakeFrame(frame)
+		t.TakeFrame(call.frame)
 	}
 	return err
 }
@@ -132,19 +170,29 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 // pool (wire.PutBuf) once their holder is done with them.
 type frameTaker interface{ TakeFrame(frame []byte) }
 
+// lander is implemented by replies whose payload field may be read
+// straight into a buffer their caller owns: Landing returns that buffer
+// (nil for none) and the offset of the field's length prefix in the
+// reply body.
+type lander interface{ Landing() (dst []byte, at int) }
+
+// maxLandAt bounds a landing field's offset, so the body before it fits
+// the read loop's fixed head buffer.
+const maxLandAt = 64
+
 // maxRedials bounds how many fresh dials one call may burn through when
 // the cached connection keeps dying before anything is sent.
 const maxRedials = 4
 
-// callAttempts returns the reply body, the frame it aliases, and the
-// encoded request body length.
-func (c *Client) callAttempts(addr, method string, req wire.Message, sc trace.SpanContext, obs ClientObserver) ([]byte, []byte, int, error) {
+// callAttempts completes call with the reply and returns the encoded
+// request body length.
+func (c *Client) callAttempts(addr, method string, req wire.Message, call *pendingCall, sc trace.SpanContext, obs ClientObserver) (int, error) {
 	for attempt := 0; ; attempt++ {
 		cc, err := c.getConn(addr)
 		if err != nil {
-			return nil, nil, 0, err
+			return 0, err
 		}
-		raw, frame, sent, err := cc.roundTrip(method, req, sc, c.timeout)
+		sent, err := cc.roundTrip(method, req, call, sc, c.timeout)
 		if err != nil && !isAppError(err) {
 			// Transport-level failure: drop the cached connection so the
 			// next call re-dials (the peer may have restarted).
@@ -166,7 +214,7 @@ func (c *Client) callAttempts(addr, method string, req wire.Message, sc trace.Sp
 				continue
 			}
 		}
-		return raw, frame, sent, err
+		return sent, err
 	}
 }
 
@@ -240,17 +288,18 @@ func (c *Client) Close() {
 var errConnDead = errors.New("rpc: cached connection is dead")
 
 // roundTrip encodes req straight into a pooled request frame, sends it,
-// and waits for the reply body and the frame it aliases. It also returns
-// the request body length.
-func (cc *clientConn) roundTrip(method string, req wire.Message, sc trace.SpanContext, timeout time.Duration) ([]byte, []byte, int, error) {
+// and waits for call to complete with the reply (see pendingCall). It
+// returns the request body length. call may be reused for another
+// attempt only when nothing was sent.
+func (cc *clientConn) roundTrip(method string, req wire.Message, call *pendingCall, sc trace.SpanContext, timeout time.Duration) (int, error) {
 	cc.mu.Lock()
 	if cc.dead {
 		err := cc.deadErr
 		cc.mu.Unlock()
-		return nil, nil, 0, fmt.Errorf("%w: %v", errConnDead, err)
+		return 0, fmt.Errorf("%w: %v", errConnDead, err)
 	}
 	id := cc.nextID.Add(1)
-	call := &pendingCall{done: make(chan struct{})}
+	lands := call.dst != nil // read before the read loop may claim call
 	cc.pending[id] = call
 	cc.mu.Unlock()
 
@@ -261,35 +310,47 @@ func (cc *clientConn) roundTrip(method string, req wire.Message, sc trace.SpanCo
 	sent := enc.PutMessage(req)
 	appendTraceTrailer(enc, sc)
 
-	err := cc.conn.Send(enc.Bytes())
+	err := cc.conn.Send(enc.Segments())
 	putEncoder(enc)
 	if err != nil {
 		cc.mu.Lock()
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		return nil, nil, sent, err
+		return sent, err
 	}
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case <-call.done:
-		if call.err != nil {
-			if call.err == errRemoteSentinel {
-				return nil, nil, sent, &RemoteError{Method: method, Msg: string(call.resp)}
-			}
-			if call.err == errRedirectSentinel {
-				return nil, nil, sent, &Redirect{Method: method, Target: call.target, Msg: string(call.resp)}
-			}
-			return nil, nil, sent, call.err
-		}
-		return call.resp, call.frame, sent, nil
 	case <-timer.C:
 		cc.mu.Lock()
+		_, waiting := cc.pending[id]
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		return nil, nil, sent, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
+		if waiting || !lands {
+			return sent, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
+		}
+		select {
+		case <-call.done:
+		default:
+			// The read loop has claimed the reply and is reading its
+			// payload into the caller's buffer, which must be let go of
+			// before the caller gets it back: cut that read short.
+			cc.conn.Close()
+			<-call.done
+			return sent, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
+		}
 	}
+	switch call.err {
+	case nil:
+		return sent, nil
+	case errRemoteSentinel:
+		return sent, &RemoteError{Method: method, Msg: string(call.resp)}
+	case errRedirectSentinel:
+		return sent, &Redirect{Method: method, Target: call.target, Msg: string(call.resp)}
+	}
+	return sent, call.err
 }
 
 // errRemoteSentinel marks a completed call whose resp holds the remote
@@ -301,46 +362,156 @@ var errRemoteSentinel = errors.New("rpc: remote error sentinel")
 var errRedirectSentinel = errors.New("rpc: redirect sentinel")
 
 func (cc *clientConn) readLoop() {
+	fc, _ := cc.conn.(frameConn)
 	for {
-		msg, err := cc.conn.Recv()
+		var msg []byte
+		var err error
+		if fc != nil {
+			msg, err = cc.recvLanding(fc)
+		} else {
+			msg, err = cc.conn.Recv()
+		}
 		if err != nil {
 			cc.failAll(err)
 			return
 		}
-		dec := wire.NewDecoder(msg)
-		kind := dec.U8()
-		id := dec.U64()
-		status := dec.U8()
-		var target string
-		if status == statusRedirect {
-			target = dec.String() // String copies; safe past this frame
+		if msg != nil {
+			cc.deliver(msg, nil)
 		}
-		body := dec.Bytes()
-		if dec.Err() != nil || kind != kindResponse {
-			continue
-		}
+	}
+}
+
+// frameConn is implemented by transports that hand a frame over piece by
+// piece (TCP): nextFrame reads the next frame's length, and readFrame
+// the next len(p) bytes of that frame into p, until all of it is read.
+type frameConn interface {
+	nextFrame() (int, error)
+	readFrame(p []byte) error
+}
+
+// replyHead is a reply frame's fixed head: kind, call id, status and, for
+// a status-OK reply, the body's length prefix.
+const replyHead = 1 + 8 + 1 + 4
+
+// recvLanding reads the next frame off fc. The reply to a call that
+// named a landing buffer, with status OK and a payload that fits, has
+// its payload read straight from the socket into that buffer and the
+// call completed here: it returns a nil frame. Any other frame comes
+// back whole, for deliver.
+func (cc *clientConn) recvLanding(fc frameConn) ([]byte, error) {
+	n, err := fc.nextFrame()
+	if err != nil {
+		return nil, err
+	}
+	h := cc.head[:min(n, replyHead)]
+	if err := fc.readFrame(h); err != nil {
+		return nil, err
+	}
+	var call *pendingCall
+	if len(h) == replyHead && h[0] == kindResponse && h[9] == statusOK &&
+		int(binary.LittleEndian.Uint32(h[10:])) == n-replyHead {
+		id := binary.LittleEndian.Uint64(h[1:])
 		cc.mu.Lock()
-		call, ok := cc.pending[id]
-		if ok {
+		if c := cc.pending[id]; c != nil && c.dst != nil && c.at+4 <= n-replyHead {
+			// Claimed: from here on this loop completes the call, also
+			// when a read fails.
+			call = c
 			delete(cc.pending, id)
 		}
 		cc.mu.Unlock()
-		if !ok {
-			continue // timed out already
-		}
-		// body aliases msg, a buffer Recv hands over for good: the caller
-		// takes both without a copy.
-		call.resp, call.frame = body, msg
-		switch status {
-		case statusOK:
-		case statusRedirect:
-			call.target = target
-			call.err = errRedirectSentinel
-		default:
-			call.err = errRemoteSentinel
-		}
-		close(call.done)
 	}
+	if call == nil {
+		return readRest(fc, n, h)
+	}
+	body := n - replyHead
+	h = cc.head[:replyHead+call.at+4]
+	if err := fc.readFrame(h[replyHead:]); err != nil {
+		call.fail(err)
+		return nil, err
+	}
+	p := int(binary.LittleEndian.Uint32(h[replyHead+call.at:]))
+	if p > len(call.dst) || call.at+4+p > body {
+		msg, err := readRest(fc, n, h)
+		if err != nil {
+			call.fail(err)
+			return nil, err
+		}
+		cc.deliver(msg, call)
+		return nil, nil
+	}
+	rest := wire.GetBuf(body - p)
+	copy(rest, h[replyHead:])
+	if err := fc.readFrame(call.dst[:p]); err != nil {
+		call.fail(err)
+		return nil, err
+	}
+	if err := fc.readFrame(rest[call.at+4:]); err != nil {
+		call.fail(err)
+		return nil, err
+	}
+	call.resp, call.frame, call.dst, call.landed = rest, rest, call.dst[:p], true
+	close(call.done)
+	return nil, nil
+}
+
+// readRest reads the rest of an n-byte frame whose first len(head) bytes
+// are read already, returning the whole frame.
+func readRest(fc frameConn, n int, head []byte) ([]byte, error) {
+	msg := wire.GetBuf(n)
+	copy(msg, head)
+	if err := fc.readFrame(msg[len(head):]); err != nil {
+		wire.PutBuf(msg)
+		return nil, err
+	}
+	return msg, nil
+}
+
+// deliver completes the call a reply frame answers: the one named, or
+// else the pending call its id names, if any is still waiting. A
+// malformed frame is dropped, or fails the named call.
+func (cc *clientConn) deliver(msg []byte, call *pendingCall) {
+	dec := wire.NewDecoder(msg)
+	kind := dec.U8()
+	id := dec.U64()
+	status := dec.U8()
+	var target string
+	if status == statusRedirect {
+		target = dec.String() // String copies; safe past this frame
+	}
+	body := dec.Bytes()
+	if dec.Err() != nil || kind != kindResponse {
+		if call != nil {
+			call.fail(fmt.Errorf("rpc: malformed reply frame from %s", cc.addr))
+		}
+		return
+	}
+	if call == nil {
+		cc.mu.Lock()
+		call = cc.pending[id]
+		delete(cc.pending, id)
+		cc.mu.Unlock()
+		if call == nil {
+			return // timed out already
+		}
+	}
+	// body aliases msg, a buffer Recv hands over for good: the caller
+	// takes both without a copy.
+	call.resp, call.frame = body, msg
+	switch status {
+	case statusOK:
+	case statusRedirect:
+		call.target = target
+		call.err = errRedirectSentinel
+	default:
+		call.err = errRemoteSentinel
+	}
+	close(call.done)
+}
+
+// fail completes a call with err.
+func (call *pendingCall) fail(err error) {
+	call.err = err
+	close(call.done)
 }
 
 func (cc *clientConn) failAll(err error) {
@@ -351,7 +522,6 @@ func (cc *clientConn) failAll(err error) {
 	cc.pending = make(map[uint64]*pendingCall)
 	cc.mu.Unlock()
 	for _, call := range pending {
-		call.err = err
-		close(call.done)
+		call.fail(err)
 	}
 }

@@ -29,7 +29,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 		[]byte("complete nonsense that is not a frame"),
 		{kindResponse, 0, 0, 0, 0, 0, 0, 0, 0}, // response sent to a server
 	} {
-		if err := conn.Send(garbage); err != nil {
+		if err := conn.Send(frame(garbage)); err != nil {
 			t.Fatalf("send garbage: %v", err)
 		}
 	}
@@ -42,39 +42,58 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	}
 }
 
-// A client read loop must survive garbage pushed by a rogue server.
+// frame wraps msg as the one segment Conn.Send takes.
+func frame(msg []byte) [][]byte {
+	return [][]byte{append(make([]byte, HeadRoom), msg...)}
+}
+
+// A client read loop must survive garbage pushed by a rogue server, on
+// both transports (TCP reads reply heads piecewise, see recvLanding).
 func TestClientSurvivesGarbageResponses(t *testing.T) {
-	network := NewSimNetwork(nil)
-	l, err := network.Listen("rogue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		// Reply to everything with garbage, then with a valid response.
-		for {
-			msg, err := conn.Recv()
+	for _, tc := range []struct {
+		name    string
+		network Network
+		addr    string
+	}{
+		{"sim", NewSimNetwork(nil), "rogue"},
+		{"tcp", NewTCPNetwork(), "127.0.0.1:0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := tc.network.Listen(tc.addr)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			conn.Send([]byte{0xDE, 0xAD})
-			// Parse the request id so one valid response can unblock it.
-			d := newEnvelope(msg)
-			if d == nil {
-				continue
+			defer l.Close()
+			go func() {
+				conn, err := l.Accept()
+				if err != nil {
+					return
+				}
+				// Reply to everything with garbage, then with a valid
+				// response.
+				for {
+					msg, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					conn.Send(frame([]byte{0xDE, 0xAD}))
+					// Parse the request id so one valid response can
+					// unblock it.
+					d := newEnvelope(msg)
+					if d == nil {
+						continue
+					}
+					conn.Send(frame(d[:len(d)-4])) // a truncated body
+					conn.Send(frame(d))
+				}
+			}()
+			cli := NewClient(tc.network, 2*time.Second)
+			defer cli.Close()
+			resp, err := callRaw(cli, l.Addr(), "anything", []byte("ping"))
+			if err != nil || string(resp) != "pong" {
+				t.Fatalf("resp = %q, %v", resp, err)
 			}
-			conn.Send(d)
-		}
-	}()
-	cli := NewClient(network, 2*time.Second)
-	defer cli.Close()
-	resp, err := callRaw(cli, "rogue", "anything", []byte("ping"))
-	if err != nil || string(resp) != "pong" {
-		t.Fatalf("resp = %q, %v", resp, err)
+		})
 	}
 }
 

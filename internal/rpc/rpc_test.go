@@ -1,15 +1,20 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -339,31 +344,312 @@ func (m *releaseMsg) Decode(*wire.Decoder) {}
 
 func (m *releaseMsg) Release() { m.released++ }
 
+// sendConn is a Conn that records each frame sent, flattened, and how
+// often the reply under test had been released when it was sent.
+type sendConn struct {
+	resp           *releaseMsg
+	frames         [][]byte
+	releasedAtSend int
+}
+
+func (c *sendConn) Send(segs [][]byte) error {
+	var msg []byte
+	for _, s := range segs {
+		msg = append(msg, s...)
+	}
+	c.frames = append(c.frames, msg[HeadRoom:])
+	c.releasedAtSend += c.resp.released
+	return nil
+}
+
+func (c *sendConn) Recv() ([]byte, error) { return nil, ErrClosed }
+func (c *sendConn) Close() error          { return nil }
+
 // TestInvokeReleasesEncodedReply: a reply that borrows pooled buffers is
-// released exactly once, after it is encoded into the frame; a reply from
-// a failed handler or a panicking encoder is never released (its buffers
-// may still be referenced, and the garbage collector takes them).
+// released exactly once, after its frame is sent (the frame may
+// reference those buffers); a reply from a failed handler or a panicking
+// encoder is never released (its buffers may still be referenced, and
+// the garbage collector takes them).
 func TestInvokeReleasesEncodedReply(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		resp *releaseMsg
-		err  error
-		want int
+		name   string
+		resp   *releaseMsg
+		err    error
+		want   int
+		status byte
 	}{
-		{"encoded", &releaseMsg{}, nil, 1},
-		{"handler error", &releaseMsg{}, errors.New("boom"), 0},
-		{"encoder panic", &releaseMsg{panicEnc: true}, nil, 0},
+		{"encoded", &releaseMsg{}, nil, 1, statusOK},
+		{"handler error", &releaseMsg{}, errors.New("boom"), 0, statusError},
+		{"encoder panic", &releaseMsg{panicEnc: true}, nil, 0, statusError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := func([]byte) (wire.Message, error) { return tc.resp, tc.err }
-			enc := wire.NewEncoder(0)
-			n, err, _ := invoke(h, "m", nil, enc)
-			if tc.want == 1 && (err != nil || n != 8) {
-				t.Fatalf("invoke = %d, %v; want an 8-byte body", n, err)
+			srv := NewServer(NewSimNetwork(nil), "svc")
+			srv.register("m", func([]byte) (wire.Message, error) { return tc.resp, tc.err })
+			conn := &sendConn{resp: tc.resp}
+			srv.dispatch(conn, 9, "m", nil, trace.SpanContext{})
+			if len(conn.frames) != 1 {
+				t.Fatalf("%d frames sent, want 1", len(conn.frames))
+			}
+			dec := wire.NewDecoder(conn.frames[0])
+			if kind, id, status := dec.U8(), dec.U64(), dec.U8(); kind != kindResponse || id != 9 || status != tc.status {
+				t.Fatalf("sent kind %d id %d status %d, want %d 9 %d", kind, id, status, kindResponse, tc.status)
+			}
+			if body := dec.Bytes(); tc.want == 1 && len(body) != 8 {
+				t.Fatalf("sent a %d-byte body, want 8", len(body))
+			}
+			if conn.releasedAtSend != 0 {
+				t.Fatal("reply released before its frame was sent")
 			}
 			if tc.resp.released != tc.want {
 				t.Fatalf("released %d times, want %d", tc.resp.released, tc.want)
 			}
 		})
+	}
+}
+
+// poisonMsg carries one payload field from a buffer its Release
+// overwrites with 0xFF, as a pooled read buffer handed to the next
+// reader would be.
+type poisonMsg struct{ Data []byte }
+
+func (m *poisonMsg) Encode(e *wire.Encoder) { e.Codec().Bytes(&m.Data) }
+func (m *poisonMsg) Decode(d *wire.Decoder) { d.Codec().Bytes(&m.Data) }
+func (m *poisonMsg) Release() {
+	for i := range m.Data {
+		m.Data[i] = 0xFF
+	}
+}
+
+// payload returns n bytes of a pattern with no 0xFF in it.
+func payload(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i % 251)
+	}
+	return b
+}
+
+// TestTCPReplySentBeforeRelease: a reply payload large enough to be
+// sent from the reply's own buffer (referenced, not copied into the
+// frame) reaches the client intact although Release overwrites that
+// buffer: the server releases only once Send has written it.
+func TestTCPReplySentBeforeRelease(t *testing.T) {
+	network := NewTCPNetwork()
+	srv := NewServer(network, "127.0.0.1:0")
+	HandleMsg(srv, "get", func() *echoMsg { return &echoMsg{} }, func(req *echoMsg) (*poisonMsg, error) {
+		return &poisonMsg{Data: payload(int(req.N))}, nil
+	})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewClient(network, 10*time.Second)
+	defer cli.Close()
+	for _, n := range []int{refFrom, 64 << 10, 1 << 20} {
+		var got poisonMsg
+		if err := cli.Call(srv.Addr(), "get", &echoMsg{N: uint64(n)}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, payload(n)) {
+			t.Fatalf("%d-byte reply: the client got bytes its server released before sending", n)
+		}
+	}
+}
+
+// landMsg is a reply whose payload field, after a one-byte tag, may land
+// in dst.
+type landMsg struct {
+	Tag  uint8
+	Data []byte
+	Tail uint64
+
+	dst []byte
+}
+
+func (m *landMsg) Encode(e *wire.Encoder) { m.wire(e.Codec()) }
+func (m *landMsg) Decode(d *wire.Decoder) { m.wire(d.Codec()) }
+func (m *landMsg) wire(c *wire.Codec) {
+	c.U8(&m.Tag)
+	c.Bytes(&m.Data)
+	c.U64(&m.Tail)
+}
+func (m *landMsg) Landing() ([]byte, int) { return m.dst, 1 }
+
+// TestReplyLandsInCallerBuffer: over TCP a reply's payload that fits the
+// caller's buffer is read straight into it (the decoded field aliases
+// dst); one that does not fit, and every reply over SimNetwork, decodes
+// from the frame as before. The fields around the payload survive
+// either way, and an error reply to a landing call is still an error.
+func TestReplyLandsInCallerBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		network Network
+		addr    string
+		lands   bool
+	}{
+		{"tcp", NewTCPNetwork(), "127.0.0.1:0", true},
+		{"sim", NewSimNetwork(nil), "svc", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(tc.network, tc.addr)
+			HandleMsg(srv, "get", func() *echoMsg { return &echoMsg{} }, func(req *echoMsg) (*landMsg, error) {
+				if req.N == 0 {
+					return nil, errors.New("no such payload")
+				}
+				return &landMsg{Tag: 7, Data: payload(int(req.N)), Tail: req.N}, nil
+			})
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			cli := NewClient(tc.network, 10*time.Second)
+			defer cli.Close()
+			for _, n := range []int{1, 4 << 10, 64 << 10, 64<<10 + 1} {
+				dst := make([]byte, 64<<10)
+				resp := landMsg{dst: dst}
+				if err := cli.Call(srv.Addr(), "get", &echoMsg{N: uint64(n)}, &resp); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Tag != 7 || resp.Tail != uint64(n) || !bytes.Equal(resp.Data, payload(n)) {
+					t.Fatalf("%d bytes: tag %d tail %d, payload intact %v", n, resp.Tag, resp.Tail, bytes.Equal(resp.Data, payload(n)))
+				}
+				landed := &resp.Data[0] == &dst[0]
+				if want := tc.lands && n <= len(dst); landed != want {
+					t.Fatalf("%d bytes into a %d-byte buffer: landed %v, want %v", n, len(dst), landed, want)
+				}
+			}
+			err := cli.Call(srv.Addr(), "get", &echoMsg{}, &landMsg{dst: make([]byte, 16)})
+			var re *RemoteError
+			if !errors.As(err, &re) || !strings.Contains(re.Msg, "no such payload") {
+				t.Fatalf("error reply to a landing call: %v", err)
+			}
+		})
+	}
+}
+
+// TestLandingBufferUntouchedAfterTimeout: a landing call that times out
+// before its reply arrives leaves the caller's buffer alone when the
+// reply comes in later.
+func TestLandingBufferUntouchedAfterTimeout(t *testing.T) {
+	network := NewTCPNetwork()
+	srv := NewServer(network, "127.0.0.1:0")
+	replied := make(chan struct{})
+	HandleMsg(srv, "get", func() *echoMsg { return &echoMsg{} }, func(req *echoMsg) (*landMsg, error) {
+		time.Sleep(200 * time.Millisecond)
+		defer close(replied)
+		return &landMsg{Data: payload(64 << 10)}, nil
+	})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewClient(network, 50*time.Millisecond)
+	defer cli.Close()
+	dst := bytes.Repeat([]byte{0xFF}, 64<<10)
+	if err := cli.Call(srv.Addr(), "get", &echoMsg{}, &landMsg{dst: dst}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want a timeout", err)
+	}
+	<-replied
+	time.Sleep(100 * time.Millisecond) // let the late reply reach the client
+	if !bytes.Equal(dst, bytes.Repeat([]byte{0xFF}, 64<<10)) {
+		t.Fatal("a late reply wrote the buffer of a call that had timed out")
+	}
+}
+
+// TestLandingCallTimesOutMidPayload: a reply whose payload stalls
+// halfway into the caller's buffer does not outlive the call's timeout:
+// the call cuts the connection, returns ErrTimeout, and nothing writes
+// the buffer after that (the rest of the payload never arrives).
+func TestLandingCallTimesOutMidPayload(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 64 << 10
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var hdr [4]byte
+		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+			return
+		}
+		req := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(c, req); err != nil {
+			return
+		}
+		// A landMsg reply: tag, payload length, then half the payload.
+		body := 1 + 4 + n + 8
+		msg := binary.BigEndian.AppendUint32(nil, uint32(replyHead+body))
+		msg = append(msg, kindResponse)
+		msg = append(msg, req[1:9]...) // the call id
+		msg = append(msg, statusOK)
+		msg = binary.LittleEndian.AppendUint32(msg, uint32(body))
+		msg = append(msg, 7)
+		msg = binary.LittleEndian.AppendUint32(msg, n)
+		msg = append(msg, payload(n/2)...)
+		c.Write(msg)
+		io.Copy(io.Discard, c) // stall until the client gives up
+	}()
+	cli := NewClient(NewTCPNetwork(), 100*time.Millisecond)
+	defer cli.Close()
+	dst := make([]byte, n)
+	done := make(chan error, 1)
+	go func() { done <- cli.Call(l.Addr().String(), "get", &echoMsg{}, &landMsg{dst: dst}) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("err = %v, want a timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a call whose payload stalled mid-read outlived its timeout")
+	}
+}
+
+// TestTCPFramesAcrossStageSizes sends frames of sizes around the receive
+// stage's bounds back to back, some as several segments, and receives
+// each intact: the staging reads that stop short of a large frame's body
+// must never lose or reorder a byte across frames.
+func TestTCPFramesAcrossStageSizes(t *testing.T) {
+	network := NewTCPNetwork()
+	l, err := network.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sizes := []int{0, 1, 4, 100, stageAhead, stageSize - 1, stageSize, stageSize + 1, 64 << 10, 5, 1 << 20, 3, stageSize/2 + 1, 64<<10 + 24}
+	go func() {
+		c, err := network.Dial(l.Addr())
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for i, n := range sizes {
+			msg := payload(n + i)[i:]
+			segs := [][]byte{append(make([]byte, HeadRoom), msg[:n/3]...)}
+			if n > 0 {
+				segs = append(segs, msg[n/3:2*n/3], msg[2*n/3:])
+			}
+			if err := c.Send(segs); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, n := range sizes {
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("frame %d (%d bytes): %v", i, n, err)
+		}
+		if !bytes.Equal(got, payload(n + i)[i:]) {
+			t.Fatalf("frame %d: %d bytes that are not the %d sent", i, len(got), n)
+		}
 	}
 }

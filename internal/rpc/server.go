@@ -207,9 +207,9 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 		start = time.Now()
 	}
 	enc := getEncoder()
-	defer putEncoder(enc) // Send has copied or written the frame by then
 	putResponseHeader(enc, id)
 	var out int
+	var rel releaser
 	var err error
 	var panicked bool
 	if !ok {
@@ -219,12 +219,12 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 			err = gate(method)
 		}
 		if err == nil {
-			out, err, panicked = invoke(h, method, payload, enc)
+			out, rel, err, panicked = invoke(h, method, payload, enc)
 		}
 	}
 	if err != nil {
 		// Drop whatever a failed or panicking encode left behind.
-		enc.Reset()
+		resetFrame(enc)
 		putResponseHeader(enc, id)
 		var rd redirector
 		if errors.As(err, &rd) {
@@ -254,8 +254,13 @@ func (s *Server) dispatch(conn Conn, id uint64, method string, payload []byte, s
 		act.Finish(err)
 	}
 	// A send failure means the connection died; the client observes it
-	// directly.
-	_ = conn.Send(enc.Bytes())
+	// directly. The frame may reference the reply's pooled buffers, so
+	// they go back only once Send is done with them.
+	_ = conn.Send(enc.Segments())
+	putEncoder(enc)
+	if rel != nil {
+		rel.Release()
+	}
 }
 
 func putResponseHeader(enc *wire.Encoder, id uint64) {
@@ -264,35 +269,34 @@ func putResponseHeader(enc *wire.Encoder, id uint64) {
 }
 
 // invoke runs h and encodes its reply into enc as a status-OK body,
-// returning the body length. A reply that implements releaser (one
-// carrying pooled buffers) is released once encoded: the frame holds the
-// only copy the wire needs. A panic — in the handler or in its reply's
-// encoder — becomes a status-error response instead of killing the
-// process (and, with it, every connection the server holds); a reply
-// from a failed or panicking handler is left to the garbage collector.
-// The panic still reaches the log — it is a server bug — but one
-// poisoned request must not take down unrelated callers.
-func invoke(h msgHandler, method string, payload []byte, enc *wire.Encoder) (n int, err error, panicked bool) {
+// returning the body length and, for a reply that implements releaser
+// (one carrying pooled buffers), the reply: the frame may reference
+// those buffers, so the caller releases it once the frame is sent. A
+// panic — in the handler or in its reply's encoder — becomes a
+// status-error response instead of killing the process (and, with it,
+// every connection the server holds); a reply from a failed or panicking
+// handler is left to the garbage collector. The panic still reaches the
+// log — it is a server bug — but one poisoned request must not take down
+// unrelated callers.
+func invoke(h msgHandler, method string, payload []byte, enc *wire.Encoder) (n int, rel releaser, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			n, err, panicked = 0, fmt.Errorf("rpc: handler for %q panicked: %v", method, r), true
+			n, rel, err, panicked = 0, nil, fmt.Errorf("rpc: handler for %q panicked: %v", method, r), true
 			log.Printf("rpc: recovered handler panic in %q: %v\n%s", method, r, debug.Stack())
 		}
 	}()
 	resp, err := h(payload)
 	if err != nil {
-		return 0, err, false
+		return 0, nil, err, false
 	}
 	enc.PutU8(statusOK)
 	n = enc.PutMessage(resp)
-	if r, ok := resp.(releaser); ok {
-		r.Release()
-	}
-	return n, nil, false
+	rel, _ = resp.(releaser)
+	return n, rel, nil, false
 }
 
 // releaser is implemented by replies that borrow pooled buffers until
-// they are encoded.
+// their frame is sent.
 type releaser interface{ Release() }
 
 // Close stops the listener and tears down every open connection, then waits

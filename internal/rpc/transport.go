@@ -33,18 +33,39 @@ var ErrUnknownAddr = errors.New("rpc: no listener at address")
 // each safe for one concurrent caller; Send is additionally safe for many
 // (it serializes internally).
 //
-// Ownership: Send does not retain msg after it returns, so the caller may
-// reuse it. Recv returns a buffer per frame, taken from the wire buffer
-// pool (wire.GetBuf), that the transport never touches again; the caller
-// owns it, so decoders may alias it for as long as they like, and may hand
-// it back with wire.PutBuf once nothing aliases it. A frame nobody hands
+// Send takes one message as segments: the message is the concatenation
+// of segs with the first HeadRoom bytes of segs[0] left out. Those bytes
+// are the transport's to overwrite (TCP writes its length prefix there,
+// so a message of one segment goes out in one write), and segs[0] must
+// hold them. The segments let a chunk payload travel from the buffer it
+// already sits in, without a copy into the frame.
+//
+// Ownership: Send does not retain segs or any segment after it returns,
+// so the caller may reuse or release them then, and not before. Recv
+// returns a buffer per frame, taken from the wire buffer pool
+// (wire.GetBuf), that the transport never touches again; the caller owns
+// it, so decoders may alias it for as long as they like, and may hand it
+// back with wire.PutBuf once nothing aliases it. A frame nobody hands
 // back is left to the garbage collector. Both ends of the RPC layer rely
 // on this to decode bodies in place instead of copying them out; see
 // Client.CallCtx for who hands a reply frame back.
 type Conn interface {
-	Send(msg []byte) error
+	Send(segs [][]byte) error
 	Recv() ([]byte, error)
 	Close() error
+}
+
+// HeadRoom is how many leading bytes of a sent message's first segment
+// belong to the transport (see Conn).
+const HeadRoom = 4
+
+// frameLen returns the length of the message segs carries.
+func frameLen(segs [][]byte) int {
+	n := -HeadRoom
+	for _, s := range segs {
+		n += len(s)
+	}
+	return n
 }
 
 // Listener accepts inbound connections at a stable address.
@@ -180,7 +201,7 @@ func newSimConn(n *SimNetwork, local, remote string) *simConn {
 	return c
 }
 
-func (c *simConn) Send(msg []byte) error {
+func (c *simConn) Send(segs [][]byte) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -188,15 +209,19 @@ func (c *simConn) Send(msg []byte) error {
 	}
 	c.mu.Unlock()
 
-	d, err := c.net.fabric.Delay(c.local, c.remote, len(msg))
+	n := frameLen(segs)
+	d, err := c.net.fabric.Delay(c.local, c.remote, n)
 	if err != nil {
 		return err
 	}
-	// Copy: the caller may reuse its buffer after Send returns. The copy
-	// is the frame the peer's Recv hands over, so it comes from the pool
-	// exactly as a TCP receive buffer does.
-	cp := wire.GetBuf(len(msg))
-	copy(cp, msg)
+	// Copy: the caller may reuse its segments after Send returns. The
+	// copy is the frame the peer's Recv hands over, so it comes from the
+	// pool exactly as a TCP receive buffer does.
+	cp := wire.GetBuf(n)
+	off := copy(cp, segs[0][HeadRoom:])
+	for _, s := range segs[1:] {
+		off += copy(cp[off:], s)
+	}
 
 	deliver := func() {
 		p := c.peer

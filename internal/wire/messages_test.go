@@ -405,6 +405,47 @@ func TestMessagesWireFrozen(t *testing.T) {
 	}
 }
 
+// TestSegmentsMatchMarshal: an encoder that references every Bytes field
+// (ReferenceFrom(1)) holds, as its segments, exactly the bytes Marshal
+// writes, for every message — alone and wrapped by PutMessage, whose
+// length prefix must count the referenced bytes.
+func TestSegmentsMatchMarshal(t *testing.T) {
+	flat := func(e *wire.Encoder) []byte {
+		var b []byte
+		for _, s := range e.Segments() {
+			b = append(b, s...)
+		}
+		return b
+	}
+	referenced := 0
+	for _, m := range messages() {
+		t.Run(m.name, func(t *testing.T) {
+			for i, msg := range []wire.Message{m.full, m.zero()} {
+				want := wire.Marshal(msg)
+				e := wire.NewEncoder(0)
+				e.ReferenceFrom(1)
+				msg.Encode(e)
+				if got := flat(e); !bytes.Equal(got, want) || e.Len() != len(want) {
+					t.Fatalf("instance %d: segments hold %x (Len %d), want %x", i, got, e.Len(), want)
+				}
+				if len(e.Segments()) > 1 {
+					referenced++
+				}
+				framed := wire.NewEncoder(0)
+				framed.PutBytes(want)
+				e.Reset()
+				e.PutMessage(msg)
+				if got := flat(e); !bytes.Equal(got, framed.Bytes()) {
+					t.Fatalf("instance %d: PutMessage segments hold %x, want %x", i, got, framed.Bytes())
+				}
+			}
+		})
+	}
+	if referenced < 3 {
+		t.Fatalf("only %d messages referenced a field; the payload-carrying ones must", referenced)
+	}
+}
+
 // FuzzMessageRoundTrip feeds arbitrary bytes to Unmarshal for every
 // message type. No input may panic, and whatever decodes must be a fixed
 // point of Marshal→Unmarshal→Marshal. The seeds are the frozen encodings,

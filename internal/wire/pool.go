@@ -7,12 +7,15 @@ import (
 )
 
 // Buffer pool for the data path, below both of its users. A provider
-// serving a chunk reads the file into one of these buffers, checks the
-// digest over it and copies it once into the response frame; the rpc
-// transports receive every frame of at least 4 KiB into one, and a client
-// reading a chunk copies the reply's bytes once into the caller's buffer
-// and hands the frame back. Without the pool each of those is a fresh,
-// zeroed large object that the garbage collector sweeps a moment later.
+// serving a chunk reads its pack record into one of these buffers,
+// checks the digest over it and sends the reply from it (the frame
+// references it; the rpc server hands it back once sent). The rpc
+// transports receive every frame of at least 4 KiB into one; a client
+// reading a chunk into a buffer of its own gets the payload read there
+// instead, or, where it cannot be (SimNetwork, a reply that does not
+// fit), copies it once out of the frame and hands the frame back.
+// Without the pool each of those is a fresh, zeroed large object that
+// the garbage collector sweeps a moment later.
 //
 // Size classes are a power of two from 4 KiB up to 1 MiB, the rpc layer's
 // pooled-frame ceiling, plus frameSlack bytes, so a class-sized payload

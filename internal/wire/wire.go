@@ -49,9 +49,26 @@ const MaxChunk = 1 << 30
 
 // Encoder serializes values into a growing byte buffer.
 // The zero value is ready to use.
+//
+// An encoder told to ReferenceFrom some size does not copy a Bytes field
+// that large: it records a reference to the caller's slice and leaves
+// the field's bytes out of its buffer, so the message is then the
+// Segments list, not Bytes. The referenced slices must stay unchanged
+// until whatever sends the segments is done with them.
 type Encoder struct {
 	buf   []byte
 	codec Codec
+
+	refFrom int      // reference Bytes fields of at least this many bytes; 0: never
+	refs    []ref    // the referenced fields, in order
+	refLen  int      // their total length
+	segs    [][]byte // Segments' list, reused
+}
+
+// ref is one referenced field: its bytes follow buf[:at].
+type ref struct {
+	at int
+	b  []byte
 }
 
 // NewEncoder returns an Encoder with capacity preallocated for n bytes.
@@ -60,14 +77,53 @@ func NewEncoder(n int) *Encoder {
 }
 
 // Bytes returns the encoded message. The slice aliases the Encoder's
-// internal buffer and is valid until the next Put call.
-func (e *Encoder) Bytes() []byte { return e.buf }
+// internal buffer and is valid until the next Put call. It panics when
+// the encoder referenced a field: such a message is its Segments.
+func (e *Encoder) Bytes() []byte {
+	if len(e.refs) > 0 {
+		panic("wire: Bytes of an encoder holding referenced fields; use Segments")
+	}
+	return e.buf
+}
 
-// Len reports the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Segments returns the encoded message as the slices whose concatenation
+// it is: runs of the encoder's buffer, and each referenced field between
+// them. The list is the encoder's own and is valid until the next Put or
+// Reset; with nothing referenced it is the one slice Bytes returns.
+func (e *Encoder) Segments() [][]byte {
+	e.segs = e.segs[:0]
+	prev := 0
+	for _, r := range e.refs {
+		if r.at > prev {
+			e.segs = append(e.segs, e.buf[prev:r.at])
+		}
+		e.segs = append(e.segs, r.b)
+		prev = r.at
+	}
+	if prev < len(e.buf) || len(e.segs) == 0 {
+		e.segs = append(e.segs, e.buf[prev:])
+	}
+	return e.segs
+}
 
-// Reset truncates the buffer, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// ReferenceFrom makes Bytes fields of at least n bytes referenced
+// instead of copied (see Encoder); n <= 0 copies every field.
+func (e *Encoder) ReferenceFrom(n int) { e.refFrom = max(n, 0) }
+
+// Len reports the number of encoded bytes so far, referenced ones
+// included.
+func (e *Encoder) Len() int { return len(e.buf) + e.refLen }
+
+// Reset truncates the buffer, retaining capacity, and drops every
+// reference.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	clear(e.refs)
+	e.refs = e.refs[:0]
+	e.refLen = 0
+	clear(e.segs)
+	e.segs = e.segs[:0]
+}
 
 // PutU8 appends a single byte.
 func (e *Encoder) PutU8(v uint8) { e.buf = append(e.buf, v) }
@@ -97,6 +153,19 @@ func (e *Encoder) PutBytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// putField appends b as a Bytes field: a u32 length prefix, then the
+// bytes, or a reference to them when the encoder references fields that
+// large.
+func (e *Encoder) putField(b []byte) {
+	if e.refFrom == 0 || len(b) < e.refFrom {
+		e.PutBytes(b)
+		return
+	}
+	e.PutU32(uint32(len(b)))
+	e.refs = append(e.refs, ref{at: len(e.buf), b: b})
+	e.refLen += len(b)
+}
+
 // PutString appends a u32 length prefix followed by the string bytes.
 func (e *Encoder) PutString(s string) {
 	e.PutU32(uint32(len(s)))
@@ -106,19 +175,19 @@ func (e *Encoder) PutString(s string) {
 // PutMessage appends m as a u32 length prefix followed by its encoding —
 // byte for byte what PutBytes(Marshal(m)) writes, without the intermediate
 // buffer: the body is encoded in place and the prefix patched afterwards.
-// A Sizer message grows the buffer once up front. It returns the body
-// length.
+// A Sizer message grows the buffer once up front, by what it will copy
+// into it. It returns the body length, referenced bytes included.
 func (e *Encoder) PutMessage(m Message) int {
 	if s, ok := m.(Sizer); ok {
 		// Headroom past the body lets a short trailer (the rpc layer's
 		// trace context) follow without reallocating a large frame.
-		e.buf = slices.Grow(e.buf, 4+s.Size()+trailerRoom)
+		e.buf = slices.Grow(e.buf, 4+s.Size(e.refFrom)+trailerRoom)
 	}
-	at := len(e.buf)
+	pos, start := len(e.buf), e.Len()
 	e.PutU32(0)
 	m.Encode(e)
-	n := len(e.buf) - at - 4
-	binary.LittleEndian.PutUint32(e.buf[at:], uint32(n))
+	n := e.Len() - start - 4
+	binary.LittleEndian.PutUint32(e.buf[pos:], uint32(n))
 	return n
 }
 
@@ -132,6 +201,14 @@ type Decoder struct {
 	off   int
 	err   error
 	codec Codec
+	land  *landing // a landed field still to come (see UnmarshalLanded), or nil
+}
+
+// landing is a Decoder's landed field: the offset of its length prefix
+// in the buffer, and its bytes.
+type landing struct {
+	at int
+	p  []byte
 }
 
 // NewDecoder returns a Decoder over buf. The Decoder does not copy buf.
@@ -207,11 +284,22 @@ func (d *Decoder) count(max uint32) uint32 {
 // Bytes decodes a u32-length-prefixed byte slice. The returned slice
 // aliases the Decoder's buffer, so it is only as stable as that buffer;
 // its capacity ends at its length, so an append never overwrites the
-// fields that follow it.
+// fields that follow it. A landed field (see UnmarshalLanded) aliases the
+// slice it landed in.
 func (d *Decoder) Bytes() []byte {
+	at := d.off
 	n := d.U32()
 	if d.err != nil {
 		return nil
+	}
+	if d.land != nil && at == d.land.at {
+		p := d.land.p
+		d.land = nil
+		if int(n) != len(p) {
+			d.fail()
+			return nil
+		}
+		return p[:n:n]
 	}
 	if n > MaxChunk {
 		d.err = ErrTooLarge
@@ -317,18 +405,21 @@ func (c *Codec) String(v *string) {
 	}
 }
 
-// Bytes codes a u32-length-prefixed byte slice. A decoded slice aliases
-// the Decoder's buffer (see Decoder.Bytes).
+// Bytes codes a u32-length-prefixed byte slice: the field kind for chunk
+// payloads. A decoded slice aliases the Decoder's buffer (see
+// Decoder.Bytes); an encoder that references fields this large does not
+// copy it (see Encoder).
 func (c *Codec) Bytes(v *[]byte) {
 	if c.d != nil {
 		*v = c.d.Bytes()
 	} else {
-		c.e.PutBytes(*v)
+		c.e.putField(*v)
 	}
 }
 
 // BytesCopy codes a u32-length-prefixed byte slice, decoding it into
-// fresh memory; an empty one decodes as nil.
+// fresh memory; an empty one decodes as nil. It is always copied into
+// the encoder's buffer, never referenced.
 func (c *Codec) BytesCopy(v *[]byte) {
 	if c.d == nil {
 		c.e.PutBytes(*v)
@@ -393,19 +484,30 @@ func Make[T any](c *Codec, s *[]T, n int) {
 // Count still holds it to the bytes left.
 const MaxCount = MaxChunk
 
-// Sizer is an optional Message refinement: Size reports the exact encoded
-// length, so Marshal and PutMessage allocate once instead of doubling
-// their way up to a chunk-sized body. Messages that carry chunk payloads
-// implement it.
+// Sizer is an optional Message refinement: Size reports the exact number
+// of bytes m's encoding puts in the buffer of an encoder that references
+// Bytes fields of at least refFrom bytes (see Copied); with refFrom 0
+// that is the whole encoded length. Marshal and PutMessage then allocate
+// once instead of doubling their way up to a chunk-sized body. Messages
+// that carry chunk payloads implement it.
 type Sizer interface {
-	Size() int
+	Size(refFrom int) int
+}
+
+// Copied reports how many of an n-byte Bytes field's bytes an encoder
+// referencing fields of at least refFrom bytes copies into its buffer.
+func Copied(n, refFrom int) int {
+	if refFrom > 0 && n >= refFrom {
+		return 0
+	}
+	return n
 }
 
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Message) []byte {
 	n := 64
 	if s, ok := m.(Sizer); ok {
-		n = s.Size()
+		n = s.Size(0)
 	}
 	enc := NewEncoder(n)
 	m.Encode(enc)
@@ -423,8 +525,8 @@ func (r *Raw) Encode(e *Encoder) { e.buf = append(e.buf, *r...) }
 // Decode implements Message.
 func (r *Raw) Decode(d *Decoder) { *r = d.take(d.Remaining()) }
 
-// Size implements Sizer.
-func (r *Raw) Size() int { return len(*r) }
+// Size implements Sizer: a Raw body is always copied.
+func (r *Raw) Size(int) int { return len(*r) }
 
 // Unmarshal decodes buf into m, returning a descriptive error on failure.
 func Unmarshal(buf []byte, m Message) error {
@@ -432,6 +534,25 @@ func Unmarshal(buf []byte, m Message) error {
 	m.Decode(dec)
 	if err := dec.Err(); err != nil {
 		return fmt.Errorf("wire: decoding %T: %w", m, err)
+	}
+	return nil
+}
+
+// UnmarshalLanded is Unmarshal of a body whose byte field with its length
+// prefix at offset at was read into p instead: buf holds the prefix but
+// not the bytes, and the field decodes as p, which must be as long as the
+// prefix says. A transport that reads a payload straight into its
+// destination hands the rest of the body over this way. A message that
+// decodes no byte field there fails.
+func UnmarshalLanded(buf []byte, at int, p []byte, m Message) error {
+	dec := NewDecoder(buf)
+	dec.land = &landing{at: at, p: p}
+	m.Decode(dec)
+	if err := dec.Err(); err != nil {
+		return fmt.Errorf("wire: decoding %T: %w", m, err)
+	}
+	if dec.land != nil {
+		return fmt.Errorf("wire: decoding %T: no byte field at offset %d for its landed %d bytes", m, at, len(p))
 	}
 	return nil
 }

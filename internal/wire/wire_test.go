@@ -124,8 +124,8 @@ func TestBytesCopyIndependence(t *testing.T) {
 func TestRawBody(t *testing.T) {
 	in := Raw("opaque")
 	e := NewEncoder(0)
-	if n := e.PutMessage(&in); n != in.Size() {
-		t.Fatalf("PutMessage wrote %d body bytes, Size() = %d", n, in.Size())
+	if n := e.PutMessage(&in); n != in.Size(0) {
+		t.Fatalf("PutMessage wrote %d body bytes, Size(0) = %d", n, in.Size(0))
 	}
 	want := NewEncoder(0)
 	want.PutBytes([]byte("opaque"))
@@ -282,5 +282,104 @@ func TestCodecCountBounds(t *testing.T) {
 	c.Strings(&tags, MaxCount)
 	if c.d.Err() != ErrTooLarge || tags != nil {
 		t.Fatalf("count past the bytes left: %v, %v", tags, c.d.Err())
+	}
+}
+
+// TestReferencedFields: a Bytes field at or above the ReferenceFrom size
+// is referenced, not copied (a later change to the caller's slice shows
+// in the segments), smaller ones and BytesCopy fields are copied, and
+// Reset drops every reference.
+func TestReferencedFields(t *testing.T) {
+	big, small := bytes.Repeat([]byte{1}, 8), []byte{2, 2}
+	e := NewEncoder(0)
+	e.ReferenceFrom(8)
+	c := e.Codec()
+	c.U8(new(uint8))
+	c.Bytes(&big)
+	c.Bytes(&small)
+	c.BytesCopy(&big)
+	segs := e.Segments()
+	if len(segs) != 3 || &segs[1][0] != &big[0] {
+		t.Fatalf("segments %v: want the big field referenced between two runs", segs)
+	}
+	if e.Len() != 1+4+8+4+2+4+8 {
+		t.Fatalf("Len = %d", e.Len())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Bytes of an encoder holding a reference did not panic")
+			}
+		}()
+		e.Bytes()
+	}()
+	e.Reset()
+	if e.Len() != 0 || len(e.Segments()) != 1 || len(e.Bytes()) != 0 {
+		t.Fatalf("after Reset: Len %d, %d segments", e.Len(), len(e.Segments()))
+	}
+}
+
+// TestLandedField: a body whose byte field at offset at was read
+// elsewhere decodes with that field aliasing the landed slice; a landed
+// slice of the wrong length, or no byte field at that offset, fails.
+func TestLandedField(t *testing.T) {
+	e := NewEncoder(0)
+	e.PutU8(9)
+	e.PutBytes([]byte("payload"))
+	e.PutU64(77)
+	full := e.Bytes()
+	rest := append(append([]byte{}, full[:5]...), full[12:]...) // without the payload's bytes
+	landed := []byte("payload")
+	var tag uint8
+	var got []byte
+	var tail uint64
+	m := &fieldsMsg{fields: func(c *Codec) { c.U8(&tag); c.Bytes(&got); c.U64(&tail) }}
+	if err := UnmarshalLanded(rest, 1, landed, m); err != nil {
+		t.Fatal(err)
+	}
+	if tag != 9 || tail != 77 || &got[0] != &landed[0] || string(got) != "payload" {
+		t.Fatalf("decoded tag %d payload %q tail %d (landed: %v)", tag, got, tail, &got[0] == &landed[0])
+	}
+	if err := UnmarshalLanded(rest, 1, landed[:3], m); err == nil {
+		t.Fatal("a landed slice shorter than its prefix decoded")
+	}
+	if err := UnmarshalLanded(rest, 0, landed, m); err == nil {
+		t.Fatal("a landing at no byte field's offset decoded")
+	}
+}
+
+// fieldsMsg is a Message whose field list is a closure.
+type fieldsMsg struct{ fields func(*Codec) }
+
+func (m *fieldsMsg) Encode(e *Encoder) { m.fields(e.Codec()) }
+func (m *fieldsMsg) Decode(d *Decoder) { m.fields(d.Codec()) }
+
+// payloadMsg is one Bytes field, sized.
+type payloadMsg struct{ data []byte }
+
+func (m *payloadMsg) Encode(e *Encoder)    { e.Codec().Bytes(&m.data) }
+func (m *payloadMsg) Decode(d *Decoder)    { d.Codec().Bytes(&m.data) }
+func (m *payloadMsg) Size(refFrom int) int { return 4 + Copied(len(m.data), refFrom) }
+
+// TestPutMessageGrowsByWhatItCopies: PutMessage grows the buffer once,
+// by the copied part of a Sizer body — all of a payload below the
+// referencing size, none of one at or above it — not by doubling its way
+// up (which would overshoot a 100 000-byte body by a third).
+func TestPutMessageGrowsByWhatItCopies(t *testing.T) {
+	const n = 100000
+	for _, tc := range []struct{ refFrom, want int }{
+		{0, 4 + 4 + n + trailerRoom},
+		{n + 1, 4 + 4 + n + trailerRoom},
+		{n, 4 + 4 + trailerRoom},
+	} {
+		e := NewEncoder(0)
+		e.ReferenceFrom(tc.refFrom)
+		if got := e.PutMessage(&payloadMsg{data: make([]byte, n)}); got != 4+n {
+			t.Fatalf("body of %d bytes, want %d", got, 4+n)
+		}
+		// The allocator rounds a request up to its size class or page.
+		if c := cap(e.buf); c < tc.want || c > tc.want+8192 {
+			t.Errorf("referencing from %d: buffer grew to %d, want about %d", tc.refFrom, c, tc.want)
+		}
 	}
 }
