@@ -60,6 +60,9 @@ vet:
 # One write per frame: the TCP transport sends a frame's segments (chunk
 # payloads from the buffers they sit in) with one write, so no staging
 # writer copying them comes back in internal/rpc.
+# One buffer per chunk read, batched: a batch of whole chunks is read with
+# GetChunksInto, each payload landing in its caller's buffer, so the
+# copy-out GetChunks, whose results kept the reply frame, stays gone.
 # And every Go file is gofmt-clean.
 guard:
 	@! grep -rnE 'SetRPCObserver\(|SetRPCTracer\(|obs\.Register|\.EnableHA\(|\.StartHeartbeats\(|\.ExpireLeases\(' --include='*.go' --exclude='*_test.go' cmd internal examples *.go | grep -vE '^internal/(node|obs|rpc|vmanager|pmanager|provider|meta)/'
@@ -84,6 +87,7 @@ guard:
 	@! grep -rnE '\b(fault\.Start|DegradeThenCrash|KillVMIndex|RestartVMIndex|TimeScale|PerMessage|MaxBacklog|SetBandwidth|NodeStats|ServeHTTPWith|SetSlowThreshold|WorstExemplar|AbortWoven)\b' --include='*.go' --exclude-dir=benchmark .
 	@! grep -rnE 'CachedStore|NewCachedStore|TamperStore|StrategyRandom|StrategyLeastLoaded|"(cache-mb|strategy)"' --include='*.go' cmd internal
 	@! grep -rn 'bufio\.NewWriter' --include='*.go' internal/rpc
+	@! grep -rnE 'provider\.GetChunks\(' --include='*.go' cmd internal
 	@test -z "$$(gofmt -l .)" || { echo 'gofmt -l lists:'; gofmt -l .; exit 1; }
 
 # The benchmark is a Go module of its own (benchmark/go.mod replaces repro
@@ -101,10 +105,12 @@ race:
 
 # Data-path micro-benchmarks as a short smoke: a 64 KiB chunk get and a
 # 32 x 64 KiB putchunks over TCP loopback, both also against a disk store
-# with an fsync'd sidecar, and the client read path's 64 KiB get into the
-# caller's buffer against that disk store (plus the rpc and wire
-# benchmarks); and the disk store's own per-chunk costs (64 KiB Put and
-# GetInto, 4 KiB GetRange). 20 iterations each, with allocation counts.
+# with an fsync'd sidecar, and the client read path's 64 KiB get and
+# 16 x 64 KiB getchunks into the caller's buffers against that disk store
+# (plus the rpc benchmarks, among them a 64 KiB reply with no store
+# behind it, and the wire benchmarks); and the disk store's own per-chunk
+# costs (64 KiB Put and GetInto, 4 KiB GetRange). 20 iterations each,
+# with allocation counts.
 micro:
 	$(GO) test -run '^$$' -bench . -benchtime 20x -benchmem ./internal/wire/ ./internal/rpc/ ./internal/provider/ ./internal/chunk/
 

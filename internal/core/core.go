@@ -11,7 +11,9 @@
 //	        metadata tree nodes → Commit.
 //	Append: Assign first (the offset is only known then), then as Write.
 //	Read:   resolve version at the version manager → descend the metadata
-//	        tree → fetch chunks from data providers in parallel.
+//	        tree → fetch chunks from data providers in parallel: whole
+//	        chunks in one getchunks per replica set and 1 MiB, partial
+//	        chunks with a ranged get each.
 //
 // Writers never read other writers' unpublished state; readers never
 // block on writers. The version manager is the only serialization point.
@@ -108,7 +110,7 @@ type Client struct {
 
 // IOStats is a snapshot of the client's data-plane traffic.
 type IOStats struct {
-	ChunkGetRPCs int64 // provider.get calls (including failed replicas)
+	ChunkGetRPCs int64 // chunk read RPCs (get and getchunks), including failed replicas
 	// ChunkPutOps counts per-chunk-per-replica store operations
 	// (including failed ones); ChunkPutRPCs counts the provider.putchunks
 	// round trips that carried them. Ops/RPCs is the write-plane

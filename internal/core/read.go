@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/meta"
 	"repro/internal/provider"
 	"repro/internal/trace"
@@ -116,6 +117,11 @@ func (b *Blob) resolveVersion(ctx context.Context, version uint64) (v, sizeBytes
 }
 
 // readRange fetches [off, off+len(p)) of a published version into p.
+// Chunks read whole are fetched in batches: one getchunks per replica
+// set and batchReadBytes, sent to the set's healthiest replica. A chunk
+// read in part (an unaligned edge, a point read) is fetched with one
+// ranged get, and so is every chunk a batch did not deliver, failing over
+// across its replicas (fetchChunk).
 func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []byte, off uint64) error {
 	cs := b.chunkSize
 	end := off + uint64(len(p))
@@ -124,16 +130,12 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 	if err != nil {
 		return fmt.Errorf("core: metadata for read of blob %d v%d: %w", b.id, version, err)
 	}
-	return b.c.parallel(len(refs), func(i int) error {
-		idx := a + uint64(i)
-		chunkLo := idx * cs
+	var jobs []func() error
+	var sets [][]*chunkRead // whole-chunk reads, one list per replica set
+	for i, ref := range refs {
+		chunkLo := (a + uint64(i)) * cs
 		lo, hi := maxU64(chunkLo, off), minU64(chunkLo+cs, end)
 		dst := p[lo-off : hi-off]
-		ref := refs[i]
-		if ref.IsZero() {
-			clear(dst)
-			return nil
-		}
 		// Only [inLo, validHi) of the chunk holds stored bytes for this
 		// read; everything past the chunk's valid length reads as zeros
 		// (sparse regions within a partially written chunk). Fetch only
@@ -141,41 +143,134 @@ func (b *Blob) readRange(ctx context.Context, version, sizeChunks uint64, p []by
 		// needs — straight into dst, then zero-fill the tail.
 		inLo := lo - chunkLo
 		validHi := minU64(hi-chunkLo, uint64(ref.Length))
-		if validHi <= inLo {
+		if ref.IsZero() || validHi <= inLo {
 			clear(dst)
-			return nil
+			continue
 		}
-		n, err := b.fetchChunkRange(ctx, ref, inLo, validHi-inLo, dst)
+		r := &chunkRead{ref: ref, leaf: leafKeys[i], off: inLo, length: validHi - inLo, dst: dst}
+		if inLo != 0 || validHi < uint64(ref.Length) {
+			jobs = append(jobs, func() error { return b.fetchChunk(ctx, r) })
+			continue
+		}
+		// Group by the set, in whatever order a descriptor lists it (the
+		// order in which its replicas acknowledged the write), not by the
+		// set's healthiest replica: the batches of a read stay a function
+		// of placement, not of the moment's health scores.
+		k := slices.IndexFunc(sets, func(s []*chunkRead) bool { return sameSet(s[0].ref.Providers, ref.Providers) })
+		if k < 0 {
+			k = len(sets)
+			sets = append(sets, nil)
+		}
+		sets[k] = append(sets[k], r)
+	}
+	for _, reads := range sets {
+		for len(reads) > 0 {
+			n, payload := 1, uint64(reads[0].ref.Length)
+			for n < len(reads) && payload+uint64(reads[n].ref.Length) <= batchReadBytes {
+				payload += uint64(reads[n].ref.Length)
+				n++
+			}
+			batch := reads[:n]
+			reads = reads[n:]
+			jobs = append(jobs, func() error { return b.fetchBatch(ctx, batch) })
+		}
+	}
+	return b.c.parallel(len(jobs), func(j int) error { return jobs[j]() })
+}
+
+// batchReadBytes caps one getchunks of a read: the chunk bytes one reply
+// carries, sixteen 64 KiB chunks. On 16 MiB reads over four providers,
+// 512 KiB and 1 MiB caps cost the least CPU per read; 256 KiB pays for
+// more round trips, and 4 MiB leaves too few replies in flight to overlap
+// (a 4 MiB batch holds a provider's read buffers longer, too).
+const batchReadBytes = 1 << 20
+
+// chunkRead is one chunk's part in a read: bytes [off, off+length) of
+// the chunk ref names, into dst, with the tree leaf that holds ref.
+type chunkRead struct {
+	ref         meta.ChunkRef
+	leaf        meta.NodeKey
+	off, length uint64
+	dst         []byte
+}
+
+// sameSet reports whether two replica lists name the same providers.
+func sameSet(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return false
+		}
+	}
+	return true
+}
+
+// fetchBatch reads whole chunks of one replica set with one getchunks to
+// the set's healthiest replica, straight into their buffers. A chunk the
+// batch does not deliver — the call failed, the replica lacks it, flagged
+// it corrupt, or its bytes failed the end-to-end digest check — is
+// fetched on its own (fetchChunk), with failover.
+func (b *Blob) fetchBatch(ctx context.Context, reads []*chunkRead) error {
+	addr := b.c.health.order(reads[0].ref.Providers)[0]
+	keys := make([]chunk.Key, len(reads))
+	dst := make([][]byte, len(reads))
+	for i, r := range reads {
+		keys[i], dst[i] = r.ref.Key, r.dst
+	}
+	start := time.Now()
+	got, err := provider.GetChunksInto(ctx, b.c.rpc, addr, keys, dst)
+	b.c.health.observe(addr, float64(time.Since(start).Microseconds())/1000, err != nil)
+	b.c.chunkGets.Add(1)
+	for i, r := range reads {
+		if err == nil && got[i].Err == nil {
+			b.c.chunkBytesIn.Add(int64(got[i].N))
+			clear(r.dst[got[i].N:])
+			continue
+		}
+		if err == nil && provider.IsCorrupt(got[i].Err) {
+			b.c.chunkCorrupt.Add(1)
+		}
+		if ferr := b.fetchChunk(ctx, r); ferr != nil {
+			return ferr
+		}
+	}
+	return nil
+}
+
+// fetchChunk reads one chunk's part into its buffer and zero-fills the
+// rest of the buffer.
+func (b *Blob) fetchChunk(ctx context.Context, r *chunkRead) error {
+	n, err := b.fetchChunkRange(ctx, r.ref, r.off, r.length, r.dst)
+	if err != nil {
+		// Every replica in the descriptor failed. The one way that
+		// happens with data still intact is a stale descriptor: the
+		// repair engine re-homed the chunk (dead provider, rebalance
+		// migration) and patched the leaf, but this client's cache —
+		// immutable-node caching never invalidates — still serves the
+		// pre-patch replica list. Refresh the leaf from the ring and
+		// retry once with the patched provider order.
+		fresh, refErr := b.c.meta.RefreshNode(ctx, r.leaf)
+		if refErr != nil || !fresh.Leaf || fresh.Chunk.IsZero() ||
+			slices.Equal(fresh.Chunk.Providers, r.ref.Providers) {
+			return err
+		}
+		n, err = b.fetchChunkRange(ctx, fresh.Chunk, r.off, r.length, r.dst)
 		if err != nil {
-			// Every replica in the descriptor failed. The one way that
-			// happens with data still intact is a stale descriptor: the
-			// repair engine re-homed the chunk (dead provider, rebalance
-			// migration) and patched the leaf, but this client's cache —
-			// immutable-node caching never invalidates — still serves the
-			// pre-patch replica list. Refresh the leaf from the ring and
-			// retry once with the patched provider order.
-			fresh, refErr := b.c.meta.RefreshNode(ctx, leafKeys[i])
-			if refErr != nil || !fresh.Leaf || fresh.Chunk.IsZero() ||
-				slices.Equal(fresh.Chunk.Providers, ref.Providers) {
-				return err
-			}
-			n, err = b.fetchChunkRange(ctx, fresh.Chunk, inLo, validHi-inLo, dst)
-			if err != nil {
-				return err
-			}
+			return err
 		}
-		clear(dst[n:])
-		return nil
-	})
+	}
+	clear(r.dst[n:])
+	return nil
 }
 
 // fetchChunkRange reads bytes [off, off+length) of one chunk into dst,
 // returning how many it wrote, trying replicas healthiest-first (the
 // client-side QoS feedback of §IV-E: a degraded provider stops being the
 // first choice after a few slow operations) and failing over on error. A
-// full-chunk read is requested as the whole chunk (zero range) so
-// providers keep serving it from — and admitting it into — their RAM
-// cache.
+// full-chunk read is requested as the whole chunk (zero range), so the
+// received bytes are checked against the chunk's digest end to end.
 func (b *Blob) fetchChunkRange(ctx context.Context, ref meta.ChunkRef, off, length uint64, dst []byte) (int, error) {
 	if off == 0 && length >= uint64(ref.Length) {
 		off, length = 0, 0 // whole chunk

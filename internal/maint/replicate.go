@@ -109,22 +109,27 @@ func batches(byAddr map[string][]*copyJob, size func(*copyJob) uint64, visit fun
 	}
 }
 
-// fetch drains each job's bytes from its source with batched getchunks.
-// A job whose source lost the chunk, failed verification, or failed the
-// whole batch keeps nil data.
+// fetch drains each job's bytes from its source with batched getchunks,
+// each into a buffer of its own sized from its placement. A job whose
+// source lost the chunk, failed verification, or failed the whole batch
+// keeps nil data.
 func (p *pass) fetch(bySrc map[string][]*copyJob, errs *firstError) {
 	batches(bySrc, func(j *copyJob) uint64 { return j.place.length }, func(addr string, part []*copyJob) {
 		keys := make([]chunk.Key, len(part))
+		dst := make([][]byte, len(part))
 		for i, j := range part {
 			keys[i] = j.place.key
+			dst[i] = make([]byte, j.place.length)
 		}
-		data, digs, err := provider.GetChunks(p.ctx, p.e.cfg.RPC, addr, keys)
+		got, err := provider.GetChunksInto(p.ctx, p.e.cfg.RPC, addr, keys, dst)
 		if err != nil {
 			errs.keep(fmt.Errorf("maint: getchunks at %s: %w", addr, err))
 			return
 		}
 		for i, j := range part {
-			j.data, j.digest = data[i], digs[i]
+			if got[i].Err == nil {
+				j.data, j.digest = dst[i][:got[i].N], got[i].Digest
+			}
 		}
 	})
 }

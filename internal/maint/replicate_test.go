@@ -3,6 +3,8 @@ package maint_test
 import (
 	"bytes"
 	"context"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,7 +172,7 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 	}
 
 	// A fresh client reads the whole blob without ever probing the dead
-	// provider: one get RPC per chunk, no failover.
+	// provider: one getchunks per replica set, no failover.
 	freshCli, err := c.NewClient(cluster.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +188,12 @@ func TestRepairRestoresReplicationAfterProviderDeath(t *testing.T) {
 	if !bytes.Equal(out, content) {
 		t.Fatal("post-repair read returned wrong bytes")
 	}
-	if got := freshCli.IOStats().ChunkGetRPCs; got != chunks {
-		t.Errorf("fresh reader used %d get RPCs for %d chunks; patched metadata should never probe the dead replica", got, chunks)
+	sets := make([][]string, len(refs))
+	for i, ref := range refs {
+		sets[i] = ref.Providers
+	}
+	if got, want := freshCli.IOStats().ChunkGetRPCs, replicaSets(sets); got != want {
+		t.Errorf("fresh reader used %d chunk RPCs for %d chunks in %d replica sets; patched metadata should never probe the dead replica", got, chunks, want)
 	}
 
 	// The warm client's stale cache still lists the dead provider first;
@@ -482,8 +488,16 @@ func TestRepairHealsAllRetainedVersions(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("v%d content wrong after repair", v)
 		}
-		if gets := freshCli.IOStats().ChunkGetRPCs; gets != int64(len(want))/chunkSize {
-			t.Errorf("v%d: %d get RPCs for %d chunks (dead replica still probed?)", v, gets, len(want)/chunkSize)
+		locs, err := b.Locations(v, 0, uint64(len(want)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := make([][]string, len(locs))
+		for i, l := range locs {
+			sets[i] = l.Providers
+		}
+		if gets, batches := freshCli.IOStats().ChunkGetRPCs, replicaSets(sets); gets != batches {
+			t.Errorf("v%d: %d chunk RPCs for %d chunks in %d replica sets (dead replica still probed?)", v, gets, len(want)/chunkSize, batches)
 		}
 	}
 }
@@ -585,4 +599,15 @@ func TestRepairStatsAggregateAtVManager(t *testing.T) {
 	if st[vmanager.RepairPasses] != 1 || st[vmanager.RepairReReplicated] != agg[vmanager.RepairReReplicated] {
 		t.Errorf("pass delta %s disagrees with vmanager aggregate %s", maint.Replicate.Summary(&st, ""), maint.Replicate.Summary(agg, ""))
 	}
+}
+
+// replicaSets counts the distinct replica sets among a read's chunks, in
+// any order: a read of whole chunks under its batch byte cap issues one
+// getchunks per set when no replica fails.
+func replicaSets(lists [][]string) int64 {
+	seen := map[string]bool{}
+	for _, l := range lists {
+		seen[strings.Join(slices.Sorted(slices.Values(l)), ",")] = true
+	}
+	return int64(len(seen))
 }

@@ -300,7 +300,7 @@ func RegisterCoreClient(reg *metrics.Registry, instance string, cli *core.Client
 	ms := cli.MetaRPCStats
 	reg.MustRegister(
 		metrics.CounterFunc("blobseer_client_chunk_get_rpcs_total",
-			"provider.get calls issued (including failed replicas).", l, func() float64 { return float64(io().ChunkGetRPCs) }),
+			"Chunk read RPCs (get and getchunks), including failed replicas.", l, func() float64 { return float64(io().ChunkGetRPCs) }),
 		metrics.CounterFunc("blobseer_client_chunk_put_ops_total",
 			"Per-chunk-per-replica store operations issued.", l, func() float64 { return float64(io().ChunkPutOps) }),
 		metrics.CounterFunc("blobseer_client_chunk_put_rpcs_total",

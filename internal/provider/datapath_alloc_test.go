@@ -36,7 +36,8 @@ func allocated(f func()) uint64 {
 // little more than the client's receive buffer, and a putchunks little
 // more than the provider's (its 2 MiB frame is past the pool's largest
 // class). A read into the caller's buffer lands the payload there, so it
-// allocates almost nothing per chunk.
+// allocates almost nothing per chunk, and so does a batched read whose
+// payloads each land in their own buffer.
 func TestDataPathAllocationBudget(t *testing.T) {
 	const chunkSize = 64 << 10
 	store, err := chunk.NewDiskStore(t.TempDir(), false)
@@ -101,6 +102,48 @@ func TestDataPathAllocationBudget(t *testing.T) {
 		t.Logf("read-into: %.3fx the payload allocated", ratio)
 		if ratio > 0.1 {
 			t.Fatalf("a %d x 64 KiB read into one buffer allocated %.3fx its payload, budget 0.1x", reads, ratio)
+		}
+	})
+
+	t.Run("batched read-into 16x16x64KiB", func(t *testing.T) {
+		keys := make([]chunk.Key, 16)
+		dst := make([][]byte, len(keys))
+		for i := range keys {
+			keys[i] = chunk.Key{Blob: 3, Version: 1, Index: uint64(i)}
+			dst[i] = make([]byte, chunkSize)
+			if err := putOne(cli, addr, keys[i], pattern(3+i, chunkSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		readInto := func() error {
+			got, err := provider.GetChunksInto(context.Background(), cli, addr, keys, dst)
+			for i := 0; err == nil && i < len(got); i++ {
+				err = got[i].Err
+			}
+			return err
+		}
+		if err := readInto(); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		const batches = 16
+		var err error
+		n := allocated(func() {
+			for i := 0; i < batches && err == nil; i++ {
+				err = readInto()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range dst {
+			if !bytes.Equal(dst[i], pattern(3+i, chunkSize)) {
+				t.Fatalf("batched read-into left bytes that are not chunk %d's in its buffer", i)
+			}
+		}
+		ratio := float64(n) / float64(batches*len(keys)*chunkSize)
+		t.Logf("batched read-into: %.3fx the payload allocated", ratio)
+		if ratio > 0.1 {
+			t.Fatalf("%d getchunks of 16 x 64 KiB into the caller's buffers allocated %.3fx their payload, budget 0.1x", batches, ratio)
 		}
 	})
 

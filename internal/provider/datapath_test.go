@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/provider"
 	"repro/internal/rpc"
 	"repro/internal/wire"
@@ -454,14 +456,76 @@ func TestTransitCorruptionLandsInPlace(t *testing.T) {
 	}
 }
 
-// TestGetRespLandingOffset pins GetResp.Landing's offset to its field
-// list: the u32 there is Data's length prefix.
-func TestGetRespLandingOffset(t *testing.T) {
-	r := &provider.GetResp{Found: true, Data: pattern(1, 300), Digest: chunk.DigestOf([]byte("d"))}
-	_, at := r.Landing()
-	body := wire.Marshal(r)
-	if n := binary.LittleEndian.Uint32(body[at:]); n != 300 || !bytes.Equal(body[at+4:at+4+300], r.Data) {
-		t.Fatalf("offset %d holds length %d, not Data's", at, n)
+// detour is a network that dials one address's traffic to another.
+type detour struct {
+	rpc.Network
+	from, to string
+}
+
+func (d detour) Dial(addr string) (rpc.Conn, error) {
+	if addr == d.from {
+		addr = d.to
+	}
+	return d.Network.Dial(addr)
+}
+
+// TestBatchedReadRejectsTransitCorruption: a client read whose batched
+// reply is corrupted on the wire (the flip proxy sits in front of the
+// first chunk's first replica) gets it in the read's buffer, where
+// the chunk fails its end-to-end digest check; the replica behind the
+// proxy is asked to verify its copy, and the good replica's bytes end up
+// in the same buffer.
+func TestBatchedReadRejectsTransitCorruption(t *testing.T) {
+	c, err := cluster.Start(cluster.Config{UseTCP: true, DataProviders: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writer, err := c.NewClient(cluster.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := writer.CreateBlob(64<<10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern(7, 8*64<<10)
+	v, err := blob.Write(data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := blob.Locations(v, 0, uint64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := locs[0].Providers[0]
+	proxy := startFlipProxy(t, bad)
+	cli, err := core.NewClient(core.Config{
+		Network:       detour{Network: rpc.NewTCPNetwork(), from: bad, to: proxy.l.Addr().String()},
+		VMAddr:        c.VMAddr(),
+		PMAddr:        c.PMAddr(),
+		MetaProviders: c.MetaAddrs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	b, err := cli.OpenBlob(blob.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, len(data))
+	if _, err := b.Read(v, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, data) {
+		t.Fatal("the read's buffer does not hold the blob's bytes")
+	}
+	if !proxy.sawMethod(provider.MethodGetChunks) || !proxy.sawMethod(provider.MethodVerify) {
+		t.Fatal("the corrupting proxy saw no getchunks, or no verify")
+	}
+	if cli.IOStats().ChunkCorruptReads == 0 {
+		t.Fatal("no replica read was counted corrupt")
 	}
 }
 
@@ -503,6 +567,40 @@ func BenchmarkGetChunkInto64K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := provider.GetChunkInto(context.Background(), cli, addr, key, 0, 0, dst); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGetChunksInto16x64K reads 16 x 64 KiB chunks per op with one
+// getchunks into the caller's buffers (GetChunksInto, the client read
+// path for whole chunks), against BenchmarkGetChunkInto64K's disk store.
+func BenchmarkGetChunksInto16x64K(b *testing.B) {
+	store, err := chunk.NewDiskStore(b.TempDir(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, cli := startTCPProvider(b, store, provider.Options{SidecarDir: b.TempDir(), FsyncSidecar: true})
+	keys := make([]chunk.Key, 16)
+	dst := make([][]byte, len(keys))
+	for i := range keys {
+		keys[i] = chunk.Key{Blob: 1, Version: 1, Index: uint64(i)}
+		dst[i] = make([]byte, 64<<10)
+		if err := putOne(cli, addr, keys[i], pattern(i, 64<<10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(16 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := provider.GetChunksInto(context.Background(), cli, addr, keys, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, g := range got {
+			if g.Err != nil {
+				b.Fatal(g.Err)
+			}
 		}
 	}
 }

@@ -126,7 +126,7 @@ type GetResp struct {
 	Digest chunk.Digest
 
 	buf []byte // pooled buffer Data may alias; see Release
-	dst []byte // the caller's buffer for Data; see Landing
+	dst []byte // the caller's buffer for Data; see Lands
 }
 
 // Release returns the pooled buffer behind Data: on the provider the read
@@ -142,10 +142,10 @@ func (r *GetResp) Release() {
 // to return (the rpc client calls it).
 func (r *GetResp) TakeFrame(frame []byte) { r.buf = frame }
 
-// Landing names the caller's buffer for Data, which the rpc client reads
-// the payload straight into when it can (see rpc.Client.CallCtx), and
-// Data's offset in the body: it follows Found.
-func (r *GetResp) Landing() ([]byte, int) { return r.dst, 1 }
+// Lands reports whether the reply names a buffer of the caller's for
+// Data, which the rpc client reads the payload straight into when it can
+// (see rpc.Client.CallCtx).
+func (r *GetResp) Lands() bool { return r.dst != nil }
 
 // Encode, Decode and Wire implement wire.Message: Wire is the field list.
 // A decoded Data aliases the body.
@@ -153,7 +153,7 @@ func (r *GetResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
 func (r *GetResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
 func (r *GetResp) Wire(c *wire.Codec) {
 	c.Bool(&r.Found)
-	c.Bytes(&r.Data)
+	c.Land(&r.Data, r.dst)
 	r.Digest.Wire(c)
 }
 
@@ -161,9 +161,10 @@ func (r *GetResp) Wire(c *wire.Codec) {
 func (r *GetResp) Size(refFrom int) int { return 1 + 4 + wire.Copied(len(r.Data), refFrom) + 5 }
 
 // GetChunksReq fetches a batch of whole chunks in one round trip: the
-// read-plane twin of putchunks, used by the repair engine to drain many
-// chunks off one surviving replica (re-replication, rebalance migration)
-// without paying one RPC per chunk.
+// read-plane twin of putchunks. A client read sends one per replica set
+// and byte budget of the chunks it reads whole, and the repair engine one
+// per surviving replica it drains (re-replication, rebalance migration),
+// instead of one RPC per chunk.
 type GetChunksReq struct {
 	Keys []chunk.Key
 }
@@ -175,34 +176,49 @@ func (r *GetChunksReq) Wire(c *wire.Codec) {
 	wire.Slice(c, &r.Keys, wire.MaxCount, (*chunk.Key).Wire)
 }
 
-// GetChunksResp returns the chunks aligned with the request keys; a nil
-// Data entry with Found false marks a key this provider does not hold
-// (ordinary for repair probing a possibly stale replica list, not an
+// GetChunksResp returns the chunks aligned with the request keys, one
+// record per key: Found, Corrupt, and for a found chunk its
+// length-prefixed Data and Digest. Found false marks a key this provider
+// does not hold (ordinary for a possibly stale replica list, not an
 // error). A Corrupt entry marks a copy that failed verification — the
 // provider quarantined it and serves no bytes; callers must treat the
 // replica as lost, not absent. Digests carry each served chunk's
 // recorded digest so the receiver re-verifies before trusting the bytes
-// (repair's source reads do exactly that).
+// (GetChunksInto does). Over TCP, a client that names a buffer per key
+// gets each Data read from the socket straight into its buffer.
 type GetChunksResp struct {
 	Found   []bool
 	Corrupt []bool
 	Data    [][]byte
 	Digests []chunk.Digest
 
-	bufs [][]byte // pooled read buffers Data may alias; see Release
+	bufs  [][]byte // pooled read buffers Data may alias; see Release
+	frame []byte   // the received frame Data may alias; see Release
+	dst   [][]byte // the caller's buffers, dst[i] for Data[i]; see Lands
 }
 
-// Release returns the pooled read buffers behind Data; the rpc server
-// calls it once the reply is encoded. Data must not be used afterwards.
+// Release returns the pooled buffers behind Data: on the provider the
+// read buffers, which the rpc server releases once the reply is sent; on
+// the client the received frame. Data must not be used afterwards.
 func (r *GetChunksResp) Release() {
 	for _, b := range r.bufs {
 		wire.PutBuf(b)
 	}
 	r.bufs = nil
+	wire.PutBuf(r.frame)
+	r.frame = nil
 }
 
+// TakeFrame hands a decoded reply the frame its Data may alias, for
+// Release to return (the rpc client calls it).
+func (r *GetChunksResp) TakeFrame(frame []byte) { r.frame = frame }
+
+// Lands reports whether the reply names buffers of the caller's for its
+// Data entries (see GetResp.Lands).
+func (r *GetChunksResp) Lands() bool { return r.dst != nil }
+
 // Encode, Decode and Wire implement wire.Message: Wire is the field list.
-// Each decoded Data entry aliases the body.
+// Each decoded Data entry aliases the body or lands in its buffer.
 func (r *GetChunksResp) Encode(e *wire.Encoder) { r.Wire(e.Codec()) }
 func (r *GetChunksResp) Decode(d *wire.Decoder) { r.Wire(d.Codec()) }
 func (r *GetChunksResp) Wire(c *wire.Codec) {
@@ -216,7 +232,11 @@ func (r *GetChunksResp) Wire(c *wire.Codec) {
 		c.Bool(&r.Found[i])
 		c.Bool(&r.Corrupt[i])
 		if r.Found[i] {
-			c.Bytes(&r.Data[i])
+			var dst []byte
+			if i < len(r.dst) {
+				dst = r.dst[i]
+			}
+			c.Land(&r.Data[i], dst)
 			r.Digests[i].Wire(c)
 		}
 	}
@@ -268,7 +288,7 @@ var CounterTable = [NumCounters]metrics.CounterDef{
 	Gets:       {Plane: "provider", Name: "gets", Metric: "gets_total", Help: "Individual chunk retrievals served (across get and getchunks)."},
 	Deletes:    {Plane: "provider", Name: "deletes", Metric: "deletes_total", Help: "Chunk deletions applied."},
 	PutBatches: {Plane: "provider", Name: "put-batches", Metric: "put_batches_total", Help: "putchunks RPCs served (puts/put_batches is the write coalescing factor)."},
-	GetBatches: {Plane: "provider", Name: "get-batches", Metric: "get_batches_total", Help: "getchunks RPCs served (repair source reads)."},
+	GetBatches: {Plane: "provider", Name: "get-batches", Metric: "get_batches_total", Help: "getchunks RPCs served (whole-chunk client reads and repair source reads)."},
 	BytesIn:    {Plane: "provider", Name: "bytes-in", Metric: "bytes_in_total", Help: "Payload bytes accepted by puts."},
 	BytesOut:   {Plane: "provider", Name: "bytes-out", Metric: "bytes_out_total", Help: "Payload bytes served by gets (ranged reads move only what they need)."},
 
@@ -1006,41 +1026,60 @@ func getChunk(ctx context.Context, cli *rpc.Client, addr string, key chunk.Key, 
 	return resp, nil
 }
 
-// GetChunks fetches a batch of whole chunks from one provider in one RPC
-// (the repair engine's source-read path). The results are aligned with
-// keys; a nil entry means the provider does not hold that chunk — or
-// holds a copy that failed verification, on either side of the wire:
-// entries the provider flagged corrupt, and entries whose received bytes
-// fail the digest here, come back nil so the caller falls over to
-// another survivor instead of propagating rot. Digests for verified
-// entries are aligned with the data (forwarded by repair puts). A
-// non-nil error means the RPC itself failed and nothing can be assumed.
-func GetChunks(ctx context.Context, cli *rpc.Client, addr string, keys []chunk.Key) ([][]byte, []chunk.Digest, error) {
-	var resp GetChunksResp
-	if err := cli.CallCtx(ctx, addr, MethodGetChunks, &GetChunksReq{Keys: keys}, &resp); err != nil {
-		return nil, nil, err
+// Got is one chunk's outcome in a batched read (GetChunksInto): N bytes
+// of it read into its buffer, with its recorded Digest, or Err.
+type Got struct {
+	N      int
+	Digest chunk.Digest
+	Err    error
+}
+
+// GetChunksInto fetches a batch of whole chunks from one provider in one
+// RPC, chunk keys[i] into dst[i], and reports each one's outcome, aligned
+// with keys. Over TCP each chunk that fits its buffer is read from the
+// socket straight into it; otherwise its bytes are copied in (as many as
+// fit) from the reply's frame. Every chunk's bytes are checked against
+// its digest end to end, like GetChunkInto's: a mismatch asks the
+// provider to verify its copy and fails that chunk with ErrChunkCorrupt,
+// as does a copy the provider flagged corrupt; a chunk it does not hold
+// fails with chunk.ErrNotFound. A non-nil error means the RPC itself
+// failed and nothing can be assumed. The buffers are the caller's again
+// once GetChunksInto returns: nothing writes them afterwards, and a
+// failed chunk's buffer may hold any bytes.
+func GetChunksInto(ctx context.Context, cli *rpc.Client, addr string, keys []chunk.Key, dst [][]byte) ([]Got, error) {
+	resp := GetChunksResp{dst: dst}
+	err := cli.CallCtx(ctx, addr, MethodGetChunks, &GetChunksReq{Keys: keys}, &resp)
+	defer resp.Release()
+	if err != nil {
+		return nil, err
 	}
 	if len(resp.Found) != len(keys) || len(resp.Data) != len(keys) ||
 		len(resp.Corrupt) != len(keys) || len(resp.Digests) != len(keys) {
-		return nil, nil, fmt.Errorf("provider: getchunks at %s returned %d outcomes for %d keys",
+		return nil, fmt.Errorf("provider: getchunks at %s returned %d outcomes for %d keys",
 			addr, len(resp.Found), len(keys))
 	}
-	out := make([][]byte, len(keys))
-	digs := make([]chunk.Digest, len(keys))
-	for i, ok := range resp.Found {
-		if !ok {
-			continue
+	out := make([]Got, len(keys))
+	for i, k := range keys {
+		data := resp.Data[i]
+		switch {
+		case resp.Corrupt[i]:
+			out[i].Err = fmt.Errorf("%w: %s at %s is quarantined", ErrChunkCorrupt, k, addr)
+		case !resp.Found[i]:
+			out[i].Err = fmt.Errorf("%w: %s at %s", chunk.ErrNotFound, k, addr)
+		case !resp.Digests[i].Verify(data):
+			// Best effort, as in getChunk: the provider's recheck decides
+			// whether its copy is bad; only our copy of the bytes is.
+			_, _ = VerifyChunk(ctx, cli, addr, k)
+			out[i].Err = fmt.Errorf("%w: %s from %s failed end-to-end digest check", ErrChunkCorrupt, k, addr)
+		default:
+			n := len(data)
+			if n > 0 && (len(dst[i]) == 0 || &data[0] != &dst[i][0]) { // not landed
+				n = copy(dst[i], data)
+			}
+			out[i] = Got{N: n, Digest: resp.Digests[i]}
 		}
-		if !resp.Digests[i].Verify(resp.Data[i]) {
-			// Corrupted in transit (or rot the provider's check missed);
-			// ask it to recheck, and do not use these bytes.
-			_, _ = VerifyChunk(ctx, cli, addr, keys[i])
-			continue
-		}
-		out[i] = resp.Data[i]
-		digs[i] = resp.Digests[i]
 	}
-	return out, digs, nil
+	return out, nil
 }
 
 // Stats queries a provider's counters.

@@ -2,6 +2,7 @@ package provider_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -135,7 +136,8 @@ func TestSidecarDeleteDropsAgeEntries(t *testing.T) {
 	}
 }
 
-// The batched getchunks RPC: aligned results, absent keys as nil, bytes
+// The batched getchunks RPC: aligned outcomes, each chunk in its own
+// buffer with its digest, an absent key as chunk.ErrNotFound, one batch
 // accounted.
 func TestGetChunksBatch(t *testing.T) {
 	_, _, cli := startProvider(t, chunk.NewMemStore())
@@ -148,15 +150,19 @@ func TestGetChunksBatch(t *testing.T) {
 	if err := putOne(cli, "dp", k2, []byte("bbb")); err != nil {
 		t.Fatal(err)
 	}
-	data, digs, err := provider.GetChunks(context.Background(), cli, "dp", []chunk.Key{k1, missing, k2})
+	dst := [][]byte{make([]byte, 4), make([]byte, 4), make([]byte, 4)}
+	got, err := provider.GetChunksInto(context.Background(), cli, "dp", []chunk.Key{k1, missing, k2}, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data[0]) != "aa" || data[1] != nil || string(data[2]) != "bbb" {
-		t.Fatalf("getchunks = %q", data)
+	if got[0].Err != nil || got[2].Err != nil || !errors.Is(got[1].Err, chunk.ErrNotFound) {
+		t.Fatalf("getchunks outcomes = %+v", got)
 	}
-	if !digs[0].Verify(data[0]) || !digs[2].Verify(data[2]) || !digs[1].IsZero() {
-		t.Fatalf("getchunks digests = %+v", digs)
+	if string(dst[0][:got[0].N]) != "aa" || string(dst[2][:got[2].N]) != "bbb" {
+		t.Fatalf("getchunks read %q and %q", dst[0][:got[0].N], dst[2][:got[2].N])
+	}
+	if !got[0].Digest.Verify([]byte("aa")) || !got[2].Digest.Verify([]byte("bbb")) || !got[1].Digest.IsZero() {
+		t.Fatalf("getchunks digests = %+v", got)
 	}
 	st, err := provider.Stats(context.Background(), cli, "dp")
 	if err != nil {

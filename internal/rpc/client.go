@@ -73,13 +73,15 @@ type pendingCall struct {
 	// errRedirectSentinel (resp then holds the remote error text).
 	target string
 
-	// dst, when set, is the caller's buffer for the reply's payload
-	// field, whose length prefix sits at offset at of the body (see
-	// lander). landed reports that the payload was read into dst: resp
-	// then holds the body without the payload's bytes.
-	dst    []byte
-	at     int
-	landed bool
+	// land, when set, is the reply of a call whose payload fields may
+	// land in its caller's buffers (see lander); decoded reports that the
+	// read loop decoded it as it read the body off the socket, with
+	// decodeErr the outcome and got the body's length. frame then holds
+	// the reply's bytes that did not land, and resp nothing.
+	land      wire.Message
+	decoded   bool
+	decodeErr error
+	got       int
 }
 
 type clientConn struct {
@@ -92,7 +94,12 @@ type clientConn struct {
 	dead    bool
 	deadErr error
 
-	head [replyHead + maxLandAt + 4]byte // recvLanding's, read loop only
+	// recvLanding's, read loop only: the reply head, and readBody, which
+	// reads the next bytes of the current frame from fc, keeping the
+	// first failure in readErr.
+	head     [replyHead]byte
+	readBody func([]byte) error
+	readErr  error
 }
 
 // Call is CallCtx with a background context (an untraced call).
@@ -113,13 +120,14 @@ func (c *Client) Call(addr, method string, req wire.Message, resp wire.Message) 
 // holds that resp returns the frame to the pool through it once done
 // with its fields; any other frame is left to the garbage collector.
 //
-// A resp that names a landing buffer (a Landing method returning a
-// non-nil dst) may get its payload field read from the TCP socket
-// straight into dst, when the reply's status is OK and the payload fits;
-// the field then aliases dst, and the frame holds only the rest of the
-// body. Otherwise — SimNetwork, an error reply, a payload longer than
-// dst — the field aliases the frame as usual. Either way dst is written
-// only while the call runs: once CallCtx returns, nothing writes it.
+// A resp that names landing buffers (see lander) is decoded over TCP as
+// its status-OK reply is read off the socket: each payload field coded
+// with wire.Codec.Land that fits its buffer is read straight into it and
+// aliases it, and the frame holds only the rest of the body. Otherwise —
+// SimNetwork, an error reply, a payload longer than its buffer — the
+// field aliases the frame as usual. Either way the buffers, and resp,
+// are written only while the call runs: once CallCtx returns, on a
+// timeout too, nothing writes them.
 func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Message, resp wire.Message) error {
 	obs := c.getObserver()
 	var act *trace.Active
@@ -131,11 +139,8 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 		start = time.Now()
 	}
 	call := &pendingCall{done: make(chan struct{})}
-	if l, ok := resp.(lander); ok {
-		call.dst, call.at = l.Landing()
-		if call.at < 0 || call.at > maxLandAt {
-			call.dst = nil
-		}
+	if l, ok := resp.(lander); ok && l.Lands() {
+		call.land = resp
 	}
 	sent, err := c.callAttempts(addr, method, req, call, act.Context(), obs)
 	if obs != nil {
@@ -144,10 +149,7 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 	if act != nil {
 		got := 0
 		if err == nil {
-			got = len(call.resp)
-			if call.landed {
-				got += len(call.dst)
-			}
+			got = len(call.resp) + call.got
 		}
 		act.SetBytes(int64(sent + got))
 		act.Finish(err)
@@ -155,8 +157,8 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 	if err != nil || resp == nil {
 		return err
 	}
-	if call.landed {
-		err = wire.UnmarshalLanded(call.resp, call.at, call.dst, resp)
+	if call.decoded {
+		err = call.decodeErr
 	} else {
 		err = wire.Unmarshal(call.resp, resp)
 	}
@@ -170,15 +172,10 @@ func (c *Client) CallCtx(ctx context.Context, addr, method string, req wire.Mess
 // pool (wire.PutBuf) once their holder is done with them.
 type frameTaker interface{ TakeFrame(frame []byte) }
 
-// lander is implemented by replies whose payload field may be read
-// straight into a buffer their caller owns: Landing returns that buffer
-// (nil for none) and the offset of the field's length prefix in the
-// reply body.
-type lander interface{ Landing() (dst []byte, at int) }
-
-// maxLandAt bounds a landing field's offset, so the body before it fits
-// the read loop's fixed head buffer.
-const maxLandAt = 64
+// lander is implemented by replies whose payload fields may be read
+// straight into buffers their caller owns (the fields their field list
+// codes with wire.Codec.Land): Lands reports whether this one names any.
+type lander interface{ Lands() bool }
 
 // maxRedials bounds how many fresh dials one call may burn through when
 // the cached connection keeps dying before anything is sent.
@@ -299,7 +296,7 @@ func (cc *clientConn) roundTrip(method string, req wire.Message, call *pendingCa
 		return 0, fmt.Errorf("%w: %v", errConnDead, err)
 	}
 	id := cc.nextID.Add(1)
-	lands := call.dst != nil // read before the read loop may claim call
+	lands := call.land != nil // read before the read loop may claim call
 	cc.pending[id] = call
 	cc.mu.Unlock()
 
@@ -335,8 +332,8 @@ func (cc *clientConn) roundTrip(method string, req wire.Message, call *pendingCa
 		case <-call.done:
 		default:
 			// The read loop has claimed the reply and is reading its
-			// payload into the caller's buffer, which must be let go of
-			// before the caller gets it back: cut that read short.
+			// payloads into the caller's buffers, which must be let go
+			// of before the caller gets them back: cut that read short.
 			cc.conn.Close()
 			<-call.done
 			return sent, fmt.Errorf("%w: %s at %s after %v", ErrTimeout, method, cc.addr, timeout)
@@ -363,6 +360,13 @@ var errRedirectSentinel = errors.New("rpc: redirect sentinel")
 
 func (cc *clientConn) readLoop() {
 	fc, _ := cc.conn.(frameConn)
+	cc.readBody = func(p []byte) error {
+		if err := fc.readFrame(p); err != nil {
+			cc.readErr = err
+			return err
+		}
+		return nil
+	}
 	for {
 		var msg []byte
 		var err error
@@ -376,7 +380,7 @@ func (cc *clientConn) readLoop() {
 			return
 		}
 		if msg != nil {
-			cc.deliver(msg, nil)
+			cc.deliver(msg)
 		}
 	}
 }
@@ -393,11 +397,11 @@ type frameConn interface {
 // a status-OK reply, the body's length prefix.
 const replyHead = 1 + 8 + 1 + 4
 
-// recvLanding reads the next frame off fc. The reply to a call that
-// named a landing buffer, with status OK and a payload that fits, has
-// its payload read straight from the socket into that buffer and the
-// call completed here: it returns a nil frame. Any other frame comes
-// back whole, for deliver.
+// recvLanding reads the next frame off fc. A status-OK reply to a call
+// that names landing buffers is decoded into the call's reply as it is
+// read, its payloads read straight from the socket into those buffers,
+// and the call completed here: it returns a nil frame. Any other frame
+// comes back whole, for deliver.
 func (cc *clientConn) recvLanding(fc frameConn) ([]byte, error) {
 	n, err := fc.nextFrame()
 	if err != nil {
@@ -412,7 +416,7 @@ func (cc *clientConn) recvLanding(fc frameConn) ([]byte, error) {
 		int(binary.LittleEndian.Uint32(h[10:])) == n-replyHead {
 		id := binary.LittleEndian.Uint64(h[1:])
 		cc.mu.Lock()
-		if c := cc.pending[id]; c != nil && c.dst != nil && c.at+4 <= n-replyHead {
+		if c := cc.pending[id]; c != nil && c.land != nil {
 			// Claimed: from here on this loop completes the call, also
 			// when a read fails.
 			call = c
@@ -423,33 +427,12 @@ func (cc *clientConn) recvLanding(fc frameConn) ([]byte, error) {
 	if call == nil {
 		return readRest(fc, n, h)
 	}
-	body := n - replyHead
-	h = cc.head[:replyHead+call.at+4]
-	if err := fc.readFrame(h[replyHead:]); err != nil {
-		call.fail(err)
-		return nil, err
+	rest, err := wire.UnmarshalFrom(cc.readBody, n-replyHead, call.land)
+	if cc.readErr != nil {
+		call.fail(cc.readErr)
+		return nil, cc.readErr
 	}
-	p := int(binary.LittleEndian.Uint32(h[replyHead+call.at:]))
-	if p > len(call.dst) || call.at+4+p > body {
-		msg, err := readRest(fc, n, h)
-		if err != nil {
-			call.fail(err)
-			return nil, err
-		}
-		cc.deliver(msg, call)
-		return nil, nil
-	}
-	rest := wire.GetBuf(body - p)
-	copy(rest, h[replyHead:])
-	if err := fc.readFrame(call.dst[:p]); err != nil {
-		call.fail(err)
-		return nil, err
-	}
-	if err := fc.readFrame(rest[call.at+4:]); err != nil {
-		call.fail(err)
-		return nil, err
-	}
-	call.resp, call.frame, call.dst, call.landed = rest, rest, call.dst[:p], true
+	call.frame, call.decoded, call.decodeErr, call.got = rest, true, err, n-replyHead
 	close(call.done)
 	return nil, nil
 }
@@ -466,10 +449,9 @@ func readRest(fc frameConn, n int, head []byte) ([]byte, error) {
 	return msg, nil
 }
 
-// deliver completes the call a reply frame answers: the one named, or
-// else the pending call its id names, if any is still waiting. A
-// malformed frame is dropped, or fails the named call.
-func (cc *clientConn) deliver(msg []byte, call *pendingCall) {
+// deliver completes the pending call a reply frame's id names, if any is
+// still waiting. A malformed frame is dropped.
+func (cc *clientConn) deliver(msg []byte) {
 	dec := wire.NewDecoder(msg)
 	kind := dec.U8()
 	id := dec.U64()
@@ -480,19 +462,14 @@ func (cc *clientConn) deliver(msg []byte, call *pendingCall) {
 	}
 	body := dec.Bytes()
 	if dec.Err() != nil || kind != kindResponse {
-		if call != nil {
-			call.fail(fmt.Errorf("rpc: malformed reply frame from %s", cc.addr))
-		}
 		return
 	}
+	cc.mu.Lock()
+	call := cc.pending[id]
+	delete(cc.pending, id)
+	cc.mu.Unlock()
 	if call == nil {
-		cc.mu.Lock()
-		call = cc.pending[id]
-		delete(cc.pending, id)
-		cc.mu.Unlock()
-		if call == nil {
-			return // timed out already
-		}
+		return // timed out already
 	}
 	// body aliases msg, a buffer Recv hands over for good: the caller
 	// takes both without a copy.

@@ -470,10 +470,36 @@ func (m *landMsg) Encode(e *wire.Encoder) { m.wire(e.Codec()) }
 func (m *landMsg) Decode(d *wire.Decoder) { m.wire(d.Codec()) }
 func (m *landMsg) wire(c *wire.Codec) {
 	c.U8(&m.Tag)
-	c.Bytes(&m.Data)
+	c.Land(&m.Data, m.dst)
 	c.U64(&m.Tail)
 }
-func (m *landMsg) Landing() ([]byte, int) { return m.dst, 1 }
+func (m *landMsg) Lands() bool { return m.dst != nil }
+
+// batchMsg is a reply of several payload fields, each after a one-byte
+// tag, payload i landing in dst[i]: the shape of a batched chunk read.
+type batchMsg struct {
+	Data [][]byte
+
+	dst [][]byte
+}
+
+func (m *batchMsg) Encode(e *wire.Encoder) { m.wire(e.Codec()) }
+func (m *batchMsg) Decode(d *wire.Decoder) { m.wire(d.Codec()) }
+func (m *batchMsg) wire(c *wire.Codec) {
+	n := len(m.Data)
+	c.Count(&n, wire.MaxCount)
+	wire.Make(c, &m.Data, n)
+	for i := range n {
+		tag := uint8(7)
+		c.U8(&tag)
+		var dst []byte
+		if i < len(m.dst) {
+			dst = m.dst[i]
+		}
+		c.Land(&m.Data[i], dst)
+	}
+}
+func (m *batchMsg) Lands() bool { return m.dst != nil }
 
 // TestReplyLandsInCallerBuffer: over TCP a reply's payload that fits the
 // caller's buffer is read straight into it (the decoded field aliases
@@ -497,6 +523,9 @@ func TestReplyLandsInCallerBuffer(t *testing.T) {
 					return nil, errors.New("no such payload")
 				}
 				return &landMsg{Tag: 7, Data: payload(int(req.N)), Tail: req.N}, nil
+			})
+			HandleMsg(srv, "batch", func() *echoMsg { return &echoMsg{} }, func(*echoMsg) (*batchMsg, error) {
+				return &batchMsg{Data: [][]byte{payload(64 << 10), payload(64<<10 + 1), payload(4 << 10)}}, nil
 			})
 			if err := srv.Start(); err != nil {
 				t.Fatal(err)
@@ -522,6 +551,23 @@ func TestReplyLandsInCallerBuffer(t *testing.T) {
 			var re *RemoteError
 			if !errors.As(err, &re) || !strings.Contains(re.Msg, "no such payload") {
 				t.Fatalf("error reply to a landing call: %v", err)
+			}
+
+			// A batch: every payload that fits lands in its own buffer.
+			sizes := []int{64 << 10, 64<<10 + 1, 4 << 10}
+			dsts := [][]byte{make([]byte, 64<<10), make([]byte, 64<<10), make([]byte, 64<<10)}
+			batch := batchMsg{dst: dsts}
+			if err := cli.Call(srv.Addr(), "batch", &echoMsg{}, &batch); err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range sizes {
+				if !bytes.Equal(batch.Data[i], payload(n)) {
+					t.Fatalf("batch payload %d (%d bytes) not intact", i, n)
+				}
+				landed := &batch.Data[i][0] == &dsts[i][0]
+				if want := tc.lands && n <= len(dsts[i]); landed != want {
+					t.Fatalf("batch payload %d, %d bytes into %d: landed %v, want %v", i, n, len(dsts[i]), landed, want)
+				}
 			}
 		})
 	}
@@ -557,55 +603,131 @@ func TestLandingBufferUntouchedAfterTimeout(t *testing.T) {
 }
 
 // TestLandingCallTimesOutMidPayload: a reply whose payload stalls
-// halfway into the caller's buffer does not outlive the call's timeout:
-// the call cuts the connection, returns ErrTimeout, and nothing writes
-// the buffer after that (the rest of the payload never arrives).
+// halfway into the caller's buffer — a lone payload, or the second of a
+// batch whose first landed whole — does not outlive the call's timeout:
+// the call cuts the connection and returns ErrTimeout, and nothing
+// writes any of its buffers after that, though the rest of the reply is
+// sent once the call has returned.
 func TestLandingCallTimesOutMidPayload(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
 	const n = 64 << 10
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		var hdr [4]byte
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			return
-		}
-		req := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(c, req); err != nil {
-			return
-		}
-		// A landMsg reply: tag, payload length, then half the payload.
-		body := 1 + 4 + n + 8
-		msg := binary.BigEndian.AppendUint32(nil, uint32(replyHead+body))
-		msg = append(msg, kindResponse)
-		msg = append(msg, req[1:9]...) // the call id
-		msg = append(msg, statusOK)
-		msg = binary.LittleEndian.AppendUint32(msg, uint32(body))
-		msg = append(msg, 7)
-		msg = binary.LittleEndian.AppendUint32(msg, n)
-		msg = append(msg, payload(n/2)...)
-		c.Write(msg)
-		io.Copy(io.Discard, c) // stall until the client gives up
-	}()
-	cli := NewClient(NewTCPNetwork(), 100*time.Millisecond)
+	for _, tc := range []struct {
+		name     string
+		payloads int
+	}{{"one", 1}, {"batch", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			returned := make(chan struct{})
+			go func() {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				var hdr [4]byte
+				if _, err := io.ReadFull(c, hdr[:]); err != nil {
+					return
+				}
+				req := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+				if _, err := io.ReadFull(c, req); err != nil {
+					return
+				}
+				// A landMsg (tag, payload, tail) or a batchMsg (count,
+				// then tag and payload each); all but the last half
+				// payload goes out before the call gives up.
+				var body []byte
+				if tc.payloads == 1 {
+					body = append(body, 7)
+					body = binary.LittleEndian.AppendUint32(body, n)
+					body = append(body, payload(n)...)
+					body = binary.LittleEndian.AppendUint64(body, 1)
+				} else {
+					body = binary.LittleEndian.AppendUint32(body, uint32(tc.payloads))
+					for range tc.payloads {
+						body = append(body, 7)
+						body = binary.LittleEndian.AppendUint32(body, n)
+						body = append(body, payload(n)...)
+					}
+				}
+				msg := binary.BigEndian.AppendUint32(nil, uint32(replyHead+len(body)))
+				msg = append(msg, kindResponse)
+				msg = append(msg, req[1:9]...) // the call id
+				msg = append(msg, statusOK)
+				msg = binary.LittleEndian.AppendUint32(msg, uint32(len(body)))
+				msg = append(msg, body...)
+				cut := len(msg) - n/2 - 8*(2-tc.payloads)
+				c.Write(msg[:cut])
+				<-returned
+				c.Write(msg[cut:])
+				io.Copy(io.Discard, c)
+			}()
+			cli := NewClient(NewTCPNetwork(), 100*time.Millisecond)
+			defer cli.Close()
+			dsts := make([][]byte, tc.payloads)
+			for i := range dsts {
+				dsts[i] = bytes.Repeat([]byte{0xFF}, n)
+			}
+			var resp wire.Message = &batchMsg{dst: dsts}
+			if tc.payloads == 1 {
+				resp = &landMsg{dst: dsts[0]}
+			}
+			done := make(chan error, 1)
+			go func() { done <- cli.Call(l.Addr().String(), "get", &echoMsg{}, resp) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrTimeout) {
+					t.Fatalf("err = %v, want a timeout", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a call whose payload stalled mid-read outlived its timeout")
+			}
+			var seen [][]byte
+			for _, d := range dsts {
+				seen = append(seen, bytes.Clone(d))
+			}
+			close(returned)
+			time.Sleep(100 * time.Millisecond) // let the rest of the reply arrive, were anyone reading it
+			for i, d := range dsts {
+				if !bytes.Equal(d, seen[i]) {
+					t.Fatalf("buffer %d was written after the call returned", i)
+				}
+			}
+			if last := dsts[len(dsts)-1]; !bytes.Equal(last[n/2:], bytes.Repeat([]byte{0xFF}, n/2)) {
+				t.Fatal("the payload that stalled halfway filled its buffer")
+			}
+		})
+	}
+}
+
+// BenchmarkTCPCall64K is one call per op over TCP loopback whose reply
+// carries a 64 KiB payload from a fixed buffer, landed in the caller's
+// buffer: a chunk read's rpc and transfer cost, with no chunk store and
+// no digest.
+func BenchmarkTCPCall64K(b *testing.B) {
+	network := NewTCPNetwork()
+	srv := NewServer(network, "127.0.0.1:0")
+	data := payload(64 << 10)
+	HandleMsg(srv, "get", func() *echoMsg { return &echoMsg{} }, func(*echoMsg) (*landMsg, error) {
+		return &landMsg{Tag: 7, Data: data}, nil
+	})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewClient(network, 10*time.Second)
 	defer cli.Close()
-	dst := make([]byte, n)
-	done := make(chan error, 1)
-	go func() { done <- cli.Call(l.Addr().String(), "get", &echoMsg{}, &landMsg{dst: dst}) }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrTimeout) {
-			t.Fatalf("err = %v, want a timeout", err)
+	dst := make([]byte, 64<<10)
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp := landMsg{dst: dst}
+		if err := cli.Call(srv.Addr(), "get", &echoMsg{}, &resp); err != nil {
+			b.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a call whose payload stalled mid-read outlived its timeout")
 	}
 }
 

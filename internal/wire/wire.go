@@ -201,14 +201,16 @@ type Decoder struct {
 	off   int
 	err   error
 	codec Codec
-	land  *landing // a landed field still to come (see UnmarshalLanded), or nil
+	src   source // the unread rest of a body read piecewise (see UnmarshalFrom)
 }
 
-// landing is a Decoder's landed field: the offset of its length prefix
-// in the buffer, and its bytes.
-type landing struct {
-	at int
-	p  []byte
+// source is the part of a body a Decoder has yet to read: read hands
+// over its next bytes in order (nil for a Decoder over a whole body),
+// left counts them, and err is read's first failure.
+type source struct {
+	read func([]byte) error
+	left int
+	err  error
 }
 
 // NewDecoder returns a Decoder over buf. The Decoder does not copy buf.
@@ -218,7 +220,12 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 func (d *Decoder) Err() error { return d.err }
 
 // Remaining reports the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+func (d *Decoder) Remaining() int {
+	if d.src.read != nil {
+		return len(d.buf) - d.off + d.src.left
+	}
+	return len(d.buf) - d.off
+}
 
 func (d *Decoder) fail() {
 	if d.err == nil {
@@ -230,13 +237,41 @@ func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.buf) {
+	if d.off+n > len(d.buf) && !d.more(d.off+n-len(d.buf)) {
 		d.fail()
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
 	return b
+}
+
+// more reads the next k bytes of a body read piecewise onto the end of
+// buf, reporting whether it could. A buf too small is replaced by a
+// larger one, never written again: fields decoded so far alias it.
+func (d *Decoder) more(k int) bool {
+	s := &d.src
+	if s.read == nil || k > s.left {
+		return false
+	}
+	n := len(d.buf)
+	if n+k > cap(d.buf) {
+		grown := make([]byte, n, max(2*cap(d.buf), n+k))
+		copy(grown, d.buf)
+		d.buf = grown
+	}
+	d.buf = d.buf[:n+k]
+	return d.read(d.buf[n:])
+}
+
+// read reads the next len(p) bytes of a body read piecewise into p.
+func (d *Decoder) read(p []byte) bool {
+	if err := d.src.read(p); err != nil {
+		d.src.err, d.err = err, err
+		return false
+	}
+	d.src.left -= len(p)
+	return true
 }
 
 // U8 decodes a single byte.
@@ -284,29 +319,41 @@ func (d *Decoder) count(max uint32) uint32 {
 // Bytes decodes a u32-length-prefixed byte slice. The returned slice
 // aliases the Decoder's buffer, so it is only as stable as that buffer;
 // its capacity ends at its length, so an append never overwrites the
-// fields that follow it. A landed field (see UnmarshalLanded) aliases the
-// slice it landed in.
+// fields that follow it.
 func (d *Decoder) Bytes() []byte {
-	at := d.off
 	n := d.U32()
 	if d.err != nil {
 		return nil
 	}
-	if d.land != nil && at == d.land.at {
-		p := d.land.p
-		d.land = nil
-		if int(n) != len(p) {
-			d.fail()
-			return nil
-		}
-		return p[:n:n]
-	}
+	return d.field(n)
+}
+
+// field decodes the n bytes of a byte field whose length prefix is read.
+func (d *Decoder) field(n uint32) []byte {
 	if n > MaxChunk {
 		d.err = ErrTooLarge
 		return nil
 	}
 	b := d.take(int(n))
 	return b[:len(b):len(b)]
+}
+
+// land decodes a byte field of a body read piecewise straight into dst
+// when it fits there (every byte before it is read already, see more),
+// and as Bytes otherwise.
+func (d *Decoder) land(dst []byte) []byte {
+	n := d.U32()
+	if d.err != nil {
+		return nil
+	}
+	if int(n) > len(dst) || int(n) > d.src.left {
+		return d.field(n)
+	}
+	p := dst[:n:n]
+	if !d.read(p) {
+		return nil
+	}
+	return p
 }
 
 // BytesCopy decodes a u32-length-prefixed byte slice into fresh memory.
@@ -415,6 +462,18 @@ func (c *Codec) Bytes(v *[]byte) {
 	} else {
 		c.e.putField(*v)
 	}
+}
+
+// Land codes a Bytes field whose bytes may land in dst, a buffer of the
+// decoding caller's: decoded from a body read piecewise (UnmarshalFrom),
+// a field that fits dst is read straight into it and aliases it. Encoded,
+// or decoded from a whole body, or too long for dst, it is Bytes.
+func (c *Codec) Land(v *[]byte, dst []byte) {
+	if c.d == nil || c.d.src.read == nil {
+		c.Bytes(v)
+		return
+	}
+	*v = c.d.land(dst)
 }
 
 // BytesCopy codes a u32-length-prefixed byte slice, decoding it into
@@ -538,21 +597,39 @@ func Unmarshal(buf []byte, m Message) error {
 	return nil
 }
 
-// UnmarshalLanded is Unmarshal of a body whose byte field with its length
-// prefix at offset at was read into p instead: buf holds the prefix but
-// not the bytes, and the field decodes as p, which must be as long as the
-// prefix says. A transport that reads a payload straight into its
-// destination hands the rest of the body over this way. A message that
-// decodes no byte field there fails.
-func UnmarshalLanded(buf []byte, at int, p []byte, m Message) error {
-	dec := NewDecoder(buf)
-	dec.land = &landing{at: at, p: p}
+// UnmarshalFrom decodes m from an n-byte body that read hands over piece
+// by piece, in order: read(p) fills p with the body's next len(p) bytes.
+// A field coded with Codec.Land that fits its buffer is read straight
+// into it; every other byte is read into a buffer of UnmarshalFrom's own,
+// which it returns, and m's other byte fields alias that buffer. The
+// whole body is read, also when the decode fails, unless read fails: its
+// error is then the one returned.
+func UnmarshalFrom(read func([]byte) error, n int, m Message) ([]byte, error) {
+	dec := &Decoder{buf: make([]byte, 0, min(n, fromBuf)), src: source{read: read, left: n}}
+	src := &dec.src
 	m.Decode(dec)
+	if src.err == nil && src.left > 0 {
+		skip(src)
+	}
+	if src.err != nil {
+		return dec.buf, src.err
+	}
 	if err := dec.Err(); err != nil {
-		return fmt.Errorf("wire: decoding %T: %w", m, err)
+		return dec.buf, fmt.Errorf("wire: decoding %T: %w", m, err)
 	}
-	if dec.land != nil {
-		return fmt.Errorf("wire: decoding %T: no byte field at offset %d for its landed %d bytes", m, at, len(p))
+	return dec.buf, nil
+}
+
+// fromBuf is UnmarshalFrom's first buffer: room for every field but the
+// landed payload of a one-chunk reply; a batch's grows by doubling.
+const fromBuf = 64
+
+// skip reads the rest of a body that its message does not decode.
+func skip(src *source) {
+	var scratch [512]byte
+	for src.left > 0 && src.err == nil {
+		k := min(src.left, len(scratch))
+		src.err = src.read(scratch[:k])
+		src.left -= k
 	}
-	return nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -319,32 +320,75 @@ func TestReferencedFields(t *testing.T) {
 	}
 }
 
-// TestLandedField: a body whose byte field at offset at was read
-// elsewhere decodes with that field aliasing the landed slice; a landed
-// slice of the wrong length, or no byte field at that offset, fails.
+// TestLandedField: a body decoded as it is read (UnmarshalFrom) reads
+// each Land field that fits its buffer straight into it, and the field
+// aliases that buffer; a field too long for its buffer, and every other
+// field, decodes from UnmarshalFrom's own buffer. A decode that fails
+// still reads the whole body, and a read that fails is the error.
 func TestLandedField(t *testing.T) {
 	e := NewEncoder(0)
 	e.PutU8(9)
 	e.PutBytes([]byte("payload"))
+	e.PutBytes([]byte("second"))
 	e.PutU64(77)
-	full := e.Bytes()
-	rest := append(append([]byte{}, full[:5]...), full[12:]...) // without the payload's bytes
-	landed := []byte("payload")
+	body := e.Bytes()
+	padded := append(append([]byte{}, body...), make([]byte, 8)...)
+	// reader hands the body (and 8 bytes more) over in pieces, counting
+	// what it handed over, and fails a read past fail bytes.
+	reader := func(fail int) (func([]byte) error, *int) {
+		read := 0
+		return func(p []byte) error {
+			if read+len(p) > fail {
+				return errors.New("connection reset")
+			}
+			read += copy(p, padded[read:])
+			return nil
+		}, &read
+	}
 	var tag uint8
-	var got []byte
+	var first, second []byte
 	var tail uint64
-	m := &fieldsMsg{fields: func(c *Codec) { c.U8(&tag); c.Bytes(&got); c.U64(&tail) }}
-	if err := UnmarshalLanded(rest, 1, landed, m); err != nil {
+	dst := [2][]byte{make([]byte, 16), make([]byte, 16)}
+	m := &fieldsMsg{fields: func(c *Codec) {
+		c.U8(&tag)
+		c.Land(&first, dst[0])
+		c.Land(&second, dst[1])
+		c.U64(&tail)
+	}}
+	read, n := reader(len(body))
+	rest, err := UnmarshalFrom(read, len(body), m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tag != 9 || tail != 77 || &got[0] != &landed[0] || string(got) != "payload" {
-		t.Fatalf("decoded tag %d payload %q tail %d (landed: %v)", tag, got, tail, &got[0] == &landed[0])
+	if tag != 9 || tail != 77 || string(first) != "payload" || string(second) != "second" {
+		t.Fatalf("decoded tag %d, %q, %q, tail %d", tag, first, second, tail)
 	}
-	if err := UnmarshalLanded(rest, 1, landed[:3], m); err == nil {
-		t.Fatal("a landed slice shorter than its prefix decoded")
+	if &first[0] != &dst[0][0] || &second[0] != &dst[1][0] || len(rest) != 1+4+4+8 || *n != len(body) {
+		t.Fatalf("fields not landed: %d bytes kept of %d read", len(rest), *n)
 	}
-	if err := UnmarshalLanded(rest, 0, landed, m); err == nil {
-		t.Fatal("a landing at no byte field's offset decoded")
+
+	dst[1] = dst[1][:3] // too short for "second"
+	read, _ = reader(len(body))
+	if _, err := UnmarshalFrom(read, len(body), m); err != nil || string(second) != "second" || &second[0] == &dst[1][0] {
+		t.Fatalf("a field too long for its buffer: %q, %v", second, err)
+	}
+
+	read, n = reader(len(body) + 8)
+	if _, err := UnmarshalFrom(read, len(body)+8, m); err != nil || *n != len(body)+8 {
+		t.Fatalf("trailing bytes: %v, %d of %d read", err, *n, len(body)+8)
+	}
+	short := &fieldsMsg{fields: func(c *Codec) {
+		for range 4 {
+			c.U64(&tail) // 32 bytes of a 30-byte body
+		}
+	}}
+	read, n = reader(len(body))
+	if _, err := UnmarshalFrom(read, len(body), short); !errors.Is(err, ErrTruncated) || *n != len(body) {
+		t.Fatalf("a body too short for its message: %v, %d of %d read", err, *n, len(body))
+	}
+	read, _ = reader(7)
+	if _, err := UnmarshalFrom(read, len(body), m); err == nil || err.Error() != "connection reset" {
+		t.Fatalf("a read that fails: err = %v", err)
 	}
 }
 
